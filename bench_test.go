@@ -208,7 +208,7 @@ func BenchmarkEngineTraceRun(b *testing.B) {
 
 // BenchmarkEngineTraceRunCancellable is BenchmarkEngineTraceRun with a
 // live (never-cancelled) Config.Context, so the benchguard pair
-// "cancel-overhead" proves the scheduler's interrupt poll costs nothing
+// "cancel-overhead" proves the loop's Context poll costs nothing
 // measurable on the engine hot path.
 func BenchmarkEngineTraceRunCancellable(b *testing.B) {
 	schedule, err := dtnsim.CambridgeTrace(benchSeed)
@@ -334,13 +334,15 @@ func BenchmarkSubscriberRWPGeneration(b *testing.B) {
 // RWP cell under different executors. Results are bit-identical for
 // every shard count (the DESIGN.md §12 contract, proven by the golden
 // equivalence suite), so the slow/fast ratios isolate executor cost:
-// "sharded-overhead" gates the K=1 sharded path's epoch/effect-buffer
-// bookkeeping against the sequential event loop, "sharded-speedup"
-// floors the parallel win at one shard per CPU.
+// "sharded-overhead" gates what the K=1 sharded path adds — the
+// materialized epoch, dependency chains and one goroutine hand-off per
+// item — against the inline executor, which runs the same loop and the
+// same Kernel and merges each item as it is collected;
+// "sharded-speedup" floors the parallel win at one shard per CPU.
 
 // runShardedBench times one 5k-node run per iteration through the
-// executor selected by shards (core.Config semantics: 0 = sequential
-// loop, K >= 1 = K worker shards). Scenario compilation — cheap next to
+// executor selected by shards (core.Config semantics: 0 = inline on
+// the calling goroutine, K >= 1 = K worker shards). Scenario compilation — cheap next to
 // the run, but allocating — happens off the clock so the measured op is
 // the executor alone.
 func runShardedBench(b *testing.B, shards int) {

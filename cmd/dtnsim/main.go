@@ -462,7 +462,7 @@ func distTLS(caPath string) (*tls.Config, error) {
 
 // shardCount maps the -shards flag onto Scenario.Shards: the flag
 // speaks in worker counts (1 = today's sequential engine, 0 = one shard
-// per CPU), the scenario field in executors (0 = sequential event loop,
+// per CPU), the scenario field in executors (0 = the calling goroutine,
 // K >= 1 = sharded with K workers). Either way the results are
 // bit-identical — the knob only chooses how they are computed.
 func shardCount(flagVal int) int {

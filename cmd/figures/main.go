@@ -160,8 +160,8 @@ func runConstrained(outDir string, runs int, seed uint64, workers int, quiet boo
 
 // shardCount maps the -shards flag onto core.Config.Shards: the flag
 // speaks in worker counts (1 = today's sequential engine, 0 = one shard
-// per CPU), the config in executors (0 = sequential loop, K >= 1 =
-// sharded with K workers).
+// per CPU), the config in executors (0 = the calling goroutine, K >= 1
+// = sharded with K workers).
 func shardCount(flagVal int) int {
 	switch {
 	case flagVal == 1:

@@ -133,7 +133,7 @@ func checkCall(pass *analysis.Pass, fn *ast.FuncDecl, call *ast.CallExpr, return
 			pass.Reportf(call.Pos(), "hot path %s calls fmt.%s, which allocates for formatting; precompute or move the message off the hot path",
 				fn.Name.Name, f.Sel.Name)
 		case "container/heap":
-			pass.Reportf(call.Pos(), "hot path %s calls heap.%s, which boxes elements into interface{}; use a concrete-typed heap like sim.Queue",
+			pass.Reportf(call.Pos(), "hot path %s calls heap.%s, which boxes elements into interface{}; use a concrete-typed heap like contact.Lookahead",
 				fn.Name.Name, f.Sel.Name)
 		}
 	case *ast.Ident:

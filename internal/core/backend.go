@@ -5,7 +5,7 @@ import (
 )
 
 // This file is the executor seam (DESIGN.md §13): the narrow interface
-// through which the sharded loop (shard.go) hands epochs to an
+// through which the epoch loop (shard.go) hands epochs to an
 // execution backend that owns node state elsewhere — worker processes
 // today, remote hosts tomorrow. Everything order-sensitive stays on
 // this side of the seam: item collection, the canonical-order merge,
@@ -23,11 +23,11 @@ type RunEnv struct {
 	Nodes []*node.Node
 }
 
-// Epoch is one collected epoch: the canonical (time, class, seq)
-// ordered item list between two sampling ticks. Items expose their
-// endpoints and payloads for shipping; the backend must leave each
-// item's Fx holding exactly the effects Kernel.Exec would have
-// recorded, in the same program order — merge replays them assuming so.
+// Epoch is one collected epoch: the canonical-order item list between
+// two sampling ticks. Items expose their endpoints and payloads for
+// shipping; the backend must leave each item's Fx holding exactly the
+// effects Kernel.Exec would have recorded, in the same program order —
+// merge replays them assuming so.
 type Epoch struct {
 	r *shardRun
 }
@@ -39,7 +39,7 @@ func (ep *Epoch) Len() int { return len(ep.r.items) }
 // until the next epoch's collection.
 func (ep *Epoch) Item(i int) *EpochItem { return &ep.r.items[i] }
 
-// EpochBackend executes epochs on behalf of the sharded loop.
+// EpochBackend executes epochs on behalf of the epoch loop.
 // Implementations must respect the per-node dependency order: two items
 // sharing an endpoint execute in item-index order, with the later one
 // observing all node mutations of the earlier. Items not sharing a node

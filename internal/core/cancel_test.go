@@ -48,40 +48,43 @@ func TestRunPreCancelledContext(t *testing.T) {
 }
 
 func TestRunCancelMidRun(t *testing.T) {
-	// Cancel from inside the event stream: the first transmission pulls
-	// the plug, so the run is provably past setup and mid-simulation
-	// when the scheduler's interrupt poll sees the cancel.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := cancelConfig(t)
-	cfg.Context = ctx
-	transmits := 0
-	cfg.Observers = []Observer{&FuncObserver{
-		Transmit: func(from, to contact.NodeID, id bundle.ID, now sim.Time) {
-			transmits++
-			cancel()
-		},
-	}}
-	res, err := Run(cfg)
-	if err == nil {
-		t.Fatalf("cancelled run returned a result: %+v", res)
-	}
-	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
-		t.Errorf("error should wrap ErrCancelled and context.Canceled: %v", err)
-	}
-	if transmits == 0 {
-		t.Fatal("observer never fired; the run was not cancelled mid-stream")
-	}
-	// The interrupt polls every interruptEvery pops, so after the cancel
-	// at the first transmission the run may process at most one poll
-	// window of further events — far short of draining the schedule.
 	full, err := Run(cancelConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(transmits) >= full.DataTransmissions {
-		t.Errorf("cancelled run transmitted %d of %d bundles; cancellation did not truncate it",
-			transmits, full.DataTransmissions)
+	for _, shards := range []int{0, 2} {
+		// Cancel from inside the event stream: the first transmission
+		// pulls the plug, so the run is provably past setup and
+		// mid-simulation when the loop's next poll sees the cancel.
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := cancelConfig(t)
+		cfg.Context = ctx
+		cfg.Shards = shards
+		transmits := 0
+		cfg.Observers = []Observer{&FuncObserver{
+			Transmit: func(from, to contact.NodeID, id bundle.ID, now sim.Time) {
+				transmits++
+				cancel()
+			},
+		}}
+		res, err := Run(cfg)
+		cancel()
+		if err == nil {
+			t.Fatalf("Shards=%d: cancelled run returned a result: %+v", shards, res)
+		}
+		if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+			t.Errorf("Shards=%d: error should wrap ErrCancelled and context.Canceled: %v", shards, err)
+		}
+		if transmits == 0 {
+			t.Fatalf("Shards=%d: observer never fired; the run was not cancelled mid-stream", shards)
+		}
+		// After the cancel at the first transmission the run may finish
+		// at most the epoch in flight — far short of draining the
+		// schedule.
+		if int64(transmits) >= full.DataTransmissions {
+			t.Errorf("Shards=%d: cancelled run transmitted %d of %d bundles; cancellation did not truncate it",
+				shards, transmits, full.DataTransmissions)
+		}
 	}
 }
 

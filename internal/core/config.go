@@ -107,11 +107,11 @@ type Config struct {
 	// RunToHorizon disables early termination when all flows complete,
 	// so buffer/duplication dynamics can be observed afterwards.
 	RunToHorizon bool
-	// Shards selects the execution engine: 0 runs the classic sequential
-	// event loop; K >= 1 runs the sharded executor with K worker
-	// goroutines (DESIGN.md §12). Purely an execution knob — results are
-	// bit-identical for every value, which is why it never enters a
-	// scenario's canonical key.
+	// Shards selects who executes the epoch loop's items (DESIGN.md
+	// §12): 0 runs each item on the calling goroutine as it is
+	// collected; K >= 1 dispatches every epoch to K worker goroutines.
+	// Purely an execution knob — results are bit-identical for every
+	// value, which is why it never enters a scenario's canonical key.
 	Shards int
 	// Backend, when non-nil, delegates epoch execution to an external
 	// executor (worker processes — internal/dist) through the seam in
@@ -122,12 +122,14 @@ type Config struct {
 	// enters a scenario's canonical key.
 	Backend EpochBackend
 	// Context, when non-nil, lets the caller abort the run: the engine
-	// polls it at scheduler event pops (every interruptEvery events, so
-	// a cancel or deadline lands within microseconds of virtual-event
-	// processing) and Run returns an error wrapping the context's error
-	// instead of a Result. Nil costs a single nil check per event pop —
-	// results are bit-identical with and without a never-cancelled
-	// context (benchguard pair "cancel-overhead" gates the overhead).
+	// polls it at every epoch boundary and every interruptEvery
+	// collected items (so a cancel or deadline lands within
+	// microseconds of item processing on the calling goroutine, within
+	// the epoch in flight on shards or a backend) and Run returns an
+	// error wrapping the context's error instead of a Result. Nil costs
+	// a nil check per poll — results are bit-identical with and without
+	// a never-cancelled context (benchguard pair "cancel-overhead" gates
+	// the overhead).
 	// Cancellation is a runtime knob, not part of the scenario: it never
 	// enters the canonical key.
 	Context context.Context

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
-	"dtnsim/internal/buffer"
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/metrics"
@@ -68,51 +66,28 @@ type Result struct {
 // context.Canceled and context.DeadlineExceeded alike.
 var ErrCancelled = errors.New("core: run cancelled")
 
-// interruptEvery is how many scheduler event pops separate consecutive
+// interruptEvery is how many collected items separate consecutive
 // Context polls: small enough that a cancel lands within microseconds
 // of real work, large enough that ctx.Err()'s lock never shows up in
 // the contact hot path.
 const interruptEvery = 64
 
-// Event ordering classes: among events with equal timestamps, flows
-// run first, then contacts, then the sampling tick — the same order the
-// pre-streaming engine got implicitly by pushing the whole schedule up
-// front in that sequence. The explicit tiers let the contact scheduler
-// keep only one pending event without perturbing equal-time ordering.
-const (
-	classWorkload = 0
-	classContact  = 1
-	classSampler  = 2
-)
-
 // engine is the per-run state.
 type engine struct {
 	cfg   Config
-	sched *sim.Scheduler
-	// rng is the encounter stream: one reseedable generator repointed at
-	// every contact from sim.EncounterSeed(seed, a, b, start). All random
-	// draws inside a contact — the protocol's Wants shuffles and P-Q
-	// coin flips, droprandom's victim reservoir — pull from it in
-	// program order, so the draw sequence is a pure function of the
-	// encounter and replays identically on any executor (the sharded
-	// engine's workers reseed their own streams the same way).
-	rng   *sim.RNG
 	nodes []*node.Node
 	coll  *metrics.Collector
 	// obs is every observer of this run: the built-in collector first,
 	// then Config.Observers in order.
 	obs []Observer
 	// holders maintains per-bundle holder counts incrementally from the
-	// engine's store/drop bookkeeping (in creation order, replacing the
-	// old tracked-bundle scan), making each sampling tick
-	// O(nodes + tracked) instead of O(nodes × tracked).
+	// merged store/drop effects (in creation order, replacing the old
+	// tracked-bundle scan), making each sampling tick O(nodes + tracked)
+	// instead of O(nodes × tracked).
 	holders *metrics.HolderTracker
 	// src streams the contact plan; a materialized Config.Schedule is
 	// adapted via Stream, so the engine has a single pull-based path.
 	src contact.Source
-	// dropPolicy is consulted on byte-pressure admission; nil while
-	// Config.BufferBytes is zero (no byte capacity, the legacy model).
-	dropPolicy buffer.DropPolicy
 	// cap is the run's horizon bound; adaptiveCap marks it as a
 	// source-reported upper bound (the generator's span) that settle
 	// tightens to the true latest contact end at source exhaustion,
@@ -125,16 +100,12 @@ type engine struct {
 	prevStart sim.Time
 	maxEnd    sim.Time
 	pulled    int
-	// err truncates the run: the first stream failure stops the
-	// scheduler and is returned from Run.
+	// err truncates the run: the first stream failure (or a cancel seen
+	// mid-epoch) stops collection and is returned from Run.
 	err error
 
-	remaining int
-	// completedStop records that the run terminated early because a
-	// sampling tick observed every flow complete (!RunToHorizon);
-	// the run then ends at the final arrival time, not the tick.
-	completedStop bool
-	deliveredAt   map[bundle.ID]sim.Time
+	remaining   int
+	deliveredAt map[bundle.ID]sim.Time
 	// delays accumulates per-bundle delivery delays, measured from each
 	// bundle's own CreatedAt (bundles from late-starting flows must not
 	// inherit another flow's start time).
@@ -161,8 +132,6 @@ func Run(cfg Config) (*Result, error) {
 	cap, adaptive := cfg.horizonCap()
 	e := &engine{
 		cfg:         cfg,
-		sched:       sim.NewScheduler(cap),
-		rng:         sim.NewReseedable(),
 		holders:     metrics.NewHolderTracker(),
 		src:         src,
 		cap:         cap,
@@ -172,111 +141,29 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e.coll = metrics.NewCollector()
 	e.obs = append([]Observer{e.coll}, cfg.Observers...)
-	if cfg.BufferBytes > 0 {
-		name := cfg.DropPolicy
-		if name == "" {
-			name = buffer.DefaultDropPolicy
-		}
-		pol, err := buffer.NewDropPolicy(name, cfg.Seed^0xb17ed70b5eed)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-		}
-		// Randomized policies draw from the encounter stream: victim
-		// choices then depend only on the contact being processed, never
-		// on drops in unrelated contacts — required for executor-
-		// independent replay (DESIGN.md §12).
-		if sp, ok := pol.(buffer.StreamPolicy); ok {
-			sp.SetStream(e.rng)
-		}
-		e.dropPolicy = pol
-	}
 	e.nodes = make([]*node.Node, cfg.nodeCount())
 	for i := range e.nodes {
 		n := node.New(contact.NodeID(i), cfg.BufferCap)
 		if cfg.BufferBytes > 0 {
 			n.Store.SetByteCap(cfg.BufferBytes)
 		}
-		at := n.ID
-		n.DropHook = func(id bundle.ID, reason node.DropReason, now sim.Time) {
-			if reason != node.DropRefused {
-				// Every non-refusal drop sheds a stored copy; refusals
-				// never stored one.
-				e.holders.Dec(id)
-			}
-			for _, o := range e.obs {
-				o.OnDrop(at, id, reason, now)
-			}
-		}
 		cfg.Protocol.Init(n)
 		e.nodes[i] = n
 	}
-
-	if cfg.Shards > 0 || cfg.Backend != nil {
-		// Sharded execution replaces the scheduler-driven event loop
-		// (including the drop hooks installed above) but produces
-		// bit-identical Results and observer streams — see shard.go. A
-		// Backend rides the same epoch loop with execution delegated,
-		// so the shard count only sizes the (unused) local worker set;
-		// clamp it to a valid value.
-		k := cfg.Shards
-		if k == 0 {
-			k = 1
-		}
-		return e.runSharded(k)
-	}
-
-	if err := e.scheduleWorkload(); err != nil {
-		return nil, err
-	}
-	if err := e.scheduleContacts(); err != nil {
-		return nil, err
-	}
-	e.scheduleSampling()
-	if ctx := cfg.Context; ctx != nil {
-		// Poll the context at event pops, amortized: ctx.Err() may take
-		// a lock, so one real check per interruptEvery pops keeps the
-		// cancellable engine within noise of the plain one while still
-		// reacting to a cancel within a sliver of wall time.
-		polls := 0
-		e.sched.SetInterrupt(func() bool {
-			polls++
-			if polls%interruptEvery != 0 {
-				return false
-			}
-			return ctx.Err() != nil
-		})
-	}
-
-	end := e.sched.Run()
-	if e.err != nil {
-		return nil, e.err
-	}
-	if ctx := cfg.Context; ctx != nil && ctx.Err() != nil {
-		// A run truncated by cancellation has no meaningful Result:
-		// report where it stopped and why, wrapping both ErrCancelled
-		// and the context's error so callers can errors.Is against
-		// either (context.Canceled, context.DeadlineExceeded).
-		return nil, fmt.Errorf("%w at t=%v: %w", ErrCancelled, e.sched.Now(), context.Cause(ctx))
-	}
-	if e.completedStop {
-		// Early termination: the run ends at the final arrival, exactly
-		// where a stop issued mid-delivery would have landed (the stop
-		// tick's own timestamp is a detection artifact, not an event).
-		end = e.lastArrival
-	} else if e.lastArrival > end {
-		// Deliveries inside the final contact complete after the
-		// contact-start event's timestamp.
-		end = e.lastArrival
-	}
-	return e.result(end), nil
+	return e.run()
 }
 
-// fail records the first stream failure and stops the run.
-func (e *engine) fail(err error) {
-	if e.err == nil {
-		e.err = err
+// cancelled reports a cancelled or expired Config.Context as the run's
+// error. A run truncated by cancellation has no meaningful Result: the
+// error says where it stopped and why, wrapping both ErrCancelled and
+// the context's error so callers can errors.Is against either
+// (context.Canceled, context.DeadlineExceeded).
+func (e *engine) cancelled(at sim.Time) error {
+	ctx := e.cfg.Context
+	if ctx == nil || ctx.Err() == nil {
+		return nil
 	}
-	e.sched.Stop()
+	return fmt.Errorf("%w at t=%v: %w", ErrCancelled, at, context.Cause(ctx))
 }
 
 // flowPlan assigns each flow its per-source sequence block and the
@@ -287,7 +174,7 @@ func (e *engine) fail(err error) {
 // the lowest block base among the flows sharing a bundle's (Src, Dst)
 // pair: cumulative immunity keys its tables by that pair, so an
 // acknowledgement anchored any higher could falsely cover another block
-// of the same pair. Both executors derive the workload from this plan.
+// of the same pair.
 func flowPlan(flows []Flow) (bases, firsts []int) {
 	type pair struct{ src, dst contact.NodeID }
 	nextSeq := make(map[contact.NodeID]int)
@@ -308,110 +195,6 @@ func flowPlan(flows []Flow) (bases, firsts []int) {
 	return bases, firsts
 }
 
-// scheduleWorkload creates flow bundles at their start times per
-// flowPlan's block assignment.
-func (e *engine) scheduleWorkload() error {
-	bases, firsts := flowPlan(e.cfg.Flows)
-	for i, f := range e.cfg.Flows {
-		f := f
-		base, first := bases[i], firsts[i]
-		if f.StartAt < e.firstStart {
-			e.firstStart = f.StartAt
-		}
-		e.remaining += f.Count
-		if _, err := e.sched.AtClass(f.StartAt, classWorkload, func() { e.generate(f, base, first) }); err != nil {
-			return fmt.Errorf("core: scheduling flow: %w", err)
-		}
-	}
-	return nil
-}
-
-func (e *engine) generate(f Flow, base, firstSeq int) {
-	src := e.nodes[f.Src]
-	now := e.sched.Now()
-	for i := 0; i < f.Count; i++ {
-		b := &bundle.Bundle{
-			ID:        bundle.ID{Src: f.Src, Seq: base + i},
-			Dst:       f.Dst,
-			CreatedAt: now,
-			Meta:      bundle.Meta{Size: f.Size},
-			FirstSeq:  firstSeq,
-		}
-		cp := &bundle.Copy{Bundle: b, StoredAt: now, Pinned: true, Expiry: sim.Infinity}
-		e.cfg.Protocol.OnGenerate(src, cp, now)
-		if err := src.Store.Put(cp); err != nil {
-			// Pinned puts bypass capacity; failure means a duplicate ID,
-			// which per-source block allocation rules out.
-			panic(fmt.Sprintf("core: generating %v: %v", b.ID, err))
-		}
-		e.holders.Track(b.ID)
-		e.holders.Inc(b.ID)
-		for _, o := range e.obs {
-			o.OnGenerate(b.ID, b.Dst, now)
-		}
-	}
-}
-
-// scheduleContacts starts pulling the contact stream into the event
-// queue one pending event at a time: each contact event pulls and
-// schedules its successor before processing, so queue residency is O(1)
-// per run regardless of contact count. Ordering class tiers keep
-// equal-timestamp ordering identical to a preloaded event queue. An
-// immediately-exhausted source is rejected here, mirroring
-// Schedule.Validate's empty-schedule error on the materialized path.
-func (e *engine) scheduleContacts() error {
-	e.pushNextContact()
-	if e.err != nil {
-		return e.err
-	}
-	if e.pulled == 0 {
-		return fmt.Errorf("%w: %v", ErrConfig, contact.ErrEmptySchedule)
-	}
-	return nil
-}
-
-// pushNextContact pulls the next contact from the source and schedules
-// it, validating the stream incrementally: contacts must be
-// individually valid, in-range, and in canonical start order. Pulling
-// stops at the first contact starting beyond the horizon (the stream is
-// sorted, so the rest are out of range too).
-func (e *engine) pushNextContact() {
-	if e.srcDone {
-		return
-	}
-	c, ok := e.src.Next()
-	if !ok {
-		e.srcDone = true
-		if err := e.src.Err(); err != nil {
-			e.fail(fmt.Errorf("core: contact source failed after %d contacts: %w", e.pulled, err))
-			return
-		}
-		e.settleHorizon()
-		return
-	}
-	if err := e.checkStreamed(c); err != nil {
-		e.srcDone = true
-		e.fail(err)
-		return
-	}
-	e.pulled++
-	e.prevStart = c.Start
-	if c.End > e.maxEnd {
-		e.maxEnd = c.End
-	}
-	if c.Start > e.cap {
-		e.srcDone = true
-		e.settleHorizon()
-		return
-	}
-	if _, err := e.sched.AtClass(c.Start, classContact, func() {
-		e.pushNextContact()
-		e.contact(c)
-	}); err != nil {
-		panic(fmt.Sprintf("core: scheduling contact %v: %v", c, err))
-	}
-}
-
 // checkStreamed validates one pulled contact against the stream
 // invariants a materialized schedule would have been checked for up
 // front.
@@ -427,227 +210,6 @@ func (e *engine) checkStreamed(c contact.Contact) error {
 			e.pulled, c.Start, e.prevStart)
 	}
 	return nil
-}
-
-// settleHorizon tightens an adaptive (source-span) horizon to the true
-// latest contact end once the stream is exhausted. Any event already
-// queued past the settled horizon — a sampling tick, a late flow —
-// could only have run after every contact had been pulled, so lowering
-// the bound here is indistinguishable from having known it up front.
-func (e *engine) settleHorizon() {
-	if !e.adaptiveCap {
-		return
-	}
-	h := e.maxEnd
-	if h > e.cap {
-		h = e.cap
-	}
-	e.sched.SetHorizon(h)
-}
-
-func (e *engine) scheduleSampling() {
-	var tick func()
-	tick = func() {
-		s := e.holders.Sample(e.nodes, e.sched.Now())
-		for _, o := range e.obs {
-			o.OnSample(s)
-		}
-		// Completion is detected here, not mid-contact: quantizing the
-		// early stop to sampling ticks makes the set of processed events
-		// a pure function of (config, seed) rather than of processing
-		// order, which is what lets the sharded executor run a whole
-		// inter-tick epoch in parallel and still stop at the same tick
-		// (DESIGN.md §12).
-		if e.remaining == 0 && !e.cfg.RunToHorizon {
-			e.completedStop = true
-			e.sched.Stop()
-			return
-		}
-		next := e.sched.Now() + sim.Time(e.cfg.SampleEvery)
-		if _, err := e.sched.AtClass(next, classSampler, tick); err != nil {
-			panic(fmt.Sprintf("core: rescheduling sampler: %v", err)) // future time: unreachable
-		}
-	}
-	// First sample lands after workload generation at t=firstStart.
-	at := e.firstStart
-	if at >= sim.Infinity {
-		at = 0
-	}
-	if _, err := e.sched.AtClass(at, classSampler, tick); err != nil {
-		panic(fmt.Sprintf("core: scheduling sampler: %v", err))
-	}
-}
-
-// contact processes one encounter per DESIGN.md §5: purge, control
-// exchange, then budgeted half-duplex transmissions, lower ID first.
-// With a finite bandwidth in effect (the contact's own, else the
-// config's), the encounter additionally carries at most ⌊D·B⌋ payload
-// bytes across both directions, with the control exchange optionally
-// charged ControlBytes per record first (DESIGN.md §9).
-func (e *engine) contact(c contact.Contact) {
-	e.rng.Reseed(sim.EncounterSeed(e.cfg.Seed, uint64(c.A), uint64(c.B), c.Start))
-	now := e.sched.Now()
-	a, b := e.nodes[c.A], e.nodes[c.B]
-	a.PurgeExpired(now)
-	b.PurgeExpired(now)
-	a.ObserveEncounter(now)
-	b.ObserveEncounter(now)
-
-	dur := float64(c.Duration())
-	recordBudget := int(dur / e.cfg.TxTime * float64(e.cfg.RecordsPerSlot))
-	bw := c.Bandwidth
-	if bw == 0 {
-		bw = e.cfg.Bandwidth
-	}
-	limited := bw > 0
-	var bytesLeft int64
-	var ctlBefore int64
-	if limited {
-		// ⌊D·B⌋, clamped: an out-of-range float→int64 conversion is
-		// implementation-defined (a huge bandwidth must mean "effectively
-		// unbounded", not a negative budget).
-		if budget := math.Floor(dur * bw); budget >= math.MaxInt64 {
-			bytesLeft = math.MaxInt64
-		} else {
-			bytesLeft = int64(budget)
-		}
-		ctlBefore = a.ControlSent + b.ControlSent
-	}
-	e.cfg.Protocol.Exchange(a, b, now, recordBudget)
-	if limited && e.cfg.ControlBytes > 0 {
-		// Signaling shares the link: the records the exchange carried
-		// are charged against the contact's byte budget before data.
-		bytesLeft -= int64(float64(a.ControlSent+b.ControlSent-ctlBefore) * e.cfg.ControlBytes)
-		if bytesLeft < 0 {
-			bytesLeft = 0
-		}
-	}
-
-	slots := int(dur / e.cfg.TxTime)
-	if slots <= 0 {
-		return
-	}
-	// Lower-ID node sends first (§IV collision avoidance); the peer uses
-	// whatever slot and byte budget remains.
-	used, bytesLeft := e.transmitBatch(a, b, now, slots, 0, limited, bytesLeft)
-	e.transmitBatch(b, a, now, slots, used, limited, bytesLeft)
-}
-
-// transmitBatch sends the sender's wanted bundles while slots — and,
-// when the contact is bandwidth-limited, payload bytes — remain. used
-// is the number of slots already consumed in this contact; the return
-// values are the updated slot count and byte budget. Transmission i
-// completes at start + (i+1)·TxTime.
-//
-// Partial-transfer semantics: a bundle the remaining byte budget cannot
-// carry whole ends the batch — it is not transmitted, not mutated, and
-// not marked carried by the receiver; budget is consumed strictly in
-// the protocol's Wants order, so a large bundle is never skipped in
-// favour of a smaller, lower-priority one.
-func (e *engine) transmitBatch(sender, receiver *node.Node, start sim.Time, slots, used int, limited bool, bytesLeft int64) (int, int64) {
-	if used >= slots {
-		return used, bytesLeft
-	}
-	wants := e.cfg.Protocol.Wants(sender, receiver, start, e.rng)
-	for _, id := range wants {
-		if used >= slots {
-			break
-		}
-		cp := sender.Store.Get(id)
-		if cp == nil {
-			// Purged mid-contact (e.g. covered by a fresh immunity
-			// table); the node would not put it on the air.
-			continue
-		}
-		if receiver.Store.Has(id) || receiver.Received.Has(id) {
-			continue
-		}
-		if limited {
-			if cp.Bundle.Meta.Size > bytesLeft {
-				break
-			}
-			bytesLeft -= cp.Bundle.Meta.Size
-		}
-		used++
-		at := start + sim.Time(float64(used)*e.cfg.TxTime)
-		e.transmit(sender, receiver, cp, at)
-	}
-	return used, bytesLeft
-}
-
-// transmit performs one bundle transmission. OnTransmit (EC increments,
-// TTL renewal) applies only to transfers the receiver actually takes —
-// delivered or stored. A refused transfer burns the slot and is counted,
-// but mutates no copy state: a sender cannot renew a bundle's TTL by
-// shouting into a full buffer.
-func (e *engine) transmit(sender, receiver *node.Node, cp *bundle.Copy, at sim.Time) {
-	sender.DataSent++
-	for _, o := range e.obs {
-		o.OnTransmit(sender.ID, receiver.ID, cp.Bundle.ID, at)
-	}
-	rcpt := cp.Clone(at)
-	if cp.Bundle.Dst == receiver.ID {
-		e.cfg.Protocol.OnTransmit(sender, receiver, cp, rcpt, at)
-		e.deliver(sender, receiver, cp.Bundle, at)
-		return
-	}
-	// Byte admission runs before the protocol's slot-count Admit:
-	// Admit may evict destructively (EC sheds its highest-count copy),
-	// and a byte refusal after that eviction would have drained a
-	// buffered copy with nothing admitted in its place. The order is
-	// safe the other way around — a byte-pressure eviction also frees
-	// a slot, and a protocol eviction also frees bytes, so neither
-	// stage can invalidate the other's admission.
-	if !e.admitBytes(receiver, rcpt, at) {
-		return
-	}
-	if e.cfg.Protocol.Admit(receiver, rcpt, at) {
-		e.cfg.Protocol.OnTransmit(sender, receiver, cp, rcpt, at)
-		if err := receiver.Store.Put(rcpt); err != nil {
-			panic(fmt.Sprintf("core: admit promised room for %v at node %d: %v",
-				cp.Bundle.ID, receiver.ID, err))
-		}
-		e.holders.Inc(rcpt.Bundle.ID)
-	}
-}
-
-// admitBytes relieves byte pressure at the receiver for an incoming
-// sized copy: victims chosen by the configured DropPolicy are shed
-// (reported with the bytepressure drop reason), and the incoming copy
-// is refused when room cannot be made. A nil policy (no byte capacity
-// configured) and size-less copies pass through untouched — the legacy
-// path costs one branch.
-func (e *engine) admitBytes(receiver *node.Node, rcpt *bundle.Copy, at sim.Time) bool {
-	if e.dropPolicy == nil || rcpt.Bundle.Meta.Size == 0 {
-		return true
-	}
-	evicted, ok := receiver.Store.MakeByteRoom(rcpt.Bundle.Meta.Size, e.dropPolicy)
-	for _, cp := range evicted {
-		receiver.NoteByteDropped(cp.Bundle.ID, at)
-	}
-	if !ok {
-		receiver.NoteRefused(rcpt.Bundle.ID, at)
-		return false
-	}
-	return true
-}
-
-func (e *engine) deliver(sender, dst *node.Node, b *bundle.Bundle, at sim.Time) {
-	if dst.Received.Has(b.ID) {
-		return // duplicate delivery; Wants filtering should prevent this
-	}
-	dst.Received.Add(b.ID)
-	e.deliveredAt[b.ID] = at
-	delay := float64(at - b.CreatedAt)
-	e.delays = append(e.delays, delay)
-	for _, o := range e.obs {
-		o.OnDeliver(b.ID, dst.ID, delay, at)
-	}
-	if at > e.lastArrival {
-		e.lastArrival = at
-	}
-	e.remaining--
-	e.cfg.Protocol.OnDelivered(dst, sender, b.ID, at)
 }
 
 func (e *engine) result(end sim.Time) *Result {

@@ -11,13 +11,14 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// Kernel is the per-item execution state machine of the sharded
-// executor, factored out of the worker goroutine so a worker *process*
-// (internal/dist) can run the identical code over restored node state.
-// Exec mutates only the item's two endpoint nodes and records every
-// global side effect into the item's EffectBuf; nothing here reads or
-// writes run-global state, which is exactly what makes an item's
-// execution location — goroutine or process — unobservable.
+// Kernel is the per-item execution state machine: the only
+// implementation of the paper's §IV contact semantics. Every executor
+// runs it — the calling goroutine (Shards == 0), a shard worker
+// goroutine, or a worker *process* (internal/dist) over restored node
+// state. Exec mutates only the item's two endpoint nodes and records
+// every global side effect into the item's EffectBuf; nothing here
+// reads or writes run-global state, which is exactly what makes an
+// item's execution location — goroutine or process — unobservable.
 //
 // A Kernel belongs to one executor thread: RNG and Policy are private
 // streams (reseeded per encounter from sim.EncounterSeed, so the draw
@@ -48,10 +49,49 @@ type Kernel struct {
 	Policy buffer.DropPolicy
 }
 
+// newKernel builds one executor thread's Kernel over the run's nodes
+// and the hook-target table its kernels share, with a private encounter
+// stream and, under a byte capacity, a private drop-policy instance
+// (same name and derived seed on every thread).
+func (e *engine) newKernel(hooks []*EffectBuf) (*Kernel, error) {
+	k := &Kernel{
+		Nodes:          e.nodes,
+		Hooks:          hooks,
+		Protocol:       e.cfg.Protocol,
+		Seed:           e.cfg.Seed,
+		TxTime:         e.cfg.TxTime,
+		RecordsPerSlot: e.cfg.RecordsPerSlot,
+		Bandwidth:      e.cfg.Bandwidth,
+		ControlBytes:   e.cfg.ControlBytes,
+		RNG:            sim.NewReseedable(),
+	}
+	if e.cfg.BufferBytes > 0 {
+		name := e.cfg.DropPolicy
+		if name == "" {
+			name = buffer.DefaultDropPolicy
+		}
+		pol, err := buffer.NewDropPolicy(name, e.cfg.Seed^0xb17ed70b5eed)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		}
+		// Randomized policies draw from the encounter stream: victim
+		// choices then depend only on the contact being processed, never
+		// on drops in unrelated contacts — required for executor-
+		// independent replay (DESIGN.md §12).
+		if sp, ok := pol.(buffer.StreamPolicy); ok {
+			sp.SetStream(k.RNG)
+		}
+		k.Policy = pol
+	}
+	return k, nil
+}
+
 // BindHook aims n's drop hook at whichever item is executing on n, so
-// evictions and refusals land in that item's effect buffer. The
-// in-process executor installs an equivalent closure in runSharded; a
-// worker process calls this on every node it materializes.
+// evictions and refusals land in that item's effect buffer and the
+// merger replays them where they happened. Hooks is shared by a run's
+// kernels, so binding through any one of them serves all: the
+// in-process executors bind every node once at setup, a worker process
+// each node it materializes.
 func (k *Kernel) BindHook(n *node.Node) {
 	at := n.ID
 	n.DropHook = func(id bundle.ID, reason node.DropReason, now sim.Time) {
@@ -73,8 +113,8 @@ func (k *Kernel) Exec(it *EpochItem) {
 	k.contact(it)
 }
 
-// generate mirrors engine.generate, recording effects instead of
-// touching global state.
+// generate creates a flow's bundles at their source, pinned (§IV: a
+// source never drops its own bundles).
 func (k *Kernel) generate(it *EpochItem) {
 	src := k.Nodes[it.Flow.Src]
 	now := it.T
@@ -89,15 +129,21 @@ func (k *Kernel) generate(it *EpochItem) {
 		cp := &bundle.Copy{Bundle: b, StoredAt: now, Pinned: true, Expiry: sim.Infinity}
 		k.Protocol.OnGenerate(src, cp, now)
 		if err := src.Store.Put(cp); err != nil {
+			// Pinned puts bypass capacity; failure means a duplicate ID,
+			// which per-source block allocation rules out.
 			panic(fmt.Sprintf("core: generating %v: %v", b.ID, err))
 		}
 		it.Fx.add(Effect{Kind: EffectGenerate, To: b.Dst, ID: b.ID, At: now})
 	}
 }
 
-// contact mirrors engine.contact: purge, control exchange, budgeted
-// half-duplex transmissions, lower ID first — drawing from this
-// kernel's stream reseeded for the encounter.
+// contact processes one encounter per DESIGN.md §5: purge, control
+// exchange, then budgeted half-duplex transmissions, lower ID first —
+// drawing from this kernel's stream reseeded for the encounter. With a
+// finite bandwidth in effect (the contact's own, else the run's), the
+// encounter additionally carries at most ⌊D·B⌋ payload bytes across
+// both directions, with the control exchange optionally charged
+// ControlBytes per record first (DESIGN.md §9).
 //
 //dtn:hotpath
 func (k *Kernel) contact(it *EpochItem) {
@@ -120,6 +166,9 @@ func (k *Kernel) contact(it *EpochItem) {
 	var bytesLeft int64
 	var ctlBefore int64
 	if limited {
+		// ⌊D·B⌋, clamped: an out-of-range float→int64 conversion is
+		// implementation-defined (a huge bandwidth must mean "effectively
+		// unbounded", not a negative budget).
 		if budget := math.Floor(dur * bw); budget >= math.MaxInt64 {
 			bytesLeft = math.MaxInt64
 		} else {
@@ -129,6 +178,8 @@ func (k *Kernel) contact(it *EpochItem) {
 	}
 	k.Protocol.Exchange(a, b, now, recordBudget)
 	if limited && k.ControlBytes > 0 {
+		// Signaling shares the link: the records the exchange carried
+		// are charged against the contact's byte budget before data.
 		bytesLeft -= int64(float64(a.ControlSent+b.ControlSent-ctlBefore) * k.ControlBytes)
 		if bytesLeft < 0 {
 			bytesLeft = 0
@@ -139,12 +190,23 @@ func (k *Kernel) contact(it *EpochItem) {
 	if slots <= 0 {
 		return
 	}
+	// Lower-ID node sends first (§IV collision avoidance); the peer uses
+	// whatever slot and byte budget remains.
 	used, bytesLeft := k.transmitBatch(it, a, b, now, slots, 0, limited, bytesLeft)
 	k.transmitBatch(it, b, a, now, slots, used, limited, bytesLeft)
 }
 
-// transmitBatch mirrors engine.transmitBatch (see its doc for the
-// partial-transfer semantics).
+// transmitBatch sends the sender's wanted bundles while slots — and,
+// when the contact is bandwidth-limited, payload bytes — remain. used
+// is the number of slots already consumed in this contact; the return
+// values are the updated slot count and byte budget. Transmission i
+// completes at start + (i+1)·TxTime.
+//
+// Partial-transfer semantics: a bundle the remaining byte budget cannot
+// carry whole ends the batch — it is not transmitted, not mutated, and
+// not marked carried by the receiver; budget is consumed strictly in
+// the protocol's Wants order, so a large bundle is never skipped in
+// favour of a smaller, lower-priority one.
 //
 //dtn:hotpath
 func (k *Kernel) transmitBatch(it *EpochItem, sender, receiver *node.Node, start sim.Time, slots, used int, limited bool, bytesLeft int64) (int, int64) {
@@ -158,6 +220,8 @@ func (k *Kernel) transmitBatch(it *EpochItem, sender, receiver *node.Node, start
 		}
 		cp := sender.Store.Get(id)
 		if cp == nil {
+			// Purged mid-contact (e.g. covered by a fresh immunity
+			// table); the node would not put it on the air.
 			continue
 		}
 		if receiver.Store.Has(id) || receiver.Received.Has(id) {
@@ -176,8 +240,11 @@ func (k *Kernel) transmitBatch(it *EpochItem, sender, receiver *node.Node, start
 	return used, bytesLeft
 }
 
-// transmit mirrors engine.transmit, recording the global bookkeeping as
-// effects.
+// transmit performs one bundle transmission. OnTransmit (EC increments,
+// TTL renewal) applies only to transfers the receiver actually takes —
+// delivered or stored. A refused transfer burns the slot and is counted,
+// but mutates no copy state: a sender cannot renew a bundle's TTL by
+// shouting into a full buffer.
 //
 //dtn:hotpath
 func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle.Copy, at sim.Time) {
@@ -189,6 +256,13 @@ func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle
 		k.deliver(it, sender, receiver, cp.Bundle, at)
 		return
 	}
+	// Byte admission runs before the protocol's slot-count Admit:
+	// Admit may evict destructively (EC sheds its highest-count copy),
+	// and a byte refusal after that eviction would have drained a
+	// buffered copy with nothing admitted in its place. The order is
+	// safe the other way around — a byte-pressure eviction also frees
+	// a slot, and a protocol eviction also frees bytes, so neither
+	// stage can invalidate the other's admission.
 	if !k.admitBytes(receiver, rcpt, at) {
 		return
 	}
@@ -202,9 +276,13 @@ func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle
 	}
 }
 
-// admitBytes mirrors engine.admitBytes with this kernel's policy
-// instance; evictions and refusals reach the effect buffer through the
-// node's drop hook.
+// admitBytes relieves byte pressure at the receiver for an incoming
+// sized copy: victims chosen by this kernel's policy instance are shed
+// (reported with the bytepressure drop reason), and the incoming copy
+// is refused when room cannot be made; both reach the effect buffer
+// through the node's drop hook. A nil policy (no byte capacity
+// configured) and size-less copies pass through untouched — the legacy
+// path costs one branch.
 //
 //dtn:hotpath
 func (k *Kernel) admitBytes(receiver *node.Node, rcpt *bundle.Copy, at sim.Time) bool {
@@ -222,9 +300,9 @@ func (k *Kernel) admitBytes(receiver *node.Node, rcpt *bundle.Copy, at sim.Time)
 	return true
 }
 
-// deliver mirrors engine.deliver: destination state mutates here (the
-// destination is one of the item's chained nodes); run-global delivery
-// bookkeeping is deferred to the merger.
+// deliver hands a bundle to its destination: destination state mutates
+// here (the destination is one of the item's nodes); run-global
+// delivery bookkeeping is deferred to the merger.
 //
 //dtn:hotpath
 func (k *Kernel) deliver(it *EpochItem, sender, dst *node.Node, b *bundle.Bundle, at sim.Time) {

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"dtnsim/internal/buffer"
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/metrics"
@@ -16,36 +14,36 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// This file is the sharded executor (DESIGN.md §12): Config.Shards >= 1
-// runs the simulation with K worker goroutines instead of the
-// sequential event loop, producing bit-identical Results and observer
-// event streams for every K.
+// This file is the engine's one loop (DESIGN.md §12). Every run —
+// whatever executes its items — is the same sequence of epochs, and
+// Results and observer event streams are bit-identical for every
+// executor and every shard count.
 //
 // The design in one paragraph: virtual time is cut into epochs at the
 // sampling ticks (the only events that read global state). Within an
-// epoch, the canonical (time, class, seq) event order is materialized
-// into an item list — flow generations and contacts — and each item is
-// ready to execute as soon as the previous item touching either of its
-// nodes has finished (per-node dependency chains). Items execute on K
-// workers, mutating only the states of their own two nodes and
-// recording their global side effects (observer events, holder-count
-// and delivery bookkeeping) into a per-item effect buffer. After a
-// barrier, a single merger replays the buffers in canonical item order,
-// so everything order-sensitive — observer CSV streams, delay
-// accumulation, duplication metrics — is byte-identical to the
-// sequential engine. Random draws inside a contact come from a
-// per-worker stream reseeded from sim.EncounterSeed, so the draw
-// sequence is a function of the encounter, not of the executor.
+// epoch, flow generations and contacts are collected in canonical
+// order — by time, generations before contacts at equal times, each in
+// its own declaration or stream order — and each item is ready to
+// execute as soon as the previous item touching either of its nodes has
+// finished (per-node dependency chains). An item executes in a Kernel
+// (kernel.go), mutating only the states of its own two nodes and
+// recording its global side effects (observer events, holder-count and
+// delivery bookkeeping) into a per-item effect buffer; a single merger
+// replays the buffers in canonical item order, so everything
+// order-sensitive — observer CSV streams, delay accumulation,
+// duplication metrics — is the same whoever executed the item. Random
+// draws inside a contact come from a per-kernel stream reseeded from
+// sim.EncounterSeed, so the draw sequence is a function of the
+// encounter, not of the executor.
 //
-// The per-item execution logic lives in Kernel (kernel.go): the same
-// state machine a worker goroutine runs here is what a worker *process*
-// runs in the distributed backend (internal/dist), which replaces only
-// runEpoch's dispatch — collection, merge and sampling stay on this
-// loop (backend.go). The kernel deliberately duplicates engine.contact
-// and friends rather than abstracting them behind a shared interface:
-// the contact path is the hot path, and the golden equivalence suite
-// (shard_test.go) pins the two copies together bit-for-bit, which is a
-// stronger drift guard than shared indirection.
+// Three executors share the loop. Shards == 0 executes and merges each
+// item on the calling goroutine as it is collected, so the epoch is
+// never materialized (the 5k-node streaming cell would otherwise pay
+// ~2× the bytes). Shards >= 1 materializes the epoch, dispatches it to
+// K worker goroutines along the dependency chains and merges after the
+// barrier. A Config.Backend (internal/dist) materializes the epoch too
+// and replaces only runEpoch's dispatch — collection, merge and
+// sampling stay on this loop (backend.go).
 
 // EffectKind tags one recorded side effect.
 type EffectKind uint8
@@ -113,17 +111,11 @@ type shardWorker struct {
 type shardRun struct {
 	e *engine
 	k int
-	// horizon is the effective run bound, lowered by settle exactly as
-	// the sequential scheduler's horizon would be.
+	// horizon is the effective run bound: the engine's cap, lowered by
+	// settle once an adaptive source's true extent is known.
 	horizon sim.Time
-	// hookTarget[n] is the effect buffer of the item currently executing
-	// on node n; the node's DropHook writes through it. Only the worker
-	// holding n's chain position touches entry n, so writes are ordered
-	// by the chain's happens-before edges.
-	hookTarget []*EffectBuf
-	// flows is the workload sorted by (StartAt, declaration order) — the
-	// order the scheduler's (time, class, seq) tiers would pop the
-	// generation events in.
+	// flows is the workload sorted by (StartAt, declaration order): the
+	// canonical order of generation items.
 	flows    []shardFlow
 	nextFlow int
 	// pending buffers the one contact pulled past the current epoch
@@ -132,11 +124,19 @@ type shardRun struct {
 	hasPending bool
 	// items is the current epoch's canonical-order item list, reused
 	// across epochs (grown once, effect buffers keep their capacity).
+	// The inline executor only ever holds the item in flight here.
 	items []EpochItem
+	// collected counts items across epochs, pacing the Context poll.
+	collected int
 	// tails/touched index the per-node chain heads during item linking.
 	tails   []*EpochItem
 	touched []contact.NodeID
+	// workers are the in-process executors, one per shard (none under a
+	// Backend). Shards == 0 has a single one whose kernel is inline:
+	// collect runs and merges each item through it on the calling
+	// goroutine instead of dispatching.
 	workers []*shardWorker
+	inline  *Kernel
 }
 
 type shardFlow struct {
@@ -144,27 +144,14 @@ type shardFlow struct {
 	base, firstSeq int
 }
 
-// runSharded executes the run with k worker shards — or, when
-// Config.Backend is set, hands each epoch's item list to the backend
-// instead of the in-process workers. It is called from Run after common
-// setup (validation, node creation, drop policy) and replaces the
-// scheduler-driven event loop.
-func (e *engine) runSharded(k int) (*Result, error) {
+// run executes the run's epochs on the configured executor. It is called
+// from Run after common setup (validation, node creation).
+func (e *engine) run() (*Result, error) {
 	r := &shardRun{
-		e:          e,
-		k:          k,
-		horizon:    e.cap,
-		hookTarget: make([]*EffectBuf, len(e.nodes)),
-		tails:      make([]*EpochItem, len(e.nodes)),
-	}
-	// Re-point the drop hooks at the shard effect buffers: a drop lands
-	// in the buffer of whichever item is executing on the node, and the
-	// merger replays it exactly where the sequential observers saw it.
-	for _, n := range e.nodes {
-		at := n.ID
-		n.DropHook = func(id bundle.ID, reason node.DropReason, now sim.Time) {
-			r.hookTarget[at].add(Effect{Kind: EffectDrop, From: at, ID: id, Reason: reason, At: now})
-		}
+		e:       e,
+		k:       e.cfg.Shards,
+		horizon: e.cap,
+		tails:   make([]*EpochItem, len(e.nodes)),
 	}
 	bases, firsts := flowPlan(e.cfg.Flows)
 	r.flows = make([]shardFlow, len(e.cfg.Flows))
@@ -178,41 +165,34 @@ func (e *engine) runSharded(k int) (*Result, error) {
 	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
 	if b := e.cfg.Backend; b != nil {
 		// Execution is delegated: items never run on this process's
-		// nodes, so no local workers (and no local kernels) exist.
+		// nodes, so no local kernels (and no drop hooks) exist.
 		if err := b.Start(RunEnv{Cfg: e.cfg, Nodes: e.nodes}); err != nil {
 			return nil, err
 		}
 	} else {
-		r.workers = make([]*shardWorker, k)
+		// hooks[n] is the effect buffer of the item currently executing
+		// on node n. Only the kernel holding n's chain position touches
+		// entry n, so writes are ordered by the chain's happens-before
+		// edges.
+		hooks := make([]*EffectBuf, len(e.nodes))
+		r.workers = make([]*shardWorker, max(r.k, 1))
 		for i := range r.workers {
-			kern := &Kernel{
-				Nodes:          e.nodes,
-				Hooks:          r.hookTarget,
-				Protocol:       e.cfg.Protocol,
-				Seed:           e.cfg.Seed,
-				TxTime:         e.cfg.TxTime,
-				RecordsPerSlot: e.cfg.RecordsPerSlot,
-				Bandwidth:      e.cfg.Bandwidth,
-				ControlBytes:   e.cfg.ControlBytes,
-				RNG:            sim.NewReseedable(),
-			}
-			if e.dropPolicy != nil {
-				// Same policy name and seed as the engine's instance; the
-				// per-worker copy exists so randomized policies can draw from
-				// this worker's encounter stream.
-				pol, err := buffer.NewDropPolicy(e.dropPolicy.Name(), e.cfg.Seed^0xb17ed70b5eed)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrConfig, err)
-				}
-				if sp, ok := pol.(buffer.StreamPolicy); ok {
-					sp.SetStream(kern.RNG)
-				}
-				kern.Policy = pol
+			kern, err := e.newKernel(hooks)
+			if err != nil {
+				return nil, err
 			}
 			r.workers[i] = &shardWorker{kern: kern}
 		}
+		for _, n := range e.nodes {
+			r.workers[0].kern.BindHook(n)
+		}
+		if r.k == 0 {
+			r.inline = r.workers[0].kern
+		}
 	}
-	// Prime the stream, mirroring scheduleContacts' empty-source check.
+	// Prime the stream: an immediately-exhausted source is rejected
+	// here, like Schedule.Validate's empty-schedule error on the
+	// materialized path.
 	r.pull()
 	if e.err != nil {
 		return nil, e.err
@@ -224,8 +204,8 @@ func (e *engine) runSharded(k int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx := e.cfg.Context; ctx != nil && ctx.Err() != nil {
-		return nil, fmt.Errorf("%w at t=%v: %w", ErrCancelled, end, context.Cause(ctx))
+	if err := e.cancelled(end); err != nil {
+		return nil, err
 	}
 	if b := e.cfg.Backend; b != nil {
 		// Download the final node states: Result's per-node columns
@@ -239,15 +219,15 @@ func (e *engine) runSharded(k int) (*Result, error) {
 
 // loop runs epochs delimited by sampling ticks until the run completes
 // (every flow delivered, observed at a tick) or the horizon is reached.
-// The tick runs after the epoch's merge, exactly where the sequential
-// classSampler tier places it among equal-time events.
+// The tick runs after the epoch's merge: among equal-time events a
+// sample comes last.
 func (r *shardRun) loop() (sim.Time, error) {
 	e := r.e
 	tickAt := e.firstStart
 	last := sim.Time(math.Inf(-1)) // last completed epoch boundary
 	for {
-		if ctx := e.cfg.Context; ctx != nil && ctx.Err() != nil {
-			return 0, fmt.Errorf("%w at t=%v: %w", ErrCancelled, last, context.Cause(ctx))
+		if err := e.cancelled(last); err != nil {
+			return 0, err
 		}
 		withTick := tickAt <= r.horizon
 		boundary := tickAt
@@ -260,11 +240,8 @@ func (r *shardRun) loop() (sim.Time, error) {
 		}
 		if r.horizon < boundary {
 			// The stream settled mid-collection below the target
-			// boundary: the tick at the old boundary never fires (it is
-			// past the true horizon), and neither do generations beyond
-			// it. Contacts cannot be affected — every pulled in-range
-			// contact starts before the settled horizon.
-			r.filterBeyond(r.horizon)
+			// boundary, and collection stopped there: the tick at the
+			// old boundary never fires (it is past the true horizon).
 			boundary = r.horizon
 			withTick = false
 		}
@@ -274,8 +251,8 @@ func (r *shardRun) loop() (sim.Time, error) {
 		r.merge()
 		if !withTick {
 			// Final partial epoch (lastTick, horizon]: the run ends at
-			// the horizon, raised to the last arrival exactly like the
-			// sequential path.
+			// the horizon, raised to the last arrival — deliveries
+			// inside the final contact complete after its start.
 			end := r.horizon
 			if e.lastArrival > end {
 				end = e.lastArrival
@@ -286,8 +263,14 @@ func (r *shardRun) loop() (sim.Time, error) {
 		for _, o := range e.obs {
 			o.OnSample(s)
 		}
+		// Completion is detected here, not mid-contact: quantizing the
+		// early stop to sampling ticks makes the set of processed items
+		// a pure function of (config, seed) rather than of processing
+		// order, which is what lets a whole inter-tick epoch run in
+		// parallel and still stop at the same tick. The run then ends at
+		// the final arrival; the tick's own timestamp is a detection
+		// artifact, not an event.
 		if e.remaining == 0 && !e.cfg.RunToHorizon {
-			e.completedStop = true
 			return e.lastArrival, nil
 		}
 		tickAt += sim.Time(e.cfg.SampleEvery)
@@ -307,9 +290,11 @@ func (r *shardRun) sample(tickAt sim.Time) metrics.Sample {
 	return e.holders.Sample(e.nodes, tickAt)
 }
 
-// pull advances the contact stream by one, mirroring pushNextContact's
-// incremental validation, horizon bookkeeping and settle-on-exhaustion
-// — minus the scheduling.
+// pull advances the contact stream by one into pending, validating the
+// stream incrementally: contacts must be individually valid, in-range,
+// and in canonical start order. Pulling stops at the first contact
+// starting beyond the horizon (the stream is sorted, so the rest are
+// out of range too).
 func (r *shardRun) pull() {
 	e := r.e
 	if e.srcDone || r.hasPending {
@@ -343,8 +328,10 @@ func (r *shardRun) pull() {
 	r.pending, r.hasPending = c, true
 }
 
-// settle tightens an adaptive horizon to the true latest contact end,
-// the shard-loop counterpart of engine.settleHorizon.
+// settle tightens an adaptive (source-span) horizon to the true latest
+// contact end once the stream is exhausted. Anything collected before
+// this point is at or before the last contact's start, so lowering the
+// bound here is indistinguishable from having known it up front.
 func (r *shardRun) settle() {
 	if !r.e.adaptiveCap {
 		return
@@ -358,9 +345,12 @@ func (r *shardRun) settle() {
 	}
 }
 
-// collect materializes the epoch's items in canonical (time, class,
-// seq) order: flow generations (class 0, declaration order) merged with
-// contacts (class 1, stream order), up to and including the boundary.
+// collect gathers the epoch's items in canonical order: flow
+// generations (declaration order) merged with contacts (stream order)
+// by time, generations first at equal times, up to and including the
+// boundary — or the horizon, should a pull settle it below the boundary
+// on the way. The inline executor runs and merges each item here, so
+// the list never grows; the others leave it materialized for runEpoch.
 func (r *shardRun) collect(boundary sim.Time) {
 	e := r.e
 	r.items = r.items[:0]
@@ -377,31 +367,45 @@ func (r *shardRun) collect(boundary sim.Time) {
 		if r.hasPending {
 			ct = r.pending.Start
 		}
-		if ft > boundary && ct > boundary {
+		bound := min(boundary, r.horizon)
+		if ft > bound && ct > bound {
 			return
 		}
-		// Equal-time tie: workload class runs before contact class.
+		if r.collected++; r.collected%interruptEvery == 0 {
+			// Amortized: ctx.Err() may take a lock, so one real check per
+			// interruptEvery items keeps a cancellable run within noise
+			// of a plain one while still reacting within a sliver of
+			// wall time, however long the epoch.
+			if e.err = e.cancelled(min(ft, ct)); e.err != nil {
+				return
+			}
+		}
+		it := r.nextItem()
 		if ft <= ct {
 			fl := r.flows[r.nextFlow]
 			r.nextFlow++
-			it := r.nextItem()
 			it.T, it.Gen = ft, true
 			it.A, it.B = fl.f.Src, fl.f.Src
 			it.Flow, it.Base, it.FirstSeq = fl.f, fl.base, fl.firstSeq
 		} else {
 			c := r.pending
 			r.hasPending = false
-			it := r.nextItem()
 			it.T, it.Gen = ct, false
 			it.A, it.B = c.A, c.B
 			it.C = c
 		}
+		if r.inline != nil {
+			r.inline.Exec(it)
+			r.merge()
+			r.items = r.items[:0]
+		}
 	}
 }
 
-// nextItem extends the epoch item list by one reused slot. Pointers
-// into r.items are only taken after collection finishes, so append
-// reallocation during growth is safe.
+// nextItem extends the epoch item list by one reused slot. collect
+// drops the pointer before its next call and chains are only linked
+// after collection finishes, so append reallocation during growth is
+// safe.
 func (r *shardRun) nextItem() *EpochItem {
 	if len(r.items) < cap(r.items) {
 		r.items = r.items[:len(r.items)+1]
@@ -415,28 +419,14 @@ func (r *shardRun) nextItem() *EpochItem {
 	return it
 }
 
-// filterBeyond drops items past the settled horizon. Only generation
-// items can be affected (see loop); a contact beyond the horizon would
-// violate the settle invariant.
-func (r *shardRun) filterBeyond(h sim.Time) {
-	kept := r.items[:0]
-	for i := range r.items {
-		if r.items[i].T <= h {
-			kept = append(kept, r.items[i])
-		} else if !r.items[i].Gen {
-			panic(fmt.Sprintf("core: sharded contact at %v beyond settled horizon %v", r.items[i].T, h))
-		}
-	}
-	r.items = kept
-}
-
-// runEpoch executes the collected items on K workers — or ships the
-// whole epoch to the configured backend. Dependency chains: an item is
-// ready once every earlier item sharing one of its nodes has finished;
-// readiness is tracked with an atomic countdown and ready items travel
-// to their owner shard (lower endpoint mod K) over buffered channels,
-// so sends never block and every channel receive gives the race
-// detector the happens-before edge matching the chain.
+// runEpoch executes the materialized items on K workers — or ships the
+// whole epoch to the configured backend; the inline executor left it
+// nothing to do. Dependency chains: an item is ready once every earlier
+// item sharing one of its nodes has finished; readiness is tracked with
+// an atomic countdown and ready items travel to their owner shard
+// (lower endpoint mod K) over buffered channels, so sends never block
+// and every channel receive gives the race detector the happens-before
+// edge matching the chain.
 func (r *shardRun) runEpoch() error {
 	n := len(r.items)
 	if n == 0 {
@@ -525,9 +515,9 @@ func (r *shardRun) fanout(it *EpochItem) {
 	}
 }
 
-// merge replays the epoch's effect buffers in canonical item order on
-// the single merger goroutine, reproducing the exact observer call
-// sequence and holder/delivery bookkeeping of the sequential engine.
+// merge replays the collected items' effect buffers in canonical item
+// order on the loop's goroutine: the observer call sequence and the
+// holder/delivery bookkeeping are the same whoever executed the items.
 //
 //dtn:hotpath
 func (r *shardRun) merge() {
@@ -559,6 +549,8 @@ func (r *shardRun) merge() {
 				e.remaining--
 			case EffectDrop:
 				if fx.Reason != node.DropRefused {
+					// Every non-refusal drop sheds a stored copy;
+					// refusals never stored one.
 					e.holders.Dec(fx.ID)
 				}
 				for _, o := range e.obs {

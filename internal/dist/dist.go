@@ -67,8 +67,6 @@ type Options struct {
 	Protocol string
 	// RoundItems overrides DefaultRoundItems when positive.
 	RoundItems int
-	// JSON switches the frames to the canonical-JSON debugging encoding.
-	JSON bool
 	// Hosts, when set, connects to dtnsim-worker -listen processes at
 	// these host:port addresses over TCP instead of spawning local
 	// processes. More workers than hosts round-robin across them.
@@ -116,7 +114,6 @@ type Backend struct {
 	bufCap int
 	states []*frame.NodeState // authoritative; nil = pristine
 	seq    uint64
-	enc    byte
 	init   *frame.Init // the run's Init, kept for worker revival
 
 	// Delta-shipping bookkeeping. stateVer[n] is the round that
@@ -170,10 +167,7 @@ func New(opt Options) (*Backend, error) {
 	if opt.RoundItems < 1 {
 		return nil, fmt.Errorf("dist: round window %d items", opt.RoundItems)
 	}
-	b := &Backend{opt: opt, enc: frame.EncBinary}
-	if opt.JSON {
-		b.enc = frame.EncJSON
-	}
+	b := &Backend{opt: opt}
 	switch {
 	case opt.Dial != nil:
 		b.tr = funcTransport{dial: opt.Dial, redial: opt.Redial}
@@ -247,7 +241,7 @@ func closeAll(rwcs []io.ReadWriteCloser) {
 // behavior (delta shipping) downward.
 func (b *Backend) handshake(w int) error {
 	hello := &frame.Hello{Version: frame.Version, Caps: frame.CapDelta}
-	if err := b.conns[w].send(&frame.Msg{Enc: b.enc, Hello: hello}); err != nil {
+	if err := b.conns[w].send(&frame.Msg{Hello: hello}); err != nil {
 		return fmt.Errorf("%w: worker %d: handshake: %v", ErrWorkerLost, w, err)
 	}
 	m, err := b.conns[w].recv()
@@ -292,7 +286,7 @@ func (b *Backend) revive(w int, cause error) error {
 		return err
 	}
 	if b.init != nil {
-		if err := b.conns[w].send(&frame.Msg{Enc: b.enc, Init: b.init}); err != nil {
+		if err := b.conns[w].send(&frame.Msg{Init: b.init}); err != nil {
 			return fmt.Errorf("%w: worker %d: replayed init: %v", ErrWorkerLost, w, err)
 		}
 	}
@@ -364,7 +358,7 @@ func (b *Backend) Start(env core.RunEnv) error {
 		Protocol:       b.opt.Protocol,
 	}
 	for i, c := range b.conns {
-		if err := c.send(&frame.Msg{Enc: b.enc, Init: b.init}); err != nil {
+		if err := c.send(&frame.Msg{Init: b.init}); err != nil {
 			// revive re-sends the Init itself after the handshake.
 			if err := b.revive(i, err); err != nil {
 				return err
@@ -466,7 +460,7 @@ func (b *Backend) sendRound(ep *core.Epoch, w int) error {
 				round.States = append(round.States, *st)
 			}
 		}
-		err := b.conns[w].send(&frame.Msg{Enc: b.enc, Round: &round})
+		err := b.conns[w].send(&frame.Msg{Round: &round})
 		if err == nil {
 			return nil
 		}

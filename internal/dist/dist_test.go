@@ -280,20 +280,6 @@ func TestDistWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestDistJSONEncodingInvariance pins the canonical-JSON debug framing
-// to the same bit-identity as the binary codec.
-func TestDistJSONEncodingInvariance(t *testing.T) {
-	c := distCells[0]
-	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
-	res, csv := runCellDist(t, c, Options{Workers: 2, RoundItems: 32, JSON: true})
-	if !reflect.DeepEqual(seqRes, res) {
-		t.Errorf("JSON framing: Result diverged from sequential")
-	}
-	if !bytes.Equal(seqCSV, csv) {
-		t.Errorf("JSON framing: event CSV diverged (byte %d)", firstDiff(seqCSV, csv))
-	}
-}
-
 // TestDistGoldenGrid runs the full builtin-protocol grid over the
 // cells' mobilities at N=2 — the distributed arm of the golden
 // equivalence suite.

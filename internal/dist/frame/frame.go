@@ -11,10 +11,10 @@
 // cache references, coordinator→worker), Effects (recorded effects +
 // updated states, worker→coordinator), Error (worker failure report),
 // Hello (version/capability handshake, both directions). The payload is
-// either the compact binary encoding (enc 0: varints for integers,
-// fixed 8-byte little-endian IEEE bits for floats, length-prefixed
-// strings) or, behind the coordinator's -dist-json debugging flag,
-// canonical JSON of the same structs (enc 1).
+// a compact binary encoding: varints for integers, fixed 8-byte
+// little-endian IEEE bits for floats, length-prefixed strings. It is
+// the only encoding; the enc byte is always 0 and any other value is
+// rejected.
 //
 // Decode never panics on arbitrary bytes (FuzzDecodeFrame), and
 // encoding is a canonical function of the message: for any frame that
@@ -24,7 +24,6 @@ package frame
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,11 +40,8 @@ import (
 // from different versions fail loudly on the first frame either way.
 const Version = 2
 
-// Payload encodings.
-const (
-	EncBinary = 0
-	EncJSON   = 1
-)
+// encBinary is the header's payload-encoding byte.
+const encBinary = 0
 
 // Frame types.
 const (
@@ -79,8 +75,8 @@ const (
 // frames; Hello makes the failure mode a readable error and lets the
 // two sides negotiate optional behavior (delta shipping) downward.
 type Hello struct {
-	Version int    `json:"version"`
-	Caps    uint64 `json:"caps,omitempty"`
+	Version int
+	Caps    uint64
 }
 
 // CacheRef is a Round delta record: "node ID is unchanged since the
@@ -91,87 +87,87 @@ type Hello struct {
 // than guessing — the coordinator only emits refs it knows the worker
 // holds.
 type CacheRef struct {
-	ID  int    `json:"id"`
-	Ver uint64 `json:"ver"`
+	ID  int
+	Ver uint64
 }
 
 // Init is the run-setup payload: everything a worker needs to mirror
 // the coordinator's engine configuration (scalars after defaulting and
 // the protocol spec — the worker builds its own instance).
 type Init struct {
-	Seed           uint64  `json:"seed"`
-	Nodes          int     `json:"nodes"`
-	BufferCap      int     `json:"buffer_cap"`
-	BufferBytes    int64   `json:"buffer_bytes,omitempty"`
-	DropPolicy     string  `json:"drop_policy,omitempty"`
-	TxTime         float64 `json:"tx_time"`
-	Bandwidth      float64 `json:"bandwidth,omitempty"`
-	ControlBytes   float64 `json:"control_bytes,omitempty"`
-	RecordsPerSlot int     `json:"records_per_slot"`
-	Protocol       string  `json:"protocol"`
+	Seed           uint64
+	Nodes          int
+	BufferCap      int
+	BufferBytes    int64
+	DropPolicy     string
+	TxTime         float64
+	Bandwidth      float64
+	ControlBytes   float64
+	RecordsPerSlot int
+	Protocol       string
 }
 
 // Item is one epoch item in wire form: a generation (Gen, flow fields)
 // or a contact (contact fields). Idx is the item's index in the
 // coordinator's canonical epoch order — effects come back keyed by it.
 type Item struct {
-	Idx int     `json:"idx"`
-	Gen bool    `json:"gen,omitempty"`
-	T   float64 `json:"t"`
-	A   int     `json:"a"`
-	B   int     `json:"b"`
+	Idx int
+	Gen bool
+	T   float64
+	A   int
+	B   int
 	// Contact payload (Gen=false).
-	Start     float64 `json:"start,omitempty"`
-	End       float64 `json:"end,omitempty"`
-	Bandwidth float64 `json:"bandwidth,omitempty"`
+	Start     float64
+	End       float64
+	Bandwidth float64
 	// Flow payload (Gen=true).
-	FlowSrc  int     `json:"flow_src,omitempty"`
-	FlowDst  int     `json:"flow_dst,omitempty"`
-	Count    int     `json:"count,omitempty"`
-	StartAt  float64 `json:"start_at,omitempty"`
-	Size     int64   `json:"size,omitempty"`
-	Base     int     `json:"base,omitempty"`
-	FirstSeq int     `json:"first_seq,omitempty"`
+	FlowSrc  int
+	FlowDst  int
+	Count    int
+	StartAt  float64
+	Size     int64
+	Base     int
+	FirstSeq int
 }
 
 // Copy is one buffered bundle copy in wire form: the immutable bundle
 // identity plus the per-copy mutable state.
 type Copy struct {
-	Src       int     `json:"src"`
-	Seq       int     `json:"seq"`
-	Dst       int     `json:"dst"`
-	CreatedAt float64 `json:"created_at"`
-	Size      int64   `json:"size,omitempty"`
-	FirstSeq  int     `json:"first_seq,omitempty"`
-	EC        int     `json:"ec,omitempty"`
-	Expiry    float64 `json:"expiry"`
-	StoredAt  float64 `json:"stored_at"`
-	Pinned    bool    `json:"pinned,omitempty"`
+	Src       int
+	Seq       int
+	Dst       int
+	CreatedAt float64
+	Size      int64
+	FirstSeq  int
+	EC        int
+	Expiry    float64
+	StoredAt  float64
+	Pinned    bool
 }
 
 // IDPair is one bundle ID in wire form.
 type IDPair struct {
-	Src int `json:"src"`
-	Seq int `json:"seq"`
+	Src int
+	Seq int
 }
 
 // NodeState is one node's complete serialized state. A node involved in
 // a round but absent from the round's States is pristine: the worker
 // constructs it fresh (node.New + protocol Init) instead of restoring.
 type NodeState struct {
-	ID                 int               `json:"id"`
-	ControlSent        int64             `json:"control_sent,omitempty"`
-	DataSent           int64             `json:"data_sent,omitempty"`
-	Refused            int64             `json:"refused,omitempty"`
-	Expired            int64             `json:"expired,omitempty"`
-	Evicted            int64             `json:"evicted,omitempty"`
-	ByteDropped        int64             `json:"byte_dropped,omitempty"`
-	ControlLoad        float64           `json:"control_load,omitempty"`
-	LastEncounterStart float64           `json:"last_encounter_start"`
-	LastInterval       float64           `json:"last_interval,omitempty"`
-	Copies             []Copy            `json:"copies,omitempty"`
-	Received           []IDPair          `json:"received,omitempty"`
-	Ext                protocol.ExtState `json:"ext,omitempty"`
+	ID                 int
+	ControlSent        int64
+	DataSent           int64
+	Refused            int64
+	Expired            int64
+	Evicted            int64
+	ByteDropped        int64
+	ControlLoad        float64
+	LastEncounterStart float64
+	LastInterval       float64
+	Copies             []Copy
+	Received           []IDPair
+	Ext                protocol.ExtState
 }
 
 // Round is one coordinator→worker work assignment: the states of every
@@ -181,50 +177,47 @@ type NodeState struct {
 // version stamp CacheRef.Ver refers to. Involved nodes in neither
 // States nor Cached are pristine: the worker constructs them fresh.
 type Round struct {
-	Seq    uint64      `json:"seq"`
-	States []NodeState `json:"states,omitempty"`
-	Cached []CacheRef  `json:"cached,omitempty"`
-	Items  []Item      `json:"items,omitempty"`
+	Seq    uint64
+	States []NodeState
+	Cached []CacheRef
+	Items  []Item
 }
 
 // Effect is one recorded side effect in wire form (core.Effect).
 type Effect struct {
-	Kind   byte    `json:"kind"`
-	From   int     `json:"from,omitempty"`
-	To     int     `json:"to,omitempty"`
-	Src    int     `json:"src"`
-	Seq    int     `json:"seq"`
-	Reason byte    `json:"reason,omitempty"`
-	At     float64 `json:"at"`
-	Delay  float64 `json:"delay,omitempty"`
+	Kind   byte
+	From   int
+	To     int
+	Src    int
+	Seq    int
+	Reason byte
+	At     float64
+	Delay  float64
 }
 
 // ItemEffects is one item's replayed effect buffer, keyed by the
 // item's coordinator-side index.
 type ItemEffects struct {
-	Idx int      `json:"idx"`
-	Fx  []Effect `json:"fx,omitempty"`
+	Idx int
+	Fx  []Effect
 }
 
 // Effects is one worker→coordinator round reply: the updated states of
 // every node the round's items touched, and each item's effects.
 type Effects struct {
-	Seq    uint64        `json:"seq"`
-	States []NodeState   `json:"states,omitempty"`
-	Items  []ItemEffects `json:"items,omitempty"`
+	Seq    uint64
+	States []NodeState
+	Items  []ItemEffects
 }
 
 // ErrorMsg is a worker's failure report; the coordinator surfaces it
 // as the run error.
 type ErrorMsg struct {
-	Msg string `json:"msg"`
+	Msg string
 }
 
 // Msg is one decoded frame: exactly one payload pointer is non-nil.
-// Enc records the payload encoding, so encode(decode(b)) re-encodes a
-// JSON frame as JSON.
 type Msg struct {
-	Enc     byte
 	Init    *Init
 	Round   *Round
 	Effects *Effects
@@ -256,47 +249,24 @@ func Encode(m *Msg) ([]byte, error) {
 		return nil, fmt.Errorf("%w: message has no payload", ErrFrame)
 	}
 	var payload []byte
-	if m.Enc == EncJSON {
-		var v any
-		switch t {
-		case TInit:
-			v = m.Init
-		case TRound:
-			v = m.Round
-		case TEffects:
-			v = m.Effects
-		case TError:
-			v = m.Err
-		case THello:
-			v = m.Hello
-		}
-		var err error
-		payload, err = json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFrame, err)
-		}
-	} else if m.Enc == EncBinary {
-		switch t {
-		case TInit:
-			payload = appendInit(nil, m.Init)
-		case TRound:
-			payload = appendRound(nil, m.Round)
-		case TEffects:
-			payload = appendEffects(nil, m.Effects)
-		case TError:
-			payload = appendString(nil, m.Err.Msg)
-		case THello:
-			payload = appendHello(nil, m.Hello)
-		}
-	} else {
-		return nil, fmt.Errorf("%w: unknown encoding %d", ErrFrame, m.Enc)
+	switch t {
+	case TInit:
+		payload = appendInit(nil, m.Init)
+	case TRound:
+		payload = appendRound(nil, m.Round)
+	case TEffects:
+		payload = appendEffects(nil, m.Effects)
+	case TError:
+		payload = appendString(nil, m.Err.Msg)
+	case THello:
+		payload = appendHello(nil, m.Hello)
 	}
 	if len(payload)+3 > maxFrame {
 		return nil, fmt.Errorf("%w: payload of %d bytes exceeds frame limit", ErrFrame, len(payload))
 	}
 	out := make([]byte, 4, 4+3+len(payload))
 	binary.LittleEndian.PutUint32(out, uint32(3+len(payload)))
-	out = append(out, Version, t, m.Enc)
+	out = append(out, Version, t, encBinary)
 	return append(out, payload...), nil
 }
 
@@ -352,69 +322,33 @@ func decodeBody(body []byte) (*Msg, error) {
 	if body[0] != Version {
 		return nil, fmt.Errorf("%w: version %d (speak %d)", ErrFrame, body[0], Version)
 	}
-	t, enc := body[1], body[2]
-	payload := body[3:]
-	m := &Msg{Enc: enc}
-	switch enc {
-	case EncJSON:
-		var err error
-		switch t {
-		case TInit:
-			m.Init = new(Init)
-			err = strictUnmarshal(payload, m.Init)
-		case TRound:
-			m.Round = new(Round)
-			err = strictUnmarshal(payload, m.Round)
-		case TEffects:
-			m.Effects = new(Effects)
-			err = strictUnmarshal(payload, m.Effects)
-		case TError:
-			m.Err = new(ErrorMsg)
-			err = strictUnmarshal(payload, m.Err)
-		case THello:
-			m.Hello = new(Hello)
-			err = strictUnmarshal(payload, m.Hello)
-		default:
-			return nil, fmt.Errorf("%w: unknown type %d", ErrFrame, t)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrFrame, err)
-		}
-	case EncBinary:
-		d := &dec{b: payload}
-		switch t {
-		case TInit:
-			m.Init = readInit(d)
-		case TRound:
-			m.Round = readRound(d)
-		case TEffects:
-			m.Effects = readEffects(d)
-		case TError:
-			m.Err = &ErrorMsg{Msg: d.str()}
-		case THello:
-			m.Hello = readHello(d)
-		default:
-			return nil, fmt.Errorf("%w: unknown type %d", ErrFrame, t)
-		}
-		if d.fail {
-			return nil, fmt.Errorf("%w: truncated type-%d payload", ErrFrame, t)
-		}
-		if d.off != len(d.b) {
-			return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrFrame, len(d.b)-d.off)
-		}
+	if body[2] != encBinary {
+		return nil, fmt.Errorf("%w: unknown encoding %d", ErrFrame, body[2])
+	}
+	t := body[1]
+	d := &dec{b: body[3:]}
+	m := new(Msg)
+	switch t {
+	case TInit:
+		m.Init = readInit(d)
+	case TRound:
+		m.Round = readRound(d)
+	case TEffects:
+		m.Effects = readEffects(d)
+	case TError:
+		m.Err = &ErrorMsg{Msg: d.str()}
+	case THello:
+		m.Hello = readHello(d)
 	default:
-		return nil, fmt.Errorf("%w: unknown encoding %d", ErrFrame, enc)
+		return nil, fmt.Errorf("%w: unknown type %d", ErrFrame, t)
+	}
+	if d.fail {
+		return nil, fmt.Errorf("%w: truncated type-%d payload", ErrFrame, t)
+	}
+	if d.off != len(d.b) {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrFrame, len(d.b)-d.off)
 	}
 	return m, nil
-}
-
-// strictUnmarshal decodes JSON and rejects trailing data, matching the
-// binary decoder's full-consumption rule.
-func strictUnmarshal(b []byte, v any) error {
-	if err := json.Unmarshal(b, v); err != nil {
-		return err
-	}
-	return nil
 }
 
 // --- binary encoding ---

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math"
 	"reflect"
@@ -58,7 +59,6 @@ func sampleMsgs() []*Msg {
 			Items: []Item{{Idx: 9, T: 1, A: 0, B: 0, Start: 1, End: 2}}}},
 		{Hello: &Hello{Version: Version, Caps: CapDelta}},
 		{Hello: &Hello{Version: 1}},
-		{Enc: EncJSON, Hello: &Hello{Version: Version, Caps: CapDelta}},
 		{Effects: &Effects{
 			Seq: 7,
 			States: []NodeState{
@@ -76,36 +76,36 @@ func sampleMsgs() []*Msg {
 			},
 		}},
 		{Err: &ErrorMsg{Msg: "worker: protocol \"martian\" unknown"}},
-		{Enc: EncJSON, Init: &Init{Seed: 2012, Nodes: 48, TxTime: 100,
+		{Init: &Init{Seed: 2012, Nodes: 48, TxTime: 100,
 			RecordsPerSlot: 10, Protocol: "cum"}},
-		{Enc: EncJSON, Round: &Round{Seq: 3, Items: []Item{
+		{Round: &Round{Seq: 3, Items: []Item{
 			{Idx: 0, T: 12.5, A: 1, B: 2, Start: 12.5, End: 80, Bandwidth: 1e18}}}},
-		{Enc: EncJSON, Effects: &Effects{Seq: 3}},
-		{Enc: EncJSON, Err: &ErrorMsg{Msg: "boom"}},
+		{Effects: &Effects{Seq: 3}},
+		{Err: &ErrorMsg{Msg: "boom"}},
 	}
 }
 
-// TestRoundTrip pins structural exactness through both encodings:
+// TestRoundTrip pins structural exactness through the codec:
 // Decode(Encode(m)) == m, and re-encoding yields identical bytes.
 func TestRoundTrip(t *testing.T) {
 	for _, m := range sampleMsgs() {
 		b, err := Encode(m)
 		if err != nil {
-			t.Fatalf("Encode(type %d enc %d): %v", m.Type(), m.Enc, err)
+			t.Fatalf("Encode(type %d): %v", m.Type(), err)
 		}
 		got, err := Decode(b)
 		if err != nil {
-			t.Fatalf("Decode(type %d enc %d): %v", m.Type(), m.Enc, err)
+			t.Fatalf("Decode(type %d): %v", m.Type(), err)
 		}
 		if !reflect.DeepEqual(got, m) {
-			t.Errorf("type %d enc %d: round trip mismatch\n got %#v\nwant %#v", m.Type(), m.Enc, got, m)
+			t.Errorf("type %d: round trip mismatch\n got %#v\nwant %#v", m.Type(), got, m)
 		}
 		again, err := Encode(got)
 		if err != nil {
 			t.Fatalf("re-Encode: %v", err)
 		}
 		if !bytes.Equal(again, b) {
-			t.Errorf("type %d enc %d: re-encode differs from original bytes", m.Type(), m.Enc)
+			t.Errorf("type %d: re-encode differs from original bytes", m.Type())
 		}
 	}
 }
@@ -161,21 +161,21 @@ func TestDecodeRejects(t *testing.T) {
 		{"short-prefix", []byte{1, 0}},
 		{"length-zero", []byte{0, 0, 0, 0}},
 		{"length-mismatch", append(append([]byte{}, good[:4]...), good[4:len(good)-1]...)},
-		{"length-over-limit", []byte{0xff, 0xff, 0xff, 0xff, Version, TError, EncBinary}},
-		{"bad-version", []byte{3, 0, 0, 0, 9, TError, EncBinary}},
-		{"bad-type", []byte{3, 0, 0, 0, Version, 99, EncBinary}},
+		{"length-over-limit", []byte{0xff, 0xff, 0xff, 0xff, Version, TError, encBinary}},
+		{"bad-version", []byte{3, 0, 0, 0, 9, TError, encBinary}},
+		{"bad-type", []byte{3, 0, 0, 0, Version, 99, encBinary}},
 		{"bad-enc", []byte{3, 0, 0, 0, Version, TError, 7}},
-		{"truncated-payload", []byte{4, 0, 0, 0, Version, TError, EncBinary, 5}},
+		{"truncated-payload", []byte{4, 0, 0, 0, Version, TError, encBinary, 5}},
 		{"trailing-bytes", append(append([]byte{}, good...), 0)[4:]},
-		{"bad-json", []byte{6, 0, 0, 0, Version, TInit, EncJSON, '{', '{', '{'}},
+		{"bad-enc-with-payload", []byte{5, 0, 0, 0, Version, TError, 1, '{', '}'}},
 	}
 	// trailing-bytes case needs a corrected length prefix.
 	trailing := append(append([]byte{}, good...), 0)
 	trailing[0]++
 	cases[9].b = trailing
 	for _, tc := range cases {
-		if _, err := Decode(tc.b); err == nil {
-			t.Errorf("Decode(%s) succeeded; want error", tc.name)
+		if _, err := Decode(tc.b); !errors.Is(err, ErrFrame) {
+			t.Errorf("Decode(%s) = %v; want ErrFrame", tc.name, err)
 		}
 	}
 }
@@ -215,8 +215,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add([]byte{3, 0, 0, 0, Version, TError, EncBinary})
+	f.Add([]byte{3, 0, 0, 0, Version, TError, encBinary})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{5, 0, 0, 0, Version, TError, 1, '{', '}'})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {

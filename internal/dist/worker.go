@@ -57,7 +57,7 @@ func ServeWith(r io.Reader, w io.Writer, opts ServeOpts) error {
 		}
 		switch {
 		case m.Hello != nil:
-			reply := &frame.Msg{Enc: m.Enc, Hello: &frame.Hello{Version: frame.Version, Caps: frame.CapDelta}}
+			reply := &frame.Msg{Hello: &frame.Hello{Version: frame.Version, Caps: frame.CapDelta}}
 			if err := frame.Write(bw, reply); err != nil {
 				return err
 			}
@@ -75,12 +75,12 @@ func ServeWith(r io.Reader, w io.Writer, opts ServeOpts) error {
 			}
 			var reply *frame.Msg
 			if s.fail != "" {
-				reply = &frame.Msg{Enc: m.Enc, Err: &frame.ErrorMsg{Msg: s.fail}}
+				reply = &frame.Msg{Err: &frame.ErrorMsg{Msg: s.fail}}
 			} else if eff, err := s.round(m.Round); err != nil {
 				s.fail = err.Error()
-				reply = &frame.Msg{Enc: m.Enc, Err: &frame.ErrorMsg{Msg: s.fail}}
+				reply = &frame.Msg{Err: &frame.ErrorMsg{Msg: s.fail}}
 			} else {
-				reply = &frame.Msg{Enc: m.Enc, Effects: eff}
+				reply = &frame.Msg{Effects: eff}
 			}
 			if err := frame.Write(bw, reply); err != nil {
 				return err

@@ -108,8 +108,8 @@ type Sweep struct {
 	// averages are folded in run order after collection.
 	Workers int
 	// Shards selects each run's engine executor (core.Config.Shards):
-	// 0 the sequential event loop, K >= 1 the sharded executor with K
-	// workers. Orthogonal to Workers — Workers parallelizes across the
+	// 0 sequentially on the calling goroutine, K >= 1 the sharded
+	// executor with K workers. Orthogonal to Workers — Workers parallelizes across the
 	// grid, Shards inside each run — and, like it, bit-identical for
 	// every value.
 	Shards int

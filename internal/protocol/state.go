@@ -35,16 +35,16 @@ const (
 // FlowCount is one (flow, counter) entry of a cumulative-immunity
 // table, in the wire form shared by the acks and base tables.
 type FlowCount struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
-	N   int `json:"n"`
+	Src int
+	Dst int
+	N   int
 }
 
 // FlowSeqs is one flow's out-of-order received set at a destination.
 type FlowSeqs struct {
-	Src  int   `json:"src"`
-	Dst  int   `json:"dst"`
-	Seqs []int `json:"seqs"`
+	Src  int
+	Dst  int
+	Seqs []int
 }
 
 // ExtState is the serializable form of a node's protocol-specific Ext
@@ -53,11 +53,11 @@ type FlowSeqs struct {
 // bundle ID, flows by (Src, Dst), Seqs ascending), so the wire form is
 // a canonical function of the state.
 type ExtState struct {
-	Kind string      `json:"kind,omitempty"`
-	IDs  []bundle.ID `json:"ids,omitempty"`
-	Acks []FlowCount `json:"acks,omitempty"`
-	Base []FlowCount `json:"base,omitempty"`
-	Rcvd []FlowSeqs  `json:"rcvd,omitempty"`
+	Kind string
+	IDs  []bundle.ID
+	Acks []FlowCount
+	Base []FlowCount
+	Rcvd []FlowSeqs
 }
 
 // SnapshotExt captures a node's Ext state (as attached by a protocol's

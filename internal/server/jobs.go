@@ -88,7 +88,7 @@ type Options struct {
 	// a sweep — SweepSpec.Workers governs those). 0 means GOMAXPROCS.
 	Workers int
 	// JobTimeout caps each job's wall time from submission; 0 means no
-	// limit. The deadline is threaded into the engine's event loop via
+	// limit. The deadline is threaded into the engine's epoch loop via
 	// core.Config.Context, so even a single long run aborts promptly.
 	JobTimeout time.Duration
 	// Dist, when Dist.Workers > 0 or Dist.Hosts is set, executes each

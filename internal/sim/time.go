@@ -1,9 +1,9 @@
-// Package sim provides the discrete-event simulation kernel used by the
-// DTN engine: a virtual clock, a priority event queue with deterministic
-// tie-breaking, and seeded random-number streams.
+// Package sim provides the simulation primitives shared by the DTN
+// engine and the mobility generators: the virtual time type and seeded,
+// per-encounter reseedable random-number streams.
 //
-// The kernel is deliberately independent of DTN concepts so it can be
-// tested in isolation and reused by the mobility generators.
+// The package is deliberately independent of DTN concepts so it can be
+// tested in isolation.
 package sim
 
 import "fmt"
@@ -17,7 +17,7 @@ type Time float64
 // Duration is a span of virtual time in seconds.
 type Duration = Time
 
-// Infinity is a time later than any event the kernel will ever schedule.
+// Infinity is a time later than any event of any run.
 const Infinity Time = 1e18
 
 // Seconds returns the time as a float64 second count.

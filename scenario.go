@@ -76,8 +76,8 @@ type Scenario struct {
 	BufferBytes  int64   `json:"bufbytes,omitempty"`
 	DropPolicy   string  `json:"drop,omitempty"`
 	ControlBytes float64 `json:"ctlbytes,omitempty"`
-	// Shards selects the engine executor (DESIGN.md §12): 0 is the
-	// sequential event loop, K >= 1 the sharded executor with K worker
+	// Shards selects the engine executor (DESIGN.md §12): 0 runs items
+	// sequentially on the calling goroutine, K >= 1 on K worker
 	// goroutines. Purely an execution knob — results are bit-identical
 	// for every value — so, like SweepSpec.Workers, it never enters the
 	// canonical key.
