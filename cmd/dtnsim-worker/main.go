@@ -15,8 +15,9 @@
 //
 // All simulation state lives in the coordinator; the worker only
 // executes the epoch items it is sent over the node snapshots (or
-// cache references) shipped with them, so it keeps no files — stderr
-// is its only other channel. -fail-rounds N drops the first session's
+// cache references) shipped with them and answers with the states they
+// left — patches, when the coordinator's Hello allows — so it keeps no
+// files: stderr is its only other channel. -fail-rounds N drops the first session's
 // connection before its Nth round reply, the fault-injection hook the
 // CI kill-a-worker smoke leg uses to prove replay recovery.
 package main

@@ -7,30 +7,32 @@
 // transport.Transport: locally spawned processes over stdin/stdout
 // pipes, or TCP (optionally TLS) to workers on other machines.
 //
-// The coordinator owns the authoritative node state as decoded wire
-// snapshots: each round it sends every involved worker the states of
-// the non-pristine nodes its items touch — as full snapshots, or as
-// cache references for nodes whose state the worker already holds from
-// a previous round (delta shipping, negotiated via the Hello
-// handshake) — the worker reconstructs those nodes, executes the items
-// through the same core.Kernel the in-process shards run, and ships
-// back the mutated states plus each item's effect buffer. Determinism
+// The coordinator owns the authoritative node state, one wire-form
+// frame.NodeState per touched node: each round it sends every involved
+// worker the states of the non-pristine nodes its items touch — as full
+// snapshots, or as cache references for nodes whose state the worker
+// already holds from a previous round (delta shipping, negotiated via
+// the Hello handshake) — the worker reconstructs those nodes, executes
+// the items through the same core.Kernel the in-process shards run, and
+// ships back each item's effect buffer plus the mutated states, as
+// patches the coordinator applies in place: a section of a node's state
+// (copies, received set, protocol Ext) the round left as the two sides
+// last exchanged it stays off the wire. Determinism
 // is inherited wholesale: items execute over identical state through
 // identical code with encounter-derived RNG seeding, and the merge
 // replays effects in the same canonical order — so Results and
 // observer streams are byte-identical to the in-process sharded (and
 // sequential) engines for every worker count.
 //
-// Because the coordinator's snapshots are authoritative, a lost worker
-// is recoverable: the transport re-dials or re-spawns it and the
-// coordinator replays the in-flight round from its own states — full
-// snapshots, since the replacement's cache is empty — so the run
-// completes bit-identically instead of failing (bounded by
-// Options.MaxRestarts).
+// Because the coordinator's states are authoritative and always
+// complete, a lost worker is recoverable: the transport re-dials or
+// re-spawns it and the coordinator replays the in-flight round from its
+// own states — full snapshots, since the replacement holds nothing to
+// reference or patch against — so the run completes bit-identically
+// instead of failing (bounded by Options.MaxRestarts).
 package dist
 
 import (
-	"bufio"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -81,9 +83,10 @@ type Options struct {
 	// Stderr receives the spawned workers' stderr; nil inherits the
 	// coordinator's.
 	Stderr io.Writer
-	// FullSnapshots disables delta shipping: every round carries full
-	// state snapshots even to workers that advertise the delta
-	// capability. Benchmarks pin the delta path's win against this.
+	// FullSnapshots disables delta shipping in both directions: the
+	// coordinator does not announce the delta capability, so every round
+	// carries full state snapshots and every reply complete states.
+	// Benchmarks pin the delta path's win against this.
 	FullSnapshots bool
 	// MaxRestarts bounds how many lost workers the run may replace and
 	// replay (summed across workers). 0 means 2×Workers; negative
@@ -112,7 +115,10 @@ type Backend struct {
 
 	env    core.RunEnv
 	bufCap int
-	states []*frame.NodeState // authoritative; nil = pristine
+	// states[n] is node n's authoritative state, nil while pristine:
+	// allocated when a reply first reports the node, patched in place by
+	// every later one, always complete.
+	states []*frame.NodeState
 	seq    uint64
 	init   *frame.Init // the run's Init, kept for worker revival
 
@@ -128,26 +134,29 @@ type Backend struct {
 
 	// Scratch reused across rounds.
 	uf       unionFind
+	ends     endpointSet
+	comps    []component
+	compOf   map[int]int // union-find root -> index in comps
+	order    []int       // component indexes, largest first
+	loads    []int       // items dealt to each worker this round
+	round    frame.Round
 	fxBuf    []core.Effect
 	assigned [][]int // assigned[w] = item indexes of worker w's round
 	involved [][]int // involved[w] = sorted node IDs of worker w's round
 }
 
-// conn is one worker connection with buffered framing.
+// conn is one worker connection. Both directions keep their frame
+// buffer, and the reader its decoded storage: a received message is
+// valid until the next recv.
 type conn struct {
 	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	bw  *bufio.Writer
+	r   frame.Reader
+	w   frame.Writer
 }
 
-func (c *conn) send(m *frame.Msg) error {
-	if err := frame.Write(c.bw, m); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
+func (c *conn) send(m *frame.Msg) error { return c.w.Write(m) }
 
-func (c *conn) recv() (*frame.Msg, error) { return frame.Read(c.br) }
+func (c *conn) recv() (*frame.Msg, error) { return c.r.Read() }
 
 // New connects the backend's workers: through opt.Dial when set, over
 // TCP when opt.Hosts is set, otherwise by spawning opt.Workers
@@ -198,6 +207,8 @@ func New(opt Options) (*Backend, error) {
 	b.seen = make([][]uint64, opt.Workers)
 	b.assigned = make([][]int, opt.Workers)
 	b.involved = make([][]int, opt.Workers)
+	b.loads = make([]int, opt.Workers)
+	b.compOf = make(map[int]int)
 	for i := range b.conns {
 		if err := b.handshake(i); err != nil {
 			b.Close()
@@ -208,7 +219,7 @@ func New(opt Options) (*Backend, error) {
 }
 
 func newConn(rwc io.ReadWriteCloser) *conn {
-	return &conn{rwc: rwc, br: bufio.NewReader(rwc), bw: bufio.NewWriter(rwc)}
+	return &conn{rwc: rwc, r: frame.Reader{R: rwc}, w: frame.Writer{W: rwc}}
 }
 
 // funcTransport adapts the Options.Dial/Options.Redial function seam
@@ -236,11 +247,16 @@ func closeAll(rwcs []io.ReadWriteCloser) {
 }
 
 // handshake exchanges Hello frames with worker w: the coordinator
-// announces its version and capabilities, the worker replies with its
-// own. Version skew is fatal; capabilities only negotiate optional
-// behavior (delta shipping) downward.
+// announces its version and capabilities — CapDelta unless
+// Options.FullSnapshots forbids deltas, which is what keeps the
+// worker's replies complete too — and the worker replies with its own.
+// Version skew is fatal; capabilities only negotiate optional behavior
+// (delta shipping) downward.
 func (b *Backend) handshake(w int) error {
-	hello := &frame.Hello{Version: frame.Version, Caps: frame.CapDelta}
+	hello := &frame.Hello{Version: frame.Version}
+	if !b.opt.FullSnapshots {
+		hello.Caps = frame.CapDelta
+	}
 	if err := b.conns[w].send(&frame.Msg{Hello: hello}); err != nil {
 		return fmt.Errorf("%w: worker %d: handshake: %v", ErrWorkerLost, w, err)
 	}
@@ -257,7 +273,7 @@ func (b *Backend) handshake(w int) error {
 		return fmt.Errorf("dist: worker %d speaks frame version %d, coordinator speaks %d",
 			w, m.Hello.Version, frame.Version)
 	}
-	b.deltaOK[w] = !b.opt.FullSnapshots && m.Hello.Caps&frame.CapDelta != 0
+	b.deltaOK[w] = hello.Caps&m.Hello.Caps&frame.CapDelta != 0
 	return nil
 }
 
@@ -330,6 +346,7 @@ func (b *Backend) Start(env core.RunEnv) error {
 	b.bufCap = env.Cfg.BufferCap
 	b.states = make([]*frame.NodeState, len(env.Nodes))
 	b.stateVer = make([]uint64, len(env.Nodes))
+	b.ends.reset(len(env.Nodes))
 	for w := range b.seen {
 		if len(b.seen[w]) != len(env.Nodes) {
 			b.seen[w] = make([]uint64, len(env.Nodes))
@@ -445,7 +462,10 @@ func (b *Backend) runRound(ep *core.Epoch, lo, hi int) error {
 func (b *Backend) sendRound(ep *core.Epoch, w int) error {
 	for {
 		idxs := b.assigned[w]
-		round := frame.Round{Seq: b.seq, Items: make([]frame.Item, len(idxs))}
+		round := &b.round
+		round.Seq = b.seq
+		round.States, round.Cached = round.States[:0], round.Cached[:0]
+		round.Items = frame.Resize(round.Items, len(idxs))
 		for j, idx := range idxs {
 			round.Items[j] = itemToWire(idx, ep.Item(idx))
 		}
@@ -460,7 +480,7 @@ func (b *Backend) sendRound(ep *core.Epoch, w int) error {
 				round.States = append(round.States, *st)
 			}
 		}
-		err := b.conns[w].send(&frame.Msg{Round: &round})
+		err := b.conns[w].send(&frame.Msg{Round: round})
 		if err == nil {
 			return nil
 		}
@@ -470,9 +490,14 @@ func (b *Backend) sendRound(ep *core.Epoch, w int) error {
 	}
 }
 
-// collect reads one worker's Effects reply and installs it.
+// collect reads one worker's Effects reply and installs it. Only the
+// stream failing is a lost worker; bytes that are not a frame, like a
+// reply that contradicts the round, are corruption and end the run.
 func (b *Backend) collect(ep *core.Epoch, w int, idxs []int) error {
 	m, err := b.conns[w].recv()
+	if errors.Is(err, frame.ErrFrame) {
+		return fmt.Errorf("dist: worker %d: %w", w, err)
+	}
 	if err != nil {
 		return fmt.Errorf("%w: worker %d: %v", ErrWorkerLost, w, err)
 	}
@@ -511,17 +536,25 @@ func (b *Backend) collect(ep *core.Epoch, w int, idxs []int) error {
 		return fmt.Errorf("dist: worker %d: %d states returned for %d involved nodes",
 			w, len(eff.States), len(b.involved[w]))
 	}
-	for j := range eff.States {
+	for j, id := range b.involved[w] {
 		st := &eff.States[j]
-		if st.ID != b.involved[w][j] {
-			return fmt.Errorf("dist: worker %d: state for node %d, expected %d",
-				w, st.ID, b.involved[w][j])
+		if st.ID != id {
+			return fmt.Errorf("dist: worker %d: state for node %d, expected %d", w, st.ID, id)
 		}
-		b.states[st.ID] = st
+		// A patch omits what this round shipped or referenced and left
+		// unchanged: there must have been something to ship, and a worker
+		// the coordinator announced CapDelta to.
+		if st.Omit != 0 && (b.states[id] == nil || !b.deltaOK[w]) {
+			return fmt.Errorf("dist: worker %d: unsolicited patch %03b for node %d", w, st.Omit, id)
+		}
+		if b.states[id] == nil {
+			b.states[id] = new(frame.NodeState)
+		}
+		b.states[id].Patch(st) // st now holds what the slot gave up
 		// The worker now holds this node live at this round's version —
 		// the next round it is involved in may ship a CacheRef.
-		b.stateVer[st.ID] = b.seq
-		b.seen[w][st.ID] = b.seq
+		b.stateVer[id] = b.seq
+		b.seen[w][id] = b.seq
 	}
 	return nil
 }
@@ -539,18 +572,20 @@ func (b *Backend) components(ep *core.Epoch, lo, hi int) []component {
 			b.uf.find(int(it.A))
 		}
 	}
-	var comps []component
-	compOf := make(map[int]int, 8)
+	comps := b.comps[:0]
+	clear(b.compOf)
 	for i := lo; i < hi; i++ {
 		root := b.uf.find(int(ep.Item(i).A))
-		ci, ok := compOf[root]
+		ci, ok := b.compOf[root]
 		if !ok {
 			ci = len(comps)
-			compOf[root] = ci
-			comps = append(comps, component{})
+			b.compOf[root] = ci
+			comps = frame.Resize(comps, ci+1)
+			comps[ci].items = comps[ci].items[:0]
 		}
 		comps[ci].items = append(comps[ci].items, i)
 	}
+	b.comps = comps
 	return comps
 }
 
@@ -561,10 +596,11 @@ type component struct{ items []int }
 // a pure function of the window), each to the least-loaded worker (ties
 // to the lowest worker index). Fills b.assigned and b.involved.
 func (b *Backend) assign(ep *core.Epoch, comps []component) {
-	order := make([]int, len(comps))
-	for i := range order {
-		order[i] = i
+	order := b.order[:0]
+	for i := range comps {
+		order = append(order, i)
 	}
+	b.order = order
 	sort.Slice(order, func(x, y int) bool {
 		cx, cy := &comps[order[x]], &comps[order[y]]
 		if len(cx.items) != len(cy.items) {
@@ -572,10 +608,10 @@ func (b *Backend) assign(ep *core.Epoch, comps []component) {
 		}
 		return cx.items[0] < cy.items[0]
 	})
-	loads := make([]int, b.opt.Workers)
+	loads := b.loads
+	clear(loads)
 	for w := range b.assigned {
 		b.assigned[w] = b.assigned[w][:0]
-		b.involved[w] = b.involved[w][:0]
 	}
 	for _, ci := range order {
 		best := 0
@@ -589,36 +625,48 @@ func (b *Backend) assign(ep *core.Epoch, comps []component) {
 	}
 	for w := range b.assigned {
 		idxs := b.assigned[w]
-		if len(idxs) == 0 {
-			continue
-		}
 		// A worker executes its items in epoch order; components are
 		// node-disjoint, so interleaving them is harmless and sorting
 		// keeps the wire order canonical.
 		sort.Ints(idxs)
-		b.involved[w] = involvedNodes(ep, idxs, b.involved[w])
+		b.involved[w] = b.ends.involvedNodes(b.involved[w][:0], len(idxs), func(j int) (int, int) {
+			it := ep.Item(idxs[j])
+			return int(it.A), int(it.B)
+		})
 	}
 }
 
-// involvedNodes returns the sorted, deduplicated node IDs touched by
-// the given epoch items.
-func involvedNodes(ep *core.Epoch, idxs []int, dst []int) []int {
-	for _, idx := range idxs {
-		it := ep.Item(idx)
-		dst = append(dst, int(it.A))
-		if it.B != it.A {
-			dst = append(dst, int(it.B))
+// endpointSet finds the distinct endpoints of a round's items, sorted —
+// the involved set both sides of a connection derive from the items on
+// their own and must agree on. mark[id] is the last call that saw node
+// id, so membership needs neither a map nor a clearing pass.
+type endpointSet struct {
+	mark []uint64
+	gen  uint64
+}
+
+func (e *endpointSet) reset(nodes int) { *e = endpointSet{mark: make([]uint64, nodes)} }
+
+// involvedNodes appends the distinct endpoints of n items to dst in
+// ascending order and leaves exactly those marked. ends(i) returns item
+// i's two endpoints, which must lie inside the population.
+func (e *endpointSet) involvedNodes(dst []int, n int, ends func(i int) (a, b int)) []int {
+	e.gen++
+	for i := 0; i < n; i++ {
+		a, b := ends(i)
+		for _, id := range [2]int{a, b} {
+			if e.mark[id] != e.gen {
+				e.mark[id] = e.gen
+				dst = append(dst, id)
+			}
 		}
 	}
 	sort.Ints(dst)
-	uniq := dst[:0]
-	for i, id := range dst {
-		if i == 0 || id != dst[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	return uniq
+	return dst
 }
+
+func (e *endpointSet) marked(id int) bool { return e.mark[id] == e.gen }
+func (e *endpointSet) unmark(id int)      { e.mark[id] = 0 }
 
 // NodeOccupancy implements core.EpochBackend: the occupancy the node's
 // authoritative state would report from its own Store — bitwise the

@@ -19,6 +19,7 @@ import (
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -65,11 +66,20 @@ type distCell struct {
 	mob    string
 	flows  []core.Flow
 	txTime float64
+	// The resource model (DESIGN.md §9); zero values leave it off.
+	bandwidth    float64
+	bufferBytes  int64
+	dropPolicy   string
+	controlBytes float64
 }
 
 // distCells mirrors the golden grid's mobility × workload spread:
 // a fixed trace with two flows sharing a source, an RWP derivative,
-// and the interval substrate with a shorter transmission time.
+// the interval substrate with a shorter transmission time, and a
+// resource-constrained cell — sized bundles from staggered flows over
+// byte-budgeted contacts into byte-bounded buffers with random drops —
+// where stores are non-empty, evict, and the i-list keeps growing, so
+// every section of a node's state changes on the wire.
 var distCells = []distCell{
 	{
 		name:  "trace",
@@ -95,6 +105,25 @@ var distCells = []distCell{
 		flows:  []core.Flow{{Src: 0, Dst: 7, Count: 20}},
 		txTime: 25,
 	},
+	loadedCell,
+}
+
+var loadedCell = distCell{
+	name:  "loaded",
+	proto: "immunity",
+	mob:   "subscriber:seed=7",
+	flows: []core.Flow{
+		{Src: 1, Dst: 5, Count: 8, Size: 1000},
+		{Src: 2, Dst: 9, Count: 8, Size: 1000, StartAt: 2000},
+		{Src: 3, Dst: 1, Count: 8, Size: 1000, StartAt: 4000},
+		{Src: 9, Dst: 4, Count: 8, Size: 1000, StartAt: 6000},
+		{Src: 1, Dst: 7, Count: 8, Size: 1000, StartAt: 8000},
+	},
+	txTime:       100,
+	bandwidth:    20,
+	bufferBytes:  4000,
+	dropPolicy:   "droprandom",
+	controlBytes: 8,
 }
 
 // cellConfig builds a cell's run config; streamed selects the pull
@@ -115,6 +144,10 @@ func cellConfig(t testing.TB, c distCell, streamed bool) core.Config {
 		TxTime:       c.txTime,
 		Seed:         2012,
 		RunToHorizon: true,
+		Bandwidth:    c.bandwidth,
+		BufferBytes:  c.bufferBytes,
+		DropPolicy:   c.dropPolicy,
+		ControlBytes: c.controlBytes,
 	}
 	if streamed {
 		stream, err := src.Stream(7)
@@ -336,39 +369,44 @@ func TestDistWorkerCrash(t *testing.T) {
 // a seeded RNG (plus the first round, the boundary case) and both
 // workers take turns dying. Run under -race in CI.
 func TestDistWorkerLossReplay(t *testing.T) {
-	c := distCells[0]
-	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
 	rng := sim.NewRNG(2012)
 	killRounds := []int{1, 2 + rng.IntN(8), 2 + rng.IntN(20)}
-	for _, kill := range killRounds {
-		for _, victim := range []int{0, 1} {
-			t.Run(fmt.Sprintf("round%d/worker%d", kill, victim), func(t *testing.T) {
-				p := newInProcWorkers(map[int]int{victim: kill})
-				b, err := New(Options{
-					Workers:    2,
-					Protocol:   c.proto,
-					RoundItems: 8,
-					Dial:       p.dial,
-					Redial:     p.redial,
+	for _, c := range []distCell{distCells[0], loadedCell} {
+		seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
+		prefix := ""
+		if c.name != distCells[0].name {
+			prefix = c.name + "/"
+		}
+		for _, kill := range killRounds {
+			for _, victim := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%sround%d/worker%d", prefix, kill, victim), func(t *testing.T) {
+					p := newInProcWorkers(map[int]int{victim: kill})
+					b, err := New(Options{
+						Workers:    2,
+						Protocol:   c.proto,
+						RoundItems: 8,
+						Dial:       p.dial,
+						Redial:     p.redial,
+					})
+					if err != nil {
+						t.Fatalf("New: %v", err)
+					}
+					defer b.Close()
+					budget := b.restarts
+					cfg := cellConfig(t, c, true)
+					cfg.Backend = b
+					res, csv := runCell(t, cfg)
+					if b.restarts != budget-1 {
+						t.Errorf("restart budget went %d -> %d, want exactly one revival", budget, b.restarts)
+					}
+					if !reflect.DeepEqual(seqRes, res) {
+						t.Errorf("Result diverged from sequential after worker-loss replay")
+					}
+					if !bytes.Equal(seqCSV, csv) {
+						t.Errorf("event CSV diverged after worker-loss replay (byte %d)", firstDiff(seqCSV, csv))
+					}
 				})
-				if err != nil {
-					t.Fatalf("New: %v", err)
-				}
-				defer b.Close()
-				budget := b.restarts
-				cfg := cellConfig(t, c, true)
-				cfg.Backend = b
-				res, csv := runCell(t, cfg)
-				if b.restarts != budget-1 {
-					t.Errorf("restart budget went %d -> %d, want exactly one revival", budget, b.restarts)
-				}
-				if !reflect.DeepEqual(seqRes, res) {
-					t.Errorf("Result diverged from sequential after worker-loss replay")
-				}
-				if !bytes.Equal(seqCSV, csv) {
-					t.Errorf("event CSV diverged after worker-loss replay (byte %d)", firstDiff(seqCSV, csv))
-				}
-			})
+			}
 		}
 	}
 }
@@ -376,9 +414,14 @@ func TestDistWorkerLossReplay(t *testing.T) {
 // TestDistRepeatedWorkerLoss crashes every session of one worker —
 // including the redialed replacements — every few rounds. Each
 // replacement makes progress before dying, so with budget the run
-// still completes bit-identically: recovery is not a one-shot.
+// still completes bit-identically: recovery is not a one-shot. The
+// loaded cell repeats it over states whose every section is in play.
 func TestDistRepeatedWorkerLoss(t *testing.T) {
-	c := distCells[0]
+	repeatedWorkerLoss(t, distCells[0])
+	t.Run(loadedCell.name, func(t *testing.T) { repeatedWorkerLoss(t, loadedCell) })
+}
+
+func repeatedWorkerLoss(t *testing.T, c distCell) {
 	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
 	p := newInProcWorkers(map[int]int{1: 4})
 	p.failEvery = true
@@ -519,39 +562,46 @@ func TestDistTCPTransport(t *testing.T) {
 	}
 }
 
-// countingConn counts bytes the coordinator writes, for the delta
-// wire-savings assertion.
+// countingConn counts the bytes that cross a worker connection in each
+// direction, for the delta wire-savings assertion.
 type countingConn struct {
 	io.ReadWriteCloser
-	n *atomic.Int64
+	out, in *atomic.Int64
 }
 
 func (c countingConn) Write(p []byte) (int, error) {
 	n, err := c.ReadWriteCloser.Write(p)
-	c.n.Add(int64(n))
+	c.out.Add(int64(n))
+	return n, err
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.ReadWriteCloser.Read(p)
+	c.in.Add(int64(n))
 	return n, err
 }
 
 // TestDistDeltaEqualsFull is the delta-shipping proof obligation:
 // the same cells with delta shipping (default) and with
 // FullSnapshots forced produce byte-identical Results and CSVs —
-// applying cache references is observationally equal to restoring the
-// full snapshot — while the delta path puts strictly fewer
-// coordinator→worker bytes on the wire.
+// applying cache references and patches is observationally equal to
+// restoring and installing full snapshots — while the delta path puts
+// strictly fewer bytes on the wire in each direction. FullSnapshots
+// forces both: it is the reference only if neither side shortcuts.
 func TestDistDeltaEqualsFull(t *testing.T) {
 	for _, c := range distCells {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
-			var sent [2]atomic.Int64
+			var out, in [2]atomic.Int64
 			for mode, full := range []bool{false, true} {
 				p := newInProcWorkers(nil)
-				counter := &sent[mode]
+				mode := mode
 				dial := func(n int) ([]io.ReadWriteCloser, error) {
 					conns, err := p.dial(n)
 					for i := range conns {
-						conns[i] = countingConn{ReadWriteCloser: conns[i], n: counter}
+						conns[i] = countingConn{ReadWriteCloser: conns[i], out: &out[mode], in: &in[mode]}
 					}
 					return conns, err
 				}
@@ -578,11 +628,20 @@ func TestDistDeltaEqualsFull(t *testing.T) {
 					t.Errorf("FullSnapshots=%v: event CSV diverged (byte %d)", full, firstDiff(seqCSV, csv))
 				}
 			}
-			delta, full := sent[0].Load(), sent[1].Load()
-			if delta >= full {
-				t.Errorf("delta shipping sent %d bytes, full snapshots %d — no wire savings", delta, full)
+			for _, dir := range []struct {
+				name        string
+				delta, full int64
+			}{
+				{"coordinator->worker", out[0].Load(), out[1].Load()},
+				{"worker->coordinator", in[0].Load(), in[1].Load()},
+			} {
+				if dir.delta >= dir.full {
+					t.Errorf("%s: delta shipping moved %d bytes, full snapshots %d — no wire savings",
+						dir.name, dir.delta, dir.full)
+				}
+				t.Logf("%s bytes: delta %d, full %d (%.2fx)", dir.name, dir.delta, dir.full,
+					float64(dir.full)/float64(dir.delta))
 			}
-			t.Logf("coordinator->worker bytes: delta %d, full %d (%.2fx)", delta, full, float64(full)/float64(delta))
 		})
 	}
 }
@@ -721,8 +780,8 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	mk(3, 0, 7, true, sim.Infinity)
 	mk(1, 2, 5, false, 900.25)
 	n.Received.Add(bundle.ID{Src: 0, Seq: 4})
-	st, err := snapshotNode(n)
-	if err != nil {
+	var st frame.NodeState
+	if err := snapshotInto(&st, n); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 	// Round-trip through the frame codec too: the state must survive
@@ -740,8 +799,10 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	if err := restoreInto(n2, &st2); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	again, err := snapshotNode(n2)
-	if err != nil {
+	// Into storage that held another node's state: none of it may show.
+	again := frame.NodeState{ControlSent: 99, Omit: frame.OmitExt,
+		Copies: make([]frame.Copy, 5), Received: make([]frame.IDPair, 5)}
+	if err := snapshotInto(&again, n2); err != nil {
 		t.Fatalf("re-snapshot: %v", err)
 	}
 	if !reflect.DeepEqual(st, again) {
@@ -753,5 +814,391 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	if n2.LastEncounterStart != 350 || n2.LastInterval != 250 {
 		t.Errorf("restored encounter history: start=%v interval=%v",
 			n2.LastEncounterStart, n2.LastInterval)
+	}
+}
+
+// tapConn sits on one worker connection and hands every frame, decoded,
+// to onSend (coordinator→worker) or onRecv (worker→coordinator) before
+// re-encoding it and passing it on — so a hook can watch the protocol
+// or play a peer that breaks it. It relies on the coordinator writing
+// each frame with one Write.
+type tapConn struct {
+	io.ReadWriteCloser
+	onSend, onRecv func(*frame.Msg)
+	r              frame.Reader
+	pending        []byte
+}
+
+func newTapConn(rwc io.ReadWriteCloser, onSend, onRecv func(*frame.Msg)) *tapConn {
+	return &tapConn{ReadWriteCloser: rwc, onSend: onSend, onRecv: onRecv, r: frame.Reader{R: rwc}}
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	m, err := frame.Decode(p)
+	if err != nil {
+		return 0, err
+	}
+	if c.onSend != nil {
+		c.onSend(m)
+	}
+	b, err := frame.Encode(m)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.ReadWriteCloser.Write(b); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	if len(c.pending) == 0 {
+		m, err := c.r.Read()
+		if err != nil {
+			return 0, err
+		}
+		if c.onRecv != nil {
+			c.onRecv(m)
+		}
+		if c.pending, err = frame.Encode(m); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, c.pending)
+	c.pending = c.pending[n:]
+	return n, nil
+}
+
+// TestDistMigrationPatchBase proves a patch is always read against the
+// base the two sides really share when a node moves between workers:
+// worker A reports node n, n migrates to B (full state shipped) and
+// changes there, then comes back to A — which must forget what it once
+// reported and patch against what it was just shipped. The first pass
+// finds such a bounce in the frames of a 3-worker run of the loaded
+// cell and checks A's reply on n's return is a patch; the second kills
+// A between the two legs, so the replacement holds no base at all when
+// n returns. Both must match the sequential engine bit for bit — a
+// section omitted against the wrong base would leave the coordinator
+// with B's version of it.
+func TestDistMigrationPatchBase(t *testing.T) {
+	c := loadedCell
+	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
+
+	// bounce is what the frames showed of one node's travels.
+	type visit struct {
+		worker  int
+		round   uint64
+		shipped bool // arrived as a full state, not a cache ref or pristine
+		omit    byte // of the reply
+	}
+	run := func(fail map[int]int) (visits map[int][]visit, rounds [][]uint64, restarts int) {
+		visits = make(map[int][]visit)
+		rounds = make([][]uint64, 3) // rounds[w] = Seq of each Round worker w was sent, in order
+		var mu sync.Mutex
+		p := newInProcWorkers(fail)
+		tap := func(w int, rwc io.ReadWriteCloser) io.ReadWriteCloser {
+			shipped := map[int]bool{}
+			return newTapConn(rwc, func(m *frame.Msg) {
+				if m.Round == nil {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				rounds[w] = append(rounds[w], m.Round.Seq)
+				clear(shipped)
+				for i := range m.Round.States {
+					shipped[m.Round.States[i].ID] = true
+				}
+			}, func(m *frame.Msg) {
+				if m.Effects == nil {
+					return
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for i := range m.Effects.States {
+					st := &m.Effects.States[i]
+					visits[st.ID] = append(visits[st.ID], visit{w, m.Effects.Seq, shipped[st.ID], st.Omit})
+				}
+			})
+		}
+		b, err := New(Options{
+			Workers: 3, Protocol: c.proto, RoundItems: 8,
+			Dial: func(n int) ([]io.ReadWriteCloser, error) {
+				conns, err := p.dial(n)
+				for w := range conns {
+					conns[w] = tap(w, conns[w])
+				}
+				return conns, err
+			},
+			Redial: func(w int) (io.ReadWriteCloser, error) {
+				rwc, err := p.redial(w)
+				return tap(w, rwc), err
+			},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer b.Close()
+		budget := b.restarts
+		cfg := cellConfig(t, c, true)
+		cfg.Backend = b
+		res, csv := runCell(t, cfg)
+		if !reflect.DeepEqual(seqRes, res) {
+			t.Errorf("fail=%v: Result diverged from sequential", fail)
+		}
+		if !bytes.Equal(seqCSV, csv) {
+			t.Errorf("fail=%v: event CSV diverged (byte %d)", fail, firstDiff(seqCSV, csv))
+		}
+		return visits, rounds, budget - b.restarts
+	}
+
+	// findBounce returns a node's A, B, A visits: reported by A, then
+	// shipped to and reported by another worker, then shipped back to A,
+	// whose reply is a patch.
+	findBounce := func(visits map[int][]visit) (node int, first, away, back visit, ok bool) {
+		for node = 0; node < 12; node++ {
+			vs := visits[node]
+			for i := 0; i+2 < len(vs); i++ {
+				first, away, back = vs[i], vs[i+1], vs[i+2]
+				if away.worker != first.worker && away.shipped &&
+					back.worker == first.worker && back.shipped && back.omit != 0 {
+					return node, first, away, back, true
+				}
+			}
+		}
+		return 0, visit{}, visit{}, visit{}, false
+	}
+
+	visits, rounds, restarts := run(nil)
+	node, first, away, back, ok := findBounce(visits)
+	if !ok {
+		t.Fatal("no node bounced A→B→A with a patch on its return; the cell no longer exercises migration")
+	}
+	if restarts != 0 {
+		t.Fatalf("%d revivals in the undisturbed pass", restarts)
+	}
+	t.Logf("node %d: worker %d round %d → worker %d round %d → worker %d round %d, reply omits %03b",
+		node, first.worker, first.round, away.worker, away.round, back.worker, back.round, back.omit)
+
+	// Kill A on the first Round it is sent after B reported the node —
+	// the round of the return at the latest.
+	kill := 0
+	for i, seq := range rounds[first.worker] {
+		if seq > away.round {
+			kill = i + 1
+			break
+		}
+	}
+	if kill == 0 {
+		t.Fatalf("worker %d was sent no round after %d", first.worker, away.round)
+	}
+	visits, _, restarts = run(map[int]int{first.worker: kill})
+	if restarts != 1 {
+		t.Errorf("%d revivals, want the one injected between the bounces", restarts)
+	}
+	var returned *visit
+	for i := range visits[node] {
+		if v := &visits[node][i]; v.worker == back.worker && v.round == back.round {
+			returned = v
+		}
+	}
+	if returned == nil || !returned.shipped {
+		t.Fatalf("after the kill, node %d did not return to worker %d as a shipped state in round %d: %+v",
+			node, back.worker, back.round, visits[node])
+	}
+	if returned.omit != back.omit {
+		t.Errorf("replacement worker's reply omits %03b, the original omitted %03b: same state in, same patch out",
+			returned.omit, back.omit)
+	}
+}
+
+// TestDistHostilePeer pins what the coordinator makes of a peer that
+// breaks the patch protocol, in either direction: the run ends with an
+// error that is not ErrWorkerLost, and nothing is replayed — retrying
+// corruption would forfeit the determinism contract.
+func TestDistHostilePeer(t *testing.T) {
+	c := loadedCell
+	// once runs fn on frames until it returns true.
+	once := func(fn func(*frame.Msg) bool) func(*frame.Msg) {
+		done := false
+		return func(m *frame.Msg) {
+			if !done {
+				done = fn(m)
+			}
+		}
+	}
+	cases := []struct {
+		name           string
+		opt            Options
+		onSend, onRecv func(*frame.Msg)
+		want           string
+	}{
+		{
+			// The first round's nodes are all pristine: the coordinator
+			// holds nothing a patch could be read against.
+			name: "patch-for-unheld-node",
+			onRecv: once(func(m *frame.Msg) bool {
+				if m.Effects == nil {
+					return false
+				}
+				m.Effects.States[0].Omit = frame.OmitExt
+				return true
+			}),
+			want: "unsolicited patch",
+		},
+		{
+			name: "unknown-section-bits",
+			onRecv: once(func(m *frame.Msg) bool {
+				if m.Effects == nil {
+					return false
+				}
+				m.Effects.States[0].Omit = 1 << frame.Sections
+				return true
+			}),
+			want: frame.ErrFrame.Error(),
+		},
+		{
+			// Worker 0's reply claims a node no item of its round touches.
+			name: "patch-outside-involved-set",
+			onRecv: once(func(m *frame.Msg) bool {
+				if m.Effects == nil || m.Effects.Seq < 3 {
+					return false
+				}
+				st := &m.Effects.States[len(m.Effects.States)-1]
+				st.ID, st.Omit = 11-st.ID, frame.OmitCopies // 12 nodes: always another one
+				return true
+			}),
+			want: "expected",
+		},
+		{
+			// A coordinator that forbade deltas must not be sent one.
+			name: "patch-without-negotiation",
+			opt:  Options{FullSnapshots: true},
+			onRecv: once(func(m *frame.Msg) bool {
+				if m.Effects == nil || m.Effects.Seq < 3 {
+					return false
+				}
+				m.Effects.States[0].Omit = frame.OmitReceived
+				return true
+			}),
+			want: "unsolicited patch",
+		},
+		{
+			// The other direction: a Round's states must be complete; the
+			// worker refuses, and its Error frame is the run error.
+			name: "round-state-omits-section",
+			onSend: once(func(m *frame.Msg) bool {
+				if m.Round == nil || len(m.Round.States) == 0 {
+					return false
+				}
+				m.Round.States[0].Omit = frame.OmitCopies
+				return true
+			}),
+			want: "omits sections",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newInProcWorkers(nil)
+			opt := tc.opt
+			opt.Workers, opt.Protocol, opt.RoundItems = 2, c.proto, 8
+			opt.Dial = func(n int) ([]io.ReadWriteCloser, error) {
+				conns, err := p.dial(n)
+				if err == nil {
+					conns[0] = newTapConn(conns[0], tc.onSend, tc.onRecv)
+				}
+				return conns, err
+			}
+			opt.Redial = p.redial
+			b, err := New(opt)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			defer b.Close()
+			budget := b.restarts
+			cfg := cellConfig(t, c, true)
+			cfg.Backend = b
+			_, err = core.Run(cfg)
+			if err == nil || errors.Is(err, ErrWorkerLost) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Run error = %v; want one mentioning %q and not ErrWorkerLost", err, tc.want)
+			}
+			if b.restarts != budget {
+				t.Errorf("%d revivals: corruption was replayed", budget-b.restarts)
+			}
+		})
+	}
+}
+
+// slotWatch fails the test if a node's authoritative state is ever
+// replaced rather than patched.
+type slotWatch struct {
+	*Backend
+	t     *testing.T
+	slots []*frame.NodeState
+}
+
+func (w *slotWatch) RunEpoch(ep *core.Epoch) error {
+	err := w.Backend.RunEpoch(ep)
+	if w.slots == nil {
+		w.slots = make([]*frame.NodeState, len(w.states))
+	}
+	for i, st := range w.states {
+		if w.slots[i] != nil && st != w.slots[i] {
+			w.t.Errorf("node %d: authoritative state moved from %p to %p", i, w.slots[i], st)
+		}
+		w.slots[i] = st
+	}
+	return err
+}
+
+// TestDistStateSlotsPersist pins the coordinator's memory shape: one
+// frame.NodeState per touched node for the whole run, patched in place.
+// Installing pointers into each reply's decoded array instead kept
+// every such array alive for as long as any one node of it was current.
+func TestDistStateSlotsPersist(t *testing.T) {
+	c := loadedCell
+	seqRes, _ := runCell(t, cellConfig(t, c, false))
+	b, err := New(Options{Workers: 2, Protocol: c.proto, RoundItems: 8, Dial: dialInProcess(nil)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer b.Close()
+	w := &slotWatch{Backend: b, t: t}
+	cfg := cellConfig(t, c, true)
+	cfg.Backend = w
+	res, _ := runCell(t, cfg)
+	if !reflect.DeepEqual(seqRes, res) {
+		t.Errorf("Result diverged from sequential")
+	}
+	held := 0
+	for _, st := range w.slots {
+		if st != nil {
+			held++
+		}
+	}
+	if held == 0 || held > len(res.FinalBuffered) {
+		t.Errorf("%d node states held for a population of %d", held, len(res.FinalBuffered))
+	}
+}
+
+// TestDistBackendReuse runs two runs on one backend, as the daemon's
+// worker pool and the benchmark do: the second Init must leave nothing
+// of the first run behind on either side — live nodes, versions, or the
+// bases patches are cut against.
+func TestDistBackendReuse(t *testing.T) {
+	c := loadedCell
+	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
+	b, err := New(Options{Workers: 2, Protocol: c.proto, RoundItems: 8, Dial: dialInProcess(nil)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer b.Close()
+	for run := 1; run <= 2; run++ {
+		cfg := cellConfig(t, c, true)
+		cfg.Backend = b
+		res, csv := runCell(t, cfg)
+		if !reflect.DeepEqual(seqRes, res) || !bytes.Equal(seqCSV, csv) {
+			t.Errorf("run %d on the same backend diverged from sequential", run)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Layout of one frame:
 //
-//	[u32 LE length] [version=2] [type] [enc] [payload…]
+//	[u32 LE length] [version=3] [type] [enc] [payload…]
 //
 // where length covers everything after itself (3 + len(payload)).
 // Types: Init (run setup), Round (items + touched node states and
@@ -20,6 +20,10 @@
 // encoding is a canonical function of the message: for any frame that
 // decodes, encode(decode(b)) is a byte-level fixed point after one
 // normalization pass.
+//
+// Encode and Decode allocate what they return. A connection uses a
+// Writer and a Reader instead, which keep the frame buffer and the
+// decoded Round/Effects storage from one frame to the next.
 package frame
 
 import (
@@ -35,10 +39,11 @@ import (
 )
 
 // Version is the only frame version this codec speaks. Version 2
-// added the Hello handshake frame and the Round.Cached delta records;
-// the version byte rides every frame, so a coordinator and worker
-// from different versions fail loudly on the first frame either way.
-const Version = 2
+// added the Hello handshake frame and the Round.Cached delta records,
+// version 3 the NodeState section mask (Omit); the version byte rides
+// every frame, so a coordinator and worker from different versions fail
+// loudly on the first frame either way.
+const Version = 3
 
 // encBinary is the header's payload-encoding byte.
 const encBinary = 0
@@ -62,9 +67,11 @@ var ErrFrame = errors.New("frame: invalid frame")
 
 // Capability bits carried in Hello.Caps.
 const (
-	// CapDelta: the sender understands Round.Cached references and, as
-	// a worker, keeps executed nodes live between rounds so the
-	// coordinator may ship a CacheRef instead of a full snapshot.
+	// CapDelta: the sender understands Round.Cached references and
+	// NodeState patches. A coordinator that announces it may be sent
+	// patches; a worker that announces it keeps executed nodes live
+	// between rounds so the coordinator may ship a CacheRef instead of a
+	// full snapshot.
 	CapDelta uint64 = 1 << 0
 )
 
@@ -151,9 +158,25 @@ type IDPair struct {
 	Seq int
 }
 
-// NodeState is one node's complete serialized state. A node involved in
-// a round but absent from the round's States is pristine: the worker
-// constructs it fresh (node.New + protocol Init) instead of restoring.
+// Bits of NodeState.Omit, one per section, in wire order.
+const (
+	OmitCopies byte = 1 << iota
+	OmitReceived
+	OmitExt
+
+	// Sections is the number of sections; section i's bit is 1<<i.
+	Sections = 3
+	omitAll  = 1<<Sections - 1
+)
+
+// NodeState is one node's serialized state: ten scalars and three
+// sections (Copies, Received, Ext). Omit == 0 is a complete state, the
+// only form a Round may carry. A worker's reply may be a patch: a
+// section whose Omit bit is set is absent from the wire and stands for
+// "as the two sides last exchanged it for this node". A node involved
+// in a round but absent from the round's States and Cached is pristine:
+// the worker constructs it fresh (node.New + protocol Init) instead of
+// restoring.
 type NodeState struct {
 	ID                 int
 	ControlSent        int64
@@ -165,9 +188,29 @@ type NodeState struct {
 	ControlLoad        float64
 	LastEncounterStart float64
 	LastInterval       float64
+	Omit               byte
 	Copies             []Copy
 	Received           []IDPair
 	Ext                protocol.ExtState
+}
+
+// Patch installs p over st: st takes p's scalars and the sections p
+// carries and keeps its own for the ones p omits, so st stays complete.
+// Storage changes hands instead of being copied — p is left holding
+// what st gave up, for whoever decodes into p next.
+func (st *NodeState) Patch(p *NodeState) {
+	omit := p.Omit
+	*st, *p = *p, *st
+	if omit&OmitCopies != 0 {
+		st.Copies, p.Copies = p.Copies, st.Copies
+	}
+	if omit&OmitReceived != 0 {
+		st.Received, p.Received = p.Received, st.Received
+	}
+	if omit&OmitExt != 0 {
+		st.Ext, p.Ext = p.Ext, st.Ext
+	}
+	st.Omit = 0
 }
 
 // Round is one coordinator→worker work assignment: the states of every
@@ -203,7 +246,8 @@ type ItemEffects struct {
 }
 
 // Effects is one worker→coordinator round reply: the updated states of
-// every node the round's items touched, and each item's effects.
+// every node the round's items touched — patches, to a coordinator that
+// announced CapDelta — and each item's effects.
 type Effects struct {
 	Seq    uint64
 	States []NodeState
@@ -243,63 +287,97 @@ func (m *Msg) Type() byte {
 }
 
 // Encode serializes one message to a complete frame.
-func Encode(m *Msg) ([]byte, error) {
+func Encode(m *Msg) ([]byte, error) { return appendFrame(nil, m) }
+
+// appendFrame appends m's frame to b: four bytes reserved for the
+// length, the header, the payload encoded in place behind them.
+func appendFrame(b []byte, m *Msg) ([]byte, error) {
 	t := m.Type()
-	if t == 0 {
-		return nil, fmt.Errorf("%w: message has no payload", ErrFrame)
-	}
-	var payload []byte
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, Version, t, encBinary)
 	switch t {
 	case TInit:
-		payload = appendInit(nil, m.Init)
+		b = appendInit(b, m.Init)
 	case TRound:
-		payload = appendRound(nil, m.Round)
+		b = appendRound(b, m.Round)
 	case TEffects:
-		payload = appendEffects(nil, m.Effects)
+		b = appendEffects(b, m.Effects)
 	case TError:
-		payload = appendString(nil, m.Err.Msg)
+		b = appendString(b, m.Err.Msg)
 	case THello:
-		payload = appendHello(nil, m.Hello)
+		b = appendHello(b, m.Hello)
+	default:
+		return nil, fmt.Errorf("%w: message has no payload", ErrFrame)
 	}
-	if len(payload)+3 > maxFrame {
-		return nil, fmt.Errorf("%w: payload of %d bytes exceeds frame limit", ErrFrame, len(payload))
+	n := len(b) - start - 4
+	if n > maxFrame {
+		return nil, fmt.Errorf("%w: payload of %d bytes exceeds frame limit", ErrFrame, n-3)
 	}
-	out := make([]byte, 4, 4+3+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(3+len(payload)))
-	out = append(out, Version, t, encBinary)
-	return append(out, payload...), nil
+	binary.LittleEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }
 
-// Write encodes m and writes the frame to w.
-func Write(w io.Writer, m *Msg) error {
-	b, err := Encode(m)
+// Writer writes frames to W, each with one Write call, from a buffer it
+// keeps between frames.
+type Writer struct {
+	W   io.Writer
+	buf []byte
+}
+
+// Write encodes m and writes the frame.
+func (w *Writer) Write(m *Msg) error {
+	b, err := appendFrame(w.buf[:0], m)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(b)
+	w.buf = b
+	_, err = w.W.Write(b)
 	return err
 }
 
-// Read reads exactly one frame from r. io.EOF is returned verbatim
-// when the stream ends cleanly before a frame starts (the coordinator
-// closing a worker's stdin); any mid-frame truncation is an error.
-func Read(r io.Reader) (*Msg, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// Reader reads frames from R into storage it keeps: a returned Msg, and
+// everything a Round or Effects in it points to, is valid until the
+// next Read.
+type Reader struct {
+	R    io.Reader
+	hdr  [4]byte
+	body []byte
+	msg  Msg
+	keep storage
+}
+
+// storage is the decoded Round and Effects a Reader decodes into again
+// and again.
+type storage struct {
+	round   Round
+	effects Effects
+}
+
+// Read reads exactly one frame. io.EOF is returned verbatim when the
+// stream ends cleanly before a frame starts (the coordinator closing a
+// worker's stdin). An error wrapping ErrFrame means the peer sent bytes
+// that are not a frame; any other error is the stream's own, mid-frame
+// truncation included.
+func (r *Reader) Read() (*Msg, error) {
+	if _, err := io.ReadFull(r.R, r.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("%w: reading length: %v", ErrFrame, err)
+		return nil, fmt.Errorf("frame: reading length: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(r.hdr[:])
 	if n < 3 || n > maxFrame {
 		return nil, fmt.Errorf("%w: length %d out of range", ErrFrame, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("%w: reading %d-byte body: %v", ErrFrame, n, err)
+	r.body = Resize(r.body, int(n))
+	if _, err := io.ReadFull(r.R, r.body); err != nil {
+		return nil, fmt.Errorf("frame: reading %d-byte body: %w", n, err)
 	}
-	return decodeBody(body)
+	r.msg = Msg{}
+	if err := decodeBody(r.body, &r.msg, &r.keep); err != nil {
+		return nil, err
+	}
+	return &r.msg, nil
 }
 
 // Decode parses one complete frame (length prefix included). The input
@@ -315,40 +393,47 @@ func Decode(b []byte) (*Msg, error) {
 	if uint32(len(b)-4) != n {
 		return nil, fmt.Errorf("%w: length prefix %d does not match %d body bytes", ErrFrame, n, len(b)-4)
 	}
-	return decodeBody(b[4:])
+	m := new(Msg)
+	if err := decodeBody(b[4:], m, new(storage)); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-func decodeBody(body []byte) (*Msg, error) {
+// decodeBody decodes one frame body into m; a Round or Effects payload
+// lands in keep, over whatever was decoded there before.
+func decodeBody(body []byte, m *Msg, keep *storage) error {
 	if body[0] != Version {
-		return nil, fmt.Errorf("%w: version %d (speak %d)", ErrFrame, body[0], Version)
+		return fmt.Errorf("%w: version %d (speak %d)", ErrFrame, body[0], Version)
 	}
 	if body[2] != encBinary {
-		return nil, fmt.Errorf("%w: unknown encoding %d", ErrFrame, body[2])
+		return fmt.Errorf("%w: unknown encoding %d", ErrFrame, body[2])
 	}
 	t := body[1]
 	d := &dec{b: body[3:]}
-	m := new(Msg)
 	switch t {
 	case TInit:
 		m.Init = readInit(d)
 	case TRound:
-		m.Round = readRound(d)
+		m.Round = &keep.round
+		readRound(d, m.Round)
 	case TEffects:
-		m.Effects = readEffects(d)
+		m.Effects = &keep.effects
+		readEffects(d, m.Effects)
 	case TError:
 		m.Err = &ErrorMsg{Msg: d.str()}
 	case THello:
 		m.Hello = readHello(d)
 	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrFrame, t)
+		return fmt.Errorf("%w: unknown type %d", ErrFrame, t)
 	}
 	if d.fail {
-		return nil, fmt.Errorf("%w: truncated type-%d payload", ErrFrame, t)
+		return fmt.Errorf("%w: truncated or malformed type-%d payload", ErrFrame, t)
 	}
 	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrFrame, len(d.b)-d.off)
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrFrame, len(d.b)-d.off)
 	}
-	return m, nil
+	return nil
 }
 
 // --- binary encoding ---
@@ -459,16 +544,35 @@ func appendNodeState(b []byte, st *NodeState) []byte {
 	b = appendFloat(b, st.ControlLoad)
 	b = appendFloat(b, st.LastEncounterStart)
 	b = appendFloat(b, st.LastInterval)
-	b = appendUint(b, uint64(len(st.Copies)))
-	for i := range st.Copies {
-		b = appendCopy(b, &st.Copies[i])
+	b = append(b, st.Omit)
+	for sec := 0; sec < Sections; sec++ {
+		if st.Omit&(1<<sec) == 0 {
+			b = st.AppendSection(b, sec)
+		}
 	}
-	b = appendUint(b, uint64(len(st.Received)))
-	for _, id := range st.Received {
-		b = appendInt(b, int64(id.Src))
-		b = appendInt(b, int64(id.Seq))
+	return b
+}
+
+// AppendSection appends the canonical encoding of st's section sec
+// (0 ≤ sec < Sections), whatever st.Omit says. Equal bytes mean equal
+// sections, which is how a worker decides what a patch may omit.
+func (st *NodeState) AppendSection(b []byte, sec int) []byte {
+	switch sec {
+	case 0:
+		b = appendUint(b, uint64(len(st.Copies)))
+		for i := range st.Copies {
+			b = appendCopy(b, &st.Copies[i])
+		}
+	case 1:
+		b = appendUint(b, uint64(len(st.Received)))
+		for _, id := range st.Received {
+			b = appendInt(b, int64(id.Src))
+			b = appendInt(b, int64(id.Seq))
+		}
+	default:
+		b = appendExt(b, &st.Ext)
 	}
-	return appendExt(b, &st.Ext)
+	return b
 }
 
 func appendRound(b []byte, r *Round) []byte {
@@ -621,6 +725,7 @@ func readInit(d *dec) *Init {
 }
 
 func readItem(d *dec, it *Item) {
+	*it = Item{} // the payload sets one of the two halves; reused storage holds both
 	it.Idx = int(d.int())
 	it.Gen = d.bool()
 	it.T = d.float()
@@ -654,38 +759,38 @@ func readCopy(d *dec, c *Copy) {
 	c.Pinned = d.bool()
 }
 
+// Resize returns s with length n. It keeps the elements s already has
+// room for, so storage nested in them (an element's own slices) is
+// reused by whoever overwrites them; a nil s and n == 0 stay nil.
+func Resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
 func readExt(d *dec, st *protocol.ExtState) {
 	st.Kind = d.str()
-	if n := d.count(); n > 0 {
-		st.IDs = make([]bundle.ID, n)
-		for i := range st.IDs {
-			st.IDs[i] = bundle.ID{Src: contact.NodeID(d.int()), Seq: int(d.int())}
-		}
+	st.IDs = Resize(st.IDs, d.count())
+	for i := range st.IDs {
+		st.IDs[i] = bundle.ID{Src: contact.NodeID(d.int()), Seq: int(d.int())}
 	}
-	if n := d.count(); n > 0 {
-		st.Acks = make([]protocol.FlowCount, n)
-		for i := range st.Acks {
-			st.Acks[i] = readFlowCount(d)
-		}
+	st.Acks = Resize(st.Acks, d.count())
+	for i := range st.Acks {
+		st.Acks[i] = readFlowCount(d)
 	}
-	if n := d.count(); n > 0 {
-		st.Base = make([]protocol.FlowCount, n)
-		for i := range st.Base {
-			st.Base[i] = readFlowCount(d)
-		}
+	st.Base = Resize(st.Base, d.count())
+	for i := range st.Base {
+		st.Base[i] = readFlowCount(d)
 	}
-	if n := d.count(); n > 0 {
-		st.Rcvd = make([]protocol.FlowSeqs, n)
-		for i := range st.Rcvd {
-			fs := &st.Rcvd[i]
-			fs.Src = int(d.int())
-			fs.Dst = int(d.int())
-			if k := d.count(); k > 0 {
-				fs.Seqs = make([]int, k)
-				for j := range fs.Seqs {
-					fs.Seqs[j] = int(d.int())
-				}
-			}
+	st.Rcvd = Resize(st.Rcvd, d.count())
+	for i := range st.Rcvd {
+		fs := &st.Rcvd[i]
+		fs.Src = int(d.int())
+		fs.Dst = int(d.int())
+		fs.Seqs = Resize(fs.Seqs, d.count())
+		for j := range fs.Seqs {
+			fs.Seqs[j] = int(d.int())
 		}
 	}
 }
@@ -705,76 +810,73 @@ func readNodeState(d *dec, st *NodeState) {
 	st.ControlLoad = d.float()
 	st.LastEncounterStart = d.float()
 	st.LastInterval = d.float()
-	if n := d.count(); n > 0 {
-		st.Copies = make([]Copy, n)
+	if st.Omit = d.byte(); st.Omit&^omitAll != 0 {
+		d.fail = true
+	}
+	// An omitted section decodes as empty: what it stands for is the
+	// receiver's to know, not the frame's.
+	st.Copies = st.Copies[:0]
+	if st.Omit&OmitCopies == 0 {
+		st.Copies = Resize(st.Copies, d.count())
 		for i := range st.Copies {
 			readCopy(d, &st.Copies[i])
 		}
 	}
-	if n := d.count(); n > 0 {
-		st.Received = make([]IDPair, n)
+	st.Received = st.Received[:0]
+	if st.Omit&OmitReceived == 0 {
+		st.Received = Resize(st.Received, d.count())
 		for i := range st.Received {
 			st.Received[i] = IDPair{Src: int(d.int()), Seq: int(d.int())}
 		}
 	}
-	readExt(d, &st.Ext)
+	if st.Omit&OmitExt == 0 {
+		readExt(d, &st.Ext)
+	} else {
+		st.Ext = protocol.ExtState{}
+	}
 }
 
-func readRound(d *dec) *Round {
-	r := &Round{Seq: d.uint()}
-	if n := d.count(); n > 0 {
-		r.States = make([]NodeState, n)
-		for i := range r.States {
-			readNodeState(d, &r.States[i])
-		}
+func readRound(d *dec, r *Round) {
+	r.Seq = d.uint()
+	r.States = Resize(r.States, d.count())
+	for i := range r.States {
+		readNodeState(d, &r.States[i])
 	}
-	if n := d.count(); n > 0 {
-		r.Cached = make([]CacheRef, n)
-		for i := range r.Cached {
-			r.Cached[i] = CacheRef{ID: int(d.int()), Ver: d.uint()}
-		}
+	r.Cached = Resize(r.Cached, d.count())
+	for i := range r.Cached {
+		r.Cached[i] = CacheRef{ID: int(d.int()), Ver: d.uint()}
 	}
-	if n := d.count(); n > 0 {
-		r.Items = make([]Item, n)
-		for i := range r.Items {
-			readItem(d, &r.Items[i])
-		}
+	r.Items = Resize(r.Items, d.count())
+	for i := range r.Items {
+		readItem(d, &r.Items[i])
 	}
-	return r
 }
 
 func readHello(d *dec) *Hello {
 	return &Hello{Version: int(d.int()), Caps: d.uint()}
 }
 
-func readEffects(d *dec) *Effects {
-	e := &Effects{Seq: d.uint()}
-	if n := d.count(); n > 0 {
-		e.States = make([]NodeState, n)
-		for i := range e.States {
-			readNodeState(d, &e.States[i])
+func readEffects(d *dec, e *Effects) {
+	e.Seq = d.uint()
+	e.States = Resize(e.States, d.count())
+	for i := range e.States {
+		readNodeState(d, &e.States[i])
+	}
+	e.Items = Resize(e.Items, d.count())
+	for i := range e.Items {
+		ie := &e.Items[i]
+		ie.Idx = int(d.int())
+		ie.Fx = Resize(ie.Fx, d.count())
+		for j := range ie.Fx {
+			fx := &ie.Fx[j]
+			fx.Kind = d.byte()
+			fx.From = int(d.int())
+			fx.To = int(d.int())
+			fx.Src = int(d.int())
+			fx.Seq = int(d.int())
+			fx.Reason = d.byte()
+			fx.At = d.float()
+			fx.Delay = d.float()
 		}
 	}
-	if n := d.count(); n > 0 {
-		e.Items = make([]ItemEffects, n)
-		for i := range e.Items {
-			ie := &e.Items[i]
-			ie.Idx = int(d.int())
-			if k := d.count(); k > 0 {
-				ie.Fx = make([]Effect, k)
-				for j := range ie.Fx {
-					fx := &ie.Fx[j]
-					fx.Kind = d.byte()
-					fx.From = int(d.int())
-					fx.To = int(d.int())
-					fx.Src = int(d.int())
-					fx.Seq = int(d.int())
-					fx.Reason = d.byte()
-					fx.At = d.float()
-					fx.Delay = d.float()
-				}
-			}
-		}
-	}
-	return e
 }

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -82,6 +83,26 @@ func sampleMsgs() []*Msg {
 			{Idx: 0, T: 12.5, A: 1, B: 2, Start: 12.5, End: 80, Bandwidth: 1e18}}}},
 		{Effects: &Effects{Seq: 3}},
 		{Err: &ErrorMsg{Msg: "boom"}},
+		// Patches: every combination of omitted sections, carried ones
+		// both empty and populated.
+		{Effects: &Effects{
+			Seq: 8,
+			States: []NodeState{
+				{ID: 1, ControlSent: 40, ControlLoad: 0.5, LastEncounterStart: 300, LastInterval: 49.5,
+					Omit: OmitCopies | OmitReceived | OmitExt},
+				{ID: 2, DataSent: 3, Omit: OmitReceived | OmitExt,
+					Copies: []Copy{{Src: 2, Seq: 1, Dst: 9, CreatedAt: 10, Size: 1000, FirstSeq: 1,
+						Expiry: 1e18, StoredAt: 10, Pinned: true}}},
+				{ID: 3, Omit: OmitCopies | OmitExt, Received: []IDPair{{Src: 2, Seq: 1}}},
+				{ID: 4, Omit: OmitCopies | OmitReceived,
+					Ext: protocol.ExtState{Kind: protocol.ExtImmunity, IDs: []bundle.ID{{Src: 2, Seq: 1}}}},
+				{ID: 5, Evicted: 1, Omit: OmitExt},
+				{ID: 6, Omit: OmitCopies, Ext: protocol.ExtState{Kind: protocol.ExtCumulative,
+					Rcvd: []protocol.FlowSeqs{{Src: 2, Dst: 6, Seqs: []int{1}}}}},
+				{ID: 7, Omit: OmitReceived},
+			},
+			Items: []ItemEffects{{Idx: 4, Fx: []Effect{{Kind: 1, From: 2, To: 3, Src: 2, Seq: 1, At: 301}}}},
+		}},
 	}
 }
 
@@ -110,40 +131,104 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// oneWrite fails the test if a frame reaches it in more than one Write.
+type oneWrite struct {
+	t      *testing.T
+	buf    bytes.Buffer
+	frames int
+}
+
+func (w *oneWrite) Write(p []byte) (int, error) {
+	if len(p) < 4 || int(binary.LittleEndian.Uint32(p)) != len(p)-4 {
+		w.t.Errorf("Write of %d bytes is not one whole frame", len(p))
+	}
+	w.frames++
+	return w.buf.Write(p)
+}
+
 // TestStreamReadWrite pins the stream framing: a sequence of frames
-// written to one pipe reads back in order, and clean stream end is
-// io.EOF while mid-frame truncation is an ErrFrame.
+// written through one Writer — one Write call each — reads back in
+// order through one Reader, whose reused storage must leave no trace of
+// the frame before (the sample order puts large frames ahead of small
+// ones of the same type, and the whole sequence is read twice). Clean
+// stream end is io.EOF; mid-frame truncation is the stream's error, not
+// ErrFrame, which is kept for bytes that are not a frame.
 func TestStreamReadWrite(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := sampleMsgs()
+	sink := &oneWrite{t: t}
+	w := Writer{W: sink}
+	msgs := append(sampleMsgs(), sampleMsgs()...)
 	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
+		if err := w.Write(m); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
 	}
-	stream := buf.Bytes()
-	r := bytes.NewReader(stream)
+	if sink.frames != len(msgs) {
+		t.Errorf("%d Write calls for %d frames", sink.frames, len(msgs))
+	}
+	stream := sink.buf.Bytes()
+	r := Reader{R: bytes.NewReader(stream)}
 	for i, want := range msgs {
-		got, err := Read(r)
+		got, err := r.Read()
 		if err != nil {
 			t.Fatalf("Read #%d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Read #%d: mismatch", i)
+		// Reused storage decodes "none" as empty where fresh storage has
+		// nil, so compare what the messages encode to.
+		gotb, err := Encode(got)
+		if err != nil {
+			t.Fatalf("Encode of Read #%d: %v", i, err)
+		}
+		if wantb, _ := Encode(want); !bytes.Equal(gotb, wantb) {
+			t.Errorf("Read #%d: mismatch\n got %#v\nwant %#v", i, got, want)
 		}
 	}
-	if _, err := Read(r); err != io.EOF {
+	if _, err := r.Read(); err != io.EOF {
 		t.Errorf("Read at clean end = %v, want io.EOF", err)
 	}
-	tr := bytes.NewReader(stream[:len(stream)-1])
+	tr := Reader{R: bytes.NewReader(stream[:len(stream)-1])}
 	var last error
 	for {
-		if _, last = Read(tr); last != nil {
+		if _, last = tr.Read(); last != nil {
 			break
 		}
 	}
-	if last == io.EOF {
-		t.Errorf("truncated stream ended with clean io.EOF; want ErrFrame error")
+	if !errors.Is(last, io.ErrUnexpectedEOF) || errors.Is(last, ErrFrame) {
+		t.Errorf("truncated stream ended with %v; want io.ErrUnexpectedEOF and not ErrFrame", last)
+	}
+	bad := Reader{R: bytes.NewReader([]byte{3, 0, 0, 0, Version, 99, encBinary})}
+	if _, err := bad.Read(); !errors.Is(err, ErrFrame) {
+		t.Errorf("Read of an unknown frame type = %v; want ErrFrame", err)
+	}
+}
+
+// TestPatch pins what a coordinator does with a patch: carried sections
+// and scalars replace, omitted sections stay, the result is complete.
+func TestPatch(t *testing.T) {
+	full := func() NodeState {
+		return NodeState{ID: 2, DataSent: 1,
+			Copies:   []Copy{{Src: 2, Seq: 1}},
+			Received: []IDPair{{Src: 0, Seq: 4}},
+			Ext:      protocol.ExtState{Kind: protocol.ExtImmunity, IDs: []bundle.ID{{Src: 0, Seq: 4}}}}
+	}
+	for omit := byte(0); omit <= omitAll; omit++ {
+		st, want := full(), full()
+		p := NodeState{ID: 2, DataSent: 9, Omit: omit}
+		want.DataSent = 9
+		if omit&OmitCopies == 0 {
+			p.Copies = []Copy{{Src: 5, Seq: 5}, {Src: 6, Seq: 6}}
+			want.Copies = p.Copies
+		}
+		if omit&OmitReceived == 0 {
+			want.Received = nil // carried, and empty
+		}
+		if omit&OmitExt == 0 {
+			p.Ext = protocol.ExtState{Kind: protocol.ExtImmunity}
+			want.Ext = p.Ext
+		}
+		st.Patch(&p)
+		if !reflect.DeepEqual(st, want) {
+			t.Errorf("omit %03b:\n got %+v\nwant %+v", omit, st, want)
+		}
 	}
 }
 
@@ -168,7 +253,13 @@ func TestDecodeRejects(t *testing.T) {
 		{"truncated-payload", []byte{4, 0, 0, 0, Version, TError, encBinary, 5}},
 		{"trailing-bytes", append(append([]byte{}, good...), 0)[4:]},
 		{"bad-enc-with-payload", []byte{5, 0, 0, 0, Version, TError, 1, '{', '}'}},
+		{"unknown-section-bits", nil},
 	}
+	unknown, err := Encode(&Msg{Effects: &Effects{States: []NodeState{{ID: 1, Omit: omitAll + 1}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases[11].b = unknown
 	// trailing-bytes case needs a corrected length prefix.
 	trailing := append(append([]byte{}, good...), 0)
 	trailing[0]++
@@ -206,14 +297,18 @@ func TestBinaryFloatExactness(t *testing.T) {
 // FuzzDecodeFrame is the satellite obligation: Decode must never panic
 // on arbitrary bytes, and any frame that decodes must reach a
 // byte-level encoding fixed point after one normalization pass
-// (decode→encode→decode→encode is byte-identical).
+// (decode→encode→decode→encode is byte-identical). A Reader whose
+// storage every sample frame has been through must decode the same
+// frame to the same message: nothing of an earlier frame may show.
 func FuzzDecodeFrame(f *testing.F) {
+	var used []byte
 	for _, m := range sampleMsgs() {
 		b, err := Encode(m)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
+		used = append(used, b...)
 	}
 	f.Add([]byte{3, 0, 0, 0, Version, TError, encBinary})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -237,6 +332,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Errorf("encoding is not a fixed point:\nenc1 %x\nenc2 %x", enc1, enc2)
+		}
+		r := Reader{R: io.MultiReader(bytes.NewReader(used), bytes.NewReader(b))}
+		var last *Msg
+		for {
+			m, err := r.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("Reader failed on a frame Decode accepts: %v", err)
+			}
+			last = m
+		}
+		if enc3, err := Encode(last); err != nil || !bytes.Equal(enc1, enc3) {
+			t.Errorf("used Reader decoded a different message (%v):\nfresh %x\nused  %x", err, enc1, enc3)
 		}
 	})
 }

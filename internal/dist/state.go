@@ -102,12 +102,17 @@ func effectFromWire(fx *frame.Effect) (core.Effect, error) {
 	}, nil
 }
 
-// snapshotNode captures n's complete state in wire form. Copies come
-// out in the store's ascending bundle-ID order and the Received set in
-// its sorted Items order, so equal nodes always snapshot to equal wire
-// forms (the canonical form byte-identical frames rest on).
-func snapshotNode(n *node.Node) (frame.NodeState, error) {
-	st := frame.NodeState{
+// snapshotInto captures n's complete state in wire form, over whatever
+// st held, reusing its storage. Copies come out in the store's
+// ascending bundle-ID order and the Received set in its sorted order, so
+// equal nodes always snapshot to equal wire forms (the canonical form
+// byte-identical frames, and a patch's omitted sections, rest on).
+func snapshotInto(st *frame.NodeState, n *node.Node) error {
+	ext, err := protocol.SnapshotExt(n.Ext)
+	if err != nil {
+		return fmt.Errorf("dist: node %d: %w", n.ID, err)
+	}
+	*st = frame.NodeState{
 		ID:                 int(n.ID),
 		ControlSent:        n.ControlSent,
 		DataSent:           n.DataSent,
@@ -118,8 +123,11 @@ func snapshotNode(n *node.Node) (frame.NodeState, error) {
 		ControlLoad:        n.Store.ControlLoad(),
 		LastEncounterStart: float64(n.LastEncounterStart),
 		LastInterval:       n.LastInterval,
+		Copies:             st.Copies[:0],
+		Received:           st.Received[:0],
+		Ext:                ext,
 	}
-	for _, c := range n.Store.Items() {
+	n.Store.Range(func(c *bundle.Copy) bool {
 		st.Copies = append(st.Copies, frame.Copy{
 			Src:       int(c.Bundle.ID.Src),
 			Seq:       c.Bundle.ID.Seq,
@@ -132,22 +140,22 @@ func snapshotNode(n *node.Node) (frame.NodeState, error) {
 			StoredAt:  float64(c.StoredAt),
 			Pinned:    c.Pinned,
 		})
-	}
-	for _, id := range n.Received.Items() {
+		return true
+	})
+	n.Received.Range(func(id bundle.ID) bool {
 		st.Received = append(st.Received, frame.IDPair{Src: int(id.Src), Seq: id.Seq})
-	}
-	ext, err := protocol.SnapshotExt(n.Ext)
-	if err != nil {
-		return frame.NodeState{}, fmt.Errorf("dist: node %d: %w", n.ID, err)
-	}
-	st.Ext = ext
-	return st, nil
+		return true
+	})
+	return nil
 }
 
-// restoreInto rebuilds n's state from a snapshot. n must be freshly
-// constructed (empty store, empty Received set); the buffer capacities
-// come from the node's own construction, not the snapshot.
+// restoreInto rebuilds n's state from a complete snapshot. n must be
+// freshly constructed (empty store, empty Received set); the buffer
+// capacities come from the node's own construction, not the snapshot.
 func restoreInto(n *node.Node, st *frame.NodeState) error {
+	if st.Omit != 0 {
+		return fmt.Errorf("dist: node %d: state omits sections %03b, nothing to restore them from", st.ID, st.Omit)
+	}
 	n.ControlSent = st.ControlSent
 	n.DataSent = st.DataSent
 	n.Refused = st.Refused

@@ -1,10 +1,9 @@
 package dist
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"dtnsim/internal/buffer"
 	"dtnsim/internal/contact"
@@ -25,10 +24,12 @@ import (
 // when the round carries a CacheRef (delta shipping), freshly
 // (pristine) when neither — executes the items in order through
 // core.Kernel, and replies with each item's effect buffer plus the
-// updated snapshots of all involved nodes. Internal failures are
-// reported as Error frames and latched: subsequent rounds get the same
-// report instead of executing on corrupt state, and the coordinator
-// turns the first one into the run error.
+// updated state of all involved nodes: complete, or to a coordinator
+// that announced CapDelta as a patch without the sections that still
+// encode to the bytes the two sides last exchanged. Internal failures
+// are reported as Error frames and latched: subsequent rounds get the
+// same report instead of executing on corrupt state, and the
+// coordinator turns the first one into the run error.
 func Serve(r io.Reader, w io.Writer) error {
 	return ServeWith(r, w, ServeOpts{})
 }
@@ -44,60 +45,57 @@ type ServeOpts struct {
 
 // ServeWith is Serve with options.
 func ServeWith(r io.Reader, w io.Writer, opts ServeOpts) error {
-	br, bw := bufio.NewReader(r), bufio.NewWriter(w)
+	fr, fw := frame.Reader{R: r}, frame.Writer{W: w}
 	var s workerState
 	rounds := 0
 	for {
-		m, err := frame.Read(br)
+		m, err := fr.Read()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
+		var reply frame.Msg
 		switch {
 		case m.Hello != nil:
-			reply := &frame.Msg{Hello: &frame.Hello{Version: frame.Version, Caps: frame.CapDelta}}
-			if err := frame.Write(bw, reply); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
+			s.delta = m.Hello.Caps&frame.CapDelta != 0
+			reply.Hello = &frame.Hello{Version: frame.Version, Caps: frame.CapDelta}
 		case m.Init != nil:
 			if err := s.init(m.Init); err != nil {
 				s.fail = err.Error()
 			}
+			continue
 		case m.Round != nil:
 			rounds++
 			if opts.FailAfterRounds > 0 && rounds >= opts.FailAfterRounds {
 				return fmt.Errorf("dist: worker failure injected at round %d", rounds)
 			}
-			var reply *frame.Msg
+			if s.fail == "" {
+				if err := s.round(m.Round); err != nil {
+					s.fail = err.Error()
+				}
+			}
 			if s.fail != "" {
-				reply = &frame.Msg{Err: &frame.ErrorMsg{Msg: s.fail}}
-			} else if eff, err := s.round(m.Round); err != nil {
-				s.fail = err.Error()
-				reply = &frame.Msg{Err: &frame.ErrorMsg{Msg: s.fail}}
+				reply.Err = &frame.ErrorMsg{Msg: s.fail}
 			} else {
-				reply = &frame.Msg{Effects: eff}
-			}
-			if err := frame.Write(bw, reply); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
+				reply.Effects = &s.eff
 			}
 		default:
 			return fmt.Errorf("dist: worker received unexpected frame type %d", m.Type())
 		}
+		if err := fw.Write(&reply); err != nil {
+			return err
+		}
 	}
 }
 
-// workerState is one run's worker-side state: the kernel, the protocol
-// instance (for pristine-node Init), and the materialized nodes.
+// workerState is one session's worker-side state: the kernel, the
+// protocol instance (for pristine-node Init), the materialized nodes,
+// and the scratch a round is decoded, executed and answered in.
 type workerState struct {
 	cfg   frame.Init
+	delta bool // the coordinator's Hello carried CapDelta: replies may be patches
 	kern  *core.Kernel
 	proto protocol.Protocol
 	// nodes[i] is the local materialization of node i. A node the
@@ -108,8 +106,18 @@ type workerState struct {
 	nodes []*node.Node
 	live  []bool
 	ver   []uint64
-	items []core.EpochItem
-	fail  string
+	// base[i] holds the encoding of each section of node i as the two
+	// sides last exchanged it — shipped in a Round's States or sent in a
+	// reply — and is nil until then. A reply omits the sections that
+	// still encode to it.
+	base    []*[frame.Sections][]byte
+	section []byte // one section's encoding, on its way to be compared
+
+	ends     endpointSet
+	involved []int
+	items    []core.EpochItem
+	eff      frame.Effects
+	fail     string
 }
 
 func (s *workerState) init(in *frame.Init) error {
@@ -131,6 +139,8 @@ func (s *workerState) init(in *frame.Init) error {
 	s.nodes = make([]*node.Node, in.Nodes)
 	s.live = make([]bool, in.Nodes)
 	s.ver = make([]uint64, in.Nodes)
+	s.base = make([]*[frame.Sections][]byte, in.Nodes)
+	s.ends.reset(in.Nodes)
 	s.kern = &core.Kernel{
 		Nodes:          s.nodes,
 		Hooks:          make([]*core.EffectBuf, in.Nodes),
@@ -158,48 +168,48 @@ func (s *workerState) init(in *frame.Init) error {
 	return nil
 }
 
-// round executes one Round and builds its Effects reply.
-func (s *workerState) round(r *frame.Round) (*frame.Effects, error) {
+// round executes one Round and builds its reply in s.eff.
+func (s *workerState) round(r *frame.Round) error {
 	if s.kern == nil {
-		return nil, fmt.Errorf("dist: round %d before init", r.Seq)
+		return fmt.Errorf("dist: round %d before init", r.Seq)
 	}
+	for i := range r.Items {
+		if w := &r.Items[i]; w.A < 0 || w.A >= len(s.nodes) || w.B < 0 || w.B >= len(s.nodes) {
+			return fmt.Errorf("dist: round %d: item endpoints %d, %d outside population", r.Seq, w.A, w.B)
+		}
+	}
+	s.involved = s.ends.involvedNodes(s.involved[:0], len(r.Items), func(i int) (int, int) {
+		return r.Items[i].A, r.Items[i].B
+	})
 	// Materialize the shipped states first, resolve cache references
-	// against the live nodes, then pristine nodes for any item endpoint
-	// the round carried neither for.
+	// against the live nodes; the involved nodes the round carried
+	// neither for are still marked afterwards, and pristine.
 	for i := range r.States {
 		st := &r.States[i]
 		if st.ID < 0 || st.ID >= len(s.nodes) {
-			return nil, fmt.Errorf("dist: round %d: state for node %d outside population", r.Seq, st.ID)
+			return fmt.Errorf("dist: round %d: state for node %d outside population", r.Seq, st.ID)
 		}
 		if err := restoreInto(s.materialize(st.ID), st); err != nil {
-			return nil, err
+			return err
 		}
-	}
-	fresh := make(map[int]bool, len(r.States)+len(r.Cached))
-	for i := range r.States {
-		fresh[r.States[i].ID] = true
+		s.ends.unmark(st.ID)
+		if s.delta {
+			s.rebase(st, true)
+		}
 	}
 	for _, ref := range r.Cached {
 		if ref.ID < 0 || ref.ID >= len(s.nodes) {
-			return nil, fmt.Errorf("dist: round %d: cache ref for node %d outside population", r.Seq, ref.ID)
+			return fmt.Errorf("dist: round %d: cache ref for node %d outside population", r.Seq, ref.ID)
 		}
 		// A ref the worker cannot resolve means the two sides disagree
 		// about what this worker holds — corruption, not recoverable.
 		if !s.live[ref.ID] || s.ver[ref.ID] != ref.Ver {
-			return nil, fmt.Errorf("dist: round %d: no live node %d at version %d", r.Seq, ref.ID, ref.Ver)
+			return fmt.Errorf("dist: round %d: no live node %d at version %d", r.Seq, ref.ID, ref.Ver)
 		}
-		fresh[ref.ID] = true
+		s.ends.unmark(ref.ID)
 	}
-	for i := range r.Items {
-		w := &r.Items[i]
-		for _, id := range []int{w.A, w.B} {
-			if id < 0 || id >= len(s.nodes) {
-				return nil, fmt.Errorf("dist: round %d: item endpoint %d outside population", r.Seq, id)
-			}
-			if fresh[id] {
-				continue
-			}
-			fresh[id] = true
+	for _, id := range s.involved {
+		if s.ends.marked(id) {
 			// Pristine node: exactly what the engine's setup produces.
 			s.proto.Init(s.materialize(id))
 		}
@@ -207,23 +217,22 @@ func (s *workerState) round(r *frame.Round) (*frame.Effects, error) {
 
 	// Execute in wire order — the coordinator sends each worker's items
 	// in ascending epoch order, so per-node program order is preserved.
-	if cap(s.items) < len(r.Items) {
-		s.items = make([]core.EpochItem, len(r.Items))
-	}
-	s.items = s.items[:len(r.Items)]
-	eff := &frame.Effects{Seq: r.Seq, Items: make([]frame.ItemEffects, len(r.Items))}
+	s.items = frame.Resize(s.items, len(r.Items))
+	s.eff.Seq = r.Seq
+	s.eff.Items = frame.Resize(s.eff.Items, len(r.Items))
 	for i := range r.Items {
 		w := &r.Items[i]
 		s.items[i] = itemFromWire(w)
 		it := &s.items[i]
 		s.kern.Exec(it)
-		ie := &eff.Items[i]
+		ie := &s.eff.Items[i]
 		ie.Idx = w.Idx
+		ie.Fx = ie.Fx[:0]
 		fxs := it.Fx.Effects()
 		for j := range fxs {
 			wfx, err := effectToWire(&fxs[j])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ie.Fx = append(ie.Fx, wfx)
 		}
@@ -231,28 +240,43 @@ func (s *workerState) round(r *frame.Round) (*frame.Effects, error) {
 
 	// Ship back the involved nodes' updated states, sorted by ID — the
 	// same set and order the coordinator computed independently.
-	ids := make([]int, 0, len(fresh))
-	for i := range r.Items {
-		w := &r.Items[i]
-		ids = append(ids, w.A)
-		if w.B != w.A {
-			ids = append(ids, w.B)
+	s.eff.States = frame.Resize(s.eff.States, len(s.involved))
+	for i, id := range s.involved {
+		st := &s.eff.States[i]
+		if err := snapshotInto(st, s.nodes[id]); err != nil {
+			return err
 		}
-	}
-	ids = dedupeSorted(ids)
-	eff.States = make([]frame.NodeState, len(ids))
-	for i, id := range ids {
-		st, err := snapshotNode(s.nodes[id])
-		if err != nil {
-			return nil, err
+		if s.delta {
+			s.rebase(st, false)
 		}
-		eff.States[i] = st
 		// The node stays live at this round's version — the
 		// coordinator may reference it instead of re-shipping.
 		s.live[id] = true
 		s.ver[id] = r.Seq
 	}
-	return eff, nil
+	return nil
+}
+
+// rebase makes st what the two sides last exchanged for its node. A
+// state the coordinator shipped replaces what was kept outright. In a
+// reply, the sections whose encoding equals the kept one are marked
+// omitted and the others replace it — all of them the first time the
+// node is reported. Comparing encodings is exact for any protocol's Ext
+// state and needs no dirty tracking in the kernel.
+func (s *workerState) rebase(st *frame.NodeState, shipped bool) {
+	base := s.base[st.ID]
+	if base == nil {
+		base = new([frame.Sections][]byte)
+		s.base[st.ID] = base // empty: no section's encoding is, so none is omitted
+	}
+	for sec := range base {
+		s.section = st.AppendSection(s.section[:0], sec)
+		if !shipped && bytes.Equal(s.section, base[sec]) {
+			st.Omit |= 1 << sec
+		} else {
+			base[sec] = append(base[sec][:0], s.section...)
+		}
+	}
 }
 
 // materialize installs a fresh empty node instance for id, replacing
@@ -266,16 +290,4 @@ func (s *workerState) materialize(id int) *node.Node {
 	s.kern.BindHook(n)
 	s.nodes[id] = n
 	return n
-}
-
-// dedupeSorted sorts ids and removes duplicates in place.
-func dedupeSorted(ids []int) []int {
-	sort.Ints(ids)
-	uniq := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			uniq = append(uniq, id)
-		}
-	}
-	return uniq
 }
