@@ -72,7 +72,7 @@ func TestBuildScenarioKinds(t *testing.T) {
 		if sc.PerRunSchedule != want {
 			t.Errorf("%s: PerRunSchedule = %v, want %v", kind, sc.PerRunSchedule, want)
 		}
-		s, err := sc.Generate(3)
+		s, err := materialize(sc, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -108,7 +108,7 @@ func TestBuildScenarioFromFile(t *testing.T) {
 	if sc.PerRunSchedule {
 		t.Error("a fixed trace file must be shared across runs")
 	}
-	s, err := sc.Generate(0)
+	s, err := materialize(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,17 @@ func buildSchedule(kind, traceFile string, seed uint64, maxInterval float64) (*d
 	if err != nil {
 		return nil, err
 	}
-	return sc.Generate(seed)
+	return materialize(sc, seed)
+}
+
+// materialize drains the scenario's mobility stream for seed into a
+// Schedule.
+func materialize(sc dtnsim.ExperimentScenario, seed uint64) (*dtnsim.Schedule, error) {
+	src, err := sc.Stream(seed)
+	if err != nil {
+		return nil, err
+	}
+	return dtnsim.MaterializeSource(src)
 }
 
 func buildProtocol(kind string, p, q float64, anti bool, ttl float64) (dtnsim.Protocol, error) {

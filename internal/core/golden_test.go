@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"dtnsim/internal/bundle"
+	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/protocol"
@@ -191,18 +192,14 @@ func goldenConfig(t testing.TB, protoSpec string, m goldenMobility, streamed boo
 		Seed:         2012,
 		RunToHorizon: true,
 	}
+	stream, err := src.Stream(7)
+	if err != nil {
+		t.Fatalf("stream %q: %v", m.spec, err)
+	}
 	if streamed {
-		stream, err := src.Stream(7)
-		if err != nil {
-			t.Fatalf("stream %q: %v", m.spec, err)
-		}
 		cfg.Source = stream
-	} else {
-		sched, err := src.Generate(7)
-		if err != nil {
-			t.Fatalf("generate %q: %v", m.spec, err)
-		}
-		cfg.Schedule = sched
+	} else if cfg.Schedule, err = contact.Materialize(stream); err != nil {
+		t.Fatalf("materialize %q: %v", m.spec, err)
 	}
 	return cfg
 }

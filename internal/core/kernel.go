@@ -49,28 +49,30 @@ type Kernel struct {
 	Policy buffer.DropPolicy
 }
 
-// newKernel builds one executor thread's Kernel over the run's nodes
-// and the hook-target table its kernels share, with a private encounter
-// stream and, under a byte capacity, a private drop-policy instance
-// (same name and derived seed on every thread).
-func (e *engine) newKernel(hooks []*EffectBuf) (*Kernel, error) {
+// NewKernel builds one executor thread's Kernel over nodes and the
+// hook-target table a run's kernels share, from the run's Config after
+// defaulting (the scalar fields Kernel mirrors, plus BufferBytes and
+// DropPolicy): a private encounter stream and, under a byte capacity, a
+// private drop-policy instance — same name and derived seed on every
+// thread, in this process or a worker's.
+func NewKernel(cfg *Config, nodes []*node.Node, hooks []*EffectBuf) (*Kernel, error) {
 	k := &Kernel{
-		Nodes:          e.nodes,
+		Nodes:          nodes,
 		Hooks:          hooks,
-		Protocol:       e.cfg.Protocol,
-		Seed:           e.cfg.Seed,
-		TxTime:         e.cfg.TxTime,
-		RecordsPerSlot: e.cfg.RecordsPerSlot,
-		Bandwidth:      e.cfg.Bandwidth,
-		ControlBytes:   e.cfg.ControlBytes,
+		Protocol:       cfg.Protocol,
+		Seed:           cfg.Seed,
+		TxTime:         cfg.TxTime,
+		RecordsPerSlot: cfg.RecordsPerSlot,
+		Bandwidth:      cfg.Bandwidth,
+		ControlBytes:   cfg.ControlBytes,
 		RNG:            sim.NewReseedable(),
 	}
-	if e.cfg.BufferBytes > 0 {
-		name := e.cfg.DropPolicy
+	if cfg.BufferBytes > 0 {
+		name := cfg.DropPolicy
 		if name == "" {
 			name = buffer.DefaultDropPolicy
 		}
-		pol, err := buffer.NewDropPolicy(name, e.cfg.Seed^0xb17ed70b5eed)
+		pol, err := buffer.NewDropPolicy(name, cfg.Seed^0xb17ed70b5eed)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 		}

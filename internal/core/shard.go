@@ -177,7 +177,7 @@ func (e *engine) run() (*Result, error) {
 		hooks := make([]*EffectBuf, len(e.nodes))
 		r.workers = make([]*shardWorker, max(r.k, 1))
 		for i := range r.workers {
-			kern, err := e.newKernel(hooks)
+			kern, err := NewKernel(&e.cfg, e.nodes, hooks)
 			if err != nil {
 				return nil, err
 			}

@@ -39,7 +39,6 @@ import (
 	"io"
 	"sort"
 
-	"dtnsim/internal/buffer"
 	"dtnsim/internal/core"
 	"dtnsim/internal/dist/frame"
 	"dtnsim/internal/dist/transport"
@@ -261,6 +260,9 @@ func (b *Backend) handshake(w int) error {
 		return fmt.Errorf("%w: worker %d: handshake: %v", ErrWorkerLost, w, err)
 	}
 	m, err := b.conns[w].recv()
+	if errors.Is(err, frame.ErrFrame) { // corruption, not a lost worker: as in collect
+		return fmt.Errorf("dist: worker %d: handshake: %w", w, err)
+	}
 	if err != nil {
 		return fmt.Errorf("%w: worker %d: handshake: %v", ErrWorkerLost, w, err)
 	}
@@ -356,18 +358,12 @@ func (b *Backend) Start(env core.RunEnv) error {
 		}
 	}
 	b.seq = 0
-	policy := ""
-	if env.Cfg.BufferBytes > 0 {
-		if policy = env.Cfg.DropPolicy; policy == "" {
-			policy = buffer.DefaultDropPolicy
-		}
-	}
 	b.init = &frame.Init{
 		Seed:           env.Cfg.Seed,
 		Nodes:          len(env.Nodes),
 		BufferCap:      env.Cfg.BufferCap,
 		BufferBytes:    env.Cfg.BufferBytes,
-		DropPolicy:     policy,
+		DropPolicy:     env.Cfg.DropPolicy,
 		TxTime:         env.Cfg.TxTime,
 		Bandwidth:      env.Cfg.Bandwidth,
 		ControlBytes:   env.Cfg.ControlBytes,

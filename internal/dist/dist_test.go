@@ -149,18 +149,14 @@ func cellConfig(t testing.TB, c distCell, streamed bool) core.Config {
 		DropPolicy:   c.dropPolicy,
 		ControlBytes: c.controlBytes,
 	}
+	stream, err := src.Stream(7)
+	if err != nil {
+		t.Fatalf("stream %q: %v", c.mob, err)
+	}
 	if streamed {
-		stream, err := src.Stream(7)
-		if err != nil {
-			t.Fatalf("stream %q: %v", c.mob, err)
-		}
 		cfg.Source = stream
-	} else {
-		sched, err := src.Generate(7)
-		if err != nil {
-			t.Fatalf("generate %q: %v", c.mob, err)
-		}
-		cfg.Schedule = sched
+	} else if cfg.Schedule, err = contact.Materialize(stream); err != nil {
+		t.Fatalf("materialize %q: %v", c.mob, err)
 	}
 	return cfg
 }
@@ -1084,6 +1080,16 @@ func TestDistHostilePeer(t *testing.T) {
 			want: "unsolicited patch",
 		},
 		{
+			// Bytes that are not a frame where the Hello reply belongs:
+			// corruption like any other, surfacing from New.
+			name: "handshake-not-a-frame",
+			onRecv: once(func(m *frame.Msg) bool {
+				*m = frame.Msg{Effects: &frame.Effects{States: []frame.NodeState{{Omit: 1 << frame.Sections}}}}
+				return true
+			}),
+			want: frame.ErrFrame.Error(),
+		},
+		{
 			// The other direction: a Round's states must be complete; the
 			// worker refuses, and its Error frame is the run error.
 			name: "round-state-omits-section",
@@ -1109,21 +1115,23 @@ func TestDistHostilePeer(t *testing.T) {
 				}
 				return conns, err
 			}
-			opt.Redial = p.redial
+			redials := 0
+			opt.Redial = func(i int) (io.ReadWriteCloser, error) {
+				redials++
+				return p.redial(i)
+			}
 			b, err := New(opt)
-			if err != nil {
-				t.Fatalf("New: %v", err)
+			if err == nil { // a hostile handshake already fails New
+				defer b.Close()
+				cfg := cellConfig(t, c, true)
+				cfg.Backend = b
+				_, err = core.Run(cfg)
 			}
-			defer b.Close()
-			budget := b.restarts
-			cfg := cellConfig(t, c, true)
-			cfg.Backend = b
-			_, err = core.Run(cfg)
 			if err == nil || errors.Is(err, ErrWorkerLost) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Run error = %v; want one mentioning %q and not ErrWorkerLost", err, tc.want)
+				t.Errorf("error = %v; want one mentioning %q and not ErrWorkerLost", err, tc.want)
 			}
-			if b.restarts != budget {
-				t.Errorf("%d revivals: corruption was replayed", budget-b.restarts)
+			if redials != 0 {
+				t.Errorf("%d revivals: corruption was replayed", redials)
 			}
 		})
 	}

@@ -106,7 +106,7 @@ type Init struct {
 	Nodes          int
 	BufferCap      int
 	BufferBytes    int64
-	DropPolicy     string
+	DropPolicy     string // as configured: core.NewKernel defaults the empty name on either side
 	TxTime         float64
 	Bandwidth      float64
 	ControlBytes   float64

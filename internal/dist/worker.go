@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 
-	"dtnsim/internal/buffer"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
 	"dtnsim/internal/dist/frame"
 	"dtnsim/internal/node"
 	"dtnsim/internal/protocol"
-	"dtnsim/internal/sim"
 )
 
 // Serve runs the worker side of the protocol over a frame stream: a
@@ -141,29 +139,18 @@ func (s *workerState) init(in *frame.Init) error {
 	s.ver = make([]uint64, in.Nodes)
 	s.base = make([]*[frame.Sections][]byte, in.Nodes)
 	s.ends.reset(in.Nodes)
-	s.kern = &core.Kernel{
-		Nodes:          s.nodes,
-		Hooks:          make([]*core.EffectBuf, in.Nodes),
+	s.kern, err = core.NewKernel(&core.Config{
 		Protocol:       s.proto,
 		Seed:           in.Seed,
 		TxTime:         in.TxTime,
 		RecordsPerSlot: in.RecordsPerSlot,
 		Bandwidth:      in.Bandwidth,
 		ControlBytes:   in.ControlBytes,
-		RNG:            sim.NewReseedable(),
-	}
-	if in.DropPolicy != "" {
-		// Mirror the engine's per-executor policy construction exactly:
-		// same name, same derived seed, victim draws from this kernel's
-		// encounter stream.
-		pol, err := buffer.NewDropPolicy(in.DropPolicy, in.Seed^0xb17ed70b5eed)
-		if err != nil {
-			return fmt.Errorf("dist: %w", err)
-		}
-		if sp, ok := pol.(buffer.StreamPolicy); ok {
-			sp.SetStream(s.kern.RNG)
-		}
-		s.kern.Policy = pol
+		BufferBytes:    in.BufferBytes,
+		DropPolicy:     in.DropPolicy,
+	}, s.nodes, make([]*core.EffectBuf, in.Nodes))
+	if err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	return nil
 }

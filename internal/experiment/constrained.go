@@ -13,7 +13,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"dtnsim/internal/buffer"
 	"dtnsim/internal/core"
@@ -123,9 +122,6 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 	if len(sw.Protocols) == 0 {
 		return nil, fmt.Errorf("experiment: constrained sweep has no protocols")
 	}
-	if sw.Scenario.Stream == nil && sw.Scenario.Generate == nil {
-		return nil, fmt.Errorf("experiment: constrained scenario %q has no generator", sw.Scenario.Name)
-	}
 	if len(sw.DropPolicies) == 0 {
 		sw.DropPolicies = []string{buffer.DefaultDropPolicy}
 	}
@@ -146,51 +142,42 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 	if sw.Runs <= 0 {
 		sw.Runs = 3
 	}
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// One series per (protocol, policy); a single policy keeps the
 	// plain protocol label so the output matches the other sweeps.
-	type seriesKey struct{ pi, di int }
-	var keys []seriesKey
-	for pi := range sw.Protocols {
-		for di := range sw.DropPolicies {
-			keys = append(keys, seriesKey{pi, di})
-		}
-	}
-	label := func(k seriesKey) string {
-		if len(sw.DropPolicies) == 1 {
-			return sw.Protocols[k.pi].Label
-		}
-		return sw.Protocols[k.pi].Label + " / " + sw.DropPolicies[k.di]
-	}
-
-	// The shared flat-grid pool (grid.go): workers drain a job channel,
-	// the caller folds points in sweep order as soon as each point's
-	// runs finish, and a failed run makes the rest skip.
-	g := startGrid(len(keys), len(sw.Bandwidths), sw.Runs, workers,
-		func(si, bi, run int) runOutcome {
-			k := keys[si]
-			return runConstrainedOne(sw, sw.Protocols[k.pi], sw.DropPolicies[k.di], sw.Bandwidths[bi], bi, run)
-		})
-	defer g.wait()
-
 	res := &ConstrainedResult{Name: sw.Name, Bandwidths: sw.Bandwidths}
-	for si, k := range keys {
-		series := ConstrainedSeries{
-			Label:    label(k),
-			Protocol: sw.Protocols[k.pi].Label,
-			Policy:   sw.DropPolicies[k.di],
+	for _, pf := range sw.Protocols {
+		for _, policy := range sw.DropPolicies {
+			label := pf.Label
+			if len(sw.DropPolicies) > 1 {
+				label += " / " + policy
+			}
+			res.Series = append(res.Series, ConstrainedSeries{Label: label, Protocol: pf.Label, Policy: policy})
 		}
-		for bi, bw := range sw.Bandwidths {
+	}
+	// Seeds depend only on (BaseSeed, bandwidth index, run) — like the
+	// load sweep's (load, run) — so every series compares the same
+	// mobility and pair draws at each point.
+	err := runGrid(len(res.Series), len(sw.Bandwidths), sw.Runs, sw.Workers,
+		func(si, bi, run int) runOutcome {
+			nD := len(sw.DropPolicies)
+			pf, bw := sw.Protocols[si/nD], sw.Bandwidths[bi]
+			r, err := sw.Scenario.simulate(core.Config{
+				Protocol:     pf.New(),
+				Bandwidth:    bw,
+				BufferBytes:  sw.BufferBytes,
+				DropPolicy:   sw.DropPolicies[si%nD],
+				ControlBytes: sw.ControlBytes,
+			}, core.Flow{Count: sw.Load, Size: sw.BundleSize}, sw.BaseSeed, bi+1, run)
+			if err != nil {
+				err = fmt.Errorf("experiment: constrained %s/%s bw %g: %w", sw.Scenario.Name, pf.Label, bw, err)
+			}
+			return runOutcome{res: r, err: err}
+		},
+		func(si, bi int, outs []runOutcome) {
 			var delivery, delay, drops, byteDropped, refused stats.Welford
 			completed := 0
-			for _, out := range g.waitCell(si, bi) {
-				if out.err != nil {
-					return nil, g.fail()
-				}
+			for _, out := range outs {
 				r := out.res
 				if r.Completed {
 					completed++
@@ -203,9 +190,8 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 					delay.Add(r.MeanDelay)
 				}
 			}
-			g.releaseCell(si, bi) // release the point's results once folded
 			pt := ConstrainedPoint{
-				Bandwidth:   bw,
+				Bandwidth:   sw.Bandwidths[bi],
 				Delivery:    delivery.Mean(),
 				Delay:       math.NaN(),
 				Drops:       drops.Mean(),
@@ -217,62 +203,14 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 			if delay.N() > 0 {
 				pt.Delay = delay.Mean()
 			}
-			series.Points = append(series.Points, pt)
+			s := &res.Series[si]
+			s.Points = append(s.Points, pt)
 			if sw.OnPoint != nil {
-				sw.OnPoint(series.Label, bw)
+				sw.OnPoint(s.Label, pt.Bandwidth)
 			}
-		}
-		res.Series = append(res.Series, series)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
-}
-
-// runConstrainedOne executes one (series, bandwidth, run) simulation.
-// Seeds depend only on (BaseSeed, bandwidth index, run) — like the load
-// sweep's (load, run) — so every series compares the same mobility and
-// pair draws at each point.
-func runConstrainedOne(sw ConstrainedSweep, pf ProtocolFactory, policy string, bw float64, bi, run int) runOutcome {
-	seed := seedFor(sw.BaseSeed, bi+1, run)
-	cfg := core.Config{
-		Protocol:     pf.New(),
-		TxTime:       sw.Scenario.TxTime,
-		BufferCap:    sw.Scenario.BufferCap,
-		Seed:         seed,
-		RunToHorizon: true,
-		Bandwidth:    bw,
-		BufferBytes:  sw.BufferBytes,
-		DropPolicy:   policy,
-		ControlBytes: sw.ControlBytes,
-	}
-	var nodes int
-	switch {
-	case sw.Scenario.Stream != nil:
-		streamSeed := seed
-		if !sw.Scenario.PerRunSchedule {
-			streamSeed = sw.BaseSeed
-		}
-		src, err := sw.Scenario.Stream(streamSeed)
-		if err != nil {
-			return runOutcome{err: fmt.Errorf("experiment: constrained %s source: %w", sw.Scenario.Name, err)}
-		}
-		cfg.Source = src
-		nodes = src.Nodes()
-	default:
-		s, err := sw.Scenario.Generate(seed)
-		if err != nil {
-			return runOutcome{err: fmt.Errorf("experiment: constrained %s schedule: %w", sw.Scenario.Name, err)}
-		}
-		cfg.Schedule = s
-		nodes = s.Nodes
-	}
-	if nodes < 2 {
-		return runOutcome{err: fmt.Errorf("experiment: constrained %s schedule has %d node(s)", sw.Scenario.Name, nodes)}
-	}
-	src, dst := pickPair(nodes, seedFor(sw.BaseSeed, 0, run))
-	cfg.Flows = []core.Flow{{Src: src, Dst: dst, Count: sw.Load, Size: sw.BundleSize}}
-	r, err := core.Run(cfg)
-	if err != nil {
-		return runOutcome{err: fmt.Errorf("experiment: constrained %s/%s bw %g: %w", sw.Scenario.Name, pf.Label, bw, err)}
-	}
-	return runOutcome{res: r}
 }

@@ -4,19 +4,18 @@
 // averages the four metrics, and exposes each of the paper's figures and
 // tables as a ready-to-run specification.
 //
-// Sweeps execute their (protocol, load, run) grid on a bounded worker
-// pool sized by Sweep.Workers (default runtime.GOMAXPROCS(0)); every
-// run's seed derives only from (BaseSeed, load, run), so parallel and
-// sequential execution produce bit-identical results.
+// Every sweep — load (Run), bandwidth (RunConstrained) and population
+// (RunScale) — executes its (series, axis value, run) grid on the one
+// bounded worker pool in grid.go, sized by its Workers field (default
+// runtime.GOMAXPROCS(0)); every run's seed derives only from
+// (BaseSeed, axis value, run), so parallel and sequential execution
+// produce bit-identical results.
 package experiment
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
@@ -37,7 +36,8 @@ const (
 	MetricOverhead    Metric = "overhead"    // control records transmitted
 )
 
-// Scenario produces the mobility input for each run.
+// Scenario produces the mobility input for each run (see simulate in
+// grid.go for how a run consumes it).
 type Scenario struct {
 	// Name labels the scenario in reports ("trace", "rwp", …).
 	Name string
@@ -45,20 +45,19 @@ type Scenario struct {
 	// (ScenarioFromSpec), or empty for hand-built scenarios. It is what
 	// makes a sweep serializable.
 	Spec string
-	// Generate builds the contact schedule for a given seed. It must be
-	// safe for concurrent calls: sweeps with Workers > 1 invoke it from
-	// several goroutines when PerRunSchedule is set.
-	Generate func(seed uint64) (*contact.Schedule, error)
-	// Stream builds a pull-based contact source for a given seed; when
-	// set, runs consume mobility through it without materializing a
-	// schedule, so sweep memory stays O(nodes) per in-flight run.
-	// Spec-built scenarios always set it; hand-built scenarios may leave
-	// it nil and fall back to Generate. Must be safe for concurrent
-	// calls (sources themselves are per-run and single-use).
+	// Stream builds a pull-based contact source for a given seed: the
+	// only way mobility reaches a sweep. Runs consume it without ever
+	// materializing a schedule, so sweep memory stays O(nodes) per
+	// in-flight run; a hand-built scenario over a fixed plan sets it to
+	// func(uint64) (contact.Source, error) { return sched.Stream(), nil }.
+	// Must be safe for concurrent calls — sweeps with Workers > 1 invoke
+	// it from several goroutines; the sources it returns are per-run and
+	// single-use.
 	Stream func(seed uint64) (contact.Source, error)
-	// PerRunSchedule regenerates mobility for every run (RWP); when
-	// false the schedule is generated once from the sweep's base seed
-	// and shared by all runs, as with a fixed trace file.
+	// PerRunSchedule regenerates mobility for every run (RWP): Stream
+	// receives the run's own seed. When false every run streams from
+	// the sweep's base seed — the same contacts each time, as with a
+	// fixed trace file.
 	PerRunSchedule bool
 	// TxTime and BufferCap override the engine defaults when non-zero.
 	TxTime    float64
@@ -165,13 +164,10 @@ func seedFor(base uint64, load, run int) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Run executes the sweep. With Workers != 1 the (protocol, load, run)
-// grid is fanned out over a worker pool; see Sweep.Workers for the
+// Run executes the sweep on the shared grid runner (grid.go), one
+// series per protocol and one point per load; see Sweep.Workers for the
 // determinism contract.
 func Run(sw Sweep) (*Result, error) {
-	if sw.Scenario.Generate == nil && sw.Scenario.Stream == nil {
-		return nil, fmt.Errorf("experiment: scenario %q has no generator", sw.Scenario.Name)
-	}
 	if len(sw.Protocols) == 0 {
 		return nil, fmt.Errorf("experiment: no protocols in sweep")
 	}
@@ -191,258 +187,51 @@ func Run(sw Sweep) (*Result, error) {
 			return nil, fmt.Errorf("experiment: unknown metric %q", m)
 		}
 	}
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
-	// Streaming scenarios need no shared schedule: every run re-streams
-	// its source (from the base seed when the schedule is fixed across
-	// runs — same contacts, regenerated instead of retained). Hand-built
-	// Generate-only scenarios keep the materialized shared schedule,
-	// generated once and treated as read-only by every run.
-	var shared *contact.Schedule
-	if sw.Scenario.Stream == nil && !sw.Scenario.PerRunSchedule {
-		s, err := sw.Scenario.Generate(sw.BaseSeed)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: generating %s schedule: %w", sw.Scenario.Name, err)
-		}
-		shared = s
-	}
-
-	if workers == 1 {
-		return runSequential(sw, shared)
-	}
-	return runParallel(sw, shared, workers)
-}
-
-// runSequential is the reference execution order: protocol-major,
-// load-minor, runs in index order, OnPoint after each point.
-func runSequential(sw Sweep, shared *contact.Schedule) (*Result, error) {
 	res := &Result{Scenario: sw.Scenario.Name, Loads: sw.Loads}
 	for _, pf := range sw.Protocols {
-		series := Series{Label: pf.Label}
-		for _, load := range sw.Loads {
-			outcomes := make([]runOutcome, sw.Runs)
-			for run := 0; run < sw.Runs; run++ {
-				outcomes[run] = runOne(sw, shared, pf, load, run)
-			}
-			pt, err := aggregatePoint(sw, load, outcomes)
+		res.Series = append(res.Series, Series{Label: pf.Label})
+	}
+	err := runGrid(len(sw.Protocols), len(sw.Loads), sw.Runs, sw.Workers,
+		func(pi, li, run int) runOutcome {
+			pf, load := sw.Protocols[pi], sw.Loads[li]
+			r, err := sw.Scenario.simulate(core.Config{
+				Protocol:     pf.New(),
+				Bandwidth:    sw.Scenario.Bandwidth,
+				BufferBytes:  sw.Scenario.BufferBytes,
+				DropPolicy:   sw.Scenario.DropPolicy,
+				ControlBytes: sw.Scenario.ControlBytes,
+				Context:      sw.Context,
+				Shards:       sw.Shards,
+			}, core.Flow{Count: load, Size: sw.Scenario.BundleSize}, sw.BaseSeed, load, run)
 			if err != nil {
-				return nil, err
+				err = fmt.Errorf("experiment: %s/%s load %d: %w", sw.Scenario.Name, pf.Label, load, err)
 			}
-			series.Points = append(series.Points, pt)
+			return runOutcome{res: r, err: err}
+		},
+		func(pi, li int, outs []runOutcome) {
+			s := &res.Series[pi]
+			s.Points = append(s.Points, aggregatePoint(sw, sw.Loads[li], outs))
 			if sw.OnPoint != nil {
-				sw.OnPoint(pf.Label, load)
+				sw.OnPoint(s.Label, sw.Loads[li])
 			}
-		}
-		res.Series = append(res.Series, series)
-	}
-	return res, nil
-}
-
-// job addresses one simulation run in the sweep grid.
-type job struct{ pi, li, run int }
-
-// runOutcome is one run's result or failure.
-type runOutcome struct {
-	res *core.Result
-	err error
-	// secs is the run's wall-clock duration when the sweep measures it
-	// (ScaleSweep.Clock); zero otherwise. Never folded into results —
-	// timing is reporting-only, results stay bit-identical.
-	secs float64
-}
-
-// errSkipped marks jobs short-circuited after another job failed; the
-// grid scan in runParallel replaces it with the underlying failure.
-var errSkipped = fmt.Errorf("experiment: run skipped after earlier failure")
-
-// runParallel fans the grid out over workers goroutines. The calling
-// goroutine aggregates points — and fires OnPoint — in the sequential
-// order as soon as each point's runs have all finished, folding run
-// results in run order so floating-point accumulation matches the
-// sequential path bit for bit.
-func runParallel(sw Sweep, shared *contact.Schedule, workers int) (*Result, error) {
-	nP, nL := len(sw.Protocols), len(sw.Loads)
-	outcomes := make([][][]runOutcome, nP)
-	pending := make([][]sync.WaitGroup, nP)
-	for pi := 0; pi < nP; pi++ {
-		outcomes[pi] = make([][]runOutcome, nL)
-		pending[pi] = make([]sync.WaitGroup, nL)
-		for li := 0; li < nL; li++ {
-			outcomes[pi][li] = make([]runOutcome, sw.Runs)
-			pending[pi][li].Add(sw.Runs)
-		}
-	}
-
-	jobs := make(chan job)
-	abort := make(chan struct{})
-	// window bounds how many points may be in flight (dispatched but not
-	// yet folded): without it, one straggler run in an early point lets
-	// the pool complete the entire remaining grid while the in-order
-	// aggregator is blocked, holding every run's Result live at once.
-	window := make(chan struct{}, workers+4)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed.Load() {
-					outcomes[j.pi][j.li][j.run] = runOutcome{err: errSkipped}
-				} else {
-					out := runOne(sw, shared, sw.Protocols[j.pi], sw.Loads[j.li], j.run)
-					if out.err != nil {
-						failed.Store(true)
-					}
-					outcomes[j.pi][j.li][j.run] = out
-				}
-				pending[j.pi][j.li].Done()
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for pi := 0; pi < nP; pi++ {
-			for li := 0; li < nL; li++ {
-				select {
-				case window <- struct{}{}:
-				case <-abort:
-					return
-				}
-				for run := 0; run < sw.Runs; run++ {
-					jobs <- job{pi, li, run}
-				}
-			}
-		}
-	}()
-
-	res := &Result{Scenario: sw.Scenario.Name, Loads: sw.Loads}
-	for pi := 0; pi < nP; pi++ {
-		series := Series{Label: sw.Protocols[pi].Label}
-		for li := 0; li < nL; li++ {
-			pending[pi][li].Wait()
-			pt, err := aggregatePoint(sw, sw.Loads[li], outcomes[pi][li])
-			if err != nil {
-				// Short-circuit the rest of the grid, wait it out, then
-				// report a concrete run failure rather than a skip marker.
-				failed.Store(true)
-				close(abort)
-				wg.Wait()
-				return nil, firstFailure(outcomes)
-			}
-			outcomes[pi][li] = nil // release the point's run results once folded
-			series.Points = append(series.Points, pt)
-			if sw.OnPoint != nil {
-				sw.OnPoint(sw.Protocols[pi].Label, sw.Loads[li])
-			}
-			<-window
-		}
-		res.Series = append(res.Series, series)
-	}
-	wg.Wait()
-	return res, nil
-}
-
-// firstFailure returns the first non-skip error in grid order; skipped
-// runs only exist when some run failed for real.
-func firstFailure(outcomes [][][]runOutcome) error {
-	var skip error
-	for _, byLoad := range outcomes {
-		for _, byRun := range byLoad {
-			for _, out := range byRun {
-				if out.err == nil {
-					continue
-				}
-				if out.err != errSkipped {
-					return out.err
-				}
-				skip = out.err
-			}
-		}
-	}
-	return skip
-}
-
-// runOne executes a single (protocol, load, run) simulation. Everything
-// mutable — the contact source or per-run schedule, and always the
-// protocol instance — is created here, per job, so jobs never share
-// state across workers.
-func runOne(sw Sweep, shared *contact.Schedule, pf ProtocolFactory, load, run int) runOutcome {
-	seed := seedFor(sw.BaseSeed, load, run)
-	cfg := core.Config{
-		Protocol:  pf.New(),
-		TxTime:    sw.Scenario.TxTime,
-		BufferCap: sw.Scenario.BufferCap,
-		Seed:      seed,
-		// Run the full trace so occupancy and duplication are
-		// steady-state time averages as in the paper; delay and
-		// delivery ratio are unaffected (§IV end conditions).
-		RunToHorizon: true,
-		Bandwidth:    sw.Scenario.Bandwidth,
-		BufferBytes:  sw.Scenario.BufferBytes,
-		DropPolicy:   sw.Scenario.DropPolicy,
-		ControlBytes: sw.Scenario.ControlBytes,
-		Context:      sw.Context,
-		Shards:       sw.Shards,
-	}
-	var nodes int
-	switch {
-	case sw.Scenario.Stream != nil:
-		// Fixed-mobility scenarios stream from the base seed: same
-		// contacts every run, regenerated lazily instead of retained.
-		streamSeed := seed
-		if !sw.Scenario.PerRunSchedule {
-			streamSeed = sw.BaseSeed
-		}
-		src, err := sw.Scenario.Stream(streamSeed)
-		if err != nil {
-			return runOutcome{err: fmt.Errorf("experiment: %s run source: %w", sw.Scenario.Name, err)}
-		}
-		cfg.Source = src
-		nodes = src.Nodes()
-	case sw.Scenario.PerRunSchedule:
-		s, err := sw.Scenario.Generate(seed)
-		if err != nil {
-			return runOutcome{err: fmt.Errorf("experiment: %s run schedule: %w", sw.Scenario.Name, err)}
-		}
-		cfg.Schedule = s
-		nodes = s.Nodes
-	default:
-		cfg.Schedule = shared
-		nodes = shared.Nodes
-	}
-	if nodes < 2 {
-		return runOutcome{err: fmt.Errorf("experiment: %s schedule has %d node(s); need at least 2 for a source/destination pair",
-			sw.Scenario.Name, nodes)}
-	}
-	// The pair depends only on the run index so every load point
-	// compares the same set of source/destination pairs, keeping
-	// curves comparable along the load axis (§IV re-randomizes the
-	// pair per run).
-	src, dst := pickPair(nodes, seedFor(sw.BaseSeed, 0, run))
-	cfg.Flows = []core.Flow{{Src: src, Dst: dst, Count: load, Size: sw.Scenario.BundleSize}}
-	r, err := core.Run(cfg)
+		})
 	if err != nil {
-		return runOutcome{err: fmt.Errorf("experiment: %s/%s load %d: %w", sw.Scenario.Name, pf.Label, load, err)}
+		return nil, err
 	}
-	return runOutcome{res: r}
+	return res, nil
 }
 
 // aggregatePoint folds one point's run results, in run order, into the
-// per-metric Welford accumulators and builds the averaged Point.
-func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) (Point, error) {
+// per-metric Welford accumulators and builds the averaged Point. Run
+// has already rejected metrics it does not know.
+func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) Point {
 	acc := make(map[Metric]*stats.Welford, len(sw.Metrics))
 	for _, m := range sw.Metrics {
 		acc[m] = &stats.Welford{}
 	}
 	completed := 0
 	for _, out := range outcomes {
-		if out.err != nil {
-			return Point{}, out.err
-		}
 		r := out.res
 		if r.Completed {
 			completed++
@@ -461,8 +250,6 @@ func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) (Point, error) {
 				acc[m].Add(r.MeanDuplication)
 			case MetricOverhead:
 				acc[m].Add(float64(r.ControlRecords))
-			default:
-				return Point{}, fmt.Errorf("experiment: unknown metric %q", m)
 			}
 		}
 	}
@@ -474,7 +261,7 @@ func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) (Point, error) {
 		}
 		pt.Values[m] = acc[m].Mean()
 	}
-	return pt, nil
+	return pt
 }
 
 // pickPair chooses a random source and distinct destination, changed

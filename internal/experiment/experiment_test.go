@@ -18,6 +18,21 @@ func tinySweep() Sweep {
 	}
 }
 
+// materialize drains the scenario's mobility stream for seed into a
+// Schedule.
+func materialize(t *testing.T, sc Scenario, seed uint64) *contact.Schedule {
+	t.Helper()
+	src, err := sc.Stream(seed)
+	if err != nil {
+		t.Fatalf("%s: %v", sc.Name, err)
+	}
+	s, err := contact.Materialize(src)
+	if err != nil {
+		t.Fatalf("%s: %v", sc.Name, err)
+	}
+	return s
+}
+
 func TestRunSweepStructure(t *testing.T) {
 	res, err := Run(tinySweep())
 	if err != nil {
@@ -74,10 +89,9 @@ func TestRunSweepDefaults(t *testing.T) {
 
 func TestRunSweepErrors(t *testing.T) {
 	sw := tinySweep()
-	sw.Scenario.Generate = nil
 	sw.Scenario.Stream = nil
 	if _, err := Run(sw); err == nil {
-		t.Error("nil generator accepted")
+		t.Error("nil stream accepted")
 	}
 	sw = tinySweep()
 	sw.Protocols = nil
@@ -88,14 +102,6 @@ func TestRunSweepErrors(t *testing.T) {
 	sw.Metrics = []Metric{"bogus"}
 	if _, err := Run(sw); err == nil {
 		t.Error("unknown metric accepted")
-	}
-	sw = tinySweep()
-	sw.Scenario.Stream = nil
-	sw.Scenario.Generate = func(uint64) (*contact.Schedule, error) {
-		return nil, fmt.Errorf("boom")
-	}
-	if _, err := Run(sw); err == nil {
-		t.Error("generator error swallowed")
 	}
 	sw = tinySweep()
 	sw.Scenario.Stream = func(uint64) (contact.Source, error) {
@@ -173,8 +179,8 @@ func TestFiguresRegistryComplete(t *testing.T) {
 		}
 	}
 	for _, f := range figs {
-		if f.Sweep.Scenario.Generate == nil {
-			t.Errorf("%s: no scenario generator", f.ID)
+		if f.Sweep.Scenario.Stream == nil {
+			t.Errorf("%s: no scenario stream", f.ID)
 		}
 		if f.Metric == "" {
 			t.Errorf("%s: no metric", f.ID)
@@ -184,15 +190,8 @@ func TestFiguresRegistryComplete(t *testing.T) {
 
 func TestFig14PairDiffersOnlyInInterval(t *testing.T) {
 	short, long := Fig14Pair()
-	s1, err := short.Scenario.Generate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := long.Scenario.Generate(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g1, g2 := contact.Analyze(s1), contact.Analyze(s2)
+	g1 := contact.Analyze(materialize(t, short.Scenario, 3))
+	g2 := contact.Analyze(materialize(t, long.Scenario, 3))
 	if g2.MeanInterval <= g1.MeanInterval {
 		t.Errorf("long scenario mean gap %.0f not above short %.0f",
 			g2.MeanInterval, g1.MeanInterval)
@@ -204,10 +203,7 @@ func TestFig14PairDiffersOnlyInInterval(t *testing.T) {
 
 func TestScenariosProduceValidSchedules(t *testing.T) {
 	for _, sc := range []Scenario{TraceScenario(), RWPScenario(), IntervalScenario(400)} {
-		s, err := sc.Generate(9)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.Name, err)
-		}
+		s := materialize(t, sc, 9)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}

@@ -1,114 +1,195 @@
+// The sweep harness: the paper's §IV method — for each (series, axis
+// value, run): draw mobility, pick a pair, simulate, average — spelled
+// once. Run, RunConstrained and RunScale differ only in their axes,
+// defaults and what they fold out of a core.Result; the pool that
+// executes their grids (runGrid) and the builder of each run
+// (Scenario.simulate) live here.
+//
+// Determinism contract, for all three sweeps: every random draw of a
+// run derives from (BaseSeed, axis value, run) through seedFor, a
+// point's runs fold in run order on the calling goroutine, and points
+// fold in sweep order. The worker count therefore never reaches a
+// result; the inline workers == 1 path is the reference the
+// *MatchesSequential / *DeterministicAcrossWorkers suites compare the
+// pool against.
+
 package experiment
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"dtnsim/internal/core"
 )
 
-// outcomeGrid runs a flat (nI × nJ × runs) simulation grid on a
-// bounded worker pool: the shape RunScale and RunConstrained share.
-// Workers drain a job channel; the caller folds cells in sweep order
-// via waitCell as soon as each cell's runs finish (so OnPoint fires
-// live), releases folded cells to bound memory, and on a failed run
-// calls fail() — the first error flips the skip flag so the remaining
-// (potentially expensive) jobs are marked skipped rather than run.
-//
-// RunSweep keeps its own pool: its in-flight window backpressure and
-// in-order OnPoint contract differ materially from the flat grid.
-type outcomeGrid struct {
-	outcomes [][][]runOutcome
-	pending  [][]sync.WaitGroup
-	failed   atomic.Bool
-	wg       sync.WaitGroup
+// runOutcome is one run's result or failure.
+type runOutcome struct {
+	res *core.Result
+	err error
+	// secs is the run's wall-clock duration when the sweep measures it
+	// (ScaleSweep.Clock); zero otherwise. Never folded into results —
+	// timing is reporting-only, results stay bit-identical.
+	secs float64
 }
 
-// startGrid dispatches the full grid over workers goroutines and
-// returns immediately; job(i, j, run) executes one simulation.
-func startGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome) *outcomeGrid {
-	g := &outcomeGrid{
-		outcomes: make([][][]runOutcome, nI),
-		pending:  make([][]sync.WaitGroup, nI),
+// errSkipped marks jobs short-circuited after another job failed;
+// runGrid reports the underlying failure in its place.
+var errSkipped = fmt.Errorf("experiment: run skipped after earlier failure")
+
+// gridCell is one (i, j) point's runs in flight.
+type gridCell struct {
+	outs    []runOutcome
+	pending sync.WaitGroup
+}
+
+// runGrid executes an nI × nJ × runs simulation grid: job(i, j, run)
+// runs one simulation, fold(i, j, outcomes) receives each point's
+// error-free outcomes, in run order, on the calling goroutine in sweep
+// order (i-major, j-minor) as soon as the point's runs have finished —
+// so progress callbacks fire live and floating-point accumulation is
+// the same for every worker count. fold must not retain outcomes.
+//
+// workers <= 0 means runtime.GOMAXPROCS(0). workers == 1 executes
+// inline, in index order. Otherwise the grid is fanned out over workers
+// goroutines; the first failing run flips a skip flag so the remaining
+// (potentially thousands-of-nodes) jobs are marked skipped rather than
+// run, and the error returned is the first real failure in grid order,
+// never a skip marker.
+func runGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	for i := 0; i < nI; i++ {
-		g.outcomes[i] = make([][]runOutcome, nJ)
-		g.pending[i] = make([]sync.WaitGroup, nJ)
-		for j := 0; j < nJ; j++ {
-			g.outcomes[i][j] = make([]runOutcome, runs)
-			g.pending[i][j].Add(runs)
-		}
-	}
-	type jobKey struct{ i, j, run int }
-	jobs := make(chan jobKey)
-	for w := 0; w < workers; w++ {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			for k := range jobs {
-				if g.failed.Load() {
-					g.outcomes[k.i][k.j][k.run] = runOutcome{err: errSkipped}
-				} else {
-					out := job(k.i, k.j, k.run)
-					if out.err != nil {
-						g.failed.Store(true)
-					}
-					g.outcomes[k.i][k.j][k.run] = out
+	if workers == 1 {
+		for c := 0; c < nI*nJ; c++ {
+			outs := make([]runOutcome, runs)
+			for run := range outs {
+				if outs[run] = job(c/nJ, c%nJ, run); outs[run].err != nil {
+					return outs[run].err
 				}
-				g.pending[k.i][k.j].Done()
+			}
+			fold(c/nJ, c%nJ, outs)
+		}
+		return nil
+	}
+
+	cells := make([]gridCell, nI*nJ)
+	for c := range cells {
+		cells[c].outs = make([]runOutcome, runs)
+		cells[c].pending.Add(runs)
+	}
+	type jobKey struct{ cell, run int }
+	jobs := make(chan jobKey)
+	abort := make(chan struct{})
+	// window bounds how many points may be in flight (dispatched but not
+	// yet folded): without it, one straggler run in an early point lets
+	// the pool complete the entire remaining grid while the in-order
+	// fold is blocked, holding every run's Result live at once.
+	window := make(chan struct{}, workers+4)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				out := runOutcome{err: errSkipped}
+				if !failed.Load() {
+					if out = job(k.cell/nJ, k.cell%nJ, k.run); out.err != nil {
+						failed.Store(true)
+					}
+				}
+				cells[k.cell].outs[k.run] = out
+				cells[k.cell].pending.Done()
 			}
 		}()
 	}
 	go func() {
-		defer close(jobs)
-		for i := 0; i < nI; i++ {
-			for j := 0; j < nJ; j++ {
-				for run := 0; run < runs; run++ {
-					jobs <- jobKey{i, j, run}
-				}
+		defer close(jobs) // lets the workers, and so wg.Wait, finish
+		for c := range cells {
+			select {
+			case window <- struct{}{}:
+			case <-abort:
+				return
+			}
+			for run := 0; run < runs; run++ {
+				jobs <- jobKey{c, run}
 			}
 		}
 	}()
-	return g
-}
 
-// waitCell blocks until every run of cell (i, j) has finished and
-// returns its outcomes.
-func (g *outcomeGrid) waitCell(i, j int) []runOutcome {
-	g.pending[i][j].Wait()
-	return g.outcomes[i][j]
-}
-
-// releaseCell drops a folded cell's run results so a long sweep does
-// not hold every Result live at once.
-func (g *outcomeGrid) releaseCell(i, j int) { g.outcomes[i][j] = nil }
-
-// fail drains the whole grid — after the skip flag is set, workers
-// mark the rest skipped quickly — and returns the first non-skip error
-// in grid order. The drain is what makes the scan safe: without it
-// workers would still be writing outcome cells (a data race) and the
-// causal error might not have landed yet.
-func (g *outcomeGrid) fail() error {
-	g.failed.Store(true)
-	for i := range g.pending {
-		for j := range g.pending[i] {
-			g.pending[i][j].Wait()
-		}
-	}
-	var skip error
-	for _, byCell := range g.outcomes {
-		for _, byRun := range byCell {
-			for _, out := range byRun {
-				if out.err == nil {
-					continue
-				}
-				if out.err != errSkipped {
-					return out.err
-				}
-				skip = out.err
+	for c := range cells {
+		cells[c].pending.Wait()
+		for _, out := range cells[c].outs {
+			if out.err == nil {
+				continue
 			}
+			// Short-circuit the rest of the grid and wait it out: the
+			// drain is what makes the scan below safe — workers would
+			// still be writing outcomes, and the causal error might not
+			// have landed yet. Skipped runs only exist when some run
+			// failed for real, and that one is what gets reported.
+			failed.Store(true)
+			close(abort)
+			wg.Wait()
+			for rest := c; rest < len(cells); rest++ {
+				for _, out := range cells[rest].outs {
+					if out.err != nil && out.err != errSkipped {
+						return out.err
+					}
+				}
+			}
+			return out.err
 		}
+		fold(c/nJ, c%nJ, cells[c].outs)
+		cells[c].outs = nil // release the point's run results once folded
+		<-window
 	}
-	return skip
+	wg.Wait()
+	return nil
 }
 
-// wait blocks until every worker has exited (the grid fully drained).
-func (g *outcomeGrid) wait() { g.wg.Wait() }
+// simulate builds and executes one run of a sweep. cfg carries what the
+// sweep's axis varies (protocol instance, resource knobs, executor) and
+// flow the workload's count and size; everything random is fixed here,
+// from (baseSeed, axis, run) alone:
+//
+//   - the engine seed is seedFor(baseSeed, axis, run);
+//   - mobility streams from that seed when the scenario regenerates per
+//     run, and from baseSeed when it is fixed across runs — same
+//     contacts every run, regenerated lazily instead of retained, so
+//     sweep memory stays O(nodes) per in-flight run;
+//   - the source/destination pair depends only on the run index, so
+//     every point of every series compares the same set of pairs and
+//     curves stay comparable along the axis (§IV re-randomizes the pair
+//     per run).
+//
+// Everything mutable — the contact source and the protocol instance in
+// cfg — is per call, so concurrent runs never share state. The source
+// reaches the engine unwrapped.
+func (sc Scenario) simulate(cfg core.Config, flow core.Flow, baseSeed uint64, axis, run int) (*core.Result, error) {
+	if sc.Stream == nil {
+		return nil, fmt.Errorf("scenario %q has no mobility stream", sc.Name)
+	}
+	cfg.Seed = seedFor(baseSeed, axis, run)
+	streamSeed := baseSeed
+	if sc.PerRunSchedule {
+		streamSeed = cfg.Seed
+	}
+	src, err := sc.Stream(streamSeed)
+	if err != nil {
+		return nil, fmt.Errorf("%s mobility: %w", sc.Name, err)
+	}
+	if src.Nodes() < 2 {
+		return nil, fmt.Errorf("%s mobility has %d node(s); need at least 2 for a source/destination pair", sc.Name, src.Nodes())
+	}
+	flow.Src, flow.Dst = pickPair(src.Nodes(), seedFor(baseSeed, 0, run))
+	cfg.Source, cfg.Flows = src, []core.Flow{flow}
+	cfg.TxTime, cfg.BufferCap = sc.TxTime, sc.BufferCap
+	// Run the full trace so occupancy and duplication are steady-state
+	// time averages as in the paper; delay and delivery ratio are
+	// unaffected (§IV end conditions).
+	cfg.RunToHorizon = true
+	return core.Run(cfg)
+}

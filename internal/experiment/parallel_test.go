@@ -148,8 +148,8 @@ func TestSweepRejectsTinySchedules(t *testing.T) {
 			sw := Sweep{
 				Scenario: Scenario{
 					Name: "degenerate",
-					Generate: func(uint64) (*contact.Schedule, error) {
-						return &contact.Schedule{Nodes: nodes}, nil
+					Stream: func(uint64) (contact.Source, error) {
+						return (&contact.Schedule{Nodes: nodes}).Stream(), nil
 					},
 				},
 				Protocols: []ProtocolFactory{Pure()},
@@ -168,7 +168,7 @@ func TestSweepRejectsTinySchedules(t *testing.T) {
 	}
 }
 
-// TestSweepParallelErrorPropagates: a failing generator inside worker
+// TestSweepParallelErrorPropagates: a failing stream inside worker
 // goroutines must surface as a real error, not a skip marker, and not
 // hang the pool.
 func TestSweepParallelErrorPropagates(t *testing.T) {
@@ -176,7 +176,7 @@ func TestSweepParallelErrorPropagates(t *testing.T) {
 		Scenario: Scenario{
 			Name:           "boom",
 			PerRunSchedule: true,
-			Generate: func(uint64) (*contact.Schedule, error) {
+			Stream: func(uint64) (contact.Source, error) {
 				return nil, fmt.Errorf("boom")
 			},
 		},
@@ -187,9 +187,9 @@ func TestSweepParallelErrorPropagates(t *testing.T) {
 	}
 	_, err := Run(sw)
 	if err == nil {
-		t.Fatal("generator failure swallowed")
+		t.Fatal("stream failure swallowed")
 	}
 	if !strings.Contains(err.Error(), "boom") {
-		t.Errorf("err = %v, want the underlying generator failure", err)
+		t.Errorf("err = %v, want the underlying stream failure", err)
 	}
 }

@@ -12,7 +12,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/stats"
@@ -122,9 +121,12 @@ func DefaultScaleSweep() ScaleSweep {
 	}
 }
 
-// RunScale executes the sweep. Every run resolves its mobility spec to
-// a streaming source, so contact-plan memory stays O(nodes) even at the
-// populations a materialized schedule could not hold.
+// RunScale executes the sweep on the shared grid runner (grid.go).
+// Every run resolves its mobility spec to a streaming source, so
+// contact-plan memory stays O(nodes) even at the populations a
+// materialized schedule could not hold; the runner's in-flight window
+// keeps the finished Results of a 100k-node grid from piling up behind
+// a straggler.
 func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 	if len(sw.Nodes) == 0 {
 		return nil, fmt.Errorf("experiment: scale sweep has no node counts")
@@ -145,32 +147,36 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 	if sw.Runs <= 0 {
 		sw.Runs = 3
 	}
-	workers := sw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// The shared flat-grid pool (grid.go): workers drain a job channel,
-	// the calling goroutine folds points in sweep order as soon as each
-	// point's runs finish — so OnPoint fires live, not in a burst at
-	// the end — and a failed run makes workers skip the remaining
-	// (expensive, thousands-of-nodes) jobs.
-	g := startGrid(len(sw.Protocols), len(sw.Nodes), sw.Runs, workers,
-		func(pi, ni, run int) runOutcome {
-			return runScaleOne(sw, sw.Protocols[pi], sw.Nodes[ni], run)
-		})
-	defer g.wait()
 
 	res := &ScaleResult{Name: sw.Name, Nodes: sw.Nodes}
-	for pi, pf := range sw.Protocols {
-		series := ScaleSeries{Label: pf.Label}
-		for ni, n := range sw.Nodes {
+	for _, pf := range sw.Protocols {
+		res.Series = append(res.Series, ScaleSeries{Label: pf.Label})
+	}
+	err := runGrid(len(sw.Protocols), len(sw.Nodes), sw.Runs, sw.Workers,
+		func(pi, ni, run int) runOutcome {
+			pf, nodes := sw.Protocols[pi], sw.Nodes[ni]
+			sc, err := ScenarioFromSpec(sw.Mobility(nodes))
+			if err != nil {
+				return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}
+			}
+			var out runOutcome
+			var start float64
+			if sw.Clock != nil {
+				start = sw.Clock()
+			}
+			out.res, err = sc.simulate(core.Config{Protocol: pf.New(), Shards: sw.Shards},
+				core.Flow{Count: sw.Load}, sw.BaseSeed, nodes, run)
+			if err != nil {
+				out.err = fmt.Errorf("experiment: scale %s at %d nodes: %w", pf.Label, nodes, err)
+			} else if sw.Clock != nil {
+				out.secs = sw.Clock() - start
+			}
+			return out
+		},
+		func(pi, ni int, outs []runOutcome) {
 			var delivery, delay, occupancy, wall stats.Welford
 			completed := 0
-			for _, out := range g.waitCell(pi, ni) {
-				if out.err != nil {
-					return nil, g.fail()
-				}
+			for _, out := range outs {
 				r := out.res
 				if r.Completed {
 					completed++
@@ -184,9 +190,8 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 					wall.Add(out.secs)
 				}
 			}
-			g.releaseCell(pi, ni) // release the point's results once folded
 			pt := ScalePoint{
-				Nodes:     n,
+				Nodes:     sw.Nodes[ni],
 				Delivery:  delivery.Mean(),
 				Occupancy: occupancy.Mean(),
 				Delay:     math.NaN(),
@@ -199,55 +204,14 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 			if wall.N() > 0 {
 				pt.WallClock = wall.Mean()
 			}
-			series.Points = append(series.Points, pt)
+			s := &res.Series[pi]
+			s.Points = append(s.Points, pt)
 			if sw.OnPoint != nil {
-				sw.OnPoint(pf.Label, n)
+				sw.OnPoint(s.Label, pt.Nodes)
 			}
-		}
-		res.Series = append(res.Series, series)
+		})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
-}
-
-// runScaleOne executes one (protocol, nodes, run) simulation through a
-// streaming source.
-func runScaleOne(sw ScaleSweep, pf ProtocolFactory, nodes, run int) runOutcome {
-	sc, err := ScenarioFromSpec(sw.Mobility(nodes))
-	if err != nil {
-		return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}
-	}
-	if sc.Stream == nil {
-		return runOutcome{err: fmt.Errorf("experiment: scale mobility %q has no streaming source", sc.Spec)}
-	}
-	seed := seedFor(sw.BaseSeed, nodes, run)
-	src, err := sc.Stream(seed)
-	if err != nil {
-		return runOutcome{err: fmt.Errorf("experiment: scale source (%d nodes): %w", nodes, err)}
-	}
-	if src.Nodes() < 2 {
-		return runOutcome{err: fmt.Errorf("experiment: scale source reports %d node(s)", src.Nodes())}
-	}
-	from, to := pickPair(src.Nodes(), seedFor(sw.BaseSeed, 0, run))
-	var start float64
-	if sw.Clock != nil {
-		start = sw.Clock()
-	}
-	r, err := core.Run(core.Config{
-		Source:       src,
-		Protocol:     pf.New(),
-		Flows:        []core.Flow{{Src: from, Dst: to, Count: sw.Load}},
-		TxTime:       sc.TxTime,
-		BufferCap:    sc.BufferCap,
-		Seed:         seed,
-		RunToHorizon: true,
-		Shards:       sw.Shards,
-	})
-	if err != nil {
-		return runOutcome{err: fmt.Errorf("experiment: scale %s at %d nodes: %w", pf.Label, nodes, err)}
-	}
-	out := runOutcome{res: r}
-	if sw.Clock != nil {
-		out.secs = sw.Clock() - start
-	}
-	return out
 }

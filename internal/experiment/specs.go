@@ -19,7 +19,6 @@ func ScenarioFromSpec(specStr string) (Scenario, error) {
 	sc := Scenario{
 		Name:           src.Kind,
 		Spec:           src.Spec,
-		Generate:       src.Generate,
 		Stream:         src.Stream,
 		PerRunSchedule: src.PerRun,
 	}

@@ -3,7 +3,6 @@ package mobility
 import (
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -16,7 +15,7 @@ import (
 var ErrSpec = errors.New("mobility: invalid spec")
 
 // Source is one parsed mobility specification: a named, seedable
-// contact-schedule generator. It is the data form of a mobility model —
+// contact-stream generator. It is the data form of a mobility model —
 // scenario files, sweeps and the CLI all reduce to a Source.
 type Source struct {
 	// Spec is the canonical spec string: Parse(Spec) yields a Source
@@ -24,19 +23,16 @@ type Source struct {
 	Spec string
 	// Kind is the registry key the spec resolved to ("cambridge", …).
 	Kind string
-	// PerRun reports whether sweep harnesses should regenerate the
-	// schedule for every run (synthetic waypoint models) or generate it
-	// once and share it (trace files, seed-pinned generators).
+	// PerRun reports whether sweep harnesses should stream every run
+	// from its own seed (synthetic waypoint models) or every run from
+	// the same one (trace files, seed-pinned generators).
 	PerRun bool
-	// Generate materializes the full schedule. The seed is the run's
-	// seed unless the spec pinned one with seed=N. Must be safe for
-	// concurrent use.
-	Generate func(seed uint64) (*contact.Schedule, error)
-	// Stream builds a pull-based contact source emitting the same
-	// stream Generate materializes, in O(nodes) working memory. Every
-	// built-in spec provides it; the engine and sweep harnesses prefer
-	// it over Generate. A source is single-use: call Stream once per
-	// run. Must be safe for concurrent use.
+	// Stream builds a pull-based contact source in O(nodes) working
+	// memory: the one way a Source produces mobility (drain it with
+	// contact.Materialize for the full Schedule). The seed is the run's
+	// seed unless the spec pinned one with seed=N. A source is
+	// single-use: call Stream once per run. Must be safe for concurrent
+	// use.
 	Stream func(seed uint64) (contact.Source, error)
 }
 
@@ -97,7 +93,7 @@ func (r *Registry) Specs() []SpecInfo {
 // Parse resolves a spec string ("cambridge:seed=42", "subscriber",
 // "rwp:nodes=40", "interval:max=2000", "trace:PATH") to a Source. All
 // failures wrap ErrSpec; Parse never panics and never touches the
-// filesystem (trace files are opened by Generate).
+// filesystem (trace files are opened by Stream).
 func (r *Registry) Parse(s string) (Source, error) {
 	name, args := spec.Split(s)
 	if name == "" {
@@ -156,7 +152,7 @@ func builtinRegistry() *Registry {
 	return r
 }
 
-// seedParam reads the optional seed pin. A pinned seed makes Generate
+// seedParam reads the optional seed pin. A pinned seed makes Stream
 // ignore the caller's seed, fixing the schedule across sweep runs.
 func seedParam(ps *spec.Params) (pinned bool, seed uint64, err error) {
 	pinned = ps.Has("seed")
@@ -210,20 +206,14 @@ func parseCambridge(args string) (Source, error) {
 	if span != 0 {
 		pairs = append(pairs, [2]string{"span", fmtFloat(span)})
 	}
-	gen := func(runSeed uint64) SyntheticCambridge {
-		if pinned {
-			runSeed = seed
-		}
-		return SyntheticCambridge{Seed: runSeed, Nodes: nodes, Span: sim.Time(span)}
-	}
 	return Source{
 		Spec:   canonical("cambridge", pairs...),
 		PerRun: false, // a trace is fixed across runs, like the real file
-		Generate: func(runSeed uint64) (*contact.Schedule, error) {
-			return gen(runSeed).Generate()
-		},
 		Stream: func(runSeed uint64) (contact.Source, error) {
-			return gen(runSeed).Stream()
+			if pinned {
+				runSeed = seed
+			}
+			return SyntheticCambridge{Seed: runSeed, Nodes: nodes, Span: sim.Time(span)}.Stream()
 		},
 	}, nil
 }
@@ -275,23 +265,17 @@ func parseSubscriber(args string) (Source, error) {
 	if span != 0 {
 		pairs = append(pairs, [2]string{"span", fmtFloat(span)})
 	}
-	gen := func(runSeed uint64) SubscriberPointRWP {
-		if pinned {
-			runSeed = seed
-		}
-		return SubscriberPointRWP{
-			Seed: runSeed, Nodes: nodes, Points: points,
-			AreaSide: area, Span: sim.Time(span),
-		}
-	}
 	return Source{
 		Spec:   canonical("subscriber", pairs...),
 		PerRun: !pinned,
-		Generate: func(runSeed uint64) (*contact.Schedule, error) {
-			return gen(runSeed).Generate()
-		},
 		Stream: func(runSeed uint64) (contact.Source, error) {
-			return gen(runSeed).Stream()
+			if pinned {
+				runSeed = seed
+			}
+			return SubscriberPointRWP{
+				Seed: runSeed, Nodes: nodes, Points: points,
+				AreaSide: area, Span: sim.Time(span),
+			}.Stream()
 		},
 	}, nil
 }
@@ -350,23 +334,17 @@ func parseClassic(args string) (Source, error) {
 	if dt != 0 {
 		pairs = append(pairs, [2]string{"dt", fmtFloat(dt)})
 	}
-	gen := func(runSeed uint64) ClassicRWP {
-		if pinned {
-			runSeed = seed
-		}
-		return ClassicRWP{
-			Seed: runSeed, Nodes: nodes, AreaSide: area,
-			Span: sim.Time(span), Range: rng, SampleDT: dt,
-		}
-	}
 	return Source{
 		Spec:   canonical("rwp", pairs...),
 		PerRun: !pinned,
-		Generate: func(runSeed uint64) (*contact.Schedule, error) {
-			return gen(runSeed).Generate()
-		},
 		Stream: func(runSeed uint64) (contact.Source, error) {
-			return gen(runSeed).Stream()
+			if pinned {
+				runSeed = seed
+			}
+			return ClassicRWP{
+				Seed: runSeed, Nodes: nodes, AreaSide: area,
+				Span: sim.Time(span), Range: rng, SampleDT: dt,
+			}.Stream()
 		},
 	}, nil
 }
@@ -418,23 +396,17 @@ func parseInterval(args string) (Source, error) {
 	if pinned {
 		pairs = append(pairs, [2]string{"seed", fmtUint(seed)})
 	}
-	gen := func(runSeed uint64) ControlledInterval {
-		if pinned {
-			runSeed = seed
-		}
-		return ControlledInterval{
-			Seed: runSeed, MaxInterval: maxI, MinInterval: minI,
-			Nodes: nodes, Encounters: enc,
-		}
-	}
 	return Source{
 		Spec:   canonical("interval", pairs...),
 		PerRun: !pinned,
-		Generate: func(runSeed uint64) (*contact.Schedule, error) {
-			return gen(runSeed).Generate()
-		},
 		Stream: func(runSeed uint64) (contact.Source, error) {
-			return gen(runSeed).Stream()
+			if pinned {
+				runSeed = seed
+			}
+			return ControlledInterval{
+				Seed: runSeed, MaxInterval: maxI, MinInterval: minI,
+				Nodes: nodes, Encounters: enc,
+			}.Stream()
 		},
 	}, nil
 }
@@ -449,14 +421,6 @@ func parseTraceFile(args string) (Source, error) {
 	return Source{
 		Spec:   "trace:" + path,
 		PerRun: false,
-		Generate: func(uint64) (*contact.Schedule, error) {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, fmt.Errorf("mobility: trace spec: %w", err)
-			}
-			defer f.Close()
-			return ParseTrace(f)
-		},
 		Stream: func(uint64) (contact.Source, error) {
 			return OpenTraceSource(path)
 		},

@@ -35,40 +35,53 @@ func TestMobilitySpecsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGeneratorsMatchDirectConstruction: spec-built schedules must be
-// identical to the ones built by the generator structs.
-func TestGeneratorsMatchDirectConstruction(t *testing.T) {
-	cases := []struct {
-		spec   string
-		direct func(seed uint64) (*contact.Schedule, error)
-	}{
-		{"cambridge", func(s uint64) (*contact.Schedule, error) { return SyntheticCambridge{Seed: s}.Generate() }},
-		{"subscriber", func(s uint64) (*contact.Schedule, error) { return SubscriberPointRWP{Seed: s}.Generate() }},
-		{"rwp", func(s uint64) (*contact.Schedule, error) { return ClassicRWP{Seed: s}.Generate() }},
-		{"interval:max=400", func(s uint64) (*contact.Schedule, error) {
-			return ControlledInterval{Seed: s, MaxInterval: 400}.Generate()
-		}},
+// materialize drains the Source's stream for seed into a Schedule: the
+// one way a registry Source produces mobility.
+func materialize(src Source, seed uint64) (*contact.Schedule, error) {
+	stream, err := src.Stream(seed)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range cases {
-		src, err := Parse(c.spec)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", c.spec, err)
+	return contact.Materialize(stream)
+}
+
+// TestGeneratorsMatchDirectConstruction: for every built-in spec, the
+// registry Source's stream, drained, must be identical to the schedule
+// the model struct's Generate() builds.
+func TestGeneratorsMatchDirectConstruction(t *testing.T) {
+	direct := map[string]func(seed uint64) (*contact.Schedule, error){
+		"cambridge":  func(s uint64) (*contact.Schedule, error) { return SyntheticCambridge{Seed: s}.Generate() },
+		"subscriber": func(s uint64) (*contact.Schedule, error) { return SubscriberPointRWP{Seed: s}.Generate() },
+		"rwp":        func(s uint64) (*contact.Schedule, error) { return ClassicRWP{Seed: s}.Generate() },
+		"interval:max=400": func(s uint64) (*contact.Schedule, error) {
+			return ControlledInterval{Seed: s, MaxInterval: 400}.Generate()
+		},
+	}
+	for _, spec := range BuiltinSpecs() {
+		generate, ok := direct[spec]
+		if !ok {
+			t.Errorf("built-in spec %q has no direct construction to compare against", spec)
+			continue
 		}
-		got, err := src.Generate(11)
+		src, err := Parse(spec)
 		if err != nil {
-			t.Fatalf("%q: %v", c.spec, err)
+			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		want, err := c.direct(11)
+		got, err := materialize(src, 11)
+		if err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		want, err := generate(11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Nodes != want.Nodes || len(got.Contacts) != len(want.Contacts) {
-			t.Errorf("%q: spec-built schedule differs from direct construction", c.spec)
+			t.Errorf("%q: spec-built schedule differs from direct construction", spec)
 			continue
 		}
 		for i := range got.Contacts {
 			if got.Contacts[i] != want.Contacts[i] {
-				t.Errorf("%q: contact %d differs", c.spec, i)
+				t.Errorf("%q: contact %d differs", spec, i)
 				break
 			}
 		}
@@ -83,11 +96,11 @@ func TestPinnedSeedFixesSchedule(t *testing.T) {
 	if src.PerRun {
 		t.Error("seed-pinned generator should not be per-run")
 	}
-	a, err := src.Generate(1)
+	a, err := materialize(src, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := src.Generate(2)
+	b, err := materialize(src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +137,7 @@ func TestTraceSpecReadsFile(t *testing.T) {
 	if src.PerRun {
 		t.Error("a trace file must be shared across runs")
 	}
-	got, err := src.Generate(0)
+	got, err := materialize(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +149,8 @@ func TestTraceSpecReadsFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse must not touch the filesystem: %v", err)
 	}
-	if _, err := missing.Generate(0); err == nil {
-		t.Error("missing trace file accepted at Generate")
+	if _, err := missing.Stream(0); err == nil {
+		t.Error("missing trace file accepted at Stream")
 	}
 }
 

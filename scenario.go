@@ -225,18 +225,14 @@ func (s Scenario) StreamMobility() (ContactSource, error) {
 }
 
 // Materialize resolves the scenario's mobility to a full Schedule —
-// the form tools needing random access (WriteTrace) want. Runs don't:
-// Compile streams.
+// the form tools needing random access (WriteTrace) want — by draining
+// StreamMobility. Runs don't: Compile streams.
 func (s Scenario) Materialize() (*Schedule, error) {
-	src, err := mobility.Parse(string(s.Mobility))
+	stream, err := s.StreamMobility()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrScenario, err)
+		return nil, err
 	}
-	sched, err := src.Generate(s.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("dtnsim: generating %s mobility: %w", src.Kind, err)
-	}
-	return sched, nil
+	return MaterializeSource(stream)
 }
 
 // RunScenario compiles and executes a scenario. Observers, if any,
