@@ -140,6 +140,12 @@ func BenchmarkFig14IntervalSensitivity(b *testing.B) {
 // BenchmarkTableIIComparison regenerates the paper's closing table and
 // reports the six protocols' load-averaged delivery rates. Workers: 1
 // times the sequential reference path.
+//
+// BENCH_hotpath.json: 216 runs/op including schedule generation and
+// harness overhead; 2.46 s -> 0.59 s (4.2x) across the allocation-free
+// store/metrics/scheduler rework ('seed' holds the pre-rework numbers,
+// measured on the same machine as 'benchmarks'). It does not set
+// ReportAllocs, so its allocs_op is recorded as 0.
 func BenchmarkTableIIComparison(b *testing.B) {
 	benchmarkTableII(b, 1)
 }
@@ -184,7 +190,28 @@ func BenchmarkFig19DupEnhancedRWPParallel(b *testing.B) { runFigureWorkers(b, "f
 //
 // These time the simulator's hot paths so regressions in the substrate
 // are visible independently of experiment composition.
+//
+// How BENCH_hotpath.json gates them (cmd/benchguard, CI's "Hot-path
+// benchmark regression gate"): only machine-independent invariants are
+// enforced. A 'pairs' entry is the speedup of a fast benchmark over a
+// slow one run back-to-back on the same machine, and must stay within
+// tolerance of its baseline ratio; the baselines are deliberately
+// conservative floors (about half the measured ratio for the
+// indexed-vs-scan pairs) so hardware variance cannot flake the gate
+// while a real regression — a reintroduced per-contact sort or
+// allocation — still collapses the ratio far below the bar.
+// 'zero_alloc' benchmarks must stay at 0 allocs/op and 'mem_pairs'
+// floor a memory ratio. Raw ns_op values are from the dev machine and
+// gate only with -strict. Each pair's rationale and measured range is
+// the doc comment of its benchmark; EXPERIMENTS.md says how to run and
+// regenerate.
 
+// BenchmarkEngineTraceRun is one immunity run over the Cambridge trace.
+//
+// BENCH_hotpath.json: 10.45 ms -> 1.35 ms and 14726 -> 3062 allocs/op
+// across the store/metrics/scheduler rework; 3077 -> 1459 allocs/op when
+// PR 12 deleted the scheduler's events and closures. It is the slow side
+// of "cancel-overhead" (BenchmarkEngineTraceRunCancellable).
 func BenchmarkEngineTraceRun(b *testing.B) {
 	schedule, err := dtnsim.CambridgeTrace(benchSeed)
 	if err != nil {
@@ -209,7 +236,12 @@ func BenchmarkEngineTraceRun(b *testing.B) {
 // BenchmarkEngineTraceRunCancellable is BenchmarkEngineTraceRun with a
 // live (never-cancelled) Config.Context, so the benchguard pair
 // "cancel-overhead" proves the loop's Context poll costs nothing
-// measurable on the engine hot path.
+// measurable on the engine hot path: the slow/fast ratio isolates the
+// interrupt poll (a nil check per collected item plus one ctx.Err()
+// every 64), and the pair's 0.10 tolerance gates it at <~11% overhead
+// (measured -12%..+7% across sessions, i.e. within container noise).
+// Both EngineTraceRun entries are always re-measured together in one
+// session so their committed raw values stay mutually consistent.
 func BenchmarkEngineTraceRunCancellable(b *testing.B) {
 	schedule, err := dtnsim.CambridgeTrace(benchSeed)
 	if err != nil {
@@ -239,7 +271,11 @@ func BenchmarkEngineTraceRunCancellable(b *testing.B) {
 // (50 bundles) over both Table II substrates (Cambridge trace and
 // subscriber RWP), run to the horizon so purge/TTL/sampling stay active
 // after the last delivery. This is the headline number BENCH_hotpath.json
-// tracks for the allocation-free store/metrics/scheduler rework.
+// tracks for the allocation-free store/metrics/scheduler rework
+// (indexed buffer store, incremental duplication metrics, streaming
+// contact scheduling): 154.5 ms -> 14.5 ms per op (10.6x; the acceptance
+// floor was 2x), and 65311 -> 32611 allocs/op when PR 12 deleted the
+// scheduler's events and closures.
 func BenchmarkContactHotPath(b *testing.B) {
 	trace, err := dtnsim.CambridgeTrace(benchSeed)
 	if err != nil {
@@ -275,8 +311,12 @@ func BenchmarkContactHotPath(b *testing.B) {
 // bundles under an effectively unbounded bandwidth and byte capacity.
 // The event sequence is identical to the unconstrained benchmark, so
 // the pair isolates the resource model's bookkeeping overhead;
-// benchguard gates the ratio at <~10% (BENCH_hotpath.json pair
-// "constrained-overhead").
+// benchguard gates the ratio at <~11% (BENCH_hotpath.json pair
+// "constrained-overhead", its own tolerance 0.10; measured 0-14% across
+// sessions on a noisy container, ~6% median — the pair runs back-to-back
+// in one session, so machine noise largely cancels, and CI's 10
+// iterations keep a ~1.0x ratio out of scheduler-noise territory). Both
+// ContactHotPath entries are re-measured together in one session.
 func BenchmarkContactHotPathConstrained(b *testing.B) {
 	trace, err := dtnsim.CambridgeTrace(benchSeed)
 	if err != nil {
@@ -339,6 +379,11 @@ func BenchmarkSubscriberRWPGeneration(b *testing.B) {
 // item — against the inline executor, which runs the same loop and the
 // same Kernel and merges each item as it is collected;
 // "sharded-speedup" floors the parallel win at one shard per CPU.
+// The 5k entries that share a pair are re-measured together, in one
+// session with CI's own invocation, whenever one of them moves; since
+// PR 12 that has been on a different box than BENCH_hotpath.json's
+// 'machine' (Intel Xeon @ 2.60GHz, 2 cores, go1.24), and the 5k cells
+// record the -benchmem columns CI has always passed (allocs_op, b_op).
 
 // runShardedBench times one 5k-node run per iteration through the
 // executor selected by shards (core.Config semantics: 0 = inline on
@@ -367,17 +412,33 @@ func runShardedBench(b *testing.B, shards int) {
 	}
 }
 
+// BenchmarkShardedRun5kSequential is the inline executor: the slow side
+// of the sharded-speedup and dist-speedup pairs and of sharded-overhead.
 func BenchmarkShardedRun5kSequential(b *testing.B) { runShardedBench(b, 0) }
 
 // BenchmarkShardedRun5kOneShard runs the sharded executor with a single
 // worker: all of the epoch protocol (collection, chains, mailboxes,
 // effect replay) and none of the parallelism.
+//
+// "sharded-overhead": since PR 12 both sides run the same epoch loop and
+// the same Kernel, so the ratio prices what K=1 adds over inline —
+// measured 0.82-0.93 over six back-to-back repeats, median 0.90. The
+// committed 0.88 baseline with 0.15 tolerance floors it at ~0.75: the
+// gate trips when the sharded path gets a third slower than inline, not
+// on the inline executor being the faster one. (Before PR 12 the slow
+// side was a separate scheduler-driven loop and the pair gated K=1 at
+// <~15% over it.)
 func BenchmarkShardedRun5kOneShard(b *testing.B) { runShardedBench(b, 1) }
 
 // BenchmarkShardedRun5k runs one shard per CPU. It skips below four
 // cores — the machine-independent speedup gate is only meaningful when
-// there is parallel hardware to win on — and the benchguard pair is
-// marked optional so the skip does not fail the gate.
+// there is parallel hardware to win on — and the benchguard pair
+// ("sharded-speedup", >=2x over sequential: the sharded engine's
+// acceptance floor on 4+ cores) is marked optional: benchguard skips
+// rather than fails an optional pair whose benchmarks are absent, so the
+// gate enforces on capable CI machines and stays green on small
+// containers. Its raw ns_op is deliberately absent from 'benchmarks':
+// the baseline machine has one core.
 func BenchmarkShardedRun5k(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		b.Skip("sharded speedup needs 4+ cores")
@@ -466,18 +527,42 @@ func runDistBench(b *testing.B, workers int, fullSnapshots bool) {
 // crosses the process boundary and nothing runs in parallel, so the
 // ratio against BenchmarkShardedRun5kOneShard is the pure
 // serialization/IPC overhead.
+//
+// "dist-overhead" history, each step measured in one session against
+// the one-shard run: 0.39-0.44 with full snapshots every round (PR 9;
+// the process boundary cost ~2.3-2.6x on this pure-protocol cell, whose
+// per-item work is tiny next to shipping 5k-node state); ~0.54 with
+// delta state shipping (PR 10, baseline raised to 0.42); 0.74-0.84 once
+// replies became patches and both ends kept their frame buffers (PR 13:
+// 743/747/750 ms against 952/935/962 ms at its parent, b_op 280.6 MB ->
+// 99.1 MB and allocs_op 396.5k -> 217.1k, the same as the in-process
+// one-shard run). The baseline is 0.74 with tolerance 0.10: the floor,
+// ~0.67, sits above every pre-patch reading of that session and 10%
+// under the lowest reading with patches, so a wire path that goes back
+// to full-state replies or per-frame buffers trips it while the
+// one-shard side's own 13% run-to-run swing does not.
 func BenchmarkDistRun5kOneWorker(b *testing.B) { runDistBench(b, 1, false) }
 
 // BenchmarkDistRun5kOneWorkerFull is the same cell with delta shipping
 // disabled: every round re-ships full node snapshots, as every round
 // did before the state cache existed. The benchguard
-// "dist-delta-overhead" pair gates the delta path's win against it.
+// "dist-delta-overhead" pair gates the delta path's win against it:
+// Options.FullSnapshots forces full state in both directions (the
+// coordinator does not announce the delta capability, so the worker
+// sends no patches either); measured 1.31x slower than the delta path
+// at PR 10 and 1.20-1.24x at PR 13 (912/893/932 ms) — lower because
+// kept buffers made the full path cheaper too, not because the delta
+// path lost anything. The committed 1.15 baseline with 0.10 tolerance
+// floors the ratio at ~1.04, so a silently dead delta path (ratio 1.0)
+// fails while container noise does not.
 func BenchmarkDistRun5kOneWorkerFull(b *testing.B) { runDistBench(b, 1, true) }
 
 // BenchmarkDistRun5k runs one worker process per CPU. Like
 // BenchmarkShardedRun5k it skips below four cores and its benchguard
-// pair is optional, so the speedup floor gates only on machines with
-// parallel hardware.
+// pair ("dist-speedup", >=2x over the sequential loop) is optional, so
+// the speedup floor gates only on machines with the parallel hardware
+// the processes are meant to win on; the 1-core baseline machine
+// records no raw ns_op for it.
 func BenchmarkDistRun5k(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 4 {
 		b.Skip("distributed speedup needs 4+ cores")

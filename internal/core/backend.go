@@ -5,19 +5,24 @@ import (
 )
 
 // This file is the executor seam (DESIGN.md §13): the narrow interface
-// through which the epoch loop (shard.go) hands epochs to an
-// execution backend that owns node state elsewhere — worker processes
-// today, remote hosts tomorrow. Everything order-sensitive stays on
-// this side of the seam: item collection, the canonical-order merge,
-// sampling, and the Result assembly all run on the coordinating
-// process, so a backend only has to execute items faithfully (via
-// Kernel) to inherit the executor-independence proofs wholesale.
+// through which the epoch loop (loop.go) hands materialized epochs to
+// whatever executes them — the goroutine pool in pool.go, worker
+// processes in internal/dist, remote hosts tomorrow. Everything
+// order-sensitive stays on this side of the seam: item collection, the
+// canonical-order merge, sampling, and the Result assembly all run on
+// the coordinating goroutine, so a backend only has to execute items
+// faithfully (via Kernel) to inherit the executor-independence proofs
+// wholesale.
 
 // RunEnv is the run context handed to a backend at Start: the defaulted
-// Config (protocol instance included) and the coordinator's node slice.
-// The backend owns the authoritative node state for the whole run; the
-// coordinator's nodes stay pristine until Finish writes the final
-// states back into them (Result reads per-node counters and stores).
+// Config (protocol instance included) and the run's nodes, freshly
+// constructed and protocol-initialized. A backend either executes on
+// Nodes in place (the pool): they are the authoritative state,
+// NodeOccupancy reads them and Finish is a no-op; or owns the state
+// elsewhere (dist): Nodes stay pristine for the whole run, NodeOccupancy
+// answers from the backend's own view, and Finish writes the final
+// states back into Nodes, where Result reads per-node counters and
+// stores. The loop cannot tell which.
 type RunEnv struct {
 	Cfg   Config
 	Nodes []*node.Node
@@ -29,15 +34,15 @@ type RunEnv struct {
 // effects Kernel.Exec would have recorded, in the same program order —
 // merge replays them assuming so.
 type Epoch struct {
-	r *shardRun
+	items []EpochItem
 }
 
 // Len returns the number of items in the epoch.
-func (ep *Epoch) Len() int { return len(ep.r.items) }
+func (ep *Epoch) Len() int { return len(ep.items) }
 
 // Item returns the i-th item in canonical order. The pointer is valid
 // until the next epoch's collection.
-func (ep *Epoch) Item(i int) *EpochItem { return &ep.r.items[i] }
+func (ep *Epoch) Item(i int) *EpochItem { return &ep.items[i] }
 
 // EpochBackend executes epochs on behalf of the epoch loop.
 // Implementations must respect the per-node dependency order: two items
@@ -56,8 +61,9 @@ type EpochBackend interface {
 	// value nodes[i].Store.Occupancy() would return on the
 	// authoritative state — read at sampling ticks between epochs.
 	NodeOccupancy(i int) float64
-	// Finish ends the run, restoring the authoritative final node
-	// states into the Start environment's Nodes so Result assembly
-	// reads them locally. Called once, only on successful runs.
+	// Finish ends the run, leaving the authoritative final node states
+	// in the Start environment's Nodes so Result assembly reads them
+	// locally. Called once, only on successful runs: never after a
+	// failed RunEpoch or a cancelled run.
 	Finish() error
 }

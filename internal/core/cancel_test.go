@@ -45,6 +45,11 @@ func TestRunPreCancelledContext(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("error should wrap ErrCancelled and context.Canceled: %v", err)
 	}
+	// Nothing ran: the run stopped at the first flow start, not at the
+	// loop's "no epoch completed yet" sentinel.
+	if want := "core: run cancelled at t=0s: context canceled"; err.Error() != want {
+		t.Errorf("error = %q; want %q", err, want)
+	}
 }
 
 func TestRunCancelMidRun(t *testing.T) {

@@ -109,7 +109,8 @@ type Config struct {
 	RunToHorizon bool
 	// Shards selects who executes the epoch loop's items (DESIGN.md
 	// §12): 0 runs each item on the calling goroutine as it is
-	// collected; K >= 1 dispatches every epoch to K worker goroutines.
+	// collected; K >= 1 hands every epoch to a pool of K worker
+	// goroutines behind the same EpochBackend seam as Backend (pool.go).
 	// Purely an execution knob — results are bit-identical for every
 	// value, which is why it never enters a scenario's canonical key.
 	Shards int

@@ -72,8 +72,8 @@ var ErrCancelled = errors.New("core: run cancelled")
 // the contact hot path.
 const interruptEvery = 64
 
-// engine is the per-run state.
-type engine struct {
+// run is one run: its state and its loop (loop.go).
+type run struct {
 	cfg   Config
 	nodes []*node.Node
 	coll  *metrics.Collector
@@ -85,16 +85,21 @@ type engine struct {
 	// tracked-bundle scan), making each sampling tick O(nodes + tracked)
 	// instead of O(nodes × tracked).
 	holders *metrics.HolderTracker
+	// Who executes the items: chooseExecutor sets exactly one.
+	inline  *Kernel
+	backend EpochBackend
 	// src streams the contact plan; a materialized Config.Schedule is
-	// adapted via Stream, so the engine has a single pull-based path.
+	// adapted via Stream, so the run has a single pull-based path.
 	src contact.Source
 	// cap is the run's horizon bound; adaptiveCap marks it as a
 	// source-reported upper bound (the generator's span) that settle
 	// tightens to the true latest contact end at source exhaustion,
-	// reproducing a materialized schedule's horizon exactly.
+	// reproducing a materialized schedule's horizon exactly. horizon is
+	// the effective bound: cap until settle lowers it.
 	cap         sim.Time
 	adaptiveCap bool
 	srcDone     bool
+	horizon     sim.Time
 	// Incremental stream validation: contacts must arrive in canonical
 	// start order with in-range endpoints.
 	prevStart sim.Time
@@ -104,6 +109,21 @@ type engine struct {
 	// mid-epoch) stops collection and is returned from Run.
 	err error
 
+	// flows is the workload sorted by (StartAt, declaration order): the
+	// canonical order of generation items.
+	flows    []flow
+	nextFlow int
+	// pending buffers the one contact pulled past the current epoch
+	// boundary (the stream is start-sorted, so one suffices).
+	pending    contact.Contact
+	hasPending bool
+	// epoch is the current epoch's canonical-order item list, reused
+	// across epochs (grown once, effect buffers keep their capacity).
+	// The inline kernel only ever holds the item in flight here.
+	epoch Epoch
+	// collected counts items across epochs, pacing the Context poll.
+	collected int
+
 	remaining   int
 	deliveredAt map[bundle.ID]sim.Time
 	// delays accumulates per-bundle delivery delays, measured from each
@@ -112,6 +132,11 @@ type engine struct {
 	delays      []float64
 	firstStart  sim.Time
 	lastArrival sim.Time
+}
+
+type flow struct {
+	f              Flow
+	base, firstSeq int
 }
 
 // Run executes one simulation and returns its result.
@@ -130,27 +155,86 @@ func Run(cfg Config) (*Result, error) {
 		src = cfg.Schedule.Stream()
 	}
 	cap, adaptive := cfg.horizonCap()
-	e := &engine{
+	r := &run{
 		cfg:         cfg,
+		coll:        metrics.NewCollector(),
 		holders:     metrics.NewHolderTracker(),
 		src:         src,
 		cap:         cap,
 		adaptiveCap: adaptive,
+		horizon:     cap,
 		deliveredAt: make(map[bundle.ID]sim.Time),
 		firstStart:  sim.Infinity,
 	}
-	e.coll = metrics.NewCollector()
-	e.obs = append([]Observer{e.coll}, cfg.Observers...)
-	e.nodes = make([]*node.Node, cfg.nodeCount())
-	for i := range e.nodes {
+	r.obs = append([]Observer{r.coll}, cfg.Observers...)
+	r.nodes = make([]*node.Node, cfg.nodeCount())
+	for i := range r.nodes {
 		n := node.New(contact.NodeID(i), cfg.BufferCap)
 		if cfg.BufferBytes > 0 {
 			n.Store.SetByteCap(cfg.BufferBytes)
 		}
 		cfg.Protocol.Init(n)
-		e.nodes[i] = n
+		r.nodes[i] = n
 	}
-	return e.run()
+	r.flows = flowPlan(cfg.Flows)
+	for _, f := range cfg.Flows {
+		if f.StartAt < r.firstStart {
+			r.firstStart = f.StartAt
+		}
+		r.remaining += f.Count
+	}
+	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
+	if err := r.chooseExecutor(); err != nil {
+		return nil, err
+	}
+	// Prime the stream: an immediately-exhausted source is rejected
+	// here, like Schedule.Validate's empty-schedule error on the
+	// materialized path.
+	r.pull()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.pulled == 0 {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, contact.ErrEmptySchedule)
+	}
+	end, err := r.loop()
+	if err != nil {
+		return nil, err
+	}
+	if err := r.cancelled(end); err != nil {
+		return nil, err
+	}
+	if r.backend != nil {
+		// A backend that executed elsewhere writes the final node states
+		// back: Result's per-node columns (occupancy, buffered copies,
+		// overhead counters) read r.nodes.
+		if err := r.backend.Finish(); err != nil {
+			return nil, err
+		}
+	}
+	return r.result(end), nil
+}
+
+// chooseExecutor is the one place the executor is decided (loop.go says
+// why there are two kinds): a configured Backend wins, Shards >= 1 is
+// the in-tree pool behind the same seam, Shards == 0 the inline kernel.
+func (r *run) chooseExecutor() error {
+	r.backend = r.cfg.Backend
+	if r.backend == nil && r.cfg.Shards >= 1 {
+		r.backend = newPool(r.cfg.Shards)
+	}
+	if r.backend != nil {
+		return r.backend.Start(RunEnv{Cfg: r.cfg, Nodes: r.nodes})
+	}
+	kern, err := NewKernel(&r.cfg, r.nodes, make([]*EffectBuf, len(r.nodes)))
+	if err != nil {
+		return err
+	}
+	for _, n := range r.nodes {
+		kern.BindHook(n)
+	}
+	r.inline = kern
+	return nil
 }
 
 // cancelled reports a cancelled or expired Config.Context as the run's
@@ -158,98 +242,98 @@ func Run(cfg Config) (*Result, error) {
 // error says where it stopped and why, wrapping both ErrCancelled and
 // the context's error so callers can errors.Is against either
 // (context.Canceled, context.DeadlineExceeded).
-func (e *engine) cancelled(at sim.Time) error {
-	ctx := e.cfg.Context
+func (r *run) cancelled(at sim.Time) error {
+	ctx := r.cfg.Context
 	if ctx == nil || ctx.Err() == nil {
 		return nil
 	}
 	return fmt.Errorf("%w at t=%v: %w", ErrCancelled, at, context.Cause(ctx))
 }
 
-// flowPlan assigns each flow its per-source sequence block and the
-// first-sequence anchor of its (src, dst) pair. Sequence numbers are
-// 1-based per source, matching the paper's "bundles 1 to k"; when
-// several flows share a source, each flow takes the next contiguous
-// block in flow-declaration order so IDs never collide. The anchor is
+// flowPlan assigns each flow, in declaration order, its per-source
+// sequence block and the first-sequence anchor of its (src, dst) pair.
+// Sequence numbers are 1-based per source, matching the paper's
+// "bundles 1 to k"; when several flows share a source, each flow takes
+// the next contiguous block so IDs never collide. The anchor is
 // the lowest block base among the flows sharing a bundle's (Src, Dst)
 // pair: cumulative immunity keys its tables by that pair, so an
 // acknowledgement anchored any higher could falsely cover another block
 // of the same pair.
-func flowPlan(flows []Flow) (bases, firsts []int) {
+func flowPlan(flows []Flow) []flow {
 	type pair struct{ src, dst contact.NodeID }
 	nextSeq := make(map[contact.NodeID]int)
 	firstSeq := make(map[pair]int)
-	bases = make([]int, len(flows))
+	plan := make([]flow, len(flows))
 	for i, f := range flows {
-		bases[i] = nextSeq[f.Src] + 1
+		base := nextSeq[f.Src] + 1
 		nextSeq[f.Src] += f.Count
 		key := pair{f.Src, f.Dst}
-		if fs, ok := firstSeq[key]; !ok || bases[i] < fs {
-			firstSeq[key] = bases[i]
+		if fs, ok := firstSeq[key]; !ok || base < fs {
+			firstSeq[key] = base
 		}
+		plan[i] = flow{f: f, base: base}
 	}
-	firsts = make([]int, len(flows))
 	for i, f := range flows {
-		firsts[i] = firstSeq[pair{f.Src, f.Dst}]
+		plan[i].firstSeq = firstSeq[pair{f.Src, f.Dst}]
 	}
-	return bases, firsts
+	return plan
 }
 
 // checkStreamed validates one pulled contact against the stream
 // invariants a materialized schedule would have been checked for up
 // front.
-func (e *engine) checkStreamed(c contact.Contact) error {
+func (r *run) checkStreamed(c contact.Contact) error {
 	if err := c.Validate(); err != nil {
-		return fmt.Errorf("core: streamed contact %d: %w", e.pulled, err)
+		return fmt.Errorf("core: streamed contact %d: %w", r.pulled, err)
 	}
-	if int(c.B) >= len(e.nodes) {
-		return fmt.Errorf("core: streamed contact %d: node %d out of range [0,%d)", e.pulled, c.B, len(e.nodes))
+	if int(c.B) >= len(r.nodes) {
+		return fmt.Errorf("core: streamed contact %d: node %d out of range [0,%d)", r.pulled, c.B, len(r.nodes))
 	}
-	if c.Start < e.prevStart {
+	if c.Start < r.prevStart {
 		return fmt.Errorf("core: streamed contact %d: start %v before previous start %v (stream not sorted)",
-			e.pulled, c.Start, e.prevStart)
+			r.pulled, c.Start, r.prevStart)
 	}
 	return nil
 }
 
-func (e *engine) result(end sim.Time) *Result {
+func (r *run) result(end sim.Time) *Result {
 	generated := 0
-	for _, f := range e.cfg.Flows {
+	for _, f := range r.cfg.Flows {
 		generated += f.Count
 	}
-	delivered := len(e.deliveredAt)
-	r := &Result{
-		Protocol:          e.cfg.Protocol.Name(),
+	delivered := len(r.deliveredAt)
+	res := &Result{
+		Protocol:          r.cfg.Protocol.Name(),
 		Generated:         generated,
 		Delivered:         delivered,
 		DeliveryRatio:     float64(delivered) / float64(generated),
 		Completed:         delivered == generated,
 		Makespan:          -1,
-		MeanOccupancy:     e.coll.MeanOccupancy(),
-		MeanDuplication:   e.coll.MeanDuplication(),
-		ControlRecords:    metrics.Overhead(e.nodes),
-		DataTransmissions: metrics.DataTransmissions(e.nodes),
+		MeanOccupancy:     r.coll.MeanOccupancy(),
+		MeanDuplication:   r.coll.MeanDuplication(),
+		ControlRecords:    metrics.Overhead(r.nodes),
+		DataTransmissions: metrics.DataTransmissions(r.nodes),
 		FinishedAt:        end,
-		DeliveryTimes:     e.deliveredAt,
+		DeliveryTimes:     r.deliveredAt,
 	}
-	if r.Completed {
-		r.Makespan = float64(e.lastArrival - e.firstStart)
+	if res.Completed {
+		res.Makespan = float64(r.lastArrival - r.firstStart)
 	}
 	if delivered > 0 {
-		sort.Float64s(e.delays)
-		r.MeanDelay = stats.Mean(e.delays)
-		r.DelayP50 = stats.Quantile(e.delays, 0.5)
-		r.DelayP95 = stats.Quantile(e.delays, 0.95)
+		sort.Float64s(r.delays)
+		res.MeanDelay = stats.Mean(r.delays)
+		res.DelayP50 = stats.Quantile(r.delays, 0.5)
+		res.DelayP95 = stats.Quantile(r.delays, 0.95)
 	}
-	r.FinalOccupancy = make([]float64, len(e.nodes))
-	r.FinalBuffered = make([]int, len(e.nodes))
-	for i, n := range e.nodes {
-		r.Refused += n.Refused
-		r.Evicted += n.Evicted
-		r.Expired += n.Expired
-		r.ByteDropped += n.ByteDropped
-		r.FinalOccupancy[i] = n.Store.Occupancy()
-		r.FinalBuffered[i] = n.Store.Len()
+	res.FinalOccupancy = make([]float64, len(r.nodes))
+	res.FinalBuffered = make([]int, len(r.nodes))
+	for i, n := range r.nodes {
+		res.Refused += n.Refused
+		res.Evicted += n.Evicted
+		res.Expired += n.Expired
+		res.ByteDropped += n.ByteDropped
+		res.FinalOccupancy[i] = n.Store.Occupancy()
+		res.FinalBuffered[i] = n.Store.Len()
 	}
-	return r
+	return res
 }

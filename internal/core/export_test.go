@@ -1,0 +1,6 @@
+package core
+
+// NewPool hands the external tests the in-tree goroutine pool as the
+// EpochBackend the loop would build for Shards = k, so the seam's
+// contract test can wrap it and pass it back through Config.Backend.
+func NewPool(k int) EpochBackend { return newPool(k) }

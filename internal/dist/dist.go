@@ -139,9 +139,9 @@ type Backend struct {
 	order    []int       // component indexes, largest first
 	loads    []int       // items dealt to each worker this round
 	round    frame.Round
-	fxBuf    []core.Effect
-	assigned [][]int // assigned[w] = item indexes of worker w's round
-	involved [][]int // involved[w] = sorted node IDs of worker w's round
+	assigned [][]int             // assigned[w] = item indexes of worker w's round
+	items    [][]*core.EpochItem // items[w] = the items at those indexes
+	involved [][]int             // involved[w] = sorted node IDs of worker w's round
 }
 
 // conn is one worker connection. Both directions keep their frame
@@ -205,6 +205,7 @@ func New(opt Options) (*Backend, error) {
 	b.deltaOK = make([]bool, opt.Workers)
 	b.seen = make([][]uint64, opt.Workers)
 	b.assigned = make([][]int, opt.Workers)
+	b.items = make([][]*core.EpochItem, opt.Workers)
 	b.involved = make([][]int, opt.Workers)
 	b.loads = make([]int, opt.Workers)
 	b.compOf = make(map[int]int)
@@ -422,7 +423,7 @@ func (b *Backend) runRound(ep *core.Epoch, lo, hi int) error {
 		if len(b.assigned[w]) == 0 {
 			continue
 		}
-		if err := b.sendRound(ep, w); err != nil {
+		if err := b.sendRound(w); err != nil {
 			return err
 		}
 	}
@@ -441,7 +442,7 @@ func (b *Backend) runRound(ep *core.Epoch, lo, hi int) error {
 			if err := b.revive(w, err); err != nil {
 				return err
 			}
-			if err := b.sendRound(ep, w); err != nil {
+			if err := b.sendRound(w); err != nil {
 				return err
 			}
 		}
@@ -455,16 +456,12 @@ func (b *Backend) runRound(ep *core.Epoch, lo, hi int) error {
 // involved non-pristine node the round carries either the full
 // snapshot or, when the worker already holds the current version, a
 // CacheRef — the delta path that keeps repeat encounters off the wire.
-func (b *Backend) sendRound(ep *core.Epoch, w int) error {
+func (b *Backend) sendRound(w int) error {
 	for {
-		idxs := b.assigned[w]
 		round := &b.round
 		round.Seq = b.seq
 		round.States, round.Cached = round.States[:0], round.Cached[:0]
-		round.Items = frame.Resize(round.Items, len(idxs))
-		for j, idx := range idxs {
-			round.Items[j] = itemToWire(idx, ep.Item(idx))
-		}
+		round.Idx, round.Items = b.assigned[w], b.items[w]
 		for _, id := range b.involved[w] {
 			st := b.states[id]
 			if st == nil {
@@ -515,15 +512,7 @@ func (b *Backend) collect(ep *core.Epoch, w int, idxs []int) error {
 		if ie.Idx != idxs[j] {
 			return fmt.Errorf("dist: worker %d: reply item %d, sent %d", w, ie.Idx, idxs[j])
 		}
-		b.fxBuf = b.fxBuf[:0]
-		for k := range ie.Fx {
-			fx, err := effectFromWire(&ie.Fx[k])
-			if err != nil {
-				return fmt.Errorf("dist: worker %d item %d: %w", w, ie.Idx, err)
-			}
-			b.fxBuf = append(b.fxBuf, fx)
-		}
-		ep.Item(ie.Idx).Fx.Set(b.fxBuf)
+		ep.Item(ie.Idx).Fx.Set(ie.Fx)
 	}
 	// The worker returns the updated state of exactly the nodes its
 	// items involve; anything else means the two sides disagree about
@@ -590,7 +579,7 @@ type component struct{ items []int }
 // assign spreads components across workers: components sorted by item
 // count descending (ties by first item index ascending, so the order is
 // a pure function of the window), each to the least-loaded worker (ties
-// to the lowest worker index). Fills b.assigned and b.involved.
+// to the lowest worker index). Fills b.assigned, b.items and b.involved.
 func (b *Backend) assign(ep *core.Epoch, comps []component) {
 	order := b.order[:0]
 	for i := range comps {
@@ -625,10 +614,12 @@ func (b *Backend) assign(ep *core.Epoch, comps []component) {
 		// node-disjoint, so interleaving them is harmless and sorting
 		// keeps the wire order canonical.
 		sort.Ints(idxs)
-		b.involved[w] = b.ends.involvedNodes(b.involved[w][:0], len(idxs), func(j int) (int, int) {
-			it := ep.Item(idxs[j])
-			return int(it.A), int(it.B)
-		})
+		items := b.items[w][:0]
+		for _, idx := range idxs {
+			items = append(items, ep.Item(idx))
+		}
+		b.items[w] = items
+		b.involved[w] = b.ends.involvedNodes(b.involved[w][:0], items)
 	}
 }
 
@@ -643,14 +634,13 @@ type endpointSet struct {
 
 func (e *endpointSet) reset(nodes int) { *e = endpointSet{mark: make([]uint64, nodes)} }
 
-// involvedNodes appends the distinct endpoints of n items to dst in
-// ascending order and leaves exactly those marked. ends(i) returns item
-// i's two endpoints, which must lie inside the population.
-func (e *endpointSet) involvedNodes(dst []int, n int, ends func(i int) (a, b int)) []int {
+// involvedNodes appends the distinct endpoints of items to dst in
+// ascending order and leaves exactly those marked. The endpoints must
+// lie inside the population.
+func (e *endpointSet) involvedNodes(dst []int, items []*core.EpochItem) []int {
 	e.gen++
-	for i := 0; i < n; i++ {
-		a, b := ends(i)
-		for _, id := range [2]int{a, b} {
+	for _, it := range items {
+		for _, id := range [2]int{int(it.A), int(it.B)} {
 			if e.mark[id] != e.gen {
 				e.mark[id] = e.gen
 				dst = append(dst, id)

@@ -1080,6 +1080,32 @@ func TestDistHostilePeer(t *testing.T) {
 			want: "unsolicited patch",
 		},
 		{
+			// An effect kind no kernel records: merge would skip it and
+			// the run "succeed" with the effect missing.
+			name: "effect-kind-past-enum",
+			onRecv: once(func(m *frame.Msg) bool {
+				if m.Effects == nil || len(m.Effects.Items[0].Fx) == 0 {
+					return false
+				}
+				m.Effects.Items[0].Fx[0].Kind = core.EffectStored + 1
+				return true
+			}),
+			want: frame.ErrFrame.Error(),
+		},
+		{
+			// A drop reason outside the enum has no wire code; the byte
+			// it encodes as is one the coordinator must not decode.
+			name: "drop-reason-past-enum",
+			onRecv: once(func(m *frame.Msg) bool {
+				if m.Effects == nil || len(m.Effects.Items[0].Fx) == 0 {
+					return false
+				}
+				m.Effects.Items[0].Fx[0].Reason = "martian"
+				return true
+			}),
+			want: frame.ErrFrame.Error(),
+		},
+		{
 			// Bytes that are not a frame where the Hello reply belongs:
 			// corruption like any other, surfacing from New.
 			name: "handshake-not-a-frame",

@@ -16,6 +16,10 @@
 // the only encoding; the enc byte is always 0 and any other value is
 // rejected.
 //
+// Items and effects cross as the engine's own core.EpochItem and
+// core.Effect: neither side of a connection converts between a wire form
+// and the form it executes or merges.
+//
 // Decode never panics on arbitrary bytes (FuzzDecodeFrame), and
 // encoding is a canonical function of the message: for any frame that
 // decodes, encode(decode(b)) is a byte-level fixed point after one
@@ -32,10 +36,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
+	"dtnsim/internal/core"
+	"dtnsim/internal/node"
 	"dtnsim/internal/protocol"
+	"dtnsim/internal/sim"
 )
 
 // Version is the only frame version this codec speaks. Version 2
@@ -112,29 +120,6 @@ type Init struct {
 	ControlBytes   float64
 	RecordsPerSlot int
 	Protocol       string
-}
-
-// Item is one epoch item in wire form: a generation (Gen, flow fields)
-// or a contact (contact fields). Idx is the item's index in the
-// coordinator's canonical epoch order — effects come back keyed by it.
-type Item struct {
-	Idx int
-	Gen bool
-	T   float64
-	A   int
-	B   int
-	// Contact payload (Gen=false).
-	Start     float64
-	End       float64
-	Bandwidth float64
-	// Flow payload (Gen=true).
-	FlowSrc  int
-	FlowDst  int
-	Count    int
-	StartAt  float64
-	Size     int64
-	Base     int
-	FirstSeq int
 }
 
 // Copy is one buffered bundle copy in wire form: the immutable bundle
@@ -219,30 +204,24 @@ func (st *NodeState) Patch(p *NodeState) {
 // Seq numbers rounds within a run for error reporting and as the
 // version stamp CacheRef.Ver refers to. Involved nodes in neither
 // States nor Cached are pristine: the worker constructs them fresh.
+// Items[i] is the engine's own item (its scheduling state and effect
+// buffer stay off the wire) — the coordinator points at its epoch's, a
+// decoded Round at storage the worker executes in place — and Idx[i] its
+// index in the coordinator's canonical epoch order, which effects come
+// back keyed by.
 type Round struct {
 	Seq    uint64
 	States []NodeState
 	Cached []CacheRef
-	Items  []Item
-}
-
-// Effect is one recorded side effect in wire form (core.Effect).
-type Effect struct {
-	Kind   byte
-	From   int
-	To     int
-	Src    int
-	Seq    int
-	Reason byte
-	At     float64
-	Delay  float64
+	Idx    []int
+	Items  []*core.EpochItem
 }
 
 // ItemEffects is one item's replayed effect buffer, keyed by the
 // item's coordinator-side index.
 type ItemEffects struct {
 	Idx int
-	Fx  []Effect
+	Fx  []core.Effect
 }
 
 // Effects is one worker→coordinator round reply: the updated states of
@@ -347,9 +326,10 @@ type Reader struct {
 }
 
 // storage is the decoded Round and Effects a Reader decodes into again
-// and again.
+// and again; items is what a decoded Round's Items point into.
 type storage struct {
 	round   Round
+	items   []core.EpochItem
 	effects Effects
 }
 
@@ -416,7 +396,7 @@ func decodeBody(body []byte, m *Msg, keep *storage) error {
 		m.Init = readInit(d)
 	case TRound:
 		m.Round = &keep.round
-		readRound(d, m.Round)
+		readRound(d, m.Round, keep)
 	case TEffects:
 		m.Effects = &keep.effects
 		readEffects(d, m.Effects)
@@ -467,24 +447,51 @@ func appendInit(b []byte, in *Init) []byte {
 	return appendString(b, in.Protocol)
 }
 
-func appendItem(b []byte, it *Item) []byte {
-	b = appendInt(b, int64(it.Idx))
+func appendItem(b []byte, idx int, it *core.EpochItem) []byte {
+	b = appendInt(b, int64(idx))
 	b = appendBool(b, it.Gen)
-	b = appendFloat(b, it.T)
+	b = appendFloat(b, float64(it.T))
 	b = appendInt(b, int64(it.A))
 	b = appendInt(b, int64(it.B))
 	if it.Gen {
-		b = appendInt(b, int64(it.FlowSrc))
-		b = appendInt(b, int64(it.FlowDst))
-		b = appendInt(b, int64(it.Count))
-		b = appendFloat(b, it.StartAt)
-		b = appendInt(b, it.Size)
+		b = appendInt(b, int64(it.Flow.Src))
+		b = appendInt(b, int64(it.Flow.Dst))
+		b = appendInt(b, int64(it.Flow.Count))
+		b = appendFloat(b, float64(it.Flow.StartAt))
+		b = appendInt(b, it.Flow.Size)
 		b = appendInt(b, int64(it.Base))
 		return appendInt(b, int64(it.FirstSeq))
 	}
-	b = appendFloat(b, it.Start)
-	b = appendFloat(b, it.End)
-	return appendFloat(b, it.Bandwidth)
+	b = appendFloat(b, float64(it.C.Start))
+	b = appendFloat(b, float64(it.C.End))
+	return appendFloat(b, it.C.Bandwidth)
+}
+
+// dropReasons gives a drop reason its wire code: position plus one,
+// zero for the empty reason every effect but a drop carries. A reason
+// outside the enum — node.DropReason says it is complete, so a bug —
+// takes the code past its end, which readEffect rejects.
+var dropReasons = node.DropReasons()
+
+func reasonCode(r node.DropReason) byte {
+	if r == "" {
+		return 0
+	}
+	if i := slices.Index(dropReasons, r); i >= 0 {
+		return byte(i + 1)
+	}
+	return byte(len(dropReasons) + 1)
+}
+
+func appendEffect(b []byte, fx *core.Effect) []byte {
+	b = append(b, byte(fx.Kind))
+	b = appendInt(b, int64(fx.From))
+	b = appendInt(b, int64(fx.To))
+	b = appendInt(b, int64(fx.ID.Src))
+	b = appendInt(b, int64(fx.ID.Seq))
+	b = append(b, reasonCode(fx.Reason))
+	b = appendFloat(b, float64(fx.At))
+	return appendFloat(b, fx.Delay)
 }
 
 func appendCopy(b []byte, c *Copy) []byte {
@@ -587,8 +594,8 @@ func appendRound(b []byte, r *Round) []byte {
 		b = appendUint(b, r.Cached[i].Ver)
 	}
 	b = appendUint(b, uint64(len(r.Items)))
-	for i := range r.Items {
-		b = appendItem(b, &r.Items[i])
+	for i, it := range r.Items {
+		b = appendItem(b, r.Idx[i], it)
 	}
 	return b
 }
@@ -610,15 +617,7 @@ func appendEffects(b []byte, e *Effects) []byte {
 		b = appendInt(b, int64(ie.Idx))
 		b = appendUint(b, uint64(len(ie.Fx)))
 		for j := range ie.Fx {
-			fx := &ie.Fx[j]
-			b = append(b, fx.Kind)
-			b = appendInt(b, int64(fx.From))
-			b = appendInt(b, int64(fx.To))
-			b = appendInt(b, int64(fx.Src))
-			b = appendInt(b, int64(fx.Seq))
-			b = append(b, fx.Reason)
-			b = appendFloat(b, fx.At)
-			b = appendFloat(b, fx.Delay)
+			b = appendEffect(b, &ie.Fx[j])
 		}
 	}
 	return b
@@ -677,15 +676,7 @@ func (d *dec) str() string {
 	return s
 }
 
-func (d *dec) bool() bool {
-	if d.off >= len(d.b) {
-		d.fail = true
-		return false
-	}
-	v := d.b[d.off]
-	d.off++
-	return v != 0
-}
+func (d *dec) bool() bool { return d.byte() != 0 }
 
 func (d *dec) byte() byte {
 	if d.off >= len(d.b) {
@@ -724,26 +715,54 @@ func readInit(d *dec) *Init {
 	}
 }
 
-func readItem(d *dec, it *Item) {
-	*it = Item{} // the payload sets one of the two halves; reused storage holds both
-	it.Idx = int(d.int())
+// readItem decodes one item over it, keeping only its effect buffer's
+// capacity, and returns its index. The dependency-chain fields stay zero:
+// a worker runs a round's items strictly in order.
+func readItem(d *dec, it *core.EpochItem) (idx int) {
+	fx := it.Fx
+	fx.Set(nil)
+	*it = core.EpochItem{Fx: fx} // the payload sets one of the two halves; reused storage holds both
+	idx = int(d.int())
 	it.Gen = d.bool()
-	it.T = d.float()
-	it.A = int(d.int())
-	it.B = int(d.int())
+	it.T = sim.Time(d.float())
+	it.A = contact.NodeID(d.int())
+	it.B = contact.NodeID(d.int())
 	if it.Gen {
-		it.FlowSrc = int(d.int())
-		it.FlowDst = int(d.int())
-		it.Count = int(d.int())
-		it.StartAt = d.float()
-		it.Size = d.int()
+		it.Flow.Src = contact.NodeID(d.int())
+		it.Flow.Dst = contact.NodeID(d.int())
+		it.Flow.Count = int(d.int())
+		it.Flow.StartAt = sim.Time(d.float())
+		it.Flow.Size = d.int()
 		it.Base = int(d.int())
 		it.FirstSeq = int(d.int())
+		return idx
+	}
+	it.C.A, it.C.B = it.A, it.B
+	it.C.Start = sim.Time(d.float())
+	it.C.End = sim.Time(d.float())
+	it.C.Bandwidth = d.float()
+	return idx
+}
+
+// readEffect decodes one effect, rejecting a kind or a drop-reason code
+// outside their enums: merge would skip the one and observers misreport
+// the other, and either way the run would "succeed" on corrupt bytes.
+func readEffect(d *dec, fx *core.Effect) {
+	kind := d.byte()
+	fx.From = contact.NodeID(d.int())
+	fx.To = contact.NodeID(d.int())
+	fx.ID = bundle.ID{Src: contact.NodeID(d.int()), Seq: int(d.int())}
+	code := int(d.byte())
+	fx.At = sim.Time(d.float())
+	fx.Delay = d.float()
+	if kind > byte(core.EffectStored) || code > len(dropReasons) {
+		d.fail = true
 		return
 	}
-	it.Start = d.float()
-	it.End = d.float()
-	it.Bandwidth = d.float()
+	fx.Kind, fx.Reason = core.EffectKind(kind), ""
+	if code > 0 {
+		fx.Reason = dropReasons[code-1]
+	}
 }
 
 func readCopy(d *dec, c *Copy) {
@@ -836,7 +855,7 @@ func readNodeState(d *dec, st *NodeState) {
 	}
 }
 
-func readRound(d *dec, r *Round) {
+func readRound(d *dec, r *Round, keep *storage) {
 	r.Seq = d.uint()
 	r.States = Resize(r.States, d.count())
 	for i := range r.States {
@@ -846,9 +865,12 @@ func readRound(d *dec, r *Round) {
 	for i := range r.Cached {
 		r.Cached[i] = CacheRef{ID: int(d.int()), Ver: d.uint()}
 	}
-	r.Items = Resize(r.Items, d.count())
-	for i := range r.Items {
-		readItem(d, &r.Items[i])
+	n := d.count()
+	keep.items = Resize(keep.items, n)
+	r.Idx, r.Items = Resize(r.Idx, n), Resize(r.Items, n)
+	for i := range keep.items {
+		r.Items[i] = &keep.items[i]
+		r.Idx[i] = readItem(d, r.Items[i])
 	}
 }
 
@@ -868,15 +890,7 @@ func readEffects(d *dec, e *Effects) {
 		ie.Idx = int(d.int())
 		ie.Fx = Resize(ie.Fx, d.count())
 		for j := range ie.Fx {
-			fx := &ie.Fx[j]
-			fx.Kind = d.byte()
-			fx.From = int(d.int())
-			fx.To = int(d.int())
-			fx.Src = int(d.int())
-			fx.Seq = int(d.int())
-			fx.Reason = d.byte()
-			fx.At = d.float()
-			fx.Delay = d.float()
+			readEffect(d, &ie.Fx[j])
 		}
 	}
 }

@@ -10,7 +10,11 @@ import (
 	"testing"
 
 	"dtnsim/internal/bundle"
+	"dtnsim/internal/contact"
+	"dtnsim/internal/core"
+	"dtnsim/internal/node"
 	"dtnsim/internal/protocol"
+	"dtnsim/internal/sim"
 )
 
 // sampleMsgs covers every frame type with every field populated,
@@ -49,15 +53,16 @@ func sampleMsgs() []*Msg {
 						IDs: []bundle.ID{{Src: 1, Seq: 2}, {Src: 3, Seq: 4}}}},
 			},
 			Cached: []CacheRef{{ID: 5, Ver: 3}, {ID: 11, Ver: 6}},
-			Items: []Item{
-				{Idx: 0, Gen: true, T: 100, A: 5, B: 5, FlowSrc: 5, FlowDst: 11,
-					Count: 30, StartAt: 100, Size: 512, Base: 0, FirstSeq: 0},
-				{Idx: 1, T: 250.5, A: 5, B: 11, Start: 250.5, End: 900, Bandwidth: 2.5e4},
+			Idx:    []int{0, 1},
+			Items: []*core.EpochItem{
+				{Gen: true, T: 100, A: 5, B: 5, Base: 0, FirstSeq: 0,
+					Flow: core.Flow{Src: 5, Dst: 11, Count: 30, StartAt: 100, Size: 512}},
+				{T: 250.5, A: 5, B: 11, C: contact.Contact{A: 5, B: 11, Start: 250.5, End: 900, Bandwidth: 2.5e4}},
 			},
 		}},
 		{Round: &Round{Seq: 0}},
 		{Round: &Round{Seq: 12, Cached: []CacheRef{{ID: 0, Ver: 11}},
-			Items: []Item{{Idx: 9, T: 1, A: 0, B: 0, Start: 1, End: 2}}}},
+			Idx: []int{9}, Items: []*core.EpochItem{{T: 1, A: 0, B: 0, C: contact.Contact{Start: 1, End: 2}}}}},
 		{Hello: &Hello{Version: Version, Caps: CapDelta}},
 		{Hello: &Hello{Version: 1}},
 		{Effects: &Effects{
@@ -66,12 +71,12 @@ func sampleMsgs() []*Msg {
 				{ID: 5, DataSent: 2, LastEncounterStart: 250.5, LastInterval: 50},
 			},
 			Items: []ItemEffects{
-				{Idx: 0, Fx: []Effect{
-					{Kind: 0, From: 5, Src: 5, Seq: 0, At: 100},
-					{Kind: 1, From: 5, To: 11, Src: 5, Seq: 0, At: 250.5},
-					{Kind: 2, To: 11, Src: 5, Seq: 0, At: 250.5, Delay: 150.5},
-					{Kind: 3, From: 11, Src: 5, Seq: 0, Reason: 2, At: 260},
-					{Kind: 4, From: 11, Src: 5, Seq: 0, At: 250.5},
+				{Idx: 0, Fx: []core.Effect{
+					{Kind: core.EffectGenerate, From: 5, ID: bundle.ID{Src: 5, Seq: 0}, At: 100},
+					{Kind: core.EffectTransmit, From: 5, To: 11, ID: bundle.ID{Src: 5, Seq: 0}, At: 250.5},
+					{Kind: core.EffectDeliver, To: 11, ID: bundle.ID{Src: 5, Seq: 0}, At: 250.5, Delay: 150.5},
+					{Kind: core.EffectDrop, From: 11, ID: bundle.ID{Src: 5, Seq: 0}, Reason: node.DropEvicted, At: 260},
+					{Kind: core.EffectStored, From: 11, ID: bundle.ID{Src: 5, Seq: 0}, At: 250.5},
 				}},
 				{Idx: 1},
 			},
@@ -79,8 +84,8 @@ func sampleMsgs() []*Msg {
 		{Err: &ErrorMsg{Msg: "worker: protocol \"martian\" unknown"}},
 		{Init: &Init{Seed: 2012, Nodes: 48, TxTime: 100,
 			RecordsPerSlot: 10, Protocol: "cum"}},
-		{Round: &Round{Seq: 3, Items: []Item{
-			{Idx: 0, T: 12.5, A: 1, B: 2, Start: 12.5, End: 80, Bandwidth: 1e18}}}},
+		{Round: &Round{Seq: 3, Idx: []int{0}, Items: []*core.EpochItem{
+			{T: 12.5, A: 1, B: 2, C: contact.Contact{A: 1, B: 2, Start: 12.5, End: 80, Bandwidth: 1e18}}}}},
 		{Effects: &Effects{Seq: 3}},
 		{Err: &ErrorMsg{Msg: "boom"}},
 		// Patches: every combination of omitted sections, carried ones
@@ -101,7 +106,8 @@ func sampleMsgs() []*Msg {
 					Rcvd: []protocol.FlowSeqs{{Src: 2, Dst: 6, Seqs: []int{1}}}}},
 				{ID: 7, Omit: OmitReceived},
 			},
-			Items: []ItemEffects{{Idx: 4, Fx: []Effect{{Kind: 1, From: 2, To: 3, Src: 2, Seq: 1, At: 301}}}},
+			Items: []ItemEffects{{Idx: 4, Fx: []core.Effect{
+				{Kind: core.EffectTransmit, From: 2, To: 3, ID: bundle.ID{Src: 2, Seq: 1}, At: 301}}}},
 		}},
 	}
 }
@@ -232,6 +238,22 @@ func TestPatch(t *testing.T) {
 	}
 }
 
+// hostileEffects returns two well-framed replies no kernel could have
+// recorded: an effect kind past the enum, and a drop reason with no wire
+// code (which encodes as the code past the enum's end).
+func hostileEffects(t testing.TB) (kind, reason []byte) {
+	t.Helper()
+	reply := func(fx core.Effect) []byte {
+		b, err := Encode(&Msg{Effects: &Effects{Seq: 8, Items: []ItemEffects{{Idx: 4, Fx: []core.Effect{fx}}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return reply(core.Effect{Kind: core.EffectStored + 1, ID: bundle.ID{Src: 2, Seq: 1}, At: 301}),
+		reply(core.Effect{Kind: core.EffectDrop, From: 3, ID: bundle.ID{Src: 2, Seq: 1}, Reason: "martian", At: 301})
+}
+
 // TestDecodeRejects pins the malformed-input error paths.
 func TestDecodeRejects(t *testing.T) {
 	good, err := Encode(&Msg{Err: &ErrorMsg{Msg: "x"}})
@@ -254,7 +276,10 @@ func TestDecodeRejects(t *testing.T) {
 		{"trailing-bytes", append(append([]byte{}, good...), 0)[4:]},
 		{"bad-enc-with-payload", []byte{5, 0, 0, 0, Version, TError, 1, '{', '}'}},
 		{"unknown-section-bits", nil},
+		{"effect-kind-past-enum", nil},
+		{"drop-reason-past-enum", nil},
 	}
+	cases[12].b, cases[13].b = hostileEffects(t)
 	unknown, err := Encode(&Msg{Effects: &Effects{States: []NodeState{{ID: 1, Omit: omitAll + 1}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +301,8 @@ func TestDecodeRejects(t *testing.T) {
 func TestBinaryFloatExactness(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1e18, -1e18, 0.1, 1.0 / 3.0, math.MaxFloat64}
 	for _, v := range vals {
-		m := &Msg{Round: &Round{Items: []Item{{T: v, Start: v, End: v, Bandwidth: v}}}}
+		m := &Msg{Round: &Round{Idx: []int{0}, Items: []*core.EpochItem{
+			{T: sim.Time(v), C: contact.Contact{Start: sim.Time(v), End: sim.Time(v), Bandwidth: v}}}}}
 		b, err := Encode(m)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +312,7 @@ func TestBinaryFloatExactness(t *testing.T) {
 			t.Fatal(err)
 		}
 		it := got.Round.Items[0]
-		for _, f := range []float64{it.T, it.Start, it.End, it.Bandwidth} {
+		for _, f := range []float64{float64(it.T), float64(it.C.Start), float64(it.C.End), it.C.Bandwidth} {
 			if math.Float64bits(f) != math.Float64bits(v) {
 				t.Errorf("float %g: bits changed to %g", v, f)
 			}
@@ -313,6 +339,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, Version, TError, encBinary})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{5, 0, 0, 0, Version, TError, 1, '{', '}'})
+	kind, reason := hostileEffects(f)
+	f.Add(kind)
+	f.Add(reason)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := Decode(b)
 		if err != nil {

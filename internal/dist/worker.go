@@ -113,7 +113,6 @@ type workerState struct {
 
 	ends     endpointSet
 	involved []int
-	items    []core.EpochItem
 	eff      frame.Effects
 	fail     string
 }
@@ -160,14 +159,12 @@ func (s *workerState) round(r *frame.Round) error {
 	if s.kern == nil {
 		return fmt.Errorf("dist: round %d before init", r.Seq)
 	}
-	for i := range r.Items {
-		if w := &r.Items[i]; w.A < 0 || w.A >= len(s.nodes) || w.B < 0 || w.B >= len(s.nodes) {
-			return fmt.Errorf("dist: round %d: item endpoints %d, %d outside population", r.Seq, w.A, w.B)
+	for _, it := range r.Items {
+		if it.A < 0 || int(it.A) >= len(s.nodes) || it.B < 0 || int(it.B) >= len(s.nodes) {
+			return fmt.Errorf("dist: round %d: item endpoints %d, %d outside population", r.Seq, it.A, it.B)
 		}
 	}
-	s.involved = s.ends.involvedNodes(s.involved[:0], len(r.Items), func(i int) (int, int) {
-		return r.Items[i].A, r.Items[i].B
-	})
+	s.involved = s.ends.involvedNodes(s.involved[:0], r.Items)
 	// Materialize the shipped states first, resolve cache references
 	// against the live nodes; the involved nodes the round carried
 	// neither for are still marked afterwards, and pristine.
@@ -203,26 +200,14 @@ func (s *workerState) round(r *frame.Round) error {
 	}
 
 	// Execute in wire order — the coordinator sends each worker's items
-	// in ascending epoch order, so per-node program order is preserved.
-	s.items = frame.Resize(s.items, len(r.Items))
+	// in ascending epoch order, so per-node program order is preserved —
+	// where the frame was decoded; the reply's effects are the items' own
+	// buffers, which live until the next frame is read.
 	s.eff.Seq = r.Seq
 	s.eff.Items = frame.Resize(s.eff.Items, len(r.Items))
-	for i := range r.Items {
-		w := &r.Items[i]
-		s.items[i] = itemFromWire(w)
-		it := &s.items[i]
+	for i, it := range r.Items {
 		s.kern.Exec(it)
-		ie := &s.eff.Items[i]
-		ie.Idx = w.Idx
-		ie.Fx = ie.Fx[:0]
-		fxs := it.Fx.Effects()
-		for j := range fxs {
-			wfx, err := effectToWire(&fxs[j])
-			if err != nil {
-				return err
-			}
-			ie.Fx = append(ie.Fx, wfx)
-		}
+		s.eff.Items[i] = frame.ItemEffects{Idx: r.Idx[i], Fx: it.Fx.Effects()}
 	}
 
 	// Ship back the involved nodes' updated states, sorted by ID — the

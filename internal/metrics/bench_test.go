@@ -64,7 +64,10 @@ func BenchmarkSnapshot(b *testing.B) {
 // BenchmarkSnapshotIncremental times the engine's sampling path: the
 // same observation computed from incrementally maintained holder
 // counts. Its speedup over BenchmarkSnapshot is what cmd/benchguard
-// tracks against BENCH_hotpath.json.
+// tracks against BENCH_hotpath.json (pair "snapshot", default 20%
+// tolerance): the committed 800x is a conservative floor, about half the
+// measured ratio, so hardware variance cannot flake the gate while a
+// reintroduced per-bundle store scan collapses it. Also in 'zero_alloc'.
 func BenchmarkSnapshotIncremental(b *testing.B) {
 	nodes, tracked := benchPopulation(b, 100, 400)
 	tr := NewHolderTracker()
