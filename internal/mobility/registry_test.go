@@ -1,13 +1,36 @@
 package mobility
 
 import (
-	"dtnsim/internal/contact"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dtnsim/internal/contact"
+	"dtnsim/internal/spec/spectest"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/specs.golden from its own inputs")
+
+// TestSpecGolden pins what Parse makes of every spelling in the frozen
+// corpus: the canonical Spec, Kind and PerRun, or a rejection.
+// Fixed-point fuzzing cannot see a spelling that moved to a different
+// fixed point.
+func TestSpecGolden(t *testing.T) {
+	spectest.Golden(t, "testdata/specs.golden", *update, func(in string) string {
+		src, err := Parse(in)
+		if err != nil {
+			if !errors.Is(err, ErrSpec) {
+				t.Errorf("Parse(%q): non-ErrSpec error %v", in, err)
+			}
+			return "ERR"
+		}
+		return fmt.Sprintf("%q\t%s\t%v", src.Spec, src.Kind, src.PerRun)
+	})
+}
 
 func TestMobilitySpecsRoundTrip(t *testing.T) {
 	specs := append(BuiltinSpecs(),

@@ -2,9 +2,31 @@ package protocol
 
 import (
 	"errors"
+	"flag"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dtnsim/internal/spec/spectest"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/specs.golden from its own inputs")
+
+// TestSpecGolden pins what Parse makes of every spelling in the frozen
+// corpus: the canonical Spec and Label, or a rejection. Fixed-point
+// fuzzing cannot see a spelling that moved to a different fixed point.
+func TestSpecGolden(t *testing.T) {
+	spectest.Golden(t, "testdata/specs.golden", *update, func(in string) string {
+		f, err := Parse(in)
+		if err != nil {
+			if !errors.Is(err, ErrSpec) {
+				t.Errorf("Parse(%q): non-ErrSpec error %v", in, err)
+			}
+			return "ERR"
+		}
+		return fmt.Sprintf("%q\t%q", f.Spec, f.Label)
+	})
+}
 
 // TestBuiltinSpecsRoundTrip: parse → Spec → parse must be a fixed
 // point for every built-in spec and for spelled-out variants.
