@@ -31,14 +31,11 @@ import (
 // spelling; distinct under any semantic field change. The scenario is
 // validated first, so a key is only ever issued for a runnable spec.
 func (s Scenario) CanonicalKey() (string, error) {
-	if err := s.Check(); err != nil {
-		return "", err
-	}
-	norm, err := s.Normalize()
+	src, fac, err := s.checked()
 	if err != nil {
 		return "", err
 	}
-	return hashJSON(norm)
+	return hashJSON(s.respelled(src, fac))
 }
 
 // Normalize returns the sweep in canonical form: the form SweepSpecOf

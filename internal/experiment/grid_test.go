@@ -10,12 +10,13 @@ import (
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/mobility"
+	"dtnsim/internal/spec"
 )
 
 // seedProbe is a mobility stream that records the seed of every call.
-// It is also registered as the "seedprobe" mobility kind (arg "perrun"
-// or "fixed") so RunScale, which resolves mobility from a spec per
-// run, can be driven through it.
+// It is also registered as the "seedprobe" mobility kind (flag
+// "perrun") so RunScale, which resolves mobility from a spec per run,
+// can be driven through it.
 var seedProbe struct {
 	sync.Mutex
 	seeds []uint64
@@ -33,9 +34,10 @@ func seedProbeStream(seed uint64) (contact.Source, error) {
 }
 
 func init() {
-	mobility.Default.Register("seedprobe", "seedprobe:perrun|fixed — test-only seed recorder",
-		func(args string) (mobility.Source, error) {
-			return mobility.Source{Spec: "seedprobe:" + args, PerRun: args == "perrun", Stream: seedProbeStream}, nil
+	mobility.Default.Register("seedprobe", "test-only seed recorder",
+		spec.Table{{Name: "perrun", Type: spec.Flag}},
+		func(canonical string, v spec.Values) mobility.Source {
+			return mobility.Source{Spec: canonical, Kind: "seedprobe", PerRun: v.Flag("perrun"), Stream: seedProbeStream}
 		})
 }
 
@@ -66,12 +68,12 @@ func TestSweepSeedingRule(t *testing.T) {
 			return err
 		}},
 		{"scale", []int{4, 8}, func(perRun bool, workers int) error {
-			spec := "seedprobe:fixed"
+			mob := "seedprobe"
 			if perRun {
-				spec = "seedprobe:perrun"
+				mob = "seedprobe:perrun"
 			}
 			_, err := RunScale(ScaleSweep{
-				Mobility:  func(int) string { return spec },
+				Mobility:  func(int) string { return mob },
 				Protocols: protos, Nodes: []int{4, 8}, Runs: runs, BaseSeed: base, Workers: workers,
 			})
 			return err

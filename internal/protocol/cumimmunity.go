@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"sort"
-
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/node"
@@ -18,6 +16,7 @@ import (
 // keeps at most one table per flow ("a node removes any immunity tables
 // that are redundant").
 type CumulativeImmunity struct {
+	base
 	// RecordSlotFraction prices one stored cumulative table in bundle
 	// slots, matching Immunity's record sizing.
 	RecordSlotFraction float64
@@ -58,11 +57,6 @@ func (*CumulativeImmunity) Name() string { return "Epidemic with cumulative immu
 // Init implements Protocol.
 func (*CumulativeImmunity) Init(n *node.Node) {
 	n.Ext = &cumState{acks: make(map[Flow]int), rcvd: make(map[Flow]map[int]bool), base: make(map[Flow]int)}
-}
-
-// OnGenerate implements Protocol.
-func (*CumulativeImmunity) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.Expiry = sim.Infinity
 }
 
 func (ci *CumulativeImmunity) refreshControlLoad(n *node.Node) {
@@ -116,17 +110,7 @@ func purgeReceivedByPeer(n, peer *node.Node, now sim.Time) {
 
 func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) {
 	fs, ts := cumOf(from), cumOf(to)
-	flows := make([]Flow, 0, len(fs.acks))
-	for f := range fs.acks {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
-	for _, f := range flows {
+	for _, f := range sortedFlows(fs.acks) {
 		if budget <= 0 {
 			return
 		}
@@ -152,18 +136,6 @@ func (*CumulativeImmunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *s
 		out = append(out, id)
 	}
 	return out
-}
-
-// OnTransmit implements Protocol.
-func (*CumulativeImmunity) OnTransmit(_, _ *node.Node, _, _ *bundle.Copy, _ sim.Time) {}
-
-// Admit implements Protocol: drop-tail, as in plain immunity.
-func (*CumulativeImmunity) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() <= 0 {
-		receiver.NoteRefused(incoming.Bundle.ID, now)
-		return false
-	}
-	return true
 }
 
 // OnDelivered implements Protocol: the destination records the arrival,

@@ -13,6 +13,7 @@ import (
 // buffer space faster. A node with no interval history yet stores the
 // copy without a deadline.
 type DynamicTTL struct {
+	base
 	// Multiplier scales the last inter-encounter interval; the paper
 	// uses 2.0 ("a bundle's TTL value is set to double the interval
 	// time between the last two encounters").
@@ -24,22 +25,6 @@ func NewDynamicTTL() *DynamicTTL { return &DynamicTTL{Multiplier: 2.0} }
 
 // Name implements Protocol.
 func (*DynamicTTL) Name() string { return "Epidemic with dynamic TTL" }
-
-// Init implements Protocol.
-func (*DynamicTTL) Init(*node.Node) {}
-
-// OnGenerate implements Protocol: source copies are pinned; no deadline.
-func (*DynamicTTL) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.Expiry = sim.Infinity
-}
-
-// Exchange implements Protocol.
-func (*DynamicTTL) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
-
-// Wants implements Protocol.
-func (*DynamicTTL) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
-	return missing(sender, receiver, rng)
-}
 
 // expiry computes Algorithm 1's deadline for a copy stored at n at time
 // now.
@@ -62,15 +47,3 @@ func (d *DynamicTTL) OnTransmit(sender, receiver *node.Node, sent, rcpt *bundle.
 		sender.Store.NoteExpiry(sent)
 	}
 }
-
-// Admit implements Protocol: drop-tail.
-func (*DynamicTTL) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() <= 0 {
-		receiver.NoteRefused(incoming.Bundle.ID, now)
-		return false
-	}
-	return true
-}
-
-// OnDelivered implements Protocol.
-func (*DynamicTTL) OnDelivered(_, _ *node.Node, _ bundle.ID, _ sim.Time) {}

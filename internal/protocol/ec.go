@@ -13,7 +13,7 @@ import (
 // bundle by evicting the stored copy with the highest EC: a high count
 // means many duplicates exist elsewhere, so the copy "can be safely
 // overwritten" (§II-B).
-type EC struct{}
+type EC struct{ base }
 
 // NewEC returns epidemic-with-encounter-count.
 func NewEC() *EC { return &EC{} }
@@ -21,26 +21,14 @@ func NewEC() *EC { return &EC{} }
 // Name implements Protocol.
 func (*EC) Name() string { return "Epidemic with EC" }
 
-// Init implements Protocol.
-func (*EC) Init(*node.Node) {}
-
-// OnGenerate implements Protocol: fresh bundles start at EC 0.
-func (*EC) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.EC = 0
-	cp.Expiry = sim.Infinity
-}
-
-// Exchange implements Protocol.
-func (*EC) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
-
-// Wants implements Protocol.
-func (*EC) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
-	return missing(sender, receiver, rng)
-}
-
-// OnTransmit implements Protocol: increment the sender's counter; the
-// receiver inherits the incremented value.
+// OnTransmit implements Protocol.
 func (*EC) OnTransmit(_, _ *node.Node, sent, rcpt *bundle.Copy, _ sim.Time) {
+	countEncounter(sent, rcpt)
+}
+
+// countEncounter increments the sender's counter; the receiver inherits
+// the incremented value. Fresh copies start at the zero EC.
+func countEncounter(sent, rcpt *bundle.Copy) {
 	sent.EC++
 	rcpt.EC = sent.EC
 }
@@ -83,15 +71,15 @@ func better(a, b *bundle.Copy) bool {
 // evicting the highest-EC copy ("undelivered bundles have higher
 // priority even though they have a higher EC value").
 func (*EC) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() > 0 {
-		return true
-	}
-	if evictHighestEC(receiver, 0, now) {
+	return admitByEC(receiver, incoming, 0, now)
+}
+
+// admitByEC admits into free space, else into the slot of the
+// highest-EC copy counted at least minEC times, else refuses.
+func admitByEC(receiver *node.Node, incoming *bundle.Copy, minEC int, now sim.Time) bool {
+	if receiver.Store.Free() > 0 || evictHighestEC(receiver, minEC, now) {
 		return true
 	}
 	receiver.NoteRefused(incoming.Bundle.ID, now)
 	return false
 }
-
-// OnDelivered implements Protocol: EC has no feedback channel.
-func (*EC) OnDelivered(_, _ *node.Node, _ bundle.ID, _ sim.Time) {}

@@ -19,6 +19,7 @@ import (
 //     duplicated bundles drain out of buffers instead of lingering until
 //     pressure forces eviction.
 type ECTTL struct {
+	base
 	// MinEC is the minimum encounter count before a copy becomes
 	// evictable under buffer pressure.
 	MinEC int
@@ -38,23 +39,6 @@ func NewECTTL() *ECTTL {
 // Name implements Protocol.
 func (*ECTTL) Name() string { return "Epidemic with EC+TTL" }
 
-// Init implements Protocol.
-func (*ECTTL) Init(*node.Node) {}
-
-// OnGenerate implements Protocol.
-func (*ECTTL) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.EC = 0
-	cp.Expiry = sim.Infinity
-}
-
-// Exchange implements Protocol.
-func (*ECTTL) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
-
-// Wants implements Protocol.
-func (*ECTTL) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
-	return missing(sender, receiver, rng)
-}
-
 // deadline applies Algorithm 2 to a copy: below the threshold copies
 // live indefinitely; above it the remaining TTL shrinks by TTLStep per
 // extra transmission.
@@ -69,13 +53,12 @@ func (e *ECTTL) deadline(cp *bundle.Copy, now sim.Time) sim.Time {
 	return now + sim.Time(ttl)
 }
 
-// OnTransmit implements Protocol: EC bookkeeping as in EC, then the
+// OnTransmit implements Protocol: EC's bookkeeping, then the
 // Algorithm 2 ageing rule on both copies. Ageing only ever shortens a
 // deadline, so the sender's store must be told about the in-place
 // change (the receiver's copy is observed by Put).
 func (e *ECTTL) OnTransmit(sender, _ *node.Node, sent, rcpt *bundle.Copy, now sim.Time) {
-	sent.EC++
-	rcpt.EC = sent.EC
+	countEncounter(sent, rcpt)
 	rcpt.Expiry = e.deadline(rcpt, now)
 	if !sent.Pinned {
 		sent.Expiry = e.deadline(sent, now)
@@ -83,18 +66,8 @@ func (e *ECTTL) OnTransmit(sender, _ *node.Node, sent, rcpt *bundle.Copy, now si
 	}
 }
 
-// Admit implements Protocol: evict the highest-EC copy, but only among
-// copies that have been transmitted at least MinEC times.
+// Admit implements Protocol: EC's eviction, but only among copies that
+// have been transmitted at least MinEC times.
 func (e *ECTTL) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() > 0 {
-		return true
-	}
-	if evictHighestEC(receiver, e.MinEC, now) {
-		return true
-	}
-	receiver.NoteRefused(incoming.Bundle.ID, now)
-	return false
+	return admitByEC(receiver, incoming, e.MinEC, now)
 }
-
-// OnDelivered implements Protocol.
-func (*ECTTL) OnDelivered(_, _ *node.Node, _ bundle.ID, _ sim.Time) {}

@@ -21,7 +21,11 @@ import (
 //   - Stored records consume buffer space (RecordSlotFraction of a slot
 //     each): "nodes' buffer occupancy is dependent on immunity tables
 //     stored in each node".
+//
+// Buffers are relieved by purging, not eviction: a full relay refuses,
+// as in pure epidemic.
 type Immunity struct {
+	base
 	// RecordSlotFraction is the buffer cost of one stored immunity
 	// record, in bundle slots. The default of five records per bundle
 	// slot is calibrated to the paper's observed table cost: its
@@ -50,11 +54,6 @@ func (*Immunity) Init(n *node.Node) {
 
 func ilistOf(n *node.Node) *bundle.SummaryVector {
 	return n.Ext.(*immunityState).ilist
-}
-
-// OnGenerate implements Protocol.
-func (*Immunity) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.Expiry = sim.Infinity
 }
 
 // refreshControlLoad re-prices the node's stored records.
@@ -119,19 +118,6 @@ func (*Immunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []
 		out = append(out, id)
 	}
 	return out
-}
-
-// OnTransmit implements Protocol.
-func (*Immunity) OnTransmit(_, _ *node.Node, _, _ *bundle.Copy, _ sim.Time) {}
-
-// Admit implements Protocol: immunity relies on purging, not eviction —
-// a full relay refuses.
-func (*Immunity) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() <= 0 {
-		receiver.NoteRefused(incoming.Bundle.ID, now)
-		return false
-	}
-	return true
 }
 
 // OnDelivered implements Protocol: the destination generates the record;

@@ -19,12 +19,10 @@ import (
 // Fig. 11). AntiPackets restores the §II behaviour; it defaults to off
 // to match the evaluated variant (DESIGN.md §3.6).
 type PQ struct {
+	base
 	P, Q float64
 	// AntiPackets enables the §II immunity-style purge channel.
 	AntiPackets bool
-	// RecordSlotFraction is the buffer cost of one stored anti-packet in
-	// bundle slots, used only when AntiPackets is set.
-	RecordSlotFraction float64
 
 	imm *Immunity // backing implementation when AntiPackets is set
 }
@@ -42,9 +40,6 @@ func NewPQ(p, q float64) *PQ {
 func (p *PQ) WithAntiPackets() *PQ {
 	p.AntiPackets = true
 	p.imm = NewImmunity()
-	if p.RecordSlotFraction != 0 {
-		p.imm.RecordSlotFraction = p.RecordSlotFraction
-	}
 	return p
 }
 
@@ -56,16 +51,11 @@ func (p *PQ) Name() string {
 	return fmt.Sprintf("P-Q epidemic (P=%g,Q=%g)", p.P, p.Q)
 }
 
-// Init implements Protocol.
+// Init implements Protocol: the anti-packet channel keeps an i-list.
 func (p *PQ) Init(n *node.Node) {
 	if p.AntiPackets {
 		p.imm.Init(n)
 	}
-}
-
-// OnGenerate implements Protocol.
-func (*PQ) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.Expiry = sim.Infinity
 }
 
 // Exchange implements Protocol: without anti-packets the control session
@@ -92,18 +82,6 @@ func (p *PQ) Wants(sender, receiver *node.Node, now sim.Time, rng *sim.RNG) []bu
 		}
 	}
 	return out
-}
-
-// OnTransmit implements Protocol.
-func (*PQ) OnTransmit(_, _ *node.Node, _, _ *bundle.Copy, _ sim.Time) {}
-
-// Admit implements Protocol: drop-tail, as in pure epidemic.
-func (*PQ) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() <= 0 {
-		receiver.NoteRefused(incoming.Bundle.ID, now)
-		return false
-	}
-	return true
 }
 
 // OnDelivered implements Protocol.

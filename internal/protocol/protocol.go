@@ -10,6 +10,14 @@
 //	EC+TTL                 (paper Algorithm 2)      ecttl.go
 //	Cumulative immunity    (paper §III)             cumimmunity.go
 //
+// The paper's thesis is that these are one protocol with different
+// answers to a few questions, and the files say so: pure.go's base
+// answers every hook as pure epidemic does, every variant embeds it,
+// and each file above declares only the hooks its variant answers
+// differently (DESIGN.md §3.7 is the variant × hook matrix). Spec
+// grammars are not listed here: Default.Specs() generates them from the
+// parameter tables in registry.go.
+//
 // Protocols are pure policy: the engine (internal/core) owns time, links
 // and budgets, and calls the hooks below at well-defined points of each
 // contact. All hooks are single-goroutine.

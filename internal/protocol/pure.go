@@ -6,41 +6,34 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// Pure is Vahdat & Becker's epidemic routing: on every encounter, nodes
-// exchange summary vectors and transmit every bundle the peer is missing.
-// There is no discard policy — a full relay simply refuses new bundles —
-// so buffer occupancy only ever grows (§II-A).
-type Pure struct{}
+// base is pure epidemic's answer to every Protocol hook except Name.
+// Each variant embeds it and declares only the hooks it answers
+// differently, so a protocol's file is its delta from pure epidemic
+// (DESIGN.md §3.7 tabulates the deltas). Name is deliberately missing:
+// a variant that forgets its legend label does not compile.
+type base struct{}
 
-// NewPure returns the pure epidemic protocol.
-func NewPure() *Pure { return &Pure{} }
+// Init: no per-node state beyond the store itself.
+func (base) Init(*node.Node) {}
 
-// Name implements Protocol.
-func (*Pure) Name() string { return "Pure epidemic" }
-
-// Init implements Protocol; pure epidemic keeps no per-node state beyond
-// the store itself.
-func (*Pure) Init(*node.Node) {}
-
-// OnGenerate implements Protocol: no TTL, no EC.
-func (*Pure) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
+// OnGenerate: no TTL; the counter starts at the Copy's zero EC.
+func (base) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
 	cp.Expiry = sim.Infinity
 }
 
-// Exchange implements Protocol: the summary-vector session carries no
-// extra control records.
-func (*Pure) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
+// Exchange: the summary-vector session carries no extra control records.
+func (base) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
 
-// Wants implements Protocol: everything the receiver is missing.
-func (*Pure) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
+// Wants: everything the receiver is missing.
+func (base) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
 	return missing(sender, receiver, rng)
 }
 
-// OnTransmit implements Protocol: copies carry no mutable state.
-func (*Pure) OnTransmit(_, _ *node.Node, _, _ *bundle.Copy, _ sim.Time) {}
+// OnTransmit: copies carry no mutable state.
+func (base) OnTransmit(_, _ *node.Node, _, _ *bundle.Copy, _ sim.Time) {}
 
-// Admit implements Protocol: drop-tail — refuse when full.
-func (*Pure) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
+// Admit: drop-tail — refuse when full.
+func (base) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
 	if receiver.Store.Free() <= 0 {
 		receiver.NoteRefused(incoming.Bundle.ID, now)
 		return false
@@ -48,5 +41,17 @@ func (*Pure) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) boo
 	return true
 }
 
-// OnDelivered implements Protocol: pure epidemic has no feedback channel.
-func (*Pure) OnDelivered(_, _ *node.Node, _ bundle.ID, _ sim.Time) {}
+// OnDelivered: no feedback channel.
+func (base) OnDelivered(_, _ *node.Node, _ bundle.ID, _ sim.Time) {}
+
+// Pure is Vahdat & Becker's epidemic routing: on every encounter, nodes
+// exchange summary vectors and transmit every bundle the peer is missing.
+// There is no discard policy — a full relay simply refuses new bundles —
+// so buffer occupancy only ever grows (§II-A).
+type Pure struct{ base }
+
+// NewPure returns the pure epidemic protocol.
+func NewPure() *Pure { return &Pure{} }
+
+// Name implements Protocol.
+func (*Pure) Name() string { return "Pure epidemic" }

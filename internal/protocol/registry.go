@@ -2,9 +2,6 @@ package protocol
 
 import (
 	"errors"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"dtnsim/internal/spec"
 )
@@ -20,112 +17,27 @@ type Factory struct {
 	// Spec is the canonical spec string: Parse(Spec) yields a factory
 	// with this same Spec, so specs round-trip.
 	Spec string
-	// Label is the display name used in figure legends; it defaults to
-	// the protocol's Name().
+	// Label is the display name used in figure legends: the protocol's
+	// Name().
 	Label string
 	// New constructs a fresh protocol instance.
 	New func() Protocol
 }
 
-// SpecInfo documents one registered spec for listings (-list).
-type SpecInfo struct {
-	// Name is the registry key ("pq", "ttl", …).
-	Name string
-	// Usage is a one-line grammar-and-meaning summary.
-	Usage string
+// factory is the Factory of a canonical spec and its constructor.
+func factory(canonical string, newFn func() Protocol) Factory {
+	return Factory{Spec: canonical, Label: newFn().Name(), New: newFn}
 }
 
-// Parser turns the argument part of "name:args" into a Factory.
-type Parser func(args string) (Factory, error)
-
-// Registry maps spec names to protocol parsers. New variants register
-// under a string key and become usable everywhere specs are accepted —
-// scenario files, sweeps, the CLI — without touching callers.
-type Registry struct {
-	names   []string
-	entries map[string]entry
-}
-
-type entry struct {
-	usage string
-	parse Parser
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{entries: map[string]entry{}}
-}
-
-// Register adds a named parser. It panics on an empty or duplicate name:
-// registration happens at package init time, where a collision is a
-// programming error.
-func (r *Registry) Register(name, usage string, p Parser) {
-	if name == "" || p == nil {
-		panic("protocol: Register requires a name and a parser")
-	}
-	if _, dup := r.entries[name]; dup {
-		panic(fmt.Sprintf("protocol: %q registered twice", name))
-	}
-	r.names = append(r.names, name)
-	r.entries[name] = entry{usage: usage, parse: p}
-}
-
-// Names returns the registered spec names in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.names...)
-}
-
-// Specs returns name and usage for every registered parser, in
-// registration order.
-func (r *Registry) Specs() []SpecInfo {
-	out := make([]SpecInfo, 0, len(r.names))
-	for _, n := range r.names {
-		out = append(out, SpecInfo{Name: n, Usage: r.entries[n].usage})
-	}
-	return out
-}
-
-// Parse resolves a spec string ("pq:p=0.8,q=0.5", "ttl:300",
-// "cumimmunity") to a Factory. All failures — unknown name, malformed
-// arguments, out-of-range parameters — are reported as errors wrapping
-// ErrSpec; Parse never panics.
-func (r *Registry) Parse(s string) (Factory, error) {
-	name, args := spec.Split(s)
-	if name == "" {
-		return Factory{}, fmt.Errorf("%w: empty spec", ErrSpec)
-	}
-	e, ok := r.entries[name]
-	if !ok {
-		return Factory{}, fmt.Errorf("%w: unknown protocol %q (have %s)",
-			ErrSpec, name, strings.Join(r.names, ", "))
-	}
-	f, err := e.parse(args)
-	if err != nil {
-		if errors.Is(err, ErrSpec) {
-			return Factory{}, err
-		}
-		return Factory{}, fmt.Errorf("%w: %s: %v", ErrSpec, name, err)
-	}
-	if f.Label == "" {
-		f.Label = f.New().Name()
-	}
-	return f, nil
-}
-
-// Default is the registry holding every protocol the paper studies. Its
-// canonical specs are:
-//
-//	pure                      pure epidemic (Vahdat & Becker)
-//	pq:p=P,q=Q[,anti]         (p,q)-epidemic (Matsuda & Takine)
-//	ttl:SECONDS               epidemic with constant TTL (Harras et al.)
-//	ec                        epidemic with encounter count (Davis et al.)
-//	immunity                  epidemic with immunity tables (Mundur et al.)
-//	dynttl[:mult=M]           dynamic TTL (paper Algorithm 1)
-//	ecttl[:thresh=N,minec=N]  EC+TTL (paper Algorithm 2)
-//	cumimmunity               cumulative immunity (paper §III)
+// Default is the registry holding every protocol the paper studies;
+// Default.Specs() lists each kind's grammar, defaults and ranges as
+// generated from the tables below.
 var Default = builtinRegistry()
 
-// Parse resolves a spec against the Default registry.
+// Parse resolves a spec ("pq:p=0.8,q=0.5", "ttl:300", "cumimmunity")
+// against the Default registry. All failures — unknown name, malformed
+// arguments, out-of-range parameters — wrap ErrSpec; Parse never
+// panics.
 func Parse(s string) (Factory, error) { return Default.Parse(s) }
 
 // BuiltinSpecs returns the canonical spec of every paper protocol in
@@ -138,166 +50,62 @@ func BuiltinSpecs() []string {
 	}
 }
 
-func builtinRegistry() *Registry {
-	r := NewRegistry()
-	r.Register("pure", "pure — pure epidemic: flood everything, drop-tail when full",
-		noArgFactory("pure", func() Protocol { return NewPure() }))
-	r.Register("pq", "pq[:p=P,q=Q,anti] — (p,q)-epidemic; p, q in [0,1], default 1; anti enables the §II anti-packet channel",
-		parsePQ)
-	r.Register("ttl", "ttl[:SECONDS] — epidemic with a constant positive TTL, default 300",
-		parseTTL)
-	r.Register("ec", "ec — epidemic with encounter counts: evict the most-transmitted copy",
-		noArgFactory("ec", func() Protocol { return NewEC() }))
-	r.Register("immunity", "immunity — epidemic with per-bundle immunity tables",
-		noArgFactory("immunity", func() Protocol { return NewImmunity() }))
-	r.Register("dynttl", "dynttl[:mult=M] — dynamic TTL: M × last inter-encounter interval, default 2",
-		parseDynTTL)
-	r.Register("ecttl", "ecttl[:thresh=N,minec=N] — EC+TTL: EC-driven ageing past thresh (default 8), eviction guard minec (default 2)",
-		parseECTTL)
-	r.Register("cumimmunity", "cumimmunity — cumulative immunity: one table acknowledges a contiguous bundle prefix",
-		noArgFactory("cumimmunity", func() Protocol { return NewCumulativeImmunity() }))
+func builtinRegistry() *spec.Registry[Factory] {
+	r := spec.NewRegistry[Factory]("protocol", ErrSpec)
+	// plain registers a protocol without parameters.
+	plain := func(name, doc string, newFn func() Protocol) {
+		r.Register(name, doc, nil, func(c string, _ spec.Values) Factory { return factory(c, newFn) })
+	}
+	plain("pure", "pure epidemic (Vahdat & Becker): flood everything, drop-tail when full",
+		func() Protocol { return NewPure() })
+	// The ranges are the ones NewPQ and NewTTL enforce by panicking,
+	// surfaced as errors at the spec boundary.
+	r.Register("pq", "(p,q)-epidemic (Matsuda & Takine); anti enables the §II anti-packet channel",
+		spec.Table{
+			{Name: "p", Default: 1, Max: 1, Always: true, Meta: "P"},
+			{Name: "q", Default: 1, Max: 1, Always: true, Meta: "Q"},
+			{Name: "anti", Type: spec.Flag},
+		},
+		func(c string, v spec.Values) Factory {
+			p, q, anti := v.Float("p"), v.Float("q"), v.Flag("anti")
+			return factory(c, func() Protocol {
+				pr := NewPQ(p, q)
+				if anti {
+					pr.WithAntiPackets()
+				}
+				return pr
+			})
+		})
+	r.Register("ttl", "epidemic with a constant TTL in seconds (Harras et al.)",
+		spec.Table{{Name: "ttl", Default: 300, Open: true, Max: 1e17, Always: true, Positional: true, Meta: "SECONDS"}},
+		func(c string, v spec.Values) Factory {
+			ttl := v.Float("ttl")
+			return factory(c, func() Protocol { return NewTTL(ttl) })
+		})
+	plain("ec", "epidemic with encounter counts (Davis et al.): evict the most-transmitted copy",
+		func() Protocol { return NewEC() })
+	plain("immunity", "epidemic with per-bundle immunity tables (Mundur et al.)",
+		func() Protocol { return NewImmunity() })
+	r.Register("dynttl", "dynamic TTL (paper Algorithm 1): mult × the last inter-encounter interval",
+		spec.Table{{Name: "mult", Default: NewDynamicTTL().Multiplier, Open: true, Meta: "M"}},
+		func(c string, v spec.Values) Factory {
+			mult := v.Float("mult")
+			return factory(c, func() Protocol { return &DynamicTTL{Multiplier: mult} })
+		})
+	r.Register("ecttl", "EC+TTL (paper Algorithm 2): EC-driven ageing past thresh, eviction guard minec",
+		spec.Table{
+			{Name: "thresh", Type: spec.Int, Default: float64(NewECTTL().ECThreshold), Meta: "N"},
+			{Name: "minec", Type: spec.Int, Default: float64(NewECTTL().MinEC), Meta: "N"},
+		},
+		func(c string, v spec.Values) Factory {
+			thresh, minEC := v.Int("thresh"), v.Int("minec")
+			return factory(c, func() Protocol {
+				pr := NewECTTL()
+				pr.ECThreshold, pr.MinEC = thresh, minEC
+				return pr
+			})
+		})
+	plain("cumimmunity", "cumulative immunity (paper §III): one table acknowledges a contiguous bundle prefix",
+		func() Protocol { return NewCumulativeImmunity() })
 	return r
-}
-
-// noArgFactory builds a parser for protocols without parameters.
-func noArgFactory(name string, newFn func() Protocol) Parser {
-	return func(args string) (Factory, error) {
-		if args != "" {
-			return Factory{}, fmt.Errorf("takes no arguments, got %q", args)
-		}
-		return Factory{Spec: name, New: newFn}, nil
-	}
-}
-
-func parsePQ(args string) (Factory, error) {
-	ps, err := spec.Parse(args)
-	if err != nil {
-		return Factory{}, err
-	}
-	p, err := ps.Float("p", 1)
-	if err != nil {
-		return Factory{}, err
-	}
-	q, err := ps.Float("q", 1)
-	if err != nil {
-		return Factory{}, err
-	}
-	anti, err := ps.Flag("anti")
-	if err != nil {
-		return Factory{}, err
-	}
-	if err := ps.Unknown(); err != nil {
-		return Factory{}, err
-	}
-	// The probability check NewPQ enforces by panicking, surfaced as an
-	// error at the spec boundary.
-	if p < 0 || p > 1 || q < 0 || q > 1 {
-		return Factory{}, fmt.Errorf("probabilities out of [0,1]: p=%g q=%g", p, q)
-	}
-	canon := "pq:" + spec.Canonical(
-		[2]string{"p", strconv.FormatFloat(p, 'g', -1, 64)},
-		[2]string{"q", strconv.FormatFloat(q, 'g', -1, 64)},
-	)
-	if anti {
-		canon += ",anti"
-	}
-	return Factory{
-		Spec: canon,
-		New: func() Protocol {
-			pr := NewPQ(p, q)
-			if anti {
-				pr.WithAntiPackets()
-			}
-			return pr
-		},
-	}, nil
-}
-
-// parseTTL accepts the TTL positionally ("ttl:300"); no argument means
-// the paper's comparative value of 300 s.
-func parseTTL(args string) (Factory, error) {
-	ttl := 300.0
-	if args != "" {
-		v, err := strconv.ParseFloat(args, 64)
-		if err != nil {
-			return Factory{}, fmt.Errorf("%q is not a TTL in seconds", args)
-		}
-		ttl = v
-	}
-	// NewTTL's positivity panic, surfaced as an error (NaN and ±Inf
-	// included: NaN passes a `<= 0` test but is no deadline at all).
-	if !(ttl > 0) || ttl > 1e17 {
-		return Factory{}, fmt.Errorf("TTL must be a positive finite number of seconds, got %g", ttl)
-	}
-	return Factory{
-		Spec: "ttl:" + strconv.FormatFloat(ttl, 'g', -1, 64),
-		New:  func() Protocol { return NewTTL(ttl) },
-	}, nil
-}
-
-func parseDynTTL(args string) (Factory, error) {
-	ps, err := spec.Parse(args)
-	if err != nil {
-		return Factory{}, err
-	}
-	mult, err := ps.Float("mult", 2)
-	if err != nil {
-		return Factory{}, err
-	}
-	if err := ps.Unknown(); err != nil {
-		return Factory{}, err
-	}
-	if mult <= 0 {
-		return Factory{}, fmt.Errorf("mult must be positive, got %g", mult)
-	}
-	canon := "dynttl"
-	if mult != 2 {
-		canon = "dynttl:mult=" + strconv.FormatFloat(mult, 'g', -1, 64)
-	}
-	return Factory{
-		Spec: canon,
-		New:  func() Protocol { return &DynamicTTL{Multiplier: mult} },
-	}, nil
-}
-
-func parseECTTL(args string) (Factory, error) {
-	ps, err := spec.Parse(args)
-	if err != nil {
-		return Factory{}, err
-	}
-	def := NewECTTL()
-	thresh, err := ps.Int("thresh", def.ECThreshold)
-	if err != nil {
-		return Factory{}, err
-	}
-	minEC, err := ps.Int("minec", def.MinEC)
-	if err != nil {
-		return Factory{}, err
-	}
-	if err := ps.Unknown(); err != nil {
-		return Factory{}, err
-	}
-	if thresh < 0 || minEC < 0 {
-		return Factory{}, fmt.Errorf("thresh and minec must be non-negative, got thresh=%d minec=%d", thresh, minEC)
-	}
-	var pairs [][2]string
-	if thresh != def.ECThreshold {
-		pairs = append(pairs, [2]string{"thresh", strconv.Itoa(thresh)})
-	}
-	if minEC != def.MinEC {
-		pairs = append(pairs, [2]string{"minec", strconv.Itoa(minEC)})
-	}
-	canon := "ecttl"
-	if len(pairs) > 0 {
-		canon += ":" + spec.Canonical(pairs...)
-	}
-	return Factory{
-		Spec: canon,
-		New: func() Protocol {
-			pr := NewECTTL()
-			pr.ECThreshold = thresh
-			pr.MinEC = minEC
-			return pr
-		},
-	}, nil
 }

@@ -54,6 +54,21 @@ func TestBuiltinSpecsRoundTrip(t *testing.T) {
 			t.Errorf("%q: factory builds an unusable protocol", s)
 		}
 	}
+	// -0 is 0: one protocol must not split into two canonical keys and
+	// two legend labels.
+	zero, err := Parse("pq:p=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"pq:p=-0", "pq:p=-0.0,q=1"} {
+		f, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", s, err)
+		}
+		if f.Spec != zero.Spec || f.Label != zero.Label {
+			t.Errorf("Parse(%q) = %q / %q, want %q / %q", s, f.Spec, f.Label, zero.Spec, zero.Label)
+		}
+	}
 }
 
 // TestParseMatchesConstructors: registry-built instances must equal the
@@ -111,17 +126,6 @@ func TestParseErrorsWrapErrSpec(t *testing.T) {
 			t.Errorf("Parse(%q): err = %v, want ErrSpec", s, err)
 		}
 	}
-}
-
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	r := NewRegistry()
-	r.Register("x", "", func(string) (Factory, error) { return Factory{}, nil })
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	r.Register("x", "", func(string) (Factory, error) { return Factory{}, nil })
 }
 
 func TestSpecsListsEveryBuiltin(t *testing.T) {

@@ -12,9 +12,11 @@ import (
 // a copy's TTL starts counting down once the bundle is "transmitted and
 // stored in a buffer" — i.e. at relays, not at the source — and is
 // renewed whenever the bundle is forwarded again before expiring (§II-B,
-// Fig. 6 in the paper). Expired copies are purged; a full relay refuses
-// new bundles.
+// Fig. 6 in the paper). Source copies keep pure epidemic's "no
+// deadline"; expired copies are purged; a full relay refuses new
+// bundles.
 type TTL struct {
+	base
 	// TTL is the constant time-to-live in seconds. The paper sweeps
 	// {50,100,150,200} and uses 300 in the comparative experiments.
 	TTL float64
@@ -31,24 +33,6 @@ func NewTTL(ttl float64) *TTL {
 // Name implements Protocol.
 func (t *TTL) Name() string { return fmt.Sprintf("Epidemic with TTL=%g", t.TTL) }
 
-// Init implements Protocol.
-func (*TTL) Init(*node.Node) {}
-
-// OnGenerate implements Protocol: source copies are pinned and carry no
-// countdown (the paper starts TTL when a bundle is transmitted into a
-// relay's buffer).
-func (*TTL) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
-	cp.Expiry = sim.Infinity
-}
-
-// Exchange implements Protocol.
-func (*TTL) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
-
-// Wants implements Protocol.
-func (*TTL) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
-	return missing(sender, receiver, rng)
-}
-
 // OnTransmit implements Protocol: the receiver's copy starts a fresh
 // countdown and the sender's copy is renewed ("if a bundle is
 // transmitted to other nodes before its TTL expires, the bundle's TTL
@@ -62,15 +46,3 @@ func (t *TTL) OnTransmit(sender, _ *node.Node, sent, rcpt *bundle.Copy, now sim.
 		sender.Store.NoteExpiry(sent)
 	}
 }
-
-// Admit implements Protocol: drop-tail.
-func (*TTL) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
-	if receiver.Store.Free() <= 0 {
-		receiver.NoteRefused(incoming.Bundle.ID, now)
-		return false
-	}
-	return true
-}
-
-// OnDelivered implements Protocol.
-func (*TTL) OnDelivered(_, _ *node.Node, _ bundle.ID, _ sim.Time) {}

@@ -1,16 +1,16 @@
-// Package spec implements the tiny argument grammar shared by the
-// protocol and mobility registries: a spec is "name" or "name:args",
-// where args is a comma-separated list of key=value pairs and bare
-// flags ("pq:p=0.8,q=0.5", "pq:p=1,q=1,anti"). Parsing never panics;
-// malformed input is reported as an error the registries wrap in their
-// ErrSpec sentinels.
+// Package spec implements the argument grammar shared by the protocol
+// and mobility registries. A spec is "name" or "name:args"; args is a
+// comma-separated list of key=value pairs and bare flags
+// ("pq:p=0.8,q=0.5,anti") or, for a positional kind, one bare value
+// ("ttl:300", "trace:PATH"). Each kind declares its parameters as a
+// Table; parsing, range checks, the canonical spelling and the usage
+// line all derive from that declaration. Parsing never panics:
+// malformed input is an error wrapping the Registry's sentinel.
 package spec
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -23,19 +23,18 @@ func Split(s string) (name, args string) {
 	return strings.TrimSpace(name), strings.TrimSpace(args)
 }
 
-// Params holds the parsed key=value arguments of one spec. Typed
-// accessors record which keys were consumed so Unknown can reject
-// misspelled parameters.
+// Params is the tokenizer under Table.Parse: the key=value arguments of
+// one spec, still as text. Take consumes a key, so Unknown can reject
+// whatever no parameter claimed.
 type Params struct {
 	vals map[string]string
-	used map[string]bool
 }
 
-// Parse parses a comma-separated "k=v,k2=v2,flag" argument list. A bare
-// flag is stored with an empty value and read back via Flag. An empty
-// args string yields an empty parameter set.
+// Parse tokenizes a comma-separated "k=v,k2=v2,flag" argument list. A
+// bare flag is stored with an empty value. An empty args string yields
+// an empty parameter set.
 func Parse(args string) (*Params, error) {
-	p := &Params{vals: map[string]string{}, used: map[string]bool{}}
+	p := &Params{vals: map[string]string{}}
 	if strings.TrimSpace(args) == "" {
 		return p, nil
 	}
@@ -57,105 +56,24 @@ func Parse(args string) (*Params, error) {
 	return p, nil
 }
 
-// Has reports whether key was supplied (as a pair or a flag).
-func (p *Params) Has(key string) bool {
-	_, ok := p.vals[key]
-	return ok
+// Take consumes key, returning its text and whether it was supplied
+// (as a pair or a bare flag).
+func (p *Params) Take(key string) (val string, ok bool) {
+	val, ok = p.vals[key]
+	delete(p.vals, key)
+	return val, ok
 }
 
-// Flag consumes key and reports whether it was supplied as a bare flag
-// or with a true-ish value.
-func (p *Params) Flag(key string) (bool, error) {
-	v, ok := p.vals[key]
-	if !ok {
-		return false, nil
-	}
-	p.used[key] = true
-	switch v {
-	case "", "true", "1", "yes", "on":
-		return true, nil
-	case "false", "0", "no", "off":
-		return false, nil
-	}
-	return false, fmt.Errorf("flag %q has non-boolean value %q", key, v)
-}
-
-// Float consumes key as a finite float64, returning def when absent.
-func (p *Params) Float(key string, def float64) (float64, error) {
-	v, ok := p.vals[key]
-	if !ok {
-		return def, nil
-	}
-	p.used[key] = true
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s=%q is not a number", key, v)
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0, fmt.Errorf("%s=%q is not finite", key, v)
-	}
-	return f, nil
-}
-
-// Int consumes key as an int, returning def when absent.
-func (p *Params) Int(key string, def int) (int, error) {
-	v, ok := p.vals[key]
-	if !ok {
-		return def, nil
-	}
-	p.used[key] = true
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("%s=%q is not an integer", key, v)
-	}
-	return n, nil
-}
-
-// Uint consumes key as a uint64, returning def when absent.
-func (p *Params) Uint(key string, def uint64) (uint64, error) {
-	v, ok := p.vals[key]
-	if !ok {
-		return def, nil
-	}
-	p.used[key] = true
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s=%q is not an unsigned integer", key, v)
-	}
-	return n, nil
-}
-
-// Unknown returns an error naming any supplied key no accessor consumed,
-// or nil when every argument was recognized.
+// Unknown returns an error naming every supplied key Take did not
+// consume, or nil when all arguments were recognized.
 func (p *Params) Unknown() error {
-	var extra []string
-	for k := range p.vals {
-		if !p.used[k] {
-			extra = append(extra, k)
-		}
-	}
-	if len(extra) == 0 {
+	if len(p.vals) == 0 {
 		return nil
+	}
+	extra := make([]string, 0, len(p.vals))
+	for k := range p.vals {
+		extra = append(extra, k)
 	}
 	sort.Strings(extra)
 	return fmt.Errorf("unknown argument(s) %s", strings.Join(extra, ", "))
-}
-
-// Canonical renders a canonical argument list: the given key=value
-// pairs in order, skipping entries with empty values. Callers pass
-// pre-formatted values ("%g" floats, decimal integers) so that parsing
-// the rendered spec reproduces the same parameters.
-func Canonical(pairs ...[2]string) string {
-	var parts []string
-	for _, kv := range pairs {
-		if kv[1] == "" {
-			continue
-		}
-		if kv[0] == "" { // bare flag
-			parts = append(parts, kv[1])
-			continue
-		}
-		parts = append(parts, kv[0]+"="+kv[1])
-	}
-	return strings.Join(parts, ",")
 }

@@ -15,6 +15,7 @@ import (
 	"dtnsim/internal/node"
 	"dtnsim/internal/protocol"
 	"dtnsim/internal/report"
+	"dtnsim/internal/spec"
 )
 
 // This file is the declarative face of the simulator: scenarios and
@@ -119,28 +120,44 @@ func (s Scenario) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
+// resolve parses the scenario's two specs against the registries, each
+// exactly once per call. A scenario used only for its mobility
+// (StreamMobility) carries no Protocol and resolves to the zero Factory.
+func (s Scenario) resolve() (src mobility.Source, fac protocol.Factory, err error) {
+	if src, err = mobility.Parse(string(s.Mobility)); err == nil && s.Protocol != "" {
+		fac, err = protocol.Parse(string(s.Protocol))
+	}
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrScenario, err)
+	}
+	return src, fac, err
+}
+
+// checked is Check, handing back what it parsed so that Compile does
+// not parse again.
+func (s Scenario) checked() (mobility.Source, protocol.Factory, error) {
+	src, fac, err := s.resolve()
+	switch {
+	case s.Mobility == "":
+		err = fmt.Errorf("%w: missing mobility spec", ErrScenario)
+	case s.Protocol == "":
+		err = fmt.Errorf("%w: missing protocol spec", ErrScenario)
+	case err != nil:
+	case len(s.Flows) == 0:
+		err = fmt.Errorf("%w: no flows", ErrScenario)
+	default:
+		if perr := buffer.CheckDropPolicy(s.DropPolicy); perr != nil {
+			err = fmt.Errorf("%w: %v", ErrScenario, perr)
+		}
+	}
+	return src, fac, err
+}
+
 // Check validates the scenario's specs and workload without generating
 // mobility. It is the cheap half of Compile.
 func (s Scenario) Check() error {
-	if s.Mobility == "" {
-		return fmt.Errorf("%w: missing mobility spec", ErrScenario)
-	}
-	if s.Protocol == "" {
-		return fmt.Errorf("%w: missing protocol spec", ErrScenario)
-	}
-	if _, err := mobility.Parse(string(s.Mobility)); err != nil {
-		return fmt.Errorf("%w: %v", ErrScenario, err)
-	}
-	if _, err := protocol.Parse(string(s.Protocol)); err != nil {
-		return fmt.Errorf("%w: %v", ErrScenario, err)
-	}
-	if len(s.Flows) == 0 {
-		return fmt.Errorf("%w: no flows", ErrScenario)
-	}
-	if err := buffer.CheckDropPolicy(s.DropPolicy); err != nil {
-		return fmt.Errorf("%w: %v", ErrScenario, err)
-	}
-	return nil
+	_, _, err := s.checked()
+	return err
 }
 
 // Normalize returns the scenario with both specs replaced by their
@@ -149,17 +166,18 @@ func (s Scenario) Check() error {
 // (every shard count is bit-identical), so two scenarios differing only
 // in Shards are the same run.
 func (s Scenario) Normalize() (Scenario, error) {
-	src, err := mobility.Parse(string(s.Mobility))
+	src, fac, err := s.resolve()
 	if err != nil {
-		return Scenario{}, fmt.Errorf("%w: %v", ErrScenario, err)
+		return Scenario{}, err
 	}
-	fac, err := protocol.Parse(string(s.Protocol))
-	if err != nil {
-		return Scenario{}, fmt.Errorf("%w: %v", ErrScenario, err)
-	}
+	return s.respelled(src, fac), nil
+}
+
+// respelled is Normalize given the already-parsed specs.
+func (s Scenario) respelled(src mobility.Source, fac protocol.Factory) Scenario {
 	s.Mobility, s.Protocol = MobilitySpec(src.Spec), ProtocolSpec(fac.Spec)
 	s.Shards = 0
-	return s, nil
+	return s
 }
 
 // Compile resolves the scenario to the engine configuration a Go caller
@@ -171,15 +189,14 @@ func (s Scenario) Normalize() (Scenario, error) {
 // The Source is consumed by one Run, so compile once per run (compiling
 // twice also yields independent protocol instances).
 func (s Scenario) Compile() (Config, error) {
-	if err := s.Check(); err != nil {
+	src, fac, err := s.checked()
+	if err != nil {
 		return Config{}, err
 	}
-	src, _ := mobility.Parse(string(s.Mobility))
 	stream, err := src.Stream(s.Seed)
 	if err != nil {
 		return Config{}, fmt.Errorf("dtnsim: streaming %s mobility: %w", src.Kind, err)
 	}
-	fac, _ := protocol.Parse(string(s.Protocol))
 	flows := append([]Flow(nil), s.Flows...)
 	if s.BundleSize != 0 {
 		// The scenario-level default size fills flows that set none.
@@ -213,9 +230,9 @@ func (s Scenario) Compile() (Config, error) {
 // holding the schedule. Each call returns an independent single-use
 // stream; Compile builds its own.
 func (s Scenario) StreamMobility() (ContactSource, error) {
-	src, err := mobility.Parse(string(s.Mobility))
+	src, _, err := s.resolve()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrScenario, err)
+		return nil, err
 	}
 	stream, err := src.Stream(s.Seed)
 	if err != nil {
@@ -451,13 +468,9 @@ const (
 	DropPurged  = node.DropPurged
 )
 
-// SpecInfo documents one registered spec name for listings.
-type SpecInfo struct {
-	// Name is the registry key ("pq", "cambridge", …).
-	Name string
-	// Usage is a one-line grammar-and-meaning summary.
-	Usage string
-}
+// SpecInfo documents one registered spec name for listings: the
+// registry key and its generated one-line usage.
+type SpecInfo = spec.Info
 
 // ParseProtocolSpec resolves a protocol spec string to a sweep-ready
 // factory. Errors wrap protocol.ErrSpec; it never panics, making it
@@ -474,24 +487,10 @@ func ParseMobilitySpec(spec string) (ExperimentScenario, error) {
 }
 
 // ProtocolSpecs lists every registered protocol spec with its usage.
-func ProtocolSpecs() []SpecInfo {
-	infos := protocol.Default.Specs()
-	out := make([]SpecInfo, len(infos))
-	for i, in := range infos {
-		out[i] = SpecInfo{Name: in.Name, Usage: in.Usage}
-	}
-	return out
-}
+func ProtocolSpecs() []SpecInfo { return protocol.Default.Specs() }
 
 // MobilitySpecs lists every registered mobility spec with its usage.
-func MobilitySpecs() []SpecInfo {
-	infos := mobility.Default.Specs()
-	out := make([]SpecInfo, len(infos))
-	for i, in := range infos {
-		out[i] = SpecInfo{Name: in.Name, Usage: in.Usage}
-	}
-	return out
-}
+func MobilitySpecs() []SpecInfo { return mobility.Default.Specs() }
 
 // BuiltinProtocolSpecs returns the canonical spec of every paper
 // protocol in the paper's order — the spec-string form of Protocols().
