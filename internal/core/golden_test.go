@@ -42,6 +42,11 @@ type goldenMobility struct {
 	spec   string
 	flows  []core.Flow
 	txTime float64
+	// The resource model (DESIGN.md §9); zero values leave it off.
+	bandwidth    float64
+	bufferBytes  int64
+	dropPolicy   string
+	controlBytes float64
 }
 
 var goldenMobilities = []goldenMobility{
@@ -99,6 +104,65 @@ var goldenMobilities = []goldenMobility{
 		flows:  []core.Flow{{Src: 4, Dst: 11, Count: 25}},
 		txTime: 100,
 	},
+}
+
+// goldenBudgeted is the grid's one byte-budgeted cell: the bench's
+// loaded replay cell (sized bundles from staggered flows over
+// byte-budgeted contacts into byte-bounded buffers with random drops
+// and priced control records) at 24 nodes of the same density. It
+// stays out of goldenMobilities — only the i-list protocols of
+// goldenBudgetedSpecs run on it.
+var goldenBudgeted = goldenMobility{
+	name: "budgeted",
+	spec: "rwp:seed=7,nodes=24,area=980,span=20000,range=100,dt=25",
+	flows: []core.Flow{
+		{Src: 1, Dst: 5, Count: 10, Size: 1000},
+		{Src: 2, Dst: 19, Count: 10, Size: 1000, StartAt: 500},
+		{Src: 13, Dst: 1, Count: 10, Size: 1000, StartAt: 1000},
+		{Src: 9, Dst: 4, Count: 10, Size: 1000, StartAt: 1500},
+		{Src: 21, Dst: 7, Count: 10, Size: 1000, StartAt: 2000},
+		{Src: 1, Dst: 17, Count: 10, Size: 1000, StartAt: 2500},
+	},
+	txTime:       100,
+	bandwidth:    200,
+	bufferBytes:  6000,
+	dropPolicy:   "droprandom",
+	controlBytes: 8,
+}
+
+// antiSpecs are P-Q with the §II anti-packet channel on. No paper
+// figure runs them, so BuiltinSpecs omits them, but they are the one
+// configuration where a node can store a copy its own i-list already
+// marks delivered (PQ.Wants does not filter on the receiver's list) —
+// behaviour only a full purge scan shows, so the grid freezes it.
+var antiSpecs = []string{"pq:p=1,q=1,anti", "pq:p=0.7,q=0.5,anti"}
+
+// goldenSpecs is the protocol axis of the golden and
+// executor-equivalence grids.
+func goldenSpecs() []string { return append(protocol.BuiltinSpecs(), antiSpecs...) }
+
+// goldenBudgetedSpecs run on goldenBudgeted.
+var goldenBudgetedSpecs = append([]string{"immunity"}, antiSpecs...)
+
+// goldenCell is one (protocol spec, mobility) cell of the grid.
+type goldenCell struct {
+	proto string
+	mob   goldenMobility
+}
+
+// goldenCells is the full grid: goldenSpecs × goldenMobilities plus
+// the budgeted cells.
+func goldenCells() []goldenCell {
+	var cells []goldenCell
+	for _, p := range goldenSpecs() {
+		for _, m := range goldenMobilities {
+			cells = append(cells, goldenCell{p, m})
+		}
+	}
+	for _, p := range goldenBudgetedSpecs {
+		cells = append(cells, goldenCell{p, goldenBudgeted})
+	}
+	return cells
 }
 
 // goldenDelivery is one DeliveryTimes entry in deterministic order.
@@ -191,6 +255,10 @@ func goldenConfig(t testing.TB, protoSpec string, m goldenMobility, streamed boo
 		TxTime:       m.txTime,
 		Seed:         2012,
 		RunToHorizon: true,
+		Bandwidth:    m.bandwidth,
+		BufferBytes:  m.bufferBytes,
+		DropPolicy:   m.dropPolicy,
+		ControlBytes: m.controlBytes,
 	}
 	stream, err := src.Stream(7)
 	if err != nil {
@@ -213,24 +281,22 @@ func TestGoldenResults(t *testing.T) {
 		t.Skip("golden grid is slow")
 	}
 	got := make(map[string]goldenResult)
-	for _, protoSpec := range protocol.BuiltinSpecs() {
-		for _, m := range goldenMobilities {
-			key := fmt.Sprintf("%s|%s", protoSpec, m.name)
-			res, err := core.Run(goldenConfig(t, protoSpec, m, false))
-			if err != nil {
-				t.Fatalf("%s: %v", key, err)
-			}
-			got[key] = toGolden(res)
-			// The same cell through a streaming source must be
-			// indistinguishable from the materialized run.
-			sres, err := core.Run(goldenConfig(t, protoSpec, m, true))
-			if err != nil {
-				t.Fatalf("%s (streamed): %v", key, err)
-			}
-			if !reflect.DeepEqual(toGolden(res), toGolden(sres)) {
-				t.Errorf("%s: streamed source diverged from materialized schedule\n got: %+v\nwant: %+v",
-					key, toGolden(sres), toGolden(res))
-			}
+	for _, c := range goldenCells() {
+		key := fmt.Sprintf("%s|%s", c.proto, c.mob.name)
+		res, err := core.Run(goldenConfig(t, c.proto, c.mob, false))
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		got[key] = toGolden(res)
+		// The same cell through a streaming source must be
+		// indistinguishable from the materialized run.
+		sres, err := core.Run(goldenConfig(t, c.proto, c.mob, true))
+		if err != nil {
+			t.Fatalf("%s (streamed): %v", key, err)
+		}
+		if !reflect.DeepEqual(toGolden(res), toGolden(sres)) {
+			t.Errorf("%s: streamed source diverged from materialized schedule\n got: %+v\nwant: %+v",
+				key, toGolden(sres), toGolden(res))
 		}
 	}
 

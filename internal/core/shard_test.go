@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"dtnsim/internal/core"
-	"dtnsim/internal/protocol"
 	"dtnsim/internal/report"
 )
 
@@ -38,20 +37,18 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded golden grid is slow")
 	}
-	for _, protoSpec := range protocol.BuiltinSpecs() {
-		for _, m := range goldenMobilities {
-			seq, err := core.Run(goldenConfig(t, protoSpec, m, false))
-			if err != nil {
-				t.Fatalf("%s|%s sequential: %v", protoSpec, m.name, err)
-			}
-			sh, err := core.Run(shardedConfig(t, protoSpec, m, 4))
-			if err != nil {
-				t.Fatalf("%s|%s sharded: %v", protoSpec, m.name, err)
-			}
-			if !reflect.DeepEqual(toGolden(seq), toGolden(sh)) {
-				t.Errorf("%s|%s: sharded (K=4) Result diverged from sequential\n got: %+v\nwant: %+v",
-					protoSpec, m.name, toGolden(sh), toGolden(seq))
-			}
+	for _, c := range goldenCells() {
+		seq, err := core.Run(goldenConfig(t, c.proto, c.mob, false))
+		if err != nil {
+			t.Fatalf("%s|%s sequential: %v", c.proto, c.mob.name, err)
+		}
+		sh, err := core.Run(shardedConfig(t, c.proto, c.mob, 4))
+		if err != nil {
+			t.Fatalf("%s|%s sharded: %v", c.proto, c.mob.name, err)
+		}
+		if !reflect.DeepEqual(toGolden(seq), toGolden(sh)) {
+			t.Errorf("%s|%s: sharded (K=4) Result diverged from sequential\n got: %+v\nwant: %+v",
+				c.proto, c.mob.name, toGolden(sh), toGolden(seq))
 		}
 	}
 }

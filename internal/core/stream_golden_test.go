@@ -24,7 +24,8 @@ import (
 // streamGoldenCells pair an eventful protocol with each mobility:
 // immunity purges and refuses on the trace; EC+TTL evicts and expires
 // on the controlled-interval scenario; pure epidemic saturates RWP
-// buffers with refusals.
+// buffers with refusals; P-Q with anti-packets sheds under byte
+// pressure on the budgeted cell.
 var streamGoldenCells = []struct {
 	file  string
 	proto string
@@ -36,6 +37,10 @@ var streamGoldenCells = []struct {
 	// The classic-RWP substrate added with the PR 5 grid gap fill; TTL
 	// renewals expire copies on its sparse contacts.
 	{"stream_classic_ttl.csv", "ttl:300", goldenMobilities[3]},
+	// P-Q with anti-packets under byte budgets: a relay can accept a
+	// copy its own i-list already vaccinates, which only the next full
+	// purge removes — the event log pins when each such purge fires.
+	{"stream_budgeted_pqanti.csv", "pq:p=0.7,q=0.5,anti", goldenBudgeted},
 }
 
 // runStream executes one golden cell with a full event stream attached
