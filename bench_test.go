@@ -20,7 +20,11 @@ import (
 	"testing"
 
 	"dtnsim"
+	"dtnsim/internal/bundle"
 	"dtnsim/internal/dist"
+	"dtnsim/internal/node"
+	"dtnsim/internal/protocol"
+	"dtnsim/internal/sim"
 )
 
 // benchRuns trades precision for speed in benchmarks; cmd/figures uses
@@ -274,8 +278,9 @@ func BenchmarkEngineTraceRunCancellable(b *testing.B) {
 // tracks for the allocation-free store/metrics/scheduler rework
 // (indexed buffer store, incremental duplication metrics, streaming
 // contact scheduling): 154.5 ms -> 14.5 ms per op (10.6x; the acceptance
-// floor was 2x), and 65311 -> 32611 allocs/op when PR 12 deleted the
-// scheduler's events and closures.
+// floor was 2x), 65311 -> 32611 allocs/op when PR 12 deleted the
+// scheduler's events and closures, and -> 31035 when PR 19 dropped the
+// per-node hash maps (15.3 -> 12.3 ms on the baseline's machine class).
 func BenchmarkContactHotPath(b *testing.B) {
 	trace, err := dtnsim.CambridgeTrace(benchSeed)
 	if err != nil {
@@ -347,6 +352,43 @@ func BenchmarkContactHotPathConstrained(b *testing.B) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkImmunityExchangeSteady times one immunity control session
+// in the steady state the loaded cells spend most contacts in: two
+// neighbours with full stores whose 200-record i-lists already agree,
+// so each side resends its whole list, neither learns anything, and
+// nothing has entered either store since the last purge. The transfer
+// is then a comparison-only walk of two sorted lists and the purge is
+// answered by its memo, so the session must not allocate (benchguard
+// zero_alloc) — and must not write: a regression that re-inserts,
+// re-hashes or re-scans shows up here long before it moves replay_seq.
+func BenchmarkImmunityExchangeSteady(b *testing.B) {
+	im := protocol.NewImmunity()
+	x, y := node.New(0, 10), node.New(1, 10)
+	im.Init(x)
+	im.Init(y)
+	for seq := 1; seq <= 200; seq++ {
+		// y consumes the bundle from x: both adopt the record.
+		im.OnDelivered(y, x, bundle.ID{Src: 2, Seq: seq}, 0)
+	}
+	for _, n := range []*node.Node{x, y} {
+		for seq := 1; n.Store.Free() > 0; seq++ {
+			cp := &bundle.Copy{Bundle: &bundle.Bundle{ID: bundle.ID{Src: 3, Seq: seq}, Dst: 9}, Expiry: sim.Infinity}
+			if err := n.Store.Put(cp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	im.Exchange(x, y, 1, 1<<30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		im.Exchange(x, y, sim.Time(i), 1<<30)
+	}
+	if got := x.ControlSent; got != int64(b.N+1)*200 {
+		b.Fatalf("x sent %d records, want %d", got, int64(b.N+1)*200)
 	}
 }
 

@@ -5,18 +5,18 @@
 // bundles, TTL purging, and deterministic iteration.
 //
 // The store is engineered for the contact hot path (DESIGN.md §7.1):
-// alongside the ID-keyed map it maintains a bundle-ID-sorted slice
-// index incrementally on Put/Remove, a pinned-copy count, and a
-// conservative minimum-expiry bound. In-order iteration (Range,
-// AppendIDs), the capacity check (Free, Unpinned) and the idle
-// PurgeExpired fast path are therefore allocation-free — nothing is
-// re-sorted or re-counted per contact.
+// its one index is a bundle-ID-sorted slice maintained incrementally
+// on Put/Remove — lookups binary-search it — beside a pinned-copy
+// count and a conservative minimum-expiry bound. Lookup (Has, Get),
+// in-order iteration (Range, AppendIDs), the capacity check (Free,
+// Unpinned) and the idle PurgeExpired fast path are therefore
+// allocation-free and hash nothing — nothing is re-sorted or
+// re-counted per contact.
 package buffer
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/sim"
@@ -52,14 +52,16 @@ var ErrDuplicate = errors.New("buffer: duplicate bundle")
 //     expiry needs no notice — a stale-low bound only costs a scan that
 //     finds nothing.
 type Store struct {
-	cap    int
-	copies map[bundle.ID]*bundle.Copy
-	// order indexes the stored copies in ascending bundle-ID order. It
-	// is maintained incrementally: O(log n) search plus an O(n) memmove
-	// on Put/Remove (n ≤ a few dozen in practice), so every iteration —
-	// the anti-entropy diff each contact runs — is allocation-free and
+	cap int
+	// order holds the stored copies in ascending bundle-ID order; it is
+	// the store's only index. It is maintained incrementally: O(log n)
+	// search plus an O(n) memmove on Put/Remove (n ≤ a few dozen in
+	// practice), so lookups hash nothing and every iteration — the
+	// anti-entropy diff each contact runs — is allocation-free and
 	// never re-sorts.
 	order []*bundle.Copy
+	// puts counts the copies ever stored (Put and Restore successes).
+	puts uint64
 	// pinned counts stored pinned copies, so Unpinned/Free are O(1).
 	pinned int
 	// minExpiry is a conservative lower bound on the minimum Expiry over
@@ -91,11 +93,7 @@ func New(capacity int) *Store {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: capacity must be positive, got %d", capacity))
 	}
-	return &Store{
-		cap:       capacity,
-		copies:    make(map[bundle.ID]*bundle.Copy),
-		minExpiry: sim.Infinity,
-	}
+	return &Store{cap: capacity, minExpiry: sim.Infinity}
 }
 
 // Cap returns the configured capacity.
@@ -109,7 +107,7 @@ func (s *Store) SetByteCap(capBytes int64) {
 	if capBytes < 0 {
 		panic(fmt.Sprintf("buffer: byte capacity must be non-negative, got %d", capBytes))
 	}
-	if len(s.copies) > 0 {
+	if len(s.order) > 0 {
 		panic("buffer: SetByteCap on a non-empty store")
 	}
 	s.capBytes = capBytes
@@ -135,10 +133,10 @@ func (s *Store) FitsBytes(size int64) bool {
 }
 
 // Len returns the total number of stored copies, pinned included.
-func (s *Store) Len() int { return len(s.copies) }
+func (s *Store) Len() int { return len(s.order) }
 
 // Unpinned returns the number of copies that count against capacity.
-func (s *Store) Unpinned() int { return len(s.copies) - s.pinned }
+func (s *Store) Unpinned() int { return len(s.order) - s.pinned }
 
 // SetControlLoad records the buffer space consumed by control metadata,
 // in bundle-slot units. Negative values are clamped to zero.
@@ -170,30 +168,66 @@ func (s *Store) Free() int {
 //
 //dtn:hotpath
 func (s *Store) Occupancy() float64 {
-	return (float64(len(s.copies)) + s.controlLoad) / float64(s.cap)
+	return (float64(len(s.order)) + s.controlLoad) / float64(s.cap)
 }
 
 // Has reports whether a copy of id is stored.
 //
 //dtn:hotpath
-func (s *Store) Has(id bundle.ID) bool {
-	_, ok := s.copies[id]
-	return ok
-}
+func (s *Store) Has(id bundle.ID) bool { return s.Get(id) != nil }
 
 // Get returns the stored copy of id, or nil.
 //
 //dtn:hotpath
-func (s *Store) Get(id bundle.ID) *bundle.Copy { return s.copies[id] }
+func (s *Store) Get(id bundle.ID) *bundle.Copy {
+	if i := s.searchIdx(id); i < len(s.order) && s.order[i].Bundle.ID == id {
+		return s.order[i]
+	}
+	return nil
+}
+
+// Puts returns how many copies have ever been stored (Put and Restore
+// successes); it never decreases. A caller that remembers the count
+// can tell later that nothing has entered the store since — removals
+// do not move it — which is what lets the immunity purge skip its scan
+// (DESIGN.md §7.2).
+func (s *Store) Puts() uint64 { return s.puts }
 
 // searchIdx returns the position of id in the order index, or the
 // position it would be inserted at.
 //
 //dtn:hotpath
 func (s *Store) searchIdx(id bundle.ID) int {
-	return sort.Search(len(s.order), func(i int) bool {
-		return !s.order[i].Bundle.ID.Less(id)
-	})
+	lo, hi := 0, len(s.order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.order[mid].Bundle.ID.Less(id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// insert stores c at index position i and does the accounting Put and
+// Restore share.
+//
+//dtn:hotpath
+func (s *Store) insert(i int, c *bundle.Copy) {
+	s.order = append(s.order, nil)
+	copy(s.order[i+1:], s.order[i:])
+	s.order[i] = c
+	s.puts++
+	s.totalBytes += c.Bundle.Meta.Size
+	if c.Pinned {
+		s.pinned++
+	} else {
+		s.unpinnedBytes += c.Bundle.Meta.Size
+		if c.Expiry < s.minExpiry {
+			s.minExpiry = c.Expiry
+		}
+	}
 }
 
 // Put stores a copy. Unpinned copies are refused with ErrFull when no
@@ -206,7 +240,8 @@ func (s *Store) Put(c *bundle.Copy) error {
 	// are steady-state control flow on the contact hot path, and
 	// callers only ever branch with errors.Is — formatting a wrapped
 	// message here allocated on every refused transfer.
-	if _, ok := s.copies[c.Bundle.ID]; ok {
+	i := s.searchIdx(c.Bundle.ID)
+	if i < len(s.order) && s.order[i].Bundle.ID == c.Bundle.ID {
 		return ErrDuplicate
 	}
 	if !c.Pinned && s.Free() <= 0 {
@@ -215,20 +250,7 @@ func (s *Store) Put(c *bundle.Copy) error {
 	if !c.Pinned && !s.FitsBytes(c.Bundle.Meta.Size) {
 		return ErrFullBytes
 	}
-	s.copies[c.Bundle.ID] = c
-	i := s.searchIdx(c.Bundle.ID)
-	s.order = append(s.order, nil)
-	copy(s.order[i+1:], s.order[i:])
-	s.order[i] = c
-	s.totalBytes += c.Bundle.Meta.Size
-	if c.Pinned {
-		s.pinned++
-	} else {
-		s.unpinnedBytes += c.Bundle.Meta.Size
-		if c.Expiry < s.minExpiry {
-			s.minExpiry = c.Expiry
-		}
-	}
+	s.insert(i, c)
 	return nil
 }
 
@@ -238,12 +260,11 @@ func (s *Store) Put(c *bundle.Copy) error {
 //
 //dtn:hotpath
 func (s *Store) Remove(id bundle.ID) bool {
-	c, ok := s.copies[id]
-	if !ok {
+	i := s.searchIdx(id)
+	if i == len(s.order) || s.order[i].Bundle.ID != id {
 		return false
 	}
-	delete(s.copies, id)
-	i := s.searchIdx(id)
+	c := s.order[i]
 	copy(s.order[i:], s.order[i+1:])
 	s.order[len(s.order)-1] = nil
 	s.order = s.order[:len(s.order)-1]
@@ -272,23 +293,11 @@ func (s *Store) Remove(id bundle.ID) bool {
 // observationally equivalent to the live store's conservative bound
 // (a stale-low bound only ever costs a no-op purge scan).
 func (s *Store) Restore(c *bundle.Copy) error {
-	if _, ok := s.copies[c.Bundle.ID]; ok {
+	i := s.searchIdx(c.Bundle.ID)
+	if i < len(s.order) && s.order[i].Bundle.ID == c.Bundle.ID {
 		return ErrDuplicate
 	}
-	s.copies[c.Bundle.ID] = c
-	i := s.searchIdx(c.Bundle.ID)
-	s.order = append(s.order, nil)
-	copy(s.order[i+1:], s.order[i:])
-	s.order[i] = c
-	s.totalBytes += c.Bundle.Meta.Size
-	if c.Pinned {
-		s.pinned++
-	} else {
-		s.unpinnedBytes += c.Bundle.Meta.Size
-		if c.Expiry < s.minExpiry {
-			s.minExpiry = c.Expiry
-		}
-	}
+	s.insert(i, c)
 	return nil
 }
 
@@ -335,20 +344,6 @@ func (s *Store) Items() []*bundle.Copy {
 	return append([]*bundle.Copy(nil), s.order...)
 }
 
-// IDs returns the stored bundle IDs in deterministic order.
-func (s *Store) IDs() []bundle.ID {
-	return s.AppendIDs(make([]bundle.ID, 0, len(s.order)))
-}
-
-// Vector returns a summary vector of the store's current contents.
-func (s *Store) Vector() *bundle.SummaryVector {
-	v := bundle.NewSummaryVector()
-	for _, c := range s.order {
-		v.Add(c.Bundle.ID)
-	}
-	return v
-}
-
 // PurgeExpired removes every unpinned copy whose TTL lapsed at or before
 // now and returns the purged copies in deterministic order. Pinned
 // copies never expire: a source holds its own bundles until delivery.
@@ -382,7 +377,6 @@ func (s *Store) purge(match func(*bundle.Copy) bool) []*bundle.Copy {
 	var unpinnedBytes, totalBytes int64
 	for _, c := range s.order {
 		if match(c) {
-			delete(s.copies, c.Bundle.ID)
 			purged = append(purged, c)
 			continue
 		}

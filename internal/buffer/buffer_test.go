@@ -110,11 +110,14 @@ func TestItemsAndIDsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := s.IDs()
+	ids := s.AppendIDs(nil)
 	want := []int{1, 3, 5, 9}
+	if len(ids) != len(want) {
+		t.Fatalf("AppendIDs() = %v", ids)
+	}
 	for i, id := range ids {
 		if id.Seq != want[i] {
-			t.Fatalf("IDs() = %v", ids)
+			t.Fatalf("AppendIDs() = %v", ids)
 		}
 	}
 	items := s.Items()
@@ -122,10 +125,6 @@ func TestItemsAndIDsDeterministic(t *testing.T) {
 		if c.Bundle.ID.Seq != want[i] {
 			t.Fatalf("Items() order wrong: %v", c.Bundle.ID)
 		}
-	}
-	v := s.Vector()
-	if v.Len() != 4 || !v.Has(bundle.ID{Src: 0, Seq: 9}) {
-		t.Error("Vector() contents wrong")
 	}
 }
 
@@ -339,13 +338,20 @@ func TestMinExpiryTracking(t *testing.T) {
 }
 
 // TestIndexConsistencyProperty hammers Put/Remove/PurgeExpired/
-// PurgeMatching with random churn and cross-checks the incremental
-// index (order, pinned count, min-expiry fast path) against scratch
-// recomputation.
+// PurgeMatching with random churn and cross-checks the sorted index
+// (lookups, order, pinned count, put counter, min-expiry fast path)
+// against a map model and scratch recomputation.
 func TestIndexConsistencyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 99))
 		s := New(6)
+		model := map[bundle.ID]*bundle.Copy{}
+		forget := func(purged []*bundle.Copy) {
+			for _, c := range purged {
+				delete(model, c.Bundle.ID)
+			}
+		}
+		var puts uint64
 		now := sim.Time(0)
 		for op := 0; op < 300; op++ {
 			now += sim.Time(r.IntN(50))
@@ -357,17 +363,32 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				if r.IntN(4) == 0 {
 					c.Expiry = sim.Infinity
 				}
-				_ = s.Put(c)
+				_, dup := model[c.Bundle.ID]
+				err := s.Put(c)
+				if dup != errors.Is(err, ErrDuplicate) {
+					return false
+				}
+				if err == nil {
+					model[c.Bundle.ID] = c
+					puts++
+				}
 			case 5, 6:
-				s.Remove(bundle.ID{Src: 0, Seq: r.IntN(30)})
+				id := bundle.ID{Src: 0, Seq: r.IntN(30)}
+				_, had := model[id]
+				if s.Remove(id) != had {
+					return false
+				}
+				delete(model, id)
 			case 7:
-				for _, c := range s.PurgeExpired(now) {
+				purged := s.PurgeExpired(now)
+				for _, c := range purged {
 					if c.Pinned || !c.Expired(now) {
 						return false
 					}
 				}
+				forget(purged)
 			case 8:
-				s.PurgeMatching(func(c *bundle.Copy) bool { return c.Bundle.ID.Seq%5 == int(seed%5) })
+				forget(s.PurgeMatching(func(c *bundle.Copy) bool { return c.Bundle.ID.Seq%5 == int(seed%5) }))
 			case 9:
 				if c := s.Get(bundle.ID{Src: 0, Seq: r.IntN(30)}); c != nil && !c.Pinned {
 					if e := now + sim.Time(r.IntN(100)); e < c.Expiry {
@@ -376,9 +397,19 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					}
 				}
 			}
-			// Index must agree with the membership map.
+			// Lookups must agree with the model, present and absent
+			// IDs alike, and only successful Puts move the counter.
+			for seq := -1; seq <= 30; seq++ {
+				id := bundle.ID{Src: 0, Seq: seq}
+				if s.Get(id) != model[id] || s.Has(id) != (model[id] != nil) {
+					return false
+				}
+			}
+			if s.Puts() != puts {
+				return false
+			}
 			ids := s.AppendIDs(nil)
-			if len(ids) != s.Len() {
+			if len(ids) != s.Len() || len(ids) != len(model) {
 				return false
 			}
 			pinned := 0
@@ -399,11 +430,13 @@ func TestIndexConsistencyProperty(t *testing.T) {
 			}
 			// The fast path must never hide a lapsed unpinned copy: a
 			// purge at now must leave none behind.
-			for _, c := range s.PurgeExpired(now) {
+			purged := s.PurgeExpired(now)
+			for _, c := range purged {
 				if c.Pinned || !c.Expired(now) {
 					return false
 				}
 			}
+			forget(purged)
 			lapsed := false
 			s.Range(func(c *bundle.Copy) bool {
 				if !c.Pinned && c.Expired(now) {

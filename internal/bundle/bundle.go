@@ -1,6 +1,6 @@
 // Package bundle defines DTN bundles (the message unit of the Bundle
-// Protocol and of the paper), per-node copy state, and the summary-vector
-// set algebra used by anti-entropy sessions.
+// Protocol and of the paper), per-node copy state, and the sorted ID
+// set (SummaryVector) behind received sets and immunity tables.
 //
 // A Bundle is the immutable identity of a message; a Copy is one node's
 // buffered instance of it, carrying the mutable metadata the protocols
@@ -9,7 +9,6 @@ package bundle
 
 import (
 	"fmt"
-	"sort"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/sim"
@@ -93,56 +92,59 @@ func (c *Copy) Clone(now sim.Time) *Copy {
 
 // SummaryVector is a set of bundle IDs. Pure epidemic calls it the
 // summary vector; the immunity protocol calls the same structure the
-// m-list. The zero value is not usable; call NewSummaryVector.
+// i-list. The zero value is an empty set; NewSummaryVector exists for
+// callers that want a pointer in one expression.
 //
-// Alongside the membership map the vector keeps a sorted-slice index,
-// maintained incrementally on Add/Remove, so ordered traversal (Range,
-// Items, Diff) never re-sorts — immunity-table transfers run it on
-// every contact.
+// The one representation is a strictly ascending slice: membership is
+// a binary search, ordered traversal (Range, Items) is a walk, and the
+// immunity-table transfer every contact runs (Merge) is a comparison-
+// only merge of two sorted runs. Sets here hold a handful to a few
+// hundred IDs; hashing a 16-byte ID cost more than the eight
+// comparisons that replace it (DESIGN.md §7.1).
 type SummaryVector struct {
-	ids map[ID]struct{}
-	// order holds the member IDs in ascending (Src, Seq) order.
-	order []ID
+	// ids holds the members in strictly ascending (Src, Seq) order.
+	ids []ID
 }
 
 // NewSummaryVector returns an empty vector.
-func NewSummaryVector() *SummaryVector {
-	return &SummaryVector{ids: make(map[ID]struct{})}
-}
+func NewSummaryVector() *SummaryVector { return &SummaryVector{} }
 
-// searchIdx returns id's position in the sorted index, or the position
-// it would be inserted at.
-func (v *SummaryVector) searchIdx(id ID) int {
-	return sort.Search(len(v.order), func(i int) bool { return !v.order[i].Less(id) })
+// searchIDs returns the position of the first element of ids that is
+// not less than id: id's index when present, its insertion point
+// otherwise.
+//
+//dtn:hotpath
+func searchIDs(ids []ID, id ID) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid].Less(id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Add inserts id, reporting whether it was newly added.
 func (v *SummaryVector) Add(id ID) bool {
-	if _, ok := v.ids[id]; ok {
+	i := searchIDs(v.ids, id)
+	if i < len(v.ids) && v.ids[i] == id {
 		return false
 	}
-	v.ids[id] = struct{}{}
-	i := v.searchIdx(id)
-	v.order = append(v.order, ID{})
-	copy(v.order[i+1:], v.order[i:])
-	v.order[i] = id
+	v.ids = append(v.ids, ID{})
+	copy(v.ids[i+1:], v.ids[i:])
+	v.ids[i] = id
 	return true
 }
 
-// Remove deletes id from the vector.
-func (v *SummaryVector) Remove(id ID) {
-	if _, ok := v.ids[id]; !ok {
-		return
-	}
-	delete(v.ids, id)
-	i := v.searchIdx(id)
-	v.order = append(v.order[:i], v.order[i+1:]...)
-}
-
 // Has reports membership.
+//
+//dtn:hotpath
 func (v *SummaryVector) Has(id ID) bool {
-	_, ok := v.ids[id]
-	return ok
+	i := searchIDs(v.ids, id)
+	return i < len(v.ids) && v.ids[i] == id
 }
 
 // Len returns the number of IDs in the vector.
@@ -152,7 +154,7 @@ func (v *SummaryVector) Len() int { return len(v.ids) }
 // stopping early if fn returns false. It allocates nothing. The vector
 // must not be mutated during the iteration.
 func (v *SummaryVector) Range(fn func(ID) bool) {
-	for _, id := range v.order {
+	for _, id := range v.ids {
 		if !fn(id) {
 			return
 		}
@@ -162,42 +164,93 @@ func (v *SummaryVector) Range(fn func(ID) bool) {
 // Items returns a fresh slice of the IDs in deterministic (Src, Seq)
 // order. Hot paths should prefer Range, which does not allocate.
 func (v *SummaryVector) Items() []ID {
-	return append([]ID(nil), v.order...)
+	return append([]ID(nil), v.ids...)
 }
 
-// Diff returns the IDs present in v but absent from other, in
-// deterministic order. This is the anti-entropy "what you are missing"
-// computation from Vahdat & Becker.
-func (v *SummaryVector) Diff(other *SummaryVector) []ID {
-	out := make([]ID, 0)
-	for _, id := range v.order {
-		if !other.Has(id) {
-			out = append(out, id)
+// Merge adds src's first budget members (in ascending order) to v —
+// one immunity-table transfer truncated at a contact's record budget.
+// sent is how many records crossed, min(budget, src.Len()) and never
+// negative; added is how many of them v did not hold. When added is
+// zero — the steady state between neighbours that have already met —
+// v is not written at all. Merging a vector into itself adds nothing.
+//
+// Cost is one forward pass that gallops through v (so a short prefix
+// into a long list is O(sent·log) rather than a walk from v's start)
+// and, only when something is new, one backward in-place merge of v's
+// tail; neither hashes, calls back, nor allocates beyond growing v.
+//
+//dtn:hotpath
+func (v *SummaryVector) Merge(src *SummaryVector, budget int) (sent, added int) {
+	sent = min(budget, len(src.ids))
+	if sent <= 0 {
+		return 0, 0
+	}
+	if src == v {
+		return sent, 0
+	}
+	in := src.ids[:sent]
+	// Count what is new, remembering where the first new ID lands: the
+	// in-place merge below never needs to look further down than that.
+	firstNew, firstPos := -1, 0
+	j := 0
+	for k, id := range in {
+		// Lists that mostly agree stay in step: look before leaping.
+		if j < len(v.ids) && v.ids[j] != id {
+			j = gallop(v.ids, j, id)
+		}
+		if j < len(v.ids) && v.ids[j] == id {
+			j++
+			continue
+		}
+		if added == 0 {
+			firstNew, firstPos = k, j
+		}
+		added++
+	}
+	if added == 0 {
+		return sent, 0
+	}
+	// Grow by added slots (their contents are overwritten), then merge
+	// backwards: w is the next slot to fill, i the last unmoved member
+	// of v, k the last unmerged record. w-i counts the records still to
+	// place; when it reaches zero everything below is already in place.
+	i := len(v.ids) - 1
+	v.ids = append(v.ids, in[:added]...)
+	w := len(v.ids) - 1
+	for k := sent - 1; k >= firstNew; {
+		switch id := in[k]; {
+		case i >= firstPos && id.Less(v.ids[i]):
+			v.ids[w] = v.ids[i]
+			i--
+			w--
+		case i >= firstPos && id == v.ids[i]:
+			k--
+		default:
+			v.ids[w] = id
+			w--
+			k--
 		}
 	}
-	return out
+	return sent, added
 }
 
-// Union merges other into v, reporting how many IDs were new. Members
-// are merged in ascending order, keeping the index insertions cheap.
-func (v *SummaryVector) Union(other *SummaryVector) int {
-	added := 0
-	for _, id := range other.order {
-		if v.Add(id) {
-			added++
-		}
+// gallop returns the position of the first element of ids[from:] that
+// is not less than id, as an index into ids: it doubles its stride from
+// from until it overshoots, then binary-searches the bracket. Callers
+// walking two sorted runs in step pay O(log gap) per element instead of
+// a linear walk or a full-length search.
+//
+//dtn:hotpath
+func gallop(ids []ID, from int, id ID) int {
+	if from >= len(ids) || !ids[from].Less(id) {
+		return from
 	}
-	return added
-}
-
-// Clone returns an independent copy of the vector.
-func (v *SummaryVector) Clone() *SummaryVector {
-	out := &SummaryVector{
-		ids:   make(map[ID]struct{}, len(v.ids)),
-		order: append([]ID(nil), v.order...),
+	// ids[lo] < id throughout.
+	lo, step := from, 1
+	for lo+step < len(ids) && ids[lo+step].Less(id) {
+		lo += step
+		step <<= 1
 	}
-	for id := range v.ids {
-		out.ids[id] = struct{}{}
-	}
-	return out
+	hi := min(lo+step, len(ids))
+	return lo + 1 + searchIDs(ids[lo+1:hi], id)
 }

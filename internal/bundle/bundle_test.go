@@ -76,30 +76,10 @@ func TestSummaryVectorBasics(t *testing.T) {
 	if !v.Has(id) || v.Len() != 1 {
 		t.Fatal("membership after Add wrong")
 	}
-	v.Remove(id)
-	if v.Has(id) || v.Len() != 0 {
-		t.Fatal("Remove did not delete")
-	}
-}
-
-func TestSummaryVectorDiff(t *testing.T) {
-	// Paper Fig. 2: node A holds {1,2,3,4,8}; node B holds {2,3,4,9,0}.
-	// A sends B the diff {1,8}; B sends A {9,0} (here 0 is seq 0).
-	a := NewSummaryVector()
-	for _, s := range []int{1, 2, 3, 4, 8} {
-		a.Add(ID{0, s})
-	}
-	b := NewSummaryVector()
-	for _, s := range []int{2, 3, 4, 9, 0} {
-		b.Add(ID{0, s})
-	}
-	aToB := a.Diff(b)
-	if len(aToB) != 2 || aToB[0] != (ID{0, 1}) || aToB[1] != (ID{0, 8}) {
-		t.Errorf("A\\B = %v, want [b(0:1) b(0:8)]", aToB)
-	}
-	bToA := b.Diff(a)
-	if len(bToA) != 2 || bToA[0] != (ID{0, 0}) || bToA[1] != (ID{0, 9}) {
-		t.Errorf("B\\A = %v, want [b(0:0) b(0:9)]", bToA)
+	// The zero value is an empty, usable set.
+	var z SummaryVector
+	if z.Has(id) || !z.Add(id) || !z.Has(id) {
+		t.Fatal("zero-value vector not usable")
 	}
 }
 
@@ -117,26 +97,8 @@ func TestSummaryVectorItemsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSummaryVectorUnionClone(t *testing.T) {
-	a := NewSummaryVector()
-	a.Add(ID{0, 1})
-	b := NewSummaryVector()
-	b.Add(ID{0, 1})
-	b.Add(ID{0, 2})
-	if n := a.Union(b); n != 1 {
-		t.Errorf("Union added %d, want 1", n)
-	}
-	if a.Len() != 2 {
-		t.Errorf("after union Len = %d", a.Len())
-	}
-	c := a.Clone()
-	c.Add(ID{5, 5})
-	if a.Has(ID{5, 5}) {
-		t.Error("Clone shares storage with original")
-	}
-}
-
-// Property: Diff and Union satisfy set identities.
+// Property: a full-budget Merge is set union and satisfies its
+// identities.
 func TestSummaryVectorSetAlgebraProperty(t *testing.T) {
 	build := func(seed uint64, n int) *SummaryVector {
 		r := rand.New(rand.NewPCG(seed, 7))
@@ -149,24 +111,30 @@ func TestSummaryVectorSetAlgebraProperty(t *testing.T) {
 	f := func(sa, sb uint64) bool {
 		a := build(sa, 20)
 		b := build(sb, 20)
-		// 1) Diff(a,b) ∩ b = ∅
-		for _, id := range a.Diff(b) {
-			if b.Has(id) {
-				return false
+		missing := 0
+		a.Range(func(id ID) bool {
+			if !b.Has(id) {
+				missing++
 			}
-		}
-		// 2) |a ∪ b| = |b| + |a \ b|
-		u := b.Clone()
-		added := u.Union(a)
-		if u.Len() != b.Len()+added || added != len(a.Diff(b)) {
+			return true
+		})
+		// 1) |a ∪ b| = |b| + |a \ b|, and the whole of a was sent.
+		before := b.Len()
+		sent, added := b.Merge(a, a.Len())
+		if sent != a.Len() || added != missing || b.Len() != before+missing {
 			return false
 		}
-		// 3) after union, a.Diff(u) = ∅
-		if len(a.Diff(u)) != 0 {
+		// 2) a ⊆ a ∪ b
+		subset := true
+		a.Range(func(id ID) bool {
+			subset = b.Has(id)
+			return subset
+		})
+		if !subset {
 			return false
 		}
-		// 4) union is idempotent
-		if u.Union(a) != 0 {
+		// 3) union is idempotent
+		if _, again := b.Merge(a, a.Len()); again != 0 {
 			return false
 		}
 		return true
@@ -176,10 +144,9 @@ func TestSummaryVectorSetAlgebraProperty(t *testing.T) {
 	}
 }
 
-// TestSummaryVectorRangeAndRemoveIndex checks the sorted-slice index:
-// Range walks ascending, honours early stop, allocates nothing, and
-// Remove keeps the index consistent.
-func TestSummaryVectorRangeAndRemoveIndex(t *testing.T) {
+// TestSummaryVectorRangeIndex checks ordered traversal: Range walks
+// ascending, honours early stop and allocates nothing.
+func TestSummaryVectorRangeIndex(t *testing.T) {
 	v := NewSummaryVector()
 	for _, seq := range []int{7, 2, 9, 4, 2} {
 		v.Add(ID{Src: 1, Seq: seq})
@@ -207,15 +174,5 @@ func TestSummaryVectorRangeAndRemoveIndex(t *testing.T) {
 		v.Range(func(ID) bool { return true })
 	}); allocs != 0 {
 		t.Errorf("Range allocates %v/op, want 0", allocs)
-	}
-
-	v.Remove(ID{Src: 1, Seq: 4})
-	v.Remove(ID{Src: 1, Seq: 99}) // absent: no-op
-	got := v.Items()
-	if len(got) != 3 || got[0].Seq != 2 || got[1].Seq != 7 || got[2].Seq != 9 {
-		t.Errorf("after Remove, Items = %v", got)
-	}
-	if v.Has(ID{Src: 1, Seq: 4}) || v.Len() != 3 {
-		t.Error("Remove left membership inconsistent")
 	}
 }

@@ -1167,6 +1167,114 @@ func TestDistHostilePeer(t *testing.T) {
 	}
 }
 
+// scramble returns s reversed with every element doubled: a wire list
+// that is neither ascending nor duplicate-free.
+func scramble[T any](s []T) []T {
+	out := make([]T, 0, 2*len(s))
+	for i := len(s) - 1; i >= 0; i-- {
+		out = append(out, s[i], s[i])
+	}
+	return out
+}
+
+// scrambleSets rewrites a wire state's ID sets — the Received set and
+// the immunity i-list — reversed and duplicated, and its copies
+// reversed (a doubled copy is corrupt and refused, as before).
+func scrambleSets(st *frame.NodeState) {
+	if st.Omit&frame.OmitReceived == 0 {
+		st.Received = scramble(st.Received)
+	}
+	if st.Omit&frame.OmitExt == 0 {
+		st.Ext.IDs = scramble(st.Ext.IDs)
+	}
+	if st.Omit&frame.OmitCopies == 0 {
+		for i, j := 0, len(st.Copies)-1; i < j; i, j = i+1, j-1 {
+			st.Copies[i], st.Copies[j] = st.Copies[j], st.Copies[i]
+		}
+	}
+}
+
+// TestDistUnsortedWireSets: node sets are sorted slices searched by
+// bisection, so ID lists off the wire must be sorted on the way in,
+// never adopted. A peer that ships every Received set and i-list
+// reversed and duplicated — in rounds to a worker and in a worker's
+// replies alike — is tolerated exactly as before: restoreInto and
+// RestoreExt rebuild the same sets, and the run matches the
+// sequential engine bit for bit. A mis-ordered slice adopted as a set
+// would answer Has wrongly and diverge silently instead.
+func TestDistUnsortedWireSets(t *testing.T) {
+	fac, err := protocol.Parse("immunity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := node.New(3, 10)
+	fac.New().Init(n)
+	for seq := 1; seq <= 5; seq++ {
+		n.Received.Add(bundle.ID{Src: 1, Seq: seq})
+		cp := &bundle.Copy{Bundle: &bundle.Bundle{ID: bundle.ID{Src: 2, Seq: seq}, Dst: 7}, Expiry: sim.Infinity}
+		if err := n.Store.Put(cp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sorted, hostile, got frame.NodeState
+	if err := snapshotInto(&sorted, n); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 4; seq++ {
+		sorted.Ext.IDs = append(sorted.Ext.IDs, bundle.ID{Src: 0, Seq: seq})
+	}
+	if err := snapshotInto(&hostile, n); err != nil {
+		t.Fatal(err)
+	}
+	hostile.Ext.IDs = append(hostile.Ext.IDs, sorted.Ext.IDs...)
+	scrambleSets(&hostile)
+	restored := node.New(3, 10)
+	if err := restoreInto(restored, &hostile); err != nil {
+		t.Fatalf("restore of scrambled sets: %v", err)
+	}
+	if err := snapshotInto(&got, restored); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sorted) {
+		t.Errorf("scrambled wire sets restored to\n%+v\nwant the sorted state\n%+v", got, sorted)
+	}
+
+	c := loadedCell
+	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
+	scrambleAll := func(states []frame.NodeState) {
+		for i := range states {
+			scrambleSets(&states[i])
+		}
+	}
+	p := newInProcWorkers(nil)
+	res, csv := runCellDist(t, c, Options{
+		Workers: 2, RoundItems: 8,
+		Dial: func(n int) ([]io.ReadWriteCloser, error) {
+			conns, err := p.dial(n)
+			if err == nil {
+				conns[0] = newTapConn(conns[0],
+					func(m *frame.Msg) {
+						if m.Round != nil {
+							scrambleAll(m.Round.States)
+						}
+					},
+					func(m *frame.Msg) {
+						if m.Effects != nil {
+							scrambleAll(m.Effects.States)
+						}
+					})
+			}
+			return conns, err
+		},
+	})
+	if !reflect.DeepEqual(seqRes, res) {
+		t.Errorf("Result diverged from sequential under scrambled wire sets")
+	}
+	if !bytes.Equal(seqCSV, csv) {
+		t.Errorf("event CSV diverged under scrambled wire sets (byte %d)", firstDiff(seqCSV, csv))
+	}
+}
+
 // slotWatch fails the test if a node's authoritative state is ever
 // replaced rather than patched.
 type slotWatch struct {

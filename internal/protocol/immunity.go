@@ -39,9 +39,26 @@ type Immunity struct {
 // NewImmunity returns epidemic-with-immunity with default record sizing.
 func NewImmunity() *Immunity { return &Immunity{RecordSlotFraction: 0.2} }
 
-// immunityState is the per-node i-list.
+// immunityState is the per-node i-list, plus the memo that lets
+// purgeDead skip a scan that cannot match.
+//
+// A purge's outcome is a function of (store contents, i-list) alone. A
+// finished purge leaves no stored copy the list marks delivered;
+// removing copies cannot create one; only storing a copy or growing the
+// list can. The list never shrinks and Store.Puts never decreases, so
+// "both read what they read at the last purge" proves the next scan
+// would find nothing (DESIGN.md §7.2). The memo is not wire state:
+// RestoreExt and Init start it unknown and the first purge scans.
 type immunityState struct {
 	ilist *bundle.SummaryVector
+	// purgedLen and purgedPuts are ilist.Len() and Store.Puts() as the
+	// last purge left them; purgedLen < 0 means no purge has run.
+	purgedLen  int
+	purgedPuts uint64
+}
+
+func newImmunityState(ilist *bundle.SummaryVector) *immunityState {
+	return &immunityState{ilist: ilist, purgedLen: -1}
 }
 
 // Name implements Protocol.
@@ -49,7 +66,7 @@ func (*Immunity) Name() string { return "Epidemic with immunity" }
 
 // Init implements Protocol.
 func (*Immunity) Init(n *node.Node) {
-	n.Ext = &immunityState{ilist: bundle.NewSummaryVector()}
+	n.Ext = newImmunityState(bundle.NewSummaryVector())
 }
 
 func ilistOf(n *node.Node) *bundle.SummaryVector {
@@ -63,12 +80,19 @@ func (im *Immunity) refreshControlLoad(n *node.Node) {
 
 // purgeDead drops every buffered copy the node's i-list marks delivered
 // ("check each other's buffer and delete redundant bundles according to
-// this i-list").
+// this i-list"). It must not be narrowed to "the list grew": P-Q with
+// anti-packets offers without consulting the receiver's list, so a copy
+// can arrive already vaccinated and only the put counter shows it.
 func purgeDead(n *node.Node, now sim.Time) {
-	il := ilistOf(n)
+	st := n.Ext.(*immunityState)
+	il := st.ilist
+	if st.purgedLen == il.Len() && st.purgedPuts == n.Store.Puts() {
+		return
+	}
 	for _, cp := range n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) }) {
 		n.NotePurged(cp.Bundle.ID, now)
 	}
+	st.purgedLen, st.purgedPuts = il.Len(), n.Store.Puts()
 }
 
 // Exchange implements Protocol: per Mundur et al., the peers "combine
@@ -77,8 +101,8 @@ func purgeDead(n *node.Node, now sim.Time) {
 // peer lacks without sending the list), truncated at the contact's
 // record budget. Then both purge dead bundles.
 func (im *Immunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
-	im.transferRecords(a, b, recordBudget)
-	im.transferRecords(b, a, recordBudget)
+	transferRecords(a, b, recordBudget)
+	transferRecords(b, a, recordBudget)
 	purgeDead(a, now)
 	purgeDead(b, now)
 	im.refreshControlLoad(a)
@@ -92,17 +116,8 @@ func (im *Immunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
 // complaint that "the number of immunity tables transmitted is
 // proportional to the load" — and short contacts truncate the transfer,
 // so tables "are propagated slowly".
-func (im *Immunity) transferRecords(from, to *node.Node, budget int) {
-	fromList, toList := ilistOf(from), ilistOf(to)
-	sent := 0
-	fromList.Range(func(id bundle.ID) bool {
-		if sent >= budget {
-			return false
-		}
-		sent++
-		toList.Add(id)
-		return true
-	})
+func transferRecords(from, to *node.Node, budget int) {
+	sent, _ := ilistOf(to).Merge(ilistOf(from), budget)
 	from.ControlSent += int64(sent)
 }
 

@@ -97,11 +97,15 @@ func RestoreExt(n *node.Node, st ExtState) error {
 		n.Ext = nil
 		return nil
 	case ExtImmunity:
+		// One Add per wire ID, never adopting st.IDs as the list: the
+		// set's lookups binary-search, so unsorted or duplicated input
+		// must be sorted on the way in, and a decoded frame's storage
+		// must not alias live state.
 		v := bundle.NewSummaryVector()
 		for _, id := range st.IDs {
 			v.Add(id)
 		}
-		n.Ext = &immunityState{ilist: v}
+		n.Ext = newImmunityState(v)
 		return nil
 	case ExtCumulative:
 		cs := &cumState{

@@ -21,8 +21,8 @@ func TestSnapshotExtRoundTrip(t *testing.T) {
 		ext  any
 	}{
 		{"none", nil},
-		{"immunity", &immunityState{ilist: il}},
-		{"immunity-empty", &immunityState{ilist: bundle.NewSummaryVector()}},
+		{"immunity", newImmunityState(il)},
+		{"immunity-empty", newImmunityState(bundle.NewSummaryVector())},
 		{"cum", &cumState{
 			acks: map[Flow]int{{Src: 0, Dst: 7}: 3, {Src: 2, Dst: 1}: 5},
 			base: map[Flow]int{{Src: 0, Dst: 7}: 1},
@@ -53,6 +53,50 @@ func TestSnapshotExtRoundTrip(t *testing.T) {
 				t.Errorf("re-snapshot = %#v, want %#v", again, st)
 			}
 		})
+	}
+}
+
+// TestRestoreExtHostileIDs: the i-list's lookups binary-search, so an
+// ID list that arrives reversed and duplicated must restore to the same
+// set as the sorted one — never be adopted as a mis-ordered slice — and
+// the restored list must not alias the wire storage. The purge memo is
+// not wire state: a warm one restores as unknown, so the first purge
+// after a restore scans.
+func TestRestoreExtHostileIDs(t *testing.T) {
+	sorted := []bundle.ID{{Src: 0, Seq: 4}, {Src: 1, Seq: 2}, {Src: 1, Seq: 9}, {Src: 3, Seq: 1}}
+	hostile := []bundle.ID{sorted[3], sorted[2], sorted[2], sorted[1], sorted[0], sorted[3], sorted[0]}
+	want, got := node.New(0, 10), node.New(1, 10)
+	if err := RestoreExt(want, ExtState{Kind: ExtImmunity, IDs: sorted}); err != nil {
+		t.Fatal(err)
+	}
+	if err := RestoreExt(got, ExtState{Kind: ExtImmunity, IDs: hostile}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Ext, want.Ext) {
+		t.Fatalf("hostile IDs restored to %v, want %v", ilistOf(got).Items(), ilistOf(want).Items())
+	}
+	for _, id := range sorted {
+		if !ilistOf(got).Has(id) {
+			t.Errorf("restored list lost %v", id)
+		}
+	}
+	hostile[0] = bundle.ID{Src: 9, Seq: 9}
+	ilistOf(got).Add(bundle.ID{Src: 0, Seq: 1})
+	if ilistOf(got).Has(hostile[0]) || sorted[0] != (bundle.ID{Src: 0, Seq: 4}) {
+		t.Error("restored list aliases the wire slice")
+	}
+
+	warm := newImmunityState(bundle.NewSummaryVector())
+	warm.purgedLen, warm.purgedPuts = 0, 7
+	st, err := SnapshotExt(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RestoreExt(got, st); err != nil {
+		t.Fatal(err)
+	}
+	if memo := got.Ext.(*immunityState); memo.purgedLen >= 0 {
+		t.Errorf("restored purge memo = (%d, %d), want unknown", memo.purgedLen, memo.purgedPuts)
 	}
 }
 
