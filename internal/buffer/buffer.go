@@ -190,7 +190,7 @@ func (s *Store) Get(id bundle.ID) *bundle.Copy {
 // successes); it never decreases. A caller that remembers the count
 // can tell later that nothing has entered the store since — removals
 // do not move it — which is what lets the immunity purge skip its scan
-// (DESIGN.md §7.2).
+// (DESIGN.md §7.4).
 func (s *Store) Puts() uint64 { return s.puts }
 
 // searchIdx returns the position of id in the order index, or the

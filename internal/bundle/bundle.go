@@ -92,8 +92,7 @@ func (c *Copy) Clone(now sim.Time) *Copy {
 
 // SummaryVector is a set of bundle IDs. Pure epidemic calls it the
 // summary vector; the immunity protocol calls the same structure the
-// i-list. The zero value is an empty set; NewSummaryVector exists for
-// callers that want a pointer in one expression.
+// i-list. The zero value is an empty set.
 //
 // The one representation is a strictly ascending slice: membership is
 // a binary search, ordered traversal (Range, Items) is a walk, and the
@@ -106,7 +105,9 @@ type SummaryVector struct {
 	ids []ID
 }
 
-// NewSummaryVector returns an empty vector.
+// NewSummaryVector returns an empty vector. With no map to make, the
+// zero value is just as usable; the constructor stays for the callers
+// that want a pointer in one expression.
 func NewSummaryVector() *SummaryVector { return &SummaryVector{} }
 
 // searchIDs returns the position of the first element of ids that is
@@ -185,27 +186,18 @@ func (v *SummaryVector) Merge(src *SummaryVector, budget int) (sent, added int) 
 	if sent <= 0 {
 		return 0, 0
 	}
-	if src == v {
-		return sent, 0
-	}
 	in := src.ids[:sent]
-	// Count what is new, remembering where the first new ID lands: the
-	// in-place merge below never needs to look further down than that.
-	firstNew, firstPos := -1, 0
 	j := 0
-	for k, id := range in {
+	for _, id := range in {
 		// Lists that mostly agree stay in step: look before leaping.
-		if j < len(v.ids) && v.ids[j] != id {
+		if j == len(v.ids) || v.ids[j] != id {
 			j = gallop(v.ids, j, id)
+			if j == len(v.ids) || v.ids[j] != id {
+				added++
+				continue
+			}
 		}
-		if j < len(v.ids) && v.ids[j] == id {
-			j++
-			continue
-		}
-		if added == 0 {
-			firstNew, firstPos = k, j
-		}
-		added++
+		j++
 	}
 	if added == 0 {
 		return sent, 0
@@ -217,13 +209,13 @@ func (v *SummaryVector) Merge(src *SummaryVector, budget int) (sent, added int) 
 	i := len(v.ids) - 1
 	v.ids = append(v.ids, in[:added]...)
 	w := len(v.ids) - 1
-	for k := sent - 1; k >= firstNew; {
+	for k := sent - 1; w > i; {
 		switch id := in[k]; {
-		case i >= firstPos && id.Less(v.ids[i]):
+		case i >= 0 && id.Less(v.ids[i]):
 			v.ids[w] = v.ids[i]
 			i--
 			w--
-		case i >= firstPos && id == v.ids[i]:
+		case i >= 0 && id == v.ids[i]:
 			k--
 		default:
 			v.ids[w] = id

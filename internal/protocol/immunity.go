@@ -47,7 +47,7 @@ func NewImmunity() *Immunity { return &Immunity{RecordSlotFraction: 0.2} }
 // removing copies cannot create one; only storing a copy or growing the
 // list can. The list never shrinks and Store.Puts never decreases, so
 // "both read what they read at the last purge" proves the next scan
-// would find nothing (DESIGN.md §7.2). The memo is not wire state:
+// would find nothing (DESIGN.md §7.4). The memo is not wire state:
 // RestoreExt and Init start it unknown and the first purge scans.
 type immunityState struct {
 	ilist *bundle.SummaryVector

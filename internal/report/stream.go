@@ -44,20 +44,32 @@ const header = "time,event,node,peer,bundle,detail,occupancy,duplication\n"
 // written immediately.
 func NewStream(w io.Writer, events bool) *Stream {
 	s := &Stream{w: w, events: events}
-	s.buf = append(s.buf, header...)
-	s.flush()
+	s.flush(s.buf, header)
 	return s
 }
 
 // Err returns the first write error, or nil.
 func (s *Stream) Err() error { return s.err }
 
-// flush writes the finished row and empties buf for the next one.
+// event starts an event row in buf: "time,kind,node,". kind carries
+// its own commas.
 //
 //dtn:hotpath
-func (s *Stream) flush() {
-	_, s.err = s.w.Write(s.buf)
-	s.buf = s.buf[:0]
+func (s *Stream) event(now sim.Time, kind string, n contact.NodeID) []byte {
+	b := appendFloat(s.buf, float64(now))
+	b = append(b, kind...)
+	b = appendNode(b, n)
+	return append(b, ',')
+}
+
+// flush ends the row b with tail, writes it in one Write and keeps the
+// storage for the next row.
+//
+//dtn:hotpath
+func (s *Stream) flush(b []byte, tail string) {
+	b = append(b, tail...)
+	_, s.err = s.w.Write(b)
+	s.buf = b[:0]
 }
 
 // Numbers are formatted exactly as fmt's %g and %d would — %g is
@@ -86,15 +98,10 @@ func (s *Stream) OnGenerate(id bundle.ID, dst contact.NodeID, now sim.Time) {
 	if !s.events || s.err != nil {
 		return
 	}
-	b := appendFloat(s.buf, float64(now))
-	b = append(b, ",generate,"...)
-	b = appendNode(b, id.Src)
-	b = append(b, ',')
+	b := s.event(now, ",generate,", id.Src)
 	b = appendNode(b, dst)
 	b = append(b, ',')
-	b = appendID(b, id)
-	s.buf = append(b, ",,,\n"...)
-	s.flush()
+	s.flush(appendID(b, id), ",,,\n")
 }
 
 // OnTransmit implements core.Observer.
@@ -104,15 +111,10 @@ func (s *Stream) OnTransmit(from, to contact.NodeID, id bundle.ID, now sim.Time)
 	if !s.events || s.err != nil {
 		return
 	}
-	b := appendFloat(s.buf, float64(now))
-	b = append(b, ",transmit,"...)
-	b = appendNode(b, from)
-	b = append(b, ',')
+	b := s.event(now, ",transmit,", from)
 	b = appendNode(b, to)
 	b = append(b, ',')
-	b = appendID(b, id)
-	s.buf = append(b, ",,,\n"...)
-	s.flush()
+	s.flush(appendID(b, id), ",,,\n")
 }
 
 // OnDeliver implements core.Observer.
@@ -122,15 +124,11 @@ func (s *Stream) OnDeliver(id bundle.ID, dst contact.NodeID, delay float64, now 
 	if !s.events || s.err != nil {
 		return
 	}
-	b := appendFloat(s.buf, float64(now))
-	b = append(b, ",deliver,"...)
-	b = appendNode(b, dst)
-	b = append(b, ",,"...)
+	b := s.event(now, ",deliver,", dst)
+	b = append(b, ',')
 	b = appendID(b, id)
 	b = append(b, ',')
-	b = appendFloat(b, delay)
-	s.buf = append(b, ",,\n"...)
-	s.flush()
+	s.flush(appendFloat(b, delay), ",,\n")
 }
 
 // OnDrop implements core.Observer.
@@ -140,15 +138,11 @@ func (s *Stream) OnDrop(at contact.NodeID, id bundle.ID, reason node.DropReason,
 	if !s.events || s.err != nil {
 		return
 	}
-	b := appendFloat(s.buf, float64(now))
-	b = append(b, ",drop,"...)
-	b = appendNode(b, at)
-	b = append(b, ",,"...)
+	b := s.event(now, ",drop,", at)
+	b = append(b, ',')
 	b = appendID(b, id)
 	b = append(b, ',')
-	b = append(b, reason...)
-	s.buf = append(b, ",,\n"...)
-	s.flush()
+	s.flush(append(b, reason...), ",,\n")
 }
 
 // OnSample implements core.Observer.
@@ -162,7 +156,5 @@ func (s *Stream) OnSample(sm metrics.Sample) {
 	b = append(b, ",sample,,,,,"...)
 	b = appendFloat(b, sm.Occupancy)
 	b = append(b, ',')
-	b = appendFloat(b, sm.Duplication)
-	s.buf = append(b, '\n')
-	s.flush()
+	s.flush(appendFloat(b, sm.Duplication), "\n")
 }
