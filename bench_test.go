@@ -412,15 +412,14 @@ func BenchmarkSubscriberRWPGeneration(b *testing.B) {
 
 // --- sharded executor benchmarks ---------------------------------------------
 //
-// The benchguard sharded pairs time the same 5k-node constant-density
-// RWP cell under different executors. Results are bit-identical for
-// every shard count (the DESIGN.md §12 contract, proven by the golden
-// equivalence suite), so the slow/fast ratios isolate executor cost:
-// "sharded-overhead" gates what the K=1 sharded path adds — the
-// materialized epoch, dependency chains and one goroutine hand-off per
-// item — against the inline executor, which runs the same loop and the
-// same Kernel and merges each item as it is collected;
-// "sharded-speedup" floors the parallel win at one shard per CPU.
+// The benchguard sharded pair times the same 5k-node constant-density
+// RWP cell under different kernel counts. Results are bit-identical for
+// every count (the DESIGN.md §12 contract, proven by the golden
+// equivalence suite), so the slow/fast ratio isolates executor cost:
+// "sharded-speedup" floors the parallel win at one kernel per CPU.
+// There is no one-kernel pair any more: Shards = 1 is the sequential
+// engine itself (one loop, one pool, K = 1), so a "sharded-overhead"
+// ratio would compare a path with itself.
 // The 5k entries that share a pair are re-measured together, in one
 // session with CI's own invocation, whenever one of them moves; since
 // PR 12 that has been on a different box than BENCH_hotpath.json's
@@ -428,10 +427,11 @@ func BenchmarkSubscriberRWPGeneration(b *testing.B) {
 // record the -benchmem columns CI has always passed (allocs_op, b_op).
 
 // runShardedBench times one 5k-node run per iteration through the
-// executor selected by shards (core.Config semantics: 0 = inline on
-// the calling goroutine, K >= 1 = K worker shards). Scenario compilation — cheap next to
-// the run, but allocating — happens off the clock so the measured op is
-// the executor alone.
+// executor selected by shards (core.Config semantics: 0 or 1 = one
+// kernel on the calling goroutine, K >= 2 = every window split across K
+// goroutines). Scenario compilation — cheap next to the run, but
+// allocating — happens off the clock so the measured op is the executor
+// alone.
 func runShardedBench(b *testing.B, shards int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -454,23 +454,10 @@ func runShardedBench(b *testing.B, shards int) {
 	}
 }
 
-// BenchmarkShardedRun5kSequential is the inline executor: the slow side
-// of the sharded-speedup and dist-speedup pairs and of sharded-overhead.
+// BenchmarkShardedRun5kSequential is the one-kernel executor: the slow
+// side of the sharded-speedup and dist-speedup pairs and of
+// dist-overhead.
 func BenchmarkShardedRun5kSequential(b *testing.B) { runShardedBench(b, 0) }
-
-// BenchmarkShardedRun5kOneShard runs the sharded executor with a single
-// worker: all of the epoch protocol (collection, chains, mailboxes,
-// effect replay) and none of the parallelism.
-//
-// "sharded-overhead": since PR 12 both sides run the same epoch loop and
-// the same Kernel, so the ratio prices what K=1 adds over inline —
-// measured 0.82-0.93 over six back-to-back repeats, median 0.90. The
-// committed 0.88 baseline with 0.15 tolerance floors it at ~0.75: the
-// gate trips when the sharded path gets a third slower than inline, not
-// on the inline executor being the faster one. (Before PR 12 the slow
-// side was a separate scheduler-driven loop and the pair gated K=1 at
-// <~15% over it.)
-func BenchmarkShardedRun5kOneShard(b *testing.B) { runShardedBench(b, 1) }
 
 // BenchmarkShardedRun5k runs one shard per CPU. It skips below four
 // cores — the machine-independent speedup gate is only meaningful when
@@ -493,7 +480,7 @@ func BenchmarkShardedRun5k(b *testing.B) {
 // The benchguard dist pairs put numbers on the process boundary using
 // the same 5k-node cell as the sharded pairs (results stay
 // bit-identical, so the ratios isolate executor cost): "dist-overhead"
-// gates one worker process against the in-process one-shard executor —
+// gates one worker process against the sequential run —
 // the full serialization/IPC cost with no parallelism to pay for it —
 // and "dist-speedup" floors the N-worker win over the sequential loop
 // on machines with the cores to show one.
@@ -567,22 +554,28 @@ func runDistBench(b *testing.B, workers int, fullSnapshots bool) {
 
 // BenchmarkDistRun5kOneWorker runs one worker process: every item
 // crosses the process boundary and nothing runs in parallel, so the
-// ratio against BenchmarkShardedRun5kOneShard is the pure
+// ratio against BenchmarkShardedRun5kSequential is the pure
 // serialization/IPC overhead.
 //
-// "dist-overhead" history, each step measured in one session against
-// the one-shard run: 0.39-0.44 with full snapshots every round (PR 9;
-// the process boundary cost ~2.3-2.6x on this pure-protocol cell, whose
-// per-item work is tiny next to shipping 5k-node state); ~0.54 with
-// delta state shipping (PR 10, baseline raised to 0.42); 0.74-0.84 once
-// replies became patches and both ends kept their frame buffers (PR 13:
-// 743/747/750 ms against 952/935/962 ms at its parent, b_op 280.6 MB ->
-// 99.1 MB and allocs_op 396.5k -> 217.1k, the same as the in-process
-// one-shard run). The baseline is 0.74 with tolerance 0.10: the floor,
-// ~0.67, sits above every pre-patch reading of that session and 10%
-// under the lowest reading with patches, so a wire path that goes back
-// to full-state replies or per-frame buffers trips it while the
-// one-shard side's own 13% run-to-run swing does not.
+// "dist-overhead" history. Until PR 23 the slow side was the one-shard
+// run (the materializing K = 1 pool, since deleted: Shards = 1 is the
+// sequential run), each step measured in one session against it:
+// 0.39-0.44 with full snapshots every round (PR 9; the process boundary
+// cost ~2.3-2.6x on this pure-protocol cell, whose per-item work is
+// tiny next to shipping 5k-node state); ~0.54 with delta state shipping
+// (PR 10); 0.74-0.84 once replies became patches and both ends kept
+// their frame buffers (PR 13: b_op 280.6 MB -> 99.1 MB, allocs_op
+// 396.5k -> 217.1k). PR 23 hands every backend 512-item windows instead
+// of whole epochs — b_op 99.1 -> 31.8 MB, the sequential run's 30.1
+// plus the frames — and re-points the pair at the sequential run, which
+// is ~12% faster than the one-shard run was, so the same wire path
+// reads lower: 0.55-0.87 over eight sessions on a shared 2-core box
+// that was busy throughout (median 0.65; the parent's pair read 0.68
+// and its dist side 0.57-0.62 of sequential in the same hours). The
+// baseline is 0.66 with tolerance 0.15: the floor, ~0.56, is where the
+// pre-patch wire path would read today (0.58-0.66 of one-shard is
+// ~0.51-0.58 of sequential), so a return to full-state replies or
+// per-frame buffers trips it while this box's swing mostly does not.
 func BenchmarkDistRun5kOneWorker(b *testing.B) { runDistBench(b, 1, false) }
 
 // BenchmarkDistRun5kOneWorkerFull is the same cell with delta shipping

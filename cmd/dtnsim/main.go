@@ -100,7 +100,7 @@ func main() {
 		sweepFlag    = flag.Bool("sweep", false, "run the paper's §IV load sweep (5..50) instead of a single simulation")
 		runsFlag     = flag.Int("runs", 10, "sweep mode: seeded runs per load point")
 		workersFlag  = flag.Int("workers", 0, "sweep mode: concurrent runs (0 = all CPUs, 1 = sequential; results are identical)")
-		shardsFlag   = flag.Int("shards", 1, "per-run executor shards (1 = classic sequential engine, 0 = one shard per CPU, K>=2 = K worker shards; results are bit-identical)")
+		shardsFlag   = flag.Int("shards", 1, "per-run executor kernels (1 = sequential, on the calling goroutine; 0 = one per CPU; K>=2 = each window of items split across K goroutines; results are bit-identical)")
 		distFlag     = flag.Int("dist-workers", 0, "execute the run's epochs on N dtnsim-worker processes (0 = in-process; results are bit-identical)")
 		distHosts    = flag.String("dist-hosts", "", "comma-separated host:port list of dtnsim-worker -listen processes to execute on over TCP instead of spawning")
 		distCA       = flag.String("dist-ca", "", "PEM CA bundle that -dist-hosts connections must verify against (enables TLS)")
@@ -460,20 +460,16 @@ func distTLS(caPath string) (*tls.Config, error) {
 	return transport.ClientCAs(caPath)
 }
 
-// shardCount maps the -shards flag onto Scenario.Shards: the flag
-// speaks in worker counts (1 = today's sequential engine, 0 = one shard
-// per CPU), the scenario field in executors (0 = the calling goroutine,
-// K >= 1 = sharded with K workers). Either way the results are
-// bit-identical — the knob only chooses how they are computed.
+// shardCount maps the -shards flag onto Scenario.Shards: both count
+// kernels (1 = the sequential engine, which is also what the field's
+// zero value means), except that the flag's 0 asks for one per CPU.
+// Either way the results are bit-identical — the knob only chooses how
+// they are computed.
 func shardCount(flagVal int) int {
-	switch {
-	case flagVal == 1:
-		return 0
-	case flagVal == 0:
+	if flagVal == 0 {
 		return runtime.GOMAXPROCS(0)
-	default:
-		return flagVal
 	}
+	return flagVal
 }
 
 // runSweep executes the paper's load sweep for one protocol on the

@@ -54,7 +54,7 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		workers    = flag.Int("workers", 0, "concurrent simulation runs per sweep (0 = all CPUs, 1 = sequential; results are identical)")
 		specs      = flag.Bool("specs", false, "also write each experiment's serializable SweepSpec as <id>.sweep.json")
-		shards     = flag.Int("shards", 1, "per-run executor shards (1 = classic sequential engine, 0 = one shard per CPU, K>=2 = K worker shards; results are bit-identical)")
+		shards     = flag.Int("shards", 1, "per-run executor kernels (1 = sequential, on the calling goroutine; 0 = one per CPU; K>=2 = each window of items split across K goroutines; results are bit-identical)")
 		scaleNodes = flag.String("scale-nodes", "1000,5000,10000", "node counts for -only scale")
 		scaleRuns  = flag.Int("scale-runs", 3, "runs per (protocol, nodes) scale point")
 		scaleSpan  = flag.Float64("scale-span", 50000, "simulated seconds per scale run (shorter spans keep 100k-node cells inside a time budget)")
@@ -158,19 +158,14 @@ func runConstrained(outDir string, runs int, seed uint64, workers int, quiet boo
 	fmt.Println("expected shape: delivery rises with bandwidth; once byte pressure binds, dropfront/droprandom out-deliver droptail for TTL-less flooding (fresh copies displace stale ones)")
 }
 
-// shardCount maps the -shards flag onto core.Config.Shards: the flag
-// speaks in worker counts (1 = today's sequential engine, 0 = one shard
-// per CPU), the config in executors (0 = the calling goroutine, K >= 1
-// = sharded with K workers).
+// shardCount maps the -shards flag onto core.Config.Shards: both count
+// kernels (1 = the sequential engine, which is also what the field's
+// zero value means), except that the flag's 0 asks for one per CPU.
 func shardCount(flagVal int) int {
-	switch {
-	case flagVal == 1:
-		return 0
-	case flagVal == 0:
+	if flagVal == 0 {
 		return runtime.GOMAXPROCS(0)
-	default:
-		return flagVal
 	}
+	return flagVal
 }
 
 // monotonicSeconds is the wall-clock hook injected into scale sweeps.

@@ -4,10 +4,10 @@ import (
 	"dtnsim/internal/node"
 )
 
-// This file is the executor seam (DESIGN.md §13): the narrow interface
-// through which the epoch loop (loop.go) hands materialized epochs to
-// whatever executes them — the goroutine pool in pool.go, worker
-// processes in internal/dist, remote hosts tomorrow. Everything
+// This file is the executor seam (DESIGN.md §12, §13): the narrow
+// interface through which the epoch loop (loop.go) hands every window
+// of items to whatever executes them — the kernel pool in pool.go,
+// worker processes in internal/dist, remote hosts tomorrow. Everything
 // order-sensitive stays on this side of the seam: item collection, the
 // canonical-order merge, sampling, and the Result assembly all run on
 // the coordinating goroutine, so a backend only has to execute items
@@ -28,38 +28,42 @@ type RunEnv struct {
 	Nodes []*node.Node
 }
 
-// Epoch is one collected epoch: the canonical-order item list between
-// two sampling ticks. Items expose their endpoints and payloads for
-// shipping; the backend must leave each item's Fx holding exactly the
-// effects Kernel.Exec would have recorded, in the same program order —
-// merge replays them assuming so.
+// Epoch is one window of an epoch (the name predates the windows): at
+// most WindowItems consecutive items of the canonical-order list
+// between two sampling ticks. Items expose their endpoints and payloads
+// for shipping; the backend must leave each item's Fx holding exactly
+// the effects Kernel.Exec would have recorded, in the same program
+// order — merge replays them assuming so.
 type Epoch struct {
 	items []EpochItem
 }
 
-// Len returns the number of items in the epoch.
+// Len returns the number of items in the window.
 func (ep *Epoch) Len() int { return len(ep.items) }
 
 // Item returns the i-th item in canonical order. The pointer is valid
-// until the next epoch's collection.
+// until RunEpoch returns: the loop reuses the slots for the next window.
 func (ep *Epoch) Item(i int) *EpochItem { return &ep.items[i] }
 
-// EpochBackend executes epochs on behalf of the epoch loop.
+// EpochBackend executes windows of items on behalf of the epoch loop.
 // Implementations must respect the per-node dependency order: two items
 // sharing an endpoint execute in item-index order, with the later one
-// observing all node mutations of the earlier. Items not sharing a node
-// may run concurrently, anywhere.
+// observing all node mutations of the earlier — within a window and
+// across windows. Items not sharing a node may run concurrently,
+// anywhere; Partitioner.Split finds them.
 type EpochBackend interface {
 	// Start begins a run. The backend captures what it needs from the
 	// environment (config scalars, protocol spec, population) and
 	// prepares its executors.
 	Start(env RunEnv) error
-	// RunEpoch executes every item and fills the items' effect buffers.
-	// It is never called with an empty epoch.
+	// RunEpoch executes every item of one window and fills the items'
+	// effect buffers. It may be called several times per epoch, never
+	// with an empty window.
 	RunEpoch(ep *Epoch) error
 	// NodeOccupancy returns node i's current buffer occupancy — the
 	// value nodes[i].Store.Occupancy() would return on the
-	// authoritative state — read at sampling ticks between epochs.
+	// authoritative state — read at sampling ticks, between RunEpoch
+	// calls.
 	NodeOccupancy(i int) float64
 	// Finish ends the run, leaving the authoritative final node states
 	// in the Start environment's Nodes so Result assembly reads them

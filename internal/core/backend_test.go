@@ -9,8 +9,10 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
 	"dtnsim/internal/metrics"
 	"dtnsim/internal/report"
@@ -25,6 +27,11 @@ type recordingBackend struct {
 
 	starts, epochs, finishes, occupancies int
 	inEpoch, failed                       bool
+	// items is every item of every RunEpoch call, in call order;
+	// sinceTick counts those since the last sampling tick and maxEpoch
+	// keeps its peak — the largest epoch the run collected.
+	items               []itemKey
+	sinceTick, maxEpoch int
 	// onEpoch, when set, runs at the start of every RunEpoch with the
 	// call's number (1-based); its error fails that call.
 	onEpoch func(n int) error
@@ -47,7 +54,23 @@ func (b *recordingBackend) RunEpoch(ep *core.Epoch) error {
 		b.t.Errorf("RunEpoch %d after a failed one", b.epochs)
 	case ep.Len() == 0:
 		b.t.Errorf("RunEpoch %d handed an empty epoch", b.epochs)
+	case ep.Len() > core.WindowItems:
+		b.t.Errorf("RunEpoch %d handed %d items; a window holds at most %d", b.epochs, ep.Len(), core.WindowItems)
 	}
+	for i := 0; i < ep.Len(); i++ {
+		// Only the half Gen selects is the item's: slots are reused, so
+		// the other half holds whatever an earlier item left there.
+		it := ep.Item(i)
+		key := itemKey{gen: it.Gen, a: it.A, b: it.B}
+		if it.Gen {
+			key.flow = it.Flow
+		} else {
+			key.c = it.C
+		}
+		b.items = append(b.items, key)
+	}
+	b.sinceTick += ep.Len()
+	b.maxEpoch = max(b.maxEpoch, b.sinceTick)
 	if b.onEpoch != nil {
 		if err := b.onEpoch(b.epochs); err != nil {
 			b.failed = true
@@ -61,6 +84,7 @@ func (b *recordingBackend) RunEpoch(ep *core.Epoch) error {
 
 func (b *recordingBackend) NodeOccupancy(i int) float64 {
 	b.occupancies++
+	b.sinceTick = 0
 	switch {
 	case b.inEpoch || b.starts != 1 || b.finishes > 0 || b.failed:
 		b.t.Errorf("NodeOccupancy(%d) outside the run's between-epoch windows", i)
@@ -76,6 +100,48 @@ func (b *recordingBackend) Finish() error {
 	}
 	return b.inner.Finish()
 }
+
+// itemKey identifies an item by what it carries: a generation's flow or
+// a contact, never both.
+type itemKey struct {
+	gen  bool
+	a, b contact.NodeID
+	c    contact.Contact
+	flow core.Flow
+}
+
+// canonicalItems rebuilds, from a materialized run config, the item
+// order backend.go promises: flow generations in (StartAt, declaration)
+// order merged with the contacts in schedule order, by time,
+// generations first at equal times, up to the schedule's horizon.
+func canonicalItems(cfg core.Config) []itemKey {
+	flows := slices.Clone(cfg.Flows)
+	slices.SortStableFunc(flows, func(x, y core.Flow) int { return int(x.StartAt - y.StartAt) })
+	var want []itemKey
+	contacts := cfg.Schedule.Contacts
+	for len(flows) > 0 || len(contacts) > 0 {
+		if len(flows) > 0 && (len(contacts) == 0 || flows[0].StartAt <= contacts[0].Start) {
+			if f := flows[0]; f.StartAt <= cfg.Schedule.Horizon() {
+				want = append(want, itemKey{gen: true, a: f.Src, b: f.Src, flow: f})
+			}
+			flows = flows[1:]
+		} else {
+			c := contacts[0]
+			want = append(want, itemKey{a: c.A, b: c.B, c: c})
+			contacts = contacts[1:]
+		}
+	}
+	return want
+}
+
+// wideGolden is the budgeted golden cell at 400 nodes of the same
+// density: ~4,000 items per epoch, the regime where the loop must cut
+// an epoch into windows instead of materializing it.
+var wideGolden = func() goldenMobility {
+	m := goldenBudgeted
+	m.name, m.spec = "wide", "rwp:seed=7,nodes=400,area=4000,span=3000,range=100,dt=25"
+	return m
+}()
 
 // loadedGolden is the trace golden cell under byte pressure: sized flows,
 // a byte capacity two bundles wide and a randomized drop policy, so
@@ -98,6 +164,7 @@ func TestEpochBackendContract(t *testing.T) {
 	}{
 		{"paper", func(s bool) core.Config { return goldenConfig(t, "ecttl", goldenMobilities[2], s) }},
 		{"loaded", func(s bool) core.Config { return loadedGolden(t, s) }},
+		{"wide", func(s bool) core.Config { return goldenConfig(t, "immunity", wideGolden, s) }},
 	}
 	// observed runs cfg with an event-CSV stream and a sample counter.
 	observed := func(t *testing.T, cfg core.Config) (*core.Result, []byte, int, error) {
@@ -141,6 +208,14 @@ func TestEpochBackendContract(t *testing.T) {
 			// reading the pool's nodes directly would come up short.
 			if b.occupancies != samples*b.nodes || samples == 0 {
 				t.Errorf("%d NodeOccupancy calls for %d samples of %d nodes", b.occupancies, samples, b.nodes)
+			}
+			// The windows, end to end, are the canonical item order:
+			// nothing skipped, repeated or reordered at a window edge.
+			if want := canonicalItems(cell.cfg(false)); !slices.Equal(b.items, want) {
+				t.Errorf("RunEpoch calls carried %d items, canonical order has %d (or they differ in order)", len(b.items), len(want))
+			}
+			if cell.name == "wide" && b.maxEpoch < 4*core.WindowItems {
+				t.Errorf("largest epoch held %d items; the wide cell is meant to span several windows", b.maxEpoch)
 			}
 
 			boom := errors.New("boom")

@@ -107,26 +107,29 @@ type Config struct {
 	// RunToHorizon disables early termination when all flows complete,
 	// so buffer/duplication dynamics can be observed afterwards.
 	RunToHorizon bool
-	// Shards selects who executes the epoch loop's items (DESIGN.md
-	// §12): 0 runs each item on the calling goroutine as it is
-	// collected; K >= 1 hands every epoch to a pool of K worker
-	// goroutines behind the same EpochBackend seam as Backend (pool.go).
-	// Purely an execution knob — results are bit-identical for every
-	// value, which is why it never enters a scenario's canonical key.
+	// Shards is how many kernels the in-tree executor (pool.go) runs
+	// the epoch loop's items on (DESIGN.md §12): 0 and 1 are the
+	// sequential engine — one kernel on the calling goroutine, each item
+	// executed as it is collected; K >= 2 splits every window of up to
+	// WindowItems items into node-disjoint lists run on K goroutines.
+	// More kernels than nodes could never all have work, so the run
+	// builds min(Shards, nodes). Purely an execution knob — results are
+	// bit-identical for every value, which is why it never enters a
+	// scenario's canonical key.
 	Shards int
 	// Backend, when non-nil, delegates epoch execution to an external
 	// executor (worker processes — internal/dist) through the seam in
-	// backend.go: the engine still collects items, merges effects and
-	// samples metrics, but items execute on the backend's authoritative
-	// node state. Like Shards this is purely an execution knob —
-	// results are bit-identical with and without one, and it never
-	// enters a scenario's canonical key.
+	// backend.go, up to WindowItems items at a time: the engine still
+	// collects items, merges effects and samples metrics, but items
+	// execute on the backend's authoritative node state. Like Shards
+	// this is purely an execution knob — results are bit-identical with
+	// and without one, and it never enters a scenario's canonical key.
 	Backend EpochBackend
 	// Context, when non-nil, lets the caller abort the run: the engine
 	// polls it at every epoch boundary and every interruptEvery
 	// collected items (so a cancel or deadline lands within
-	// microseconds of item processing on the calling goroutine, within
-	// the epoch in flight on shards or a backend) and Run returns an
+	// microseconds of item processing, plus the one window in flight
+	// on several kernels or a backend) and Run returns an
 	// error wrapping the context's error instead of a Result. Nil costs
 	// a nil check per poll — results are bit-identical with and without
 	// a never-cancelled context (benchguard pair "cancel-overhead" gates

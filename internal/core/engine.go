@@ -85,9 +85,10 @@ type run struct {
 	// tracked-bundle scan), making each sampling tick O(nodes + tracked)
 	// instead of O(nodes × tracked).
 	holders *metrics.HolderTracker
-	// Who executes the items: chooseExecutor sets exactly one.
-	inline  *Kernel
-	backend EpochBackend
+	// exec executes the items; occupancy is its NodeOccupancy, bound
+	// once (a method value built per tick would allocate per tick).
+	exec      EpochBackend
+	occupancy func(int) float64
 	// src streams the contact plan; a materialized Config.Schedule is
 	// adapted via Stream, so the run has a single pull-based path.
 	src contact.Source
@@ -117,10 +118,10 @@ type run struct {
 	// boundary (the stream is start-sorted, so one suffices).
 	pending    contact.Contact
 	hasPending bool
-	// epoch is the current epoch's canonical-order item list, reused
-	// across epochs (grown once, effect buffers keep their capacity).
-	// The inline kernel only ever holds the item in flight here.
-	epoch Epoch
+	// window holds the collected, not yet executed items in canonical
+	// order. Its capacity is the window size chooseExecutor derived;
+	// the slots and their effect buffers are reused for the whole run.
+	window Epoch
 	// collected counts items across epochs, pacing the Context poll.
 	collected int
 
@@ -204,37 +205,39 @@ func Run(cfg Config) (*Result, error) {
 	if err := r.cancelled(end); err != nil {
 		return nil, err
 	}
-	if r.backend != nil {
-		// A backend that executed elsewhere writes the final node states
-		// back: Result's per-node columns (occupancy, buffered copies,
-		// overhead counters) read r.nodes.
-		if err := r.backend.Finish(); err != nil {
-			return nil, err
-		}
+	// A backend that executed elsewhere writes the final node states
+	// back: Result's per-node columns (occupancy, buffered copies,
+	// overhead counters) read r.nodes.
+	if err := r.exec.Finish(); err != nil {
+		return nil, err
 	}
 	return r.result(end), nil
 }
 
-// chooseExecutor is the one place the executor is decided (loop.go says
-// why there are two kinds): a configured Backend wins, Shards >= 1 is
-// the in-tree pool behind the same seam, Shards == 0 the inline kernel.
+// chooseExecutor is the one place the executor and its window size are
+// decided: a configured Backend wins, otherwise the in-tree pool. The
+// size is derived, never configured: WindowItems for an executor that
+// can spread a window's node-disjoint parts; 1 when one kernel executes
+// — nothing to schedule, and every extra slot is an effect buffer the
+// sequential run would grow for nothing (512 of them cost the loaded
+// 1000-node cell +18 % bytes, the paper grid +90 %). The pool gets
+// min(Shards, nodes) kernels, at least one: a window's lists are
+// node-disjoint, so more kernels than nodes could never all have work —
+// and Shards arrives from scenario files and job submissions, where an
+// absurd value must not size an allocation.
 func (r *run) chooseExecutor() error {
-	r.backend = r.cfg.Backend
-	if r.backend == nil && r.cfg.Shards >= 1 {
-		r.backend = newPool(r.cfg.Shards)
+	size := WindowItems
+	r.exec = r.cfg.Backend
+	if r.exec == nil {
+		k := max(1, min(r.cfg.Shards, len(r.nodes)))
+		if k == 1 {
+			size = 1
+		}
+		r.exec = newPool(k)
 	}
-	if r.backend != nil {
-		return r.backend.Start(RunEnv{Cfg: r.cfg, Nodes: r.nodes})
-	}
-	kern, err := NewKernel(&r.cfg, r.nodes, make([]*EffectBuf, len(r.nodes)))
-	if err != nil {
-		return err
-	}
-	for _, n := range r.nodes {
-		kern.BindHook(n)
-	}
-	r.inline = kern
-	return nil
+	r.occupancy = r.exec.NodeOccupancy
+	r.window.items = make([]EpochItem, 0, size)
+	return r.exec.Start(RunEnv{Cfg: r.cfg, Nodes: r.nodes})
 }
 
 // cancelled reports a cancelled or expired Config.Context as the run's

@@ -13,12 +13,12 @@ import (
 
 // Kernel is the per-item execution state machine: the only
 // implementation of the paper's §IV contact semantics. Every executor
-// runs it — the calling goroutine (Shards == 0), a shard worker
-// goroutine, or a worker *process* (internal/dist) over restored node
-// state. Exec mutates only the item's two endpoint nodes and records
-// every global side effect into the item's EffectBuf; nothing here
-// reads or writes run-global state, which is exactly what makes an
-// item's execution location — goroutine or process — unobservable.
+// runs it — the pool's kernels (pool.go: the calling goroutine and a
+// goroutine per further list of a window) or a worker *process*
+// (internal/dist) over restored node state. Exec mutates only the
+// item's two endpoint nodes and records every global side effect into
+// the item's EffectBuf; nothing here reads or writes run-global state:
+// an item's execution location — goroutine or process — is unobservable.
 //
 // A Kernel belongs to one executor thread: RNG and Policy are private
 // streams (reseeded per encounter from sim.EncounterSeed, so the draw

@@ -5,7 +5,6 @@ import (
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
-	"dtnsim/internal/metrics"
 	"dtnsim/internal/node"
 	"dtnsim/internal/sim"
 )
@@ -19,9 +18,8 @@ import (
 // sampling ticks (the only events that read global state). Within an
 // epoch, flow generations and contacts are collected in canonical
 // order — by time, generations before contacts at equal times, each in
-// its own declaration or stream order — and each item is ready to
-// execute as soon as the previous item touching either of its nodes has
-// finished (per-node dependency chains). An item executes in a Kernel
+// its own declaration or stream order — and two items need ordering
+// only when they share a node. An item executes in a Kernel
 // (kernel.go), mutating only the states of its own two nodes and
 // recording its global side effects (observer events, holder-count and
 // delivery bookkeeping) into a per-item effect buffer; a single merger
@@ -32,15 +30,14 @@ import (
 // sim.EncounterSeed, so the draw sequence is a function of the
 // encounter, not of the executor.
 //
-// The loop knows two ways to execute, chosen once in Run. Inline
-// (Shards == 0) executes and merges each item on the calling goroutine
-// as it is collected, so the epoch is never materialized (the 5k-node
-// streaming cell would otherwise pay ~2× the bytes). Everything else is
-// an EpochBackend (backend.go): the epoch is materialized, handed over
-// whole, and merged when the backend returns — the K-goroutine pool
-// (pool.go) for Shards >= 1, worker processes (internal/dist) for a
-// Config.Backend. Collection, merge and sampling stay on this loop
-// either way.
+// There is one way to execute: collect fills a bounded window of items
+// and flush hands it to the run's EpochBackend (backend.go) and merges
+// what comes back — whenever the window is full and once at the epoch
+// boundary, so no epoch is ever materialized. The backend is the
+// in-tree pool of K kernels (pool.go; K = 1, the default, runs on the
+// calling goroutine) or a Config.Backend (worker processes,
+// internal/dist); chooseExecutor derives the window size from which.
+// Collection, merge and sampling stay on this loop either way.
 
 // EffectKind tags one recorded side effect.
 type EffectKind uint8
@@ -80,10 +77,7 @@ func (b *EffectBuf) Effects() []Effect { return b.fx }
 func (b *EffectBuf) Set(fx []Effect) { b.fx = append(b.fx[:0], fx...) }
 
 // EpochItem is one unit of epoch work: a flow generation (Gen=true,
-// endpoint A only) or a contact (endpoints A < B). deps and next are
-// the pool's scheduling state (pool.go): deps counts unfinished
-// predecessor items on its nodes' chains; next holds the successor on
-// A's chain (slot 0) and B's chain (slot 1).
+// endpoint A only, B == A) or a contact (endpoints A < B).
 type EpochItem struct {
 	T   sim.Time
 	Gen bool
@@ -92,8 +86,6 @@ type EpochItem struct {
 	C              contact.Contact
 	Flow           Flow
 	Base, FirstSeq int
-	deps           int32
-	next           [2]*EpochItem
 	Fx             EffectBuf
 }
 
@@ -127,15 +119,6 @@ func (r *run) loop() (sim.Time, error) {
 			boundary = r.horizon
 			withTick = false
 		}
-		if r.backend != nil && len(r.epoch.items) > 0 {
-			// The backend leaves each item's Fx holding the effects the
-			// inline kernel would have recorded, in the same program
-			// order; the inline kernel left nothing to do.
-			if err := r.backend.RunEpoch(&r.epoch); err != nil {
-				return 0, err
-			}
-			r.merge()
-		}
 		if !withTick {
 			// Final partial epoch (lastTick, horizon]: the run ends at
 			// the horizon, raised to the last arrival — deliveries
@@ -146,7 +129,10 @@ func (r *run) loop() (sim.Time, error) {
 			}
 			return end, nil
 		}
-		s := r.sample(tickAt)
+		// The executor's occupancy view, not r.nodes: a backend that
+		// executes elsewhere leaves this process's nodes stale until
+		// Finish. Duplication comes from the merge-maintained counts.
+		s := r.holders.SampleFunc(len(r.nodes), r.occupancy, tickAt)
 		for _, o := range r.obs {
 			o.OnSample(s)
 		}
@@ -163,17 +149,6 @@ func (r *run) loop() (sim.Time, error) {
 		tickAt += sim.Time(r.cfg.SampleEvery)
 		last = boundary
 	}
-}
-
-// sample reads the tick's metrics: the run's own node stores under the
-// inline kernel, the backend's occupancy view otherwise (a backend that
-// executes elsewhere leaves this process's nodes stale between epochs).
-// Duplication comes from the merge-maintained holder counts either way.
-func (r *run) sample(tickAt sim.Time) metrics.Sample {
-	if r.backend != nil {
-		return r.holders.SampleFunc(len(r.nodes), r.backend.NodeOccupancy, tickAt)
-	}
-	return r.holders.Sample(r.nodes, tickAt)
 }
 
 // pull advances the contact stream by one into pending, validating the
@@ -234,10 +209,10 @@ func (r *run) settle() {
 // generations (declaration order) merged with contacts (stream order)
 // by time, generations first at equal times, up to and including the
 // boundary — or the horizon, should a pull settle it below the boundary
-// on the way. The inline kernel runs and merges each item here, so the
-// list never grows; under a backend it is left materialized.
+// on the way. Items go to the executor a window at a time, from inside
+// this loop: returning to the caller per window costs the 12-node runs
+// 5–8 % (measured), so the sequential hot path stays in one function.
 func (r *run) collect(boundary sim.Time) {
-	r.epoch.items = r.epoch.items[:0]
 	for {
 		ft := sim.Infinity
 		if r.nextFlow < len(r.flows) {
@@ -253,6 +228,7 @@ func (r *run) collect(boundary sim.Time) {
 		}
 		bound := min(boundary, r.horizon)
 		if ft > bound && ct > bound {
+			r.flush()
 			return
 		}
 		if r.collected++; r.collected%interruptEvery == 0 {
@@ -264,7 +240,12 @@ func (r *run) collect(boundary sim.Time) {
 				return
 			}
 		}
-		it := r.nextItem()
+		// One more window slot, reused: flush keeps the window inside
+		// its capacity, and the slot's effect buffer keeps its own.
+		w := &r.window
+		w.items = w.items[:len(w.items)+1]
+		it := &w.items[len(w.items)-1]
+		it.Fx.fx = it.Fx.fx[:0]
 		if ft <= ct {
 			fl := r.flows[r.nextFlow]
 			r.nextFlow++
@@ -278,40 +259,38 @@ func (r *run) collect(boundary sim.Time) {
 			it.A, it.B = c.A, c.B
 			it.C = c
 		}
-		if r.inline != nil {
-			r.inline.Exec(it)
-			r.merge()
-			r.epoch.items = r.epoch.items[:0]
+		if len(w.items) == cap(w.items) {
+			if r.flush(); r.err != nil {
+				return
+			}
 		}
 	}
 }
 
-// nextItem extends the epoch item list by one reused slot. collect
-// drops the pointer before its next call and a backend only sees the
-// list after collection finishes, so append reallocation during growth
-// is safe.
-func (r *run) nextItem() *EpochItem {
-	ep := &r.epoch
-	if len(ep.items) < cap(ep.items) {
-		ep.items = ep.items[:len(ep.items)+1]
-	} else {
-		ep.items = append(ep.items, EpochItem{})
+// flush hands the window to the executor — which leaves each item's Fx
+// holding exactly what Kernel.Exec records, in program order — merges
+// it and empties it. An executor failure becomes the run's error.
+//
+//dtn:hotpath
+func (r *run) flush() {
+	if len(r.window.items) == 0 {
+		return
 	}
-	it := &ep.items[len(ep.items)-1]
-	it.Fx.fx = it.Fx.fx[:0]
-	it.next[0], it.next[1] = nil, nil
-	it.deps = 0
-	return it
+	if r.err = r.exec.RunEpoch(&r.window); r.err != nil {
+		return
+	}
+	r.merge()
+	r.window.items = r.window.items[:0]
 }
 
-// merge replays the collected items' effect buffers in canonical item
-// order on the loop's goroutine: the observer call sequence and the
+// merge replays the window's effect buffers in canonical item order on
+// the loop's goroutine: the observer call sequence and the
 // holder/delivery bookkeeping are the same whoever executed the items.
 //
 //dtn:hotpath
 func (r *run) merge() {
-	for i := range r.epoch.items {
-		it := &r.epoch.items[i]
+	for i := range r.window.items {
+		it := &r.window.items[i]
 		for j := range it.Fx.fx {
 			fx := &it.Fx.fx[j]
 			switch fx.Kind {

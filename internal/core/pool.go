@@ -2,147 +2,87 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"dtnsim/internal/contact"
 	"dtnsim/internal/node"
 )
 
-// This file is the in-process EpochBackend (DESIGN.md §12): Shards = K
-// runs every epoch on K goroutines, entered by the loop through the same
-// seam (backend.go) as a distributed backend. It executes on the run's
-// own nodes in place, so NodeOccupancy reads them and Finish has nothing
-// to restore.
+// This file is the in-process EpochBackend (DESIGN.md §12): K kernels
+// over the run's own nodes, entered by the loop through the same seam
+// (backend.go) as a distributed backend. It executes on the nodes in
+// place, so NodeOccupancy reads them and Finish has nothing to restore.
+// K = 1 is the sequential engine: the one kernel runs every window in
+// item order on the calling goroutine.
 
-// worker is one executor goroutine's private state: a Kernel with its
-// own reseedable encounter stream and drop-policy instance, so no
-// random draw ever crosses a goroutine boundary.
-type worker struct {
-	kern *Kernel
-	mbox chan *EpochItem
-}
-
-// pool dispatches an epoch's items to its workers along the per-node
-// dependency chains.
+// pool executes each window on its kernels: one per list the
+// Partitioner can hand out. A Kernel carries its own reseedable
+// encounter stream and drop-policy instance, so no random draw ever
+// crosses a goroutine boundary.
 type pool struct {
 	nodes   []*node.Node
-	workers []*worker
-	// tails/touched index the per-node chain heads during item linking.
-	tails   []*EpochItem
-	touched []contact.NodeID
+	kernels []*Kernel
+	part    Partitioner
 }
 
-var _ EpochBackend = (*pool)(nil)
+func newPool(k int) *pool { return &pool{kernels: make([]*Kernel, k)} }
 
-func newPool(k int) *pool { return &pool{workers: make([]*worker, k)} }
-
-// Start builds one kernel per worker over the run's nodes and binds
-// every node's drop hook.
+// Start builds the kernels over the run's nodes and binds every node's
+// drop hook.
 func (p *pool) Start(env RunEnv) error {
 	p.nodes = env.Nodes
-	p.tails = make([]*EpochItem, len(env.Nodes))
 	// hooks[n] is the effect buffer of the item currently executing on
-	// node n. Only the kernel holding n's chain position touches entry
-	// n, so writes are ordered by the chain's happens-before edges.
+	// node n. Within a window only the kernel running n's list touches
+	// entry n, and windows are separated by RunEpoch's join.
 	hooks := make([]*EffectBuf, len(env.Nodes))
-	for i := range p.workers {
+	for i := range p.kernels {
 		kern, err := NewKernel(&env.Cfg, env.Nodes, hooks)
 		if err != nil {
 			return err
 		}
-		p.workers[i] = &worker{kern: kern}
+		p.kernels[i] = kern
 	}
 	for _, n := range env.Nodes {
-		p.workers[0].kern.BindHook(n)
+		p.kernels[0].BindHook(n)
 	}
 	return nil
 }
 
-// RunEpoch executes the epoch's items on the workers. Dependency
-// chains: an item is ready once every earlier item sharing one of its
-// nodes has finished; readiness is tracked with an atomic countdown and
-// ready items travel to their owner worker (lower endpoint mod K) over
-// buffered channels, so sends never block and every channel receive
-// gives the race detector the happens-before edge matching the chain.
+// RunEpoch splits the window into node-disjoint lists and runs each
+// start to finish on its own kernel — list 0 on the caller, the others
+// on a goroutine each, joined before returning. Disjoint lists share no
+// node state and the join orders this window's writes before any later
+// window's reads; that is the whole synchronization argument. The
+// goroutines live for one window, so there is no worker lifecycle to
+// manage and a cancelled run cannot leak one.
 func (p *pool) RunEpoch(ep *Epoch) error {
-	n := len(ep.items)
-	for i := range ep.items {
-		it := &ep.items[i]
-		p.chain(it, it.A)
-		if it.B != it.A {
-			p.chain(it, it.B)
+	if len(p.kernels) == 1 {
+		for i := range ep.items {
+			p.kernels[0].Exec(&ep.items[i])
 		}
+		return nil
 	}
-	var items sync.WaitGroup
-	items.Add(n)
-	for _, w := range p.workers {
-		w.mbox = make(chan *EpochItem, n)
-	}
-	// Seed the roots before any worker starts: deps still holds the
-	// chain builder's single-threaded value here, so "deps == 0" is
-	// exactly the root set, and the buffered sends cannot block. Seeding
-	// after spawn would race — a running worker's fanout can decrement a
-	// successor to zero and enqueue it while the scan is still walking,
-	// and the scan would then send that item a second time.
-	for i := range ep.items {
-		it := &ep.items[i]
-		if it.deps == 0 {
-			p.workers[int(it.A)%len(p.workers)].mbox <- it
+	lists := p.part.Split(ep, len(p.nodes), 0, len(ep.items), len(p.kernels))
+	var wg sync.WaitGroup
+	for w := 1; w < len(lists); w++ {
+		if len(lists[w]) == 0 {
+			continue
 		}
+		wg.Add(1)
+		go func(kern *Kernel, idxs []int) {
+			defer wg.Done()
+			execList(kern, ep, idxs)
+		}(p.kernels[w], lists[w])
 	}
-	var done sync.WaitGroup
-	for _, w := range p.workers {
-		done.Add(1)
-		go func(w *worker) {
-			defer done.Done()
-			for it := range w.mbox {
-				w.kern.Exec(it)
-				p.fanout(it)
-				items.Done()
-			}
-		}(w)
-	}
-	items.Wait()
-	for _, w := range p.workers {
-		close(w.mbox)
-	}
-	done.Wait()
-	for _, nd := range p.touched {
-		p.tails[nd] = nil
-	}
-	p.touched = p.touched[:0]
+	execList(p.kernels[0], ep, lists[0])
+	wg.Wait()
 	return nil
+}
+
+func execList(kern *Kernel, ep *Epoch, idxs []int) {
+	for _, i := range idxs {
+		kern.Exec(&ep.items[i])
+	}
 }
 
 func (p *pool) NodeOccupancy(i int) float64 { return p.nodes[i].Store.Occupancy() }
 
 func (p *pool) Finish() error { return nil }
-
-// chain links it onto node nd's dependency chain.
-func (p *pool) chain(it *EpochItem, nd contact.NodeID) {
-	prev := p.tails[nd]
-	if prev == nil {
-		p.touched = append(p.touched, nd)
-	} else {
-		slot := 0
-		if prev.A != nd {
-			slot = 1
-		}
-		prev.next[slot] = it
-		it.deps++
-	}
-	p.tails[nd] = it
-}
-
-// fanout releases it's chain successors, dispatching any that became
-// ready to their owner worker's mailbox.
-//
-//dtn:hotpath
-func (p *pool) fanout(it *EpochItem) {
-	for s := 0; s < 2; s++ {
-		nxt := it.next[s]
-		if nxt != nil && atomic.AddInt32(&nxt.deps, -1) == 0 {
-			p.workers[int(nxt.A)%len(p.workers)].mbox <- nxt
-		}
-	}
-}

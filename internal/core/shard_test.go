@@ -11,13 +11,21 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"dtnsim/internal/bundle"
+	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
+	"dtnsim/internal/metrics"
 	"dtnsim/internal/report"
+	"dtnsim/internal/sim"
 )
 
 // shardedConfig builds a golden-cell config routed through the sharded
@@ -55,8 +63,8 @@ func TestShardedGoldenEquivalence(t *testing.T) {
 
 // TestShardedShardCountInvariance pins the stronger form of the
 // invariant on two eventful cells: every shard count — including K=1,
-// the sharded path the overhead benchmark compares against the
-// sequential engine — produces the byte-identical event CSV.
+// which is the sequential engine spelled differently — produces the
+// byte-identical event CSV.
 func TestShardedShardCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded event streams are slow")
@@ -82,17 +90,26 @@ func TestShardedShardCountInvariance(t *testing.T) {
 // runStreamSharded is runStream through the sharded executor.
 func runStreamSharded(t testing.TB, proto string, mob goldenMobility, k int) []byte {
 	t.Helper()
+	_, csv := runSharded(t, proto, mob, k)
+	return csv
+}
+
+// runSharded runs a cell on k kernels, returning its Result and event
+// CSV.
+func runSharded(t testing.TB, proto string, mob goldenMobility, k int) (*core.Result, []byte) {
+	t.Helper()
 	var buf bytes.Buffer
 	cfg := shardedConfig(t, proto, mob, k)
 	st := report.NewStream(&buf, true)
 	cfg.Observers = []core.Observer{st}
-	if _, err := core.Run(cfg); err != nil {
+	res, err := core.Run(cfg)
+	if err != nil {
 		t.Fatalf("%s|%s (K=%d): %v", proto, mob.name, k, err)
 	}
 	if err := st.Err(); err != nil {
 		t.Fatalf("%s|%s (K=%d): stream write: %v", proto, mob.name, k, err)
 	}
-	return buf.Bytes()
+	return res, buf.Bytes()
 }
 
 // TestShardedStreamCSV diffs every event-CSV golden cell sharded (K=4)
@@ -118,8 +135,8 @@ func TestShardedStreamCSV(t *testing.T) {
 // TestShardedDeterminismRace runs each event-CSV cell three times
 // concurrently on the sharded executor — same seed, different worker
 // interleavings — and demands byte-identical CSVs. Under -race this
-// doubles as the data-race proof for the epoch executor's chains,
-// mailboxes and effect buffers.
+// doubles as the data-race proof for the pool's per-window goroutines,
+// shared hook table and effect buffers.
 func TestShardedDeterminismRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent sharded streams are slow")
@@ -159,11 +176,79 @@ func TestShardedDeterminismRace(t *testing.T) {
 }
 
 // TestShardsValidation pins the config boundary: negative shard counts
-// are rejected, and the zero value keeps the sequential path.
+// are rejected; everything else runs, and a count beyond the node
+// population — Shards arrives from scenario files and job submissions —
+// is the run with one kernel per node, not an allocation sized by the
+// caller (3,000,000 used to get the process OOM-killed).
 func TestShardsValidation(t *testing.T) {
 	cfg := goldenConfig(t, "pure", goldenMobilities[2], false)
 	cfg.Shards = -1
 	if _, err := core.Run(cfg); !errors.Is(err, core.ErrConfig) {
 		t.Fatalf("Shards=-1: got %v, want ErrConfig", err)
+	}
+
+	cell := streamGoldenCells[0]
+	want, wantCSV := runSharded(t, cell.proto, cell.mob, 0)
+	got, gotCSV := runSharded(t, cell.proto, cell.mob, math.MaxInt)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("Shards=MaxInt Result diverged from Shards=0\n got: %+v\nwant: %+v", got, want)
+	}
+	if !bytes.Equal(wantCSV, gotCSV) {
+		t.Errorf("Shards=MaxInt event CSV diverged from Shards=0 (first diff at byte %d)", firstDiff(wantCSV, gotCSV))
+	}
+}
+
+// TestShardsZeroIsOnePoolKernel: Shards 0 and 1 are not two executors
+// that agree but one code path — the same Result, the same event bytes
+// and the same number of allocations.
+func TestShardsZeroIsOnePoolKernel(t *testing.T) {
+	cell := streamGoldenCells[0]
+	res0, csv0 := runSharded(t, cell.proto, cell.mob, 0)
+	res1, csv1 := runSharded(t, cell.proto, cell.mob, 1)
+	if !reflect.DeepEqual(res0, res1) || !bytes.Equal(csv0, csv1) {
+		t.Errorf("Shards=1 diverged from Shards=0 (event CSV first diff at byte %d)", firstDiff(csv0, csv1))
+	}
+	// Equal up to the run's maps: their growth depends on a per-map
+	// random hash seed, worth a count or two in ~1,150. A second executor
+	// behind Shards=1 is not that subtle — the chain-and-mailbox pool
+	// this replaced allocated 2.7x the sequential run here.
+	allocs := func(k int) float64 { return testing.AllocsPerRun(5, func() { runSharded(t, cell.proto, cell.mob, k) }) }
+	if a0, a1 := allocs(0), allocs(1); math.Abs(a0-a1) > a0/100 {
+		t.Errorf("Shards=0 allocates %v/run, Shards=1 %v/run; one path allocates one amount", a0, a1)
+	}
+}
+
+// TestShardedCancelLeavesNoGoroutine cancels a two-kernel run from
+// inside an epoch several windows long. The run must stop there — no
+// further sampling tick — with ErrCancelled, and the pool's goroutines,
+// which live for one window each, must all be gone.
+func TestShardedCancelLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := shardedConfig(t, "immunity", wideGolden, 2)
+	cfg.Context = ctx
+	cancelled, lateSamples := false, 0
+	cfg.Observers = []core.Observer{&core.FuncObserver{
+		Transmit: func(_, _ contact.NodeID, _ bundle.ID, _ sim.Time) { cancelled = true; cancel() },
+		Sample: func(metrics.Sample) {
+			if cancelled {
+				lateSamples++
+			}
+		},
+	}}
+	if _, err := core.Run(cfg); !errors.Is(err, core.ErrCancelled) {
+		t.Fatalf("cancelled run returned %v; want ErrCancelled", err)
+	}
+	if !cancelled || lateSamples != 0 {
+		t.Errorf("cancelled=%v, %d sampling ticks after the cancel; want the run stopped inside the epoch", cancelled, lateSamples)
+	}
+	// A goroutine that has released the window's join may not have
+	// finished exiting yet; give it a moment, not a pass.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the cancelled run, %d before it", n, before)
 	}
 }

@@ -45,13 +45,10 @@ import (
 	"dtnsim/internal/protocol"
 )
 
-// DefaultRoundItems is the per-round item window: each epoch is cut
-// into windows of this many canonical-order items, the window's items
-// are grouped into node-disjoint components, and components are spread
-// across workers. Smaller windows expose more parallelism on dense
-// contact plans (a whole epoch's contact graph is usually one giant
-// component; a window's rarely is) at the cost of more frames.
-const DefaultRoundItems = 512
+// DefaultRoundItems is the most items one round ships: by default a
+// round is the whole window the loop hands RunEpoch, split into
+// node-disjoint lists by core.Partitioner, one list per worker.
+const DefaultRoundItems = core.WindowItems
 
 // ErrWorkerLost reports a worker process that died or broke its
 // connection mid-run. Callers branch with errors.Is.
@@ -66,7 +63,10 @@ type Options struct {
 	// workers instantiate. Required; it must resolve to the same
 	// protocol as the run Config's instance — Start cross-checks.
 	Protocol string
-	// RoundItems overrides DefaultRoundItems when positive.
+	// RoundItems overrides DefaultRoundItems when positive: a round is
+	// then a RoundItems slice of the loop's window — more, smaller
+	// frames. The window holds at most core.WindowItems items, so larger
+	// values behave as DefaultRoundItems.
 	RoundItems int
 	// Hosts, when set, connects to dtnsim-worker -listen processes at
 	// these host:port addresses over TCP instead of spawning local
@@ -132,14 +132,10 @@ type Backend struct {
 	restarts int    // remaining worker-revival budget
 
 	// Scratch reused across rounds.
-	uf       unionFind
+	part     core.Partitioner
 	ends     endpointSet
-	comps    []component
-	compOf   map[int]int // union-find root -> index in comps
-	order    []int       // component indexes, largest first
-	loads    []int       // items dealt to each worker this round
 	round    frame.Round
-	assigned [][]int             // assigned[w] = item indexes of worker w's round
+	assigned [][]int             // assigned[w] = item indexes of worker w's round (the Partitioner's)
 	items    [][]*core.EpochItem // items[w] = the items at those indexes
 	involved [][]int             // involved[w] = sorted node IDs of worker w's round
 }
@@ -204,11 +200,8 @@ func New(opt Options) (*Backend, error) {
 	}
 	b.deltaOK = make([]bool, opt.Workers)
 	b.seen = make([][]uint64, opt.Workers)
-	b.assigned = make([][]int, opt.Workers)
 	b.items = make([][]*core.EpochItem, opt.Workers)
 	b.involved = make([][]int, opt.Workers)
-	b.loads = make([]int, opt.Workers)
-	b.compOf = make(map[int]int)
 	for i := range b.conns {
 		if err := b.handshake(i); err != nil {
 			b.Close()
@@ -382,8 +375,8 @@ func (b *Backend) Start(env core.RunEnv) error {
 	return nil
 }
 
-// RunEpoch implements core.EpochBackend: slice the epoch into
-// RoundItems windows and run each as one coordinator↔workers round.
+// RunEpoch implements core.EpochBackend: run the window as one
+// coordinator↔workers round, or as RoundItems slices of it.
 func (b *Backend) RunEpoch(ep *core.Epoch) error {
 	n := ep.Len()
 	for lo := 0; lo < n; lo += b.opt.RoundItems {
@@ -398,23 +391,22 @@ func (b *Backend) RunEpoch(ep *core.Epoch) error {
 	return nil
 }
 
-// runRound executes items [lo, hi) of the epoch: group them into
-// node-disjoint components, spread components across workers, ship one
-// Round per involved worker, install the returned states and effects.
-// The read-back barrier between rounds is what preserves the per-node
-// order across rounds; within a round, items sharing a node land in one
-// component and execute in item order on one worker.
+// runRound executes items [lo, hi) of the window: split them into one
+// node-disjoint list per worker, ship one Round per involved worker,
+// install the returned states and effects. The read-back barrier
+// between rounds is what preserves the per-node order across rounds;
+// within a round, items sharing a node land in one list and execute in
+// item order on one worker.
 //
 // A lost worker at any point is revived and its round replayed. That
 // replay is deterministic by construction: a round's per-worker inputs
-// are disjoint (components share no nodes), so the coordinator's
+// are disjoint (lists share no nodes), so the coordinator's
 // authoritative states for the lost worker's nodes are exactly what it
 // sent the first time, and the replacement executes the identical
 // items over identical state. Worker-reported errors and protocol-skew
 // mismatches are not losses — they are corruption and stay fatal.
 func (b *Backend) runRound(ep *core.Epoch, lo, hi int) error {
-	comps := b.components(ep, lo, hi)
-	b.assign(ep, comps)
+	b.assign(ep, lo, hi)
 
 	// Ship the rounds, then collect replies in worker order — the reply
 	// order (not arrival order) is what keeps state installation
@@ -544,76 +536,12 @@ func (b *Backend) collect(ep *core.Epoch, w int, idxs []int) error {
 	return nil
 }
 
-// components groups items [lo, hi) into connected components of the
-// window's endpoint graph via union-find. Each component's items are in
-// ascending index order; the component list is in first-item order.
-func (b *Backend) components(ep *core.Epoch, lo, hi int) []component {
-	b.uf.reset(len(b.env.Nodes))
-	for i := lo; i < hi; i++ {
-		it := ep.Item(i)
-		if it.B != it.A {
-			b.uf.union(int(it.A), int(it.B))
-		} else {
-			b.uf.find(int(it.A))
-		}
-	}
-	comps := b.comps[:0]
-	clear(b.compOf)
-	for i := lo; i < hi; i++ {
-		root := b.uf.find(int(ep.Item(i).A))
-		ci, ok := b.compOf[root]
-		if !ok {
-			ci = len(comps)
-			b.compOf[root] = ci
-			comps = frame.Resize(comps, ci+1)
-			comps[ci].items = comps[ci].items[:0]
-		}
-		comps[ci].items = append(comps[ci].items, i)
-	}
-	b.comps = comps
-	return comps
-}
-
-type component struct{ items []int }
-
-// assign spreads components across workers: components sorted by item
-// count descending (ties by first item index ascending, so the order is
-// a pure function of the window), each to the least-loaded worker (ties
-// to the lowest worker index). Fills b.assigned, b.items and b.involved.
-func (b *Backend) assign(ep *core.Epoch, comps []component) {
-	order := b.order[:0]
-	for i := range comps {
-		order = append(order, i)
-	}
-	b.order = order
-	sort.Slice(order, func(x, y int) bool {
-		cx, cy := &comps[order[x]], &comps[order[y]]
-		if len(cx.items) != len(cy.items) {
-			return len(cx.items) > len(cy.items)
-		}
-		return cx.items[0] < cy.items[0]
-	})
-	loads := b.loads
-	clear(loads)
-	for w := range b.assigned {
-		b.assigned[w] = b.assigned[w][:0]
-	}
-	for _, ci := range order {
-		best := 0
-		for w := 1; w < len(loads); w++ {
-			if loads[w] < loads[best] {
-				best = w
-			}
-		}
-		loads[best] += len(comps[ci].items)
-		b.assigned[best] = append(b.assigned[best], comps[ci].items...)
-	}
-	for w := range b.assigned {
-		idxs := b.assigned[w]
-		// A worker executes its items in epoch order; components are
-		// node-disjoint, so interleaving them is harmless and sorting
-		// keeps the wire order canonical.
-		sort.Ints(idxs)
+// assign spreads items [lo, hi) across the workers by the one rule
+// every executor schedules with (core.Partitioner). Fills b.assigned,
+// b.items and b.involved.
+func (b *Backend) assign(ep *core.Epoch, lo, hi int) {
+	b.assigned = b.part.Split(ep, len(b.env.Nodes), lo, hi, b.opt.Workers)
+	for w, idxs := range b.assigned {
 		items := b.items[w][:0]
 		for _, idx := range idxs {
 			items = append(items, ep.Item(idx))
@@ -682,54 +610,4 @@ func (b *Backend) Finish() error {
 		}
 	}
 	return nil
-}
-
-// unionFind is a path-compressing union-find over node IDs, reset per
-// round by undoing only the touched entries.
-type unionFind struct {
-	parent  []int32
-	touched []int32
-}
-
-func (u *unionFind) reset(n int) {
-	if len(u.parent) < n {
-		u.parent = make([]int32, n)
-		for i := range u.parent {
-			u.parent[i] = -1
-		}
-		u.touched = u.touched[:0]
-		return
-	}
-	for _, i := range u.touched {
-		u.parent[i] = -1
-	}
-	u.touched = u.touched[:0]
-}
-
-func (u *unionFind) find(x int) int {
-	if u.parent[x] == -1 {
-		u.parent[x] = int32(x)
-		u.touched = append(u.touched, int32(x))
-	}
-	root := x
-	for int(u.parent[root]) != root {
-		root = int(u.parent[root])
-	}
-	for int(u.parent[x]) != root {
-		x, u.parent[x] = int(u.parent[x]), int32(root)
-	}
-	return root
-}
-
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	// Smaller root wins: deterministic, and good enough without ranks at
-	// round-window sizes.
-	if ra > rb {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = int32(ra)
 }

@@ -716,8 +716,7 @@ func readInit(d *dec) *Init {
 }
 
 // readItem decodes one item over it, keeping only its effect buffer's
-// capacity, and returns its index. The dependency-chain fields stay zero:
-// a worker runs a round's items strictly in order.
+// capacity, and returns its index.
 func readItem(d *dec, it *core.EpochItem) (idx int) {
 	fx := it.Fx
 	fx.Set(nil)

@@ -107,10 +107,10 @@ type Sweep struct {
 	// averages are folded in run order after collection.
 	Workers int
 	// Shards selects each run's engine executor (core.Config.Shards):
-	// 0 sequentially on the calling goroutine, K >= 1 the sharded
-	// executor with K workers. Orthogonal to Workers — Workers parallelizes across the
-	// grid, Shards inside each run — and, like it, bit-identical for
-	// every value.
+	// 0 or 1 sequentially on the calling goroutine, K >= 2 each window
+	// of items split across K goroutines. Orthogonal to Workers —
+	// Workers parallelizes across the grid, Shards inside each run —
+	// and, like it, bit-identical for every value.
 	Shards int
 	// Context, when non-nil, cancels the sweep: it is threaded into
 	// every run's engine loop (core.Config.Context), so a cancel or

@@ -46,10 +46,10 @@ type ScaleSweep struct {
 	// nodes, run) and points fold in run order.
 	Workers int
 	// Shards selects the per-run executor, mapped straight onto
-	// core.Config.Shards: 0 runs the sequential engine, K >= 1 the
-	// sharded executor with K workers. Orthogonal to Workers (grid
-	// concurrency) and erased from results: every value produces
-	// bit-identical simulations.
+	// core.Config.Shards: 0 or 1 runs the sequential engine, K >= 2
+	// splits each window of items across K goroutines. Orthogonal to
+	// Workers (grid concurrency) and erased from results: every value
+	// produces bit-identical simulations.
 	Shards int
 	// Clock, if set, returns monotonic seconds and turns on per-run
 	// wall-clock measurement (ScalePoint.WallClock). The hook keeps

@@ -53,7 +53,7 @@ type Sample struct {
 
 // Snapshot computes one periodic observation over the population by
 // full scan: O(nodes × tracked) for the duplication term. The engine's
-// hot path uses HolderTracker.Sample instead, which maintains the
+// hot path uses HolderTracker.SampleFunc instead, which maintains the
 // holder counts incrementally and reproduces this function's result
 // bit-for-bit (the float accumulation order is identical); Snapshot is
 // kept as the reference implementation the equivalence tests and the
@@ -90,7 +90,7 @@ func Snapshot(nodes []*node.Node, tracked []*bundle.Bundle, now sim.Time) Sample
 // number of node stores currently holding a copy of it — updated
 // incrementally from the engine's store/drop/deliver bookkeeping
 // instead of recomputed by scanning every store at every sampling tick.
-// Sample therefore costs O(nodes + tracked) rather than
+// SampleFunc therefore costs O(nodes + tracked) rather than
 // O(nodes × tracked).
 //
 // The engine is the single writer: Track on generation, Inc whenever a
@@ -159,41 +159,14 @@ func (t *HolderTracker) Holders(id bundle.ID) int {
 	return 0
 }
 
-// Sample computes one periodic observation from the maintained counts:
-// bit-identical to Snapshot over the same population, without the
+// SampleFunc computes one periodic observation from the maintained
+// counts, reading each of the n nodes' occupancy through occ: the loop
+// samples whatever state its executor holds authoritative — the run's
+// own stores under the in-tree pool, a distributed coordinator's wire
+// states — without knowing which. Bit-identical to Snapshot over the
+// same population when occ(i) returns what nodes[i].Store.Occupancy()
+// would (the float accumulation order is the same), without the
 // per-bundle store scans.
-//
-//dtn:hotpath
-func (t *HolderTracker) Sample(nodes []*node.Node, now sim.Time) Sample {
-	s := Sample{Now: now, Tracked: len(t.counts)}
-	var occSum float64
-	for _, n := range nodes {
-		occSum += n.Store.Occupancy()
-	}
-	s.Occupancy = occSum / float64(len(nodes))
-
-	var dupSum float64
-	for _, holders := range t.counts {
-		if holders == 0 {
-			continue
-		}
-		s.Alive++
-		dupSum += float64(holders) / float64(len(nodes))
-	}
-	if s.Alive > 0 {
-		s.Duplication = dupSum / float64(s.Alive)
-	}
-	return s
-}
-
-// SampleFunc computes one periodic observation like Sample, reading
-// each of the n nodes' occupancy through occ instead of a node slice:
-// the distributed coordinator samples the backend's authoritative state
-// without materializing local nodes. Bit-identical to Sample when
-// occ(i) returns what nodes[i].Store.Occupancy() would — the float
-// accumulation order is the same. Kept as a duplicate of Sample rather
-// than a shared closure-taking core so the in-process hot path stays
-// call-free.
 //
 //dtn:hotpath
 func (t *HolderTracker) SampleFunc(n int, occ func(int) float64, now sim.Time) Sample {

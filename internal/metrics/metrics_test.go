@@ -164,8 +164,9 @@ func TestHolderTrackerBasics(t *testing.T) {
 
 // TestHolderTrackerSampleMatchesSnapshot is the metric-level
 // equivalence proof: under random store churn mirrored into a tracker,
-// the incremental Sample must equal the reference full-scan Snapshot
-// bit-for-bit at every step.
+// the incremental SampleFunc — reading the stores through the same
+// occupancy accessor the engine's in-tree executor hands it — must
+// equal the reference full-scan Snapshot bit-for-bit at every step.
 func TestHolderTrackerSampleMatchesSnapshot(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 5))
@@ -174,6 +175,7 @@ func TestHolderTrackerSampleMatchesSnapshot(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = node.New(contact.NodeID(i), 4)
 		}
+		occ := func(i int) float64 { return nodes[i].Store.Occupancy() }
 		tr := NewHolderTracker()
 		var tracked []*bundle.Bundle
 		for step := 0; step < 150; step++ {
@@ -206,12 +208,12 @@ func TestHolderTrackerSampleMatchesSnapshot(t *testing.T) {
 				}
 			case 3: // compare a sample
 				now := sim.Time(step)
-				if tr.Sample(nodes, now) != Snapshot(nodes, tracked, now) {
+				if tr.SampleFunc(nNodes, occ, now) != Snapshot(nodes, tracked, now) {
 					return false
 				}
 			}
 		}
-		return tr.Sample(nodes, 999) == Snapshot(nodes, tracked, 999)
+		return tr.SampleFunc(nNodes, occ, 999) == Snapshot(nodes, tracked, 999)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -229,8 +231,9 @@ func TestHolderTrackerSampleZeroAlloc(t *testing.T) {
 	for _, n := range nodes {
 		n.Store.Range(func(cp *bundle.Copy) bool { tr.Inc(cp.Bundle.ID); return true })
 	}
-	if allocs := testing.AllocsPerRun(100, func() { tr.Sample(nodes, 1000) }); allocs != 0 {
-		t.Errorf("Sample allocates %v/op, want 0", allocs)
+	occ := func(i int) float64 { return nodes[i].Store.Occupancy() }
+	if allocs := testing.AllocsPerRun(100, func() { tr.SampleFunc(len(nodes), occ, 1000) }); allocs != 0 {
+		t.Errorf("SampleFunc allocates %v/op, want 0", allocs)
 	}
 }
 

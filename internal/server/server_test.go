@@ -703,6 +703,50 @@ func TestDistributedScenarioJobByteIdentical(t *testing.T) {
 	}
 }
 
+// TestAbsurdShardsJobCompletes: shards is an execution knob the daemon
+// runs as submitted, so it is outside input. Three million of them on a
+// 12-node cell used to size three million kernels and get the process
+// OOM-killed; the engine builds at most one per node, the job completes,
+// and — shards never entering the canonical key — its cached bytes are
+// the unsharded run's.
+func TestAbsurdShardsJobCompletes(t *testing.T) {
+	const sharded = `{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1,"shards":3000000}`
+	const plain = `{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1}`
+	_, a := newTestServer(t, Options{})
+	_, b := newTestServer(t, Options{})
+	ctx := testCtx(t)
+
+	idA := mustRun(t, ctx, a, client.SubmitRequest{Scenario: []byte(sharded)})
+	idB := mustRun(t, ctx, b, client.SubmitRequest{Scenario: []byte(plain)})
+	if idA != idB {
+		t.Fatalf("job ids differ: shards=3000000 %s, unsharded %s", idA, idB)
+	}
+	for name, get := range map[string]func(*client.Client) ([]byte, error){
+		"result": func(c *client.Client) ([]byte, error) { return c.ResultBytes(ctx, idA) },
+		"series": func(c *client.Client) ([]byte, error) { return c.SeriesCSV(ctx, idA) },
+		"events": func(c *client.Client) ([]byte, error) { return c.EventsCSV(ctx, idA) },
+	} {
+		got, err := get(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := get(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s artifact of the shards=3000000 job differs from the unsharded run's", name)
+		}
+	}
+	sub, err := a.SubmitScenario(ctx, []byte(plain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.JobID != idA || !sub.Cached {
+		t.Errorf("unsharded resubmission: %+v, want cached job %s", sub, idA)
+	}
+}
+
 // TestDistributedScenarioJobWorkerLost pins the failure contract at the
 // job layer: a worker connection dying surfaces as dist.ErrWorkerLost
 // from the job function, and through the HTTP layer as a failed job

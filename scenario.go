@@ -77,11 +77,12 @@ type Scenario struct {
 	BufferBytes  int64   `json:"bufbytes,omitempty"`
 	DropPolicy   string  `json:"drop,omitempty"`
 	ControlBytes float64 `json:"ctlbytes,omitempty"`
-	// Shards selects the engine executor (DESIGN.md §12): 0 runs items
-	// sequentially on the calling goroutine, K >= 1 on K worker
-	// goroutines. Purely an execution knob — results are bit-identical
-	// for every value — so, like SweepSpec.Workers, it never enters the
-	// canonical key.
+	// Shards is how many kernels execute the run's items (DESIGN.md
+	// §12): 0 or 1 sequentially on the calling goroutine, K >= 2 each
+	// window of items split across K goroutines; more than the node
+	// count behaves as the node count. Purely an execution knob —
+	// results are bit-identical for every value — so, like
+	// SweepSpec.Workers, it never enters the canonical key.
 	Shards int `json:"shards,omitempty"`
 }
 
