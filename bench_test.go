@@ -553,29 +553,37 @@ func runDistBench(b *testing.B, workers int, fullSnapshots bool) {
 }
 
 // BenchmarkDistRun5kOneWorker runs one worker process: every item
-// crosses the process boundary and nothing runs in parallel, so the
-// ratio against BenchmarkShardedRun5kSequential is the pure
-// serialization/IPC overhead.
+// crosses the process boundary and nothing runs in parallel, so its
+// time over BenchmarkShardedRun5kSequential's is the run plus the pure
+// serialization/IPC cost.
 //
-// "dist-overhead" history. Until PR 23 the slow side was the one-shard
-// run (the materializing K = 1 pool, since deleted: Shards = 1 is the
-// sequential run), each step measured in one session against it:
-// 0.39-0.44 with full snapshots every round (PR 9; the process boundary
-// cost ~2.3-2.6x on this pure-protocol cell, whose per-item work is
-// tiny next to shipping 5k-node state); ~0.54 with delta state shipping
-// (PR 10); 0.74-0.84 once replies became patches and both ends kept
-// their frame buffers (PR 13: b_op 280.6 MB -> 99.1 MB, allocs_op
-// 396.5k -> 217.1k). PR 23 hands every backend 512-item windows instead
-// of whole epochs — b_op 99.1 -> 31.8 MB, the sequential run's 30.1
-// plus the frames — and re-points the pair at the sequential run, which
-// is ~12% faster than the one-shard run was, so the same wire path
-// reads lower: 0.55-0.87 over eight sessions on a shared 2-core box
-// that was busy throughout (median 0.65; the parent's pair read 0.68
-// and its dist side 0.57-0.62 of sequential in the same hours). The
-// baseline is 0.66 with tolerance 0.15: the floor, ~0.56, is where the
-// pre-patch wire path would read today (0.58-0.66 of one-shard is
-// ~0.51-0.58 of sequential), so a return to full-state replies or
-// per-frame buffers trips it while this box's swing mostly does not.
+// What "dist-overhead" means since PR 24. The sequential run of this
+// cell is its mobility generator and little else, and PR 24 made the
+// generator cheap (0.62 s -> ~0.094 s per run, b_op 30.1 -> 8.7 MB,
+// allocs_op 205.6k -> 21.3k) while the wire path did not move: one
+// worker costs ~0.21 s on top of the run, before and after (0.86 s ->
+// ~0.30 s). The ratio therefore fell from 0.66 to 0.30-0.44 (eight
+// sessions: 0.30, 0.30, 0.31, 0.31, 0.31, 0.33, 0.36, 0.44) without
+// anything in dist getting slower: it no longer says "a worker process
+// costs half again a run", it says "on a cell with no data-plane work,
+// the wire costs about twice what generating and dispatching the
+// contacts does". Read it as a gate on that absolute ~0.21 s. The same
+// sessions put the full-snapshot path (BenchmarkDistRun5kOneWorkerFull)
+// at 0.19-0.23 of sequential, so the baseline is 0.30 with tolerance
+// 0.2: the floor, 0.24, sits between the two — a return to full-state
+// replies or per-frame buffers trips it, the delta path's slowest
+// reading does not. The denominator is now three ~90 ms iterations and
+// swings more than the 0.6 s one did: the 0.44 session is one where it
+// read 0.131 s (and the full path 0.32), so a noisy session can let a
+// regression through; it cannot fail a healthy tree.
+//
+// History, each step measured in one session. Against the one-shard run
+// (the materializing K = 1 pool, deleted in PR 23): 0.39-0.44 with full
+// snapshots every round (PR 9), ~0.54 with delta state shipping
+// (PR 10), 0.74-0.84 once replies became patches and both ends kept
+// their frame buffers (PR 13: b_op 280.6 -> 99.1 MB). Against the
+// sequential run: 0.55-0.87 over eight sessions on a busy box, baseline
+// 0.66 (PR 23: 512-item windows, b_op 99.1 -> 31.8 MB).
 func BenchmarkDistRun5kOneWorker(b *testing.B) { runDistBench(b, 1, false) }
 
 // BenchmarkDistRun5kOneWorkerFull is the same cell with delta shipping
@@ -587,9 +595,10 @@ func BenchmarkDistRun5kOneWorker(b *testing.B) { runDistBench(b, 1, false) }
 // sends no patches either); measured 1.31x slower than the delta path
 // at PR 10 and 1.20-1.24x at PR 13 (912/893/932 ms) — lower because
 // kept buffers made the full path cheaper too, not because the delta
-// path lost anything. The committed 1.15 baseline with 0.10 tolerance
-// floors the ratio at ~1.04, so a silently dead delta path (ratio 1.0)
-// fails while container noise does not.
+// path lost anything — and 1.37-1.60x since PR 24 took ~0.5 s of
+// generator out of both sides. The committed 1.15 baseline with 0.10
+// tolerance floors the ratio at ~1.04, so a silently dead delta path
+// (ratio 1.0) fails while container noise does not.
 func BenchmarkDistRun5kOneWorkerFull(b *testing.B) { runDistBench(b, 1, true) }
 
 // BenchmarkDistRun5k runs one worker process per CPU. Like

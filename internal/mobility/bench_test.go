@@ -108,3 +108,29 @@ func BenchmarkScheduleStreaming5k(b *testing.B) {
 		return src
 	})
 }
+
+// BenchmarkClassicStream5k drains the 5k-node constant-density cell of
+// the scale axis (the root package's BenchmarkShardedRun5k* scenario
+// and bench/'s scale5k_stream) with no engine behind it: the developer
+// tool for classic_stream.go. Run it with -benchmem; steady-state
+// allocations are slice growth and the per-node RNGs, nothing per
+// contact. It is not a benchguard pair.
+func BenchmarkClassicStream5k(b *testing.B) {
+	g := ClassicRWP{Nodes: 5000, AreaSide: 14142, Span: 2500, Range: 100, SampleDT: 25, Seed: 1}
+	b.ReportAllocs()
+	var contacts int
+	for i := 0; i < b.N; i++ {
+		src, err := g.Stream()
+		if err != nil {
+			b.Fatal(err)
+		}
+		contacts = 0
+		for {
+			if _, ok := src.Next(); !ok {
+				break
+			}
+			contacts++
+		}
+	}
+	b.ReportMetric(float64(contacts), "contacts")
+}

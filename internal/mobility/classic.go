@@ -82,6 +82,10 @@ func (g ClassicRWP) Generate() (*contact.Schedule, error) {
 	if g.MinSpeed <= 0 {
 		return nil, fmt.Errorf("mobility: ClassicRWP MinSpeed must be > 0 (speed-decay pathology), got %v", g.MinSpeed)
 	}
+	steps, err := g.sampleSteps()
+	if err != nil {
+		return nil, err
+	}
 	root := sim.NewRNG(g.Seed)
 	paths := make([][]leg, g.Nodes)
 	for n := range paths {
@@ -112,7 +116,6 @@ func (g ClassicRWP) Generate() (*contact.Schedule, error) {
 
 	s := &contact.Schedule{Nodes: g.Nodes}
 	r2 := g.Range * g.Range
-	steps := int(float64(g.Span)/g.SampleDT) + 1
 	// Per-pair open contact start (NaN when not in contact).
 	type pairState struct {
 		open  bool

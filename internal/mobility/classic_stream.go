@@ -1,28 +1,37 @@
 package mobility
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/sim"
 )
 
 // Stream returns a pull-based source producing exactly Generate's
-// contact stream while holding only O(nodes) state:
+// contact stream while holding only O(nodes) state plus the contacts
+// waiting for an older one to close. A step hashes nothing and
+// iterates no map:
 //
 //   - waypoint paths are generated lazily — each node keeps its RNG and
 //     its current leg, drawing the next leg on demand instead of
 //     materializing the whole itinerary;
-//   - range detection uses a grid occupancy index with cell side Range:
-//     per sample step each node is checked only against nodes in its
-//     own and neighbouring cells (any pair within Range must share a
-//     3×3 neighbourhood), so a step costs O(nodes + nearby pairs)
-//     instead of the materialized path's O(nodes²) full pairwise scan;
+//   - range detection uses a grid rebuilt every step by a counting sort
+//     (node → cell, one prefix-sum array, nodes ascending inside each
+//     cell): any pair within Range shares a 3×3 cell neighbourhood,
+//     which is three contiguous runs of the sorted order, so a step
+//     costs O(nodes + nearby pairs) instead of the materialized path's
+//     O(nodes²) pairwise scan;
+//   - scanning nodes in ascending order yields the step's in-range
+//     pairs in PairKey order, so the open-pair set is a sorted slice
+//     merge-walked against last step's: in both keeps its start, only
+//     in the old one closes, only in the new one opens;
 //   - contacts are only known when they *close*, which is out of start
-//     order, so closes go through a contact.Lookahead heap bounded by
-//     the earliest still-open contact — the heap holds the reordering
-//     window, not the schedule.
+//     order. A start is always a sample time, so closes wait in one
+//     bucket per start step; a bucket is handed out, sorted by pair,
+//     once no pair that opened at or before its step is still open.
 func (g ClassicRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
 	if g.Nodes < 2 {
@@ -31,14 +40,29 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 	if g.MinSpeed <= 0 {
 		return nil, fmt.Errorf("mobility: ClassicRWP MinSpeed must be > 0 (speed-decay pathology), got %v", g.MinSpeed)
 	}
+	steps, err := g.sampleSteps()
+	if err != nil {
+		return nil, err
+	}
+	// Any cell side >= Range finds the same pairs, so the side is
+	// widened until the grid holds O(nodes) cells whatever the geometry:
+	// the arrays are sized by the population, never by AreaSide/Range.
+	// The constant-density scale cells (4 cells per node) keep side =
+	// Range. 46339² cells still index with an int32.
+	perRow := math.Min(math.Ceil(math.Sqrt(8*float64(g.Nodes))), 46339)
+	side := math.Max(g.Range, g.AreaSide/perRow)
+	cols := int(g.AreaSide/side) + 1
 	root := sim.NewRNG(g.Seed)
 	s := &classicSource{
 		g:     g,
 		walks: make([]classicWalk, g.Nodes),
 		pos:   make([]point, g.Nodes),
-		open:  make(map[contact.PairKey]*classicOpen),
-		grid:  make(map[gridCell][]int),
-		steps: int(float64(g.Span)/g.SampleDT) + 1,
+		side:  side,
+		cols:  cols,
+		cell:  make([]int32, g.Nodes),
+		off:   make([]int32, cols*cols+2),
+		order: make([]int32, g.Nodes),
+		steps: steps,
 	}
 	for n := range s.walks {
 		rng := root.Derive(0xC00 + uint64(n))
@@ -49,6 +73,17 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 		s.advanceWalk(w, 0)
 	}
 	return s, nil
+}
+
+// sampleSteps is the index of the last sample step Stream and Generate
+// may run. A Span/SampleDT that does not fit an int is rejected here:
+// converted, it goes negative and the model reports an empty schedule.
+func (g ClassicRWP) sampleSteps() (int, error) {
+	n := float64(g.Span) / g.SampleDT
+	if !(n >= 0 && n < float64(math.MaxInt)) {
+		return 0, fmt.Errorf("%w: rwp: span %v / dt %v = %g sample steps is out of range", ErrSpec, g.Span, g.SampleDT, n)
+	}
+	return int(n) + 1, nil
 }
 
 // classicWalk is one node's lazy waypoint path: the current leg plus
@@ -63,29 +98,55 @@ type classicWalk struct {
 	done    bool // generation loop ended (genT reached the span)
 }
 
-// classicOpen is an in-range pair's open contact window.
+// classicOpen is an in-range pair's open contact window. key packs the
+// pair as A<<32 | B with A < B, so uint64 order is PairKey order.
 type classicOpen struct {
-	start float64
-	seen  int // last sample step this pair tested in range
+	key   uint64
+	start int // sample step at which the pair came into range
 }
 
-type gridCell struct{ x, y int }
+// classicClosed is a contact waiting in its start step's bucket.
+type classicClosed struct {
+	key uint64
+	end float64
+}
 
 // classicSource runs the sampled-position simulation step by step,
-// emitting closed contacts through a lookahead heap.
+// emitting closed contacts in canonical order.
 type classicSource struct {
 	g     ClassicRWP
 	walks []classicWalk
 	pos   []point
-	open  map[contact.PairKey]*classicOpen
-	grid  map[gridCell][]int
-	cells []gridCell // cells occupied this step, for O(occupied) reset
-	free  [][]int    // recycled node slices for vacated cells
-	ahead contact.Lookahead
+
+	// The occupancy grid, rebuilt every step: cols×cols row-major cells
+	// of the given side; cell c holds nodes order[off[c]:off[c+1]],
+	// ascending.
+	side  float64
+	cols  int
+	cell  []int32 // node → cell
+	off   []int32
+	order []int32
+	near  []int32 // scratch: the scanned node's in-range higher-numbered peers
+
+	open []classicOpen // pairs in range at the last step, in key order
+	next []classicOpen // scratch: the list being built this step
+
+	// closed[head+k] holds the contacts that opened at step base+k and
+	// have closed since, in close order; entries below head are spent.
+	// The window reaches back to the oldest pair still open, not to
+	// step 0.
+	closed   [][]classicClosed
+	head     int
+	base     int
+	spare    [][]classicClosed // handed-out buckets, for reuse
+	out      []classicClosed   // the released bucket being handed out
+	outAt    int
+	outStart sim.Time
+
 	step  int
 	steps int
 	done  bool
-	bound sim.Time // release bound for the lookahead heap
+	bound sim.Time // contacts starting below it are complete
 }
 
 // advanceWalk moves a node's current leg forward until it covers time t,
@@ -115,111 +176,160 @@ func (s *classicSource) advanceWalk(w *classicWalk, t float64) {
 	}
 }
 
-// runStep samples every node's position at the step time, updates the
-// occupancy grid and the open-pair set, and queues closed contacts.
-// It returns the time the step sampled.
+// timeOf is the time sample step k observes.
+func (s *classicSource) timeOf(k int) float64 {
+	t := float64(k) * s.g.SampleDT
+	if sim.Time(t) > s.g.Span {
+		t = float64(s.g.Span)
+	}
+	return t
+}
+
+// axisCell is the grid row or column of a coordinate, clamped at the
+// border (a monotone clamp keeps neighbours neighbours).
+func (s *classicSource) axisCell(x float64) int {
+	return max(0, min(int(x/s.side), s.cols-1))
+}
+
+// runStep samples every node's position at the step time, re-sorts the
+// grid, merges the step's in-range pairs into the open list and files
+// the contacts that closed. It returns the time the step sampled.
 //
 //dtn:hotpath
 func (s *classicSource) runStep() float64 {
 	g := s.g
-	t := float64(s.step) * g.SampleDT
-	if sim.Time(t) > g.Span {
-		t = float64(g.Span)
+	t := s.timeOf(s.step)
+	// This step's bucket; the spent prefix is dropped once it is the
+	// larger half, so the slice tracks the window.
+	if s.head > len(s.closed)/2 {
+		s.closed = s.closed[:copy(s.closed, s.closed[s.head:])]
+		s.head = 0
 	}
+	s.closed = append(s.closed, nil)
+
+	// Counting sort by cell. Counts go in two slots up, so the prefix
+	// sum leaves cell c's first slot in off[c+1]; placing nodes in
+	// ascending order advances it to the cell's end, which is where
+	// cell c+1 starts.
+	clear(s.off)
 	for n := range s.walks {
 		w := &s.walks[n]
 		s.advanceWalk(w, t)
-		s.pos[n] = w.cur.at(t)
+		p := w.cur.at(t)
+		s.pos[n] = p
+		c := int32(s.axisCell(p.y)*s.cols + s.axisCell(p.x))
+		s.cell[n] = c
+		s.off[c+2]++
 	}
-	// Rebuild the occupancy index. Cell side = Range, so every in-range
-	// pair shares a 3×3 cell neighbourhood. Vacated cells are deleted —
-	// not truncated — so the map tracks the cells occupied *this* step
-	// (≤ nodes of them), not every cell ever visited; the node slices
-	// are recycled through a free list to keep the rebuild light.
-	for _, c := range s.cells {
-		s.free = append(s.free, s.grid[c][:0])
-		delete(s.grid, c)
+	for c := 1; c < len(s.off); c++ {
+		s.off[c] += s.off[c-1]
 	}
-	s.cells = s.cells[:0]
-	for n, p := range s.pos {
-		c := gridCell{int(math.Floor(p.x / g.Range)), int(math.Floor(p.y / g.Range))}
-		cell, ok := s.grid[c]
-		if !ok {
-			s.cells = append(s.cells, c)
-			if k := len(s.free); k > 0 {
-				cell = s.free[k-1]
-				s.free = s.free[:k-1]
-			}
-		}
-		s.grid[c] = append(cell, n)
+	for n, c := range s.cell {
+		s.order[s.off[c+1]] = int32(n)
+		s.off[c+1]++
 	}
+
+	// Scan nodes ascending, each against the higher-numbered nodes of
+	// its 3×3 neighbourhood (three runs of order, one per grid row):
+	// the pairs come out in key order and merge against s.open as they
+	// come. Old pairs the merge passes over were not re-confirmed: they
+	// have moved out of range and close.
 	r2 := g.Range * g.Range
-	for _, c := range s.cells {
-		for dx := -1; dx <= 1; dx++ {
-			for dy := -1; dy <= 1; dy++ {
-				nb := gridCell{c.x + dx, c.y + dy}
-				for _, i := range s.grid[c] {
-					for _, j := range s.grid[nb] {
-						if j <= i {
-							continue
-						}
-						ddx := s.pos[i].x - s.pos[j].x
-						ddy := s.pos[i].y - s.pos[j].y
-						if ddx*ddx+ddy*ddy > r2 {
-							continue
-						}
-						key := contact.MakePairKey(contact.NodeID(i), contact.NodeID(j))
-						st := s.open[key]
-						if st == nil {
-							s.open[key] = &classicOpen{start: t, seen: s.step}
-						} else {
-							st.seen = s.step
-						}
-					}
+	old, next, k := s.open, s.next[:0], 0
+	near, minStart := s.near, math.MaxInt
+	for i, p := range s.pos {
+		cx, cy := int(s.cell[i])%s.cols, int(s.cell[i])/s.cols
+		x0, x1 := max(cx-1, 0), min(cx+1, s.cols-1)
+		near = near[:0]
+		for y := max(cy-1, 0); y <= min(cy+1, s.cols-1); y++ {
+			for _, j := range s.order[s.off[y*s.cols+x0]:s.off[y*s.cols+x1+1]] {
+				if int(j) <= i {
+					continue
+				}
+				dx, dy := p.x-s.pos[j].x, p.y-s.pos[j].y
+				if dx*dx+dy*dy <= r2 {
+					near = append(near, j)
 				}
 			}
 		}
-	}
-	// Pairs not re-confirmed this step have moved out of range: close
-	// them. The remaining opens set the lookahead release bound — no
-	// future close can start before the earliest open window.
-	minOpen := math.Inf(1)
-	// Order-insensitive despite the map range: float min commutes, and
-	// every closed contact drains through the Lookahead, whose
-	// canonical total order (contact.Less) erases insertion order
-	// before the engine sees it (stream goldens pin this).
-	//lint:allow maporder min commutes; closes reordered by total-order Lookahead
-	for key, st := range s.open {
-		if st.seen == s.step {
-			if st.start < minOpen {
-				minOpen = st.start
+		slices.Sort(near)
+		for _, j := range near {
+			key := uint64(i)<<32 | uint64(j)
+			for ; k < len(old) && old[k].key < key; k++ {
+				s.close(old[k], t)
 			}
+			start := s.step
+			if k < len(old) && old[k].key == key {
+				start = old[k].start
+				k++
+			}
+			minStart = min(minStart, start)
+			next = append(next, classicOpen{key: key, start: start})
+		}
+	}
+	for ; k < len(old); k++ {
+		s.close(old[k], t)
+	}
+	s.open, s.next, s.near = next, old, near
+
+	// No future close can start before the earliest open window, nor
+	// before the next sample.
+	bound := t + g.SampleDT
+	if len(next) > 0 {
+		bound = min(bound, s.timeOf(minStart))
+	}
+	s.bound = sim.Time(bound)
+	return t
+}
+
+// close files the contact of a pair that left range at time end in its
+// start step's bucket. A window that opened and closed at one time (the
+// span's clamped last sample) is no contact.
+//
+//dtn:hotpath
+func (s *classicSource) close(o classicOpen, end float64) {
+	if end <= s.timeOf(o.start) {
+		return
+	}
+	b := &s.closed[s.head+o.start-s.base]
+	if *b == nil && len(s.spare) > 0 {
+		*b = s.spare[len(s.spare)-1]
+		s.spare = s.spare[:len(s.spare)-1]
+	}
+	*b = append(*b, classicClosed{key: o.key, end: end})
+}
+
+// release moves the oldest non-empty bucket whose start lies below the
+// bound into s.out, sorted by pair: one start time, and a pair opens at
+// most once per time, so that is the canonical order.
+func (s *classicSource) release() bool {
+	for s.head < len(s.closed) {
+		start := sim.Time(s.timeOf(s.base))
+		if start >= s.bound {
+			break
+		}
+		b := s.closed[s.head]
+		s.head++
+		s.base++
+		if len(b) == 0 {
 			continue
 		}
-		delete(s.open, key)
-		if t > st.start {
-			s.ahead.Add(contact.Contact{A: key.A, B: key.B, Start: sim.Time(st.start), End: sim.Time(t)})
+		slices.SortFunc(b, func(x, y classicClosed) int { return cmp.Compare(x.key, y.key) })
+		if s.out != nil {
+			s.spare = append(s.spare, s.out[:0])
 		}
+		s.out, s.outAt, s.outStart = b, 0, start
+		return true
 	}
-	next := t + g.SampleDT
-	if next > minOpen {
-		next = minOpen
-	}
-	s.bound = sim.Time(next)
-	return t
+	return false
 }
 
 // finish closes every contact still open at the span.
 func (s *classicSource) finish() {
-	// Same argument as step's close loop: emission order is erased by
-	// the Lookahead's canonical total order, deletion commutes.
-	//lint:allow maporder closes reordered by total-order Lookahead
-	for key, st := range s.open {
-		if float64(s.g.Span) > st.start {
-			s.ahead.Add(contact.Contact{A: key.A, B: key.B, Start: sim.Time(st.start), End: s.g.Span})
-		}
-		delete(s.open, key)
+	for _, o := range s.open {
+		s.close(o, float64(s.g.Span))
 	}
+	s.open = s.open[:0]
 	s.bound = sim.Infinity
 	s.done = true
 }
@@ -227,8 +337,16 @@ func (s *classicSource) finish() {
 // Next advances the sampled simulation until a contact is releasable.
 func (s *classicSource) Next() (contact.Contact, bool) {
 	for {
-		if c, ok := s.ahead.Pop(s.bound); ok {
-			return c, true
+		if s.outAt < len(s.out) {
+			c := s.out[s.outAt]
+			s.outAt++
+			return contact.Contact{
+				A: contact.NodeID(c.key >> 32), B: contact.NodeID(uint32(c.key)),
+				Start: s.outStart, End: sim.Time(c.end),
+			}, true
+		}
+		if s.release() {
+			continue
 		}
 		if s.done {
 			return contact.Contact{}, false

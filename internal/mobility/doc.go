@@ -24,7 +24,8 @@
 // validated, sorted contact.Schedule, and Stream returns a pull-based
 // contact.Source emitting the same contacts in the same order from an
 // O(nodes) working set (per-point and grid occupancy indexes, lazy
-// waypoint paths, lookahead-heap emission; OpenTraceSource streams
-// trace files from disk in O(1) memory). DESIGN.md §8 describes the
-// streaming architecture; stream_test.go proves the bit-equivalence.
+// waypoint paths, lookahead-heap or start-step-bucket emission;
+// OpenTraceSource streams trace files from disk in O(1) memory).
+// DESIGN.md §8 describes the streaming architecture; stream_test.go
+// proves the bit-equivalence.
 package mobility

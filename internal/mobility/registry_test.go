@@ -199,6 +199,32 @@ func TestParseErrorsWrapErrSpec(t *testing.T) {
 	}
 }
 
+// TestRWPSampleStepsRange: a span/dt whose step count does not fit an
+// int is an invalid spec, from Stream and Generate alike. Converted
+// anyway it went negative, the run ended on its first step, and twenty
+// nodes in a 500 m box with 100 m radios reported an empty schedule.
+func TestRWPSampleStepsRange(t *testing.T) {
+	for spec, ok := range map[string]bool{
+		"rwp:nodes=20,area=500,range=100,span=1e17,dt=0.001":   false,
+		"rwp:nodes=20,area=500,range=100,dt=1e-320":            false,
+		"rwp:nodes=20,area=500,range=100,span=1e308,dt=1e-300": false,
+		"rwp:nodes=20,area=500,range=100,span=1e15,dt=0.001":   true,
+		"rwp:nodes=20,area=500,range=100,span=1000,dt=7":       true,
+	} {
+		src, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", spec, err)
+		}
+		if _, err = src.Stream(1); ok != (err == nil) || !ok && !errors.Is(err, ErrSpec) {
+			t.Errorf("%q: Stream err = %v, want ok=%v (ErrSpec if not)", spec, err, ok)
+		}
+	}
+	g := ClassicRWP{Nodes: 20, AreaSide: 500, Range: 100, Span: 1e17, SampleDT: 0.001}
+	if _, err := g.Generate(); !errors.Is(err, ErrSpec) {
+		t.Errorf("Generate err = %v, want ErrSpec", err)
+	}
+}
+
 func TestSpecsListsEveryBuiltin(t *testing.T) {
 	names := map[string]bool{}
 	for _, in := range Default.Specs() {

@@ -1,8 +1,10 @@
 package mobility
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dtnsim/internal/contact"
@@ -431,4 +433,110 @@ func FuzzCambridgeStream(f *testing.F) {
 			t.Fatalf("stream %d contacts, generate %d", len(got), len(want.Contacts))
 		}
 	})
+}
+
+// FuzzClassicStream: for arbitrary small populations and geometries —
+// a radio range beyond the area (one cell), cells widened past the
+// range, a dt that does not divide the span — the classic source must
+// emit a clean stream equal, contact for contact, to Generate's.
+func FuzzClassicStream(f *testing.F) {
+	f.Add(uint64(1), 12, 800.0, 150.0, 10.0, 3000.0)
+	f.Add(uint64(2), 24, 300.0, 400.0, 50.0, 20000.0) // range > area: one cell
+	f.Add(uint64(3), 6, 1000.0, 60.0, 150.0, 60000.0) // cells widened to area/7
+	f.Add(uint64(4), 9, 500.0, 500.0, 7.0, 1000.0)    // range = area, dt does not divide span
+	f.Add(uint64(5), 2, 50.0, 30.0, 100.0, 30000.0)   // one pair, long pauses, many windows
+	f.Add(uint64(6), 20, 2000.0, 100.0, 999.0, 1000.0)
+	f.Add(uint64(7), 16, 120.0, 40.0, 3.0, 1200.5)
+	f.Fuzz(func(t *testing.T, seed uint64, nodes int, area, radio, dt, span float64) {
+		if nodes < 2 || nodes > 24 {
+			t.Skip()
+		}
+		if !(area > 0 && area <= 1e6 && radio > 0 && radio <= 1e7 && dt > 0 && span > 0 && span <= 1e6 && span/dt <= 500) {
+			t.Skip()
+		}
+		g := ClassicRWP{Seed: seed, Nodes: nodes, AreaSide: area, Range: radio, SampleDT: dt, Span: sim.Time(span)}
+		src, err := g.Stream()
+		if err != nil {
+			t.Fatalf("Stream: %v", err)
+		}
+		got := drain(t, src)
+		checkStreamClean(t, src, got)
+		want, err := g.Generate()
+		if err != nil {
+			// Generate's one failure on valid parameters is a schedule
+			// with no contacts; the stream just ends.
+			if len(got) != 0 {
+				t.Fatalf("Generate: %v, but the stream yielded %d contacts", err, len(got))
+			}
+			return
+		}
+		if len(got) != len(want.Contacts) {
+			t.Fatalf("stream %d contacts, generate %d", len(got), len(want.Contacts))
+		}
+		for i := range got {
+			if got[i] != want.Contacts[i] {
+				t.Fatalf("contact %d: stream %v, generate %v", i, got[i], want.Contacts[i])
+			}
+		}
+	})
+}
+
+// TestClassicStreamHostileGeometry: nothing in the classic source is
+// sized by the geometry. An area of 10^18 range-sided cells, a cell
+// count past float precision and 10^18 sample steps all construct — and
+// the first two drain, to no contacts — in memory set by the twenty
+// nodes.
+func TestClassicStreamHostileGeometry(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const budget = 1 << 20
+	for _, tc := range []struct {
+		spec  string
+		drain bool
+	}{
+		{"rwp:nodes=20,area=1e9,range=1", true},
+		{"rwp:nodes=20,area=1e300,range=1e-300", true},
+		{"rwp:nodes=20,span=1e15,dt=0.001", false},
+	} {
+		parsed, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", tc.spec, err)
+		}
+		var src contact.Source
+		if n := allocated(func() { src, err = parsed.Stream(1) }); err != nil || n > budget {
+			t.Fatalf("%q: Stream allocated %d bytes, err %v", tc.spec, n, err)
+		}
+		cs := src.(*classicSource)
+		if cells := len(cs.off); cells > 16*cs.g.Nodes {
+			t.Errorf("%q: %d grid cells for %d nodes", tc.spec, cells, cs.g.Nodes)
+		}
+		if tc.drain {
+			var got []contact.Contact
+			if n := allocated(func() { got = drain(t, src) }); n > budget || len(got) != 0 {
+				t.Errorf("%q: drain allocated %d bytes and yielded %d contacts", tc.spec, n, len(got))
+			}
+			continue
+		}
+		// Too many steps to drain: run a few thousand and check that a
+		// step's cost does not grow with the count.
+		if cs.steps < math.MaxInt32 {
+			t.Fatalf("%q: only %d steps", tc.spec, cs.steps)
+		}
+		n := allocated(func() {
+			for i := 0; i < 5000; i++ {
+				cs.runStep()
+				cs.step++
+				for cs.release() {
+				}
+			}
+		})
+		if n > budget {
+			t.Errorf("%q: 5000 steps allocated %d bytes", tc.spec, n)
+		}
+	}
 }
