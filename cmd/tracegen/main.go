@@ -1,15 +1,30 @@
-// Command tracegen generates encounter traces from any of the mobility
-// models and writes them in the canonical text format (readable by
-// dtnsim -trace and dtnsim.ParseTrace), printing summary statistics.
+// Command tracegen writes the contact plan of any mobility spec in the
+// canonical trace format (readable by dtnsim -mob trace:PATH and
+// dtnsim.ParseTrace), printing summary statistics to stderr. The spec
+// grammar is dtnsim's: `dtnsim -list` prints it, and -mob/-seed resolve
+// exactly as they do for dtnsim, so a written trace replays the run's
+// mobility.
 //
 // Usage:
 //
-//	tracegen -model trace -seed 42 -o cambridge.txt
-//	tracegen -model rwp -nodes 20 -o rwp.txt
-//	tracegen -model interval -maxinterval 2000
+//	tracegen -mob cambridge -seed 42 -o cambridge.txt
+//	tracegen -mob subscriber:nodes=20 -o rwp.txt
+//	tracegen -mob interval:max=2000 -stats
+//
+// The -model, -nodes, -span and -maxinterval flags of earlier versions
+// are spec arguments now; -nodes N and -span S become nodes=N and
+// span=S:
+//
+//	| old flags                      | new flag            |
+//	|--------------------------------|---------------------|
+//	| -model trace                   | -mob cambridge      |
+//	| -model rwp                     | -mob subscriber     |
+//	| -model classic                 | -mob rwp            |
+//	| -model interval -maxinterval M | -mob interval:max=M |
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -19,58 +34,49 @@ import (
 )
 
 func main() {
-	var (
-		model     = flag.String("model", "trace", "mobility model: trace | rwp | classic | interval")
-		seed      = flag.Uint64("seed", 42, "random seed")
-		nodes     = flag.Int("nodes", 0, "node count (0 = model default)")
-		span      = flag.Float64("span", 0, "simulated seconds (0 = model default)")
-		maxI      = flag.Float64("maxinterval", 400, "interval model: max inter-encounter gap")
-		out       = flag.String("o", "", "output file (default stdout)")
-		statsOnly = flag.Bool("stats", false, "print statistics only, no trace")
-	)
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+}
 
-	schedule, err := generate(*model, *seed, *nodes, *span, *maxI)
+// run is the command: it parses args, writes the trace to stdout or the
+// -o file and the statistics line to stderr, and returns the first
+// error, the -o file's Close included.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	mob := fs.String("mob", "cambridge", "mobility spec, as dtnsim -mob: cambridge, subscriber, rwp, interval:max=S, trace:PATH, with arguments such as rwp:nodes=40,span=5000 (dtnsim -list prints the grammar)")
+	seed := fs.Uint64("seed", 42, "random seed (a spec's own seed=N takes precedence)")
+	out := fs.String("o", "", "output file (default stdout)")
+	statsOnly := fs.Bool("stats", false, "print statistics only, no trace")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+
+	schedule, err := dtnsim.Scenario{Mobility: dtnsim.MobilitySpec(*mob), Seed: *seed}.Materialize()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-
-	st := dtnsim.AnalyzeSchedule(schedule)
-	fmt.Fprintf(os.Stderr, "%s\n", st)
-
+	fmt.Fprintln(stderr, dtnsim.AnalyzeSchedule(schedule))
 	if *statsOnly {
-		return
+		return nil
 	}
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		return dtnsim.WriteTrace(stdout, schedule)
 	}
-	if err := dtnsim.WriteTrace(w, schedule); err != nil {
-		fatal(err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
-}
-
-func generate(model string, seed uint64, nodes int, span, maxI float64) (*dtnsim.Schedule, error) {
-	switch model {
-	case "trace":
-		return dtnsim.SyntheticCambridge{Seed: seed, Nodes: nodes, Span: dtnsim.Time(span)}.Generate()
-	case "rwp":
-		return dtnsim.SubscriberPointRWP{Seed: seed, Nodes: nodes, Span: dtnsim.Time(span)}.Generate()
-	case "classic":
-		return dtnsim.ClassicRWP{Seed: seed, Nodes: nodes, Span: dtnsim.Time(span)}.Generate()
-	case "interval":
-		return dtnsim.ControlledInterval{Seed: seed, Nodes: nodes, MaxInterval: maxI}.Generate()
-	default:
-		return nil, fmt.Errorf("unknown model %q", model)
+	if err := dtnsim.WriteTrace(f, schedule); err != nil {
+		f.Close()
+		return err
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+	return f.Close()
 }

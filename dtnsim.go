@@ -185,21 +185,27 @@ func Protocols() []Protocol {
 // --- Mobility ---------------------------------------------------------------
 
 // CambridgeTrace returns the synthetic Cambridge/Haggle iMote encounter
-// trace used for all trace-based experiments: 12 nodes over 524,162
-// virtual seconds with heavy-tailed inter-contact gaps (see DESIGN.md §3
-// for the substitution rationale).
+// trace used for all trace-based experiments, materialized: 12 nodes
+// over 524,162 virtual seconds with heavy-tailed inter-contact gaps (see
+// DESIGN.md §3 for the substitution rationale). It is the "cambridge"
+// spec drained into a Schedule; runs that need no random access pass
+// SyntheticCambridge{Seed: seed}.Stream() to Config.Source instead.
 func CambridgeTrace(seed uint64) (*Schedule, error) {
-	return mobility.SyntheticCambridge{Seed: seed}.Generate()
+	return Scenario{Mobility: "cambridge", Seed: seed}.Materialize()
 }
 
-// SubscriberRWP returns the paper's modified Random-WayPoint mobility:
-// nodes hopping between subscriber points in a 1 km² area over 600,000
-// virtual seconds, contacts capped at 500 s.
+// SubscriberRWP returns the paper's modified Random-WayPoint mobility,
+// materialized from the "subscriber" spec: nodes hopping between
+// subscriber points in a 1 km² area over 600,000 virtual seconds,
+// contacts capped at 500 s.
 func SubscriberRWP(seed uint64) (*Schedule, error) {
-	return mobility.SubscriberPointRWP{Seed: seed}.Generate()
+	return Scenario{Mobility: "subscriber", Seed: seed}.Materialize()
 }
 
-// Generator variants with all knobs exposed.
+// The mobility models with all knobs exposed. Each has exactly one
+// implementation, its Stream method, which returns an O(nodes)
+// ContactSource; MaterializeSource drains one into a Schedule for
+// callers that need random access (WriteTrace, AnalyzeSchedule).
 type (
 	// SyntheticCambridge generates Cambridge-like encounter traces.
 	SyntheticCambridge = mobility.SyntheticCambridge

@@ -36,7 +36,7 @@ func TestAllProtocolsRunOnAllMobilitySources(t *testing.T) {
 		"trace": func() (*dtnsim.Schedule, error) { return dtnsim.CambridgeTrace(7) },
 		"rwp":   func() (*dtnsim.Schedule, error) { return dtnsim.SubscriberRWP(7) },
 		"interval": func() (*dtnsim.Schedule, error) {
-			return dtnsim.ControlledInterval{Seed: 7}.Generate()
+			return dtnsim.Scenario{Mobility: "interval:max=400", Seed: 7}.Materialize()
 		},
 	}
 	for name, gen := range sources {

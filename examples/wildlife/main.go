@@ -35,7 +35,11 @@ func main() {
 		Span:     600000,
 		Seed:     2024,
 	}
-	schedule, err := world.Generate()
+	src, err := world.Stream()
+	if err != nil {
+		log.Fatal(err)
+	}
+	schedule, err := dtnsim.MaterializeSource(src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,21 +37,6 @@ type Contact struct {
 // Duration returns the length of the encounter window.
 func (c Contact) Duration() sim.Duration { return c.End - c.Start }
 
-// Involves reports whether node n is one of the contact's endpoints.
-func (c Contact) Involves(n NodeID) bool { return c.A == n || c.B == n }
-
-// Peer returns the other endpoint of the contact. It panics if n is not
-// an endpoint.
-func (c Contact) Peer(n NodeID) NodeID {
-	switch n {
-	case c.A:
-		return c.B
-	case c.B:
-		return c.A
-	}
-	panic(fmt.Sprintf("contact: node %d not in contact %v", n, c))
-}
-
 // Normalize returns the contact with endpoints ordered so that A < B.
 func (c Contact) Normalize() Contact {
 	if c.A > c.B {
@@ -125,45 +110,6 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// NodeOverlap reports the first pair of contacts that share a node and
-// overlap in time, in schedule order. Overlap is generally legal — a
-// node co-located with two peers is in two simultaneous contacts under
-// every waypoint model — so Validate does not reject it; generators
-// whose canonical spec forbids it (ControlledInterval: a node's
-// encounters are a renewal sequence) check it via ValidateDisjoint.
-func (s *Schedule) NodeOverlap() (a, b Contact, found bool) {
-	// Sorted by start, so node n's contact i overlaps a later contact j
-	// iff j starts before the largest end seen for n up to i.
-	type last struct {
-		end sim.Time
-		c   Contact
-	}
-	open := make(map[NodeID]last, s.Nodes)
-	for _, c := range s.Contacts {
-		for _, n := range [2]NodeID{c.A, c.B} {
-			if prev, ok := open[n]; ok && c.Start < prev.end {
-				return prev.c, c, true
-			}
-			if prev, ok := open[n]; !ok || c.End > prev.end {
-				open[n] = last{end: c.End, c: c}
-			}
-		}
-	}
-	return Contact{}, Contact{}, false
-}
-
-// ValidateDisjoint runs Validate and additionally rejects schedules in
-// which any node sits in two overlapping contacts.
-func (s *Schedule) ValidateDisjoint() error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	if a, b, found := s.NodeOverlap(); found {
-		return fmt.Errorf("contact: node overlap: %v and %v share a node", a, b)
-	}
-	return nil
-}
-
 // Horizon returns the latest end time across all contacts, or zero for an
 // empty schedule.
 func (s *Schedule) Horizon() sim.Time {
@@ -174,47 +120,6 @@ func (s *Schedule) Horizon() sim.Time {
 		}
 	}
 	return h
-}
-
-// Clip returns a new schedule whose contacts are truncated to [0, t].
-// Contacts entirely after t are dropped; contacts straddling t are
-// shortened.
-func (s *Schedule) Clip(t sim.Time) *Schedule {
-	out := &Schedule{Nodes: s.Nodes}
-	for _, c := range s.Contacts {
-		if c.Start >= t {
-			continue
-		}
-		if c.End > t {
-			c.End = t
-		}
-		if c.End > c.Start {
-			out.Contacts = append(out.Contacts, c)
-		}
-	}
-	return out
-}
-
-// Filter returns a new schedule retaining only contacts for which keep
-// returns true.
-func (s *Schedule) Filter(keep func(Contact) bool) *Schedule {
-	out := &Schedule{Nodes: s.Nodes}
-	for _, c := range s.Contacts {
-		if keep(c) {
-			out.Contacts = append(out.Contacts, c)
-		}
-	}
-	return out
-}
-
-// Merge combines two schedules over the same node population into one
-// sorted schedule. It does not coalesce overlapping windows.
-func Merge(a, b *Schedule) *Schedule {
-	out := &Schedule{Nodes: max(a.Nodes, b.Nodes)}
-	out.Contacts = append(out.Contacts, a.Contacts...)
-	out.Contacts = append(out.Contacts, b.Contacts...)
-	out.Sort()
-	return out
 }
 
 // PairKey identifies an unordered node pair.

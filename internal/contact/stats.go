@@ -2,7 +2,6 @@ package contact
 
 import (
 	"fmt"
-	"sort"
 
 	"dtnsim/internal/sim"
 )
@@ -10,7 +9,8 @@ import (
 // Stats summarizes the encounter structure of a schedule. The paper's
 // arguments all hinge on these statistics (mean inter-contact interval
 // versus TTL value, encounter counts versus EC thresholds), so they are a
-// first-class output used by tests, examples and the tracegen tool.
+// first-class output used by tests, examples and the stats line tracegen
+// prints for every trace it writes.
 type Stats struct {
 	Contacts         int
 	Nodes            int
@@ -87,30 +87,6 @@ func AnalyzeSource(src Source) (Stats, error) {
 	}
 	st.PairsWithContact = len(pairs)
 	return st, src.Err()
-}
-
-// InterContactTimes returns, for the given node, the sequence of gaps
-// between the end of one contact and the start of the next. Dynamic TTL
-// (Algorithm 1 in the paper) keys off exactly this sequence.
-func InterContactTimes(s *Schedule, n NodeID) []float64 {
-	var windows []Contact
-	for _, c := range s.Contacts {
-		if c.Involves(n) {
-			windows = append(windows, c)
-		}
-	}
-	sort.Slice(windows, func(i, j int) bool { return windows[i].Start < windows[j].Start })
-	var gaps []float64
-	var last sim.Time = -1
-	for _, w := range windows {
-		if last >= 0 && w.Start > last {
-			gaps = append(gaps, float64(w.Start-last))
-		}
-		if w.End > last {
-			last = w.End
-		}
-	}
-	return gaps
 }
 
 func (st Stats) String() string {

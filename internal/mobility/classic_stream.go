@@ -10,10 +10,9 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// Stream returns a pull-based source producing exactly Generate's
-// contact stream while holding only O(nodes) state plus the contacts
-// waiting for an older one to close. A step hashes nothing and
-// iterates no map:
+// Stream returns the model as a pull-based contact source, its one
+// implementation, holding only O(nodes) state plus the contacts waiting
+// for an older one to close. A step hashes nothing and iterates no map:
 //
 //   - waypoint paths are generated lazily — each node keeps its RNG and
 //     its current leg, drawing the next leg on demand instead of
@@ -22,8 +21,8 @@ import (
 //     (node → cell, one prefix-sum array, nodes ascending inside each
 //     cell): any pair within Range shares a 3×3 cell neighbourhood,
 //     which is three contiguous runs of the sorted order, so a step
-//     costs O(nodes + nearby pairs) instead of the materialized path's
-//     O(nodes²) pairwise scan;
+//     costs O(nodes + nearby pairs) instead of the test-side
+//     reference's O(nodes²) pairwise scan;
 //   - scanning nodes in ascending order yields the step's in-range
 //     pairs in PairKey order, so the open-pair set is a sorted slice
 //     merge-walked against last step's: in both keeps its start, only
@@ -75,9 +74,9 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 	return s, nil
 }
 
-// sampleSteps is the index of the last sample step Stream and Generate
-// may run. A Span/SampleDT that does not fit an int is rejected here:
-// converted, it goes negative and the model reports an empty schedule.
+// sampleSteps is the index of the last sample step the model may run.
+// A Span/SampleDT that does not fit an int is rejected here: converted,
+// it goes negative and the model reports an empty schedule.
 func (g ClassicRWP) sampleSteps() (int, error) {
 	n := float64(g.Span) / g.SampleDT
 	if !(n >= 0 && n < float64(math.MaxInt)) {
@@ -150,8 +149,8 @@ type classicSource struct {
 }
 
 // advanceWalk moves a node's current leg forward until it covers time t,
-// drawing new legs on demand with exactly Generate's draw sequence
-// (destination, speed, pause — two legs per draw).
+// drawing new legs on demand, two per draw (destination, speed, pause:
+// a travel leg and the pause leg after it).
 //
 //dtn:hotpath
 func (s *classicSource) advanceWalk(w *classicWalk, t float64) {
@@ -162,7 +161,7 @@ func (s *classicSource) advanceWalk(w *classicWalk, t float64) {
 		}
 		if w.done || sim.Time(w.genT) >= s.g.Span {
 			w.done = true
-			return // clamp to the final pause leg, as posAt's hint walk does
+			return // clamp to the final pause leg
 		}
 		dst := point{w.rng.Uniform(0, s.g.AreaSide), w.rng.Uniform(0, s.g.AreaSide)}
 		speed := w.rng.Uniform(s.g.MinSpeed, s.g.MaxSpeed)

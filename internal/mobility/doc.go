@@ -19,13 +19,14 @@
 //     bounded number of encounters per node, and a configurable maximum
 //     inter-encounter interval.
 //
-// Every generator is deterministic under an explicit seed and comes in
-// two observationally identical forms: Generate materializes a
-// validated, sorted contact.Schedule, and Stream returns a pull-based
-// contact.Source emitting the same contacts in the same order from an
-// O(nodes) working set (per-point and grid occupancy indexes, lazy
-// waypoint paths, lookahead-heap or start-step-bucket emission;
-// OpenTraceSource streams trace files from disk in O(1) memory).
-// DESIGN.md §8 describes the streaming architecture; stream_test.go
-// proves the bit-equivalence.
+// Every generator is deterministic under an explicit seed and has one
+// implementation, its Stream: a pull-based contact.Source emitting the
+// contacts in canonical order from an O(nodes) working set (per-point
+// and grid occupancy indexes, lazy waypoint paths, lookahead-heap or
+// start-step-bucket emission; OpenTraceSource streams trace files from
+// disk in O(1) memory). contact.Materialize drains one into a Schedule
+// for callers that need random access. DESIGN.md §8 describes the
+// streaming architecture; the tests hold every Stream, contact for
+// contact, to an independent materializing reference generator
+// (reference_test.go).
 package mobility

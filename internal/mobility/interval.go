@@ -22,11 +22,11 @@ import (
 // paper bounds the interval between successive encounters, a
 // start-to-start measure), anchored at the previous meeting's *end*
 // whenever that drawn start would fall inside it — a node is never in
-// two meetings at once (ValidateDisjoint enforces this). An earlier
-// revision skipped the end anchor, so a long meeting could overlap the
-// next one drawn from a short interval. The meeting lasts
-// Uniform(MinDur, MaxDur) seconds; every node gets exactly Encounters
-// meetings (one per round when the population is even).
+// two meetings at once (the stream tests and FuzzIntervalStream check
+// this). An earlier revision skipped the end anchor, so a long meeting
+// could overlap the next one drawn from a short interval. The meeting
+// lasts Uniform(MinDur, MaxDur) seconds; every node gets exactly
+// Encounters meetings (one per round when the population is even).
 type ControlledInterval struct {
 	Nodes       int
 	Encounters  int     // encounters per node
@@ -65,8 +65,7 @@ func (g ControlledInterval) Defaults() ControlledInterval {
 	return g
 }
 
-// check validates the generator parameters shared by Generate and
-// Stream.
+// check validates the generator parameters.
 func (g ControlledInterval) check() error {
 	if g.Nodes < 2 {
 		return fmt.Errorf("mobility: ControlledInterval needs >=2 nodes, got %d", g.Nodes)
@@ -87,8 +86,8 @@ func newIntervalState(nodes int) *intervalState {
 }
 
 // round draws one pairing round into emit. Factoring the draw loop
-// keeps Generate, Stream, and Stream's horizon pre-pass on one RNG
-// sequence by construction.
+// keeps Stream and its horizon pre-pass on one RNG sequence by
+// construction.
 func (g ControlledInterval) round(rng *sim.RNG, st *intervalState, emit func(contact.Contact)) {
 	perm := rng.Perm(g.Nodes)
 	for k := 0; k+1 < len(perm); k += 2 {
@@ -110,31 +109,11 @@ func (g ControlledInterval) round(rng *sim.RNG, st *intervalState, emit func(con
 	}
 }
 
-// Generate produces the controlled-interval schedule.
-func (g ControlledInterval) Generate() (*contact.Schedule, error) {
-	g = g.Defaults()
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	rng := sim.NewRNG(g.Seed)
-	s := &contact.Schedule{Nodes: g.Nodes}
-	st := newIntervalState(g.Nodes)
-	for round := 0; round < g.Encounters; round++ {
-		g.round(rng, st, func(c contact.Contact) { s.Contacts = append(s.Contacts, c) })
-	}
-	s.Sort()
-	if err := s.ValidateDisjoint(); err != nil {
-		return nil, fmt.Errorf("mobility: controlled-interval schedule invalid: %w", err)
-	}
-	return s, nil
-}
-
-// Stream returns a pull-based source of the same contact stream
-// Generate materializes, bit for bit. Rounds are drawn lazily into a
-// contact.Lookahead heap: a contact drawn in a later round can start
-// before one drawn earlier (nodes' renewal chains progress at different
-// rates), but never before min(last) + MinInterval, which bounds the
-// release. The horizon — needed up front, and unknowable without
+// Stream returns the model as a pull-based contact source, its one
+// implementation. Rounds are drawn lazily into a contact.Lookahead
+// heap: a contact drawn in a later round can start before one drawn
+// earlier (nodes' renewal chains progress at different rates), but
+// never before min(last) + MinInterval, which bounds the release. The horizon — needed up front, and unknowable without
 // playing the renewal chains out — comes from a contact-free pre-pass
 // over the same draw sequence: O(nodes·encounters) time, O(nodes)
 // memory, no contact storage.

@@ -58,26 +58,16 @@ func TestMobilitySpecsRoundTrip(t *testing.T) {
 	}
 }
 
-// materialize drains the Source's stream for seed into a Schedule: the
-// one way a registry Source produces mobility.
-func materialize(src Source, seed uint64) (*contact.Schedule, error) {
-	stream, err := src.Stream(seed)
-	if err != nil {
-		return nil, err
-	}
-	return contact.Materialize(stream)
-}
-
 // TestGeneratorsMatchDirectConstruction: for every built-in spec, the
 // registry Source's stream, drained, must be identical to the schedule
-// the model struct's Generate() builds.
+// the model's reference generator (reference_test.go) builds.
 func TestGeneratorsMatchDirectConstruction(t *testing.T) {
 	direct := map[string]func(seed uint64) (*contact.Schedule, error){
-		"cambridge":  func(s uint64) (*contact.Schedule, error) { return SyntheticCambridge{Seed: s}.Generate() },
-		"subscriber": func(s uint64) (*contact.Schedule, error) { return SubscriberPointRWP{Seed: s}.Generate() },
-		"rwp":        func(s uint64) (*contact.Schedule, error) { return ClassicRWP{Seed: s}.Generate() },
+		"cambridge":  func(s uint64) (*contact.Schedule, error) { return generateCambridge(SyntheticCambridge{Seed: s}) },
+		"subscriber": func(s uint64) (*contact.Schedule, error) { return generateSubscriber(SubscriberPointRWP{Seed: s}) },
+		"rwp":        func(s uint64) (*contact.Schedule, error) { return generateClassic(ClassicRWP{Seed: s}) },
 		"interval:max=400": func(s uint64) (*contact.Schedule, error) {
-			return ControlledInterval{Seed: s, MaxInterval: 400}.Generate()
+			return generateInterval(ControlledInterval{Seed: s, MaxInterval: 400})
 		},
 	}
 	for _, spec := range BuiltinSpecs() {
@@ -90,7 +80,7 @@ func TestGeneratorsMatchDirectConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
-		got, err := materialize(src, 11)
+		got, err := materialized(src.Stream(11))
 		if err != nil {
 			t.Fatalf("%q: %v", spec, err)
 		}
@@ -119,11 +109,11 @@ func TestPinnedSeedFixesSchedule(t *testing.T) {
 	if src.PerRun {
 		t.Error("seed-pinned generator should not be per-run")
 	}
-	a, err := materialize(src, 1)
+	a, err := materialized(src.Stream(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := materialize(src, 2)
+	b, err := materialized(src.Stream(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +128,7 @@ func TestPinnedSeedFixesSchedule(t *testing.T) {
 }
 
 func TestTraceSpecReadsFile(t *testing.T) {
-	want, err := SyntheticCambridge{Seed: 5}.Generate()
+	want, err := materialized(SyntheticCambridge{Seed: 5}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +150,7 @@ func TestTraceSpecReadsFile(t *testing.T) {
 	if src.PerRun {
 		t.Error("a trace file must be shared across runs")
 	}
-	got, err := materialize(src, 0)
+	got, err := materialized(src.Stream(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +190,7 @@ func TestParseErrorsWrapErrSpec(t *testing.T) {
 }
 
 // TestRWPSampleStepsRange: a span/dt whose step count does not fit an
-// int is an invalid spec, from Stream and Generate alike. Converted
+// int is an invalid spec, from Stream and the reference alike. Converted
 // anyway it went negative, the run ended on its first step, and twenty
 // nodes in a 500 m box with 100 m radios reported an empty schedule.
 func TestRWPSampleStepsRange(t *testing.T) {
@@ -220,8 +210,8 @@ func TestRWPSampleStepsRange(t *testing.T) {
 		}
 	}
 	g := ClassicRWP{Nodes: 20, AreaSide: 500, Range: 100, Span: 1e17, SampleDT: 0.001}
-	if _, err := g.Generate(); !errors.Is(err, ErrSpec) {
-		t.Errorf("Generate err = %v, want ErrSpec", err)
+	if _, err := generateClassic(g); !errors.Is(err, ErrSpec) {
+		t.Errorf("reference err = %v, want ErrSpec", err)
 	}
 }
 

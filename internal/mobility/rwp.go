@@ -1,11 +1,8 @@
 package mobility
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
-	"dtnsim/internal/contact"
 	"dtnsim/internal/sim"
 )
 
@@ -68,90 +65,6 @@ func (g SubscriberPointRWP) Defaults() SubscriberPointRWP {
 }
 
 type point struct{ x, y float64 }
-
-// visit is one node's dwell interval at a subscriber point.
-type visit struct {
-	node   contact.NodeID
-	arrive float64
-	depart float64
-}
-
-// Generate simulates the itineraries and extracts the contact schedule.
-func (g SubscriberPointRWP) Generate() (*contact.Schedule, error) {
-	g = g.Defaults()
-	if err := g.check(); err != nil {
-		return nil, err
-	}
-	root := sim.NewRNG(g.Seed)
-	placeRNG := root.Derive(0xA11)
-	pts := make([]point, g.Points)
-	for i := range pts {
-		pts[i] = point{placeRNG.Uniform(0, g.AreaSide), placeRNG.Uniform(0, g.AreaSide)}
-	}
-
-	// Build itineraries: per-point visit lists.
-	visitsAt := make([][]visit, g.Points)
-	for n := 0; n < g.Nodes; n++ {
-		rng := root.Derive(0xB00 + uint64(n))
-		cur := rng.IntN(g.Points)
-		t := rng.Uniform(0, g.MaxPause) // staggered starts
-		for sim.Time(t) < g.Span {
-			pause := rng.Uniform(g.MinPause, g.MaxPause)
-			depart := t + pause
-			if sim.Time(depart) > g.Span {
-				depart = float64(g.Span)
-			}
-			visitsAt[cur] = append(visitsAt[cur], visit{node: contact.NodeID(n), arrive: t, depart: depart})
-			if sim.Time(depart) >= g.Span {
-				break
-			}
-			// Choose a different next point and travel there.
-			next := rng.IntN(g.Points - 1)
-			if next >= cur {
-				next++
-			}
-			d := dist(pts[cur], pts[next])
-			speed := rng.Uniform(g.MinSpeed, g.MaxSpeed)
-			t = depart + d/speed
-			cur = next
-		}
-	}
-
-	// Sweep each point's visits for pairwise dwell overlaps.
-	s := &contact.Schedule{Nodes: g.Nodes}
-	for _, vs := range visitsAt {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].arrive < vs[j].arrive })
-		for i := 0; i < len(vs); i++ {
-			for j := i + 1; j < len(vs); j++ {
-				if vs[j].arrive >= vs[i].depart {
-					break // sorted by arrival: no later visit overlaps vs[i]
-				}
-				if vs[i].node == vs[j].node {
-					continue
-				}
-				start := vs[j].arrive
-				end := math.Min(vs[i].depart, vs[j].depart)
-				if end-start > g.MaxContact {
-					end = start + g.MaxContact
-				}
-				rs, re := math.Round(start), math.Round(end)
-				if re <= rs {
-					continue
-				}
-				c := contact.Contact{
-					A: vs[i].node, B: vs[j].node,
-					Start: sim.Time(rs), End: sim.Time(re),
-				}.Normalize()
-				s.Contacts = append(s.Contacts, c)
-			}
-		}
-	}
-	s.Sort()
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("mobility: RWP schedule invalid: %w", err)
-	}
-	return s, nil
-}
 
 func dist(a, b point) float64 {
 	return math.Hypot(a.x-b.x, a.y-b.y)

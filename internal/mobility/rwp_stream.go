@@ -8,11 +8,11 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// Stream returns a pull-based source of the same contact stream
-// Generate materializes, bit for bit. Instead of building per-point
-// visit lists for the whole span (O(#visits) memory) and sweeping them
-// pairwise, the itineraries are simulated lazily in arrival order with
-// a per-point occupancy index:
+// Stream returns the model as a pull-based contact source, its one
+// implementation. Instead of building per-point visit lists for the
+// whole span (O(#visits) memory) and sweeping them pairwise, as the
+// test-side reference does, the itineraries are simulated lazily in
+// arrival order with a per-point occupancy index:
 //
 //   - each node keeps only its RNG and its next arrival; a min-heap
 //     over nodes orders arrivals globally;
@@ -56,8 +56,7 @@ func (g SubscriberPointRWP) Stream() (contact.Source, error) {
 	return s, nil
 }
 
-// check validates the generator parameters shared by Generate and
-// Stream.
+// check validates the generator parameters.
 func (g SubscriberPointRWP) check() error {
 	if g.Nodes < 2 {
 		return fmt.Errorf("mobility: RWP needs >=2 nodes, got %d", g.Nodes)
@@ -198,7 +197,7 @@ func (s *subscriberSource) processArrival(a arrival) {
 	s.occupants[p][a.node] = dwell{arrive: t, depart: depart}
 	nd.prev = p
 	if sim.Time(depart) >= g.Span {
-		return // itinerary over, matching Generate's loop exit
+		return // itinerary over
 	}
 	// Choose a different next point and travel there.
 	next := nd.rng.IntN(g.Points - 1)
@@ -234,5 +233,5 @@ func (s *subscriberSource) Next() (contact.Contact, bool) {
 }
 
 func (s *subscriberSource) Nodes() int        { return s.g.Nodes }
-func (s *subscriberSource) Horizon() sim.Time { return s.g.Span }
+func (s *subscriberSource) Horizon() sim.Time { return roundedSpan(s.g.Span) }
 func (s *subscriberSource) Err() error        { return nil }

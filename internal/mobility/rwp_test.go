@@ -7,11 +7,11 @@ import (
 )
 
 func TestSubscriberPointRWPDeterminism(t *testing.T) {
-	a, err := SubscriberPointRWP{Seed: 5}.Generate()
+	a, err := materialized(SubscriberPointRWP{Seed: 5}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SubscriberPointRWP{Seed: 5}.Generate()
+	b, err := materialized(SubscriberPointRWP{Seed: 5}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSubscriberPointRWPDeterminism(t *testing.T) {
 
 func TestSubscriberPointRWPPaperConstraints(t *testing.T) {
 	g := SubscriberPointRWP{Seed: 2}.Defaults()
-	s, err := g.Generate()
+	s, err := materialized(g.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +57,13 @@ func TestSubscriberPointRWPPaperConstraints(t *testing.T) {
 }
 
 func TestSubscriberPointRWPErrors(t *testing.T) {
-	if _, err := (SubscriberPointRWP{Nodes: 1, Seed: 1}).Generate(); err == nil {
+	if _, err := materialized(SubscriberPointRWP{Nodes: 1, Seed: 1}.Stream()); err == nil {
 		t.Error("1 node accepted")
 	}
-	if _, err := (SubscriberPointRWP{Points: 1, Seed: 1}).Generate(); err == nil {
+	if _, err := materialized(SubscriberPointRWP{Points: 1, Seed: 1}.Stream()); err == nil {
 		t.Error("1 point accepted")
 	}
-	if _, err := (SubscriberPointRWP{Points: 101, Seed: 1}).Generate(); err == nil {
+	if _, err := materialized(SubscriberPointRWP{Points: 101, Seed: 1}.Stream()); err == nil {
 		t.Error("paper's 100-points/km² bound not enforced")
 	}
 }
@@ -72,11 +72,11 @@ func TestSubscriberPointRWPDenserPointsFewerMeetings(t *testing.T) {
 	// With more subscriber points, co-location (hence contact count)
 	// should drop — a sanity check that contacts really come from
 	// point co-location.
-	sparse, err := SubscriberPointRWP{Seed: 9, Points: 10}.Generate()
+	sparse, err := materialized(SubscriberPointRWP{Seed: 9, Points: 10}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := SubscriberPointRWP{Seed: 9, Points: 100}.Generate()
+	dense, err := materialized(SubscriberPointRWP{Seed: 9, Points: 100}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSubscriberPointRWPDenserPointsFewerMeetings(t *testing.T) {
 
 func TestClassicRWPGenerate(t *testing.T) {
 	g := ClassicRWP{Seed: 4, Span: 100000}
-	s, err := g.Generate()
+	s, err := materialized(g.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestClassicRWPGenerate(t *testing.T) {
 }
 
 func TestClassicRWPDeterminism(t *testing.T) {
-	a, err := ClassicRWP{Seed: 6, Span: 50000}.Generate()
+	a, err := materialized(ClassicRWP{Seed: 6, Span: 50000}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClassicRWP{Seed: 6, Span: 50000}.Generate()
+	b, err := materialized(ClassicRWP{Seed: 6, Span: 50000}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestClassicRWPDeterminism(t *testing.T) {
 func TestClassicRWPRejectsZeroMinSpeed(t *testing.T) {
 	g := ClassicRWP{Seed: 1}
 	g.MinSpeed = -1 // explicit bad value; zero would take the default
-	if _, err := g.Generate(); err == nil {
+	if _, err := materialized(g.Stream()); err == nil {
 		t.Error("MinSpeed <= 0 accepted despite speed-decay pathology")
 	}
 }
@@ -128,7 +128,7 @@ func TestClassicRWPRejectsZeroMinSpeed(t *testing.T) {
 func TestClassicRWPSpeedDecayMeasurable(t *testing.T) {
 	// With MinSpeed well above zero there should be no systematic decay.
 	g := ClassicRWP{Seed: 3, Span: 200000}
-	early, late, err := g.MeanSpeedDecay()
+	early, late, err := meanSpeedDecay(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestClassicRWPSpeedDecayMeasurable(t *testing.T) {
 func TestControlledIntervalShape(t *testing.T) {
 	for _, maxI := range []float64{400, 2000} {
 		g := ControlledInterval{Seed: 11, MaxInterval: maxI}
-		s, err := g.Generate()
+		s, err := materialized(g.Stream())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,28 +163,19 @@ func TestControlledIntervalShape(t *testing.T) {
 		// A node's inter-encounter gap never exceeds the bound by more
 		// than a partner-wait round: the generated spacing draw is
 		// capped at MaxInterval; waiting for a busy partner can stretch
-		// it, so verify the mean sits inside the configured band.
-		gaps := 0.0
-		count := 0
-		for n := 0; n < s.Nodes; n++ {
-			for _, gap := range contact.InterContactTimes(s, contact.NodeID(n)) {
-				gaps += gap
-				count++
-			}
-		}
-		mean := gaps / float64(count)
-		if mean < gd.MinInterval || mean > 2.5*maxI {
+		// it, so verify the mean node gap sits inside the configured band.
+		if mean := st.MeanInterval; mean < gd.MinInterval || mean > 2.5*maxI {
 			t.Errorf("maxI=%v: mean node gap %.0f outside expected band", maxI, mean)
 		}
 	}
 }
 
 func TestControlledIntervalScalesWithMax(t *testing.T) {
-	short, err := ControlledInterval{Seed: 13, MaxInterval: 400}.Generate()
+	short, err := materialized(ControlledInterval{Seed: 13, MaxInterval: 400}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := ControlledInterval{Seed: 13, MaxInterval: 2000}.Generate()
+	long, err := materialized(ControlledInterval{Seed: 13, MaxInterval: 2000}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +187,10 @@ func TestControlledIntervalScalesWithMax(t *testing.T) {
 }
 
 func TestControlledIntervalErrors(t *testing.T) {
-	if _, err := (ControlledInterval{Nodes: 1, Seed: 1}).Generate(); err == nil {
+	if _, err := materialized(ControlledInterval{Nodes: 1, Seed: 1}.Stream()); err == nil {
 		t.Error("1 node accepted")
 	}
-	if _, err := (ControlledInterval{MinInterval: 500, MaxInterval: 100, Seed: 1}).Generate(); err == nil {
+	if _, err := materialized(ControlledInterval{MinInterval: 500, MaxInterval: 100, Seed: 1}.Stream()); err == nil {
 		t.Error("inverted interval bounds accepted")
 	}
 }

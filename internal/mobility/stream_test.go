@@ -12,8 +12,8 @@ import (
 )
 
 // streamCase is one generator under equivalence test: the materialized
-// reference and the streaming implementation built from the same
-// parameters.
+// reference (reference_test.go) and the shipped streaming implementation
+// built from the same parameters.
 type streamCase struct {
 	name     string
 	generate func(seed uint64) (*contact.Schedule, error)
@@ -29,7 +29,7 @@ func streamCases() []streamCase {
 		{
 			name: "cambridge",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return SyntheticCambridge{Seed: s}.Generate()
+				return generateCambridge(SyntheticCambridge{Seed: s})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return SyntheticCambridge{Seed: s}.Stream()
@@ -39,7 +39,7 @@ func streamCases() []streamCase {
 		{
 			name: "cambridge-small",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return SyntheticCambridge{Seed: s, Nodes: 4, Span: 200000}.Generate()
+				return generateCambridge(SyntheticCambridge{Seed: s, Nodes: 4, Span: 200000})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return SyntheticCambridge{Seed: s, Nodes: 4, Span: 200000}.Stream()
@@ -49,7 +49,7 @@ func streamCases() []streamCase {
 		{
 			name: "subscriber",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return SubscriberPointRWP{Seed: s}.Generate()
+				return generateSubscriber(SubscriberPointRWP{Seed: s})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return SubscriberPointRWP{Seed: s}.Stream()
@@ -59,7 +59,7 @@ func streamCases() []streamCase {
 		{
 			name: "subscriber-dense",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return SubscriberPointRWP{Seed: s, Nodes: 30, Points: 5, Span: 150000}.Generate()
+				return generateSubscriber(SubscriberPointRWP{Seed: s, Nodes: 30, Points: 5, Span: 150000})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return SubscriberPointRWP{Seed: s, Nodes: 30, Points: 5, Span: 150000}.Stream()
@@ -69,7 +69,7 @@ func streamCases() []streamCase {
 		{
 			name: "rwp-classic",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return ClassicRWP{Seed: s, Span: 120000}.Generate()
+				return generateClassic(ClassicRWP{Seed: s, Span: 120000})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return ClassicRWP{Seed: s, Span: 120000}.Stream()
@@ -79,7 +79,7 @@ func streamCases() []streamCase {
 		{
 			name: "rwp-classic-dense",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return ClassicRWP{Seed: s, Nodes: 24, AreaSide: 800, Range: 150, Span: 60000}.Generate()
+				return generateClassic(ClassicRWP{Seed: s, Nodes: 24, AreaSide: 800, Range: 150, Span: 60000})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return ClassicRWP{Seed: s, Nodes: 24, AreaSide: 800, Range: 150, Span: 60000}.Stream()
@@ -89,7 +89,7 @@ func streamCases() []streamCase {
 		{
 			name: "interval",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return ControlledInterval{Seed: s, MaxInterval: 400}.Generate()
+				return generateInterval(ControlledInterval{Seed: s, MaxInterval: 400})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return ControlledInterval{Seed: s, MaxInterval: 400}.Stream()
@@ -98,7 +98,7 @@ func streamCases() []streamCase {
 		{
 			name: "interval-long",
 			generate: func(s uint64) (*contact.Schedule, error) {
-				return ControlledInterval{Seed: s, MaxInterval: 2000, Nodes: 9, Encounters: 30}.Generate()
+				return generateInterval(ControlledInterval{Seed: s, MaxInterval: 2000, Nodes: 9, Encounters: 30})
 			},
 			stream: func(s uint64) (contact.Source, error) {
 				return ControlledInterval{Seed: s, MaxInterval: 2000, Nodes: 9, Encounters: 30}.Stream()
@@ -124,8 +124,31 @@ func drain(t testing.TB, src contact.Source) []contact.Contact {
 	return out
 }
 
+// materialized drains a model's Stream into a validated Schedule, as a
+// caller who needs the whole plan does.
+func materialized(src contact.Source, err error) (*contact.Schedule, error) {
+	if err != nil {
+		return nil, err
+	}
+	return contact.Materialize(src)
+}
+
+// requireSameContacts fails unless a drained stream equals its
+// reference schedule contact for contact.
+func requireSameContacts(t testing.TB, got, want []contact.Contact) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("stream %d contacts, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("contact %d: stream %v, reference %v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestStreamMatchesGenerate: every streaming source must reproduce its
-// materialized generator contact-for-contact, in canonical order, for
+// materialized reference contact-for-contact, in canonical order, for
 // several seeds — streaming is a memory refactor, not a new model.
 func TestStreamMatchesGenerate(t *testing.T) {
 	for _, tc := range streamCases() {
@@ -237,14 +260,40 @@ func TestStreamSortedAndValid(t *testing.T) {
 // spec a node is never in two overlapping encounters, for any seed.
 func TestIntervalEndAnchoredDisjoint(t *testing.T) {
 	for seed := uint64(0); seed < 25; seed++ {
-		s, err := ControlledInterval{Seed: seed, MaxInterval: 400, MinDur: 250, MaxDur: 300}.Generate()
+		s, err := materialized(ControlledInterval{Seed: seed, MaxInterval: 400, MinDur: 250, MaxDur: 300}.Stream())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if a, b, found := s.NodeOverlap(); found {
+		if a, b, found := nodeOverlap(s); found {
 			t.Fatalf("seed %d: node overlap %v / %v", seed, a, b)
 		}
 	}
+}
+
+// nodeOverlap reports the first pair of contacts that share a node and
+// overlap in time, in schedule order. Overlap is legal under every
+// waypoint model — a node co-located with two peers is in two
+// simultaneous contacts — but ControlledInterval's canonical spec
+// forbids it (a node's encounters are a renewal sequence).
+func nodeOverlap(s *contact.Schedule) (a, b contact.Contact, found bool) {
+	// Sorted by start, so node n's contact i overlaps a later contact j
+	// iff j starts before the largest end seen for n up to i.
+	type last struct {
+		end sim.Time
+		c   contact.Contact
+	}
+	open := make(map[contact.NodeID]last, s.Nodes)
+	for _, c := range s.Contacts {
+		for _, n := range [2]contact.NodeID{c.A, c.B} {
+			if prev, ok := open[n]; ok && c.Start < prev.end {
+				return prev.c, c, true
+			}
+			if prev, ok := open[n]; !ok || c.End > prev.end {
+				open[n] = last{end: c.End, c: c}
+			}
+		}
+	}
+	return contact.Contact{}, contact.Contact{}, false
 }
 
 // TestNodeOverlapDetection: the detector finds a planted overlap and
@@ -254,17 +303,14 @@ func TestNodeOverlapDetection(t *testing.T) {
 		{A: 0, B: 1, Start: 10, End: 100},
 		{A: 0, B: 2, Start: 50, End: 80},
 	}}
-	if _, _, found := s.NodeOverlap(); !found {
+	if _, _, found := nodeOverlap(s); !found {
 		t.Error("planted overlap on node 0 not detected")
-	}
-	if err := s.ValidateDisjoint(); err == nil {
-		t.Error("ValidateDisjoint accepted an overlapping schedule")
 	}
 	ok := &contact.Schedule{Nodes: 3, Contacts: []contact.Contact{
 		{A: 0, B: 1, Start: 10, End: 50},
 		{A: 0, B: 2, Start: 50, End: 80},
 	}}
-	if _, _, found := ok.NodeOverlap(); found {
+	if _, _, found := nodeOverlap(ok); found {
 		t.Error("touching windows flagged as overlap")
 	}
 }
@@ -272,7 +318,7 @@ func TestNodeOverlapDetection(t *testing.T) {
 // TestTraceSourceStreamsFile: a sorted trace file streams identically
 // to ParseTrace, with the exact horizon and node count.
 func TestTraceSourceStreamsFile(t *testing.T) {
-	want, err := SyntheticCambridge{Seed: 11}.Generate()
+	want, err := materialized(SyntheticCambridge{Seed: 11}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +409,10 @@ func TestTraceSourceErrors(t *testing.T) {
 // area — 96 points in 1 km² is legal, 101 is not, and a 2 km side
 // legalizes 400.
 func TestSubscriberPointsPerKm2(t *testing.T) {
-	if _, err := (SubscriberPointRWP{Points: 101, Seed: 1}).Generate(); err == nil {
+	if _, err := (SubscriberPointRWP{Points: 101, Seed: 1}).Stream(); err == nil {
 		t.Error("101 points in 1 km² accepted")
 	}
-	if _, err := (SubscriberPointRWP{Points: 400, AreaSide: 2000, Span: 20000, Seed: 1}).Generate(); err != nil {
+	if _, err := materialized(SubscriberPointRWP{Points: 400, AreaSide: 2000, Span: 20000, Seed: 1}.Stream()); err != nil {
 		t.Errorf("400 points in 4 km² rejected: %v", err)
 	}
 	if _, err := (SubscriberPointRWP{Points: 401, AreaSide: 2000, Seed: 1}).Stream(); err == nil {
@@ -375,8 +421,9 @@ func TestSubscriberPointsPerKm2(t *testing.T) {
 }
 
 // FuzzIntervalStream: for arbitrary parameters the interval source
-// must either fail to construct or emit a sorted, Validate-clean,
-// node-disjoint stream equal to its materialized schedule.
+// must either fail to construct exactly when the reference does, or
+// emit a sorted, Validate-clean, node-disjoint stream equal, contact
+// for contact, to the reference's draw-everything-then-sort schedule.
 func FuzzIntervalStream(f *testing.F) {
 	f.Add(uint64(1), 10, 8, 100.0, 400.0)
 	f.Add(uint64(7), 3, 1, 0.5, 0.6)
@@ -389,28 +436,25 @@ func FuzzIntervalStream(f *testing.F) {
 			t.Skip()
 		}
 		g := ControlledInterval{Seed: seed, Nodes: nodes, Encounters: encounters, MinInterval: minI, MaxInterval: maxI}
-		want, genErr := g.Generate()
+		want, genErr := generateInterval(g)
 		src, err := g.Stream()
 		if (err == nil) != (genErr == nil) {
-			t.Fatalf("Stream err %v, Generate err %v", err, genErr)
+			t.Fatalf("Stream err %v, reference err %v", err, genErr)
 		}
 		if err != nil {
 			return
 		}
 		got := drain(t, src)
 		checkStreamClean(t, src, got)
-		if len(got) != len(want.Contacts) {
-			t.Fatalf("stream %d contacts, generate %d", len(got), len(want.Contacts))
-		}
-		s := &contact.Schedule{Nodes: src.Nodes(), Contacts: got}
-		if a, b, found := s.NodeOverlap(); found {
+		requireSameContacts(t, got, want.Contacts)
+		if a, b, found := nodeOverlap(&contact.Schedule{Nodes: src.Nodes(), Contacts: got}); found {
 			t.Fatalf("node overlap: %v / %v", a, b)
 		}
 	})
 }
 
 // FuzzCambridgeStream: arbitrary small populations and spans must
-// stream sorted and clean, matching the materialized generator.
+// stream sorted and clean, equal contact for contact to the reference.
 func FuzzCambridgeStream(f *testing.F) {
 	f.Add(uint64(3), 5, 250000.0)
 	f.Add(uint64(0), 2, 40000.0)
@@ -419,26 +463,72 @@ func FuzzCambridgeStream(f *testing.F) {
 			t.Skip()
 		}
 		g := SyntheticCambridge{Seed: seed, Nodes: nodes, Span: sim.Time(span)}
-		want, genErr := g.Generate()
+		want, genErr := generateCambridge(g)
 		src, err := g.Stream()
 		if (err == nil) != (genErr == nil) {
-			t.Fatalf("Stream err %v, Generate err %v", err, genErr)
+			t.Fatalf("Stream err %v, reference err %v", err, genErr)
 		}
 		if err != nil {
 			return
 		}
 		got := drain(t, src)
 		checkStreamClean(t, src, got)
-		if len(got) != len(want.Contacts) {
-			t.Fatalf("stream %d contacts, generate %d", len(got), len(want.Contacts))
+		requireSameContacts(t, got, want.Contacts)
+	})
+}
+
+// FuzzSubscriberStream: for arbitrary populations, point layouts, pause
+// ranges and contact caps, the subscriber-point source — lazy
+// itineraries, per-point occupants, a lookahead bounded by the next
+// arrival — must emit a clean stream equal, contact for contact, to the
+// reference's whole-span visit lists swept pairwise.
+func FuzzSubscriberStream(f *testing.F) {
+	f.Add(uint64(1), 12, 96, 1000.0, 60000.0, 1000.0, 50.0, 500.0)
+	f.Add(uint64(2), 30, 5, 1000.0, 40000.0, 1000.0, 50.0, 500.0)  // crowded points
+	f.Add(uint64(3), 2, 2, 200.0, 20000.0, 300.0, 299.0, 10.0)     // one pair, two points, short cap
+	f.Add(uint64(4), 20, 3, 50.0, 5000.0, 1.0, 0.5, 1e6)           // sub-second dwells: rounding ties
+	f.Add(uint64(5), 8, 40, 1000.0, 3000.0, 5000.0, 4000.0, 500.0) // pauses past the span
+	f.Fuzz(func(t *testing.T, seed uint64, nodes, points int, area, span, maxPause, minPause, maxContact float64) {
+		if nodes < 2 || nodes > 40 || points < 1 || points > 200 {
+			t.Skip()
 		}
+		if !(area > 0 && area <= 1e5 && span > 0 && span <= 2e5 && maxPause > 0 && maxPause <= 1e4 &&
+			minPause > 0 && minPause <= maxPause && maxContact > 0 && maxContact <= 1e6) {
+			t.Skip()
+		}
+		if span/minPause*float64(nodes) > 20000 {
+			t.Skip() // bound the visit count, and so the reference's cost
+		}
+		g := SubscriberPointRWP{
+			Seed: seed, Nodes: nodes, Points: points, AreaSide: area, Span: sim.Time(span),
+			MaxPause: maxPause, MinPause: minPause, MaxContact: maxContact,
+		}
+		src, err := g.Stream()
+		want, genErr := generateSubscriber(g)
+		if err != nil {
+			if genErr == nil {
+				t.Fatalf("Stream err %v, but the reference built %d contacts", err, len(want.Contacts))
+			}
+			return
+		}
+		got := drain(t, src)
+		checkStreamClean(t, src, got)
+		if genErr != nil {
+			// The reference's one failure on valid parameters is a
+			// schedule with no contacts; the stream just ends.
+			if len(got) != 0 {
+				t.Fatalf("reference: %v, but the stream yielded %d contacts", genErr, len(got))
+			}
+			return
+		}
+		requireSameContacts(t, got, want.Contacts)
 	})
 }
 
 // FuzzClassicStream: for arbitrary small populations and geometries —
 // a radio range beyond the area (one cell), cells widened past the
 // range, a dt that does not divide the span — the classic source must
-// emit a clean stream equal, contact for contact, to Generate's.
+// emit a clean stream equal, contact for contact, to the reference's.
 func FuzzClassicStream(f *testing.F) {
 	f.Add(uint64(1), 12, 800.0, 150.0, 10.0, 3000.0)
 	f.Add(uint64(2), 24, 300.0, 400.0, 50.0, 20000.0) // range > area: one cell
@@ -461,23 +551,16 @@ func FuzzClassicStream(f *testing.F) {
 		}
 		got := drain(t, src)
 		checkStreamClean(t, src, got)
-		want, err := g.Generate()
+		want, err := generateClassic(g)
 		if err != nil {
-			// Generate's one failure on valid parameters is a schedule
-			// with no contacts; the stream just ends.
+			// The reference's one failure on valid parameters is a
+			// schedule with no contacts; the stream just ends.
 			if len(got) != 0 {
-				t.Fatalf("Generate: %v, but the stream yielded %d contacts", err, len(got))
+				t.Fatalf("reference: %v, but the stream yielded %d contacts", err, len(got))
 			}
 			return
 		}
-		if len(got) != len(want.Contacts) {
-			t.Fatalf("stream %d contacts, generate %d", len(got), len(want.Contacts))
-		}
-		for i := range got {
-			if got[i] != want.Contacts[i] {
-				t.Fatalf("contact %d: stream %v, generate %v", i, got[i], want.Contacts[i])
-			}
-		}
+		requireSameContacts(t, got, want.Contacts)
 	})
 }
 

@@ -1,10 +1,8 @@
 package mobility
 
 import (
-	"fmt"
 	"math"
 
-	"dtnsim/internal/contact"
 	"dtnsim/internal/sim"
 )
 
@@ -97,76 +95,4 @@ func (g SyntheticCambridge) diurnalFactor(t float64) float64 {
 		return g.NightQuiet
 	}
 	return 1.0
-}
-
-// Generate produces the synthetic trace. With few nodes or a short
-// span, a draw can place every pair's first encounter beyond the span;
-// an empty schedule is unusable (contact.Validate rejects it), so
-// Generate deterministically retries with a derived stream until some
-// pair meets. The first attempt matches the historical output bit for
-// bit, so existing seeds reproduce their traces.
-func (g SyntheticCambridge) Generate() (*contact.Schedule, error) {
-	g = g.Defaults()
-	if g.Nodes < 2 {
-		return nil, fmt.Errorf("mobility: SyntheticCambridge needs >=2 nodes, got %d", g.Nodes)
-	}
-	if g.Span <= 0 {
-		return nil, fmt.Errorf("mobility: SyntheticCambridge needs positive span, got %v", g.Span)
-	}
-	const maxAttempts = 16
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		s := g.generateOnce(sim.NewRNG(g.Seed + uint64(attempt)*0x9e3779b97f4a7c15))
-		if len(s.Contacts) == 0 {
-			continue
-		}
-		s.Sort()
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("mobility: synthetic trace invalid: %w", err)
-		}
-		return s, nil
-	}
-	return nil, fmt.Errorf("mobility: no contacts within span %v after %d attempts; increase Span or Nodes",
-		g.Span, maxAttempts)
-}
-
-// generateOnce runs every pair's renewal process from one root stream.
-func (g SyntheticCambridge) generateOnce(root *sim.RNG) *contact.Schedule {
-	s := &contact.Schedule{Nodes: g.Nodes}
-	for i := 0; i < g.Nodes; i++ {
-		for j := i + 1; j < g.Nodes; j++ {
-			// A dedicated stream per pair keeps the trace stable when
-			// the node count changes.
-			rng := root.Derive(uint64(i)<<32 | uint64(j))
-			activity := rng.Uniform(1-g.PairActivity, 1+g.PairActivity)
-			// Start each pair at a random phase so contacts do not
-			// synchronize at t=0.
-			t := rng.Uniform(0, g.MaxGap/4)
-			for {
-				gap := rng.Pareto(g.Alpha, g.MinGap, g.MaxGap) * g.diurnalFactor(t) / activity
-				t += gap
-				if sim.Time(t) >= g.Span {
-					break
-				}
-				dur := rng.LogNormal(math.Log(g.MedianDur), g.DurSigma)
-				if dur < g.MinDur {
-					dur = g.MinDur
-				}
-				if dur > g.MaxDur {
-					dur = g.MaxDur
-				}
-				end := t + dur
-				if sim.Time(end) > g.Span {
-					end = float64(g.Span)
-				}
-				if rs, re := math.Round(t), math.Round(end); re > rs {
-					s.Contacts = append(s.Contacts, contact.Contact{
-						A: contact.NodeID(i), B: contact.NodeID(j),
-						Start: sim.Time(rs), End: sim.Time(re),
-					})
-				}
-				t = end
-			}
-		}
-	}
-	return s
 }

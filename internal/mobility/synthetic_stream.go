@@ -9,16 +9,19 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// Stream returns a pull-based source of the same contact stream
-// Generate materializes, bit for bit: every unordered pair is an
-// independent renewal process drawn lazily from its own RNG stream, and
-// a k-way merge heap releases the per-pair streams in canonical order.
-// Working memory is O(pairs) — each pair holds one RNG and one pending
-// contact — independent of the contact count, which grows with Span.
+// Stream returns the model as a pull-based contact source, its one
+// implementation: every unordered pair is an independent renewal
+// process drawn lazily from its own RNG stream, and a k-way merge heap
+// releases the per-pair streams in canonical order. Working memory is
+// O(pairs) — each pair holds one RNG and one pending contact —
+// independent of the contact count, which grows with Span.
 //
-// The same empty-draw retry as Generate applies: emptiness is decidable
-// at construction because every pair's first contact is pulled to prime
-// the merge heap.
+// With few nodes or a short span, a draw can place every pair's first
+// encounter beyond the span. An empty plan is unusable, so Stream
+// deterministically retries with a derived root stream until some pair
+// meets; the first attempt is the historical draw, so existing seeds
+// reproduce their traces. Emptiness is decidable at construction
+// because every pair's first contact is pulled to prime the merge heap.
 func (g SyntheticCambridge) Stream() (contact.Source, error) {
 	g = g.Defaults()
 	if g.Nodes < 2 {
@@ -38,9 +41,9 @@ func (g SyntheticCambridge) Stream() (contact.Source, error) {
 		g.Span, maxAttempts)
 }
 
-// pairRenewal is one unordered pair's lazy renewal process. Its draw
-// sequence is exactly generateOnce's inner loop, so a drained pair
-// stream equals the pair's slice of the materialized schedule.
+// pairRenewal is one unordered pair's lazy renewal process (the
+// SyntheticCambridge doc gives its draws); contact times are clamped to
+// the span and rounded to whole seconds.
 type pairRenewal struct {
 	a, b     contact.NodeID
 	rng      *sim.RNG
@@ -81,7 +84,7 @@ func (p *pairRenewal) next(g SyntheticCambridge) (contact.Contact, bool) {
 // syntheticSource merges the per-pair renewal streams. Each pair's
 // contacts strictly increase in start time, so holding one pending
 // contact per pair in a heap ordered by contact.Less yields the global
-// canonical order — the order Generate's sort produces.
+// canonical order.
 type syntheticSource struct {
 	g     SyntheticCambridge
 	pairs []pairRenewal
@@ -109,8 +112,9 @@ func (h *mergeHeap) Pop() any {
 }
 
 // newStream primes one attempt: pair RNGs are derived from the root in
-// (i, j) order — the order generateOnce consumes the root stream — and
-// each pair's first contact seeds the merge heap.
+// (i, j) order — a dedicated stream per pair keeps the trace stable when
+// the node count changes — and each pair's first contact seeds the
+// merge heap.
 func (g SyntheticCambridge) newStream(root *sim.RNG) *syntheticSource {
 	s := &syntheticSource{g: g, pairs: make([]pairRenewal, 0, g.Nodes*(g.Nodes-1)/2)}
 	for i := 0; i < g.Nodes; i++ {
@@ -151,5 +155,10 @@ func (s *syntheticSource) Next() (contact.Contact, bool) {
 }
 
 func (s *syntheticSource) Nodes() int        { return s.g.Nodes }
-func (s *syntheticSource) Horizon() sim.Time { return s.g.Span }
+func (s *syntheticSource) Horizon() sim.Time { return roundedSpan(s.g.Span) }
 func (s *syntheticSource) Err() error        { return nil }
+
+// roundedSpan is the Horizon of a source that clamps contact times to a
+// span and then rounds them to whole seconds: rounding can carry an end
+// past a fractional span, never past the next whole second.
+func roundedSpan(span sim.Time) sim.Time { return sim.Time(math.Ceil(float64(span))) }

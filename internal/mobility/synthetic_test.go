@@ -5,14 +5,15 @@ import (
 	"testing/quick"
 
 	"dtnsim/internal/contact"
+	"dtnsim/internal/sim"
 )
 
 func TestSyntheticCambridgeDeterminism(t *testing.T) {
-	a, err := SyntheticCambridge{Seed: 7}.Generate()
+	a, err := materialized(SyntheticCambridge{Seed: 7}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SyntheticCambridge{Seed: 7}.Generate()
+	b, err := materialized(SyntheticCambridge{Seed: 7}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestSyntheticCambridgeDeterminism(t *testing.T) {
 			t.Fatalf("same seed diverged at contact %d", i)
 		}
 	}
-	c, err := SyntheticCambridge{Seed: 8}.Generate()
+	c, err := materialized(SyntheticCambridge{Seed: 8}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestSyntheticCambridgeDeterminism(t *testing.T) {
 }
 
 func TestSyntheticCambridgeShape(t *testing.T) {
-	s, err := SyntheticCambridge{Seed: 1}.Generate()
+	s, err := materialized(SyntheticCambridge{Seed: 1}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,23 @@ func TestSyntheticCambridgeShape(t *testing.T) {
 }
 
 func TestSyntheticCambridgeHeavyTail(t *testing.T) {
-	s, err := SyntheticCambridge{Seed: 3}.Generate()
+	s, err := materialized(SyntheticCambridge{Seed: 3}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gaps := contact.InterContactTimes(s, 0)
+	// Node 0's gaps: from the end of one of its contacts (the latest end
+	// so far, as contacts overlap) to the start of its next.
+	var gaps []float64
+	last := sim.Time(-1)
+	for _, c := range s.Contacts {
+		if c.A != 0 && c.B != 0 {
+			continue
+		}
+		if last >= 0 && c.Start > last {
+			gaps = append(gaps, float64(c.Start-last))
+		}
+		last = max(last, c.End)
+	}
 	if len(gaps) < 20 {
 		t.Fatalf("node 0 has only %d gaps", len(gaps))
 	}
@@ -110,19 +123,19 @@ func TestSyntheticCambridgeHeavyTail(t *testing.T) {
 }
 
 func TestSyntheticCambridgeErrors(t *testing.T) {
-	if _, err := (SyntheticCambridge{Seed: 1, Nodes: 1}).Generate(); err == nil {
+	if _, err := materialized(SyntheticCambridge{Seed: 1, Nodes: 1}.Stream()); err == nil {
 		t.Error("1 node accepted")
 	}
-	if _, err := (SyntheticCambridge{Seed: 1, Span: -5}).Generate(); err == nil {
+	if _, err := materialized(SyntheticCambridge{Seed: 1, Span: -5}.Stream()); err == nil {
 		t.Error("negative span accepted")
 	}
 }
 
 func TestSyntheticCambridgeRetriesEmptyDraw(t *testing.T) {
 	// This seed's first draw places every pair's first encounter beyond
-	// the 100,000 s span; Generate must retry with a derived stream
+	// the 100,000 s span; Stream must retry with a derived stream
 	// instead of returning an "empty schedule" validation error.
-	s, err := SyntheticCambridge{Seed: 0xae8dd413d6aea8a6, Nodes: 4, Span: 100000}.Generate()
+	s, err := materialized(SyntheticCambridge{Seed: 0xae8dd413d6aea8a6, Nodes: 4, Span: 100000}.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +149,7 @@ func TestSyntheticCambridgeRetriesEmptyDraw(t *testing.T) {
 
 func TestSyntheticCambridgeCustomSizes(t *testing.T) {
 	f := func(seed uint64) bool {
-		s, err := SyntheticCambridge{Seed: seed, Nodes: 4, Span: 100000}.Generate()
+		s, err := materialized(SyntheticCambridge{Seed: seed, Nodes: 4, Span: 100000}.Stream())
 		if err != nil {
 			return false
 		}

@@ -22,46 +22,73 @@ import (
 // directly. Contacts are normalized, sorted, and validated; the node
 // count is inferred as max(ID)+1 unless a "# nodes: N" header raises it.
 func ParseTrace(r io.Reader) (*contact.Schedule, error) {
+	tr := newTraceReader(r)
 	s := &contact.Schedule{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	line := 0
-	maxID := contact.NodeID(-1)
-	declaredNodes := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			if n, ok := parseNodesHeader(text); ok {
-				declaredNodes = n
-			}
-			continue
-		}
-		c, err := parseTraceLine(text, line)
+	for {
+		c, ok, err := tr.next()
 		if err != nil {
 			return nil, err
 		}
-		if c.B > maxID {
-			maxID = c.B
+		if !ok {
+			break
 		}
 		s.Contacts = append(s.Contacts, c)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("mobility: reading trace: %w", err)
-	}
-	s.Nodes = int(maxID) + 1
-	if declaredNodes > s.Nodes {
-		s.Nodes = declaredNodes
-	}
+	s.Nodes = tr.nodes()
 	s.Sort()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
+
+// traceReader is the one reader of trace records, shared by ParseTrace
+// and both passes of OpenTraceSource: it skips blank and comment lines,
+// picks up the "# nodes: N" header, numbers lines for error messages and
+// tracks the node count the records imply.
+type traceReader struct {
+	sc       *bufio.Scanner
+	line     int
+	maxID    contact.NodeID
+	declared int
+}
+
+func newTraceReader(r io.Reader) *traceReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	return &traceReader{sc: sc, maxID: -1}
+}
+
+// next returns the next record in file order; ok is false at the end of
+// the input or on error.
+func (r *traceReader) next() (c contact.Contact, ok bool, err error) {
+	for r.sc.Scan() {
+		r.line++
+		text := strings.TrimSpace(r.sc.Text())
+		if text == "" {
+			continue
+		}
+		if strings.HasPrefix(text, "#") {
+			if n, ok := parseNodesHeader(text); ok {
+				r.declared = n
+			}
+			continue
+		}
+		if c, err = parseTraceLine(text, r.line); err != nil {
+			return c, false, err
+		}
+		r.maxID = max(r.maxID, c.B)
+		return c, true, nil
+	}
+	if err := r.sc.Err(); err != nil {
+		return c, false, fmt.Errorf("mobility: reading trace: %w", err)
+	}
+	return c, false, nil
+}
+
+// nodes is the node count of the records read so far: max(ID)+1, raised
+// by a "# nodes: N" header.
+func (r *traceReader) nodes() int { return max(int(r.maxID)+1, r.declared) }
 
 // parseTraceLine parses one non-comment record of the canonical trace
 // format into a normalized, validated contact.
@@ -107,17 +134,25 @@ func parseNodesHeader(line string) (int, bool) {
 }
 
 // WriteTrace emits a schedule in the canonical text format read by
-// ParseTrace, including the node-count header.
+// ParseTrace, including the node-count header. Times are written in the
+// shortest form that parses back to the same float64, so a written trace
+// re-reads exactly; integer-second times print as plain integers.
 func WriteTrace(w io.Writer, s *contact.Schedule) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# nodes: %d\n", s.Nodes); err != nil {
+	if _, err := fmt.Fprintf(bw, "# nodes: %d\n# contacts: %d\n", s.Nodes, len(s.Contacts)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(bw, "# contacts: %d\n", len(s.Contacts)); err != nil {
-		return err
-	}
+	var line []byte
 	for _, c := range s.Contacts {
-		if _, err := fmt.Fprintf(bw, "%d %d %.0f %.0f\n", c.A, c.B, float64(c.Start), float64(c.End)); err != nil {
+		line = strconv.AppendInt(line[:0], int64(c.A), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(c.B), 10)
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, float64(c.Start), 'f', -1, 64)
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, float64(c.End), 'f', -1, 64)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

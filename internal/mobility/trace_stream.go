@@ -1,10 +1,9 @@
 package mobility
 
 import (
-	"bufio"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/sim"
@@ -53,7 +52,7 @@ func OpenTraceSource(path string) (contact.Source, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobility: trace source: %w", err)
 	}
-	return &traceSource{f: f, sc: newTraceScanner(f), pre: pre}, nil
+	return &traceSource{f: f, r: newTraceReader(f), pre: pre}, nil
 }
 
 // traceStats is what the pre-scan learns about a trace file.
@@ -65,69 +64,41 @@ type traceStats struct {
 
 // preScanTrace validates every record and accumulates the stats in one
 // sequential O(1)-memory read.
-func preScanTrace(f *os.File) (traceStats, error) {
+func preScanTrace(f io.Reader) (traceStats, error) {
 	st := traceStats{sorted: true}
-	sc := newTraceScanner(f)
-	line, records := 0, 0
-	maxID := contact.NodeID(-1)
-	declared := 0
+	tr := newTraceReader(f)
+	records := 0
 	var prevStart sim.Time
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			if n, ok := parseNodesHeader(text); ok {
-				declared = n
-			}
-			continue
-		}
-		c, err := parseTraceLine(text, line)
+	for {
+		c, ok, err := tr.next()
 		if err != nil {
 			return st, err
+		}
+		if !ok {
+			break
 		}
 		records++
 		if c.Start < prevStart {
 			st.sorted = false
 		}
 		prevStart = c.Start
-		if c.B > maxID {
-			maxID = c.B
-		}
-		if c.End > st.horizon {
-			st.horizon = c.End
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return st, fmt.Errorf("mobility: reading trace: %w", err)
+		st.horizon = max(st.horizon, c.End)
 	}
 	if records == 0 {
 		return st, fmt.Errorf("mobility: trace source: %w", contact.ErrEmptySchedule)
 	}
-	st.nodes = int(maxID) + 1
-	if declared > st.nodes {
-		st.nodes = declared
-	}
+	st.nodes = tr.nodes()
 	if st.nodes < 2 {
 		return st, fmt.Errorf("mobility: trace source: schedule needs >=2 nodes, has %d", st.nodes)
 	}
 	return st, nil
 }
 
-func newTraceScanner(f *os.File) *bufio.Scanner {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	return sc
-}
-
 // traceSource is the line-by-line streaming pass.
 type traceSource struct {
 	f    *os.File
-	sc   *bufio.Scanner
+	r    *traceReader
 	pre  traceStats
-	line int
 	err  error
 	done bool
 }
@@ -136,32 +107,17 @@ func (t *traceSource) Next() (contact.Contact, bool) {
 	if t.done {
 		return contact.Contact{}, false
 	}
-	for t.sc.Scan() {
-		t.line++
-		text := strings.TrimSpace(t.sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		c, err := parseTraceLine(text, t.line)
-		if err != nil {
-			// The pre-scan accepted this file; a parse failure now means
-			// it changed underneath us.
-			t.fail(fmt.Errorf("%v (file changed since pre-scan?)", err))
-			return contact.Contact{}, false
-		}
-		return c, true
+	c, ok, err := t.r.next()
+	switch {
+	case err != nil:
+		// The pre-scan accepted this file; a failure now means it
+		// changed underneath us.
+		t.err = fmt.Errorf("%w (file changed since pre-scan?)", err)
+		t.close()
+	case !ok:
+		t.close()
 	}
-	if err := t.sc.Err(); err != nil {
-		t.fail(fmt.Errorf("mobility: reading trace: %w", err))
-		return contact.Contact{}, false
-	}
-	t.close()
-	return contact.Contact{}, false
-}
-
-func (t *traceSource) fail(err error) {
-	t.err = err
-	t.close()
+	return c, ok
 }
 
 func (t *traceSource) close() {

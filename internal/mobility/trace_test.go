@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestParseTraceErrors(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	g := SyntheticCambridge{Seed: 42, Nodes: 6, Span: 50000}
-	s, err := g.Generate()
+	s, err := materialized(g.Stream())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +105,41 @@ func TestParseNodesHeader(t *testing.T) {
 	}
 	if _, ok := parseNodesHeader("# nodes: x"); ok {
 		t.Error("bad count accepted")
+	}
+}
+
+// TestWriteTraceRoundTripsExactly: ParseTrace reads back exactly the
+// schedule WriteTrace wrote — for every built-in kind, for a classic
+// cell sampled every 2.5 s (contacts close at half seconds), and for a
+// trace file with sub-second times.
+func TestWriteTraceRoundTripsExactly(t *testing.T) {
+	schedules := map[string]*contact.Schedule{}
+	for _, spec := range append(BuiltinSpecs(), "rwp:nodes=12,area=600,range=100,span=5000,dt=2.5") {
+		src, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if schedules[spec], err = materialized(src.Stream(3)); err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+	}
+	fractional, err := ParseTrace(strings.NewReader("# nodes: 5\n0 1 1.2 1.4\n2 1 0.001 7.25\n3 4 86399.999 86400.0005\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedules["fractional trace"] = fractional
+	for name, s := range schedules {
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseTrace(&buf)
+		if err != nil {
+			t.Errorf("%s: written trace does not parse: %v", name, err)
+			continue
+		}
+		if back.Nodes != s.Nodes || !slices.Equal(back.Contacts, s.Contacts) {
+			t.Errorf("%s: round trip changed the schedule", name)
+		}
 	}
 }
