@@ -89,11 +89,20 @@ type Store struct {
 
 // New returns an empty store with the given capacity in bundles.
 // Capacity must be positive.
-func New(capacity int) *Store {
+func New(capacity int) *Store { return &NewStores(1, capacity)[0] }
+
+// NewStores returns n empty stores of the given capacity in one
+// allocation, for a population whose stores live by value in a slab.
+// Capacity must be positive.
+func NewStores(n, capacity int) []Store {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: capacity must be positive, got %d", capacity))
 	}
-	return &Store{cap: capacity, minExpiry: sim.Infinity}
+	stores := make([]Store, n)
+	for i := range stores {
+		stores[i] = Store{cap: capacity, minExpiry: sim.Infinity}
+	}
+	return stores
 }
 
 // Cap returns the configured capacity.

@@ -168,14 +168,12 @@ func Run(cfg Config) (*Result, error) {
 		firstStart:  sim.Infinity,
 	}
 	r.obs = append([]Observer{r.coll}, cfg.Observers...)
-	r.nodes = make([]*node.Node, cfg.nodeCount())
-	for i := range r.nodes {
-		n := node.New(contact.NodeID(i), cfg.BufferCap)
+	r.nodes = node.NewPopulation(cfg.nodeCount(), cfg.BufferCap)
+	for _, n := range r.nodes {
 		if cfg.BufferBytes > 0 {
 			n.Store.SetByteCap(cfg.BufferBytes)
 		}
 		cfg.Protocol.Init(n)
-		r.nodes[i] = n
 	}
 	r.flows = flowPlan(cfg.Flows)
 	for _, f := range cfg.Flows {

@@ -6,6 +6,7 @@ import (
 
 	"dtnsim/internal/buffer"
 	"dtnsim/internal/bundle"
+	"dtnsim/internal/contact"
 	"dtnsim/internal/node"
 	"dtnsim/internal/protocol"
 	"dtnsim/internal/sim"
@@ -47,6 +48,8 @@ type Kernel struct {
 	// Policy is this kernel's private byte-pressure drop policy; nil
 	// when the run has no byte capacity.
 	Policy buffer.DropPolicy
+	// drop is the one drop hook BindHook gives every node.
+	drop node.DropHook
 }
 
 // NewKernel builds one executor thread's Kernel over nodes and the
@@ -67,6 +70,7 @@ func NewKernel(cfg *Config, nodes []*node.Node, hooks []*EffectBuf) (*Kernel, er
 		ControlBytes:   cfg.ControlBytes,
 		RNG:            sim.NewReseedable(),
 	}
+	k.drop = k.recordDrop
 	if cfg.BufferBytes > 0 {
 		name := cfg.DropPolicy
 		if name == "" {
@@ -93,12 +97,12 @@ func NewKernel(cfg *Config, nodes []*node.Node, hooks []*EffectBuf) (*Kernel, er
 // merger replays them where they happened. Hooks is shared by a run's
 // kernels, so binding through any one of them serves all: the
 // in-process executors bind every node once at setup, a worker process
-// each node it materializes.
-func (k *Kernel) BindHook(n *node.Node) {
-	at := n.ID
-	n.DropHook = func(id bundle.ID, reason node.DropReason, now sim.Time) {
-		k.Hooks[at].add(Effect{Kind: EffectDrop, From: at, ID: id, Reason: reason, At: now})
-	}
+// each node it materializes. Every node gets the kernel's one hook,
+// which the node calls with its own ID.
+func (k *Kernel) BindHook(n *node.Node) { n.DropHook = k.drop }
+
+func (k *Kernel) recordDrop(at contact.NodeID, id bundle.ID, reason node.DropReason, now sim.Time) {
+	k.Hooks[at].add(Effect{Kind: EffectDrop, From: at, ID: id, Reason: reason, At: now})
 }
 
 // Exec runs one item, first aiming the item's nodes' drop hooks at its

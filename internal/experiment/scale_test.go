@@ -3,7 +3,10 @@ package experiment
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"dtnsim/internal/core"
 )
 
 // tinyScale is a fast scale sweep over small populations (the axis
@@ -79,5 +82,49 @@ func TestRunScaleErrors(t *testing.T) {
 	sw.Mobility = func(int) string { return "bogus:spec" }
 	if _, err := RunScale(sw); err == nil {
 		t.Error("bad mobility spec accepted")
+	}
+}
+
+// scaleCellCost runs one constant-density scale cell (pure epidemic,
+// one 30-bundle flow, the scale sweep's per-run builder) and reports
+// the bytes and heap objects it allocated.
+func scaleCellCost(t *testing.T, nodes int) (bytes, objects uint64) {
+	t.Helper()
+	sc, err := ScenarioFromSpec(ScaleMobilitySpan(nodes, 2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := sc.simulate(core.Config{Protocol: Pure().New()}, core.Flow{Count: 30}, 2012, nodes, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FinalBuffered) != nodes {
+		t.Fatalf("%d-node cell reported %d nodes", nodes, len(res.FinalBuffered))
+	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestScaleCellAllocationBudget: a run allocates for what is live, not
+// per node. The mobility walks and the engine's nodes, stores and
+// received sets are slabs, and the classic stream's close buckets are
+// recycled chunks, so the 20k-node cell stays inside a budget that the
+// per-node-pointer layout (52 MB, 142k objects) broke, and doubling the
+// population from 10k adds under half an object per node (the chunks of
+// a window that grows with it), not seven.
+func TestScaleCellAllocationBudget(t *testing.T) {
+	bytes20k, objects20k := scaleCellCost(t, 20000)
+	t.Logf("20k cell: %.1f MB in %d objects", float64(bytes20k)/1e6, objects20k)
+	if bytes20k > 32<<20 || objects20k > 25000 {
+		t.Errorf("20k cell allocated %d bytes in %d objects; budget 32 MiB, 25k objects", bytes20k, objects20k)
+	}
+	_, objects10k := scaleCellCost(t, 10000)
+	perNode := (float64(objects20k) - float64(objects10k)) / 10000
+	t.Logf("10k cell: %d objects; %.3f more per added node", objects10k, perNode)
+	if perNode > 0.5 {
+		t.Errorf("doubling the population added %.2f objects per node (10k: %d, 20k: %d)", perNode, objects10k, objects20k)
 	}
 }

@@ -33,8 +33,10 @@ import (
 //     once no pair that opened at or before its step is still open.
 func (g ClassicRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
-	if g.Nodes < 2 {
-		return nil, fmt.Errorf("mobility: ClassicRWP needs >=2 nodes, got %d", g.Nodes)
+	if g.Nodes < 2 || g.Nodes > MaxNodes {
+		// Past the bound the packed pair key and the int32 grid arrays
+		// would alias.
+		return nil, fmt.Errorf("mobility: ClassicRWP needs 2..%d nodes, got %d", MaxNodes, g.Nodes)
 	}
 	if g.MinSpeed <= 0 {
 		return nil, fmt.Errorf("mobility: ClassicRWP MinSpeed must be > 0 (speed-decay pathology), got %v", g.MinSpeed)
@@ -64,10 +66,9 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 		steps: steps,
 	}
 	for n := range s.walks {
-		rng := root.Derive(0xC00 + uint64(n))
 		w := &s.walks[n]
-		w.rng = rng
-		w.genPos = point{rng.Uniform(0, g.AreaSide), rng.Uniform(0, g.AreaSide)}
+		root.DeriveInto(0xC00+uint64(n), &w.rng)
+		w.genPos = point{w.rng.Uniform(0, g.AreaSide), w.rng.Uniform(0, g.AreaSide)}
 		w.cur = leg{a: w.genPos, b: w.genPos} // zero-length pause until the first draw
 		s.advanceWalk(w, 0)
 	}
@@ -88,7 +89,7 @@ func (g ClassicRWP) sampleSteps() (int, error) {
 // classicWalk is one node's lazy waypoint path: the current leg plus
 // the generation clock for drawing the next one.
 type classicWalk struct {
-	rng     *sim.RNG
+	rng     sim.RNG
 	cur     leg
 	pending leg // the pause leg paired with a freshly drawn travel leg
 	hasPend bool
@@ -108,6 +109,25 @@ type classicOpen struct {
 type classicClosed struct {
 	key uint64
 	end float64
+}
+
+// closeChunk is how many closed contacts one bucket chunk holds: with
+// the link and count in front, a chunk fills a 4 KiB size class.
+const closeChunk = 255
+
+// classicChunk is a fixed-size run of one bucket's closes. A bucket is
+// a list of chunks filled in close order; released chunks go to the
+// source's free list, so the chunks a run allocates are the peak of the
+// live window, not every bucket's growth.
+type classicChunk struct {
+	next *classicChunk // first, so the GC scans one word of the chunk
+	n    int32
+	e    [closeChunk]classicClosed
+}
+
+// classicBucket is one start step's chunk list.
+type classicBucket struct {
+	head, tail *classicChunk
 }
 
 // classicSource runs the sampled-position simulation step by step,
@@ -134,11 +154,11 @@ type classicSource struct {
 	// have closed since, in close order; entries below head are spent.
 	// The window reaches back to the oldest pair still open, not to
 	// step 0.
-	closed   [][]classicClosed
+	closed   []classicBucket
 	head     int
 	base     int
-	spare    [][]classicClosed // handed-out buckets, for reuse
-	out      []classicClosed   // the released bucket being handed out
+	free     *classicChunk   // released chunks, for the next closes
+	out      []classicClosed // the released bucket being handed out
 	outAt    int
 	outStart sim.Time
 
@@ -204,7 +224,7 @@ func (s *classicSource) runStep() float64 {
 		s.closed = s.closed[:copy(s.closed, s.closed[s.head:])]
 		s.head = 0
 	}
-	s.closed = append(s.closed, nil)
+	s.closed = append(s.closed, classicBucket{})
 
 	// Counting sort by cell. Counts go in two slots up, so the prefix
 	// sum leaves cell c's first slot in off[c+1]; placing nodes in
@@ -291,16 +311,36 @@ func (s *classicSource) close(o classicOpen, end float64) {
 		return
 	}
 	b := &s.closed[s.head+o.start-s.base]
-	if *b == nil && len(s.spare) > 0 {
-		*b = s.spare[len(s.spare)-1]
-		s.spare = s.spare[:len(s.spare)-1]
+	if b.tail == nil || b.tail.n == closeChunk {
+		s.extend(b)
 	}
-	*b = append(*b, classicClosed{key: o.key, end: end})
+	c := b.tail
+	c.e[c.n] = classicClosed{key: o.key, end: end}
+	c.n++
 }
 
-// release moves the oldest non-empty bucket whose start lies below the
-// bound into s.out, sorted by pair: one start time, and a pair opens at
-// most once per time, so that is the canonical order.
+// extend appends an empty chunk to a bucket, from the free list when
+// one is there.
+func (s *classicSource) extend(b *classicBucket) {
+	c := s.free
+	if c != nil {
+		s.free = c.next
+		c.next = nil
+	} else {
+		c = new(classicChunk)
+	}
+	if b.tail == nil {
+		b.head = c
+	} else {
+		b.tail.next = c
+	}
+	b.tail = c
+}
+
+// release copies the oldest non-empty bucket whose start lies below the
+// bound into s.out, sorted by pair (one start time, and a pair opens at
+// most once per time, so that is the canonical order), and returns the
+// bucket's chunks to the free list.
 func (s *classicSource) release() bool {
 	for s.head < len(s.closed) {
 		start := sim.Time(s.timeOf(s.base))
@@ -310,14 +350,19 @@ func (s *classicSource) release() bool {
 		b := s.closed[s.head]
 		s.head++
 		s.base++
-		if len(b) == 0 {
+		if b.head == nil {
 			continue
 		}
-		slices.SortFunc(b, func(x, y classicClosed) int { return cmp.Compare(x.key, y.key) })
-		if s.out != nil {
-			s.spare = append(s.spare, s.out[:0])
+		s.out = s.out[:0]
+		for c := b.head; c != nil; {
+			s.out = append(s.out, c.e[:c.n]...)
+			next := c.next
+			c.next, c.n = s.free, 0
+			s.free = c
+			c = next
 		}
-		s.out, s.outAt, s.outStart = b, 0, start
+		slices.SortFunc(s.out, func(x, y classicClosed) int { return cmp.Compare(x.key, y.key) })
+		s.outAt, s.outStart = 0, start
 		return true
 	}
 	return false

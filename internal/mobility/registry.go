@@ -50,11 +50,22 @@ func BuiltinSpecs() []string {
 	return []string{"cambridge", "subscriber", "rwp", "interval:max=400"}
 }
 
+// MaxNodes bounds the population of every generated model but
+// Cambridge, and of a trace file: twice the scale axis's 1M-node cell.
+// Past it a spec is not a run anyone waits for but an allocation that
+// kills the process — or the daemon that compiled the job.
+const MaxNodes = 1 << 21
+
+// MaxCambridgeNodes bounds the synthetic Cambridge population: its
+// state is one renewal process per pair, O(nodes²) — about 175 MB at
+// 1000 nodes.
+const MaxCambridgeNodes = 2048
+
 // Shared rows. A pinned seed makes Stream ignore the caller's seed,
 // fixing the schedule across sweep runs.
 var (
 	seedRow  = spec.Param{Name: "seed", Type: spec.Uint, Meta: "N"}
-	nodesRow = spec.Param{Name: "nodes", Type: spec.Int, Meta: "N"}
+	nodesRow = spec.Param{Name: "nodes", Type: spec.Int, Meta: "N", Max: MaxNodes}
 	areaRow  = spec.Param{Name: "area", Meta: "M"}
 	spanRow  = spec.Param{Name: "span", Meta: "S"}
 )
@@ -78,7 +89,7 @@ func builtinRegistry() *spec.Registry[Source] {
 		})
 	}
 	generator("cambridge", "synthetic Cambridge/Haggle iMote encounter trace (fixed across sweep runs, like the real file)",
-		spec.Table{seedRow, nodesRow, spanRow}, false,
+		spec.Table{seedRow, {Name: "nodes", Type: spec.Int, Meta: "N", Max: MaxCambridgeNodes}, spanRow}, false,
 		func(v spec.Values, seed uint64) (contact.Source, error) {
 			return SyntheticCambridge{Seed: seed, Nodes: v.Int("nodes"), Span: sim.Time(v.Float("span"))}.Stream()
 		})

@@ -189,6 +189,30 @@ func TestParseErrorsWrapErrSpec(t *testing.T) {
 	}
 }
 
+// TestNodesBound: a population the process cannot hold is refused at
+// Parse, before anything allocates for it. Each generated kind accepts
+// its bound and rejects one past it; Cambridge, O(pairs), has its own.
+func TestNodesBound(t *testing.T) {
+	for kind, bound := range map[string]int{
+		"cambridge":  MaxCambridgeNodes,
+		"subscriber": MaxNodes,
+		"rwp":        MaxNodes,
+		"interval":   MaxNodes,
+	} {
+		at := fmt.Sprintf("%s:nodes=%d", kind, bound)
+		if _, err := Parse(at); err != nil {
+			t.Errorf("Parse(%q): %v", at, err)
+		}
+		past := fmt.Sprintf("%s:nodes=%d", kind, bound+1)
+		if _, err := Parse(past); !errors.Is(err, ErrSpec) {
+			t.Errorf("Parse(%q): err = %v, want ErrSpec", past, err)
+		}
+	}
+	if _, err := (ClassicRWP{Nodes: MaxNodes + 1}).Stream(); err == nil {
+		t.Error("ClassicRWP streamed a population past MaxNodes")
+	}
+}
+
 // TestRWPSampleStepsRange: a span/dt whose step count does not fit an
 // int is an invalid spec, from Stream and the reference alike. Converted
 // anyway it went negative, the run ended on its first step, and twenty

@@ -43,12 +43,11 @@ func (g SubscriberPointRWP) Stream() (contact.Source, error) {
 		s.pts[i] = point{placeRNG.Uniform(0, g.AreaSide), placeRNG.Uniform(0, g.AreaSide)}
 	}
 	for n := range s.nodes {
-		rng := root.Derive(0xB00 + uint64(n))
 		nd := &s.nodes[n]
-		nd.rng = rng
+		root.DeriveInto(0xB00+uint64(n), &nd.rng)
 		nd.prev = -1
-		nd.cur = rng.IntN(g.Points)
-		nd.arrive = rng.Uniform(0, g.MaxPause) // staggered starts
+		nd.cur = nd.rng.IntN(g.Points)
+		nd.arrive = nd.rng.Uniform(0, g.MaxPause) // staggered starts
 		if sim.Time(nd.arrive) < g.Span {
 			s.arrivals.push(arrival{at: nd.arrive, node: contact.NodeID(n)})
 		}
@@ -75,7 +74,7 @@ type dwell struct{ arrive, depart float64 }
 
 // subNode is one node's lazy itinerary state.
 type subNode struct {
-	rng    *sim.RNG
+	rng    sim.RNG
 	cur    int // point being travelled to (or dwelt at)
 	prev   int // point holding the node's occupancy entry, -1 if none
 	arrive float64

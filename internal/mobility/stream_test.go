@@ -87,6 +87,30 @@ func streamCases() []streamCase {
 			horizonIsSpan: true,
 		},
 		{
+			// Every pair in range from step 0 to the span: the step-0
+			// bucket holds all 2016 pairs, eight chunks.
+			name: "rwp-classic-all-in-range",
+			generate: func(s uint64) (*contact.Schedule, error) {
+				return generateClassic(allInRangeCell(s))
+			},
+			stream: func(s uint64) (contact.Source, error) {
+				return allInRangeCell(s).Stream()
+			},
+			horizonIsSpan: true,
+		},
+		{
+			// Dense and churning: buckets of hundreds of closes, filled
+			// across many steps and released out of step order.
+			name: "rwp-classic-churn",
+			generate: func(s uint64) (*contact.Schedule, error) {
+				return generateClassic(churnCell(s))
+			},
+			stream: func(s uint64) (contact.Source, error) {
+				return churnCell(s).Stream()
+			},
+			horizonIsSpan: true,
+		},
+		{
 			name: "interval",
 			generate: func(s uint64) (*contact.Schedule, error) {
 				return generateInterval(ControlledInterval{Seed: s, MaxInterval: 400})
@@ -104,6 +128,41 @@ func streamCases() []streamCase {
 				return ControlledInterval{Seed: s, MaxInterval: 2000, Nodes: 9, Encounters: 30}.Stream()
 			},
 		},
+	}
+}
+
+// allInRangeCell and churnCell are the classic cells whose start-step
+// buckets span several chunks (closeChunk contacts each); the fuzz cells
+// are too small to fill one.
+func allInRangeCell(seed uint64) ClassicRWP {
+	return ClassicRWP{Seed: seed, Nodes: 64, AreaSide: 100, Range: 150, SampleDT: 10, Span: 3000}
+}
+
+func churnCell(seed uint64) ClassicRWP {
+	return ClassicRWP{Seed: seed, Nodes: 80, AreaSide: 1000, Range: 250, SampleDT: 7, Span: 4000}
+}
+
+// TestClassicBucketsSpanChunks: the multi-chunk cells really exercise
+// chunk chaining — a start step whose bucket fills three or more chunks
+// in the all-in-range cell, and more than one chunk in the churning one.
+func TestClassicBucketsSpanChunks(t *testing.T) {
+	for _, tc := range []struct {
+		g    ClassicRWP
+		want int
+	}{{allInRangeCell(1), 3 * closeChunk}, {churnCell(1), closeChunk + 1}} {
+		src, err := tc.g.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perStart := map[sim.Time]int{}
+		largest := 0
+		for _, c := range drain(t, src) {
+			perStart[c.Start]++
+			largest = max(largest, perStart[c.Start])
+		}
+		if largest < tc.want {
+			t.Errorf("%+v: largest bucket %d contacts, want >= %d", tc.g, largest, tc.want)
+		}
 	}
 }
 
@@ -538,7 +597,7 @@ func FuzzClassicStream(f *testing.F) {
 	f.Add(uint64(6), 20, 2000.0, 100.0, 999.0, 1000.0)
 	f.Add(uint64(7), 16, 120.0, 40.0, 3.0, 1200.5)
 	f.Fuzz(func(t *testing.T, seed uint64, nodes int, area, radio, dt, span float64) {
-		if nodes < 2 || nodes > 24 {
+		if nodes < 2 || nodes > 96 {
 			t.Skip()
 		}
 		if !(area > 0 && area <= 1e6 && radio > 0 && radio <= 1e7 && dt > 0 && span > 0 && span <= 1e6 && span/dt <= 500) {
@@ -621,5 +680,31 @@ func TestClassicStreamHostileGeometry(t *testing.T) {
 		if n > budget {
 			t.Errorf("%q: 5000 steps allocated %d bytes", tc.spec, n)
 		}
+	}
+}
+
+// TestClassicStreamAllocationBudget: the 5k-node scale cell's drain
+// allocates the live reordering window, not every bucket's growth. Close
+// buckets are chunks recycled through a free list and the per-node
+// streams live in the walk slice, so the drain stays under 4.5 MB; with
+// doubling per-bucket slices and three heap objects per node RNG it
+// took 7.5 MB.
+func TestClassicStreamAllocationBudget(t *testing.T) {
+	g := ClassicRWP{Nodes: 5000, AreaSide: 14142, Span: 2500, Range: 100, SampleDT: 25, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	src, err := g.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ok := src.Next(); ok; _, ok = src.Next() {
+		n++
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 4.5e6
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Errorf("5k drain allocated %.2f MB (%d contacts); budget %.1f MB", float64(got)/1e6, n, budget/1e6)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // implementation: every unordered pair is an independent renewal
 // process drawn lazily from its own RNG stream, and a k-way merge heap
 // releases the per-pair streams in canonical order. Working memory is
-// O(pairs) — each pair holds one RNG and one pending contact —
-// independent of the contact count, which grows with Span.
+// O(pairs) — each pair holds one RNG, by value, and one pending
+// contact — independent of the contact count, which grows with Span.
 //
 // With few nodes or a short span, a draw can place every pair's first
 // encounter beyond the span. An empty plan is unusable, so Stream
@@ -46,7 +46,7 @@ func (g SyntheticCambridge) Stream() (contact.Source, error) {
 // the span and rounded to whole seconds.
 type pairRenewal struct {
 	a, b     contact.NodeID
-	rng      *sim.RNG
+	rng      sim.RNG
 	activity float64
 	t        float64
 	done     bool
@@ -116,18 +116,16 @@ func (h *mergeHeap) Pop() any {
 // the node count changes — and each pair's first contact seeds the
 // merge heap.
 func (g SyntheticCambridge) newStream(root *sim.RNG) *syntheticSource {
-	s := &syntheticSource{g: g, pairs: make([]pairRenewal, 0, g.Nodes*(g.Nodes-1)/2)}
+	s := &syntheticSource{g: g, pairs: make([]pairRenewal, g.Nodes*(g.Nodes-1)/2)}
+	idx := 0
 	for i := 0; i < g.Nodes; i++ {
 		for j := i + 1; j < g.Nodes; j++ {
-			rng := root.Derive(uint64(i)<<32 | uint64(j))
-			p := pairRenewal{
-				a:        contact.NodeID(i),
-				b:        contact.NodeID(j),
-				rng:      rng,
-				activity: rng.Uniform(1-g.PairActivity, 1+g.PairActivity),
-			}
-			p.t = rng.Uniform(0, g.MaxGap/4)
-			s.pairs = append(s.pairs, p)
+			p := &s.pairs[idx]
+			idx++
+			p.a, p.b = contact.NodeID(i), contact.NodeID(j)
+			root.DeriveInto(uint64(i)<<32|uint64(j), &p.rng)
+			p.activity = p.rng.Uniform(1-g.PairActivity, 1+g.PairActivity)
+			p.t = p.rng.Uniform(0, g.MaxGap/4)
 		}
 	}
 	for idx := range s.pairs {

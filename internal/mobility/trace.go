@@ -70,12 +70,18 @@ func (r *traceReader) next() (c contact.Contact, ok bool, err error) {
 		}
 		if strings.HasPrefix(text, "#") {
 			if n, ok := parseNodesHeader(text); ok {
+				if n > MaxNodes {
+					return c, false, fmt.Errorf("mobility: trace line %d: %d nodes exceed the bound of %d", r.line, n, MaxNodes)
+				}
 				r.declared = n
 			}
 			continue
 		}
 		if c, err = parseTraceLine(text, r.line); err != nil {
 			return c, false, err
+		}
+		if c.B >= MaxNodes {
+			return c, false, fmt.Errorf("mobility: trace line %d: node %d exceeds the bound of %d nodes", r.line, c.B, MaxNodes)
 		}
 		r.maxID = max(r.maxID, c.B)
 		return c, true, nil

@@ -2,6 +2,10 @@ package mobility
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -105,6 +109,31 @@ func TestParseNodesHeader(t *testing.T) {
 	}
 	if _, ok := parseNodesHeader("# nodes: x"); ok {
 		t.Error("bad count accepted")
+	}
+}
+
+// TestTraceNodesBound: a trace that declares or names a population past
+// MaxNodes is a parse error on both read paths, not an engine sized by it.
+func TestTraceNodesBound(t *testing.T) {
+	for name, text := range map[string]string{
+		"header": fmt.Sprintf("# nodes: %d\n0 1 0 10\n", MaxNodes+1),
+		"record": fmt.Sprintf("0 %d 0 10\n", MaxNodes),
+	} {
+		if _, err := ParseTrace(strings.NewReader(text)); err == nil {
+			t.Errorf("%s: ParseTrace accepted a population past %d", name, MaxNodes)
+		}
+		path := filepath.Join(t.TempDir(), "big.txt")
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if src, err := OpenTraceSource(path); err == nil {
+			src.(io.Closer).Close()
+			t.Errorf("%s: OpenTraceSource accepted a population past %d", name, MaxNodes)
+		}
+	}
+	at := fmt.Sprintf("# nodes: %d\n0 1 0 10\n", MaxNodes)
+	if s, err := ParseTrace(strings.NewReader(at)); err != nil || s.Nodes != MaxNodes {
+		t.Errorf("header at the bound: %v", err)
 	}
 }
 

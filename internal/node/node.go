@@ -60,12 +60,16 @@ type Node struct {
 	Scratch Scratch
 
 	// DropHook, when non-nil, observes every buffer-policy drop this
-	// node records (refusals, evictions, TTL expiries). The engine sets
-	// it to fan events out to core.Observer implementations; protocols
-	// report drops through NoteRefused/NoteEvicted/PurgeExpired and
-	// never call it directly.
-	DropHook func(id bundle.ID, reason DropReason, now sim.Time)
+	// node records (refusals, evictions, TTL expiries), called with the
+	// node's own ID: one hook serves a whole population. The engine
+	// sets it to fan events out to core.Observer implementations;
+	// protocols report drops through NoteRefused/NoteEvicted/PurgeExpired
+	// and never call it directly.
+	DropHook DropHook
 }
+
+// DropHook observes one drop at node at.
+type DropHook func(at contact.NodeID, id bundle.ID, reason DropReason, now sim.Time)
 
 // Scratch is per-node reusable working memory for protocol hot paths.
 // The slices keep their grown capacity across contacts; callers slice
@@ -130,6 +134,26 @@ func New(id contact.NodeID, bufCap int) *Node {
 	}
 }
 
+// NewPopulation returns nodes 0..count-1 as New would build them, in a
+// fixed number of allocations whatever the count: the nodes, their
+// stores and their received sets each live by value in one slab.
+func NewPopulation(count, bufCap int) []*Node {
+	nodes := make([]Node, count)
+	stores := buffer.NewStores(count, bufCap)
+	received := make([]bundle.SummaryVector, count)
+	out := make([]*Node, count)
+	for i := range nodes {
+		nodes[i] = Node{
+			ID:                 contact.NodeID(i),
+			Store:              &stores[i],
+			Received:           &received[i],
+			LastEncounterStart: -1,
+		}
+		out[i] = &nodes[i]
+	}
+	return out
+}
+
 // ObserveEncounter updates the node's encounter history at the start of a
 // contact. Per Algorithm 1, the interval is measured between the starts
 // of the last two encounters.
@@ -146,7 +170,7 @@ func (n *Node) PurgeExpired(now sim.Time) {
 	n.Expired += int64(len(purged))
 	if n.DropHook != nil {
 		for _, cp := range purged {
-			n.DropHook(cp.Bundle.ID, DropExpired, now)
+			n.DropHook(n.ID, cp.Bundle.ID, DropExpired, now)
 		}
 	}
 }
@@ -157,7 +181,7 @@ func (n *Node) PurgeExpired(now sim.Time) {
 func (n *Node) NoteRefused(id bundle.ID, now sim.Time) {
 	n.Refused++
 	if n.DropHook != nil {
-		n.DropHook(id, DropRefused, now)
+		n.DropHook(n.ID, id, DropRefused, now)
 	}
 }
 
@@ -166,7 +190,7 @@ func (n *Node) NoteRefused(id bundle.ID, now sim.Time) {
 func (n *Node) NoteEvicted(id bundle.ID, now sim.Time) {
 	n.Evicted++
 	if n.DropHook != nil {
-		n.DropHook(id, DropEvicted, now)
+		n.DropHook(n.ID, id, DropEvicted, now)
 	}
 }
 
@@ -176,7 +200,7 @@ func (n *Node) NoteEvicted(id bundle.ID, now sim.Time) {
 func (n *Node) NoteByteDropped(id bundle.ID, now sim.Time) {
 	n.ByteDropped++
 	if n.DropHook != nil {
-		n.DropHook(id, DropBytePressure, now)
+		n.DropHook(n.ID, id, DropBytePressure, now)
 	}
 }
 
@@ -186,7 +210,7 @@ func (n *Node) NoteByteDropped(id bundle.ID, now sim.Time) {
 // increments no counter.
 func (n *Node) NotePurged(id bundle.ID, now sim.Time) {
 	if n.DropHook != nil {
-		n.DropHook(id, DropPurged, now)
+		n.DropHook(n.ID, id, DropPurged, now)
 	}
 }
 

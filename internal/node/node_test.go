@@ -2,6 +2,9 @@ package node
 
 import (
 	"testing"
+
+	"dtnsim/internal/bundle"
+	"dtnsim/internal/contact"
 )
 
 func TestNewNode(t *testing.T) {
@@ -54,5 +57,28 @@ func TestObserveEncounterSimultaneous(t *testing.T) {
 func TestNodeString(t *testing.T) {
 	if New(1, 5).String() == "" {
 		t.Error("empty String")
+	}
+}
+
+// TestNewPopulation: a slab-built population is node for node what New
+// builds, with stores and received sets that share nothing, in a fixed
+// number of allocations whatever the count.
+func TestNewPopulation(t *testing.T) {
+	pop := NewPopulation(5, 10)
+	for i, n := range pop {
+		want := New(contact.NodeID(i), 10)
+		if n.ID != want.ID || n.LastEncounterStart != want.LastEncounterStart ||
+			n.Store.Cap() != want.Store.Cap() || n.Store.Len() != 0 || n.Received.Len() != 0 {
+			t.Errorf("node %d: %v, want %v", i, n, want)
+		}
+	}
+	pop[1].Received.Add(bundle.ID{Src: 1, Seq: 1})
+	if pop[0].Received.Len() != 0 || pop[2].Received.Len() != 0 {
+		t.Error("received sets share state")
+	}
+	small := testing.AllocsPerRun(10, func() { NewPopulation(10, 10) })
+	large := testing.AllocsPerRun(10, func() { NewPopulation(10000, 10) })
+	if small != large {
+		t.Errorf("NewPopulation allocates %v times for 10 nodes, %v for 10000", small, large)
 	}
 }

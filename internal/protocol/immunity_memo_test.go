@@ -56,8 +56,8 @@ func newMemoWorld() *memoWorld {
 	for i := range w.nodes {
 		n := node.New(contact.NodeID(i), 6)
 		w.im.Init(n)
-		n.DropHook = func(id bundle.ID, reason node.DropReason, now sim.Time) {
-			w.drops = append(w.drops, fmt.Sprintf("%d %v %s %v", n.ID, id, reason, now))
+		n.DropHook = func(at contact.NodeID, id bundle.ID, reason node.DropReason, now sim.Time) {
+			w.drops = append(w.drops, fmt.Sprintf("%d %v %s %v", at, id, reason, now))
 		}
 		w.nodes[i] = n
 	}

@@ -747,6 +747,29 @@ func TestAbsurdShardsJobCompletes(t *testing.T) {
 	}
 }
 
+// TestOverBoundPopulationRefusedAtSubmit: submit only parses, and a
+// population past the mobility bound used to parse, queue, and take the
+// daemon down when the job compiled its stream. It is refused at submit
+// now, runs nothing, and the daemon goes on serving.
+func TestOverBoundPopulationRefusedAtSubmit(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	ctx := testCtx(t)
+	for _, mob := range []string{"rwp:nodes=400000000,span=100", "subscriber:nodes=2000000000", "cambridge:nodes=100000"} {
+		sc := fmt.Sprintf(`{"mobility":%q,"protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1}`, mob)
+		if _, err := c.SubmitScenario(ctx, []byte(sc)); !isStatus(err, http.StatusBadRequest) {
+			t.Errorf("%s: %v, want 400", mob, err)
+		}
+	}
+	mustRun(t, ctx, c, client.SubmitRequest{Scenario: []byte(quickScenario)})
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Executed != 1 {
+		t.Errorf("executed %d jobs, want only the in-bound one", m.Executed)
+	}
+}
+
 // TestDistributedScenarioJobWorkerLost pins the failure contract at the
 // job layer: a worker connection dying surfaces as dist.ErrWorkerLost
 // from the job function, and through the HTTP layer as a failed job

@@ -9,33 +9,40 @@ import (
 // mobility models and workload generators need. Every stream is derived
 // from an explicit 64-bit seed; the same seed always yields the same
 // sequence, which is the backbone of run reproducibility.
+//
+// The generator state is held by value, so an RNG is one plain value:
+// a slice of them (one per node or pair) is one allocation, and
+// DeriveInto initialises an element in place. Copying an RNG forks its
+// state; keep one copy in use.
 type RNG struct {
-	r *rand.Rand
-	// pcg is retained only by reseedable streams (NewReseedable) so
-	// Reseed can repoint the generator without allocating.
-	pcg *rand.PCG
+	pcg rand.PCG
+	// reseedable marks streams built with NewReseedable, the only ones
+	// Reseed may repoint.
+	reseedable bool
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return &RNG{pcg: *rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)}
 }
+
+// r is the distribution front end over the state. rand.Rand holds
+// nothing but its source, so building one per draw is free (it stays on
+// the stack) and every draw is the one a long-lived rand.Rand would make.
+func (g *RNG) r() *rand.Rand { return rand.New(&g.pcg) }
 
 // NewReseedable returns a stream whose state can be repointed with
 // Reseed. The engine keeps one per executor and reseeds it at each
 // encounter from EncounterSeed, so per-encounter draw sequences cost
 // zero allocations and are independent of which executor (sequential
 // engine, any shard worker) runs the encounter.
-func NewReseedable() *RNG {
-	pcg := rand.NewPCG(0, 0)
-	return &RNG{r: rand.New(pcg), pcg: pcg}
-}
+func NewReseedable() *RNG { return &RNG{reseedable: true} }
 
 // Reseed repoints a reseedable stream at the state (s1, s2). It panics
 // on streams not built with NewReseedable — silently reseeding a shared
 // model stream would corrupt unrelated consumers.
 func (g *RNG) Reseed(s1, s2 uint64) {
-	if g.pcg == nil {
+	if !g.reseedable {
 		panic("sim: Reseed on a non-reseedable RNG")
 	}
 	g.pcg.Seed(s1, s2)
@@ -69,29 +76,39 @@ func EncounterSeed(runSeed, a, b uint64, start Time) (uint64, uint64) {
 // Use it to give each node or pair its own stream so that adding one
 // consumer does not perturb the draws of another.
 func (g *RNG) Derive(tag uint64) *RNG {
+	d := new(RNG)
+	g.DeriveInto(tag, d)
+	return d
+}
+
+// DeriveInto initialises *dst in place as the stream Derive(tag) would
+// return — same parent draws, same sequence — without allocating, so
+// per-node and per-pair streams can live by value in their slice.
+func (g *RNG) DeriveInto(tag uint64, dst *RNG) {
 	// Draw two words from the parent and mix with the tag.
-	a := g.r.Uint64()
-	b := g.r.Uint64()
-	return &RNG{r: rand.New(rand.NewPCG(a^tag*0xbf58476d1ce4e5b9, b+tag))}
+	a := g.pcg.Uint64()
+	b := g.pcg.Uint64()
+	*dst = RNG{}
+	dst.pcg.Seed(a^tag*0xbf58476d1ce4e5b9, b+tag)
 }
 
 // Float64 returns a uniform draw in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.r().Float64() }
 
 // IntN returns a uniform draw in [0,n). It panics if n <= 0.
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
+func (g *RNG) IntN(n int) int { return g.r().IntN(n) }
 
 // Uint64 returns a uniform 64-bit draw.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.r().Uint64() }
 
 // Uniform returns a uniform draw in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + (hi-lo)*g.r().Float64()
 }
 
 // Exp returns an exponential draw with the given mean.
 func (g *RNG) Exp(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
+	return g.r().ExpFloat64() * mean
 }
 
 // Pareto returns a bounded Pareto draw with shape alpha on [lo, hi].
@@ -102,7 +119,7 @@ func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
 	if lo <= 0 || hi <= lo {
 		panic("sim: Pareto requires 0 < lo < hi")
 	}
-	u := g.r.Float64()
+	u := g.r().Float64()
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
 	// Inverse CDF of the bounded Pareto distribution.
@@ -119,14 +136,14 @@ func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
 // LogNormal returns a log-normal draw parameterised by the mean and sigma
 // of the underlying normal.
 func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*g.r.NormFloat64())
+	return math.Exp(mu + sigma*g.r().NormFloat64())
 }
 
 // Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.r().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r().Shuffle(n, swap) }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool {
@@ -136,5 +153,5 @@ func (g *RNG) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.r().Float64() < p
 }

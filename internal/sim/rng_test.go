@@ -240,3 +240,29 @@ func TestEncounterSeedIsPure(t *testing.T) {
 }
 
 func first2(a, b uint64) [2]uint64 { return [2]uint64{a, b} }
+
+// TestDeriveIntoMatchesDerive: a stream initialised in place draws the
+// sequence Derive's would, advances the parent identically, and costs
+// no allocation — what lets per-node streams live in a slice.
+func TestDeriveIntoMatchesDerive(t *testing.T) {
+	p1, p2 := NewRNG(7), NewRNG(7)
+	slab := make([]RNG, 3)
+	for i := range slab {
+		want := p1.Derive(uint64(i))
+		p2.DeriveInto(uint64(i), &slab[i])
+		for k := 0; k < 8; k++ {
+			if a, b := want.Uint64(), slab[i].Uint64(); a != b {
+				t.Fatalf("stream %d draw %d: Derive %d, DeriveInto %d", i, k, a, b)
+			}
+		}
+	}
+	if p1.Uint64() != p2.Uint64() {
+		t.Fatal("parents diverged")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p2.DeriveInto(9, &slab[0])
+		slab[0].Uniform(0, 1)
+	}); n != 0 {
+		t.Errorf("DeriveInto + draw allocated %v times", n)
+	}
+}

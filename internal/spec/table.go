@@ -177,16 +177,21 @@ func (p Param) check(x value) error {
 	return nil
 }
 
-// domain renders the parameter's range as an interval.
+// domain renders the parameter's range as an interval, an Int's bounds
+// as integers.
 func (p Param) domain() string {
+	format := byte('g')
+	if p.Type == Int {
+		format = 'f'
+	}
 	lo, hi := "[", "∞)"
 	if p.Open {
 		lo = "("
 	}
 	if p.Max > p.Min {
-		hi = strconv.FormatFloat(p.Max, 'g', -1, 64) + "]"
+		hi = strconv.FormatFloat(p.Max, format, -1, 64) + "]"
 	}
-	return lo + strconv.FormatFloat(p.Min, 'g', -1, 64) + "," + hi
+	return lo + strconv.FormatFloat(p.Min, format, -1, 64) + "," + hi
 }
 
 // append renders a value in its canonical form: parsing the rendering
