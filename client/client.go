@@ -79,6 +79,11 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
+// maxPresize bounds the buffer a declared Content-Length reserves
+// before any byte arrives, so a lying or absurd length cannot force a
+// huge allocation. Longer bodies grow as they are read.
+const maxPresize = 8 << 20
+
 // getBytes fetches path and returns the raw 2xx body — the form the
 // byte-identity guarantees apply to.
 func (c *Client) getBytes(ctx context.Context, path string) ([]byte, error) {
@@ -87,7 +92,16 @@ func (c *Client) getBytes(ctx context.Context, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
+	n := resp.ContentLength
+	if n < 0 || n > maxPresize {
+		return io.ReadAll(resp.Body)
+	}
+	// A body shorter than declared is an error, never a short success.
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // Submit posts a job. Exactly one of req.Scenario and req.Sweep must

@@ -96,7 +96,7 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addrFlag, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addrFlag, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "dtnsimd: listening on %s (cache %s)\n", *addrFlag, *cacheFlag)
@@ -122,6 +122,19 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// Connection limits. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection is closed after idleTimeout.
+// There is deliberately no WriteTimeout: a large artifact streams for as
+// long as the client reads it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitHosts parses the -workers-hosts value: comma-separated

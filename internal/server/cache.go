@@ -72,10 +72,15 @@ func sha256hex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// get loads and verifies an entry's manifest. A missing entry returns
-// (nil, nil); a present but incomplete or corrupt entry is also a miss
-// (the next put simply rewrites it).
-func (c *cache) get(kind, key string) (*cacheMeta, error) {
+// errDamaged wraps a read of an entry that is not what its manifest
+// says: manifest gone or unreadable, an artifact missing, or an
+// artifact whose bytes fail their digest.
+var errDamaged = errors.New("server: cache entry damaged")
+
+// manifest loads and checks an entry's meta.json without touching its
+// artifacts. A missing entry, or one whose manifest is corrupt or names
+// another entry, returns (nil, nil).
+func (c *cache) manifest(kind, key string) (*cacheMeta, error) {
 	raw, err := os.ReadFile(filepath.Join(c.dir(kind, key), fileMeta))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -90,43 +95,61 @@ func (c *cache) get(kind, key string) (*cacheMeta, error) {
 	if meta.Kind != kind || meta.Key != key || len(meta.Files) == 0 {
 		return nil, nil
 	}
+	return &meta, nil
+}
+
+// get loads an entry's manifest and verifies every artifact against it:
+// the hit-or-miss decision. A missing entry returns (nil, nil); a
+// present but incomplete or corrupt entry is also a miss (the next put
+// replaces it).
+func (c *cache) get(kind, key string) (*cacheMeta, error) {
+	meta, err := c.manifest(kind, key)
+	if meta == nil || err != nil {
+		return nil, err
+	}
 	for name, want := range meta.Files {
 		data, err := os.ReadFile(filepath.Join(c.dir(kind, key), name))
 		if err != nil || sha256hex(data) != want {
 			return nil, nil // torn or corrupted artifact: miss
 		}
 	}
-	return &meta, nil
+	return meta, nil
 }
 
-// read returns one artifact's bytes, verifying its digest against the
-// manifest so a corrupted file can never be served as a result.
+// read returns one artifact's bytes. It reads and hashes that file
+// alone and returns it only if it matches the manifest's digest, so
+// every byte served was verified by the read that serves it; a damaged
+// file wraps errDamaged and is never returned.
 func (c *cache) read(kind, key, name string) ([]byte, error) {
-	meta, err := c.get(kind, key)
+	meta, err := c.manifest(kind, key)
 	if err != nil {
 		return nil, err
 	}
 	if meta == nil {
-		return nil, fmt.Errorf("server: cache entry %s/%s missing", kind, key)
+		return nil, fmt.Errorf("%w: %s/%s has no manifest", errDamaged, kind, key)
 	}
 	want, ok := meta.Files[name]
 	if !ok {
-		return nil, fmt.Errorf("server: entry %s/%s has no %s", kind, key, name)
+		return nil, fmt.Errorf("%w: %s/%s has no %s", errNotFound, kind, key, name)
 	}
 	data, err := os.ReadFile(filepath.Join(c.dir(kind, key), name))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s/%s: %s missing", errDamaged, kind, key, name)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("server: cache read: %w", err)
 	}
 	if sha256hex(data) != want {
-		return nil, fmt.Errorf("server: cache entry %s/%s: %s fails integrity check", kind, key, name)
+		return nil, fmt.Errorf("%w: %s/%s: %s fails its digest", errDamaged, kind, key, name)
 	}
 	return data, nil
 }
 
 // put writes a complete entry atomically: all artifacts plus the
 // manifest go into a staging directory, which is renamed into place in
-// one step. If another writer won the race the staging copy is
-// discarded — the bytes are identical by construction.
+// one step. A damaged entry in the way is moved aside first. If another
+// writer won the race to an intact entry the staging copy is discarded
+// — the bytes are identical by construction.
 func (c *cache) put(kind, key string, spec []byte, files map[string][]byte) error {
 	dst := c.dir(kind, key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
@@ -157,9 +180,22 @@ func (c *cache) put(kind, key string, spec []byte, files map[string][]byte) erro
 	if err := os.WriteFile(filepath.Join(staging, fileMeta), manifest, 0o644); err != nil {
 		return fmt.Errorf("server: cache write: %w", err)
 	}
+	err = os.Rename(staging, dst)
+	if err == nil {
+		return nil
+	}
+	if meta, _ := c.get(kind, key); meta != nil {
+		return nil // lost the race to an identical entry
+	}
+	// A damaged entry holds the name: rename it aside in one step, so
+	// readers see it or ours, never a half-deleted directory.
+	damaged := staging + ".damaged"
+	if err := os.Rename(dst, damaged); err == nil {
+		defer os.RemoveAll(damaged)
+	}
 	if err := os.Rename(staging, dst); err != nil {
-		if _, statErr := os.Stat(filepath.Join(dst, fileMeta)); statErr == nil {
-			return nil // lost the race to an identical entry
+		if meta, _ := c.get(kind, key); meta != nil {
+			return nil // another writer replaced it first
 		}
 		return fmt.Errorf("server: cache commit: %w", err)
 	}

@@ -184,13 +184,12 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		norm, err := sc.Normalize()
-		if err != nil {
-			return nil, err
-		}
-		spec, err := norm.JSON()
-		if err != nil {
-			return nil, err
+		spec := func() ([]byte, error) {
+			norm, err := sc.Normalize()
+			if err != nil {
+				return nil, err
+			}
+			return norm.JSON()
 		}
 		return m.enqueue(client.KindScenario, key, spec, func(ctx context.Context) (map[string][]byte, error) {
 			return runScenarioJob(ctx, sc, m.dist)
@@ -208,11 +207,7 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		normJSON, err := norm.JSON()
-		if err != nil {
-			return nil, err
-		}
-		return m.enqueue(client.KindSweep, key, normJSON, func(ctx context.Context) (map[string][]byte, error) {
+		return m.enqueue(client.KindSweep, key, norm.JSON, func(ctx context.Context) (map[string][]byte, error) {
 			return runSweepJob(ctx, spec, norm.Metrics)
 		})
 	default:
@@ -221,8 +216,10 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 }
 
 // enqueue is the post-validation half of Submit: dedupe against live
-// jobs, probe the cache, or start a worker.
-func (m *Manager) enqueue(kind, key string, spec []byte, exec func(context.Context) (map[string][]byte, error)) (*Job, error) {
+// jobs, probe the cache, or start a worker. spec renders the normalized
+// spec JSON for the entry's manifest; only a queued job calls it, so a
+// hit pays for no rendering it would throw away.
+func (m *Manager) enqueue(kind, key string, spec func() ([]byte, error), exec func(context.Context) (map[string][]byte, error)) (*Job, error) {
 	id := jobID(kind, key)
 	if j := m.liveJob(id); j != nil {
 		return j, nil
@@ -247,6 +244,10 @@ func (m *Manager) enqueue(kind, key string, spec []byte, exec func(context.Conte
 		return j, nil
 	}
 
+	specJSON, err := spec()
+	if err != nil {
+		return nil, err
+	}
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if m.timeout > 0 {
@@ -266,7 +267,7 @@ func (m *Manager) enqueue(kind, key string, spec []byte, exec func(context.Conte
 	m.jobs[id] = j
 	m.mu.Unlock()
 	m.wg.Add(1)
-	go m.run(j, ctx, spec, exec)
+	go m.run(j, ctx, specJSON, exec)
 	return j, nil
 }
 
@@ -393,29 +394,39 @@ func runSweepJob(ctx context.Context, spec dtnsim.SweepSpec, metrics []dtnsim.Me
 // Lookup resolves a job id to its status: live jobs first, then the
 // cache — which is how finished jobs survive a daemon restart.
 func (m *Manager) Lookup(id string) (client.JobStatus, error) {
+	_, st, err := m.resolve(id)
+	return st, err
+}
+
+// resolve is Lookup that also returns the table's job, nil when the
+// answer came from the cache.
+func (m *Manager) resolve(id string) (*Job, client.JobStatus, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
 	m.mu.Unlock()
 	if ok {
-		return j.status(), nil
+		return j, j.status(), nil
 	}
 	kind, key, err := splitJobID(id)
 	if err != nil {
-		return client.JobStatus{}, err
+		return nil, client.JobStatus{}, err
 	}
 	meta, err := m.cache.get(kind, key)
 	if err != nil {
-		return client.JobStatus{}, err
+		return nil, client.JobStatus{}, err
 	}
 	if meta == nil {
-		return client.JobStatus{}, fmt.Errorf("%w: %s", errNotFound, id)
+		return nil, client.JobStatus{}, fmt.Errorf("%w: %s", errNotFound, id)
 	}
-	return client.JobStatus{JobID: id, Kind: kind, Key: key, State: client.StateDone, Cached: true}, nil
+	return nil, client.JobStatus{JobID: id, Kind: kind, Key: key, State: client.StateDone, Cached: true}, nil
 }
 
-// Artifact returns one of a done job's cached files.
+// Artifact returns one of a done job's cached files. A file that fails
+// its digest drops its job from the table, so the next submission
+// probes the disk, misses, and executes again instead of being answered
+// from the table forever.
 func (m *Manager) Artifact(id, name string) ([]byte, error) {
-	st, err := m.Lookup(id)
+	j, st, err := m.resolve(id)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +440,15 @@ func (m *Manager) Artifact(id, name string) ([]byte, error) {
 	if st.Kind == client.KindSweep && name == fileEvents {
 		return nil, fmt.Errorf("%w: sweep jobs have no event stream", errNotFound)
 	}
-	return m.cache.read(st.Kind, st.Key, name)
+	data, err := m.cache.read(st.Kind, st.Key, name)
+	if errors.Is(err, errDamaged) && j != nil {
+		m.mu.Lock()
+		if m.jobs[id] == j {
+			delete(m.jobs, id)
+		}
+		m.mu.Unlock()
+	}
+	return data, err
 }
 
 // Cancel aborts a live job; terminal and cache-only jobs are a no-op.

@@ -5,13 +5,14 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strconv"
 
 	"dtnsim"
 	"dtnsim/client"
 )
 
 // maxSpecBytes bounds a submission body; spec documents are small, so
-// the limit only guards against accidental uploads.
+// the limit only guards against accidental uploads, which get a 413.
 const maxSpecBytes = 1 << 20
 
 // Server is the dtnsimd HTTP front end over a Manager.
@@ -57,7 +58,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeError maps a manager/spec error to its status code.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, dtnsim.ErrScenario), errors.Is(err, errBadRequest):
 		code = http.StatusBadRequest
 	case errors.Is(err, errNotFound):
@@ -69,7 +73,7 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -116,7 +120,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // artifactHandler serves one cached artifact verbatim: the bytes the
 // worker wrote are the bytes every client gets, which is what makes
-// repeat fetches byte-identical.
+// repeat fetches byte-identical. The declared length lets the body go
+// out unchunked and the client read it into one buffer of that size.
 func (s *Server) artifactHandler(name, contentType string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		data, err := s.jobs.Artifact(r.PathValue("id"), name)
@@ -125,7 +130,16 @@ func (s *Server) artifactHandler(name, contentType string) http.HandlerFunc {
 			return
 		}
 		w.Header().Set("Content-Type", contentType)
-		_, _ = w.Write(data)
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		// The last byte is left in the response buffer, which net/http
+		// flushes after the handler returns. Otherwise a large body can
+		// reach the client whole while the handler is still running, and
+		// a handler span would end after the round trip that waited for
+		// it (request tracing requires the one inside the other).
+		if n := len(data); n > 0 {
+			_, _ = w.Write(data[:n-1])
+			_, _ = w.Write(data[n-1:])
+		}
 	}
 }
 

@@ -208,23 +208,37 @@ func TestSubmitRejections(t *testing.T) {
 		t.Errorf("malformed body: HTTP %d, want 400", resp.StatusCode)
 	}
 
+	// A body past the cap is refused for its size, not parsed truncated.
+	resp, err = http.Post(url+"/v1/jobs", "application/json", strings.NewReader(`{"scenario": "`+strings.Repeat("x", maxSpecBytes)+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+
+	// oversized is a well-formed scenario whose name alone passes the cap.
+	oversized := `{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":7,"count":5}],"name":"` + strings.Repeat("n", maxSpecBytes) + `"}`
 	cases := []struct {
 		name string
 		req  client.SubmitRequest
+		code int
 	}{
-		{"empty", client.SubmitRequest{}},
-		{"both", client.SubmitRequest{Scenario: []byte(quickScenario), Sweep: []byte(quickSweep)}},
-		{"scenario is not an object", client.SubmitRequest{Scenario: []byte(`"pure"`)}},
-		{"unknown field", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":7,"count":5}],"bogus":1}`)}},
-		{"bad protocol spec", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"warp9","flows":[{"src":0,"dst":7,"count":5}]}`)}},
-		{"bad mobility spec", client.SubmitRequest{Scenario: []byte(`{"mobility":"teleport","protocol":"pure","flows":[{"src":0,"dst":7,"count":5}]}`)}},
-		{"no flows", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"pure"}`)}},
-		{"sweep without protocols", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"}}`)}},
-		{"sweep with horizon", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge","horizon":10},"protocols":["pure"]}`)}},
+		{"empty", client.SubmitRequest{}, http.StatusBadRequest},
+		{"both", client.SubmitRequest{Scenario: []byte(quickScenario), Sweep: []byte(quickSweep)}, http.StatusBadRequest},
+		{"scenario is not an object", client.SubmitRequest{Scenario: []byte(`"pure"`)}, http.StatusBadRequest},
+		{"unknown field", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":7,"count":5}],"bogus":1}`)}, http.StatusBadRequest},
+		{"bad protocol spec", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"warp9","flows":[{"src":0,"dst":7,"count":5}]}`)}, http.StatusBadRequest},
+		{"bad mobility spec", client.SubmitRequest{Scenario: []byte(`{"mobility":"teleport","protocol":"pure","flows":[{"src":0,"dst":7,"count":5}]}`)}, http.StatusBadRequest},
+		{"no flows", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"pure"}`)}, http.StatusBadRequest},
+		{"sweep without protocols", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"}}`)}, http.StatusBadRequest},
+		{"sweep with horizon", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge","horizon":10},"protocols":["pure"]}`)}, http.StatusBadRequest},
+		{"spec past the size cap", client.SubmitRequest{Scenario: []byte(oversized)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
-		if _, err := c.Submit(ctx, tc.req); !isStatus(err, http.StatusBadRequest) {
-			t.Errorf("%s: %v, want 400", tc.name, err)
+		if _, err := c.Submit(ctx, tc.req); !isStatus(err, tc.code) {
+			t.Errorf("%s: %v, want %d", tc.name, err, tc.code)
 		}
 	}
 
