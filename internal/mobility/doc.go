@@ -22,11 +22,11 @@
 // Every generator is deterministic under an explicit seed and has one
 // implementation, its Stream: a pull-based contact.Source emitting the
 // contacts in canonical order from an O(nodes) working set (per-point
-// and grid occupancy indexes, lazy waypoint paths, lookahead-heap or
-// start-step-bucket emission; OpenTraceSource streams trace files from
-// disk in O(1) memory). contact.Materialize drains one into a Schedule
-// for callers that need random access. DESIGN.md §8 describes the
-// streaming architecture; the tests hold every Stream, contact for
-// contact, to an independent materializing reference generator
-// (reference_test.go).
+// and grid occupancy indexes, lazy waypoint paths, lookahead-heap,
+// merge-heap or start-step-bucket emission; OpenTraceSource streams
+// trace files from disk in O(1) memory). contact.Materialize drains one
+// into a Schedule for callers that need random access. DESIGN.md §8
+// describes the streaming architecture; the tests hold every Stream,
+// contact for contact, to an independent materializing reference
+// generator (reference_test.go).
 package mobility

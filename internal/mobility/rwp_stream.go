@@ -15,17 +15,20 @@ import (
 // arrival order with a per-point occupancy index:
 //
 //   - each node keeps only its RNG and its next arrival; a min-heap
-//     over nodes orders arrivals globally;
-//   - each subscriber point holds the dwell window of the nodes
-//     currently (or last) occupying it — at most one entry per node,
-//     because a node replaces its previous entry on every arrival — so
-//     an arrival is checked only against the O(co-located) occupants of
-//     its own point, never against the other n−1 nodes;
+//     over nodes orders arrivals globally, and the node at its top is
+//     re-keyed in place (one sift) rather than popped and pushed;
+//   - each subscriber point heads an intrusive doubly linked list of
+//     the nodes currently (or last) dwelling there, threaded through
+//     the nodes themselves — a node sits in at most one list, because
+//     it unlinks its previous entry on every arrival — so an arrival is
+//     checked only against the O(co-located) occupants of its own
+//     point, never against the other n−1 nodes;
 //   - contacts form at the later arrival time, which is nondecreasing,
 //     so a contact.Lookahead heap bounded by the next global arrival
 //     restores the canonical order across equal rounded starts.
 //
-// Working memory is O(nodes + points), independent of Span.
+// Working memory is O(nodes + points), independent of Span; an arrival
+// hashes nothing and allocates nothing.
 func (g SubscriberPointRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
 	if err := g.check(); err != nil {
@@ -34,13 +37,14 @@ func (g SubscriberPointRWP) Stream() (contact.Source, error) {
 	root := sim.NewRNG(g.Seed)
 	placeRNG := root.Derive(0xA11)
 	s := &subscriberSource{
-		g:         g,
-		pts:       make([]point, g.Points),
-		nodes:     make([]subNode, g.Nodes),
-		occupants: make([]map[contact.NodeID]dwell, g.Points),
+		g:     g,
+		pts:   make([]point, g.Points),
+		nodes: make([]subNode, g.Nodes),
+		head:  make([]int32, g.Points),
 	}
 	for i := range s.pts {
 		s.pts[i] = point{placeRNG.Uniform(0, g.AreaSide), placeRNG.Uniform(0, g.AreaSide)}
+		s.head[i] = -1
 	}
 	for n := range s.nodes {
 		nd := &s.nodes[n]
@@ -69,15 +73,16 @@ func (g SubscriberPointRWP) check() error {
 	return nil
 }
 
-// dwell is one node's stay at a point.
-type dwell struct{ arrive, depart float64 }
-
-// subNode is one node's lazy itinerary state.
+// subNode is one node's lazy itinerary state and its entry in the
+// occupancy list of point prev.
 type subNode struct {
 	rng    sim.RNG
 	cur    int // point being travelled to (or dwelt at)
-	prev   int // point holding the node's occupancy entry, -1 if none
+	prev   int // point whose occupancy list holds the node, -1 if none
 	arrive float64
+	depart float64 // end of the dwell at prev
+	link   int32   // next node in prev's list, -1 at the tail
+	back   int32   // previous node in prev's list, -1 at the head
 }
 
 // arrival orders the global node heap by next arrival time, node ID
@@ -95,8 +100,8 @@ func (a arrival) before(b arrival) bool {
 	return a.node < b.node
 }
 
-// arrivalHeap is a hand-rolled min-heap: the push/pop hot path runs
-// once per visit and must not box through container/heap's interface.
+// arrivalHeap is a hand-rolled min-heap: it is touched once per visit
+// and must not box through container/heap's interface.
 type arrivalHeap []arrival
 
 func (h *arrivalHeap) push(a arrival) {
@@ -113,47 +118,69 @@ func (h *arrivalHeap) push(a arrival) {
 	}
 }
 
-func (h *arrivalHeap) pop() arrival {
+// popTop drops the minimum.
+func (h *arrivalHeap) popTop() {
 	s := *h
-	top := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
 	*h = s[:last]
-	s = *h
-	i := 0
+	h.down()
+}
+
+// down restores the heap after the root's key grew.
+func (h arrivalHeap) down() {
+	i, n := 0, len(h)
 	for {
 		kid := 2*i + 1
-		if kid >= last {
-			break
+		if kid >= n {
+			return
 		}
-		if kid+1 < last && s[kid+1].before(s[kid]) {
+		if kid+1 < n && h[kid+1].before(h[kid]) {
 			kid++
 		}
-		if !s[kid].before(s[i]) {
-			break
+		if !h[kid].before(h[i]) {
+			return
 		}
-		s[i], s[kid] = s[kid], s[i]
+		h[i], h[kid] = h[kid], h[i]
 		i = kid
 	}
-	return top
 }
 
 type subscriberSource struct {
-	g         SubscriberPointRWP
-	pts       []point
-	nodes     []subNode
-	occupants []map[contact.NodeID]dwell
-	arrivals  arrivalHeap
-	ahead     contact.Lookahead
+	g        SubscriberPointRWP
+	pts      []point
+	nodes    []subNode
+	head     []int32 // first node of each point's occupancy list, -1 if empty
+	arrivals arrivalHeap
+	ahead    contact.Lookahead
+}
+
+// unlink removes node n from the occupancy list it sits in. It clears
+// prev, so a node another arrival already unlinked (its dwell expired)
+// is never unlinked twice.
+func (s *subscriberSource) unlink(n int32) {
+	nd := &s.nodes[n]
+	if nd.back >= 0 {
+		s.nodes[nd.back].link = nd.link
+	} else {
+		s.head[nd.prev] = nd.link
+	}
+	if nd.link >= 0 {
+		s.nodes[nd.link].back = nd.back
+	}
+	nd.prev = -1
 }
 
 // processArrival plays one node's arrival: contacts with every live
-// occupant of the point, occupancy update, and the node's next hop.
+// occupant of the point, occupancy update, and the node's next hop. It
+// reports whether the node arrives again within the span, at its new
+// nd.arrive.
 //
 //dtn:hotpath
-func (s *subscriberSource) processArrival(a arrival) {
-	g := s.g
-	nd := &s.nodes[a.node]
+func (s *subscriberSource) processArrival(a arrival) bool {
+	g := &s.g
+	self := int32(a.node)
+	nd := &s.nodes[self]
 	t := nd.arrive
 	pause := nd.rng.Uniform(g.MinPause, g.MaxPause)
 	depart := t + pause
@@ -161,42 +188,45 @@ func (s *subscriberSource) processArrival(a arrival) {
 		depart = float64(g.Span)
 	}
 	p := nd.cur
-	if s.occupants[p] == nil {
-		//lint:allow hotpathalloc lazy per-point init, amortized to once per subscriber point
-		s.occupants[p] = make(map[contact.NodeID]dwell)
-	}
 	// Drop this node's previous occupancy entry before scanning, so a
-	// revisit never pairs a node with itself and every node holds at
-	// most one entry across all points.
+	// revisit never pairs a node with itself and every node sits in at
+	// most one list.
 	if nd.prev >= 0 {
-		delete(s.occupants[nd.prev], a.node)
+		s.unlink(self)
 	}
-	// Order-insensitive despite the map range: each occupant yields an
-	// independent contact (no cross-iteration state), expired-dwell
-	// deletion commutes, and emission order is erased by the
-	// Lookahead's canonical total order (stream goldens pin this).
-	//lint:allow maporder per-occupant contacts reordered by total-order Lookahead
-	for m, w := range s.occupants[p] {
-		if w.depart <= t {
-			delete(s.occupants[p], m) // dwell over before this arrival
+	// Each occupant yields an independent contact, so list order is
+	// irrelevant: the Lookahead's canonical total order erases it.
+	for m := s.head[p]; m >= 0; {
+		occ := &s.nodes[m]
+		next := occ.link
+		if occ.depart <= t {
+			s.unlink(m) // dwell over before this arrival
+			m = next
 			continue
 		}
 		start := t
-		end := math.Min(w.depart, depart)
+		end := math.Min(occ.depart, depart)
 		if end-start > g.MaxContact {
 			end = start + g.MaxContact
 		}
 		rs, re := math.Round(start), math.Round(end)
 		if re > rs {
 			s.ahead.Add(contact.Contact{
-				A: a.node, B: m, Start: sim.Time(rs), End: sim.Time(re),
+				A: a.node, B: contact.NodeID(m), Start: sim.Time(rs), End: sim.Time(re),
 			}.Normalize())
 		}
+		m = next
 	}
-	s.occupants[p][a.node] = dwell{arrive: t, depart: depart}
+	nd.depart = depart
 	nd.prev = p
+	nd.back = -1
+	nd.link = s.head[p]
+	if nd.link >= 0 {
+		s.nodes[nd.link].back = self
+	}
+	s.head[p] = self
 	if sim.Time(depart) >= g.Span {
-		return // itinerary over
+		return false // itinerary over
 	}
 	// Choose a different next point and travel there.
 	next := nd.rng.IntN(g.Points - 1)
@@ -207,14 +237,15 @@ func (s *subscriberSource) processArrival(a arrival) {
 	speed := nd.rng.Uniform(g.MinSpeed, g.MaxSpeed)
 	nd.arrive = depart + d/speed
 	nd.cur = next
-	if sim.Time(nd.arrive) < g.Span {
-		s.arrivals.push(arrival{at: nd.arrive, node: a.node})
-	}
+	return sim.Time(nd.arrive) < g.Span
 }
 
 // Next plays arrivals until a contact can be released in canonical
 // order: every future contact starts at (the rounding of) an arrival
-// time no earlier than the heap head, which bounds the lookahead.
+// time no earlier than the heap head, which bounds the lookahead. The
+// arrival played is the heap's top; a node that arrives again keeps
+// its slot, re-keyed and sifted down once, which leaves the same heap
+// order as pop-then-push because (at, node) is a total order.
 func (s *subscriberSource) Next() (contact.Contact, bool) {
 	for {
 		bound := sim.Infinity
@@ -227,7 +258,13 @@ func (s *subscriberSource) Next() (contact.Contact, bool) {
 		if len(s.arrivals) == 0 {
 			return contact.Contact{}, false
 		}
-		s.processArrival(s.arrivals.pop())
+		top := s.arrivals[0]
+		if s.processArrival(top) {
+			s.arrivals[0].at = s.nodes[top.node].arrive
+			s.arrivals.down()
+		} else {
+			s.arrivals.popTop()
+		}
 	}
 }
 

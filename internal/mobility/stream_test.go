@@ -547,6 +547,7 @@ func FuzzSubscriberStream(f *testing.F) {
 	f.Add(uint64(3), 2, 2, 200.0, 20000.0, 300.0, 299.0, 10.0)     // one pair, two points, short cap
 	f.Add(uint64(4), 20, 3, 50.0, 5000.0, 1.0, 0.5, 1e6)           // sub-second dwells: rounding ties
 	f.Add(uint64(5), 8, 40, 1000.0, 3000.0, 5000.0, 4000.0, 500.0) // pauses past the span
+	f.Add(uint64(6), 40, 2, 300.0, 50000.0, 400.0, 100.0, 500.0)   // long occupant lists: mid-list unlinks, re-arrivals after expiry
 	f.Fuzz(func(t *testing.T, seed uint64, nodes, points int, area, span, maxPause, minPause, maxContact float64) {
 		if nodes < 2 || nodes > 40 || points < 1 || points > 200 {
 			t.Skip()
@@ -706,5 +707,26 @@ func TestClassicStreamAllocationBudget(t *testing.T) {
 	const budget = 4.5e6
 	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 		t.Errorf("5k drain allocated %.2f MB (%d contacts); budget %.1f MB", float64(got)/1e6, n, budget/1e6)
+	}
+}
+
+// TestSubscriberStreamAllocationBudget: an arrival hashes nothing and
+// allocates nothing — occupancy is intrusive lists threaded through the
+// node slice and the arrival heap is re-keyed in place — so draining
+// the paper's default substrate (12 nodes, 96 points, 600,000 s) costs
+// the source, its slices and the lookahead's growth, not a per-point
+// map and its rehashes (204 objects with maps).
+func TestSubscriberStreamAllocationBudget(t *testing.T) {
+	const budget = 32
+	n := testing.AllocsPerRun(5, func() {
+		src, err := SubscriberPointRWP{Seed: 1}.Stream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ok := src.Next(); ok; _, ok = src.Next() {
+		}
+	})
+	if n > budget {
+		t.Errorf("default subscriber drain allocated %v objects; budget %d", n, budget)
 	}
 }

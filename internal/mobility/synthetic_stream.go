@@ -1,7 +1,6 @@
 package mobility
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -33,7 +32,7 @@ func (g SyntheticCambridge) Stream() (contact.Source, error) {
 	const maxAttempts = 16
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		src := g.newStream(sim.NewRNG(g.Seed + uint64(attempt)*0x9e3779b97f4a7c15))
-		if src.merge.Len() > 0 {
+		if len(src.merge) > 0 {
 			return src, nil
 		}
 	}
@@ -97,18 +96,29 @@ type mergeEntry struct {
 	pair int
 }
 
+// mergeHeap is a hand-rolled min-heap under contact.Less: Next touches
+// it once per contact and must not box through container/heap's
+// interface. Pairs are distinct, so the order is total and the release
+// order does not depend on the heap's shape.
 type mergeHeap []mergeEntry
 
-func (h mergeHeap) Len() int           { return len(h) }
-func (h mergeHeap) Less(i, j int) bool { return contact.Less(h[i].c, h[j].c) }
-func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)        { *h = append(*h, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// down sifts entry i toward the leaves until neither child is less.
+func (h mergeHeap) down(i int) {
+	n := len(h)
+	for {
+		kid := 2*i + 1
+		if kid >= n {
+			return
+		}
+		if kid+1 < n && contact.Less(h[kid+1].c, h[kid].c) {
+			kid++
+		}
+		if !contact.Less(h[kid].c, h[i].c) {
+			return
+		}
+		h[i], h[kid] = h[kid], h[i]
+		i = kid
+	}
 }
 
 // newStream primes one attempt: pair RNGs are derived from the root in
@@ -133,22 +143,28 @@ func (g SyntheticCambridge) newStream(root *sim.RNG) *syntheticSource {
 			s.merge = append(s.merge, mergeEntry{c: c, pair: idx})
 		}
 	}
-	heap.Init(&s.merge)
+	for i := len(s.merge)/2 - 1; i >= 0; i-- {
+		s.merge.down(i)
+	}
 	return s
 }
 
 // Next pops the globally least pending contact and refills its pair.
+//
+//dtn:hotpath
 func (s *syntheticSource) Next() (contact.Contact, bool) {
-	if s.merge.Len() == 0 {
+	if len(s.merge) == 0 {
 		return contact.Contact{}, false
 	}
 	out := s.merge[0]
 	if c, ok := s.pairs[out.pair].next(s.g); ok {
-		s.merge[0] = mergeEntry{c: c, pair: out.pair}
-		heap.Fix(&s.merge, 0)
+		s.merge[0].c = c
 	} else {
-		heap.Pop(&s.merge)
+		last := len(s.merge) - 1
+		s.merge[0] = s.merge[last]
+		s.merge = s.merge[:last]
 	}
+	s.merge.down(0)
 	return out.c, true
 }
 

@@ -47,6 +47,9 @@ type cumState struct {
 	// sharing a source take contiguous sequence blocks, so a flow's
 	// prefix must anchor at its own base rather than at 1.
 	base map[Flow]int
+	// order is transferTables' scratch for acks' sorted keys, reused
+	// across contacts; it is not state and is never snapshotted.
+	order []Flow
 }
 
 func cumOf(n *node.Node) *cumState { return n.Ext.(*cumState) }
@@ -110,7 +113,8 @@ func purgeReceivedByPeer(n, peer *node.Node, now sim.Time) {
 
 func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) {
 	fs, ts := cumOf(from), cumOf(to)
-	for _, f := range sortedFlows(fs.acks) {
+	fs.order = appendSortedFlows(fs.order[:0], fs.acks)
+	for _, f := range fs.order {
 		if budget <= 0 {
 			return
 		}

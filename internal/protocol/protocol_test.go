@@ -639,6 +639,26 @@ func TestCumulativeExchangeOneRecordPerFlow(t *testing.T) {
 	}
 }
 
+// TestCumulativeExchangeAllocatesNothing: the steady-state table
+// transfer sorts into per-node scratch, so a contact between two nodes
+// that already hold the same three tables allocates nothing (a fresh
+// key slice and two reflect-swapper sorts per contact cost eight).
+func TestCumulativeExchangeAllocatesNothing(t *testing.T) {
+	p := NewCumulativeImmunity()
+	a := mkNode(p, 0, 10)
+	b := mkNode(p, 1, 10)
+	for i, f := range []Flow{{Src: 7, Dst: 5}, {Src: 2, Dst: 9}, {Src: 7, Dst: 1}} {
+		cumOf(a).acks[f] = 10 + i
+		cumOf(b).acks[f] = 20 - i
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Exchange(a, b, 0, 100) }); n != 0 {
+		t.Errorf("Exchange allocated %v objects per contact, want 0", n)
+	}
+	if a.ControlSent == 0 || b.ControlSent == 0 {
+		t.Fatalf("no records sent: %d, %d", a.ControlSent, b.ControlSent)
+	}
+}
+
 func TestCumulativeExchangePurgesCovered(t *testing.T) {
 	p := NewCumulativeImmunity()
 	a := mkNode(p, 0, 10)

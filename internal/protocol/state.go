@@ -1,8 +1,9 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
@@ -74,14 +75,14 @@ func SnapshotExt(ext any) (ExtState, error) {
 		out := ExtState{Kind: ExtCumulative}
 		out.Acks = flowCounts(st.acks)
 		out.Base = flowCounts(st.base)
-		for _, f := range sortedFlows(st.rcvd) {
+		for _, f := range appendSortedFlows(nil, st.rcvd) {
 			seqs := make([]int, 0, len(st.rcvd[f]))
 			for s, ok := range st.rcvd[f] {
 				if ok {
 					seqs = append(seqs, s)
 				}
 			}
-			sort.Ints(seqs)
+			slices.Sort(seqs)
 			out.Rcvd = append(out.Rcvd, FlowSeqs{Src: int(f.Src), Dst: int(f.Dst), Seqs: seqs})
 		}
 		return out, nil
@@ -138,7 +139,7 @@ func flowCounts(m map[Flow]int) []FlowCount {
 	if len(m) == 0 {
 		return nil
 	}
-	flows := sortedFlows(m)
+	flows := appendSortedFlows(nil, m)
 	out := make([]FlowCount, len(flows))
 	for i, f := range flows {
 		out[i] = FlowCount{Src: int(f.Src), Dst: int(f.Dst), N: m[f]}
@@ -146,18 +147,21 @@ func flowCounts(m map[Flow]int) []FlowCount {
 	return out
 }
 
-// sortedFlows collects a flow-keyed table's keys and returns them
-// sorted by (Src, Dst) — the same order transferTables uses.
-func sortedFlows[V any](m map[Flow]V) []Flow {
-	flows := make([]Flow, 0, len(m))
+// appendSortedFlows appends a flow-keyed table's keys to dst, which
+// must be empty, and sorts them by (Src, Dst) — the order
+// transferTables sends in, so a truncated budget always sends the same
+// flows.
+func appendSortedFlows[V any](dst []Flow, m map[Flow]V) []Flow {
 	for f := range m {
-		flows = append(flows, f)
+		dst = append(dst, f)
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Src != flows[j].Src {
-			return flows[i].Src < flows[j].Src
-		}
-		return flows[i].Dst < flows[j].Dst
-	})
-	return flows
+	slices.SortFunc(dst, compareFlows)
+	return dst
+}
+
+func compareFlows(a, b Flow) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
 }
