@@ -46,13 +46,16 @@ type Scenario struct {
 	// makes a sweep serializable.
 	Spec string
 	// Stream builds a pull-based contact source for a given seed: the
-	// only way mobility reaches a sweep. Runs consume it without ever
-	// materializing a schedule, so sweep memory stays O(nodes) per
-	// in-flight run; a hand-built scenario over a fixed plan sets it to
-	// func(uint64) (contact.Source, error) { return sched.Stream(), nil }.
-	// Must be safe for concurrent calls — sweeps with Workers > 1 invoke
-	// it from several goroutines; the sources it returns are per-run and
-	// single-use.
+	// only way mobility reaches a sweep, called once per run. A
+	// hand-built scenario's Stream is whatever it sets, e.g.
+	// func(uint64) (contact.Source, error) { return sched.Stream(), nil }
+	// over a fixed plan. ScenarioFromSpec's Stream replays a seed it has
+	// seen twice from a retained plan (replay.go), since a sweep's
+	// protocol series share their seeds; it retains at most 1<<18
+	// contacts (~10 MiB) per scenario and streams the rest per use, so
+	// runs otherwise hold O(nodes) of mobility state. Must be safe for
+	// concurrent calls — sweeps with Workers > 1 invoke it from several
+	// goroutines; the sources it returns are per-run and single-use.
 	Stream func(seed uint64) (contact.Source, error)
 	// PerRunSchedule regenerates mobility for every run (RWP): Stream
 	// receives the run's own seed. When false every run streams from

@@ -158,8 +158,10 @@ func runGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome, fold
 //   - the engine seed is seedFor(baseSeed, axis, run);
 //   - mobility streams from that seed when the scenario regenerates per
 //     run, and from baseSeed when it is fixed across runs — same
-//     contacts every run, regenerated lazily instead of retained, so
-//     sweep memory stays O(nodes) per in-flight run;
+//     contacts every run. The scenario's Stream decides whether a
+//     repeated seed is regenerated or replayed (a spec-built scenario
+//     replays it within a contact budget, see replay.go); either way
+//     the run sees the same contacts;
 //   - the source/destination pair depends only on the run index, so
 //     every point of every series compares the same set of pairs and
 //     curves stay comparable along the axis (§IV re-randomizes the pair

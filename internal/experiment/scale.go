@@ -155,6 +155,7 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 	err := runGrid(len(sw.Protocols), len(sw.Nodes), sw.Runs, sw.Workers,
 		func(pi, ni, run int) runOutcome {
 			pf, nodes := sw.Protocols[pi], sw.Nodes[ni]
+			// One scenario per run, so its memo never replays a plan (TestSweepSeedingRule).
 			sc, err := ScenarioFromSpec(sw.Mobility(nodes))
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}

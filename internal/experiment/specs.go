@@ -11,6 +11,11 @@ import (
 // controlled-interval scenario with a faster link (25 s/bundle, see
 // IntervalScenario); that preset is applied here so a spec-built sweep
 // reproduces the figure-built one exactly.
+//
+// The scenario's Stream replays repeated seeds from memory (replay.go):
+// the protocol series of a sweep share their seeds, so each distinct
+// plan is generated at most twice per scenario, not once per run, and
+// results are unchanged bit for bit.
 func ScenarioFromSpec(specStr string) (Scenario, error) {
 	src, err := mobility.Parse(specStr)
 	if err != nil {
@@ -19,7 +24,7 @@ func ScenarioFromSpec(specStr string) (Scenario, error) {
 	sc := Scenario{
 		Name:           src.Kind,
 		Spec:           src.Spec,
-		Stream:         src.Stream,
+		Stream:         newReplay(src.Stream, replayBudget).Stream,
 		PerRunSchedule: src.PerRun,
 	}
 	if src.Kind == "interval" {

@@ -234,6 +234,8 @@ func TestSubmitRejections(t *testing.T) {
 		{"no flows", client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"pure"}`)}, http.StatusBadRequest},
 		{"sweep without protocols", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"}}`)}, http.StatusBadRequest},
 		{"sweep with horizon", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge","horizon":10},"protocols":["pure"]}`)}, http.StatusBadRequest},
+		{"sweep with load 0", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"loads":[0]}`)}, http.StatusBadRequest},
+		{"sweep with negative runs", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"runs":-3}`)}, http.StatusBadRequest},
 		{"spec past the size cap", client.SubmitRequest{Scenario: []byte(oversized)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

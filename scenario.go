@@ -352,6 +352,14 @@ func (s SweepSpec) Compile() (Sweep, error) {
 	if len(s.Labels) != 0 && len(s.Labels) != len(s.Protocols) {
 		return Sweep{}, fmt.Errorf("%w: %d labels for %d protocols", ErrScenario, len(s.Labels), len(s.Protocols))
 	}
+	for _, load := range s.Loads {
+		if load <= 0 {
+			return Sweep{}, fmt.Errorf("%w: load %d is not a positive bundle count", ErrScenario, load)
+		}
+	}
+	if s.Runs < 0 {
+		return Sweep{}, fmt.Errorf("%w: negative runs %d (0 means the paper's 10)", ErrScenario, s.Runs)
+	}
 	factories := make([]ProtocolFactory, 0, len(s.Protocols))
 	for i, ps := range s.Protocols {
 		f, err := experiment.FactoryFromSpec(string(ps))

@@ -287,6 +287,11 @@ func TestSweepSpecRejectsUnsupportedTemplateKnobs(t *testing.T) {
 		`{"scenario":{"mobility":"cambridge","sample_every":50},"protocols":["pure"]}`,
 		`{"scenario":{"mobility":"cambridge","records_per_slot":3},"protocols":["pure"]}`,
 		`{"scenario":{"mobility":"cambridge","horizon":100},"protocols":["pure"]}`,
+		// A load must be a positive bundle count and runs non-negative:
+		// these used to parse, then fail mid-grid or run (and key) as 10.
+		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"loads":[0]}`,
+		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"loads":[5,-5]}`,
+		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"runs":-3}`,
 	} {
 		if _, err := dtnsim.ParseSweepSpec([]byte(raw)); !errors.Is(err, dtnsim.ErrScenario) {
 			t.Errorf("%s: err = %v, want ErrScenario", raw, err)
