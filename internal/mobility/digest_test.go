@@ -7,13 +7,16 @@ import (
 	"testing"
 )
 
-// TestClassicStreamDigests pins three whole classic-RWP streams — the
+// TestClassicStreamDigests pins six whole classic-RWP streams — the
 // 5k-node scale cell, the 1000-node loaded cell the replay benchmarks
-// materialize, and a dense churning cell — by an FNV-64a digest over
-// every contact, two seeds each. The digests were computed on the
-// stream as it stood before its close buckets became recycled chunks,
-// so any reordering, dropped or duplicated contact, or moved end time
-// since then fails here, at populations no reference can afford.
+// materialize, a dense churning cell, a 100k-node short-span cell (633
+// grid columns), a sparse cell whose cell side is widened past Range,
+// and a one-cell grid — by an FNV-64a digest over every contact, two
+// seeds each. The first three were computed on the stream as it stood
+// before its close buckets became recycled chunks, the last three
+// before the grid scan visited each neighbouring cell pair once, so any
+// reordering, dropped or duplicated contact, or moved end time since
+// then fails here, at populations no reference can afford.
 func TestClassicStreamDigests(t *testing.T) {
 	for _, tc := range []struct {
 		spec     string
@@ -27,6 +30,12 @@ func TestClassicStreamDigests(t *testing.T) {
 		{"rwp:nodes=1000,area=6325,span=20000,range=100,dt=25", 77, 186498, 0x355a9163a6920fa5},
 		{"rwp:nodes=400,area=2000,span=3000,range=250,dt=7", 2012, 82222, 0xf9416ecd59816762},
 		{"rwp:nodes=400,area=2000,span=3000,range=250,dt=7", 77, 84797, 0x5e82d9baac531812},
+		{"rwp:nodes=100000,area=63246,span=200,range=100,dt=25", 2012, 246158, 0x8773be224da2570f}, // cols=633
+		{"rwp:nodes=100000,area=63246,span=200,range=100,dt=25", 77, 246427, 0x9f0952b7c212dcb6},
+		{"rwp:nodes=3000,area=200000,span=20000,range=400,dt=25", 2012, 15505, 0x85306ea693ba3464}, // side widened to 1290
+		{"rwp:nodes=3000,area=200000,span=20000,range=400,dt=25", 77, 15465, 0x460a580b5222ad6b},
+		{"rwp:nodes=300,area=150,span=3000,range=160,dt=10", 2012, 49730, 0xff274c63842b761f}, // one column
+		{"rwp:nodes=300,area=150,span=3000,range=160,dt=10", 77, 50699, 0x440aa1471652a3dc},
 	} {
 		parsed, err := Parse(tc.spec)
 		if err != nil {
