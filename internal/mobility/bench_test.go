@@ -137,3 +137,42 @@ func BenchmarkClassicStream5k(b *testing.B) {
 	}
 	b.ReportMetric(float64(contacts), "contacts")
 }
+
+// BenchmarkClassicStreamGeometries drains the classic source over the
+// grid shapes its step has to serve, one sub-benchmark each: the scale
+// cell, the loaded and churning cells of the digest test, 100k nodes
+// on a 633-column grid, a sparse cell whose side is widened past Range,
+// a dense 2×2 grid, and a one-cell grid where every node sees every
+// other. A change to the step's scan or to release is read row by row:
+// none of the shapes may get slower.
+func BenchmarkClassicStreamGeometries(b *testing.B) {
+	for _, tc := range []struct{ name, spec string }{
+		{"scale5k", "rwp:nodes=5000,area=14142,span=2500,range=100,dt=25"},
+		{"loaded1k", "rwp:nodes=1000,area=6325,span=20000,range=100,dt=25"},
+		{"churn400", "rwp:nodes=400,area=2000,span=3000,range=250,dt=7"},
+		{"nodes100k", "rwp:nodes=100000,area=63246,span=200,range=100,dt=25"},
+		{"widened3k", "rwp:nodes=3000,area=200000,span=20000,range=400,dt=25"},
+		{"fourcell", "rwp:nodes=300,area=300,span=3000,range=160,dt=10"},
+		{"onecell", "rwp:nodes=300,area=150,span=3000,range=160,dt=10"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			parsed, err := Parse(tc.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var contacts int
+			for i := 0; i < b.N; i++ {
+				src, err := parsed.Stream(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				contacts = 0
+				for _, ok := src.Next(); ok; _, ok = src.Next() {
+					contacts++
+				}
+			}
+			b.ReportMetric(float64(contacts), "contacts")
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package mobility
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -19,18 +18,26 @@ import (
 //     materializing the whole itinerary;
 //   - range detection uses a grid rebuilt every step by a counting sort
 //     (node → cell, one prefix-sum array, nodes ascending inside each
-//     cell): any pair within Range shares a 3×3 cell neighbourhood,
-//     which is three contiguous runs of the sorted order, so a step
-//     costs O(nodes + nearby pairs) instead of the test-side
-//     reference's O(nodes²) pairwise scan;
-//   - scanning nodes in ascending order yields the step's in-range
-//     pairs in PairKey order, so the open-pair set is a sorted slice
+//     cell, positions copied alongside in grid order): any pair within
+//     Range shares a 3×3 cell neighbourhood, so a step costs
+//     O(nodes + nearby pairs) instead of the test-side reference's
+//     O(nodes²) pairwise scan;
+//   - the scan walks the grid order front to back and tests each node
+//     against two contiguous runs of it — the rest of its own cell plus
+//     the cell to its right, and the three cells of the next row — so
+//     every neighbouring pair is tested once, from one end;
+//   - the step's in-range pairs come out in grid order and are put in
+//     PairKey order by two stable counting passes over node ids (by the
+//     higher node, then the lower), skipped when they already are in
+//     order, as on a one-cell grid. The open-pair set is a sorted slice
 //     merge-walked against last step's: in both keeps its start, only
 //     in the old one closes, only in the new one opens;
 //   - contacts are only known when they *close*, which is out of start
 //     order. A start is always a sample time, so closes wait in one
-//     bucket per start step; a bucket is handed out, sorted by pair,
-//     once no pair that opened at or before its step is still open.
+//     bucket per start step; each close step appends one key-ascending
+//     run to a bucket, and a bucket is handed out, merged from its runs
+//     into pair order, once no pair that opened at or before its step
+//     is still open.
 func (g ClassicRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
 	if g.Nodes < 2 || g.Nodes > MaxNodes {
@@ -57,12 +64,13 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 	s := &classicSource{
 		g:     g,
 		walks: make([]classicWalk, g.Nodes),
-		pos:   make([]point, g.Nodes),
 		side:  side,
 		cols:  cols,
 		cell:  make([]int32, g.Nodes),
 		off:   make([]int32, cols*cols+2),
 		order: make([]int32, g.Nodes),
+		spos:  make([]point, g.Nodes),
+		pairs: make([]uint64, 0, g.Nodes), // about one per node at the scale cells' density
 		steps: steps,
 	}
 	for n := range s.walks {
@@ -135,17 +143,19 @@ type classicBucket struct {
 type classicSource struct {
 	g     ClassicRWP
 	walks []classicWalk
-	pos   []point
 
 	// The occupancy grid, rebuilt every step: cols×cols row-major cells
 	// of the given side; cell c holds nodes order[off[c]:off[c+1]],
-	// ascending.
+	// ascending, at positions spos[off[c]:off[c+1]].
 	side  float64
 	cols  int
-	cell  []int32 // node → cell
+	cell  []int32 // node → cell; once the grid is placed, the pair sort's per-node counters
 	off   []int32
 	order []int32
-	near  []int32 // scratch: the scanned node's in-range higher-numbered peers
+	spos  []point
+
+	pairs []uint64 // scratch: the step's in-range pairs, grid order, then key order
+	spare []uint64 // scratch: the pair sort's intermediate pass
 
 	open []classicOpen // pairs in range at the last step, in key order
 	next []classicOpen // scratch: the list being built this step
@@ -159,6 +169,7 @@ type classicSource struct {
 	base     int
 	free     *classicChunk   // released chunks, for the next closes
 	out      []classicClosed // the released bucket being handed out
+	outSpare []classicClosed // scratch: the other half of release's merge
 	outAt    int
 	outStart sim.Time
 
@@ -229,13 +240,13 @@ func (s *classicSource) runStep() float64 {
 	// Counting sort by cell. Counts go in two slots up, so the prefix
 	// sum leaves cell c's first slot in off[c+1]; placing nodes in
 	// ascending order advances it to the cell's end, which is where
-	// cell c+1 starts.
+	// cell c+1 starts. A node's position is recomputed as it is placed,
+	// so the scan reads positions in grid order.
 	clear(s.off)
 	for n := range s.walks {
 		w := &s.walks[n]
 		s.advanceWalk(w, t)
 		p := w.cur.at(t)
-		s.pos[n] = p
 		c := int32(s.axisCell(p.y)*s.cols + s.axisCell(p.x))
 		s.cell[n] = c
 		s.off[c+2]++
@@ -244,52 +255,35 @@ func (s *classicSource) runStep() float64 {
 		s.off[c] += s.off[c-1]
 	}
 	for n, c := range s.cell {
-		s.order[s.off[c+1]] = int32(n)
+		k := s.off[c+1]
+		s.order[k] = int32(n)
+		s.spos[k] = s.walks[n].cur.at(t)
 		s.off[c+1]++
 	}
 
-	// Scan nodes ascending, each against the higher-numbered nodes of
-	// its 3×3 neighbourhood (three runs of order, one per grid row):
-	// the pairs come out in key order and merge against s.open as they
-	// come. Old pairs the merge passes over were not re-confirmed: they
-	// have moved out of range and close.
-	r2 := g.Range * g.Range
+	s.scan()
+
+	// Merge the step's pairs, in key order, against s.open. Old pairs
+	// the merge passes over were not re-confirmed: they have moved out
+	// of range and close.
 	old, next, k := s.open, s.next[:0], 0
-	near, minStart := s.near, math.MaxInt
-	for i, p := range s.pos {
-		cx, cy := int(s.cell[i])%s.cols, int(s.cell[i])/s.cols
-		x0, x1 := max(cx-1, 0), min(cx+1, s.cols-1)
-		near = near[:0]
-		for y := max(cy-1, 0); y <= min(cy+1, s.cols-1); y++ {
-			for _, j := range s.order[s.off[y*s.cols+x0]:s.off[y*s.cols+x1+1]] {
-				if int(j) <= i {
-					continue
-				}
-				dx, dy := p.x-s.pos[j].x, p.y-s.pos[j].y
-				if dx*dx+dy*dy <= r2 {
-					near = append(near, j)
-				}
-			}
+	minStart := math.MaxInt
+	for _, key := range s.pairs {
+		for ; k < len(old) && old[k].key < key; k++ {
+			s.close(old[k], t)
 		}
-		slices.Sort(near)
-		for _, j := range near {
-			key := uint64(i)<<32 | uint64(j)
-			for ; k < len(old) && old[k].key < key; k++ {
-				s.close(old[k], t)
-			}
-			start := s.step
-			if k < len(old) && old[k].key == key {
-				start = old[k].start
-				k++
-			}
-			minStart = min(minStart, start)
-			next = append(next, classicOpen{key: key, start: start})
+		start := s.step
+		if k < len(old) && old[k].key == key {
+			start = old[k].start
+			k++
 		}
+		minStart = min(minStart, start)
+		next = append(next, classicOpen{key: key, start: start})
 	}
 	for ; k < len(old); k++ {
 		s.close(old[k], t)
 	}
-	s.open, s.next, s.near = next, old, near
+	s.open, s.next = next, old
 
 	// No future close can start before the earliest open window, nor
 	// before the next sample.
@@ -299,6 +293,92 @@ func (s *classicSource) runStep() float64 {
 	}
 	s.bound = sim.Time(bound)
 	return t
+}
+
+// scan fills s.pairs with the step's in-range pairs in key order. It
+// walks the grid order front to back and tests each node against two
+// contiguous runs of it: the rest of its own cell plus the cell to its
+// right (a row's cells are adjacent in order), and the three cells of
+// the next row. Every pair of neighbouring cells is visited once, from
+// its earlier cell; a candidate farther than Range (cells may be wider
+// than it) is turned away by the distance test.
+//
+//dtn:hotpath
+func (s *classicSource) scan() {
+	cols := s.cols
+	pairs := s.pairs[:0]
+	for cy := range cols {
+		row := s.off[cy*cols : (cy+1)*cols+1]
+		for cx := range cols {
+			lo, hi := row[cx], row[cx+1]
+			if lo == hi {
+				continue
+			}
+			x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
+			right := row[x1+1]
+			below, belowEnd := right, right // no next row
+			if cy+1 < cols {
+				below, belowEnd = s.off[(cy+1)*cols+x0], s.off[(cy+1)*cols+x1+1]
+			}
+			for a := lo; a < hi; a++ {
+				pairs = s.appendNear(pairs, a, a+1, right)
+				pairs = s.appendNear(pairs, a, below, belowEnd)
+			}
+		}
+	}
+	s.pairs = pairs
+	if slices.IsSorted(pairs) {
+		return // one cell, or a grid whose order happened to be key order
+	}
+	s.spare = slices.Grow(s.spare[:0], len(pairs))[:len(pairs)]
+	s.countPass(s.spare, pairs, 0)  // by the higher node
+	s.countPass(pairs, s.spare, 32) // then, stably, by the lower
+}
+
+// appendNear appends to pairs the key of every pair between the node at
+// grid slot a and the nodes at slots b0..b1-1 that lies within Range.
+// Each candidate's key is written and kept only if the pair is in
+// range, so the distance test is not a branch to mispredict.
+//
+//dtn:hotpath
+func (s *classicSource) appendNear(pairs []uint64, a, b0, b1 int32) []uint64 {
+	p, i, r2 := s.spos[a], uint64(s.order[a]), s.g.Range*s.g.Range
+	ids, pos := s.order[b0:b1], s.spos[b0:b1]
+	n := len(pairs)
+	pairs = slices.Grow(pairs, len(pos))
+	out := pairs[n : n+len(pos)]
+	m := 0
+	for k, q := range pos {
+		j := uint64(ids[k])
+		out[m] = min(i, j)<<32 | max(i, j)
+		if dx, dy := p.x-q.x, p.y-q.y; dx*dx+dy*dy <= r2 {
+			m++
+		}
+	}
+	return pairs[:n+m]
+}
+
+// countPass scatters src into dst ordered by the node id in bits
+// shift..shift+31 of each key, keeping src's order among equal ids. Its
+// per-node counters are s.cell, spent once the grid is placed.
+//
+//dtn:hotpath
+func (s *classicSource) countPass(dst, src []uint64, shift uint) {
+	count := s.cell
+	clear(count)
+	for _, key := range src {
+		count[uint32(key>>shift)]++
+	}
+	sum := int32(0)
+	for n, c := range count {
+		count[n] = sum
+		sum += c
+	}
+	for _, key := range src {
+		n := uint32(key >> shift)
+		dst[count[n]] = key
+		count[n]++
+	}
 }
 
 // close files the contact of a pair that left range at time end in its
@@ -338,9 +418,9 @@ func (s *classicSource) extend(b *classicBucket) {
 }
 
 // release copies the oldest non-empty bucket whose start lies below the
-// bound into s.out, sorted by pair (one start time, and a pair opens at
-// most once per time, so that is the canonical order), and returns the
-// bucket's chunks to the free list.
+// bound into s.out, merged into pair order (one start time, and a pair
+// opens at most once per time, so that is the canonical order), and
+// returns the bucket's chunks to the free list.
 func (s *classicSource) release() bool {
 	for s.head < len(s.closed) {
 		start := sim.Time(s.timeOf(s.base))
@@ -361,11 +441,60 @@ func (s *classicSource) release() bool {
 			s.free = c
 			c = next
 		}
-		slices.SortFunc(s.out, func(x, y classicClosed) int { return cmp.Compare(x.key, y.key) })
+		s.mergeRuns()
 		s.outAt, s.outStart = 0, start
 		return true
 	}
 	return false
+}
+
+// mergeRuns puts s.out in key order. A bucket is a concatenation of
+// key-ascending runs, one per close step (a step's merge walk and
+// finish both close in key order), so the runs are found where the key
+// descends and adjacent ones merged pairwise, ping-ponging with
+// s.outSpare, until one is left.
+//
+//dtn:hotpath
+func (s *classicSource) mergeRuns() {
+	src, dst := s.out, s.outSpare
+	for runEnd(src, 0) < len(src) {
+		dst = slices.Grow(dst[:0], len(src))[:len(src)]
+		for i := 0; i < len(src); {
+			j := runEnd(src, i)
+			k := j
+			if j < len(src) {
+				k = runEnd(src, j)
+			}
+			merge(dst[i:k], src[i:j], src[j:k])
+			i = k
+		}
+		src, dst = dst, src
+	}
+	s.out, s.outSpare = src, dst
+}
+
+// runEnd is the end of the key-ascending run of x that starts at i.
+func runEnd(x []classicClosed, i int) int {
+	for i++; i < len(x) && x[i].key >= x[i-1].key; i++ {
+	}
+	return i
+}
+
+// merge writes the key-ascending runs x and y, merged, to dst.
+func merge(dst, x, y []classicClosed) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if y[j].key < x[i].key {
+			dst[k] = y[j]
+			j++
+		} else {
+			dst[k] = x[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
 }
 
 // finish closes every contact still open at the span.

@@ -62,10 +62,12 @@ const MaxNodes = 1 << 21
 const MaxCambridgeNodes = 2048
 
 // Shared rows. A pinned seed makes Stream ignore the caller's seed,
-// fixing the schedule across sweep runs.
+// fixing the schedule across sweep runs. A population is 0 (the
+// model's default) or 2 and up: one node has no one to meet, and would
+// otherwise parse, queue and fail only when its stream opened.
 var (
 	seedRow  = spec.Param{Name: "seed", Type: spec.Uint, Meta: "N"}
-	nodesRow = spec.Param{Name: "nodes", Type: spec.Int, Meta: "N", Max: MaxNodes}
+	nodesRow = spec.Param{Name: "nodes", Type: spec.Int, Meta: "N", Min: 2, Max: MaxNodes}
 	areaRow  = spec.Param{Name: "area", Meta: "M"}
 	spanRow  = spec.Param{Name: "span", Meta: "S"}
 )
@@ -89,7 +91,7 @@ func builtinRegistry() *spec.Registry[Source] {
 		})
 	}
 	generator("cambridge", "synthetic Cambridge/Haggle iMote encounter trace (fixed across sweep runs, like the real file)",
-		spec.Table{seedRow, {Name: "nodes", Type: spec.Int, Meta: "N", Max: MaxCambridgeNodes}, spanRow}, false,
+		spec.Table{seedRow, {Name: "nodes", Type: spec.Int, Meta: "N", Min: 2, Max: MaxCambridgeNodes}, spanRow}, false,
 		func(v spec.Values, seed uint64) (contact.Source, error) {
 			return SyntheticCambridge{Seed: seed, Nodes: v.Int("nodes"), Span: sim.Time(v.Float("span"))}.Stream()
 		})

@@ -192,6 +192,8 @@ func TestParseErrorsWrapErrSpec(t *testing.T) {
 // TestNodesBound: a population the process cannot hold is refused at
 // Parse, before anything allocates for it. Each generated kind accepts
 // its bound and rejects one past it; Cambridge, O(pairs), has its own.
+// Below, one node — which no model can stream — is refused at Parse
+// too, while 0, the model's default, and 2 still parse.
 func TestNodesBound(t *testing.T) {
 	for kind, bound := range map[string]int{
 		"cambridge":  MaxCambridgeNodes,
@@ -199,13 +201,17 @@ func TestNodesBound(t *testing.T) {
 		"rwp":        MaxNodes,
 		"interval":   MaxNodes,
 	} {
-		at := fmt.Sprintf("%s:nodes=%d", kind, bound)
-		if _, err := Parse(at); err != nil {
-			t.Errorf("Parse(%q): %v", at, err)
+		for _, n := range []int{0, 2, bound} {
+			at := fmt.Sprintf("%s:nodes=%d", kind, n)
+			if _, err := Parse(at); err != nil {
+				t.Errorf("Parse(%q): %v", at, err)
+			}
 		}
-		past := fmt.Sprintf("%s:nodes=%d", kind, bound+1)
-		if _, err := Parse(past); !errors.Is(err, ErrSpec) {
-			t.Errorf("Parse(%q): err = %v, want ErrSpec", past, err)
+		for _, n := range []int{1, bound + 1} {
+			past := fmt.Sprintf("%s:nodes=%d", kind, n)
+			if _, err := Parse(past); !errors.Is(err, ErrSpec) {
+				t.Errorf("Parse(%q): err = %v, want ErrSpec", past, err)
+			}
 		}
 	}
 	if _, err := (ClassicRWP{Nodes: MaxNodes + 1}).Stream(); err == nil {

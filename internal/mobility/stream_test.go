@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dtnsim/internal/contact"
@@ -597,6 +598,9 @@ func FuzzClassicStream(f *testing.F) {
 	f.Add(uint64(5), 2, 50.0, 30.0, 100.0, 30000.0)   // one pair, long pauses, many windows
 	f.Add(uint64(6), 20, 2000.0, 100.0, 999.0, 1000.0)
 	f.Add(uint64(7), 16, 120.0, 40.0, 3.0, 1200.5)
+	f.Add(uint64(8), 96, 100.0, 150.0, 10.0, 1000.0) // one cell, every pair in range
+	f.Add(uint64(9), 40, 300.0, 160.0, 10.0, 3000.0) // two columns of 160 m cells
+	f.Add(uint64(10), 48, 400.0, 100.0, 5.0, 2000.0) // area = 4 ranges: cell borders at whole ranges
 	f.Fuzz(func(t *testing.T, seed uint64, nodes int, area, radio, dt, span float64) {
 		if nodes < 2 || nodes > 96 {
 			t.Skip()
@@ -623,6 +627,62 @@ func FuzzClassicStream(f *testing.F) {
 		requireSameContacts(t, got, want.Contacts)
 	})
 }
+
+// TestClassicScanPlacedNodes: one step's pair search on hand-placed
+// nodes, every one on a cell border or corner (the area's far edges
+// included, where cells are clamped) and many pairs exactly Range
+// apart, must find the brute-force pair set in key order. One-, two-
+// and five-column grids; node ids laid out with the grid (the sorted
+// fast path) and against it (the counting passes).
+func TestClassicScanPlacedNodes(t *testing.T) {
+	for _, tc := range []struct {
+		area, radio float64
+		cols        int
+	}{{100, 150, 1}, {300, 160, 2}, {400, 100, 5}} {
+		var pts []point
+		for y := 0.0; y <= tc.area; y += tc.radio / 2 {
+			for x := 0.0; x <= tc.area; x += tc.radio / 2 {
+				pts = append(pts, point{x, y})
+			}
+			pts = append(pts, point{tc.area, y})
+		}
+		for _, reversed := range []bool{false, true} {
+			g := ClassicRWP{Seed: 1, Nodes: len(pts), AreaSide: tc.area, Range: tc.radio, SampleDT: 10, Span: 100}
+			src, err := g.Stream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := src.(*classicSource)
+			if s.cols != tc.cols || s.side != tc.radio {
+				t.Fatalf("area %v range %v: %d columns of %v m, want %d of %v m", tc.area, tc.radio, s.cols, s.side, tc.cols, tc.radio)
+			}
+			at := func(n int) point {
+				if reversed {
+					return pts[len(pts)-1-n]
+				}
+				return pts[n]
+			}
+			for n := range s.walks {
+				s.walks[n].cur = leg{a: at(n), b: at(n)} // paused there at t = 0
+			}
+			s.runStep()
+			var want []uint64
+			for i := range pts {
+				for j := i + 1; j < len(pts); j++ {
+					if dx, dy := at(i).x-at(j).x, at(i).y-at(j).y; dx*dx+dy*dy <= tc.radio*tc.radio {
+						want = append(want, uint64(i)<<32|uint64(j))
+					}
+				}
+			}
+			if !slices.Equal(s.pairs, want) {
+				t.Errorf("area %v range %v reversed %v: %d pairs, want %d (first difference in %v vs %v)",
+					tc.area, tc.radio, reversed, len(s.pairs), len(want), head(s.pairs), head(want))
+			}
+		}
+	}
+}
+
+func head(keys []uint64) []uint64 { return keys[:min(len(keys), 8)] }
 
 // TestClassicStreamHostileGeometry: nothing in the classic source is
 // sized by the geometry. An area of 10^18 range-sided cells, a cell

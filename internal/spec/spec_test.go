@@ -21,6 +21,7 @@ var (
 		{Name: "on", Type: Flag},
 	}
 	positional = Table{{Name: "ttl", Default: 300, Open: true, Max: 1e17, Always: true, Positional: true, Meta: "SECONDS"}}
+	population = Table{{Name: "nodes", Type: Int, Min: 2, Max: 9, Meta: "N"}} // 0 (default) or 2..9
 	raw        = Table{{Name: "path", Type: Raw, Positional: true, Meta: "PATH"}}
 )
 
@@ -102,6 +103,13 @@ func TestTableParseCanonical(t *testing.T) {
 		{keyed, "f=1,", ""},
 		{keyed, "=1", ""},
 		{keyed, "f==1", ""},
+		// A default outside the range still parses, and only it.
+		{population, "nodes=0", "k"},
+		{population, "nodes=-0", "k"},
+		{population, "nodes=1", ""},
+		{population, "nodes=2", "k:nodes=2"},
+		{population, "nodes=10", ""},
+		{population, "nodes=-1", ""},
 		// Positional: the whole argument string is the value.
 		{positional, "", "k:300"},
 		{positional, "50", "k:50"},

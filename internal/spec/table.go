@@ -35,7 +35,9 @@ type Param struct {
 	// Default is the value of an absent Float or Int.
 	Default float64
 	// Min and Max bound a Float or Int: Min <= v, or Min < v when Open;
-	// v <= Max when Max > Min, else unbounded above.
+	// v <= Max when Max > Min, else unbounded above. The Default is
+	// admissible wherever it lies: spelled out, it means what absence
+	// does ("nodes" is 0, the model's own population, or 2 and up).
 	Min, Max float64
 	Open     bool
 	// Always keeps a Float or Int in the canonical spelling even at its
@@ -165,11 +167,15 @@ func (p Param) parse(text string, set bool, x *value) error {
 	return nil
 }
 
-// check enforces the declared range on a parsed Float or Int.
+// check enforces the declared range on a parsed Float or Int other
+// than its Default.
 func (p Param) check(x value) error {
 	n := x.f
 	if p.Type == Int {
 		n = float64(x.i)
+	}
+	if n == p.Default {
+		return nil
 	}
 	if n < p.Min || (p.Open && n == p.Min) || (p.Max > p.Min && n > p.Max) {
 		return fmt.Errorf("%s=%s is outside %s", p.Name, p.append(nil, x), p.domain())
