@@ -36,8 +36,8 @@ func seedProbeStream(seed uint64) (contact.Source, error) {
 func init() {
 	mobility.Default.Register("seedprobe", "test-only seed recorder",
 		spec.Table{{Name: "perrun", Type: spec.Flag}},
-		func(canonical string, v spec.Values) mobility.Source {
-			return mobility.Source{Spec: canonical, Kind: "seedprobe", PerRun: v.Flag("perrun"), Stream: seedProbeStream}
+		func(canonical string, v spec.Values) (mobility.Source, error) {
+			return mobility.Source{Spec: canonical, Kind: "seedprobe", PerRun: v.Flag("perrun"), Stream: seedProbeStream}, nil
 		})
 }
 

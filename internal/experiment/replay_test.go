@@ -32,7 +32,7 @@ var replayCount struct {
 func init() {
 	mobility.Default.Register("replaycount", "test-only stream counter",
 		spec.Table{{Name: "perrun", Type: spec.Flag}},
-		func(canonical string, v spec.Values) mobility.Source {
+		func(canonical string, v spec.Values) (mobility.Source, error) {
 			inner := "cambridge"
 			if v.Flag("perrun") {
 				inner = "subscriber"
@@ -49,7 +49,7 @@ func init() {
 				replayCount.Unlock()
 				return stream(seed)
 			}
-			return src
+			return src, nil
 		})
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"sync"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/sim"
@@ -37,21 +39,25 @@ import (
 //     bucket per start step; each close step appends one key-ascending
 //     run to a bucket, and a bucket is handed out, merged from its runs
 //     into pair order, once no pair that opened at or before its step
-//     is still open.
+//     is still open;
+//   - a step runs in two stages on two goroutines. The sample stage —
+//     walks, grid, scan and pair sort — runs on a helper goroutine up
+//     to lookahead steps ahead, writing each step's key-ordered pairs
+//     into a buffer of a fixed ring; the merge stage — the merge walk,
+//     the close buckets and their release — runs in Next, on the
+//     caller's goroutine, taking the buffers in step order. The helper
+//     owns the walks and the grid while it runs, never blocks, and
+//     exits when no buffer is idle or no step is left; Next relaunches
+//     it when it gives a buffer back, so a source abandoned mid-stream
+//     leaves no goroutine behind once the ring is full. Each stage does
+//     the work it did on one goroutine, in the same order, so the
+//     stream is the same contact for contact.
 func (g ClassicRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
-	if g.Nodes < 2 || g.Nodes > MaxNodes {
-		// Past the bound the packed pair key and the int32 grid arrays
-		// would alias.
-		return nil, fmt.Errorf("mobility: ClassicRWP needs 2..%d nodes, got %d", MaxNodes, g.Nodes)
-	}
-	if g.MinSpeed <= 0 {
-		return nil, fmt.Errorf("mobility: ClassicRWP MinSpeed must be > 0 (speed-decay pathology), got %v", g.MinSpeed)
-	}
-	steps, err := g.sampleSteps()
-	if err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
+	steps := g.sampleSteps()
 	// Any cell side >= Range finds the same pairs, so the side is
 	// widened until the grid holds O(nodes) cells whatever the geometry:
 	// the arrays are sized by the population, never by AreaSide/Range.
@@ -70,9 +76,18 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 		off:   make([]int32, cols*cols+2),
 		order: make([]int32, g.Nodes),
 		spos:  make([]point, g.Nodes),
-		pairs: make([]uint64, 0, g.Nodes), // about one per node at the scale cells' density
 		steps: steps,
+		// About one pair per node at the scale cells' density.
+		lastPairs: g.Nodes,
 	}
+	s.ready.L = &s.mu
+	s.spawn = s.helper
+	// The last step sampled is the one before the first whose time
+	// reaches the span (step times never decrease, so that one is found
+	// by bisection), or steps if rounding keeps every step short of it.
+	// A step at the span would close every open pair at the span, which
+	// finish does anyway, and open none that lasts.
+	s.last = sort.Search(steps+1, func(k int) bool { return sim.Time(s.timeOf(k)) >= g.Span }) - 1
 	for n := range s.walks {
 		w := &s.walks[n]
 		root.DeriveInto(0xC00+uint64(n), &w.rng)
@@ -83,15 +98,28 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 	return s, nil
 }
 
-// sampleSteps is the index of the last sample step the model may run.
-// A Span/SampleDT that does not fit an int is rejected here: converted,
-// it goes negative and the model reports an empty schedule.
-func (g ClassicRWP) sampleSteps() (int, error) {
-	n := float64(g.Span) / g.SampleDT
-	if !(n >= 0 && n < float64(math.MaxInt)) {
-		return 0, fmt.Errorf("%w: rwp: span %v / dt %v = %g sample steps is out of range", ErrSpec, g.Span, g.SampleDT, n)
+// validate checks a defaulted configuration.
+func (g ClassicRWP) validate() error {
+	if g.Nodes < 2 || g.Nodes > MaxNodes {
+		// Past the bound the packed pair key and the int32 grid arrays
+		// would alias.
+		return fmt.Errorf("%w: rwp: needs 2..%d nodes, got %d", ErrSpec, MaxNodes, g.Nodes)
 	}
-	return int(n) + 1, nil
+	if g.MinSpeed <= 0 {
+		return fmt.Errorf("%w: rwp: MinSpeed must be > 0 (speed-decay pathology), got %v", ErrSpec, g.MinSpeed)
+	}
+	// A Span/SampleDT that does not fit an int would go negative when
+	// converted, and the model report an empty schedule.
+	if n := float64(g.Span) / g.SampleDT; !(n >= 0 && n < float64(math.MaxInt)) {
+		return fmt.Errorf("%w: rwp: span %g / dt %g = %g sample steps is out of range", ErrSpec, float64(g.Span), g.SampleDT, n)
+	}
+	return nil
+}
+
+// sampleSteps is the index of the last sample step the model may run;
+// validate has checked that it fits an int.
+func (g ClassicRWP) sampleSteps() int {
+	return int(float64(g.Span)/g.SampleDT) + 1
 }
 
 // classicWalk is one node's lazy waypoint path: the current leg plus
@@ -138,24 +166,53 @@ type classicBucket struct {
 	head, tail *classicChunk
 }
 
+// lookahead is the ring's depth: how many sampled steps, the one the
+// merge stage holds included, may stand between the two stages. One
+// step ahead is not enough: the merge stage's work comes in bursts (a
+// release stalls behind long-open pairs, then hands out a flood), and
+// waking a parked goroutine on another core takes tens of
+// microseconds, so a shallow ring leaves the helper idle.
+const lookahead = 8
+
 // classicSource runs the sampled-position simulation step by step,
 // emitting closed contacts in canonical order.
 type classicSource struct {
 	g     ClassicRWP
-	walks []classicWalk
+	side  float64
+	cols  int
+	steps int    // sample steps the span allows
+	last  int    // the last step sampled and merged, the last before the span
+	spawn func() // helper, bound once so a relaunch allocates nothing
 
+	// The sample stage's state, owned by the helper goroutine while one
+	// runs (and by nobody while none does).
+	walks []classicWalk
 	// The occupancy grid, rebuilt every step: cols×cols row-major cells
 	// of the given side; cell c holds nodes order[off[c]:off[c+1]],
 	// ascending, at positions spos[off[c]:off[c+1]].
-	side  float64
-	cols  int
-	cell  []int32 // node → cell; once the grid is placed, the pair sort's per-node counters
-	off   []int32
-	order []int32
-	spos  []point
+	cell      []int32 // node → cell; once the grid is placed, the pair sort's per-node counters
+	off       []int32
+	order     []int32
+	spos      []point
+	spare     []uint64 // scratch: the pair sort's intermediate pass
+	lastPairs int      // the last sampled step's pair count
 
-	pairs []uint64 // scratch: the step's in-range pairs, grid order, then key order
-	spare []uint64 // scratch: the pair sort's intermediate pass
+	// The hand-off, under mu. ring[k%lookahead] holds step k's pairs
+	// for freed <= k < sampled; the merge stage holds step freed's
+	// until it takes the next one. Buffers given back wait in idle, and
+	// the helper reuses the last one given back first, so a ring that
+	// seldom fills allocates few buffers.
+	mu      sync.Mutex
+	ready   sync.Cond // signalled when a step is sampled
+	ring    [lookahead][]uint64
+	idle    [lookahead][]uint64
+	nidle   int
+	sampled int  // steps sampled: the helper's next step
+	freed   int  // steps whose buffer the merge stage gave back
+	running bool // a helper goroutine is live
+
+	// The merge stage's state, owned by the caller of Next.
+	pairs []uint64 // the held ring buffer: this step's in-range pairs, in key order
 
 	open []classicOpen // pairs in range at the last step, in key order
 	next []classicOpen // scratch: the list being built this step
@@ -174,7 +231,6 @@ type classicSource struct {
 	outStart sim.Time
 
 	step  int
-	steps int
 	done  bool
 	bound sim.Time // contacts starting below it are complete
 }
@@ -208,11 +264,7 @@ func (s *classicSource) advanceWalk(w *classicWalk, t float64) {
 
 // timeOf is the time sample step k observes.
 func (s *classicSource) timeOf(k int) float64 {
-	t := float64(k) * s.g.SampleDT
-	if sim.Time(t) > s.g.Span {
-		t = float64(s.g.Span)
-	}
-	return t
+	return float64(k) * s.g.SampleDT
 }
 
 // axisCell is the grid row or column of a coordinate, clamped at the
@@ -221,12 +273,11 @@ func (s *classicSource) axisCell(x float64) int {
 	return max(0, min(int(x/s.side), s.cols-1))
 }
 
-// runStep samples every node's position at the step time, re-sorts the
-// grid, merges the step's in-range pairs into the open list and files
-// the contacts that closed. It returns the time the step sampled.
+// runStep takes the step's pairs from the sample stage, merges them
+// into the open list and files the contacts that closed.
 //
 //dtn:hotpath
-func (s *classicSource) runStep() float64 {
+func (s *classicSource) runStep() {
 	g := s.g
 	t := s.timeOf(s.step)
 	// This step's bucket; the spent prefix is dropped once it is the
@@ -236,32 +287,7 @@ func (s *classicSource) runStep() float64 {
 		s.head = 0
 	}
 	s.closed = append(s.closed, classicBucket{})
-
-	// Counting sort by cell. Counts go in two slots up, so the prefix
-	// sum leaves cell c's first slot in off[c+1]; placing nodes in
-	// ascending order advances it to the cell's end, which is where
-	// cell c+1 starts. A node's position is recomputed as it is placed,
-	// so the scan reads positions in grid order.
-	clear(s.off)
-	for n := range s.walks {
-		w := &s.walks[n]
-		s.advanceWalk(w, t)
-		p := w.cur.at(t)
-		c := int32(s.axisCell(p.y)*s.cols + s.axisCell(p.x))
-		s.cell[n] = c
-		s.off[c+2]++
-	}
-	for c := 1; c < len(s.off); c++ {
-		s.off[c] += s.off[c-1]
-	}
-	for n, c := range s.cell {
-		k := s.off[c+1]
-		s.order[k] = int32(n)
-		s.spos[k] = s.walks[n].cur.at(t)
-		s.off[c+1]++
-	}
-
-	s.scan()
+	s.pairs = s.take(s.step)
 
 	// Merge the step's pairs, in key order, against s.open. Old pairs
 	// the merge passes over were not re-confirmed: they have moved out
@@ -292,10 +318,90 @@ func (s *classicSource) runStep() float64 {
 		bound = min(bound, s.timeOf(minStart))
 	}
 	s.bound = sim.Time(bound)
-	return t
 }
 
-// scan fills s.pairs with the step's in-range pairs in key order. It
+// take gives the buffer of the step before k back to the ring, makes
+// sure a helper is sampling while a slot is idle and a step is left,
+// and returns step k's pairs once they are sampled. k is at most last.
+func (s *classicSource) take(k int) []uint64 {
+	s.mu.Lock()
+	for ; s.freed < k; s.freed++ {
+		s.idle[s.nidle], s.ring[s.freed%lookahead] = s.ring[s.freed%lookahead], nil
+		s.nidle++
+	}
+	if !s.running && s.sampled <= s.last && s.sampled-s.freed < lookahead {
+		s.running = true
+		go s.spawn()
+	}
+	for s.sampled <= k {
+		s.ready.Wait()
+	}
+	pairs := s.ring[k%lookahead]
+	s.mu.Unlock()
+	return pairs
+}
+
+// helper is the sample stage: it samples steps in order, each into an
+// idle buffer (a new one while fewer than lookahead exist), and
+// returns, never waiting, when none is idle or no step is left.
+func (s *classicSource) helper() {
+	s.mu.Lock()
+	for s.sampled <= s.last && s.sampled-s.freed < lookahead {
+		k := s.sampled
+		var pairs []uint64
+		if s.nidle > 0 {
+			s.nidle--
+			pairs, s.idle[s.nidle] = s.idle[s.nidle], nil
+		}
+		s.mu.Unlock()
+		pairs = s.sample(k, pairs)
+		s.mu.Lock()
+		s.ring[k%lookahead] = pairs
+		s.sampled++
+		s.ready.Signal()
+	}
+	s.running = false
+	s.mu.Unlock()
+}
+
+// sample samples every node's position at the given step's time,
+// re-sorts the grid and writes the step's in-range pairs, in key order,
+// over pairs.
+//
+//dtn:hotpath
+func (s *classicSource) sample(step int, pairs []uint64) []uint64 {
+	t := s.timeOf(step)
+	// Counting sort by cell. Counts go in two slots up, so the prefix
+	// sum leaves cell c's first slot in off[c+1]; placing nodes in
+	// ascending order advances it to the cell's end, which is where
+	// cell c+1 starts. A node's position is recomputed as it is placed,
+	// so the scan reads positions in grid order.
+	clear(s.off)
+	for n := range s.walks {
+		w := &s.walks[n]
+		s.advanceWalk(w, t)
+		p := w.cur.at(t)
+		c := int32(s.axisCell(p.y)*s.cols + s.axisCell(p.x))
+		s.cell[n] = c
+		s.off[c+2]++
+	}
+	for c := 1; c < len(s.off); c++ {
+		s.off[c] += s.off[c-1]
+	}
+	for n, c := range s.cell {
+		k := s.off[c+1]
+		s.order[k] = int32(n)
+		s.spos[k] = s.walks[n].cur.at(t)
+		s.off[c+1]++
+	}
+
+	// Room for about the last step's pairs, so a fresh buffer grows once.
+	pairs = s.scan(slices.Grow(pairs[:0], s.lastPairs+s.lastPairs/8))
+	s.lastPairs = len(pairs)
+	return pairs
+}
+
+// scan writes the step's in-range pairs over pairs, in key order. It
 // walks the grid order front to back and tests each node against two
 // contiguous runs of it: the rest of its own cell plus the cell to its
 // right (a row's cells are adjacent in order), and the three cells of
@@ -304,9 +410,9 @@ func (s *classicSource) runStep() float64 {
 // than it) is turned away by the distance test.
 //
 //dtn:hotpath
-func (s *classicSource) scan() {
+func (s *classicSource) scan(pairs []uint64) []uint64 {
 	cols := s.cols
-	pairs := s.pairs[:0]
+	pairs = pairs[:0]
 	for cy := range cols {
 		row := s.off[cy*cols : (cy+1)*cols+1]
 		for cx := range cols {
@@ -326,13 +432,13 @@ func (s *classicSource) scan() {
 			}
 		}
 	}
-	s.pairs = pairs
 	if slices.IsSorted(pairs) {
-		return // one cell, or a grid whose order happened to be key order
+		return pairs // one cell, or a grid whose order happened to be key order
 	}
 	s.spare = slices.Grow(s.spare[:0], len(pairs))[:len(pairs)]
 	s.countPass(s.spare, pairs, 0)  // by the higher node
 	s.countPass(pairs, s.spare, 32) // then, stably, by the lower
+	return pairs
 }
 
 // appendNear appends to pairs the key of every pair between the node at
@@ -382,8 +488,9 @@ func (s *classicSource) countPass(dst, src []uint64, shift uint) {
 }
 
 // close files the contact of a pair that left range at time end in its
-// start step's bucket. A window that opened and closed at one time (the
-// span's clamped last sample) is no contact.
+// start step's bucket. A window that opened and closed at one time
+// (two steps whose times round to one float, as on spans of ~10¹⁸
+// steps) is no contact.
 //
 //dtn:hotpath
 func (s *classicSource) close(o classicOpen, end float64) {
@@ -524,15 +631,12 @@ func (s *classicSource) Next() (contact.Contact, bool) {
 		if s.done {
 			return contact.Contact{}, false
 		}
-		if s.step > s.steps {
+		if s.step > s.last {
 			s.finish()
 			continue
 		}
-		t := s.runStep()
+		s.runStep()
 		s.step++
-		if sim.Time(t) >= s.g.Span {
-			s.finish()
-		}
 	}
 }
 

@@ -65,13 +65,13 @@ func (g ControlledInterval) Defaults() ControlledInterval {
 	return g
 }
 
-// check validates the generator parameters.
-func (g ControlledInterval) check() error {
+// validate checks a defaulted configuration.
+func (g ControlledInterval) validate() error {
 	if g.Nodes < 2 {
-		return fmt.Errorf("mobility: ControlledInterval needs >=2 nodes, got %d", g.Nodes)
+		return fmt.Errorf("%w: interval: needs >=2 nodes, got %d", ErrSpec, g.Nodes)
 	}
 	if g.MaxInterval < g.MinInterval {
-		return fmt.Errorf("mobility: MaxInterval %v < MinInterval %v", g.MaxInterval, g.MinInterval)
+		return fmt.Errorf("%w: interval: max %v < min %v", ErrSpec, g.MaxInterval, g.MinInterval)
 	}
 	return nil
 }
@@ -119,7 +119,7 @@ func (g ControlledInterval) round(rng *sim.RNG, st *intervalState, emit func(con
 // memory, no contact storage.
 func (g ControlledInterval) Stream() (contact.Source, error) {
 	g = g.Defaults()
-	if err := g.check(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	var horizon sim.Time

@@ -25,11 +25,8 @@ import (
 // pair meets, exactly as Stream does.
 func generateCambridge(g SyntheticCambridge) (*contact.Schedule, error) {
 	g = g.Defaults()
-	if g.Nodes < 2 {
-		return nil, fmt.Errorf("mobility: SyntheticCambridge needs >=2 nodes, got %d", g.Nodes)
-	}
-	if g.Span <= 0 {
-		return nil, fmt.Errorf("mobility: SyntheticCambridge needs positive span, got %v", g.Span)
+	if err := g.validate(); err != nil {
+		return nil, err
 	}
 	const maxAttempts = 16
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -102,7 +99,7 @@ type visit struct {
 // dwell overlaps.
 func generateSubscriber(g SubscriberPointRWP) (*contact.Schedule, error) {
 	g = g.Defaults()
-	if err := g.check(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	root := sim.NewRNG(g.Seed)
@@ -181,16 +178,10 @@ func generateSubscriber(g SubscriberPointRWP) (*contact.Schedule, error) {
 // O(nodes²) walk over a map of per-pair states.
 func generateClassic(g ClassicRWP) (*contact.Schedule, error) {
 	g = g.Defaults()
-	if g.Nodes < 2 {
-		return nil, fmt.Errorf("mobility: ClassicRWP needs >=2 nodes, got %d", g.Nodes)
-	}
-	if g.MinSpeed <= 0 {
-		return nil, fmt.Errorf("mobility: ClassicRWP MinSpeed must be > 0 (speed-decay pathology), got %v", g.MinSpeed)
-	}
-	steps, err := g.sampleSteps()
-	if err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
+	steps := g.sampleSteps()
 	root := sim.NewRNG(g.Seed)
 	paths := make([][]leg, g.Nodes)
 	for n := range paths {
@@ -325,7 +316,7 @@ func meanSpeedDecay(g ClassicRWP) (early, late float64, err error) {
 // interval source's Lookahead release.
 func generateInterval(g ControlledInterval) (*contact.Schedule, error) {
 	g = g.Defaults()
-	if err := g.check(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(g.Seed)

@@ -72,63 +72,75 @@ var (
 	spanRow  = spec.Param{Name: "span", Meta: "S"}
 )
 
+// model is a generated model's configuration, defaulted. validate
+// refuses what its Stream cannot run, so the registry refuses it at
+// parse instead of queueing a run that can only fail; Stream validates
+// again for callers that build a model by hand.
+type model interface {
+	validate() error
+	Stream() (contact.Source, error)
+}
+
 func builtinRegistry() *spec.Registry[Source] {
 	r := spec.NewRegistry[Source]("mobility", ErrSpec)
 	// generator registers a seeded model: perRun says whether an
 	// unpinned spec is regenerated for every sweep run.
-	generator := func(kind, doc string, t spec.Table, perRun bool, open func(v spec.Values, seed uint64) (contact.Source, error)) {
-		r.Register(kind, doc, t, func(canonical string, v spec.Values) Source {
+	generator := func(kind, doc string, t spec.Table, perRun bool, config func(v spec.Values, seed uint64) model) {
+		r.Register(kind, doc, t, func(canonical string, v spec.Values) (Source, error) {
 			seed, pinned := v.Uint("seed")
+			if err := config(v, seed).validate(); err != nil {
+				return Source{}, err
+			}
 			return Source{
 				Spec: canonical, Kind: kind, PerRun: perRun && !pinned,
 				Stream: func(runSeed uint64) (contact.Source, error) {
 					if pinned {
 						runSeed = seed
 					}
-					return open(v, runSeed)
+					return config(v, runSeed).Stream()
 				},
-			}
+			}, nil
 		})
 	}
 	generator("cambridge", "synthetic Cambridge/Haggle iMote encounter trace (fixed across sweep runs, like the real file)",
 		spec.Table{seedRow, {Name: "nodes", Type: spec.Int, Meta: "N", Min: 2, Max: MaxCambridgeNodes}, spanRow}, false,
-		func(v spec.Values, seed uint64) (contact.Source, error) {
-			return SyntheticCambridge{Seed: seed, Nodes: v.Int("nodes"), Span: sim.Time(v.Float("span"))}.Stream()
+		func(v spec.Values, seed uint64) model {
+			return SyntheticCambridge{Seed: seed, Nodes: v.Int("nodes"), Span: sim.Time(v.Float("span"))}.Defaults()
 		})
 	generator("subscriber", "the paper's modified subscriber-point RWP (regenerated per run)",
 		spec.Table{seedRow, nodesRow, {Name: "points", Type: spec.Int, Meta: "N"}, areaRow, spanRow}, true,
-		func(v spec.Values, seed uint64) (contact.Source, error) {
+		func(v spec.Values, seed uint64) model {
 			return SubscriberPointRWP{
 				Seed: seed, Nodes: v.Int("nodes"), Points: v.Int("points"),
 				AreaSide: v.Float("area"), Span: sim.Time(v.Float("span")),
-			}.Stream()
+			}.Defaults()
 		})
 	generator("rwp", "textbook random waypoint with range detection (regenerated per run)",
 		spec.Table{seedRow, nodesRow, areaRow, spanRow, {Name: "range", Meta: "M"}, {Name: "dt", Meta: "S"}}, true,
-		func(v spec.Values, seed uint64) (contact.Source, error) {
+		func(v spec.Values, seed uint64) model {
 			return ClassicRWP{
 				Seed: seed, Nodes: v.Int("nodes"), AreaSide: v.Float("area"),
 				Span: sim.Time(v.Float("span")), Range: v.Float("range"), SampleDT: v.Float("dt"),
-			}.Stream()
+			}.Defaults()
 		})
 	generator("interval", "the Fig. 14 bounded inter-encounter-interval scenario (regenerated per run)",
 		spec.Table{{Name: "max", Meta: "S"}, {Name: "min", Meta: "S"}, nodesRow, {Name: "encounters", Type: spec.Int, Meta: "N"}, seedRow}, true,
-		func(v spec.Values, seed uint64) (contact.Source, error) {
+		func(v spec.Values, seed uint64) model {
 			return ControlledInterval{
 				Seed: seed, MaxInterval: v.Float("max"), MinInterval: v.Float("min"),
 				Nodes: v.Int("nodes"), Encounters: v.Int("encounters"),
-			}.Stream()
+			}.Defaults()
 		})
 	// The path is the whole argument string, so it may contain colons,
 	// commas and equals signs.
 	r.Register("trace", "encounter-trace file (\"nodeA nodeB start end\" lines, CRAWDAD Haggle style)",
 		spec.Table{{Name: "path", Type: spec.Raw, Positional: true, Meta: "PATH"}},
-		func(canonical string, v spec.Values) Source {
+		func(canonical string, v spec.Values) (Source, error) {
 			path := v.Raw("path")
 			return Source{
 				Spec: canonical, Kind: "trace",
 				Stream: func(uint64) (contact.Source, error) { return OpenTraceSource(path) },
-			}
+			}, nil
 		})
 	return r
 }

@@ -31,7 +31,7 @@ import (
 // hashes nothing and allocates nothing.
 func (g SubscriberPointRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
-	if err := g.check(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	root := sim.NewRNG(g.Seed)
@@ -59,16 +59,16 @@ func (g SubscriberPointRWP) Stream() (contact.Source, error) {
 	return s, nil
 }
 
-// check validates the generator parameters.
-func (g SubscriberPointRWP) check() error {
+// validate checks a defaulted configuration.
+func (g SubscriberPointRWP) validate() error {
 	if g.Nodes < 2 {
-		return fmt.Errorf("mobility: RWP needs >=2 nodes, got %d", g.Nodes)
+		return fmt.Errorf("%w: subscriber: needs >=2 nodes, got %d", ErrSpec, g.Nodes)
 	}
 	if g.Points < 2 {
-		return fmt.Errorf("mobility: RWP needs >=2 subscriber points, got %d", g.Points)
+		return fmt.Errorf("%w: subscriber: needs >=2 points, got %d", ErrSpec, g.Points)
 	}
 	if km2 := (g.AreaSide / 1000) * (g.AreaSide / 1000); float64(g.Points) > 100*km2 {
-		return fmt.Errorf("mobility: paper bounds subscriber points at 100/km²: %d points in %.2f km²", g.Points, km2)
+		return fmt.Errorf("%w: subscriber: the paper bounds points at 100/km², got %d in %g km²", ErrSpec, g.Points, km2)
 	}
 	return nil
 }

@@ -23,11 +23,8 @@ import (
 // because every pair's first contact is pulled to prime the merge heap.
 func (g SyntheticCambridge) Stream() (contact.Source, error) {
 	g = g.Defaults()
-	if g.Nodes < 2 {
-		return nil, fmt.Errorf("mobility: SyntheticCambridge needs >=2 nodes, got %d", g.Nodes)
-	}
-	if g.Span <= 0 {
-		return nil, fmt.Errorf("mobility: SyntheticCambridge needs positive span, got %v", g.Span)
+	if err := g.validate(); err != nil {
+		return nil, err
 	}
 	const maxAttempts = 16
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -38,6 +35,18 @@ func (g SyntheticCambridge) Stream() (contact.Source, error) {
 	}
 	return nil, fmt.Errorf("mobility: no contacts within span %v after %d attempts; increase Span or Nodes",
 		g.Span, maxAttempts)
+}
+
+// validate checks a defaulted configuration. A span too short for any
+// pair to meet passes: that is known only once the pairs are drawn.
+func (g SyntheticCambridge) validate() error {
+	if g.Nodes < 2 {
+		return fmt.Errorf("%w: cambridge: needs >=2 nodes, got %d", ErrSpec, g.Nodes)
+	}
+	if g.Span <= 0 {
+		return fmt.Errorf("%w: cambridge: needs a positive span, got %v", ErrSpec, g.Span)
+	}
+	return nil
 }
 
 // pairRenewal is one unordered pair's lazy renewal process (the

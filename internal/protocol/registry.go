@@ -54,7 +54,7 @@ func builtinRegistry() *spec.Registry[Factory] {
 	r := spec.NewRegistry[Factory]("protocol", ErrSpec)
 	// plain registers a protocol without parameters.
 	plain := func(name, doc string, newFn func() Protocol) {
-		r.Register(name, doc, nil, func(c string, _ spec.Values) Factory { return factory(c, newFn) })
+		r.Register(name, doc, nil, func(c string, _ spec.Values) (Factory, error) { return factory(c, newFn), nil })
 	}
 	plain("pure", "pure epidemic (Vahdat & Becker): flood everything, drop-tail when full",
 		func() Protocol { return NewPure() })
@@ -66,7 +66,7 @@ func builtinRegistry() *spec.Registry[Factory] {
 			{Name: "q", Default: 1, Max: 1, Always: true, Meta: "Q"},
 			{Name: "anti", Type: spec.Flag},
 		},
-		func(c string, v spec.Values) Factory {
+		func(c string, v spec.Values) (Factory, error) {
 			p, q, anti := v.Float("p"), v.Float("q"), v.Flag("anti")
 			return factory(c, func() Protocol {
 				pr := NewPQ(p, q)
@@ -74,13 +74,13 @@ func builtinRegistry() *spec.Registry[Factory] {
 					pr.WithAntiPackets()
 				}
 				return pr
-			})
+			}), nil
 		})
 	r.Register("ttl", "epidemic with a constant TTL in seconds (Harras et al.)",
 		spec.Table{{Name: "ttl", Default: 300, Open: true, Max: 1e17, Always: true, Positional: true, Meta: "SECONDS"}},
-		func(c string, v spec.Values) Factory {
+		func(c string, v spec.Values) (Factory, error) {
 			ttl := v.Float("ttl")
-			return factory(c, func() Protocol { return NewTTL(ttl) })
+			return factory(c, func() Protocol { return NewTTL(ttl) }), nil
 		})
 	plain("ec", "epidemic with encounter counts (Davis et al.): evict the most-transmitted copy",
 		func() Protocol { return NewEC() })
@@ -88,22 +88,22 @@ func builtinRegistry() *spec.Registry[Factory] {
 		func() Protocol { return NewImmunity() })
 	r.Register("dynttl", "dynamic TTL (paper Algorithm 1): mult × the last inter-encounter interval",
 		spec.Table{{Name: "mult", Default: NewDynamicTTL().Multiplier, Open: true, Meta: "M"}},
-		func(c string, v spec.Values) Factory {
+		func(c string, v spec.Values) (Factory, error) {
 			mult := v.Float("mult")
-			return factory(c, func() Protocol { return &DynamicTTL{Multiplier: mult} })
+			return factory(c, func() Protocol { return &DynamicTTL{Multiplier: mult} }), nil
 		})
 	r.Register("ecttl", "EC+TTL (paper Algorithm 2): EC-driven ageing past thresh, eviction guard minec",
 		spec.Table{
 			{Name: "thresh", Type: spec.Int, Default: float64(NewECTTL().ECThreshold), Meta: "N"},
 			{Name: "minec", Type: spec.Int, Default: float64(NewECTTL().MinEC), Meta: "N"},
 		},
-		func(c string, v spec.Values) Factory {
+		func(c string, v spec.Values) (Factory, error) {
 			thresh, minEC := v.Int("thresh"), v.Int("minec")
 			return factory(c, func() Protocol {
 				pr := NewECTTL()
 				pr.ECThreshold, pr.MinEC = thresh, minEC
 				return pr
-			})
+			}), nil
 		})
 	plain("cumimmunity", "cumulative immunity (paper §III): one table acknowledges a contiguous bundle prefix",
 		func() Protocol { return NewCumulativeImmunity() })

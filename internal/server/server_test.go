@@ -766,14 +766,19 @@ func TestAbsurdShardsJobCompletes(t *testing.T) {
 // TestOverBoundPopulationRefusedAtSubmit: submit only parses, and a
 // population past the mobility bound used to parse, queue, and take the
 // daemon down when the job compiled its stream. It is refused at submit
-// now, runs nothing, and the daemon goes on serving. So is a single
-// node, which used to queue a job that could only fail.
+// now, runs nothing, and the daemon goes on serving. So are a single
+// node and the other configurations whose stream can only fail to open
+// (an interval range upside down, more sample steps than an int holds,
+// too few or too dense subscriber points), which used to queue a job
+// that could only fail.
 func TestOverBoundPopulationRefusedAtSubmit(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	ctx := testCtx(t)
 	for _, mob := range []string{
 		"rwp:nodes=400000000,span=100", "subscriber:nodes=2000000000", "cambridge:nodes=100000",
 		"rwp:nodes=1", "subscriber:nodes=1", "interval:nodes=1", "cambridge:nodes=1",
+		"interval:min=5,max=2", "interval:min=3000", "rwp:nodes=10,span=1e300",
+		"subscriber:points=1", "subscriber:area=1",
 	} {
 		sc := fmt.Sprintf(`{"mobility":%q,"protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1}`, mob)
 		if _, err := c.SubmitScenario(ctx, []byte(sc)); !isStatus(err, http.StatusBadRequest) {

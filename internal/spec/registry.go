@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -27,7 +28,7 @@ type Registry[T any] struct {
 type kind[T any] struct {
 	doc   string
 	table Table
-	build func(canonical string, v Values) T
+	build func(canonical string, v Values) (T, error)
 }
 
 // NewRegistry returns an empty registry whose Parse errors wrap
@@ -38,10 +39,12 @@ func NewRegistry[T any](what string, sentinel error) *Registry[T] {
 
 // Register adds a kind: its one-line doc, its parameter table, and the
 // func turning a parsed argument list and its canonical spelling into a
-// T. It panics on an empty or duplicate name or an ill-formed table:
+// T. The func may refuse values that each lie in their row's range but
+// do not go together; Parse wraps its error in the sentinel unless it
+// already does. It panics on an empty or duplicate name or an ill-formed table:
 // registration happens at package init time, where those are
 // programming errors.
-func (r *Registry[T]) Register(name, doc string, t Table, build func(canonical string, v Values) T) {
+func (r *Registry[T]) Register(name, doc string, t Table, build func(canonical string, v Values) (T, error)) {
 	if name == "" || build == nil {
 		panic(r.what + ": Register requires a name and a build func")
 	}
@@ -71,8 +74,8 @@ func (r *Registry[T]) Specs() []Info {
 
 // Parse resolves a spec string to a T built from its canonical
 // spelling. All failures — unknown name, malformed arguments,
-// out-of-range parameters — are errors wrapping the registry's
-// sentinel; Parse never panics.
+// out-of-range parameters, values the kind refuses together — are
+// errors wrapping the registry's sentinel; Parse never panics.
 func (r *Registry[T]) Parse(s string) (T, error) {
 	var zero T
 	name, args := Split(s)
@@ -88,5 +91,9 @@ func (r *Registry[T]) Parse(s string) (T, error) {
 	if err != nil {
 		return zero, fmt.Errorf("%w: %s: %v", r.sentinel, name, err)
 	}
-	return k.build(k.table.Canonical(name, v), v), nil
+	x, err := k.build(k.table.Canonical(name, v), v)
+	if err != nil && !errors.Is(err, r.sentinel) {
+		err = fmt.Errorf("%w: %s: %v", r.sentinel, name, err)
+	}
+	return x, err
 }

@@ -193,7 +193,7 @@ var errTest = errors.New("spectest: invalid spec")
 
 func testRegistry() *Registry[string] {
 	r := NewRegistry[string]("thing", errTest)
-	build := func(canonical string, _ Values) string { return canonical }
+	build := func(canonical string, _ Values) (string, error) { return canonical, nil }
 	r.Register("keyed", "doc", keyed, build)
 	r.Register("pos", "doc", positional, build)
 	r.Register("raw", "doc", raw, build)
@@ -221,7 +221,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestRegistryRejectsDuplicates(t *testing.T) {
-	build := func(string, Values) string { return "" }
+	build := func(string, Values) (string, error) { return "", nil }
 	for _, c := range []struct {
 		name     string
 		register func(r *Registry[string])
