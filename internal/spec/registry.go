@@ -41,9 +41,9 @@ func NewRegistry[T any](what string, sentinel error) *Registry[T] {
 // func turning a parsed argument list and its canonical spelling into a
 // T. The func may refuse values that each lie in their row's range but
 // do not go together; Parse wraps its error in the sentinel unless it
-// already does. It panics on an empty or duplicate name or an ill-formed table:
-// registration happens at package init time, where those are
-// programming errors.
+// already does. It panics on an empty or duplicate name or an
+// ill-formed table: registration happens at package init time, where
+// those are programming errors.
 func (r *Registry[T]) Register(name, doc string, t Table, build func(canonical string, v Values) (T, error)) {
 	if name == "" || build == nil {
 		panic(r.what + ": Register requires a name and a build func")

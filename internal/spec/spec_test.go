@@ -2,6 +2,7 @@ package spec
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -216,6 +217,33 @@ func TestRegistry(t *testing.T) {
 	for _, bad := range []string{"", ":", "nope", "keyed:zap", "pos:0", "raw", "plain:x"} {
 		if _, err := r.Parse(bad); !errors.Is(err, errTest) {
 			t.Errorf("Parse(%q): err = %v, want the registry's sentinel", bad, err)
+		}
+	}
+}
+
+// TestRegistryBuildRefuses: a kind's build may refuse values that pass
+// their rows one by one; Parse returns the refusal wrapped in the
+// sentinel, once.
+func TestRegistryBuildRefuses(t *testing.T) {
+	r := NewRegistry[string]("thing", errTest)
+	r.Register("span", "doc", Table{{Name: "lo"}, {Name: "hi"}}, func(c string, v Values) (string, error) {
+		if v.Float("lo") > v.Float("hi") {
+			return "", errors.New("lo above hi")
+		}
+		if v.Float("hi") > 100 {
+			return "", fmt.Errorf("%w: span: hi above 100", errTest)
+		}
+		return c, nil
+	})
+	if got, err := r.Parse("span:lo=1,hi=2"); err != nil || got != "span:lo=1,hi=2" {
+		t.Errorf("Parse = %q, %v", got, err)
+	}
+	for in, want := range map[string]string{
+		"span:lo=3,hi=2": "spectest: invalid spec: span: lo above hi",
+		"span:hi=200":    "spectest: invalid spec: span: hi above 100",
+	} {
+		if _, err := r.Parse(in); !errors.Is(err, errTest) || err.Error() != want {
+			t.Errorf("Parse(%q): err = %v, want %q", in, err, want)
 		}
 	}
 }
