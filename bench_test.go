@@ -167,7 +167,7 @@ func benchmarkTableII(b *testing.B, workers int) {
 	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err = dtnsim.TableIIWorkers(benchSeed, benchRuns, workers)
+		rows, err = dtnsim.TableII(benchSeed, benchRuns, workers)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,19 +2,19 @@
 // metrics for it, or — with -sweep — the full §IV load sweep (loads
 // 5..50 step 5, several seeded runs per point) for one protocol.
 //
-// Runs are defined by registry specs (-proto, -mob), by legacy flags
-// (-protocol/-p/-q/-ttl, -mobility), or entirely as data with
-// -scenario file.json; -dump prints the scenario JSON equivalent to
-// the current flags instead of running, so any flag-built run can be
-// saved and replayed bit-identically. -list shows every registered
-// protocol and mobility spec.
+// Runs are defined by registry specs (-proto, -mob) or entirely as
+// data with -scenario file.json; -dump prints the scenario JSON
+// equivalent to the current flags instead of running, so any
+// flag-built run can be saved and replayed bit-identically. -list
+// shows every registered protocol and mobility spec. dtnsim takes
+// flags only: a stray argument is a usage error.
 //
 // Usage:
 //
-//	dtnsim -mobility trace -protocol dynttl -load 25 -src 0 -dst 7
+//	dtnsim -mob cambridge -proto dynttl -load 25 -src 0 -dst 7
 //	dtnsim -proto pq:p=0.5,q=0.5 -mob subscriber -load 50 -seed 3
 //	dtnsim -scenario run.json -events events.csv
-//	dtnsim -trace contacts.txt -protocol immunity -load 30
+//	dtnsim -mob trace:contacts.txt -proto immunity -load 30
 //	dtnsim -sweep -mob subscriber -proto ecttl -runs 10 -workers 4
 //	dtnsim -scenario run.json -dist-workers 4
 //	dtnsim -scenario run.json -dist-hosts hostA:9761,hostB:9761
@@ -68,33 +68,25 @@ import (
 
 func main() {
 	var (
-		mobilityFlag = flag.String("mobility", "trace", "legacy mobility source: trace | rwp | classic | interval")
-		mobFlag      = flag.String("mob", "", "mobility registry spec (overrides -mobility): cambridge | subscriber | rwp | interval:max=400 | trace:PATH, with k=v args")
-		traceFile    = flag.String("trace", "", "read mobility from a trace file instead (nodeA nodeB start end lines)")
-		protoKind    = flag.String("protocol", "pure", "legacy protocol: pure | pq | ttl | dynttl | ec | ecttl | immunity | cumimmunity")
-		protoFlag    = flag.String("proto", "", "protocol registry spec (overrides -protocol), e.g. pq:p=0.8,q=0.5 or ttl:300")
+		mobFlag      = flag.String("mob", "cambridge", "mobility registry spec: cambridge | subscriber | rwp | interval:max=400 | trace:PATH, with k=v args")
+		protoFlag    = flag.String("proto", "pure", "protocol registry spec, e.g. pq:p=0.8,q=0.5 or ttl:300")
 		scenarioFlag = flag.String("scenario", "", "run a JSON scenario file instead of building one from flags")
 		listFlag     = flag.Bool("list", false, "list every registered protocol and mobility spec, then exit")
 		dumpFlag     = flag.Bool("dump", false, "print the scenario JSON equivalent to the flags instead of running")
 		seriesFlag   = flag.String("series", "", "write the periodic metric samples to this CSV file as the run progresses")
 		eventsFlag   = flag.String("events", "", "write every engine event (generate/transmit/deliver/drop) plus samples to this CSV file")
-		pFlag        = flag.Float64("p", 1, "P-Q epidemic: source transmission probability")
-		qFlag        = flag.Float64("q", 1, "P-Q epidemic: relay transmission probability")
-		antiFlag     = flag.Bool("antipackets", false, "P-Q epidemic: enable the §II anti-packet channel")
-		ttlFlag      = flag.Float64("ttl", 300, "epidemic with TTL: constant TTL in seconds")
 		loadFlag     = flag.Int("load", 25, "bundles to send (the paper sweeps 5..50)")
 		srcFlag      = flag.Int("src", 0, "source node")
 		dstFlag      = flag.Int("dst", 7, "destination node")
 		seedFlag     = flag.Uint64("seed", 42, "random seed (mobility and protocol draws)")
 		bufFlag      = flag.Int("buffer", dtnsim.DefaultBufferCap, "per-node buffer capacity in bundles")
 		txFlag       = flag.Float64("txtime", dtnsim.DefaultTxTime, "seconds to transmit one bundle")
-		bwFlag       = flag.Float64("bw", 0, "contact bandwidth in bytes/sec (0 = unconstrained legacy model)")
-		sizeFlag     = flag.Int64("size", 0, "payload size per bundle in bytes (0 = size-less legacy model)")
+		bwFlag       = flag.Float64("bw", 0, "contact bandwidth in bytes/sec (0 = unconstrained: each bundle takes -txtime)")
+		sizeFlag     = flag.Int64("size", 0, "payload size per bundle in bytes (0 = size-less: no bandwidth or byte budget is charged)")
 		bufBytesFlag = flag.Int64("bufbytes", 0, "per-node buffer byte capacity (0 = unbounded)")
 		dropFlag     = flag.String("drop", "", "byte-pressure drop policy: droptail | dropfront | droprandom (default droptail)")
 		ctlBytesFlag = flag.Float64("ctlbytes", 0, "bytes charged per control record against a bandwidth-limited contact")
 		horizonFlag  = flag.Bool("full", false, "run to the mobility horizon instead of stopping at delivery")
-		maxIFlag     = flag.Float64("maxinterval", 400, "interval mobility: max inter-encounter gap in seconds")
 		timeoutFlag  = flag.Duration("timeout", 0, "abort the run (or sweep) after this much wall time, e.g. 30s (0 = no limit)")
 		remoteFlag   = flag.String("remote", "", "run on a dtnsimd daemon at this base URL (e.g. http://localhost:8642) instead of locally")
 		sweepFlag    = flag.Bool("sweep", false, "run the paper's §IV load sweep (5..50) instead of a single simulation")
@@ -107,43 +99,24 @@ func main() {
 		workerBin    = flag.String("worker-bin", "", "dtnsim-worker binary for -dist-workers (default: sibling of this executable, then $PATH)")
 	)
 	flag.Parse()
+	if err := noOperands(flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "dtnsim:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *listFlag {
 		printSpecLists()
 		return
 	}
 
-	// Effective registry specs: -proto/-mob win; otherwise the legacy
-	// flags are translated. Either way parsing happens in the registries,
-	// which return errors instead of panicking on bad parameters. A spec
-	// flag that overrides set legacy flags warns, as -scenario does.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	warnOverridden := func(winner string, losers ...string) {
-		for _, name := range losers {
-			if explicit[name] {
-				fmt.Fprintf(os.Stderr, "dtnsim: -%s is ignored because -%s is set\n", name, winner)
-			}
-		}
-	}
-	protoSpec := *protoFlag
-	if protoSpec == "" {
-		protoSpec = legacyProtocolSpec(*protoKind, *pFlag, *qFlag, *antiFlag, *ttlFlag)
-	} else {
-		warnOverridden("proto", "protocol", "p", "q", "antipackets", "ttl")
-	}
-	mobSpec := *mobFlag
-	if mobSpec == "" {
-		mobSpec = legacyMobilitySpec(*mobilityFlag, *traceFile, *maxIFlag)
-	} else {
-		warnOverridden("mob", "mobility", "trace", "maxinterval")
-	}
+	// Flags set on the command line, as opposed to left at their
+	// defaults: each mode warns about the ones it ignores, refuses the
+	// ones it cannot honour, and lets a few override presets.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *sweepFlag {
-		// Scenario presets (e.g. interval mobility's faster link) win
-		// unless the user set -txtime/-buffer explicitly.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		for _, name := range []string{"src", "dst", "load", "full"} {
 			if set[name] {
 				fmt.Fprintf(os.Stderr, "dtnsim: -%s is ignored in sweep mode (pairs re-randomize per run; the full load axis runs to the horizon)\n", name)
@@ -160,6 +133,8 @@ func main() {
 		if err := distConflict("-sweep", set); err != nil {
 			fatal(err)
 		}
+		// Scenario presets (e.g. interval mobility's faster link) win
+		// unless the user set -txtime/-buffer explicitly.
 		txTime, bufferCap := 0.0, 0
 		if set["txtime"] {
 			txTime = *txFlag
@@ -167,14 +142,8 @@ func main() {
 		if set["buffer"] {
 			bufferCap = *bufFlag
 		}
-		// A -mob spec names the scenario itself; the legacy -mobility
-		// label applies only when the spec flag is unset.
-		legacyName := ""
-		if *mobFlag == "" {
-			legacyName = *mobilityFlag
-		}
 		runSweep(sweepParams{
-			mobSpec: mobSpec, legacyName: legacyName, protoSpec: protoSpec,
+			mobSpec: *mobFlag, protoSpec: *protoFlag,
 			bufferCap: bufferCap, txTime: txTime,
 			bandwidth: *bwFlag, bundleSize: *sizeFlag, bufferBytes: *bufBytesFlag,
 			dropPolicy: *dropFlag, controlBytes: *ctlBytesFlag,
@@ -190,12 +159,8 @@ func main() {
 		// The file defines the whole run; warn about any set flag it
 		// overrides so a "-scenario run.json -seed 7" invocation cannot
 		// silently record the file's seed as the user's.
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range []string{"mobility", "mob", "trace", "protocol", "proto",
-			"p", "q", "antipackets", "ttl", "load", "src", "dst", "seed",
-			"buffer", "txtime", "full", "maxinterval",
-			"bw", "size", "bufbytes", "drop", "ctlbytes"} {
+		for _, name := range []string{"mob", "proto", "load", "src", "dst", "seed",
+			"buffer", "txtime", "full", "bw", "size", "bufbytes", "drop", "ctlbytes"} {
 			if set[name] {
 				fmt.Fprintf(os.Stderr, "dtnsim: -%s is ignored with -scenario (the file defines the run)\n", name)
 			}
@@ -211,13 +176,13 @@ func main() {
 		// Shards is an execution-only knob (never part of what the file
 		// describes), so unlike the simulation flags above an explicit
 		// -shards overrides the file's setting.
-		if explicit["shards"] {
+		if set["shards"] {
 			sc.Shards = shardCount(*shardsFlag)
 		}
 	} else {
 		sc = dtnsim.Scenario{
-			Mobility:     dtnsim.MobilitySpec(mobSpec),
-			Protocol:     dtnsim.ProtocolSpec(protoSpec),
+			Mobility:     dtnsim.MobilitySpec(*mobFlag),
+			Protocol:     dtnsim.ProtocolSpec(*protoFlag),
 			Flows:        []dtnsim.Flow{{Src: dtnsim.NodeID(*srcFlag), Dst: dtnsim.NodeID(*dstFlag), Count: *loadFlag}},
 			BufferCap:    *bufFlag,
 			TxTime:       *txFlag,
@@ -249,7 +214,7 @@ func main() {
 		// Hard error, matching sweep mode: the daemon chooses its own
 		// executor (dtnsimd -workers-exec / -workers-hosts), so a dist
 		// flag here describes an executor that will never run.
-		if err := distConflict("-remote", explicit); err != nil {
+		if err := distConflict("-remote", set); err != nil {
 			fatal(err)
 		}
 		runRemote(*remoteFlag, sc, *seriesFlag, *eventsFlag, *timeoutFlag)
@@ -405,19 +370,30 @@ func printSpecLists() {
 
 // sweepParams carries the sweep-mode flag values.
 type sweepParams struct {
-	mobSpec, legacyName, protoSpec string
-	bufferCap                      int
-	txTime                         float64
-	bandwidth                      float64
-	bundleSize                     int64
-	bufferBytes                    int64
-	dropPolicy                     string
-	controlBytes                   float64
-	seed                           uint64
-	runs, workers, shards          int
-	timeout                        time.Duration
-	remote                         string
-	dump                           bool
+	mobSpec, protoSpec    string
+	bufferCap             int
+	txTime                float64
+	bandwidth             float64
+	bundleSize            int64
+	bufferBytes           int64
+	dropPolicy            string
+	controlBytes          float64
+	seed                  uint64
+	runs, workers, shards int
+	timeout               time.Duration
+	remote                string
+	dump                  bool
+}
+
+// noOperands refuses the arguments left after the flags. dtnsim takes
+// flags only, and flag parsing stops at the first non-flag, so a stray
+// "dtnsim -sweep spec.json -seed 3" would otherwise run the default
+// sweep and drop -seed without a word.
+func noOperands(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q: dtnsim takes flags only, and no flag after it was read", args[0])
+	}
+	return nil
 }
 
 // errFlagConflict is the sentinel under every flag-combination error;
@@ -478,7 +454,6 @@ func shardCount(flagVal int) int {
 func runSweep(p sweepParams) {
 	spec := dtnsim.SweepSpec{
 		Scenario: dtnsim.Scenario{
-			Name:         p.legacyName,
 			Mobility:     dtnsim.MobilitySpec(p.mobSpec),
 			TxTime:       p.txTime,
 			BufferCap:    p.bufferCap,
@@ -537,45 +512,6 @@ func runSweep(p sweepParams) {
 	for _, m := range []dtnsim.Metric{dtnsim.MetricDelivery, dtnsim.MetricDelay,
 		dtnsim.MetricOccupancy, dtnsim.MetricDuplication} {
 		fmt.Println(dtnsim.TableOf(res, m, fmt.Sprintf("%s (%s, %d runs/point)", m, sweep.Scenario.Name, p.runs)).ASCII())
-	}
-}
-
-// legacyProtocolSpec translates the pre-registry protocol flags into a
-// spec string; unknown kinds pass through for the registry to reject
-// with its ErrSpec error.
-func legacyProtocolSpec(kind string, p, q float64, anti bool, ttl float64) string {
-	switch kind {
-	case "pq":
-		spec := fmt.Sprintf("pq:p=%g,q=%g", p, q)
-		if anti {
-			spec += ",anti"
-		}
-		return spec
-	case "ttl":
-		return fmt.Sprintf("ttl:%g", ttl)
-	default:
-		return kind
-	}
-}
-
-// legacyMobilitySpec translates the pre-registry mobility flags
-// (-mobility trace|rwp|classic|interval, -trace FILE) into a spec
-// string; unknown kinds pass through for the registry to reject.
-func legacyMobilitySpec(kind, traceFile string, maxInterval float64) string {
-	if traceFile != "" {
-		return "trace:" + traceFile
-	}
-	switch kind {
-	case "trace":
-		return "cambridge"
-	case "rwp":
-		return "subscriber"
-	case "classic":
-		return "rwp"
-	case "interval":
-		return fmt.Sprintf("interval:max=%g", maxInterval)
-	default:
-		return kind
 	}
 }
 

@@ -18,73 +18,36 @@ import (
 	"dtnsim"
 )
 
-func TestBuildScheduleKinds(t *testing.T) {
-	for _, kind := range []string{"trace", "rwp", "classic", "interval"} {
-		s, err := buildSchedule(kind, "", 3, 400)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-	}
-	if _, err := buildSchedule("bogus", "", 3, 400); err == nil {
-		t.Error("unknown mobility accepted")
-	}
-}
-
-func TestBuildScheduleFromFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.txt")
-	gen, err := dtnsim.CambridgeTrace(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dtnsim.WriteTrace(f, gen); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := buildSchedule("ignored", path, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Contacts) != len(gen.Contacts) {
-		t.Errorf("file round trip: %d contacts, want %d", len(s.Contacts), len(gen.Contacts))
-	}
-	if _, err := buildSchedule("trace", filepath.Join(t.TempDir(), "missing"), 0, 0); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
+// TestBuildScenarioKinds: each built-in -mob spec parses, says whether
+// a sweep regenerates it per run (the synthetic models do; the fixed
+// Cambridge trace does not), and streams a valid schedule; an unknown
+// kind is refused.
 func TestBuildScenarioKinds(t *testing.T) {
-	// Synthetic models regenerate per run; the fixed trace does not.
-	perRun := map[string]bool{"trace": false, "rwp": true, "classic": true, "interval": true}
-	for kind, want := range perRun {
-		sc, err := buildScenario(kind, "", 400)
+	perRun := map[string]bool{"cambridge": false, "subscriber": true, "rwp": true, "interval:max=400": true}
+	for spec, want := range perRun {
+		sc, err := dtnsim.ParseMobilitySpec(spec)
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		if sc.PerRunSchedule != want {
-			t.Errorf("%s: PerRunSchedule = %v, want %v", kind, sc.PerRunSchedule, want)
+			t.Errorf("%s: PerRunSchedule = %v, want %v", spec, sc.PerRunSchedule, want)
 		}
 		s, err := materialize(sc, 3)
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 		if err := s.Validate(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("%s: %v", spec, err)
 		}
 	}
-	if _, err := buildScenario("bogus", "", 400); err == nil {
+	if _, err := dtnsim.ParseMobilitySpec("bogus"); err == nil {
 		t.Error("unknown mobility accepted")
 	}
 }
 
+// TestBuildScenarioFromFile: -mob trace:PATH replays the file, shared
+// across sweep runs, contact for contact; a missing file parses (specs
+// never touch the filesystem) but fails when the run opens it.
 func TestBuildScenarioFromFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.txt")
 	gen, err := dtnsim.CambridgeTrace(5)
@@ -101,7 +64,7 @@ func TestBuildScenarioFromFile(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := buildScenario("ignored", path, 0)
+	sc, err := dtnsim.ParseMobilitySpec("trace:" + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,47 +78,35 @@ func TestBuildScenarioFromFile(t *testing.T) {
 	if len(s.Contacts) != len(gen.Contacts) {
 		t.Errorf("file round trip: %d contacts, want %d", len(s.Contacts), len(gen.Contacts))
 	}
-}
-
-func TestBuildProtocolKinds(t *testing.T) {
-	kinds := []string{"pure", "pq", "ttl", "dynttl", "ec", "ecttl", "immunity", "cumimmunity"}
-	for _, k := range kinds {
-		p, err := buildProtocol(k, 0.5, 0.5, false, 300)
-		if err != nil {
-			t.Fatalf("%s: %v", k, err)
-		}
-		if p.Name() == "" {
-			t.Errorf("%s: empty name", k)
-		}
-	}
-	p, err := buildProtocol("pq", 1, 1, true, 0)
+	missing, err := dtnsim.ParseMobilitySpec("trace:" + filepath.Join(t.TempDir(), "missing"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "P-Q epidemic (P=1,Q=1,anti-packets)" {
-		t.Errorf("anti-packet variant name = %q", p.Name())
-	}
-	if _, err := buildProtocol("bogus", 0, 0, false, 0); err == nil {
-		t.Error("unknown protocol accepted")
+	if _, err := materialize(missing, 0); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 
-func TestLegacyFlagSpecTranslation(t *testing.T) {
-	cases := map[string]string{
-		legacyProtocolSpec("pure", 1, 1, false, 300):  "pure",
-		legacyProtocolSpec("pq", 0.5, 0.25, false, 0): "pq:p=0.5,q=0.25",
-		legacyProtocolSpec("pq", 1, 1, true, 0):       "pq:p=1,q=1,anti",
-		legacyProtocolSpec("ttl", 0, 0, false, 150):   "ttl:150",
-		legacyMobilitySpec("trace", "", 0):            "cambridge",
-		legacyMobilitySpec("rwp", "", 0):              "subscriber",
-		legacyMobilitySpec("classic", "", 0):          "rwp",
-		legacyMobilitySpec("interval", "", 2000):      "interval:max=2000",
-		legacyMobilitySpec("trace", "f.txt", 0):       "trace:f.txt",
-	}
-	for got, want := range cases {
-		if got != want {
-			t.Errorf("legacy translation = %q, want %q", got, want)
+func TestBuildProtocolKinds(t *testing.T) {
+	specs := []string{"pure", "pq:p=0.5,q=0.5", "ttl:300", "dynttl", "ec", "ecttl", "immunity", "cumimmunity"}
+	for _, spec := range specs {
+		f, err := dtnsim.ParseProtocolSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
 		}
+		if f.New().Name() == "" {
+			t.Errorf("%s: empty name", spec)
+		}
+	}
+	f, err := dtnsim.ParseProtocolSpec("pq:p=1,q=1,anti")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if name := f.New().Name(); name != "P-Q epidemic (P=1,Q=1,anti-packets)" {
+		t.Errorf("anti-packet variant name = %q", name)
+	}
+	if _, err := dtnsim.ParseProtocolSpec("bogus"); err == nil {
+		t.Error("unknown protocol accepted")
 	}
 }
 
@@ -164,20 +115,32 @@ func TestLegacyFlagSpecTranslation(t *testing.T) {
 func TestBuildProtocolRejectsOutOfRange(t *testing.T) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("buildProtocol panicked: %v", r)
+			t.Fatalf("ParseProtocolSpec panicked: %v", r)
 		}
 	}()
-	if _, err := buildProtocol("pq", 2, 0.5, false, 0); err == nil {
-		t.Error("p=2 accepted")
+	for _, spec := range []string{"pq:p=2,q=0.5", "pq:p=0.5,q=-1", "ttl:-10", "ttl:0"} {
+		if _, err := dtnsim.ParseProtocolSpec(spec); err == nil {
+			t.Errorf("%s accepted", spec)
+		}
 	}
-	if _, err := buildProtocol("pq", 0.5, -1, false, 0); err == nil {
-		t.Error("q=-1 accepted")
+}
+
+// TestNoOperands: an argument left after the flags is a usage error.
+// Flag parsing stops at it, so "-dump -sweep nosuchfile.json -seed 3"
+// used to dump the default sweep, exit 0 and drop -seed.
+func TestNoOperands(t *testing.T) {
+	if err := noOperands(nil); err != nil {
+		t.Errorf("no arguments: %v", err)
 	}
-	if _, err := buildProtocol("ttl", 0, 0, false, -10); err == nil {
-		t.Error("negative TTL accepted")
-	}
-	if _, err := buildProtocol("ttl", 0, 0, false, 0); err == nil {
-		t.Error("zero TTL accepted")
+	for _, args := range [][]string{{"nosuchfile.json"}, {"nosuchfile.json", "-seed", "3"}} {
+		err := noOperands(args)
+		if err == nil {
+			t.Errorf("%q accepted", args)
+			continue
+		}
+		if !strings.Contains(err.Error(), "nosuchfile.json") {
+			t.Errorf("%q: error %q does not name the argument", args, err)
+		}
 	}
 }
 
@@ -284,30 +247,6 @@ func selfSignedCAPEM(t *testing.T) []byte {
 	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: der})
 }
 
-// The build* helpers below exercise the legacy-flag translation path
-// exactly as main does: translate to a registry spec, then parse.
-// They live in the test file because main routes through
-// Scenario.Compile directly.
-
-func buildScenario(kind, traceFile string, maxInterval float64) (dtnsim.ExperimentScenario, error) {
-	sc, err := dtnsim.ParseMobilitySpec(legacyMobilitySpec(kind, traceFile, maxInterval))
-	if err != nil {
-		return dtnsim.ExperimentScenario{}, err
-	}
-	if traceFile == "" {
-		sc.Name = kind
-	}
-	return sc, nil
-}
-
-func buildSchedule(kind, traceFile string, seed uint64, maxInterval float64) (*dtnsim.Schedule, error) {
-	sc, err := buildScenario(kind, traceFile, maxInterval)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(sc, seed)
-}
-
 // materialize drains the scenario's mobility stream for seed into a
 // Schedule.
 func materialize(sc dtnsim.ExperimentScenario, seed uint64) (*dtnsim.Schedule, error) {
@@ -316,12 +255,4 @@ func materialize(sc dtnsim.ExperimentScenario, seed uint64) (*dtnsim.Schedule, e
 		return nil, err
 	}
 	return dtnsim.MaterializeSource(src)
-}
-
-func buildProtocol(kind string, p, q float64, anti bool, ttl float64) (dtnsim.Protocol, error) {
-	f, err := dtnsim.ParseProtocolSpec(legacyProtocolSpec(kind, p, q, anti, ttl))
-	if err != nil {
-		return nil, err
-	}
-	return f.New(), nil
 }

@@ -314,7 +314,7 @@ func runFig14(outDir string, runs int, seed uint64, workers, shards int, plots, 
 
 func runTableII(outDir string, runs int, seed uint64, workers int) {
 	fmt.Fprintln(os.Stderr, "table2: running both mobility sources...")
-	rows, err := dtnsim.TableIIWorkers(seed, runs, workers)
+	rows, err := dtnsim.TableII(seed, runs, workers)
 	if err != nil {
 		fatal(err)
 	}

@@ -69,16 +69,10 @@ func Fig14Pair() (short, long Sweep) { return experiment.Fig14Pair() }
 
 // TableII computes the paper's Table II: load-averaged delivery rate,
 // buffer occupancy and duplication rate for the six §V-B protocols under
-// both mobility sources. Runs execute on a worker pool sized to
-// runtime.GOMAXPROCS(0); use TableIIWorkers to bound it explicitly.
-func TableII(baseSeed uint64, runs int) ([]TableIIRow, error) {
-	return experiment.TableII(baseSeed, runs, 0)
-}
-
-// TableIIWorkers is TableII with an explicit worker-pool bound, with
-// the same semantics as Sweep.Workers: 0 means GOMAXPROCS(0), 1 runs
-// sequentially. Results are identical for every worker count.
-func TableIIWorkers(baseSeed uint64, runs, workers int) ([]TableIIRow, error) {
+// both mobility sources. workers bounds the worker pool as
+// Sweep.Workers does: 0 means GOMAXPROCS(0), 1 runs sequentially.
+// Results are identical for every worker count.
+func TableII(baseSeed uint64, runs, workers int) ([]TableIIRow, error) {
 	return experiment.TableII(baseSeed, runs, workers)
 }
 

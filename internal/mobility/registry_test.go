@@ -38,9 +38,8 @@ func TestSpecGolden(t *testing.T) {
 // Every rwp, interval and subscriber row the golden corpus accepts, at
 // up to 10⁴ nodes, must open a stream. (Cambridge may still find no
 // contact within a short span: that is known only once its pairs are
-// drawn. An interval row's pre-pass plays nodes × encounters draws, so
-// rows past 10⁷ of them, which run for hours rather than fail, are
-// left out.)
+// drawn.) An interval row's pre-pass is bounded at parse, so every
+// accepted one streams in seconds at most.
 func TestParsedSpecsStream(t *testing.T) {
 	data, err := os.ReadFile("testdata/specs.golden")
 	if err != nil {
@@ -75,8 +74,7 @@ func TestParsedSpecsStream(t *testing.T) {
 			}
 			return def
 		}
-		nodes := count("nodes", 20) // the largest default
-		if nodes > 1e4 || float64(nodes)*float64(count("encounters", 20)) > 1e7 {
+		if count("nodes", 20) > 1e4 { // 20: the largest default
 			continue
 		}
 		if _, err := src.Stream(1); err != nil {
@@ -273,6 +271,32 @@ func TestNodesBound(t *testing.T) {
 	}
 	if _, err := (ClassicRWP{Nodes: MaxNodes + 1}).Stream(); err == nil {
 		t.Error("ClassicRWP streamed a population past MaxNodes")
+	}
+}
+
+// TestIntervalDrawsBound: an interval spec whose pre-pass would play
+// more than maxIntervalDraws draws is refused at Parse, and a hand-built
+// one by Stream, before any draw; the bound itself, and MaxNodes at the
+// default encounter count, still parse.
+func TestIntervalDrawsBound(t *testing.T) {
+	for spec, ok := range map[string]bool{
+		fmt.Sprintf("interval:encounters=%d", maxIntervalDraws/20):   true,
+		fmt.Sprintf("interval:nodes=%d", MaxNodes):                   true,
+		fmt.Sprintf("interval:encounters=%d", maxIntervalDraws/20+1): false,
+		fmt.Sprintf("interval:nodes=%d,encounters=21", MaxNodes):     false,
+		"interval:encounters=2147483647":                             false,
+		"interval:nodes=2,encounters=9223372036854775807":            false,
+	} {
+		_, err := Parse(spec)
+		if ok && err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+		}
+		if !ok && !errors.Is(err, ErrSpec) {
+			t.Errorf("Parse(%q) err = %v, want ErrSpec", spec, err)
+		}
+	}
+	if _, err := (ControlledInterval{Nodes: 20, Encounters: 1 << 30}).Stream(); !errors.Is(err, ErrSpec) {
+		t.Errorf("Stream of 2³⁰ encounters: err = %v, want ErrSpec", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -441,6 +442,46 @@ func TestTraceSourceUnsortedFallsBack(t *testing.T) {
 	if len(got) != 2 || got[0].Start != 100 || got[1].Start != 500 {
 		t.Fatalf("fallback stream wrong: %v", got)
 	}
+}
+
+// FuzzTraceSource: for arbitrary file bytes, OpenTraceSource and
+// ParseTrace must either both fail — the source at open or through Err
+// — or agree on the node count, the horizon and the contact sequence.
+// The committed corpus holds tie-order, a file sorted by start but not
+// by (A, B), whose equal-start records once streamed in file order.
+func FuzzTraceSource(f *testing.F) {
+	f.Add([]byte("# nodes: 3\n0 1 100 200\n1 2 500 600\n"))
+	f.Add([]byte("# nodes: 3\n1 2 500 600\n0 1 100 200\n"))
+	f.Add([]byte("2 1 0.5 1.25\n# nodes: 9\n1 2 0.5 3\n"))
+	f.Add([]byte("0 1 oops 100\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "trace.txt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		parsed, parseErr := ParseTrace(bytes.NewReader(data))
+		var got []contact.Contact
+		src, err := OpenTraceSource(path)
+		if err == nil {
+			for c, ok := src.Next(); ok; c, ok = src.Next() {
+				got = append(got, c)
+			}
+			err = src.Err()
+		}
+		if (err == nil) != (parseErr == nil) {
+			t.Fatalf("source err %v, ParseTrace err %v", err, parseErr)
+		}
+		if err != nil {
+			return
+		}
+		if src.Nodes() != parsed.Nodes {
+			t.Fatalf("source nodes %d, parsed %d", src.Nodes(), parsed.Nodes)
+		}
+		if src.Horizon() != parsed.Horizon() {
+			t.Fatalf("source horizon %v, parsed %v", src.Horizon(), parsed.Horizon())
+		}
+		requireSameContacts(t, got, parsed.Contacts)
+	})
 }
 
 // TestTraceSourceErrors: missing files, empty traces and bad records

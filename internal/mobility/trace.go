@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -114,6 +115,12 @@ func parseTraceLine(text string, line int) (contact.Contact, error) {
 	a, b := contact.NodeID(vals[0]), contact.NodeID(vals[1])
 	if float64(a) != vals[0] || float64(b) != vals[1] || a < 0 || b < 0 {
 		return contact.Contact{}, fmt.Errorf("mobility: trace line %d: node IDs must be non-negative integers", line)
+	}
+	// ParseFloat accepts "NaN" and "Inf", which would pass Validate (its
+	// comparisons are false for NaN) and then sort, compare and bound
+	// the horizon inconsistently.
+	if math.IsNaN(vals[2]) || math.IsInf(vals[2], 0) || math.IsNaN(vals[3]) || math.IsInf(vals[3], 0) {
+		return contact.Contact{}, fmt.Errorf("mobility: trace line %d: times must be finite", line)
 	}
 	c := contact.Contact{A: a, B: b, Start: sim.Time(vals[2]), End: sim.Time(vals[3])}.Normalize()
 	if err := c.Validate(); err != nil {

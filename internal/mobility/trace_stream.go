@@ -14,13 +14,16 @@ import (
 // validates every record and learns what a materialized parse would
 // have known up front — the node count (max ID + 1, raised by a
 // "# nodes: N" header), the exact horizon (latest contact end), and
-// whether the records are already in start order — then a streaming
-// pass that re-parses records lazily as the engine pulls them.
+// whether the records are already in canonical order (contact.Less) —
+// then a streaming pass that re-parses records lazily as the engine
+// pulls them.
 //
-// Trace files whose records are out of start order (WriteTrace always
-// writes sorted ones) cannot be streamed; they fall back to a fully
-// parsed, sorted schedule behind the same Source interface, trading
-// memory for compatibility.
+// Trace files whose records are out of canonical order (WriteTrace
+// always writes sorted ones) cannot be streamed; they fall back to a
+// fully parsed, sorted schedule behind the same Source interface,
+// trading memory for compatibility. Start order alone is not enough:
+// records that share a start time must also come in (A, B, End) order,
+// or the engine would run them in another order than ParseTrace does.
 //
 // The returned source owns the open file; it closes it on exhaustion
 // or error, and also implements io.Closer for callers (the engine)
@@ -68,7 +71,7 @@ func preScanTrace(f io.Reader) (traceStats, error) {
 	st := traceStats{sorted: true}
 	tr := newTraceReader(f)
 	records := 0
-	var prevStart sim.Time
+	var prev contact.Contact
 	for {
 		c, ok, err := tr.next()
 		if err != nil {
@@ -77,11 +80,11 @@ func preScanTrace(f io.Reader) (traceStats, error) {
 		if !ok {
 			break
 		}
-		records++
-		if c.Start < prevStart {
+		if records > 0 && contact.Less(c, prev) {
 			st.sorted = false
 		}
-		prevStart = c.Start
+		records++
+		prev = c
 		st.horizon = max(st.horizon, c.End)
 	}
 	if records == 0 {

@@ -62,6 +62,9 @@ func TestParseTraceErrors(t *testing.T) {
 		{"self contact", "2 2 0 5\n"},
 		{"inverted window", "1 2 10 5\n"},
 		{"empty window", "1 2 5 5\n"},
+		{"NaN start", "1 2 NaN 5\n"},
+		{"NaN end", "1 2 0 nan\n"},
+		{"infinite end", "1 2 0 +Inf\n"},
 		{"empty trace", "# nothing\n"},
 	}
 	for _, tc := range cases {

@@ -778,7 +778,7 @@ func TestOverBoundPopulationRefusedAtSubmit(t *testing.T) {
 		"rwp:nodes=400000000,span=100", "subscriber:nodes=2000000000", "cambridge:nodes=100000",
 		"rwp:nodes=1", "subscriber:nodes=1", "interval:nodes=1", "cambridge:nodes=1",
 		"interval:min=5,max=2", "interval:min=3000", "rwp:nodes=10,span=1e300",
-		"subscriber:points=1", "subscriber:area=1",
+		"subscriber:points=1", "subscriber:area=1", "interval:encounters=2147483647",
 	} {
 		sc := fmt.Sprintf(`{"mobility":%q,"protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1}`, mob)
 		if _, err := c.SubmitScenario(ctx, []byte(sc)); !isStatus(err, http.StatusBadRequest) {
