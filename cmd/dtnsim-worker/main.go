@@ -1,6 +1,6 @@
 // Command dtnsim-worker is the worker half of the distributed executor
-// (DESIGN.md §13). It is not run by hand in pipe mode: a coordinator —
-// dtnsim -dist-workers or dtnsimd -workers-exec — spawns N of these,
+// (DESIGN.md §13). It is not run by hand in pipe mode: the coordinator
+// of a single local run, dtnsim -dist-workers, spawns N of these,
 // speaks the internal/dist/frame protocol over stdin/stdout (a Hello
 // handshake, one Init, then epoch rounds), and closes stdin to shut
 // the worker down.

@@ -37,7 +37,9 @@
 // instead of locally: the scenario is submitted to POST /v1/jobs,
 // polled until done, and the cached result is printed in the local
 // format. Repeat invocations of the same spec and seed are answered
-// from the daemon's result cache without re-simulating.
+// from the daemon's result cache without re-simulating. The daemon
+// runs the normalized spec, so -shards and -workers do not reach it:
+// it executes every job on its own defaults.
 //
 // In sweep mode the (load, run) grid executes on a worker pool of
 // -workers goroutines (0, the default, uses all CPUs; 1 forces the
@@ -211,9 +213,9 @@ func main() {
 	}
 
 	if *remoteFlag != "" {
-		// Hard error, matching sweep mode: the daemon chooses its own
-		// executor (dtnsimd -workers-exec / -workers-hosts), so a dist
-		// flag here describes an executor that will never run.
+		// Hard error, matching sweep mode: the daemon runs every job
+		// in its own process on its own executor, so a dist flag here
+		// describes an executor that will never run.
 		if err := distConflict("-remote", set); err != nil {
 			fatal(err)
 		}

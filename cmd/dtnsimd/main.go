@@ -2,9 +2,17 @@
 // scenario or sweep spec (the same JSON documents cmd/dtnsim -scenario
 // and -dump produce) to /v1/jobs and poll the returned job id. Results
 // are cached on disk under the spec's canonical content key, so
-// resubmitting an equivalent spec — any JSON spelling, any worker
-// count, even after a daemon restart — answers instantly with
+// resubmitting an equivalent spec — any JSON spelling, any shard or
+// worker count, even after a daemon restart — answers instantly with
 // byte-identical bodies and runs no simulation.
+//
+// Every job runs in this process, on the normalized spec its key and
+// cache manifest come from. Normalizing drops the execution knobs a
+// client may send (a scenario's "shards", a sweep's "workers"): they
+// never change a result byte, so the daemon, not the client, decides
+// how much of the machine a job takes. A scenario runs on the
+// sequential engine, a sweep's grid on one goroutine per CPU (at most
+// one per run), and -workers bounds how many jobs run at once.
 //
 // Endpoints:
 //
@@ -25,17 +33,6 @@
 // Usage:
 //
 //	dtnsimd -addr :8642 -cache /var/cache/dtnsimd -workers 4 -job-timeout 10m
-//	dtnsimd -workers-exec 4                 # scenario jobs on worker processes
-//	dtnsimd -workers-hosts hostA:9761,hostB:9761   # ... on remote workers over TCP
-//
-// With -workers-exec N each scenario job's epochs execute on N spawned
-// dtnsim-worker processes (DESIGN.md §13); with -workers-hosts the
-// workers are instead dialed over TCP at those host:port addresses
-// (dtnsim-worker -listen on each machine; -workers-ca verifies them
-// over TLS), and -workers-exec chooses how many worker slots
-// round-robin across the hosts (default: one per host). Distributed
-// results are byte-identical to in-process ones, so the cache is
-// oblivious to the executor: entries computed either way hit for both.
 //
 // See EXPERIMENTS.md ("Running the service") for curl examples and
 // DESIGN.md §11 for the architecture.
@@ -43,19 +40,15 @@ package main
 
 import (
 	"context"
-	"crypto/tls"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"dtnsim/internal/dist"
-	"dtnsim/internal/dist/transport"
 	"dtnsim/internal/server"
 )
 
@@ -66,31 +59,13 @@ func main() {
 		workersFlag = flag.Int("workers", 0, "max concurrently executing jobs (0 = all CPUs)")
 		timeoutFlag = flag.Duration("job-timeout", 0, "per-job wall-time cap from submission, e.g. 10m (0 = none)")
 		drainFlag   = flag.Duration("drain", 30*time.Second, "how long running jobs may finish after SIGTERM before being cancelled")
-		execFlag    = flag.Int("workers-exec", 0, "execute each scenario job's epochs on N dtnsim-worker processes (0 = in-process; cached bytes are identical either way)")
-		hostsFlag   = flag.String("workers-hosts", "", "comma-separated host:port list of dtnsim-worker -listen processes to execute scenario jobs on over TCP")
-		caFlag      = flag.String("workers-ca", "", "PEM CA bundle that -workers-hosts connections must verify against (enables TLS)")
-		binFlag     = flag.String("worker-bin", "", "dtnsim-worker binary for -workers-exec (default: sibling of this executable, then $PATH)")
 	)
 	flag.Parse()
 
-	var workerTLS *tls.Config
-	if *caFlag != "" {
-		cfg, err := transport.ClientCAs(*caFlag)
-		if err != nil {
-			fatal(err)
-		}
-		workerTLS = cfg
-	}
 	srv, err := server.New(server.Options{
 		CacheDir:   *cacheFlag,
 		Workers:    *workersFlag,
 		JobTimeout: *timeoutFlag,
-		Dist: dist.Options{
-			Workers:   *execFlag,
-			Hosts:     splitHosts(*hostsFlag),
-			TLS:       workerTLS,
-			WorkerBin: *binFlag,
-		},
 	})
 	if err != nil {
 		fatal(err)
@@ -135,18 +110,6 @@ const (
 
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-}
-
-// splitHosts parses the -workers-hosts value: comma-separated
-// host:port entries, blanks trimmed and dropped.
-func splitHosts(s string) []string {
-	var hosts []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			hosts = append(hosts, part)
-		}
-	}
-	return hosts
 }
 
 func fatal(err error) {

@@ -122,9 +122,6 @@ func (s *Store) SetByteCap(capBytes int64) {
 	s.capBytes = capBytes
 }
 
-// ByteCap returns the configured byte capacity (0 = unbounded).
-func (s *Store) ByteCap() int64 { return s.capBytes }
-
 // UsedBytes returns the payload bytes of every stored copy, pinned
 // included.
 func (s *Store) UsedBytes() int64 { return s.totalBytes }

@@ -45,38 +45,23 @@ type StreamPolicy interface {
 	SetStream(*sim.RNG)
 }
 
-type dropPolicyEntry struct {
-	usage   string
-	factory DropPolicyFactory
-}
-
-var dropPolicies = map[string]dropPolicyEntry{}
-var dropPolicyNames []string
-
-// RegisterDropPolicy adds a named drop policy; it panics on an empty or
-// duplicate name (registration is init-time, a collision is a
-// programming error).
-func RegisterDropPolicy(name, usage string, f DropPolicyFactory) {
-	if name == "" || f == nil {
-		panic("buffer: RegisterDropPolicy requires a name and a factory")
-	}
-	if _, dup := dropPolicies[name]; dup {
-		panic(fmt.Sprintf("buffer: drop policy %q registered twice", name))
-	}
-	dropPolicies[name] = dropPolicyEntry{usage: usage, factory: f}
-	dropPolicyNames = append(dropPolicyNames, name)
+// dropPolicies is the drop-policy registry: name to factory.
+var dropPolicies = map[string]DropPolicyFactory{
+	"droptail":   func(uint64) DropPolicy { return dropTail{} },
+	"dropfront":  func(uint64) DropPolicy { return dropFront{} },
+	"droprandom": func(seed uint64) DropPolicy { return &dropRandom{rng: sim.NewRNG(seed)} },
 }
 
 // NewDropPolicy resolves a drop-policy name to a fresh instance. All
 // failures wrap ErrDropPolicy; it never panics, making it the safe
 // boundary for user-supplied specs.
 func NewDropPolicy(name string, seed uint64) (DropPolicy, error) {
-	e, ok := dropPolicies[name]
+	f, ok := dropPolicies[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown policy %q (have %s)",
 			ErrDropPolicy, name, strings.Join(DropPolicyNames(), ", "))
 	}
-	return e.factory(seed), nil
+	return f(seed), nil
 }
 
 // ValidDropPolicy reports whether name resolves in the registry.
@@ -103,31 +88,18 @@ func CheckDropPolicy(name string) error {
 
 // DropPolicyNames returns the registered policy names, sorted.
 func DropPolicyNames() []string {
-	out := append([]string(nil), dropPolicyNames...)
+	out := make([]string, 0, len(dropPolicies))
+	for name := range dropPolicies {
+		out = append(out, name)
+	}
 	sort.Strings(out)
 	return out
 }
-
-// DropPolicyUsage returns the one-line description of a registered
-// policy, or "".
-func DropPolicyUsage(name string) string { return dropPolicies[name].usage }
 
 // DefaultDropPolicy is the policy byte-capacity configs get when they
 // name none: droptail, the paper's implicit policy everywhere a full
 // buffer simply refuses new bundles.
 const DefaultDropPolicy = "droptail"
-
-func init() {
-	RegisterDropPolicy("droptail",
-		"refuse the incoming bundle when it does not fit (the paper's implicit full-buffer behaviour)",
-		func(uint64) DropPolicy { return dropTail{} })
-	RegisterDropPolicy("dropfront",
-		"evict the oldest stored sized bundle (FIFO / drop-from-front)",
-		func(uint64) DropPolicy { return dropFront{} })
-	RegisterDropPolicy("droprandom",
-		"evict a uniformly random stored sized bundle (seeded, reproducible)",
-		func(seed uint64) DropPolicy { return &dropRandom{rng: sim.NewRNG(seed)} })
-}
 
 // evictable reports whether dropping c can relieve byte pressure.
 func evictable(c *bundle.Copy) bool { return !c.Pinned && c.Bundle.Meta.Size > 0 }

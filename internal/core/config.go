@@ -112,10 +112,10 @@ type Config struct {
 	// sequential engine — one kernel on the calling goroutine, each item
 	// executed as it is collected; K >= 2 splits every window of up to
 	// WindowItems items into node-disjoint lists run on K goroutines.
-	// More kernels than nodes could never all have work, so the run
-	// builds min(Shards, nodes). Purely an execution knob — results are
-	// bit-identical for every value, which is why it never enters a
-	// scenario's canonical key.
+	// More kernels than a window has components could never all have
+	// work, so the run builds min(Shards, nodes, WindowItems). Purely
+	// an execution knob — results are bit-identical for every value,
+	// which is why it never enters a scenario's canonical key.
 	Shards int
 	// Backend, when non-nil, delegates epoch execution to an external
 	// executor (worker processes — internal/dist) through the seam in

@@ -219,15 +219,12 @@ func Run(cfg Config) (*Result, error) {
 // — nothing to schedule, and every extra slot is an effect buffer the
 // sequential run would grow for nothing (512 of them cost the loaded
 // 1000-node cell +18 % bytes, the paper grid +90 %). The pool gets
-// min(Shards, nodes) kernels, at least one: a window's lists are
-// node-disjoint, so more kernels than nodes could never all have work —
-// and Shards arrives from scenario files and job submissions, where an
-// absurd value must not size an allocation.
+// poolKernels kernels.
 func (r *run) chooseExecutor() error {
 	size := WindowItems
 	r.exec = r.cfg.Backend
 	if r.exec == nil {
-		k := max(1, min(r.cfg.Shards, len(r.nodes)))
+		k := poolKernels(r.cfg.Shards, len(r.nodes))
 		if k == 1 {
 			size = 1
 		}
@@ -237,6 +234,15 @@ func (r *run) chooseExecutor() error {
 	r.window.items = make([]EpochItem, 0, size)
 	return r.exec.Start(RunEnv{Cfg: r.cfg, Nodes: r.nodes})
 }
+
+// poolKernels is how many kernels the pool builds for Shards on a
+// population of nodes: min(Shards, nodes, WindowItems), at least one.
+// A window's lists are node-disjoint and it holds at most WindowItems
+// items, so it has at most min(nodes, WindowItems) components; a kernel
+// past that could never get work, yet Split would deal across it for
+// every component. Shards arrives from scenario files, so an absurd
+// value must not size an allocation either.
+func poolKernels(shards, nodes int) int { return max(1, min(shards, nodes, WindowItems)) }
 
 // cancelled reports a cancelled or expired Config.Context as the run's
 // error. A run truncated by cancellation has no meaningful Result: the

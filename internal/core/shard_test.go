@@ -252,3 +252,25 @@ func TestShardedCancelLeavesNoGoroutine(t *testing.T) {
 		t.Errorf("%d goroutines after the cancelled run, %d before it", n, before)
 	}
 }
+
+// TestShardsBeyondWindowAreCapped: a window holds at most WindowItems
+// items, so it has at most that many node-disjoint lists, and a pool
+// kernel past WindowItems could never get work. Shards = 1<<20 on a
+// cell of more nodes than that builds at most WindowItems kernels and
+// runs bit-identically to the sequential engine.
+func TestShardsBeyondWindowAreCapped(t *testing.T) {
+	const nodes = 600
+	m := wideGolden
+	m.name, m.spec = "wide600", "rwp:seed=7,nodes=600,area=4900,span=3000,range=100,dt=25"
+	if k := core.PoolKernels(1<<20, nodes); k > core.WindowItems {
+		t.Errorf("Shards=1<<20 on %d nodes builds %d kernels, want at most WindowItems = %d", nodes, k, core.WindowItems)
+	}
+	want, wantCSV := runSharded(t, "immunity", m, 0)
+	got, gotCSV := runSharded(t, "immunity", m, 1<<20)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("Shards=1<<20 Result diverged from Shards=0\n got: %+v\nwant: %+v", got, want)
+	}
+	if !bytes.Equal(wantCSV, gotCSV) {
+		t.Errorf("Shards=1<<20 event CSV diverged from Shards=0 (first diff at byte %d)", firstDiff(wantCSV, gotCSV))
+	}
+}

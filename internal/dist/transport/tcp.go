@@ -12,7 +12,7 @@ import (
 
 // ClientCAs builds a coordinator-side TLS config that verifies worker
 // listeners against the CA certificates in the PEM bundle at path —
-// what dtnsim -dist-ca and dtnsimd -workers-ca load.
+// what dtnsim -dist-ca loads.
 func ClientCAs(path string) (*tls.Config, error) {
 	pemBytes, err := os.ReadFile(path)
 	if err != nil {

@@ -46,9 +46,6 @@ type ConstrainedSweep struct {
 	// so byte pressure (not the slot count) is the binding constraint
 	// and the drop policies differentiate.
 	BufferBytes int64
-	// ControlBytes optionally charges signaling against the byte
-	// budget (§V-C overhead as a resource).
-	ControlBytes float64
 	// Runs per point; defaults to 3.
 	Runs int
 	// BaseSeed anchors all derived randomness.
@@ -163,11 +160,10 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 			nD := len(sw.DropPolicies)
 			pf, bw := sw.Protocols[si/nD], sw.Bandwidths[bi]
 			r, err := sw.Scenario.simulate(core.Config{
-				Protocol:     pf.New(),
-				Bandwidth:    bw,
-				BufferBytes:  sw.BufferBytes,
-				DropPolicy:   sw.DropPolicies[si%nD],
-				ControlBytes: sw.ControlBytes,
+				Protocol:    pf.New(),
+				Bandwidth:   bw,
+				BufferBytes: sw.BufferBytes,
+				DropPolicy:  sw.DropPolicies[si%nD],
 			}, core.Flow{Count: sw.Load, Size: sw.BundleSize}, sw.BaseSeed, bi+1, run)
 			if err != nil {
 				err = fmt.Errorf("experiment: constrained %s/%s bw %g: %w", sw.Scenario.Name, pf.Label, bw, err)

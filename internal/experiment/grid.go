@@ -51,16 +51,18 @@ type gridCell struct {
 // so progress callbacks fire live and floating-point accumulation is
 // the same for every worker count. fold must not retain outcomes.
 //
-// workers <= 0 means runtime.GOMAXPROCS(0). workers == 1 executes
-// inline, in index order. Otherwise the grid is fanned out over workers
-// goroutines; the first failing run flips a skip flag so the remaining
-// (potentially thousands-of-nodes) jobs are marked skipped rather than
-// run, and the error returned is the first real failure in grid order,
-// never a skip marker.
+// workers <= 0 means runtime.GOMAXPROCS(0), and more workers than jobs
+// means one per job: a goroutine past that could never get a run.
+// workers == 1 executes inline, in index order. Otherwise the grid is
+// fanned out over workers goroutines; the first failing run flips a
+// skip flag so the remaining (potentially thousands-of-nodes) jobs are
+// marked skipped rather than run, and the error returned is the first
+// real failure in grid order, never a skip marker.
 func runGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = max(1, min(workers, nI*nJ*runs))
 	if workers == 1 {
 		for c := 0; c < nI*nJ; c++ {
 			outs := make([]runOutcome, runs)

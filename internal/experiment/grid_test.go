@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -168,5 +169,42 @@ func TestGridWindowBoundsInFlightCells(t *testing.T) {
 	case <-overran:
 		t.Errorf("more than workers+4 = %d cells dispatched but not folded", window)
 	default:
+	}
+}
+
+// TestGridStartsOneGoroutinePerJobAtMost: a worker count past the
+// grid's job count buys nothing but idle goroutines, and it arrives
+// from sweep files and the command line. A two-run grid at 1<<16
+// workers used to start 65,536 goroutines; it starts two workers and
+// the dispatcher, and its Result is the sequential one.
+func TestGridStartsOneGoroutinePerJobAtMost(t *testing.T) {
+	sw := Sweep{Scenario: TraceScenario(), Protocols: []ProtocolFactory{Pure()}, Loads: []int{5}, Runs: 2, BaseSeed: 4}
+	seq := sw
+	seq.Workers = 1
+	want, err := Run(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	peak := 0
+	stream := sw.Scenario.Stream
+	sw.Scenario.Stream = func(seed uint64) (contact.Source, error) {
+		n := runtime.NumGoroutine()
+		mu.Lock()
+		peak = max(peak, n)
+		mu.Unlock()
+		return stream(seed)
+	}
+	sw.Workers = 1 << 16
+	before := runtime.NumGoroutine()
+	got, err := Run(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak-before > 3 {
+		t.Errorf("%d goroutines inside a job of a 2-job grid at 1<<16 workers, %d before the sweep; want at most 3 more", peak, before)
+	}
+	if !resultsEqual(want, got) {
+		t.Errorf("1<<16 workers: result differs from sequential:\nsequential: %+v\nparallel:   %+v", want, got)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"dtnsim"
 	"dtnsim/client"
 	"dtnsim/internal/core"
-	"dtnsim/internal/dist"
 	"dtnsim/internal/report"
 )
 
@@ -84,21 +83,16 @@ func (j *Job) status() client.JobStatus {
 type Options struct {
 	// CacheDir is the result-cache root. Required.
 	CacheDir string
-	// Workers bounds concurrently executing jobs (not goroutines inside
-	// a sweep — SweepSpec.Workers governs those). 0 means GOMAXPROCS.
+	// Workers bounds concurrently executing jobs. 0 means GOMAXPROCS.
+	// It does not bound the goroutines inside a sweep: every sweep job
+	// runs its grid on the harness default, one goroutine per CPU (at
+	// most one per run), because the normalized spec a job runs has no
+	// SweepSpec.Workers.
 	Workers int
 	// JobTimeout caps each job's wall time from submission; 0 means no
 	// limit. The deadline is threaded into the engine's epoch loop via
 	// core.Config.Context, so even a single long run aborts promptly.
 	JobTimeout time.Duration
-	// Dist, when Dist.Workers > 0 or Dist.Hosts is set, executes each
-	// scenario job's epochs on dtnsim-worker processes — spawned per
-	// job and reaped with it, or dialed over TCP at Dist.Hosts;
-	// Dist.Protocol is filled in from the job's scenario. Results stay
-	// byte-identical to in-process execution, so the cache needs no
-	// notion of how an entry was computed. Sweep jobs ignore it — their
-	// parallelism is across runs, governed by SweepSpec.Workers.
-	Dist dist.Options
 }
 
 // Manager owns the worker pool, the job table and the result cache.
@@ -106,7 +100,6 @@ type Manager struct {
 	cache   *cache
 	sem     chan struct{}
 	timeout time.Duration
-	dist    dist.Options
 	ctx     context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
@@ -137,7 +130,6 @@ func NewManager(opts Options) (*Manager, error) {
 		cache:   c,
 		sem:     make(chan struct{}, workers),
 		timeout: opts.JobTimeout,
-		dist:    opts.Dist,
 		ctx:     ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*Job),
@@ -184,15 +176,13 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec := func() ([]byte, error) {
+		return m.enqueue(client.KindScenario, key, func() ([]byte, execFunc, error) {
 			norm, err := sc.Normalize()
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return norm.JSON()
-		}
-		return m.enqueue(client.KindScenario, key, spec, func(ctx context.Context) (map[string][]byte, error) {
-			return runScenarioJob(ctx, sc, m.dist)
+			spec, err := norm.JSON()
+			return spec, func(ctx context.Context) (map[string][]byte, error) { return runScenarioJob(ctx, norm) }, err
 		})
 	case len(req.Sweep) != 0:
 		spec, err := dtnsim.ParseSweepSpec(req.Sweep)
@@ -207,19 +197,28 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		return m.enqueue(client.KindSweep, key, norm.JSON, func(ctx context.Context) (map[string][]byte, error) {
-			return runSweepJob(ctx, spec, norm.Metrics)
+		return m.enqueue(client.KindSweep, key, func() ([]byte, execFunc, error) {
+			spec, err := norm.JSON()
+			return spec, func(ctx context.Context) (map[string][]byte, error) { return runSweepJob(ctx, norm) }, err
 		})
 	default:
 		return nil, fmt.Errorf("%w: submit a scenario or a sweep spec", errBadRequest)
 	}
 }
 
+// execFunc executes one queued job and returns its artifacts by file
+// name.
+type execFunc func(context.Context) (map[string][]byte, error)
+
 // enqueue is the post-validation half of Submit: dedupe against live
-// jobs, probe the cache, or start a worker. spec renders the normalized
-// spec JSON for the entry's manifest; only a queued job calls it, so a
-// hit pays for no rendering it would throw away.
-func (m *Manager) enqueue(kind, key string, spec func() ([]byte, error), exec func(context.Context) (map[string][]byte, error)) (*Job, error) {
+// jobs, probe the cache, or start a worker. prepare returns the
+// normalized spec's JSON, for the entry's manifest, and the job that
+// runs that same normalized spec in this process. Normalize clears the
+// execution knobs (a scenario's shards, a sweep's workers), which never
+// enter the key, so a client cannot size the daemon's work with them.
+// Only a queued job calls prepare, so a hit pays for no normalization
+// it would throw away.
+func (m *Manager) enqueue(kind, key string, prepare func() ([]byte, execFunc, error)) (*Job, error) {
 	id := jobID(kind, key)
 	if j := m.liveJob(id); j != nil {
 		return j, nil
@@ -244,7 +243,7 @@ func (m *Manager) enqueue(kind, key string, spec func() ([]byte, error), exec fu
 		return j, nil
 	}
 
-	specJSON, err := spec()
+	specJSON, exec, err := prepare()
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +287,7 @@ func isTerminalFailure(j *Job) bool {
 }
 
 // run executes one job on the worker pool.
-func (m *Manager) run(j *Job, ctx context.Context, spec []byte, exec func(context.Context) (map[string][]byte, error)) {
+func (m *Manager) run(j *Job, ctx context.Context, spec []byte, exec execFunc) {
 	defer m.wg.Done()
 	defer j.cancel()
 	select {
@@ -323,26 +322,12 @@ func (m *Manager) run(j *Job, ctx context.Context, spec []byte, exec func(contex
 // runScenarioJob executes one scenario and renders all three cached
 // artifacts. The event and series CSVs stream from the same run the
 // result came from, so the three artifacts are mutually consistent.
-// With dopt.Workers > 0 or dopt.Hosts set the run's epochs execute on
-// worker processes — spawned and owned by this job, or dialed over
-// TCP — and torn down with it; since distributed results are
-// byte-identical, the artifacts (and thus the cache) are the same
-// either way.
-func runScenarioJob(ctx context.Context, sc dtnsim.Scenario, dopt dist.Options) (map[string][]byte, error) {
+func runScenarioJob(ctx context.Context, sc dtnsim.Scenario) (map[string][]byte, error) {
 	cfg, err := sc.Compile()
 	if err != nil {
 		return nil, err
 	}
 	cfg.Context = ctx
-	if dopt.Workers > 0 || len(dopt.Hosts) > 0 {
-		dopt.Protocol = string(sc.Protocol)
-		be, err := dist.New(dopt)
-		if err != nil {
-			return nil, err
-		}
-		defer be.Close()
-		cfg.Backend = be
-	}
 	var seriesBuf, eventsBuf bytes.Buffer
 	series := report.NewStream(&seriesBuf, false)
 	events := report.NewStream(&eventsBuf, true)
@@ -368,11 +353,11 @@ func runScenarioJob(ctx context.Context, sc dtnsim.Scenario, dopt dist.Options) 
 	}, nil
 }
 
-// runSweepJob executes one sweep. metrics is the normalized metric
-// list, so the series CSV always covers exactly what the sweep
-// measured, in canonical order.
-func runSweepJob(ctx context.Context, spec dtnsim.SweepSpec, metrics []dtnsim.Metric) (map[string][]byte, error) {
-	sw, err := spec.Compile()
+// runSweepJob executes one normalized sweep. Its metric list is
+// explicit and canonical, so the series CSV always covers exactly what
+// the sweep measured, in canonical order.
+func runSweepJob(ctx context.Context, norm dtnsim.SweepSpec) (map[string][]byte, error) {
+	sw, err := norm.Compile()
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +372,7 @@ func runSweepJob(ctx context.Context, spec dtnsim.SweepSpec, metrics []dtnsim.Me
 	}
 	return map[string][]byte{
 		fileResult: result,
-		fileSeries: encodeSweepSeries(res, metrics),
+		fileSeries: encodeSweepSeries(res, norm.Metrics),
 	}, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,7 +17,6 @@ import (
 
 	"dtnsim"
 	"dtnsim/client"
-	"dtnsim/internal/dist"
 )
 
 // quickScenario is a sub-second run: the synthetic Cambridge trace with
@@ -635,131 +633,67 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// dialServe is a dist.Options.Dial that serves every worker in-process
-// over pipes — the seam that lets these tests exercise distributed
-// scenario execution without spawning dtnsim-worker binaries.
-func dialServe(n int) ([]io.ReadWriteCloser, error) {
-	conns := make([]io.ReadWriteCloser, n)
-	for i := range conns {
-		coordR, workerW := io.Pipe()
-		workerR, coordW := io.Pipe()
-		go func() {
-			if err := dist.Serve(workerR, workerW); err != nil {
-				workerW.CloseWithError(err)
-				workerR.CloseWithError(err)
-				return
-			}
-			workerW.Close()
-		}()
-		conns[i] = struct {
-			io.Reader
-			io.WriteCloser
-		}{coordR, coordW}
-	}
-	return conns, nil
-}
-
-// deadConn refuses all traffic, simulating a worker that died before
-// its first frame.
-type deadConn struct{}
-
-func (deadConn) Read([]byte) (int, error)  { return 0, io.ErrClosedPipe }
-func (deadConn) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
-func (deadConn) Close() error              { return nil }
-
-func dialDead(n int) ([]io.ReadWriteCloser, error) {
-	conns := make([]io.ReadWriteCloser, n)
-	for i := range conns {
-		conns[i] = deadConn{}
-	}
-	return conns, nil
-}
-
-// TestDistributedScenarioJobByteIdentical runs the same scenario on a
-// plain server and on one with distributed execution enabled: the job
-// ids (canonical keys) and all three cached artifacts must be
-// byte-identical, which is what makes the cache executor-oblivious.
-func TestDistributedScenarioJobByteIdentical(t *testing.T) {
-	_, plain := newTestServer(t, Options{})
-	_, distributed := newTestServer(t, Options{Dist: dist.Options{Workers: 2, Dial: dialServe}})
-	ctx := testCtx(t)
-
-	idP := mustRun(t, ctx, plain, client.SubmitRequest{Scenario: []byte(quickScenario)})
-	idD := mustRun(t, ctx, distributed, client.SubmitRequest{Scenario: []byte(quickScenario)})
-	if idP != idD {
-		t.Fatalf("job ids differ: plain %s, distributed %s", idP, idD)
-	}
-	fetch := []struct {
-		name string
-		get  func(*client.Client) ([]byte, error)
-	}{
-		{"result", func(c *client.Client) ([]byte, error) { return c.ResultBytes(ctx, idP) }},
-		{"series", func(c *client.Client) ([]byte, error) { return c.SeriesCSV(ctx, idP) }},
-		{"events", func(c *client.Client) ([]byte, error) { return c.EventsCSV(ctx, idP) }},
-	}
-	for _, f := range fetch {
-		want, err := f.get(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.get(distributed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s artifact differs between in-process and distributed execution", f.name)
-		}
-	}
-	m, err := distributed.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Executed != 1 {
-		t.Errorf("distributed server executed %d jobs, want 1", m.Executed)
-	}
-}
-
-// TestAbsurdShardsJobCompletes: shards is an execution knob the daemon
-// runs as submitted, so it is outside input. Three million of them on a
-// 12-node cell used to size three million kernels and get the process
-// OOM-killed; the engine builds at most one per node, the job completes,
-// and — shards never entering the canonical key — its cached bytes are
-// the unsharded run's.
+// TestAbsurdShardsJobCompletes: a scenario's shards and a sweep's
+// workers are execution knobs, outside the canonical key, and they
+// arrive from clients. Three million shards on a 12-node cell used to
+// size three million kernels and get the process OOM-killed; a hundred
+// million sweep workers started a goroutine each. The daemon runs the
+// normalized spec, which has neither knob, so each job completes on the
+// daemon's own executor and serves the plain spec's job id and bytes.
 func TestAbsurdShardsJobCompletes(t *testing.T) {
-	const sharded = `{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1,"shards":3000000}`
-	const plain = `{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1}`
-	_, a := newTestServer(t, Options{})
-	_, b := newTestServer(t, Options{})
+	const plainScenario = `{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1}`
+	const plainSweep = `{"scenario":{"mobility":"cambridge","seed":1},"protocols":["pure"],"loads":[5],"runs":1}`
 	ctx := testCtx(t)
-
-	idA := mustRun(t, ctx, a, client.SubmitRequest{Scenario: []byte(sharded)})
-	idB := mustRun(t, ctx, b, client.SubmitRequest{Scenario: []byte(plain)})
-	if idA != idB {
-		t.Fatalf("job ids differ: shards=3000000 %s, unsharded %s", idA, idB)
+	artifacts := map[string]func(*client.Client, string) ([]byte, error){
+		"result": func(c *client.Client, id string) ([]byte, error) { return c.ResultBytes(ctx, id) },
+		"series": func(c *client.Client, id string) ([]byte, error) { return c.SeriesCSV(ctx, id) },
+		"events": func(c *client.Client, id string) ([]byte, error) { return c.EventsCSV(ctx, id) },
 	}
-	for name, get := range map[string]func(*client.Client) ([]byte, error){
-		"result": func(c *client.Client) ([]byte, error) { return c.ResultBytes(ctx, idA) },
-		"series": func(c *client.Client) ([]byte, error) { return c.SeriesCSV(ctx, idA) },
-		"events": func(c *client.Client) ([]byte, error) { return c.EventsCSV(ctx, idA) },
+	for _, tc := range []struct {
+		knob          string
+		absurd, plain client.SubmitRequest
+		files         []string
+	}{
+		{
+			knob:   "shards=3000000",
+			absurd: client.SubmitRequest{Scenario: []byte(`{"mobility":"cambridge","protocol":"pure","flows":[{"src":0,"dst":1,"count":5}],"seed":1,"shards":3000000}`)},
+			plain:  client.SubmitRequest{Scenario: []byte(plainScenario)},
+			files:  []string{"result", "series", "events"},
+		},
+		{
+			knob:   "workers=100000000",
+			absurd: client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge","seed":1},"protocols":["pure"],"loads":[5],"runs":1,"workers":100000000}`)},
+			plain:  client.SubmitRequest{Sweep: []byte(plainSweep)},
+			files:  []string{"result", "series"},
+		},
 	} {
-		got, err := get(a)
+		_, a := newTestServer(t, Options{})
+		_, b := newTestServer(t, Options{})
+		idA := mustRun(t, ctx, a, tc.absurd)
+		idB := mustRun(t, ctx, b, tc.plain)
+		if idA != idB {
+			t.Fatalf("job ids differ: %s %s, plain %s", tc.knob, idA, idB)
+		}
+		for _, name := range tc.files {
+			got, err := artifacts[name](a, idA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := artifacts[name](b, idB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s artifact of the %s job differs from the plain spec's", name, tc.knob)
+			}
+		}
+		sub, err := a.Submit(ctx, tc.plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := get(b)
-		if err != nil {
-			t.Fatal(err)
+		if sub.JobID != idA || !sub.Cached {
+			t.Errorf("plain resubmission after %s: %+v, want cached job %s", tc.knob, sub, idA)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s artifact of the shards=3000000 job differs from the unsharded run's", name)
-		}
-	}
-	sub, err := a.SubmitScenario(ctx, []byte(plain))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.JobID != idA || !sub.Cached {
-		t.Errorf("unsharded resubmission: %+v, want cached job %s", sub, idA)
 	}
 }
 
@@ -792,34 +726,5 @@ func TestOverBoundPopulationRefusedAtSubmit(t *testing.T) {
 	}
 	if m.Executed != 1 {
 		t.Errorf("executed %d jobs, want only the in-bound one", m.Executed)
-	}
-}
-
-// TestDistributedScenarioJobWorkerLost pins the failure contract at the
-// job layer: a worker connection dying surfaces as dist.ErrWorkerLost
-// from the job function, and through the HTTP layer as a failed job
-// whose error names the lost worker.
-func TestDistributedScenarioJobWorkerLost(t *testing.T) {
-	sc, err := dtnsim.ParseScenario([]byte(quickScenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = runScenarioJob(testCtx(t), sc, dist.Options{Workers: 1, Dial: dialDead})
-	if !errors.Is(err, dist.ErrWorkerLost) {
-		t.Fatalf("runScenarioJob over a dead worker = %v, want dist.ErrWorkerLost", err)
-	}
-
-	_, c := newTestServer(t, Options{Dist: dist.Options{Workers: 1, Dial: dialDead}})
-	ctx := testCtx(t)
-	sub, err := c.SubmitScenario(ctx, []byte(quickScenario))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Wait(ctx, sub.JobID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != client.StateFailed || !strings.Contains(st.Error, "worker lost") {
-		t.Fatalf("job over a dead worker ended %s (%q), want failed with a worker-lost error", st.State, st.Error)
 	}
 }

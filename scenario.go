@@ -79,10 +79,12 @@ type Scenario struct {
 	ControlBytes float64 `json:"ctlbytes,omitempty"`
 	// Shards is how many kernels execute the run's items (DESIGN.md
 	// §12): 0 or 1 sequentially on the calling goroutine, K >= 2 each
-	// window of items split across K goroutines; more than the node
-	// count behaves as the node count. Purely an execution knob —
-	// results are bit-identical for every value — so, like
-	// SweepSpec.Workers, it never enters the canonical key.
+	// window of items split across K goroutines; a K above the node
+	// count or above 512 (the most items a window holds) behaves as the
+	// smaller of those two. Purely an execution knob — results are
+	// bit-identical for every value — so, like SweepSpec.Workers, it
+	// never enters the canonical key, and dtnsimd, which runs the
+	// normalized spec, ignores it.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -289,10 +291,12 @@ type SweepSpec struct {
 	Runs int `json:"runs,omitempty"`
 	// Metrics to collect; empty means all five.
 	Metrics []Metric `json:"metrics,omitempty"`
-	// Workers bounds concurrent runs (0 = all CPUs, 1 = sequential);
-	// results are bit-identical for every value. The template scenario's
-	// Shards knob composes with it: Workers parallelizes across the
-	// sweep grid, Shards parallelizes inside each run.
+	// Workers bounds concurrent runs (0 = all CPUs, 1 = sequential;
+	// never more goroutines than runs); results are bit-identical for
+	// every value, so dtnsimd, which runs the normalized spec, ignores
+	// it. The template scenario's Shards knob composes with it: Workers
+	// parallelizes across the sweep grid, Shards parallelizes inside
+	// each run.
 	Workers int `json:"workers,omitempty"`
 }
 
