@@ -16,22 +16,8 @@
 //	dtnsim -scenario run.json -events events.csv
 //	dtnsim -mob trace:contacts.txt -proto immunity -load 30
 //	dtnsim -sweep -mob subscriber -proto ecttl -runs 10 -workers 4
-//	dtnsim -scenario run.json -dist-workers 4
-//	dtnsim -scenario run.json -dist-hosts hostA:9761,hostB:9761
 //	dtnsim -remote http://localhost:8642 -scenario run.json
 //	dtnsim -list
-//
-// With -dist-workers N a single run executes its epochs on N spawned
-// dtnsim-worker processes (see DESIGN.md §13); results and -events/
-// -series CSVs are byte-identical to the in-process engines. With
-// -dist-hosts a,b the workers are not spawned but dialed over TCP at
-// those host:port addresses (dtnsim-worker -listen on each machine;
-// -dist-ca upgrades the connections to TLS against that CA bundle),
-// and -dist-workers chooses how many worker slots round-robin across
-// the hosts (default: one per host). Either way a worker lost mid-run
-// is replaced and its round replayed, still bit-identically. The
-// distributed flags configure a single local run's executor, so
-// combining them with -sweep or -remote is an error.
 //
 // With -remote URL the run (or sweep) executes on a dtnsimd daemon
 // instead of locally: the scenario is submitted to POST /v1/jobs,
@@ -54,18 +40,13 @@ package main
 import (
 	"bufio"
 	"context"
-	"crypto/tls"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"dtnsim"
-	"dtnsim/internal/dist"
-	"dtnsim/internal/dist/transport"
 )
 
 func main() {
@@ -95,10 +76,6 @@ func main() {
 		runsFlag     = flag.Int("runs", 10, "sweep mode: seeded runs per load point")
 		workersFlag  = flag.Int("workers", 0, "sweep mode: concurrent runs (0 = all CPUs, 1 = sequential; results are identical)")
 		shardsFlag   = flag.Int("shards", 1, "per-run executor kernels (1 = sequential, on the calling goroutine; 0 = one per CPU; K>=2 = each window of items split across K goroutines; results are bit-identical)")
-		distFlag     = flag.Int("dist-workers", 0, "execute the run's epochs on N dtnsim-worker processes (0 = in-process; results are bit-identical)")
-		distHosts    = flag.String("dist-hosts", "", "comma-separated host:port list of dtnsim-worker -listen processes to execute on over TCP instead of spawning")
-		distCA       = flag.String("dist-ca", "", "PEM CA bundle that -dist-hosts connections must verify against (enables TLS)")
-		workerBin    = flag.String("worker-bin", "", "dtnsim-worker binary for -dist-workers (default: sibling of this executable, then $PATH)")
 	)
 	flag.Parse()
 	if err := noOperands(flag.Args()); err != nil {
@@ -113,8 +90,8 @@ func main() {
 	}
 
 	// Flags set on the command line, as opposed to left at their
-	// defaults: each mode warns about the ones it ignores, refuses the
-	// ones it cannot honour, and lets a few override presets.
+	// defaults: each mode warns about the ones it ignores and lets a few
+	// override presets.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
@@ -128,12 +105,6 @@ func main() {
 			if set[name] {
 				fmt.Fprintf(os.Stderr, "dtnsim: -%s is ignored in sweep mode (it applies to single runs only)\n", name)
 			}
-		}
-		// The distributed flags are a hard error, not a warning: a sweep
-		// silently falling back to in-process execution would look like a
-		// distributed one while measuring something else.
-		if err := distConflict("-sweep", set); err != nil {
-			fatal(err)
 		}
 		// Scenario presets (e.g. interval mobility's faster link) win
 		// unless the user set -txtime/-buffer explicitly.
@@ -213,12 +184,6 @@ func main() {
 	}
 
 	if *remoteFlag != "" {
-		// Hard error, matching sweep mode: the daemon runs every job
-		// in its own process on its own executor, so a dist flag here
-		// describes an executor that will never run.
-		if err := distConflict("-remote", set); err != nil {
-			fatal(err)
-		}
 		runRemote(*remoteFlag, sc, *seriesFlag, *eventsFlag, *timeoutFlag)
 		return
 	}
@@ -226,28 +191,6 @@ func main() {
 	cfg, err := sc.Compile()
 	if err != nil {
 		fatal(err)
-	}
-	if *distFlag > 0 || *distHosts != "" {
-		// Distributed execution is, like -shards, an execution-only knob:
-		// the backend rides the sharded epoch loop with the items executed
-		// by worker processes — spawned locally, or dialed over TCP when
-		// -dist-hosts names listeners — and the results stay bit-identical.
-		tlsCfg, err := distTLS(*distCA)
-		if err != nil {
-			fatal(err)
-		}
-		be, err := dist.New(dist.Options{
-			Workers:   *distFlag,
-			Protocol:  string(sc.Protocol),
-			Hosts:     splitHosts(*distHosts),
-			TLS:       tlsCfg,
-			WorkerBin: *workerBin,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer be.Close()
-		cfg.Backend = be
 	}
 	if *timeoutFlag > 0 {
 		// The engine polls the context at event pops, so a 10k-node run
@@ -396,46 +339,6 @@ func noOperands(args []string) error {
 		return fmt.Errorf("unexpected argument %q: dtnsim takes flags only, and no flag after it was read", args[0])
 	}
 	return nil
-}
-
-// errFlagConflict is the sentinel under every flag-combination error;
-// tests pin it with errors.Is.
-var errFlagConflict = errors.New("conflicting flags")
-
-// distConflict reports the first distributed-executor flag explicitly
-// set alongside mode (-sweep or -remote). Those flags configure a
-// single local run's executor, so the combination is rejected rather
-// than warned away: the run would otherwise execute somewhere other
-// than where the command line says.
-func distConflict(mode string, explicit map[string]bool) error {
-	for _, name := range []string{"dist-workers", "dist-hosts", "dist-ca", "worker-bin"} {
-		if explicit[name] {
-			return fmt.Errorf("%w: -%s cannot be combined with %s (the distributed executor applies to single local runs only)",
-				errFlagConflict, name, mode)
-		}
-	}
-	return nil
-}
-
-// splitHosts parses the -dist-hosts value: comma-separated host:port
-// entries, blanks trimmed and dropped.
-func splitHosts(s string) []string {
-	var hosts []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			hosts = append(hosts, part)
-		}
-	}
-	return hosts
-}
-
-// distTLS builds the worker-connection TLS config from the -dist-ca
-// bundle; an empty path means plain TCP (nil config).
-func distTLS(caPath string) (*tls.Config, error) {
-	if caPath == "" {
-		return nil, nil
-	}
-	return transport.ClientCAs(caPath)
 }
 
 // shardCount maps the -shards flag onto Scenario.Shards: both count

@@ -1,19 +1,10 @@
 package main
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/x509"
-	"crypto/x509/pkix"
-	"encoding/pem"
-	"errors"
-	"math/big"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"dtnsim"
 )
@@ -142,109 +133,6 @@ func TestNoOperands(t *testing.T) {
 			t.Errorf("%q: error %q does not name the argument", args, err)
 		}
 	}
-}
-
-// TestDistConflict pins the hard-error contract: any distributed
-// executor flag set alongside -sweep or -remote is rejected with the
-// errFlagConflict sentinel instead of being warned away and ignored.
-func TestDistConflict(t *testing.T) {
-	for _, mode := range []string{"-sweep", "-remote"} {
-		for _, name := range []string{"dist-workers", "dist-hosts", "dist-ca", "worker-bin"} {
-			err := distConflict(mode, map[string]bool{name: true})
-			if err == nil {
-				t.Errorf("%s with -%s accepted", mode, name)
-				continue
-			}
-			if !errors.Is(err, errFlagConflict) {
-				t.Errorf("%s with -%s: error %v does not wrap errFlagConflict", mode, name, err)
-			}
-			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), mode) {
-				t.Errorf("%s with -%s: error %q names neither flag nor mode", mode, name, err)
-			}
-		}
-		if err := distConflict(mode, map[string]bool{"seed": true, "proto": true}); err != nil {
-			t.Errorf("%s without dist flags rejected: %v", mode, err)
-		}
-	}
-}
-
-func TestSplitHosts(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"", nil},
-		{"a:1", []string{"a:1"}},
-		{"a:1,b:2", []string{"a:1", "b:2"}},
-		{" a:1 , ,b:2, ", []string{"a:1", "b:2"}},
-	}
-	for _, c := range cases {
-		got := splitHosts(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("splitHosts(%q) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("splitHosts(%q) = %v, want %v", c.in, got, c.want)
-				break
-			}
-		}
-	}
-}
-
-// TestDistTLS pins the -dist-ca loader: empty path means plain TCP,
-// a missing or certificate-free file is an error, and a real PEM
-// bundle yields a config with a populated root pool.
-func TestDistTLS(t *testing.T) {
-	cfg, err := distTLS("")
-	if err != nil || cfg != nil {
-		t.Errorf("empty path: (%v, %v), want (nil, nil)", cfg, err)
-	}
-	if _, err := distTLS(filepath.Join(t.TempDir(), "missing.pem")); err == nil {
-		t.Error("missing CA file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.pem")
-	if err := os.WriteFile(bad, []byte("not a certificate"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := distTLS(bad); err == nil {
-		t.Error("certificate-free CA file accepted")
-	}
-	good := filepath.Join(t.TempDir(), "ca.pem")
-	if err := os.WriteFile(good, selfSignedCAPEM(t), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err = distTLS(good)
-	if err != nil {
-		t.Fatalf("valid CA bundle rejected: %v", err)
-	}
-	if cfg == nil || cfg.RootCAs == nil {
-		t.Fatal("valid CA bundle produced no root pool")
-	}
-}
-
-// selfSignedCAPEM generates a throwaway CA certificate in PEM form.
-func selfSignedCAPEM(t *testing.T) []byte {
-	t.Helper()
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(1),
-		Subject:               pkix.Name{CommonName: "dtnsim-test-ca"},
-		NotBefore:             time.Now().Add(-time.Hour),
-		NotAfter:              time.Now().Add(time.Hour),
-		KeyUsage:              x509.KeyUsageCertSign,
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: der})
 }
 
 // materialize drains the scenario's mobility stream for seed into a

@@ -196,6 +196,47 @@ func TestControlBytesChargeBudget(t *testing.T) {
 	}
 }
 
+// TestControlBytesChargeOnlyThisContact: a contact is charged for the
+// records its own exchange carried, not for what either node sent in
+// earlier contacts — here the higher-ID node 2 has already sent a
+// record when the budgeted contact begins.
+func TestControlBytesChargeOnlyThisContact(t *testing.T) {
+	sched := &contact.Schedule{
+		Nodes: 3,
+		Contacts: []contact.Contact{
+			// Delivers seq 1 of the 1->2 flow: 1 and 2 learn its record.
+			{A: 1, B: 2, Start: 0, End: 400},
+			// Node 2 sends that record to node 0, which sends none.
+			{A: 0, B: 2, Start: 500, End: 900},
+			// 500 B budget: one record each way at 100 B leaves exactly
+			// the 300 B bundle of the 0->2 flow.
+			{A: 0, B: 2, Start: 1000, End: 1500},
+		},
+	}
+	res, err := core.Run(core.Config{
+		Schedule: sched,
+		Protocol: protocol.NewImmunity(),
+		Flows: []core.Flow{
+			{Src: 1, Dst: 2, Count: 1, Size: 100},
+			{Src: 0, Dst: 2, Count: 1, Size: 300, StartAt: 1000},
+		},
+		Bandwidth:    1,
+		ControlBytes: 100,
+		Seed:         1,
+		RunToHorizon: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Delivered != 2 || res.DataTransmissions != 2 {
+		t.Fatalf("delivered %d / transmitted %d; want 2/2 (the last contact charges its own 2 records, 200 B)",
+			res.Delivered, res.DataTransmissions)
+	}
+	if res.ControlRecords != 3 {
+		t.Fatalf("ControlRecords = %d, want 3 (1 in the second contact, 2 in the third)", res.ControlRecords)
+	}
+}
+
 func TestBytePressureDropFront(t *testing.T) {
 	coll := metrics.NewCollector()
 	res, err := core.Run(core.Config{

@@ -5,7 +5,7 @@
 // frames (internal/dist/frame) and installing the returned effect
 // buffers and node states. Connections come from a
 // transport.Transport: locally spawned processes over stdin/stdout
-// pipes, or TCP (optionally TLS) to workers on other machines.
+// pipes, or whatever Options.Dial supplies.
 //
 // The coordinator owns the authoritative node state, one wire-form
 // frame.NodeState per touched node: each round it sends every involved
@@ -33,7 +33,6 @@
 package dist
 
 import (
-	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
@@ -56,8 +55,7 @@ var ErrWorkerLost = errors.New("dist: worker lost")
 
 // Options configures a distributed backend.
 type Options struct {
-	// Workers is the number of worker connections. Required, >= 1,
-	// except that it defaults to len(Hosts) when Hosts is set.
+	// Workers is the number of worker connections. Required, >= 1.
 	Workers int
 	// Protocol is the protocol spec (e.g. "immunity", "pq:p=0.75") the
 	// workers instantiate. Required; it must resolve to the same
@@ -68,14 +66,8 @@ type Options struct {
 	// frames. The window holds at most core.WindowItems items, so larger
 	// values behave as DefaultRoundItems.
 	RoundItems int
-	// Hosts, when set, connects to dtnsim-worker -listen processes at
-	// these host:port addresses over TCP instead of spawning local
-	// processes. More workers than hosts round-robin across them.
-	Hosts []string
-	// TLS, when set with Hosts, upgrades the worker connections to TLS.
-	TLS *tls.Config
-	// WorkerBin is the dtnsim-worker binary to spawn. Empty tries a
-	// sibling of the running executable, then $PATH.
+	// WorkerBin is the dtnsim-worker binary to spawn. Required unless
+	// Dial is set.
 	WorkerBin string
 	// WorkerArgs are extra arguments passed to the worker binary.
 	WorkerArgs []string
@@ -153,15 +145,12 @@ func (c *conn) send(m *frame.Msg) error { return c.w.Write(m) }
 
 func (c *conn) recv() (*frame.Msg, error) { return c.r.Read() }
 
-// New connects the backend's workers: through opt.Dial when set, over
-// TCP when opt.Hosts is set, otherwise by spawning opt.Workers
-// dtnsim-worker processes. Every connection is handshaken (Hello
-// exchange: frame version must match, capabilities negotiate delta
-// shipping downward) before the backend is returned.
+// New connects the backend's workers: through opt.Dial when set,
+// otherwise by spawning opt.Workers dtnsim-worker processes. Every
+// connection is handshaken (Hello exchange: frame version must match,
+// capabilities negotiate delta shipping downward) before the backend
+// is returned.
 func New(opt Options) (*Backend, error) {
-	if opt.Workers == 0 && len(opt.Hosts) > 0 {
-		opt.Workers = len(opt.Hosts)
-	}
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("dist: need at least one worker, got %d", opt.Workers)
 	}
@@ -172,12 +161,9 @@ func New(opt Options) (*Backend, error) {
 		return nil, fmt.Errorf("dist: round window %d items", opt.RoundItems)
 	}
 	b := &Backend{opt: opt}
-	switch {
-	case opt.Dial != nil:
+	if opt.Dial != nil {
 		b.tr = funcTransport{dial: opt.Dial, redial: opt.Redial}
-	case len(opt.Hosts) > 0:
-		b.tr = &transport.TCP{Hosts: opt.Hosts, TLS: opt.TLS}
-	default:
+	} else {
 		b.tr = &transport.Pipes{Bin: opt.WorkerBin, Args: opt.WorkerArgs, Stderr: opt.Stderr}
 	}
 	rwcs, err := b.tr.Dial(opt.Workers)

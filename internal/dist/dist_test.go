@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"reflect"
 	"strconv"
@@ -488,77 +487,6 @@ func TestDistRestartBudgetExhausted(t *testing.T) {
 		if err := b.Close(); err != nil {
 			t.Errorf("Close after exhausted budget: %v", err)
 		}
-	}
-}
-
-// serveTCPWorkers listens on an ephemeral loopback port and serves
-// every accepted connection with an in-process ServeWith goroutine —
-// a real dtnsim-worker -listen in miniature. failFirst > 0 makes the
-// first accepted connection crash before replying to that round;
-// later connections (the coordinator's redials) serve cleanly.
-func serveTCPWorkers(t *testing.T, failFirst int) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	var first atomic.Bool
-	first.Store(true)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			fail := 0
-			if first.Swap(false) {
-				fail = failFirst
-			}
-			go func() {
-				defer c.Close()
-				ServeWith(c, c, ServeOpts{FailAfterRounds: fail})
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestDistTCPTransport is the tentpole transport proof: the same cell
-// run over real TCP connections to listening workers — including one
-// whose first session crashes mid-run and is revived by re-dialing
-// the same host — stays byte-identical to the sequential engine.
-func TestDistTCPTransport(t *testing.T) {
-	c := distCells[0]
-	seqRes, seqCSV := runCell(t, cellConfig(t, c, false))
-	cases := []struct {
-		name      string
-		failFirst int
-	}{
-		{"healthy", 0},
-		{"worker-killed-mid-run", 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			hosts := []string{serveTCPWorkers(t, 0), serveTCPWorkers(t, tc.failFirst)}
-			b, err := New(Options{Hosts: hosts, Protocol: c.proto, RoundItems: 8})
-			if err != nil {
-				t.Fatalf("New: %v", err)
-			}
-			defer b.Close()
-			if b.opt.Workers != len(hosts) {
-				t.Errorf("Workers defaulted to %d, want %d", b.opt.Workers, len(hosts))
-			}
-			cfg := cellConfig(t, c, true)
-			cfg.Backend = b
-			res, csv := runCell(t, cfg)
-			if !reflect.DeepEqual(seqRes, res) {
-				t.Errorf("TCP transport: Result diverged from sequential")
-			}
-			if !bytes.Equal(seqCSV, csv) {
-				t.Errorf("TCP transport: event CSV diverged (byte %d)", firstDiff(seqCSV, csv))
-			}
-		})
 	}
 }
 

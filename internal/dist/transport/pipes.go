@@ -6,42 +6,18 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"time"
 )
-
-// workerBinName is the worker executable Pipes runs.
-const workerBinName = "dtnsim-worker"
 
 // killGrace is how long a worker gets to exit on its own after its
 // stdin closes before the reaper kills it.
 const killGrace = 5 * time.Second
 
-// findWorkerBin resolves the worker binary: an explicit path first,
-// then a sibling of the running executable (the common install layout),
-// then $PATH.
-func findWorkerBin(explicit string) (string, error) {
-	if explicit != "" {
-		return explicit, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		sibling := filepath.Join(filepath.Dir(self), workerBinName)
-		if info, err := os.Stat(sibling); err == nil && !info.IsDir() {
-			return sibling, nil
-		}
-	}
-	if path, err := exec.LookPath(workerBinName); err == nil {
-		return path, nil
-	}
-	return "", fmt.Errorf("dist: %s not found next to the executable or in $PATH (set -worker-bin)", workerBinName)
-}
-
 // Pipes spawns worker processes locally and connects them over
 // stdin/stdout pipes. Redial respawns a lost worker's process, so a
 // crashed local worker is replaceable mid-run.
 type Pipes struct {
-	// Bin is the dtnsim-worker binary to spawn. Empty tries a sibling
-	// of the running executable, then $PATH.
+	// Bin is the dtnsim-worker binary to spawn. Required.
 	Bin string
 	// Args are extra arguments passed to the worker binary.
 	Args []string
@@ -49,7 +25,6 @@ type Pipes struct {
 	// coordinator's.
 	Stderr io.Writer
 
-	bin  string // resolved path
 	cmds []*exec.Cmd
 }
 
@@ -69,7 +44,7 @@ func (p procConn) Close() error { return p.WriteCloser.Close() }
 // path closes them too, but the StdoutPipe-failure path would leak the
 // already-built stdin pipe without this).
 func (p *Pipes) spawn() (*exec.Cmd, io.ReadWriteCloser, error) {
-	cmd := exec.Command(p.bin, p.Args...)
+	cmd := exec.Command(p.Bin, p.Args...)
 	cmd.Stderr = p.Stderr
 	if cmd.Stderr == nil {
 		cmd.Stderr = os.Stderr
@@ -86,7 +61,7 @@ func (p *Pipes) spawn() (*exec.Cmd, io.ReadWriteCloser, error) {
 	if err := cmd.Start(); err != nil {
 		stdin.Close()
 		stdout.Close()
-		return nil, nil, fmt.Errorf("starting %s: %w", p.bin, err)
+		return nil, nil, fmt.Errorf("starting %s: %w", p.Bin, err)
 	}
 	return cmd, procConn{Reader: stdout, WriteCloser: stdin}, nil
 }
@@ -94,11 +69,9 @@ func (p *Pipes) spawn() (*exec.Cmd, io.ReadWriteCloser, error) {
 // Dial implements Transport: spawn n worker processes. On any failure
 // the already-started processes are torn down and nothing leaks.
 func (p *Pipes) Dial(n int) ([]io.ReadWriteCloser, error) {
-	bin, err := findWorkerBin(p.Bin)
-	if err != nil {
-		return nil, err
+	if p.Bin == "" {
+		return nil, errors.New("dist: no worker binary set")
 	}
-	p.bin = bin
 	conns := make([]io.ReadWriteCloser, 0, n)
 	for i := 0; i < n; i++ {
 		cmd, conn, err := p.spawn()

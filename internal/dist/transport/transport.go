@@ -4,13 +4,10 @@
 // carries the bytes — a Transport hands it io.ReadWriteClosers and can
 // replace one after a loss, which is the whole recovery seam.
 //
-// Two implementations ship: Pipes spawns dtnsim-worker processes
-// locally and wires their stdin/stdout (the original single-host
-// layout), TCP dials workers already listening on other machines
-// (dtnsim-worker -listen), optionally over TLS. Both are pure
-// process/socket plumbing: no simulation state, no RNG, and wall-clock
-// use only for connection timeouts and the shutdown watchdog, neither
-// of which can influence simulation results.
+// One implementation ships: Pipes spawns dtnsim-worker processes
+// locally and wires their stdin/stdout. It is pure process plumbing:
+// no simulation state, no RNG, and wall-clock use only for the
+// shutdown watchdog, which cannot influence simulation results.
 package transport
 
 import "io"

@@ -1,42 +1,14 @@
 package transport
 
-// Transport-layer unit tests: process lifecycle (spawn-failure
-// cleanup, per-worker exit-error aggregation, respawn) and TCP/TLS
-// dialing against loopback listeners. The frame protocol is not
-// involved — transports move opaque bytes.
+// Transport-layer unit tests: process lifecycle (a required binary,
+// spawn-failure cleanup, per-worker exit-error aggregation, respawn).
+// The frame protocol is not involved — transports move opaque bytes.
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/tls"
-	"crypto/x509"
-	"crypto/x509/pkix"
 	"io"
-	"math/big"
-	"net"
 	"strings"
 	"testing"
-	"time"
 )
-
-// echo serves every accepted connection by copying reads back to
-// writes, closing when the peer does.
-func echo(t *testing.T, ln net.Listener) {
-	t.Helper()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				io.Copy(c, c)
-			}()
-		}
-	}()
-}
 
 // roundTrip writes a probe through the connection and expects it
 // echoed back.
@@ -51,6 +23,18 @@ func roundTrip(t *testing.T, c io.ReadWriteCloser, probe string) {
 	}
 	if string(buf) != probe {
 		t.Fatalf("echoed %q, want %q", buf, probe)
+	}
+}
+
+// TestPipesDialNeedsBin: Pipes does not search for a worker binary,
+// so an unset Bin fails Dial before anything is spawned.
+func TestPipesDialNeedsBin(t *testing.T) {
+	p := &Pipes{}
+	if _, err := p.Dial(1); err == nil {
+		t.Fatal("Dial without a worker binary succeeded")
+	}
+	if len(p.cmds) != 0 {
+		t.Errorf("%d processes tracked after failed Dial", len(p.cmds))
 	}
 }
 
@@ -115,97 +99,5 @@ func TestPipesRedial(t *testing.T) {
 	}
 	if _, err := p.Redial(5); err == nil {
 		t.Error("Redial of an unknown worker index succeeded")
-	}
-}
-
-// TestTCPDialRedial pins the TCP transport: round-robin host
-// assignment, working byte streams, and Redial reconnecting to the
-// lost slot's host.
-func TestTCPDialRedial(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	echo(t, ln)
-	tr := &TCP{Hosts: []string{ln.Addr().String()}}
-	conns, err := tr.Dial(2) // two workers round-robin onto one host
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	for i, c := range conns {
-		roundTrip(t, c, "ping\n")
-		if err := c.Close(); err != nil {
-			t.Errorf("close conn %d: %v", i, err)
-		}
-	}
-	again, err := tr.Redial(1)
-	if err != nil {
-		t.Fatalf("Redial: %v", err)
-	}
-	roundTrip(t, again, "pong\n")
-	again.Close()
-	if err := tr.Close(); err != nil {
-		t.Errorf("Close: %v", err)
-	}
-	if _, err := (&TCP{}).Dial(1); err == nil {
-		t.Error("Dial with no hosts succeeded")
-	}
-}
-
-// selfSignedCert builds an ECDSA certificate for 127.0.0.1, returning
-// the server keypair and a pool trusting it.
-func selfSignedCert(t *testing.T) (tls.Certificate, *x509.CertPool) {
-	t.Helper()
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl := &x509.Certificate{
-		SerialNumber:          big.NewInt(1),
-		Subject:               pkix.Name{CommonName: "dtnsim-worker-test"},
-		NotBefore:             time.Now().Add(-time.Hour),
-		NotAfter:              time.Now().Add(time.Hour),
-		KeyUsage:              x509.KeyUsageDigitalSignature | x509.KeyUsageCertSign,
-		ExtKeyUsage:           []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
-		IPAddresses:           []net.IP{net.ParseIP("127.0.0.1")},
-		IsCA:                  true,
-		BasicConstraintsValid: true,
-	}
-	der, err := x509.CreateCertificate(rand.Reader, tmpl, tmpl, &key.PublicKey, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf, err := x509.ParseCertificate(der)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := x509.NewCertPool()
-	pool.AddCert(leaf)
-	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key, Leaf: leaf}, pool
-}
-
-// TestTCPTLS pins the TLS upgrade: a certificate the client trusts
-// handshakes and moves bytes; an untrusted one fails the dial instead
-// of silently downgrading.
-func TestTCPTLS(t *testing.T) {
-	cert, pool := selfSignedCert(t)
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer inner.Close()
-	ln := tls.NewListener(inner, &tls.Config{Certificates: []tls.Certificate{cert}})
-	echo(t, ln)
-	tr := &TCP{Hosts: []string{inner.Addr().String()}, TLS: &tls.Config{RootCAs: pool}}
-	conns, err := tr.Dial(1)
-	if err != nil {
-		t.Fatalf("Dial over TLS: %v", err)
-	}
-	roundTrip(t, conns[0], "secret\n")
-	conns[0].Close()
-	untrusting := &TCP{Hosts: []string{inner.Addr().String()}, TLS: &tls.Config{RootCAs: x509.NewCertPool()}}
-	if _, err := untrusting.Dial(1); err == nil {
-		t.Error("Dial with an empty trust pool succeeded")
 	}
 }

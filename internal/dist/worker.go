@@ -32,8 +32,8 @@ func Serve(r io.Reader, w io.Writer) error {
 	return ServeWith(r, w, ServeOpts{})
 }
 
-// ServeOpts configures Serve's fault injection, used by recovery tests
-// and the CI kill-a-worker smoke leg.
+// ServeOpts configures Serve's fault injection, used by the recovery
+// tests.
 type ServeOpts struct {
 	// FailAfterRounds > 0 makes the worker drop the connection
 	// (simulating a crash) before replying to the FailAfterRounds-th

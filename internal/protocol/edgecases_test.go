@@ -7,6 +7,7 @@ import (
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
+	"dtnsim/internal/node"
 	"dtnsim/internal/sim"
 )
 
@@ -73,6 +74,81 @@ func TestWantsNoDuplicates(t *testing.T) {
 				t.Fatalf("%s offered %v twice", p.Name(), id)
 			}
 			seen[id] = true
+		}
+	}
+}
+
+// TestRegistryWantsNeverOffersHeld owns the invariant that makes the
+// kernel's per-transmission "receiver already holds it" check in
+// transmitBatch (internal/core) redundant: no registered protocol
+// offers a bundle the receiver stores or has consumed, nor one bundle
+// twice. Every kind in Default.Names() (pq also with anti-packets and
+// below-one probabilities) runs on random stores — random sources,
+// destinations, encounter counts and pins, the receiver among the
+// destinations — whose protocol state random earlier deliveries have
+// fed, and Wants is asked in both directions after the contact's own
+// Exchange, in the kernel's hook order.
+func TestRegistryWantsNeverOffersHeld(t *testing.T) {
+	const nodes = 5
+	specs := append(Default.Names(), "pq:anti", "pq:p=0.5,q=0.7,anti")
+	for _, spec := range specs {
+		f, err := Parse(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		for seed := uint64(0); seed < 60; seed++ {
+			r := rand.New(rand.NewPCG(seed, 43))
+			p := f.New()
+			var ns [nodes]*node.Node
+			for i := range ns {
+				ns[i] = mkNode(p, contact.NodeID(i), 64)
+			}
+			a, b := ns[0], ns[1]
+			for i := 0; i < 40; i++ {
+				src := contact.NodeID(r.IntN(nodes))
+				dst := contact.NodeID((int(src) + 1 + r.IntN(nodes-1)) % nodes)
+				cp := &bundle.Copy{
+					Bundle: &bundle.Bundle{ID: bundle.ID{Src: src, Seq: 1 + r.IntN(8)}, Dst: dst},
+					EC:     r.IntN(6),
+					Expiry: sim.Infinity,
+				}
+				holder := ns[r.IntN(2)]
+				switch {
+				case holder.ID == dst:
+					// The holder consumed it, delivered by a third node.
+					if !holder.Received.Has(cp.Bundle.ID) {
+						holder.Received.Add(cp.Bundle.ID)
+						p.OnDelivered(holder, ns[2], cp.Bundle.ID, 0)
+					}
+				case holder.Store.Has(cp.Bundle.ID):
+				default:
+					cp.Pinned = holder.ID == src
+					if err := holder.Store.Put(cp); err != nil {
+						t.Fatalf("%s seed %d: %v", spec, seed, err)
+					}
+					if r.IntN(4) == 0 && dst != a.ID && dst != b.ID {
+						// Delivered elsewhere by this holder: the
+						// immunity variants learn a record.
+						ns[dst].Received.Add(cp.Bundle.ID)
+						p.OnDelivered(ns[dst], holder, cp.Bundle.ID, 0)
+					}
+				}
+			}
+			p.Exchange(a, b, 10, r.IntN(20))
+			for _, dir := range [][2]*node.Node{{a, b}, {b, a}} {
+				sender, receiver := dir[0], dir[1]
+				seen := map[bundle.ID]bool{}
+				for _, id := range p.Wants(sender, receiver, 10, sim.NewRNG(seed)) {
+					if receiver.Store.Has(id) || receiver.Received.Has(id) {
+						t.Fatalf("%s seed %d: node %d offered %v that node %d already has",
+							spec, seed, sender.ID, id, receiver.ID)
+					}
+					if seen[id] {
+						t.Fatalf("%s seed %d: node %d offered %v twice", spec, seed, sender.ID, id)
+					}
+					seen[id] = true
+				}
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"dtnsim"
 	"dtnsim/client"
 	"dtnsim/internal/core"
+	"dtnsim/internal/mobility"
 	"dtnsim/internal/report"
 )
 
@@ -172,6 +173,9 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := refuseTrace(sc.Mobility); err != nil {
+			return nil, err
+		}
 		key, err := sc.CanonicalKey()
 		if err != nil {
 			return nil, err
@@ -189,6 +193,9 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := refuseTrace(spec.Scenario.Mobility); err != nil {
+			return nil, err
+		}
 		norm, err := spec.Normalize()
 		if err != nil {
 			return nil, err
@@ -204,6 +211,19 @@ func (m *Manager) Submit(req client.SubmitRequest) (*Job, error) {
 	default:
 		return nil, fmt.Errorf("%w: submit a scenario or a sweep spec", errBadRequest)
 	}
+}
+
+// refuseTrace refuses trace mobility. A trace spec names a file by its
+// path, so its canonical key is the path and not the file's bytes: a
+// cached entry would outlive an edit of the file and serve the old
+// run. The path would also name a file on the daemon's host, not the
+// client's. Trace runs stay local (dtnsim -mob trace:PATH). m comes
+// from a parsed spec, so Parse does not fail here.
+func refuseTrace(m dtnsim.MobilitySpec) error {
+	if src, err := mobility.Parse(string(m)); err == nil && src.Kind == "trace" {
+		return fmt.Errorf("%w: %q: trace mobility runs locally only; the daemon keys a job by its spec, not the file's contents", errBadRequest, m)
+	}
+	return nil
 }
 
 // execFunc executes one queued job and returns its artifacts by file

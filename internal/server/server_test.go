@@ -697,6 +697,36 @@ func TestAbsurdShardsJobCompletes(t *testing.T) {
 	}
 }
 
+// TestTraceMobilityRefusedAtSubmit: a trace spec's key is its path, so
+// after the file changed the daemon served the old run's bytes as a
+// cache hit, and it opened whatever path a remote client named on its
+// own host. Scenarios and sweep templates with trace mobility are
+// refused at submit and run nothing.
+func TestTraceMobilityRefusedAtSubmit(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	ctx := testCtx(t)
+	path := filepath.Join(t.TempDir(), "contacts.txt")
+	if err := os.WriteFile(path, []byte("0 1 10 1000\n1 2 2000 3000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mob := "trace:" + path
+	for _, req := range []client.SubmitRequest{
+		{Scenario: []byte(fmt.Sprintf(`{"mobility":%q,"protocol":"pure","flows":[{"src":0,"dst":2,"count":1}],"seed":1}`, mob))},
+		{Sweep: []byte(fmt.Sprintf(`{"scenario":{"mobility":%q,"seed":1},"protocols":["pure"],"loads":[1],"runs":1}`, mob))},
+	} {
+		if _, err := c.Submit(ctx, req); !isStatus(err, http.StatusBadRequest) {
+			t.Errorf("%s%s: %v, want 400", req.Scenario, req.Sweep, err)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Submitted != 2 || m.Executed != 0 {
+		t.Errorf("submitted %d, executed %d; want 2 refused, none run", m.Submitted, m.Executed)
+	}
+}
+
 // TestOverBoundPopulationRefusedAtSubmit: submit only parses, and a
 // population past the mobility bound used to parse, queue, and take the
 // daemon down when the job compiled its stream. It is refused at submit
