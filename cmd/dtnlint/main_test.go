@@ -22,19 +22,23 @@ func TestTreeIsClean(t *testing.T) {
 }
 
 // TestSeededMapRangeFails pins the acceptance criterion from the issue:
-// a deliberate order-sensitive map range in a package under
-// dtnsim/internal/core must fail the lint gate. The fixture module in
-// testdata/badcore claims that import path.
+// a deliberate order-sensitive map range must fail the lint gate, both
+// in dtnsim/internal/core and in dtnsim/internal/sim, which maporder
+// covers because its scope is every internal package but
+// internal/server. The fixture modules in testdata/badcore and
+// testdata/badsim claim those import paths.
 func TestSeededMapRangeFails(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", "testdata/badcore", "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s",
-			code, stdout.String(), stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "maporder") || !strings.Contains(out, "bad.go") {
-		t.Errorf("diagnostic should name maporder and bad.go, got:\n%s", out)
+	for _, dir := range []string{"testdata/badcore", "testdata/badsim"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-C", dir, "./..."}, &stdout, &stderr)
+		if code != 1 {
+			t.Fatalf("%s: exit code = %d, want 1\nstdout:\n%s\nstderr:\n%s",
+				dir, code, stdout.String(), stderr.String())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "maporder") || !strings.Contains(out, "bad.go") {
+			t.Errorf("%s: diagnostic should name maporder and bad.go, got:\n%s", dir, out)
+		}
 	}
 }
 

@@ -39,7 +39,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"dtnsim"
 )
@@ -58,7 +57,6 @@ func main() {
 		scaleNodes = flag.String("scale-nodes", "1000,5000,10000", "node counts for -only scale")
 		scaleRuns  = flag.Int("scale-runs", 3, "runs per (protocol, nodes) scale point")
 		scaleSpan  = flag.Float64("scale-span", 50000, "simulated seconds per scale run (shorter spans keep 100k-node cells inside a time budget)")
-		scaleCores = flag.Int("scale-speedup-nodes", 5000, "population for the speedup-vs-cores rows appended to scale.csv (0 disables)")
 	)
 	flag.Parse()
 
@@ -113,7 +111,7 @@ func main() {
 	// The scale and constrained sweeps run only when explicitly selected.
 	if selected["scale"] {
 		runScale(*outDir, *scaleNodes, *scaleRuns, *seed, *workers,
-			shardCount(*shards), *scaleSpan, *scaleCores, *quiet)
+			shardCount(*shards), *scaleSpan, *quiet)
 	}
 	if selected["constrained"] {
 		runConstrained(*outDir, *runs, *seed, *workers, *quiet)
@@ -168,29 +166,16 @@ func shardCount(flagVal int) int {
 	return flagVal
 }
 
-// monotonicSeconds is the wall-clock hook injected into scale sweeps.
-// Timing lives here, in cmd, on purpose: the deterministic harness under
-// internal/ never reads a real clock (the rngdiscipline lint enforces
-// it), so measurement enters only through this hook.
-func monotonicSeconds() float64 { return time.Since(processStart).Seconds() }
-
-var processStart = time.Now()
-
 // runScale executes the population sweep and writes scale.csv: delivery
-// ratio, per-bundle delay, buffer occupancy and wall-clock versus node
-// count for each protocol, each run streaming its mobility source. When
-// speedupNodes > 0 it appends speedup-vs-cores rows: the same cell run
-// sequentially and at 2, 4, ... worker shards, whose identical delivery
-// and delay columns are the determinism contract made visible and whose
-// speedup column is sequential wall-clock over sharded.
-func runScale(outDir, nodesCSV string, runs int, seed uint64, workers, shards int, span float64, speedupNodes int, quiet bool) {
+// ratio, per-bundle delay and buffer occupancy versus node count for
+// each protocol, each run streaming its mobility source.
+func runScale(outDir, nodesCSV string, runs int, seed uint64, workers, shards int, span float64, quiet bool) {
 	sw := dtnsim.DefaultScaleSweep()
 	sw.Runs = runs
 	sw.BaseSeed = seed
 	sw.Workers = workers
 	sw.Shards = shards
 	sw.Span = span
-	sw.Clock = monotonicSeconds
 	sw.Nodes = sw.Nodes[:0]
 	for _, f := range strings.Split(nodesCSV, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -212,70 +197,22 @@ func runScale(outDir, nodesCSV string, runs int, seed uint64, workers, shards in
 		fmt.Fprintln(os.Stderr)
 	}
 	var csv strings.Builder
-	csv.WriteString("nodes,protocol,shards,delivery_ratio,mean_delay_s,occupancy,completed,runs,wall_clock_s,speedup\n")
-	fmt.Println("scale: delivery / delay / occupancy / wall-clock vs population (streaming mobility)")
+	csv.WriteString("nodes,protocol,shards,delivery_ratio,mean_delay_s,occupancy,completed,runs\n")
+	fmt.Println("scale: delivery / delay / occupancy vs population (streaming mobility)")
 	cores := shards
 	if cores == 0 {
 		cores = 1
 	}
 	for _, s := range res.Series {
 		for _, p := range s.Points {
-			fmt.Fprintf(&csv, "%d,%q,%d,%.4f,%.1f,%.4f,%d,%d,%.3f,\n",
-				p.Nodes, s.Label, cores, p.Delivery, p.Delay, p.Occupancy, p.Completed, p.Runs, p.WallClock)
-			fmt.Printf("  %-24s %6d nodes: delivery %.3f, delay %8.0f s, occupancy %.3f, %7.2f s/run\n",
-				s.Label, p.Nodes, p.Delivery, p.Delay, p.Occupancy, p.WallClock)
+			fmt.Fprintf(&csv, "%d,%q,%d,%.4f,%.1f,%.4f,%d,%d\n",
+				p.Nodes, s.Label, cores, p.Delivery, p.Delay, p.Occupancy, p.Completed, p.Runs)
+			fmt.Printf("  %-24s %6d nodes: delivery %.3f, delay %8.0f s, occupancy %.3f\n",
+				s.Label, p.Nodes, p.Delivery, p.Delay, p.Occupancy)
 		}
-	}
-	if speedupNodes > 0 {
-		runScaleSpeedup(&csv, sw, speedupNodes, quiet)
 	}
 	if err := os.WriteFile(filepath.Join(outDir, "scale.csv"), []byte(csv.String()), 0o644); err != nil {
 		fatal(err)
-	}
-}
-
-// runScaleSpeedup appends the speedup-vs-cores rows: one (protocol,
-// nodes) cell timed sequentially, then at doubling shard counts up to
-// the CPU count, one run each with the grid serialized (Workers=1) so
-// every shard has the machine to itself.
-func runScaleSpeedup(csv *strings.Builder, base dtnsim.ScaleSweep, nodes int, quiet bool) {
-	shardCounts := []int{0} // the sequential reference
-	for k := 2; k < runtime.GOMAXPROCS(0); k *= 2 {
-		shardCounts = append(shardCounts, k)
-	}
-	if max := runtime.GOMAXPROCS(0); max > 1 {
-		shardCounts = append(shardCounts, max)
-	}
-	fmt.Printf("scale: speedup vs cores at %d nodes (1 timed run per shard count)\n", nodes)
-	seqWall := 0.0
-	for _, k := range shardCounts {
-		sw := base
-		sw.Nodes = []int{nodes}
-		sw.Protocols = sw.Protocols[:1]
-		sw.Runs = 1
-		sw.Workers = 1
-		sw.Shards = k
-		sw.OnPoint = nil
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "\rscale: speedup %6d nodes, %d shard(s)   ", nodes, k)
-		}
-		res, err := dtnsim.RunScale(sw)
-		if err != nil {
-			fatal(err)
-		}
-		p := res.Series[0].Points[0]
-		cores := k
-		if cores == 0 {
-			cores = 1
-			seqWall = p.WallClock
-		}
-		speedup := seqWall / p.WallClock
-		fmt.Fprintf(csv, "%d,%q,%d,%.4f,%.1f,%.4f,%d,%d,%.3f,%.2f\n",
-			p.Nodes, res.Series[0].Label, cores, p.Delivery, p.Delay, p.Occupancy, p.Completed, p.Runs, p.WallClock, speedup)
-		fmt.Printf("  %2d core(s): %7.2f s, speedup %.2fx\n", cores, p.WallClock, speedup)
-	}
-	if !quiet {
-		fmt.Fprintln(os.Stderr)
 	}
 }
 

@@ -1,19 +1,20 @@
 // Package maporder flags `for … range` over a map in simulation code
-// unless the loop body is provably order-insensitive. Map iteration
-// order is randomized by the runtime, so any order-sensitive body is a
-// determinism bug — the single most common way a new protocol breaks
-// bit-identical reproducibility in cells the golden grid doesn't pin.
+// unless the loop is the one sanctioned idiom, collect-then-sort:
 //
-// A body is accepted as order-insensitive when every statement (a)
-// writes only through map index expressions (building a map/set is
-// commutative), (b) appends keys/values to a slice that the enclosing
-// function demonstrably sorts after the loop (collect-then-sort), (c)
-// updates an integer accumulator with a commutative op (+=, -=, |=,
-// &=, ^=, ++, --; float accumulation is rejected because float
-// addition is not bitwise associative), (d) deletes from a map, or (e)
-// is pure control flow (if/continue) over side-effect-free conditions.
-// Anything else — early returns, channel sends, method calls, float
-// math, slice writes that are never sorted — is reported.
+//	for k := range m {
+//		keys = append(keys, k)
+//	}
+//	slices.Sort(keys)
+//
+// Map iteration order is randomized by the runtime, so any body that
+// depends on it is a determinism bug — the single most common way a
+// new protocol breaks bit-identical reproducibility in cells the golden
+// grid doesn't pin. Rather than prove other bodies order-insensitive,
+// the pass accepts exactly one shape: the body is the single statement
+// `keys = append(keys, k)`, where k is the key the range statement
+// declares and keys a variable, and keys is the first argument of a
+// sort or slices sorting call later in the same declaration. Every
+// other range over a map is reported; iterate the sorted keys instead.
 package maporder
 
 import (
@@ -28,367 +29,107 @@ import (
 // Analyzer is the maporder pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
-	Doc:  "flag range-over-map loops whose body is not provably order-insensitive",
+	Doc:  "flag range-over-map loops that are not collect-then-sort of the keys",
 	Run:  run,
 	Match: func(pkgPath string) bool {
-		for _, p := range []string{"core", "protocol", "node", "buffer", "metrics", "mobility", "contact", "experiment"} {
-			if pkgPath == "dtnsim/internal/"+p {
-				return true
-			}
-		}
-		return false
+		// Every internal package except internal/server, the wall-clock
+		// boundary that runs the engine as a black box (rngdiscipline
+		// exempts it for the same reason).
+		return strings.HasPrefix(pkgPath, "dtnsim/internal/") && pkgPath != "dtnsim/internal/server"
 	},
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, fn)
+			ast.Inspect(decl, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if tv, ok := pass.TypesInfo.Types[rs.X]; !ok {
+					return true
+				} else if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				if reason := unsanctioned(pass, decl, rs); reason != "" {
+					pass.Reportf(rs.For, "range over map %s is not collect-then-sort (%s); append its keys to a slice, sort it, and range over that",
+						types.ExprString(rs.X), reason)
+				}
+				return true
+			})
 		}
 	}
 	return nil
 }
 
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[rs.X]
-		if !ok {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		c := &checker{pass: pass, fn: fn, rs: rs}
-		if reason := c.bodyUnsafe(rs.Body); reason != "" {
-			pass.Reportf(rs.For, "range over map %s is order-sensitive (%s); collect-and-sort the keys or make the body commutative",
-				types.ExprString(rs.X), reason)
-		}
-		return true
-	})
-}
-
-type checker struct {
-	pass *analysis.Pass
-	fn   *ast.FuncDecl
-	rs   *ast.RangeStmt
-}
-
-// bodyUnsafe returns a non-empty reason when the block is not provably
-// order-insensitive.
-func (c *checker) bodyUnsafe(body *ast.BlockStmt) string {
-	for _, st := range body.List {
-		if r := c.stmtUnsafe(st); r != "" {
-			return r
-		}
+// unsanctioned returns why the map range rs inside decl is not
+// collect-then-sort, or "" when it is.
+func unsanctioned(pass *analysis.Pass, decl ast.Node, rs *ast.RangeStmt) string {
+	keys := collectTarget(pass, rs)
+	if keys == nil {
+		return "body is not keys = append(keys, k) over the range key k"
+	}
+	if !sortedAfter(pass, decl, rs.End(), keys) {
+		return keys.Name() + " is never sorted after the loop"
 	}
 	return ""
 }
 
-func (c *checker) stmtUnsafe(st ast.Stmt) string {
-	switch s := st.(type) {
-	case *ast.AssignStmt:
-		return c.assignUnsafe(s)
-	case *ast.IncDecStmt:
-		return c.accumulatorUnsafe(s.X)
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "delete" && isBuiltin(c.pass, id) {
-				return "" // builtin delete from a map commutes
-			}
-		}
-		return "statement with possible side effects"
-	case *ast.IfStmt:
-		if s.Init != nil {
-			if r := c.stmtUnsafe(s.Init); r != "" {
-				return r
-			}
-		}
-		if !c.pureExpr(s.Cond) {
-			return "condition with possible side effects"
-		}
-		if r := c.bodyUnsafe(s.Body); r != "" {
-			return r
-		}
-		if s.Else != nil {
-			if blk, ok := s.Else.(*ast.BlockStmt); ok {
-				return c.bodyUnsafe(blk)
-			}
-			return c.stmtUnsafe(s.Else)
-		}
-		return ""
-	case *ast.BlockStmt:
-		return c.bodyUnsafe(s)
-	case *ast.BranchStmt:
-		if s.Tok == token.CONTINUE {
-			return ""
-		}
-		return "loop exit depends on iteration order"
-	case *ast.DeclStmt, *ast.EmptyStmt:
-		return ""
-	case *ast.ReturnStmt:
-		return "early return depends on iteration order"
-	default:
-		return "unrecognized statement form"
+// collectTarget returns the variable keys when rs declares its key k
+// and its body is exactly `keys = append(keys, k)`; nil otherwise.
+func collectTarget(pass *analysis.Pass, rs *ast.RangeStmt) types.Object {
+	k, ok := rs.Key.(*ast.Ident)
+	if !ok || rs.Tok != token.DEFINE || len(rs.Body.List) != 1 {
+		return nil
 	}
+	as, ok := rs.Body.List[0].(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil
+	}
+	keys, ok := as.Lhs[0].(*ast.Ident)
+	call, isCall := as.Rhs[0].(*ast.CallExpr)
+	if !ok || !isCall || len(call.Args) != 2 || call.Ellipsis.IsValid() {
+		return nil
+	}
+	if fn, ok := call.Fun.(*ast.Ident); !ok || pass.TypesInfo.Uses[fn] != types.Universe.Lookup("append") {
+		return nil
+	}
+	// keys := append(keys, k) fails here too: the := declares a new
+	// keys, which is not the one appended to.
+	obj := pass.TypesInfo.ObjectOf(keys)
+	if !isVar(pass, call.Args[0], obj) || !isVar(pass, call.Args[1], pass.TypesInfo.ObjectOf(k)) {
+		return nil
+	}
+	return obj
 }
 
-// assignUnsafe accepts map-index writes, blank discards, commutative
-// integer accumulation, pure local declarations, and collect-then-sort
-// appends.
-func (c *checker) assignUnsafe(s *ast.AssignStmt) string {
-	// := introducing loop-local names from pure expressions is fine.
-	if s.Tok == token.DEFINE {
-		for _, rhs := range s.Rhs {
-			if !c.pureExpr(rhs) {
-				return "definition from expression with possible side effects"
-			}
-		}
-		return ""
-	}
-	if s.Tok != token.ASSIGN {
-		// Compound assignment: x += v etc.
-		for _, lhs := range s.Lhs {
-			if r := c.accumulatorUnsafe(lhs); r != "" {
-				return r
-			}
-		}
-		for _, rhs := range s.Rhs {
-			if !c.pureExpr(rhs) {
-				return "assignment from expression with possible side effects"
-			}
-		}
-		return ""
-	}
-	for i, lhs := range s.Lhs {
-		var rhs ast.Expr
-		if len(s.Rhs) == len(s.Lhs) {
-			rhs = s.Rhs[i]
-		} else {
-			rhs = s.Rhs[0]
-		}
-		if r := c.plainAssignUnsafe(lhs, rhs); r != "" {
-			return r
-		}
-	}
-	return ""
+// isVar reports whether e is an identifier naming obj.
+func isVar(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && obj != nil && pass.TypesInfo.ObjectOf(id) == obj
 }
 
-func (c *checker) plainAssignUnsafe(lhs, rhs ast.Expr) string {
-	switch l := lhs.(type) {
-	case *ast.Ident:
-		if l.Name == "_" {
-			return ""
-		}
-		// s = append(s, …) collecting into a slice that is sorted
-		// after the loop.
-		if isAppendOf(c.pass, rhs) {
-			if c.sortedAfterLoop(l) {
-				return ""
-			}
-			return "slice " + l.Name + " collected from map range is never sorted after the loop"
-		}
-		return "write to " + l.Name + " may depend on iteration order"
-	case *ast.IndexExpr:
-		tv, ok := c.pass.TypesInfo.Types[l.X]
-		if ok {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				if c.pureExpr(l.Index) && c.pureExpr(rhs) {
-					return ""
-				}
-				return "map write with impure key or value"
-			}
-		}
-		return "indexed write to non-map may depend on iteration order"
-	case *ast.SelectorExpr:
-		// x.f = append(x.f, …) collecting into a field that the
-		// function sorts after the loop, directly (sort.Slice(x.f, …))
-		// or through a Sort method on the holder (x.Sort()).
-		if isAppendOf(c.pass, rhs) && c.sortedExprAfterLoop(l) {
-			return ""
-		}
-		return "write target " + types.ExprString(lhs) + " may depend on iteration order"
-	default:
-		return "write target " + types.ExprString(lhs) + " may depend on iteration order"
-	}
-}
-
-// isAppendOf reports whether rhs is a builtin append call.
-func isAppendOf(pass *analysis.Pass, rhs ast.Expr) bool {
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "append" && isBuiltin(pass, id)
-}
-
-// accumulatorUnsafe accepts ++/--/+= style updates of integer
-// variables and map entries; floats are rejected (float addition is
-// not bitwise associative, so accumulation order changes the result).
-func (c *checker) accumulatorUnsafe(x ast.Expr) string {
-	switch l := x.(type) {
-	case *ast.IndexExpr:
-		if tv, ok := c.pass.TypesInfo.Types[l.X]; ok {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				return ""
-			}
-		}
-		return "indexed accumulator on non-map may depend on iteration order"
-	default:
-		tv, ok := c.pass.TypesInfo.Types[x]
-		if !ok {
-			return "accumulator of unknown type"
-		}
-		b, ok := tv.Type.Underlying().(*types.Basic)
-		if !ok || b.Info()&types.IsInteger == 0 {
-			return "non-integer accumulator " + types.ExprString(x) + " is order-sensitive"
-		}
-		return ""
-	}
-}
-
-// pureExpr reports whether e is side-effect free: identifiers,
-// literals, selectors, map/slice indexing, arithmetic, comparisons,
-// and len/cap calls. Any other call is treated as impure.
-func (c *checker) pureExpr(e ast.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *ast.Ident, *ast.BasicLit:
-		return true
-	case *ast.SelectorExpr:
-		return c.pureExpr(x.X)
-	case *ast.IndexExpr:
-		return c.pureExpr(x.X) && c.pureExpr(x.Index)
-	case *ast.ParenExpr:
-		return c.pureExpr(x.X)
-	case *ast.UnaryExpr:
-		return x.Op != token.AND && c.pureExpr(x.X)
-	case *ast.BinaryExpr:
-		return c.pureExpr(x.X) && c.pureExpr(x.Y)
-	case *ast.CallExpr:
-		// Type conversions (float64(x), sim.Time(t)) are pure when
-		// their operand is.
-		if tv, ok := c.pass.TypesInfo.Types[x.Fun]; ok && tv.IsType() {
-			return len(x.Args) == 1 && c.pureExpr(x.Args[0])
-		}
-		id, ok := x.Fun.(*ast.Ident)
-		if !ok || !isBuiltin(c.pass, id) {
-			return false
-		}
-		if id.Name != "len" && id.Name != "cap" {
-			return false
-		}
-		for _, a := range x.Args {
-			if !c.pureExpr(a) {
-				return false
-			}
-		}
-		return true
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			if !c.pureExpr(el) {
-				return false
-			}
-		}
-		return true
-	case *ast.KeyValueExpr:
-		return c.pureExpr(x.Key) && c.pureExpr(x.Value)
-	case *ast.TypeAssertExpr:
-		return c.pureExpr(x.X)
-	default:
-		return false
-	}
-}
-
-// sortedAfterLoop reports whether the slice variable id is passed to a
-// recognized sorting function after the range loop, within the same
-// enclosing function — the collect-then-sort idiom.
-func (c *checker) sortedAfterLoop(id *ast.Ident) bool {
-	obj := c.pass.TypesInfo.ObjectOf(id)
-	if obj == nil {
-		return false
-	}
+// sortedAfter reports whether keys is the first argument of a sort or
+// slices sorting call that starts at or after pos inside decl.
+func sortedAfter(pass *analysis.Pass, decl ast.Node, pos token.Pos, keys types.Object) bool {
 	sorted := false
-	ast.Inspect(c.fn.Body, func(n ast.Node) bool {
+	ast.Inspect(decl, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < c.rs.End() || sorted {
-			return true
+		if sorted || !ok || call.Pos() < pos || len(call.Args) == 0 {
+			return !sorted
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		pkgID, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pn, ok := c.pass.TypesInfo.Uses[pkgID].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		path := pn.Imported().Path()
-		if path != "sort" && path != "slices" {
-			return true
-		}
-		if !strings.HasPrefix(sel.Sel.Name, "Sort") && !isSortFunc(sel.Sel.Name) {
-			return true
-		}
-		if len(call.Args) == 0 {
-			return true
-		}
-		if arg, ok := call.Args[0].(*ast.Ident); ok && c.pass.TypesInfo.ObjectOf(arg) == obj {
-			sorted = true
-		}
-		return true
-	})
-	return sorted
-}
-
-// sortedExprAfterLoop is sortedAfterLoop for non-ident collect
-// targets (x.f): the expression is sorted when, after the loop, it is
-// passed to a sort/slices function by the same rendered expression, or
-// its holder receives a Sort* method call (schedule.Sort()).
-func (c *checker) sortedExprAfterLoop(target *ast.SelectorExpr) bool {
-	targetStr := types.ExprString(target)
-	holderStr := types.ExprString(target.X)
-	sorted := false
-	ast.Inspect(c.fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < c.rs.End() || sorted {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || !isSortFunc(sel.Sel.Name) || !isVar(pass, call.Args[0], keys) {
 			return true
 		}
 		if pkgID, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := c.pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok {
+			if pn, ok := pass.TypesInfo.Uses[pkgID].(*types.PkgName); ok {
 				path := pn.Imported().Path()
-				if (path == "sort" || path == "slices") &&
-					(strings.HasPrefix(sel.Sel.Name, "Sort") || isSortFunc(sel.Sel.Name)) &&
-					len(call.Args) > 0 && types.ExprString(call.Args[0]) == targetStr {
-					sorted = true
-				}
-				return true
+				sorted = path == "sort" || path == "slices"
 			}
 		}
-		// Method call: holder.Sort(), holder.SortContacts(), …
-		if strings.HasPrefix(sel.Sel.Name, "Sort") {
-			recv := types.ExprString(sel.X)
-			if recv == holderStr || recv == targetStr {
-				sorted = true
-			}
-		}
-		return true
+		return !sorted
 	})
 	return sorted
 }
@@ -398,12 +139,5 @@ func isSortFunc(name string) bool {
 	case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Stable":
 		return true
 	}
-	return false
-}
-
-// isBuiltin reports whether id resolves to a predeclared builtin
-// (append, delete, len, …) rather than a user identifier shadowing it.
-func isBuiltin(pass *analysis.Pass, id *ast.Ident) bool {
-	_, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok
+	return strings.HasPrefix(name, "Sort")
 }

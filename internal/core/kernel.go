@@ -286,15 +286,13 @@ func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle
 // sized copy: victims chosen by this kernel's policy instance are shed
 // (reported with the bytepressure drop reason), and the incoming copy
 // is refused when room cannot be made; both reach the effect buffer
-// through the node's drop hook. A nil policy (no byte capacity
-// configured) and size-less copies pass through untouched — the legacy
-// path costs one branch.
+// through the node's drop hook. The store owns the pass-through:
+// MakeByteRoom admits size-less copies and every copy into a store
+// without a byte capacity before it consults the policy, and Policy is
+// nil exactly when no store has one (NewKernel, Run).
 //
 //dtn:hotpath
 func (k *Kernel) admitBytes(receiver *node.Node, rcpt *bundle.Copy, at sim.Time) bool {
-	if k.Policy == nil || rcpt.Bundle.Meta.Size == 0 {
-		return true
-	}
 	evicted, ok := receiver.Store.MakeByteRoom(rcpt.Bundle.Meta.Size, k.Policy)
 	for _, cp := range evicted {
 		receiver.NoteByteDropped(cp.Bundle.ID, at)

@@ -28,10 +28,6 @@ import (
 type runOutcome struct {
 	res *core.Result
 	err error
-	// secs is the run's wall-clock duration when the sweep measures it
-	// (ScaleSweep.Clock); zero otherwise. Never folded into results —
-	// timing is reporting-only, results stay bit-identical.
-	secs float64
 }
 
 // errSkipped marks jobs short-circuited after another job failed;

@@ -51,12 +51,6 @@ type ScaleSweep struct {
 	// Workers (grid concurrency) and erased from results: every value
 	// produces bit-identical simulations.
 	Shards int
-	// Clock, if set, returns monotonic seconds and turns on per-run
-	// wall-clock measurement (ScalePoint.WallClock). The hook keeps
-	// time.Now out of the deterministic harness — callers in cmd/*
-	// inject it. For clean timing pair it with Workers=1 so runs are
-	// not contending for cores.
-	Clock func() float64
 	// OnPoint, if set, reports progress after each (protocol, nodes)
 	// point, from the calling goroutine in sweep order.
 	OnPoint func(label string, nodes int)
@@ -72,11 +66,6 @@ type ScalePoint struct {
 	// Completed counts runs that delivered every bundle.
 	Completed int
 	Runs      int
-	// WallClock is the mean wall-clock seconds per run, measured only
-	// when the sweep's Clock hook is set; 0 otherwise (not NaN, so
-	// results stay reflect.DeepEqual-comparable). Reporting
-	// only — it never feeds back into the simulation.
-	WallClock float64
 }
 
 // ScaleSeries is one protocol's curve across populations.
@@ -160,22 +149,15 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}
 			}
-			var out runOutcome
-			var start float64
-			if sw.Clock != nil {
-				start = sw.Clock()
-			}
-			out.res, err = sc.simulate(core.Config{Protocol: pf.New(), Shards: sw.Shards},
+			res, err := sc.simulate(core.Config{Protocol: pf.New(), Shards: sw.Shards},
 				core.Flow{Count: sw.Load}, sw.BaseSeed, nodes, run)
 			if err != nil {
-				out.err = fmt.Errorf("experiment: scale %s at %d nodes: %w", pf.Label, nodes, err)
-			} else if sw.Clock != nil {
-				out.secs = sw.Clock() - start
+				return runOutcome{err: fmt.Errorf("experiment: scale %s at %d nodes: %w", pf.Label, nodes, err)}
 			}
-			return out
+			return runOutcome{res: res}
 		},
 		func(pi, ni int, outs []runOutcome) {
-			var delivery, delay, occupancy, wall stats.Welford
+			var delivery, delay, occupancy stats.Welford
 			completed := 0
 			for _, out := range outs {
 				r := out.res
@@ -186,9 +168,6 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 				occupancy.Add(r.MeanOccupancy)
 				if r.Delivered > 0 {
 					delay.Add(r.MeanDelay)
-				}
-				if sw.Clock != nil {
-					wall.Add(out.secs)
 				}
 			}
 			pt := ScalePoint{
@@ -201,9 +180,6 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 			}
 			if delay.N() > 0 {
 				pt.Delay = delay.Mean()
-			}
-			if wall.N() > 0 {
-				pt.WallClock = wall.Mean()
 			}
 			s := &res.Series[pi]
 			s.Points = append(s.Points, pt)

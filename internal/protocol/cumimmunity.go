@@ -40,7 +40,8 @@ type cumState struct {
 	// flow f; sequences are 1-based, so 0 means nothing acknowledged.
 	acks map[Flow]int
 	// rcvd tracks out-of-order deliveries at a destination so the
-	// contiguous prefix can advance when gaps fill.
+	// contiguous prefix can advance when gaps fill. Each inner map is a
+	// set: it only ever stores true.
 	rcvd map[Flow]map[int]bool
 	// base[f] is the flow's first sequence number once learned from a
 	// delivered copy (bundle.FirstSeq); 0 means still unknown. Flows

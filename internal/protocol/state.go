@@ -77,10 +77,8 @@ func SnapshotExt(ext any) (ExtState, error) {
 		out.Base = flowCounts(st.base)
 		for _, f := range appendSortedFlows(nil, st.rcvd) {
 			seqs := make([]int, 0, len(st.rcvd[f]))
-			for s, ok := range st.rcvd[f] {
-				if ok {
-					seqs = append(seqs, s)
-				}
+			for s := range st.rcvd[f] {
+				seqs = append(seqs, s)
 			}
 			slices.Sort(seqs)
 			out.Rcvd = append(out.Rcvd, FlowSeqs{Src: int(f.Src), Dst: int(f.Dst), Seqs: seqs})
