@@ -81,9 +81,7 @@ func BenchmarkStorePurgeExpiredIdle(b *testing.B) {
 	s := benchStore(10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if purged := s.PurgeExpired(1000); purged != nil {
-			b.Fatal("unexpected purge")
-		}
+		s.PurgeExpired(1000, func(bundle.ID) { b.Fatal("unexpected purge") })
 	}
 }
 

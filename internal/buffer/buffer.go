@@ -12,6 +12,13 @@
 // Unpinned) and the idle PurgeExpired fast path are therefore
 // allocation-free and hash nothing — nothing is re-sorted or
 // re-counted per contact.
+//
+// The store owns its copies by value: Put and Restore copy the caller's
+// Copy in and never keep its pointer, so a stored copy costs no heap
+// object of its own. The one rule for pointers the store hands out
+// (Get, Range, DropPolicy.Victim) is that they point into the index and
+// stay valid only until that store's next Put, Restore, Remove, purge
+// or MakeByteRoom; read what you need from a copy before you remove it.
 package buffer
 
 import (
@@ -53,13 +60,14 @@ var ErrDuplicate = errors.New("buffer: duplicate bundle")
 //     finds nothing.
 type Store struct {
 	cap int
-	// order holds the stored copies in ascending bundle-ID order; it is
-	// the store's only index. It is maintained incrementally: O(log n)
-	// search plus an O(n) memmove on Put/Remove (n ≤ a few dozen in
-	// practice), so lookups hash nothing and every iteration — the
-	// anti-entropy diff each contact runs — is allocation-free and
-	// never re-sorts.
-	order []*bundle.Copy
+	// order holds the stored copies, by value, in ascending bundle-ID
+	// order; it is the store's only index. It is maintained
+	// incrementally: O(log n) search plus an O(n) memmove on Put/Remove
+	// (n ≤ a few dozen in practice), so lookups hash nothing, a probe
+	// reads the slot's Bundle pointer inline, and every iteration — the
+	// anti-entropy diff each contact runs — is allocation-free and never
+	// re-sorts.
+	order []bundle.Copy
 	// puts counts the copies ever stored (Put and Restore successes).
 	puts uint64
 	// pinned counts stored pinned copies, so Unpinned/Free are O(1).
@@ -182,12 +190,13 @@ func (s *Store) Occupancy() float64 {
 //dtn:hotpath
 func (s *Store) Has(id bundle.ID) bool { return s.Get(id) != nil }
 
-// Get returns the stored copy of id, or nil.
+// Get returns the stored copy of id, or nil. The pointer is valid
+// until the store's next mutation.
 //
 //dtn:hotpath
 func (s *Store) Get(id bundle.ID) *bundle.Copy {
 	if i := s.searchIdx(id); i < len(s.order) && s.order[i].Bundle.ID == id {
-		return s.order[i]
+		return &s.order[i]
 	}
 	return nil
 }
@@ -216,14 +225,14 @@ func (s *Store) searchIdx(id bundle.ID) int {
 	return lo
 }
 
-// insert stores c at index position i and does the accounting Put and
-// Restore share.
+// insert stores a copy of *c at index position i and does the
+// accounting Put and Restore share.
 //
 //dtn:hotpath
 func (s *Store) insert(i int, c *bundle.Copy) {
-	s.order = append(s.order, nil)
+	s.order = append(s.order, bundle.Copy{})
 	copy(s.order[i+1:], s.order[i:])
-	s.order[i] = c
+	s.order[i] = *c
 	s.puts++
 	s.totalBytes += c.Bundle.Meta.Size
 	if c.Pinned {
@@ -236,9 +245,10 @@ func (s *Store) insert(i int, c *bundle.Copy) {
 	}
 }
 
-// Put stores a copy. Unpinned copies are refused with ErrFull when no
-// unpinned slot is free; a second copy of the same bundle is refused with
-// ErrDuplicate.
+// Put stores a copy of *c; the store keeps the value, not the pointer,
+// so the caller may reuse c at once. Unpinned copies are refused with
+// ErrFull when no unpinned slot is free; a second copy of the same
+// bundle is refused with ErrDuplicate.
 //
 //dtn:hotpath
 func (s *Store) Put(c *bundle.Copy) error {
@@ -270,15 +280,16 @@ func (s *Store) Remove(id bundle.ID) bool {
 	if i == len(s.order) || s.order[i].Bundle.ID != id {
 		return false
 	}
-	c := s.order[i]
+	// Read the copy before the memmove overwrites its slot.
+	size, pinned := s.order[i].Bundle.Meta.Size, s.order[i].Pinned
 	copy(s.order[i:], s.order[i+1:])
-	s.order[len(s.order)-1] = nil
+	s.order[len(s.order)-1] = bundle.Copy{}
 	s.order = s.order[:len(s.order)-1]
-	s.totalBytes -= c.Bundle.Meta.Size
-	if c.Pinned {
+	s.totalBytes -= size
+	if pinned {
 		s.pinned--
 	} else {
-		s.unpinnedBytes -= c.Bundle.Meta.Size
+		s.unpinnedBytes -= size
 	}
 	if s.Unpinned() == 0 {
 		// Cheap exact reset; otherwise the stale-low bound stands until
@@ -288,7 +299,7 @@ func (s *Store) Remove(id bundle.ID) bool {
 	return true
 }
 
-// Restore stores a copy while rebuilding a store from a snapshot
+// Restore stores a copy of *c while rebuilding a store from a snapshot
 // (internal/dist workers reconstruct node state between epochs): it
 // performs Put's indexing and accounting but skips the capacity checks,
 // which legal live contents can fail — control load can push Free()
@@ -307,6 +318,16 @@ func (s *Store) Restore(c *bundle.Copy) error {
 	return nil
 }
 
+// Grow makes room for n more copies without another allocation, for a
+// caller that rebuilds a store of known size through Restore: slots are
+// 40-byte values, so growing one append at a time would allocate about
+// twice the final slice.
+func (s *Store) Grow(n int) {
+	if n > cap(s.order)-len(s.order) {
+		s.order = append(make([]bundle.Copy, 0, len(s.order)+n), s.order...)
+	}
+}
+
 // NoteExpiry tells the store that the stored copy c's Expiry was lowered
 // in place (TTL renewal, EC ageing). The store folds it into the
 // min-expiry bound; without the call PurgeExpired's fast path could skip
@@ -321,12 +342,13 @@ func (s *Store) NoteExpiry(c *bundle.Copy) {
 
 // Range calls fn for every stored copy in ascending bundle-ID order,
 // stopping early if fn returns false. It allocates nothing. The store
-// must not be mutated during the iteration.
+// must not be mutated during the iteration, and the pointers fn sees
+// are valid until the store's next mutation.
 //
 //dtn:hotpath
 func (s *Store) Range(fn func(*bundle.Copy) bool) {
-	for _, c := range s.order {
-		if !fn(c) {
+	for i := range s.order {
+		if !fn(&s.order[i]) {
 			return
 		}
 	}
@@ -337,53 +359,58 @@ func (s *Store) Range(fn func(*bundle.Copy) bool) {
 //
 //dtn:hotpath
 func (s *Store) AppendIDs(dst []bundle.ID) []bundle.ID {
-	for _, c := range s.order {
-		dst = append(dst, c.Bundle.ID)
+	for i := range s.order {
+		dst = append(dst, s.order[i].Bundle.ID)
 	}
 	return dst
 }
 
-// Items returns a fresh slice of the stored copies in deterministic
-// bundle-ID order. Hot paths should prefer Range/AppendIDs, which do
-// not allocate.
-func (s *Store) Items() []*bundle.Copy {
-	return append([]*bundle.Copy(nil), s.order...)
+// Items returns a fresh slice holding the stored copies' values in
+// deterministic bundle-ID order. Hot paths should prefer
+// Range/AppendIDs, which do not allocate.
+func (s *Store) Items() []bundle.Copy {
+	return append([]bundle.Copy(nil), s.order...)
 }
 
 // PurgeExpired removes every unpinned copy whose TTL lapsed at or before
-// now and returns the purged copies in deterministic order. Pinned
-// copies never expire: a source holds its own bundles until delivery.
-// When no expiry can have lapsed (tracked via the min-expiry bound) it
-// returns nil without scanning or allocating.
+// now, calling expired with each removed copy's ID in ascending order.
+// Pinned copies never expire: a source holds its own bundles until
+// delivery. When no expiry can have lapsed (tracked via the min-expiry
+// bound) it returns without scanning.
 //
 //dtn:hotpath
-func (s *Store) PurgeExpired(now sim.Time) []*bundle.Copy {
+func (s *Store) PurgeExpired(now sim.Time, expired func(bundle.ID)) {
 	if now < s.minExpiry {
-		return nil
+		return
 	}
-	return s.purge(func(c *bundle.Copy) bool { return !c.Pinned && c.Expired(now) })
+	s.purge(func(c *bundle.Copy) bool { return !c.Pinned && c.Expired(now) }, expired)
 }
 
 // PurgeMatching removes every copy (pinned included) for which match
-// returns true and returns the removed copies in deterministic order.
-// Immunity protocols use this to discard delivered bundles everywhere,
-// including the source.
-func (s *Store) PurgeMatching(match func(*bundle.Copy) bool) []*bundle.Copy {
-	return s.purge(match)
+// returns true, calling removed with each removed copy's ID in
+// ascending order. Immunity protocols use this to discard delivered
+// bundles everywhere, including the source.
+//
+//dtn:hotpath
+func (s *Store) PurgeMatching(match func(*bundle.Copy) bool, removed func(bundle.ID)) {
+	s.purge(match, removed)
 }
 
-// purge removes matching copies in one in-order pass over the index,
-// recomputing the pinned count and the exact min-expiry bound on the
-// way. It allocates only when something actually matches.
-func (s *Store) purge(match func(*bundle.Copy) bool) []*bundle.Copy {
-	var purged []*bundle.Copy
-	kept := s.order[:0]
+// purge removes matching copies in one in-order pass that compacts the
+// index in place, recomputing the pinned count and the exact min-expiry
+// bound on the way. match and removed run mid-pass, so neither may
+// touch the store. It allocates nothing.
+//
+//dtn:hotpath
+func (s *Store) purge(match func(*bundle.Copy) bool, removed func(bundle.ID)) {
+	kept := 0
 	minExpiry := sim.Infinity
 	pinned := 0
 	var unpinnedBytes, totalBytes int64
-	for _, c := range s.order {
+	for i := range s.order {
+		c := &s.order[i]
 		if match(c) {
-			purged = append(purged, c)
+			removed(c.Bundle.ID)
 			continue
 		}
 		totalBytes += c.Bundle.Meta.Size
@@ -395,14 +422,14 @@ func (s *Store) purge(match func(*bundle.Copy) bool) []*bundle.Copy {
 				minExpiry = c.Expiry
 			}
 		}
-		kept = append(kept, c)
+		if kept < i {
+			s.order[kept] = *c
+		}
+		kept++
 	}
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
-	s.order = kept
+	clear(s.order[kept:])
+	s.order = s.order[:kept]
 	s.pinned = pinned
 	s.minExpiry = minExpiry
 	s.unpinnedBytes, s.totalBytes = unpinnedBytes, totalBytes
-	return purged
 }

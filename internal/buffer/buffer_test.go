@@ -24,6 +24,24 @@ func mkPinned(seq int) *bundle.Copy {
 	return c
 }
 
+// collect returns a removal callback that appends each reported ID to
+// *dst.
+func collect(dst *[]bundle.ID) func(bundle.ID) {
+	return func(id bundle.ID) { *dst = append(*dst, id) }
+}
+
+// purgeExpired runs s.PurgeExpired and returns the reported IDs.
+func purgeExpired(s *Store, now sim.Time) (ids []bundle.ID) {
+	s.PurgeExpired(now, collect(&ids))
+	return ids
+}
+
+// purgeMatching runs s.PurgeMatching and returns the reported IDs.
+func purgeMatching(s *Store, match func(*bundle.Copy) bool) (ids []bundle.ID) {
+	s.PurgeMatching(match, collect(&ids))
+	return ids
+}
+
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -39,8 +57,13 @@ func TestPutGetRemove(t *testing.T) {
 	if err := s.Put(c); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Has(c.Bundle.ID) || s.Get(c.Bundle.ID) != c || s.Len() != 1 {
+	if !s.Has(c.Bundle.ID) || *s.Get(c.Bundle.ID) != *c || s.Len() != 1 {
 		t.Fatal("store state wrong after Put")
+	}
+	// The store holds a copy of the value, not the caller's pointer.
+	c.EC = 7
+	if got := s.Get(c.Bundle.ID); got == c || got.EC != 0 {
+		t.Fatalf("Put kept the caller's pointer: stored EC = %d", got.EC)
 	}
 	if err := s.Put(mk(1)); !errors.Is(err, ErrDuplicate) {
 		t.Fatalf("duplicate Put: err=%v", err)
@@ -141,8 +164,8 @@ func TestPurgeExpired(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	purged := s.PurgeExpired(150)
-	if len(purged) != 1 || purged[0] != a {
+	purged := purgeExpired(s, 150)
+	if len(purged) != 1 || purged[0] != a.Bundle.ID {
 		t.Fatalf("purged %v, want [a]", purged)
 	}
 	if !s.Has(b.Bundle.ID) || !s.Has(p.Bundle.ID) {
@@ -161,9 +184,9 @@ func TestPurgeMatching(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	purged := s.PurgeMatching(func(c *bundle.Copy) bool { return c.Bundle.ID.Seq >= 4 })
-	if len(purged) != 2 {
-		t.Fatalf("purged %d, want 2 (pinned included)", len(purged))
+	purged := purgeMatching(s, func(c *bundle.Copy) bool { return c.Bundle.ID.Seq >= 4 })
+	if len(purged) != 2 || purged[0].Seq != 4 || purged[1].Seq != 5 {
+		t.Fatalf("purged %v, want seqs 4 and 5 in order (pinned included)", purged)
 	}
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
@@ -232,15 +255,15 @@ func TestPurgeExpiredEarlyExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, s := range map[string]*Store{"empty": empty, "pinned-only": pinnedOnly, "unexpired": future} {
-		if got := s.PurgeExpired(500); got != nil {
+		if got := purgeExpired(s, 500); got != nil {
 			t.Errorf("%s: PurgeExpired = %v, want nil", name, got)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { s.PurgeExpired(500) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { s.PurgeExpired(500, func(bundle.ID) {}) }); allocs != 0 {
 			t.Errorf("%s: PurgeExpired fast path allocates %v/op", name, allocs)
 		}
 	}
 	// The fast path must still fire once a deadline actually lapses.
-	if got := future.PurgeExpired(1000); len(got) != 1 || got[0] != c {
+	if got := purgeExpired(future, 1000); len(got) != 1 || got[0] != c.Bundle.ID {
 		t.Fatalf("PurgeExpired(1000) = %v, want [c]", got)
 	}
 }
@@ -263,7 +286,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		"Unpinned":     func() { _ = s.Unpinned() },
 		"Range":        func() { s.Range(func(*bundle.Copy) bool { return true }) },
 		"AppendIDs":    func() { ids = s.AppendIDs(ids[:0]) },
-		"PurgeExpired": func() { s.PurgeExpired(100) },
+		"PurgeExpired": func() { s.PurgeExpired(100, func(bundle.ID) {}) },
 		"NoteExpiry":   func() { s.NoteExpiry(s.Get(bundle.ID{Src: 0, Seq: 1})) },
 	}
 	for name, fn := range cases {
@@ -318,21 +341,23 @@ func TestMinExpiryTracking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Lower a's deadline in place (as TTL ageing does) and notify.
-	a.Expiry = 100
-	s.NoteExpiry(a)
-	if purged := s.PurgeExpired(100); len(purged) != 1 || purged[0] != a {
+	// Lower a's stored deadline in place (as TTL ageing does) and
+	// notify. The store holds its own copy, so the edit goes through Get.
+	sa := s.Get(a.Bundle.ID)
+	sa.Expiry = 100
+	s.NoteExpiry(sa)
+	if purged := purgeExpired(s, 100); len(purged) != 1 || purged[0] != a.Bundle.ID {
 		t.Fatalf("purged %v, want [a]", purged)
 	}
 	// The purge scan recomputed the bound from survivors: b at 2000.
-	if purged := s.PurgeExpired(1500); purged != nil {
+	if purged := purgeExpired(s, 1500); purged != nil {
 		t.Fatalf("purged %v, want nil", purged)
 	}
-	if purged := s.PurgeExpired(2000); len(purged) != 1 || purged[0] != b {
+	if purged := purgeExpired(s, 2000); len(purged) != 1 || purged[0] != b.Bundle.ID {
 		t.Fatalf("purged %v, want [b]", purged)
 	}
 	// Empty again: the bound must have reset.
-	if purged := s.PurgeExpired(1 << 50); purged != nil {
+	if purged := purgeExpired(s, 1<<50); purged != nil {
 		t.Fatalf("purged %v from empty store", purged)
 	}
 }
@@ -345,14 +370,20 @@ func TestIndexConsistencyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 99))
 		s := New(6)
-		model := map[bundle.ID]*bundle.Copy{}
-		forget := func(purged []*bundle.Copy) {
-			for _, c := range purged {
-				delete(model, c.Bundle.ID)
-			}
-		}
+		model := map[bundle.ID]bundle.Copy{}
 		var puts uint64
 		now := sim.Time(0)
+		// expiredOK reports whether every purged ID named an unpinned
+		// lapsed copy, then drops them from the model.
+		expiredOK := func(purged []bundle.ID) bool {
+			for _, id := range purged {
+				if c := model[id]; c.Pinned || !c.Expired(now) {
+					return false
+				}
+				delete(model, id)
+			}
+			return true
+		}
 		for op := 0; op < 300; op++ {
 			now += sim.Time(r.IntN(50))
 			switch r.IntN(10) {
@@ -369,7 +400,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					return false
 				}
 				if err == nil {
-					model[c.Bundle.ID] = c
+					model[c.Bundle.ID] = *c
 					puts++
 				}
 			case 5, 6:
@@ -380,20 +411,19 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				}
 				delete(model, id)
 			case 7:
-				purged := s.PurgeExpired(now)
-				for _, c := range purged {
-					if c.Pinned || !c.Expired(now) {
-						return false
-					}
+				if !expiredOK(purgeExpired(s, now)) {
+					return false
 				}
-				forget(purged)
 			case 8:
-				forget(s.PurgeMatching(func(c *bundle.Copy) bool { return c.Bundle.ID.Seq%5 == int(seed%5) }))
+				for _, id := range purgeMatching(s, func(c *bundle.Copy) bool { return c.Bundle.ID.Seq%5 == int(seed%5) }) {
+					delete(model, id)
+				}
 			case 9:
 				if c := s.Get(bundle.ID{Src: 0, Seq: r.IntN(30)}); c != nil && !c.Pinned {
 					if e := now + sim.Time(r.IntN(100)); e < c.Expiry {
 						c.Expiry = e
 						s.NoteExpiry(c)
+						model[c.Bundle.ID] = *c
 					}
 				}
 			}
@@ -401,7 +431,8 @@ func TestIndexConsistencyProperty(t *testing.T) {
 			// IDs alike, and only successful Puts move the counter.
 			for seq := -1; seq <= 30; seq++ {
 				id := bundle.ID{Src: 0, Seq: seq}
-				if s.Get(id) != model[id] || s.Has(id) != (model[id] != nil) {
+				m, ok := model[id]
+				if c := s.Get(id); (c != nil) != ok || (ok && *c != m) || s.Has(id) != ok {
 					return false
 				}
 			}
@@ -430,13 +461,9 @@ func TestIndexConsistencyProperty(t *testing.T) {
 			}
 			// The fast path must never hide a lapsed unpinned copy: a
 			// purge at now must leave none behind.
-			purged := s.PurgeExpired(now)
-			for _, c := range purged {
-				if c.Pinned || !c.Expired(now) {
-					return false
-				}
+			if !expiredOK(purgeExpired(s, now)) {
+				return false
 			}
-			forget(purged)
 			lapsed := false
 			s.Range(func(c *bundle.Copy) bool {
 				if !c.Pinned && c.Expired(now) {
@@ -496,5 +523,27 @@ func TestControlLoadBlocksPut(t *testing.T) {
 	}
 	if s.Free() != 0 {
 		t.Errorf("Free = %d, want 0", s.Free())
+	}
+}
+
+// TestGrowThenRestoreAllocatesOnce: rebuilding a store of known size
+// through Grow and Restore allocates its slice once, at the final size.
+func TestGrowThenRestoreAllocatesOnce(t *testing.T) {
+	copies := make([]bundle.Copy, 10)
+	for i := range copies {
+		copies[i] = *mk(i + 1)
+	}
+	s := New(10)
+	allocs := testing.AllocsPerRun(10, func() {
+		*s = Store{cap: 10, minExpiry: sim.Infinity} // empty, slice dropped
+		s.Grow(len(copies))
+		for i := range copies {
+			if err := s.Restore(&copies[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 1 || s.Len() != len(copies) {
+		t.Fatalf("rebuilt %d copies with %v allocations, want %d with 1", s.Len(), allocs, len(copies))
 	}
 }

@@ -20,7 +20,9 @@ var ErrDropPolicy = errors.New("buffer: invalid drop policy")
 //
 // Contract: Victim returns an unpinned stored copy with a positive
 // payload size — evicting anything else cannot relieve byte pressure —
-// or nil to refuse the incoming copy instead. Selection must be
+// or nil to refuse the incoming copy instead. Like Get's, the pointer
+// points into the store and is valid until the store next mutates;
+// MakeByteRoom reads the victim's ID before removing it. Selection must be
 // deterministic given the policy's own state (seeded RNG included), so
 // runs stay reproducible.
 type DropPolicy interface {
@@ -162,32 +164,37 @@ func (p *dropRandom) Victim(s *Store) *bundle.Copy {
 }
 
 // MakeByteRoom evicts copies chosen by policy until an unpinned copy of
-// the given payload size fits the byte capacity, returning the evicted
-// copies (already removed from the store) in eviction order. ok reports
-// whether the incoming copy now fits; on ok=false the caller refuses
-// it. A copy larger than the whole byte capacity is refused up front,
-// before anything is evicted.
+// the given payload size fits the byte capacity, calling evicted with
+// each evicted copy's ID (already removed from the store) in eviction
+// order. It reports whether the incoming copy now fits; on false the
+// caller refuses it. A copy larger than the whole byte capacity is
+// refused up front, before anything is evicted.
 //
 // Every victim satisfies the DropPolicy contract (unpinned, positive
 // size), so each round strictly shrinks the unpinned byte load and the
 // loop terminates.
-func (s *Store) MakeByteRoom(size int64, policy DropPolicy) (evicted []*bundle.Copy, ok bool) {
+//
+//dtn:hotpath
+func (s *Store) MakeByteRoom(size int64, policy DropPolicy, evicted func(bundle.ID)) bool {
 	if s.FitsBytes(size) {
-		return nil, true
+		return true
 	}
 	if size > s.capBytes {
-		return nil, false
+		return false
 	}
 	for !s.FitsBytes(size) {
 		v := policy.Victim(s)
 		if v == nil {
-			return evicted, false
+			return false
 		}
 		if !evictable(v) {
 			panic(fmt.Sprintf("buffer: drop policy %q picked non-evictable victim %v", policy.Name(), v.Bundle.ID))
 		}
-		s.Remove(v.Bundle.ID)
-		evicted = append(evicted, v)
+		// v points into the store: once Remove shifts the index it
+		// names the victim's successor.
+		id := v.Bundle.ID
+		s.Remove(id)
+		evicted(id)
 	}
-	return evicted, true
+	return true
 }

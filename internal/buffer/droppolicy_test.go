@@ -21,6 +21,12 @@ func sized(src contact.NodeID, seq int, size int64, storedAt sim.Time) *bundle.C
 	}
 }
 
+// makeByteRoom runs s.MakeByteRoom and returns the reported IDs.
+func makeByteRoom(s *Store, size int64, p DropPolicy) (evicted []bundle.ID, ok bool) {
+	ok = s.MakeByteRoom(size, p, collect(&evicted))
+	return evicted, ok
+}
+
 func TestByteCapAccounting(t *testing.T) {
 	s := New(10)
 	s.SetByteCap(100)
@@ -77,7 +83,9 @@ func TestPurgeRecomputesBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.PurgeExpired(250) // sheds sizes 10 and 20
+	if got := purgeExpired(s, 250); len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 2 {
+		t.Fatalf("purged %v, want seqs 1 and 2 (sizes 10 and 20)", got)
+	}
 	if got := s.UsedBytes(); got != 70 {
 		t.Fatalf("UsedBytes after purge = %d, want 70", got)
 	}
@@ -114,7 +122,7 @@ func TestDropTailRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := NewDropPolicy("droptail", 0)
-	evicted, ok := s.MakeByteRoom(20, p)
+	evicted, ok := makeByteRoom(s, 20, p)
 	if ok || len(evicted) != 0 {
 		t.Fatalf("droptail MakeByteRoom = (%v, %v), want refuse with no evictions", evicted, ok)
 	}
@@ -133,11 +141,11 @@ func TestDropFrontEvictsOldest(t *testing.T) {
 		}
 	}
 	p, _ := NewDropPolicy("dropfront", 0)
-	evicted, ok := s.MakeByteRoom(40, p)
+	evicted, ok := makeByteRoom(s, 40, p)
 	if !ok || len(evicted) != 1 {
 		t.Fatalf("MakeByteRoom = (%d evicted, %v), want 1 eviction", len(evicted), ok)
 	}
-	if got := evicted[0].Bundle.ID.Seq; got != 2 {
+	if got := evicted[0].Seq; got != 2 {
 		t.Fatalf("evicted seq %d, want 2 (oldest StoredAt)", got)
 	}
 	if !s.FitsBytes(40) {
@@ -154,12 +162,12 @@ func TestDropFrontEvictsSeveral(t *testing.T) {
 		}
 	}
 	p, _ := NewDropPolicy("dropfront", 0)
-	evicted, ok := s.MakeByteRoom(70, p)
+	evicted, ok := makeByteRoom(s, 70, p)
 	if !ok || len(evicted) != 2 {
 		t.Fatalf("MakeByteRoom = (%d evicted, %v), want 2 evictions", len(evicted), ok)
 	}
-	if evicted[0].Bundle.ID.Seq != 1 || evicted[1].Bundle.ID.Seq != 2 {
-		t.Fatalf("evicted %v,%v; want seq 1 then 2", evicted[0].Bundle.ID, evicted[1].Bundle.ID)
+	if evicted[0].Seq != 1 || evicted[1].Seq != 2 {
+		t.Fatalf("evicted %v; want seq 1 then 2", evicted)
 	}
 }
 
@@ -170,7 +178,7 @@ func TestMakeByteRoomOversizedRefusedUpFront(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := NewDropPolicy("dropfront", 0)
-	evicted, ok := s.MakeByteRoom(101, p)
+	evicted, ok := makeByteRoom(s, 101, p)
 	if ok || len(evicted) != 0 {
 		t.Fatalf("oversized incoming must be refused before evicting; got (%d, %v)", len(evicted), ok)
 	}
@@ -196,8 +204,8 @@ func TestMakeByteRoomSkipsPinnedAndSizeless(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := NewDropPolicy("dropfront", 0)
-	evicted, ok := s.MakeByteRoom(50, p)
-	if !ok || len(evicted) != 1 || evicted[0].Bundle.ID.Seq != 3 {
+	evicted, ok := makeByteRoom(s, 50, p)
+	if !ok || len(evicted) != 1 || evicted[0].Seq != 3 {
 		t.Fatalf("MakeByteRoom = (%v, %v), want to evict only seq 3", evicted, ok)
 	}
 	if !s.Has(bundle.ID{Src: 0, Seq: 1}) || !s.Has(bundle.ID{Src: 0, Seq: 2}) {
@@ -219,15 +227,11 @@ func TestDropRandomDeterministic(t *testing.T) {
 	run := func(seed uint64) []bundle.ID {
 		s := build()
 		p, _ := NewDropPolicy("droprandom", seed)
-		evicted, ok := s.MakeByteRoom(30, p)
+		evicted, ok := makeByteRoom(s, 30, p)
 		if !ok || len(evicted) != 3 {
 			t.Fatalf("MakeByteRoom = (%d, %v), want 3 evictions", len(evicted), ok)
 		}
-		ids := make([]bundle.ID, len(evicted))
-		for i, c := range evicted {
-			ids[i] = c.Bundle.ID
-		}
-		return ids
+		return evicted
 	}
 	a, b := run(42), run(42)
 	for i := range a {
@@ -246,5 +250,48 @@ func TestDropRandomDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatalf("seeds 42 and 43 evicted identically: %v", a)
+	}
+}
+
+// recordingPolicy wraps a policy and records each victim's ID at the
+// moment Victim picks it, before the store can move anything.
+type recordingPolicy struct {
+	DropPolicy
+	picked []bundle.ID
+}
+
+func (r *recordingPolicy) Victim(s *Store) *bundle.Copy {
+	v := r.DropPolicy.Victim(s)
+	if v != nil {
+		r.picked = append(r.picked, v.Bundle.ID)
+	}
+	return v
+}
+
+// TestMakeByteRoomReportsVictims checks MakeByteRoom reports exactly the
+// policy's victims. The first victim (seq 2, the oldest) is not the
+// last copy in ID order: a victim pointer read after Remove names its
+// successor, seq 3.
+func TestMakeByteRoomReportsVictims(t *testing.T) {
+	s := New(10)
+	s.SetByteCap(100)
+	for i, at := range []sim.Time{300, 100, 200} {
+		if err := s.Put(sized(0, i+1, 30, at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	front, _ := NewDropPolicy("dropfront", 0)
+	p := &recordingPolicy{DropPolicy: front}
+	evicted, ok := makeByteRoom(s, 70, p)
+	if !ok || len(evicted) != 2 || len(p.picked) != 2 {
+		t.Fatalf("MakeByteRoom = (%v, %v), policy picked %v; want 2 evictions", evicted, ok, p.picked)
+	}
+	for i := range evicted {
+		if evicted[i] != p.picked[i] {
+			t.Fatalf("reported %v, policy picked %v", evicted, p.picked)
+		}
+	}
+	if evicted[0].Seq != 2 || evicted[1].Seq != 3 || !s.Has(bundle.ID{Src: 0, Seq: 1}) {
+		t.Fatalf("evicted %v, want seq 2 then 3 with seq 1 kept", evicted)
 	}
 }

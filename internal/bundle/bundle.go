@@ -83,13 +83,6 @@ type Copy struct {
 // Expired reports whether the copy's TTL has lapsed at time now.
 func (c *Copy) Expired(now sim.Time) bool { return c.Expiry <= now }
 
-// Clone returns a copy of c suitable for handing to a receiving node.
-// The Bundle pointer is shared (identity is immutable); mutable state is
-// duplicated, and Pinned never propagates.
-func (c *Copy) Clone(now sim.Time) *Copy {
-	return &Copy{Bundle: c.Bundle, EC: c.EC, Expiry: c.Expiry, StoredAt: now}
-}
-
 // SummaryVector is a set of bundle IDs. Pure epidemic calls it the
 // summary vector; the immunity protocol calls the same structure the
 // i-list. The zero value is an empty set.

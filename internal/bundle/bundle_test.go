@@ -39,28 +39,6 @@ func TestCopyExpiry(t *testing.T) {
 	}
 }
 
-func TestCloneSemantics(t *testing.T) {
-	b := &Bundle{ID: ID{0, 1}, Dst: 3}
-	orig := &Copy{Bundle: b, EC: 4, Expiry: 500, StoredAt: 10, Pinned: true}
-	cl := orig.Clone(200)
-	if cl.Bundle != b {
-		t.Error("Clone must share the immutable Bundle")
-	}
-	if cl.EC != 4 || cl.Expiry != 500 {
-		t.Error("Clone must duplicate EC and Expiry")
-	}
-	if cl.StoredAt != 200 {
-		t.Errorf("Clone StoredAt = %v, want 200", cl.StoredAt)
-	}
-	if cl.Pinned {
-		t.Error("Pinned must not propagate to receivers")
-	}
-	cl.EC = 9
-	if orig.EC != 4 {
-		t.Error("mutating clone affected the original")
-	}
-}
-
 func TestSummaryVectorBasics(t *testing.T) {
 	v := NewSummaryVector()
 	id := ID{1, 1}

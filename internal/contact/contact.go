@@ -56,12 +56,16 @@ func (c Contact) Validate() error {
 		return fmt.Errorf("contact: self-contact on node %d", c.A)
 	case c.A > c.B:
 		return fmt.Errorf("contact: endpoints not normalized (%d > %d)", c.A, c.B)
-	case c.Start < 0:
-		return fmt.Errorf("contact: negative start %v", c.Start)
-	case c.End <= c.Start:
+	// `!(>= 0)` and `!(>)` also reject NaN, which would otherwise slip
+	// past a `<` check: a NaN time passes every sort and bound test, and
+	// a NaN bandwidth would silently run the contact unconstrained.
+	case !(c.Start >= 0) || math.IsInf(float64(c.Start), 0):
+		return fmt.Errorf("contact: start %v must be finite and non-negative", c.Start)
+	case !(c.End > c.Start):
 		return fmt.Errorf("contact: empty or inverted window %v..%v", c.Start, c.End)
-	// `!(>= 0)` also rejects NaN, which would otherwise slip past a
-	// `< 0` check and silently run the contact unconstrained.
+	// An infinite end would make the run's horizon infinite.
+	case math.IsInf(float64(c.End), 0):
+		return fmt.Errorf("contact: end %v must be finite", c.End)
 	case !(c.Bandwidth >= 0) || math.IsInf(c.Bandwidth, 0):
 		return fmt.Errorf("contact: bandwidth %v must be finite and non-negative", c.Bandwidth)
 	}

@@ -26,6 +26,10 @@ func TestContactValidate(t *testing.T) {
 		{"negative bandwidth", Contact{A: 0, B: 1, Start: 10, End: 20, Bandwidth: -1}, false},
 		{"NaN bandwidth", Contact{A: 0, B: 1, Start: 10, End: 20, Bandwidth: math.NaN()}, false},
 		{"Inf bandwidth", Contact{A: 0, B: 1, Start: 10, End: 20, Bandwidth: math.Inf(1)}, false},
+		{"NaN start", Contact{A: 0, B: 1, Start: sim.Time(math.NaN()), End: 5}, false},
+		{"NaN end", Contact{A: 0, B: 1, Start: 1, End: sim.Time(math.NaN())}, false},
+		{"Inf end", Contact{A: 0, B: 1, Start: 1, End: sim.Time(math.Inf(1))}, false},
+		{"Inf start", Contact{A: 0, B: 1, Start: sim.Time(math.Inf(1)), End: sim.Time(math.Inf(1))}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,6 +63,20 @@ func TestScheduleSortAndValidate(t *testing.T) {
 	}
 	if s.Contacts[0].B != 2 {
 		t.Errorf("tie at t=50 should order (0,2) before (2,3): got %v", s.Contacts[0])
+	}
+}
+
+// TestScheduleValidateRefusesNaNStart: a NaN start compares false
+// against its neighbours, so the sort check alone would pass this
+// unsorted schedule.
+func TestScheduleValidateRefusesNaNStart(t *testing.T) {
+	s := &Schedule{Nodes: 2, Contacts: []Contact{
+		{A: 0, B: 1, Start: 1, End: 2},
+		{A: 0, B: 1, Start: sim.Time(math.NaN()), End: 3},
+		{A: 0, B: 1, Start: 0, End: 4},
+	}}
+	if err := s.Validate(); err == nil {
+		t.Fatal("schedule with a NaN start validated")
 	}
 }
 

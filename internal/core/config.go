@@ -178,19 +178,18 @@ func (cfg Config) nodeCount() int {
 }
 
 // horizonCap resolves the run's horizon after validation: the explicit
-// Config.Horizon when set, otherwise the contact plan's own extent.
-// adaptive reports that the cap is an upper bound from a streaming
-// source (its span), which the engine tightens to the true latest
-// contact end once the source is exhausted — reproducing exactly the
-// horizon a materialized Schedule would have reported up front.
-func (cfg Config) horizonCap() (cap sim.Time, adaptive bool) {
+// Config.Horizon when set, otherwise the extent src reports — src being
+// the contact plan as the run streams it, whose Horizon is cached, so a
+// materialized Schedule is scanned once per run (by Stream), not once
+// per question. adaptive reports that the cap is an upper bound from a
+// streaming source (its span), which the engine tightens to the true
+// latest contact end once the source is exhausted — reproducing exactly
+// the horizon a materialized Schedule would have reported up front.
+func (cfg Config) horizonCap(src contact.Source) (cap sim.Time, adaptive bool) {
 	if cfg.Horizon != 0 {
 		return cfg.Horizon, false
 	}
-	if cfg.Schedule != nil {
-		return cfg.Schedule.Horizon(), false
-	}
-	return cfg.Source.Horizon(), true
+	return src.Horizon(), cfg.Schedule == nil
 }
 
 // validate checks the configuration after defaulting.
@@ -208,15 +207,21 @@ func (cfg Config) validate() error {
 	} else if n := cfg.Source.Nodes(); n < 2 {
 		return fmt.Errorf("%w: contact source reports %d node(s); need >=2", ErrConfig, n)
 	}
-	if cfg.Horizon < 0 {
-		return fmt.Errorf("%w: negative horizon %v", ErrConfig, cfg.Horizon)
+	// Zero means "the plan's own extent". The `!(>= 0)` form also
+	// refuses NaN, which passes `< 0` and would crash the epoch loop; an
+	// infinite horizon never ends a RunToHorizon run.
+	if !(cfg.Horizon >= 0) || math.IsInf(float64(cfg.Horizon), 0) {
+		return fmt.Errorf("%w: horizon %v must be finite and non-negative", ErrConfig, cfg.Horizon)
 	}
-	// A run must know when to stop: a materialized schedule's horizon
-	// is its latest contact end, but a streaming source may not know
-	// its extent (an unbounded generator). Refusing here beats the old
-	// failure mode of silently running to t=0 on an empty horizon.
-	if cap, _ := cfg.horizonCap(); cap <= 0 {
-		return fmt.Errorf("%w: no horizon: set Config.Horizon or use a source that reports one", ErrConfig)
+	// A run must know when to stop. A validated schedule does: it is
+	// non-empty and every contact has End > Start >= 0, so its horizon
+	// is positive. A streaming source may not know its extent (an
+	// unbounded generator); refusing here beats the old failure mode of
+	// silently running to t=0 on an empty horizon.
+	if cfg.Source != nil {
+		if cap, _ := cfg.horizonCap(cfg.Source); cap <= 0 {
+			return fmt.Errorf("%w: no horizon: set Config.Horizon or use a source that reports one", ErrConfig)
+		}
 	}
 	if cfg.Protocol == nil {
 		return fmt.Errorf("%w: nil protocol", ErrConfig)

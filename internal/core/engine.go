@@ -153,9 +153,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	src := cfg.Source
 	if cfg.Schedule != nil {
-		src = cfg.Schedule.Stream()
+		src = cfg.Schedule.Stream() // the run's one scan for the horizon
 	}
-	cap, adaptive := cfg.horizonCap()
+	cap, adaptive := cfg.horizonCap(src)
 	r := &run{
 		cfg:         cfg,
 		coll:        metrics.NewCollector(),

@@ -50,6 +50,11 @@ type Kernel struct {
 	Policy buffer.DropPolicy
 	// drop is the one drop hook BindHook gives every node.
 	drop node.DropHook
+	// rcpt is the copy a generation or transmission fills for the hooks
+	// that decide its fate (OnGenerate; admitBytes, Admit, OnTransmit).
+	// A store takes it by value only once it is admitted, so a copy that
+	// is refused, delivered or stored costs no heap object.
+	rcpt bundle.Copy
 }
 
 // NewKernel builds one executor thread's Kernel over nodes and the
@@ -120,7 +125,10 @@ func (k *Kernel) Exec(it *EpochItem) {
 }
 
 // generate creates a flow's bundles at their source, pinned (§IV: a
-// source never drops its own bundles).
+// source never drops its own bundles). Each Bundle is a heap object,
+// the identity every copy shares; the copy itself is stored by value.
+//
+//dtn:hotpath
 func (k *Kernel) generate(it *EpochItem) {
 	src := k.Nodes[it.Flow.Src]
 	now := it.T
@@ -132,9 +140,9 @@ func (k *Kernel) generate(it *EpochItem) {
 			Meta:      bundle.Meta{Size: it.Flow.Size},
 			FirstSeq:  it.FirstSeq,
 		}
-		cp := &bundle.Copy{Bundle: b, StoredAt: now, Pinned: true, Expiry: sim.Infinity}
-		k.Protocol.OnGenerate(src, cp, now)
-		if err := src.Store.Put(cp); err != nil {
+		k.rcpt = bundle.Copy{Bundle: b, StoredAt: now, Pinned: true, Expiry: sim.Infinity}
+		k.Protocol.OnGenerate(src, &k.rcpt, now)
+		if err := src.Store.Put(&k.rcpt); err != nil {
 			// Pinned puts bypass capacity; failure means a duplicate ID,
 			// which per-source block allocation rules out.
 			panic(fmt.Sprintf("core: generating %v: %v", b.ID, err))
@@ -252,11 +260,17 @@ func (k *Kernel) transmitBatch(it *EpochItem, sender, receiver *node.Node, start
 // but mutates no copy state: a sender cannot renew a bundle's TTL by
 // shouting into a full buffer.
 //
+// cp points into the sender's store, which nothing here mutates before
+// OnTransmit has run. The receiver's copy shares cp's Bundle (identity
+// is immutable), carries its EC and Expiry, is stamped with the arrival
+// time and is never pinned.
+//
 //dtn:hotpath
 func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle.Copy, at sim.Time) {
 	sender.DataSent++
 	it.Fx.add(Effect{Kind: EffectTransmit, From: sender.ID, To: receiver.ID, ID: cp.Bundle.ID, At: at})
-	rcpt := cp.Clone(at)
+	k.rcpt = bundle.Copy{Bundle: cp.Bundle, EC: cp.EC, Expiry: cp.Expiry, StoredAt: at}
+	rcpt := &k.rcpt
 	if cp.Bundle.Dst == receiver.ID {
 		k.Protocol.OnTransmit(sender, receiver, cp, rcpt, at)
 		k.deliver(it, sender, receiver, cp.Bundle, at)
@@ -293,10 +307,9 @@ func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle
 //
 //dtn:hotpath
 func (k *Kernel) admitBytes(receiver *node.Node, rcpt *bundle.Copy, at sim.Time) bool {
-	evicted, ok := receiver.Store.MakeByteRoom(rcpt.Bundle.Meta.Size, k.Policy)
-	for _, cp := range evicted {
-		receiver.NoteByteDropped(cp.Bundle.ID, at)
-	}
+	ok := receiver.Store.MakeByteRoom(rcpt.Bundle.Meta.Size, k.Policy, func(id bundle.ID) {
+		receiver.NoteByteDropped(id, at)
+	})
 	if !ok {
 		receiver.NoteRefused(rcpt.Bundle.ID, at)
 		return false

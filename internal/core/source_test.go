@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/protocol"
@@ -75,10 +79,12 @@ func TestConfigRequiresHorizonForSource(t *testing.T) {
 }
 
 func TestConfigRejectsNegativeHorizon(t *testing.T) {
-	cfg := validConfig(t)
-	cfg.Horizon = -10
-	if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
-		t.Errorf("negative horizon: err = %v, want ErrConfig", err)
+	for _, h := range []float64{-10, math.NaN(), math.Inf(1)} {
+		cfg := validConfig(t)
+		cfg.Horizon = sim.Time(h)
+		if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
+			t.Errorf("horizon %v: err = %v, want ErrConfig", h, err)
+		}
 	}
 }
 
@@ -119,6 +125,35 @@ func TestStreamedContactsValidatedIncrementally(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s stream accepted", name)
 		}
+	}
+}
+
+// TestNonFiniteContactTimesRefused: a NaN or infinite contact time is
+// an ErrConfig on a Config.Schedule and fails checkStreamed on a Source.
+// An infinite end that got through would make the horizon +Inf, where a
+// RunToHorizon run never ends; the context bounds the test in that case.
+func TestNonFiniteContactTimesRefused(t *testing.T) {
+	nan, inf := sim.Time(math.NaN()), sim.Time(math.Inf(1))
+	for name, bad := range map[string]contact.Contact{
+		"NaN start": {A: 0, B: 1, Start: nan, End: 5},
+		"NaN end":   {A: 0, B: 1, Start: 1, End: nan},
+		"Inf end":   {A: 0, B: 1, Start: 1, End: inf},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cfg := validConfig(t)
+		cfg.Schedule = &contact.Schedule{Nodes: 2, Contacts: []contact.Contact{bad}}
+		cfg.RunToHorizon = true
+		cfg.Context = ctx
+		if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
+			t.Errorf("%s on a Schedule: err = %v, want ErrConfig", name, err)
+		}
+		cfg = sourceConfig(&fakeSource{nodes: 2, horizon: 1000, contacts: []contact.Contact{bad}})
+		cfg.RunToHorizon = true
+		cfg.Context = ctx
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "streamed contact") {
+			t.Errorf("%s on a Source: err = %v, want a streamed-contact error", name, err)
+		}
+		cancel()
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dtnsim/internal/buffer"
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
@@ -742,6 +743,25 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	if n2.LastEncounterStart != 350 || n2.LastInterval != 250 {
 		t.Errorf("restored encounter history: start=%v interval=%v",
 			n2.LastEncounterStart, n2.LastInterval)
+	}
+}
+
+// TestRestoreNamesDuplicateCopy: a snapshot holding one bundle twice is
+// corrupt, and restoreInto names that bundle. The name comes from the
+// copy restoreInto built from the wire, never from the store, whose
+// slot at that position holds another copy (here seq 5, the duplicate's
+// successor in ID order).
+func TestRestoreNamesDuplicateCopy(t *testing.T) {
+	inf := float64(sim.Infinity)
+	st := frame.NodeState{ID: 3, Copies: []frame.Copy{
+		{Src: 2, Seq: 1, Dst: 7, Expiry: inf},
+		{Src: 2, Seq: 3, Dst: 7, Expiry: inf},
+		{Src: 2, Seq: 5, Dst: 7, Expiry: inf},
+		{Src: 2, Seq: 3, Dst: 7, Expiry: inf},
+	}}
+	err := restoreInto(node.New(3, 10), &st)
+	if !errors.Is(err, buffer.ErrDuplicate) || !strings.Contains(err.Error(), "b(2:3)") {
+		t.Fatalf("restore of a duplicated copy: err = %v, want ErrDuplicate naming b(2:3)", err)
 	}
 }
 

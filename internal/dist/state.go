@@ -83,9 +83,10 @@ func restoreInto(n *node.Node, st *frame.NodeState) error {
 	n.ByteDropped = st.ByteDropped
 	n.LastEncounterStart = sim.Time(st.LastEncounterStart)
 	n.LastInterval = st.LastInterval
+	n.Store.Grow(len(st.Copies))
 	for i := range st.Copies {
 		w := &st.Copies[i]
-		cp := &bundle.Copy{
+		cp := bundle.Copy{
 			Bundle: &bundle.Bundle{
 				ID:        bundle.ID{Src: contact.NodeID(w.Src), Seq: w.Seq},
 				Dst:       contact.NodeID(w.Dst),
@@ -98,7 +99,7 @@ func restoreInto(n *node.Node, st *frame.NodeState) error {
 			StoredAt: sim.Time(w.StoredAt),
 			Pinned:   w.Pinned,
 		}
-		if err := n.Store.Restore(cp); err != nil {
+		if err := n.Store.Restore(&cp); err != nil {
 			return fmt.Errorf("dist: node %d copy %v: %w", st.ID, cp.Bundle.ID, err)
 		}
 	}

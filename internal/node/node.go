@@ -76,9 +76,9 @@ type DropHook func(at contact.NodeID, id bundle.ID, reason DropReason, now sim.T
 // them to zero length, fill them, and store them back. The contents are
 // only valid until the node's next protocol hook runs.
 type Scratch struct {
-	// Direct and Relay partition a contact's offerable copies into
+	// Direct and Relay partition a contact's offerable bundles into
 	// receiver-destined and third-party traffic.
-	Direct, Relay []*bundle.Copy
+	Direct, Relay []bundle.ID
 	// IDs is the assembled offer list handed back to the engine.
 	IDs []bundle.ID
 }
@@ -165,14 +165,15 @@ func (n *Node) ObserveEncounter(start sim.Time) {
 }
 
 // PurgeExpired removes lapsed copies and accounts for them.
+//
+//dtn:hotpath
 func (n *Node) PurgeExpired(now sim.Time) {
-	purged := n.Store.PurgeExpired(now)
-	n.Expired += int64(len(purged))
-	if n.DropHook != nil {
-		for _, cp := range purged {
-			n.DropHook(n.ID, cp.Bundle.ID, DropExpired, now)
+	n.Store.PurgeExpired(now, func(id bundle.ID) {
+		n.Expired++
+		if n.DropHook != nil {
+			n.DropHook(n.ID, id, DropExpired, now)
 		}
-	}
+	})
 }
 
 // NoteRefused accounts one refused incoming copy. Protocols call it

@@ -70,11 +70,9 @@ func (ci *CumulativeImmunity) refreshControlLoad(n *node.Node) {
 // purgeAcked drops copies covered by the node's tables.
 func purgeAcked(n *node.Node, now sim.Time) {
 	st := cumOf(n)
-	for _, cp := range n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
+	n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
 		return cp.Bundle.ID.Seq <= st.acks[flowOf(cp.Bundle)]
-	}) {
-		n.NotePurged(cp.Bundle.ID, now)
-	}
+	}, func(id bundle.ID) { n.NotePurged(id, now) })
 }
 
 // Exchange implements Protocol: each side transmits its table(s) blind —
@@ -105,11 +103,9 @@ func purgeReceivedByPeer(n, peer *node.Node, now sim.Time) {
 	if peer.Received.Len() == 0 {
 		return
 	}
-	for _, cp := range n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
+	n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
 		return cp.Bundle.Dst == peer.ID && peer.Received.Has(cp.Bundle.ID)
-	}) {
-		n.NotePurged(cp.Bundle.ID, now)
-	}
+	}, func(id bundle.ID) { n.NotePurged(id, now) })
 }
 
 func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) {

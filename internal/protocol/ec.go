@@ -51,8 +51,11 @@ func evictHighestEC(n *node.Node, minEC int, now sim.Time) bool {
 	if victim == nil {
 		return false
 	}
-	n.Store.Remove(victim.Bundle.ID)
-	n.NoteEvicted(victim.Bundle.ID, now)
+	// victim points into the store: once Remove shifts the index it
+	// names the victim's successor.
+	id := victim.Bundle.ID
+	n.Store.Remove(id)
+	n.NoteEvicted(id, now)
 	return true
 }
 

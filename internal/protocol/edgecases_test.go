@@ -35,7 +35,7 @@ func TestWantsNeverOffersWhatReceiverHas(t *testing.T) {
 				}
 				switch r.IntN(3) {
 				case 0: // receiver holds a copy
-					if err := b.Store.Put(cp.Clone(0)); err != nil {
+					if err := b.Store.Put(cp); err != nil {
 						return false
 					}
 				case 1: // receiver consumed it as destination
@@ -197,7 +197,7 @@ func TestECTTLSenderPinnedNeverAges(t *testing.T) {
 	if err := src.Store.Put(cp); err != nil {
 		t.Fatal(err)
 	}
-	rcpt := cp.Clone(100)
+	rcpt := relayCopy(cp, 100)
 	p.OnTransmit(src, dst, cp, rcpt, 100)
 	if cp.Expiry != sim.Infinity {
 		t.Error("pinned source copy aged by Algorithm 2")
@@ -365,7 +365,7 @@ func TestDynamicTTLRenewalTracksCurrentInterval(t *testing.T) {
 	cp := give(t, a, 9, 1, 5, 0)
 	cp.Expiry = 4000 + 8000
 	a.ObserveEncounter(4500) // interval now 500
-	rcpt := cp.Clone(4500)
+	rcpt := relayCopy(cp, 4500)
 	p.OnTransmit(a, b, cp, rcpt, 4500)
 	if cp.Expiry != 4500+1000 {
 		t.Errorf("sender renewal = %v, want 5500 (2×500)", cp.Expiry)

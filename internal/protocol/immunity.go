@@ -89,9 +89,8 @@ func purgeDead(n *node.Node, now sim.Time) {
 	if st.purgedLen == il.Len() && st.purgedPuts == n.Store.Puts() {
 		return
 	}
-	for _, cp := range n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) }) {
-		n.NotePurged(cp.Bundle.ID, now)
-	}
+	n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) },
+		func(id bundle.ID) { n.NotePurged(id, now) })
 	st.purgedLen, st.purgedPuts = il.Len(), n.Store.Puts()
 }
 

@@ -31,9 +31,8 @@ func referenceExchange(im *Immunity, a, b *node.Node, now sim.Time, budget int) 
 	}
 	purge := func(n *node.Node) {
 		il := ilistOf(n)
-		for _, cp := range n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) }) {
-			n.NotePurged(cp.Bundle.ID, now)
-		}
+		n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) },
+			func(id bundle.ID) { n.NotePurged(id, now) })
 	}
 	transfer(a, b)
 	transfer(b, a)

@@ -116,22 +116,16 @@ func missing(sender, receiver *node.Node, rng *sim.RNG) []bundle.ID {
 			return true
 		}
 		if cp.Bundle.Dst == receiver.ID {
-			direct = append(direct, cp)
+			direct = append(direct, id)
 		} else {
-			relay = append(relay, cp)
+			relay = append(relay, id)
 		}
 		return true
 	})
 	if rng != nil {
 		rng.Shuffle(len(relay), func(i, j int) { relay[i], relay[j] = relay[j], relay[i] })
 	}
-	ids := sc.IDs[:0]
-	for _, cp := range direct {
-		ids = append(ids, cp.Bundle.ID)
-	}
-	for _, cp := range relay {
-		ids = append(ids, cp.Bundle.ID)
-	}
+	ids := append(append(sc.IDs[:0], direct...), relay...)
 	sc.Direct, sc.Relay, sc.IDs = direct, relay, ids
 	return ids
 }

@@ -17,7 +17,8 @@ func mkNode(p Protocol, id contact.NodeID, cap int) *node.Node {
 	return n
 }
 
-// give stores a copy of bundle (src:seq)->dst at n with the given EC.
+// give stores a copy of bundle (src:seq)->dst at n with the given EC
+// and returns the stored copy, valid until n's store next mutates.
 func give(t *testing.T, n *node.Node, src contact.NodeID, seq int, dst contact.NodeID, ec int) *bundle.Copy {
 	t.Helper()
 	cp := &bundle.Copy{
@@ -28,7 +29,14 @@ func give(t *testing.T, n *node.Node, src contact.NodeID, seq int, dst contact.N
 	if err := n.Store.Put(cp); err != nil {
 		t.Fatalf("give %d:%d to node %d: %v", src, seq, n.ID, err)
 	}
-	return cp
+	return n.Store.Get(cp.Bundle.ID)
+}
+
+// relayCopy is the receiver-bound copy the engine fills for one
+// transmission of cp arriving at time at: same Bundle, EC and Expiry,
+// stamped with the arrival time, never pinned.
+func relayCopy(cp *bundle.Copy, at sim.Time) *bundle.Copy {
+	return &bundle.Copy{Bundle: cp.Bundle, EC: cp.EC, Expiry: cp.Expiry, StoredAt: at}
 }
 
 func seqs(ids []bundle.ID) []int {
@@ -246,7 +254,7 @@ func TestTTLReceiverGetsCountdownSourceDoesNot(t *testing.T) {
 	if cp.Expiry != sim.Infinity {
 		t.Fatal("source copy given a countdown")
 	}
-	rcpt := cp.Clone(1000)
+	rcpt := relayCopy(cp, 1000)
 	p.OnTransmit(src, nil, cp, rcpt, 1000)
 	if rcpt.Expiry != 1300 {
 		t.Errorf("receiver expiry = %v, want 1300", rcpt.Expiry)
@@ -263,7 +271,7 @@ func TestTTLFig6ExpiryAtRelay(t *testing.T) {
 	relayA := mkNode(p, 0, 10)
 	relayB := mkNode(p, 1, 10)
 	sent := give(t, relayA, 9, 1, 5, 0)
-	rcpt := sent.Clone(0)
+	rcpt := relayCopy(sent, 0)
 	p.OnTransmit(relayA, relayB, sent, rcpt, 0)
 	if err := relayB.Store.Put(rcpt); err != nil {
 		t.Fatal(err)
@@ -288,7 +296,7 @@ func TestTTLRenewalOnForward(t *testing.T) {
 	b := mkNode(p, 1, 10)
 	cp := give(t, a, 9, 1, 5, 0)
 	cp.Expiry = 80 // about to lapse
-	rcpt := cp.Clone(60)
+	rcpt := relayCopy(cp, 60)
 	p.OnTransmit(a, b, cp, rcpt, 60)
 	if cp.Expiry != 160 {
 		t.Errorf("sender renewal: expiry = %v, want 160", cp.Expiry)
@@ -317,7 +325,7 @@ func TestDynamicTTLUsesReceiverInterval(t *testing.T) {
 	a.ObserveEncounter(0)
 	a.ObserveEncounter(3000) // interval 3000
 	cp := give(t, a, 9, 1, 5, 0)
-	rcpt := cp.Clone(1400)
+	rcpt := relayCopy(cp, 1400)
 	p.OnTransmit(a, b, cp, rcpt, 1400)
 	if rcpt.Expiry != 1400+800 {
 		t.Errorf("receiver expiry = %v, want 2200 (2×400)", rcpt.Expiry)
@@ -332,7 +340,7 @@ func TestDynamicTTLNoHistoryMeansNoDeadline(t *testing.T) {
 	a := mkNode(p, 0, 10)
 	b := mkNode(p, 1, 10) // never encountered anyone before
 	cp := give(t, a, 9, 1, 5, 0)
-	rcpt := cp.Clone(100)
+	rcpt := relayCopy(cp, 100)
 	p.OnTransmit(a, b, cp, rcpt, 100)
 	if rcpt.Expiry != sim.Infinity {
 		t.Errorf("no-history receiver expiry = %v, want Infinity", rcpt.Expiry)
@@ -349,9 +357,9 @@ func TestDynamicTTLLongerIntervalLongerTTL(t *testing.T) {
 	dense.ObserveEncounter(400)
 	a := mkNode(p, 0, 10)
 	cp := give(t, a, 9, 1, 5, 0)
-	r1 := cp.Clone(2000)
+	r1 := relayCopy(cp, 2000)
 	p.OnTransmit(a, sparse, cp, r1, 2000)
-	r2 := cp.Clone(2000)
+	r2 := relayCopy(cp, 2000)
 	p.OnTransmit(a, dense, cp, r2, 2000)
 	if !(r1.Expiry > r2.Expiry) {
 		t.Errorf("sparse-node TTL (%v) not longer than dense-node TTL (%v)", r1.Expiry, r2.Expiry)
@@ -368,7 +376,7 @@ func TestECFig5Increment(t *testing.T) {
 	b := mkNode(p, 1, 10)
 	for _, tc := range []struct{ seq, ec, want int }{{4, 3, 4}, {8, 2, 3}, {9, 6, 7}} {
 		cp := give(t, a, 9, tc.seq, 5, tc.ec)
-		rcpt := cp.Clone(0)
+		rcpt := relayCopy(cp, 0)
 		p.OnTransmit(a, b, cp, rcpt, 0)
 		if rcpt.EC != tc.want {
 			t.Errorf("seq %d: receiver EC = %d, want %d", tc.seq, rcpt.EC, tc.want)
@@ -459,28 +467,28 @@ func TestECTTLAlgorithm2Deadline(t *testing.T) {
 	b := mkNode(p, 1, 10)
 	// EC ends at 8 after transmit: at or below threshold, no deadline.
 	cp := give(t, a, 9, 1, 5, 7)
-	rcpt := cp.Clone(0)
+	rcpt := relayCopy(cp, 0)
 	p.OnTransmit(a, b, cp, rcpt, 0)
 	if rcpt.EC != 8 || rcpt.Expiry != sim.Infinity {
 		t.Errorf("EC=8: expiry = %v, want Infinity", rcpt.Expiry)
 	}
 	// EC 9 : TTL = 300 - (9-8)*100 = 200.
 	cp2 := give(t, a, 9, 2, 5, 8)
-	r2 := cp2.Clone(1000)
+	r2 := relayCopy(cp2, 1000)
 	p.OnTransmit(a, b, cp2, r2, 1000)
 	if r2.EC != 9 || r2.Expiry != 1200 {
 		t.Errorf("EC=9: expiry = %v, want 1200", r2.Expiry)
 	}
 	// EC 11 : TTL = 300 - 300 = 0 → immediate expiry.
 	cp3 := give(t, a, 9, 3, 5, 10)
-	r3 := cp3.Clone(2000)
+	r3 := relayCopy(cp3, 2000)
 	p.OnTransmit(a, b, cp3, r3, 2000)
 	if r3.EC != 11 || r3.Expiry != 2000 {
 		t.Errorf("EC=11: expiry = %v, want 2000 (immediate)", r3.Expiry)
 	}
 	// EC 13 : TTL would be negative → still immediate, never in the past.
 	cp4 := give(t, a, 9, 4, 5, 12)
-	r4 := cp4.Clone(3000)
+	r4 := relayCopy(cp4, 3000)
 	p.OnTransmit(a, b, cp4, r4, 3000)
 	if r4.Expiry != 3000 {
 		t.Errorf("EC=13: expiry = %v, want 3000", r4.Expiry)
@@ -561,12 +569,12 @@ func TestImmunityOnDeliveredPurgesSender(t *testing.T) {
 	p := NewImmunity()
 	sender := mkNode(p, 0, 10)
 	dst := mkNode(p, 1, 10)
-	cp := give(t, sender, 7, 1, 1, 0)
-	p.OnDelivered(dst, sender, cp.Bundle.ID, 100)
-	if sender.Store.Has(cp.Bundle.ID) {
+	id := give(t, sender, 7, 1, 1, 0).Bundle.ID
+	p.OnDelivered(dst, sender, id, 100)
+	if sender.Store.Has(id) {
 		t.Error("sender kept a copy it saw delivered")
 	}
-	if !ilistOf(dst).Has(cp.Bundle.ID) || !ilistOf(sender).Has(cp.Bundle.ID) {
+	if !ilistOf(dst).Has(id) || !ilistOf(sender).Has(id) {
 		t.Error("i-lists not updated on delivery")
 	}
 }

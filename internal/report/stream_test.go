@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"dtnsim/internal/bundle"
@@ -165,5 +167,27 @@ func TestStreamStickyError(t *testing.T) {
 	s.OnSample(metrics.Sample{Now: 1})
 	if w.writes != 1 || !errors.Is(s.Err(), errDiskFull) {
 		t.Errorf("header failure: %d Writes, Err = %v", w.writes, s.Err())
+	}
+}
+
+// TestAppendFloatMatchesShortestG holds appendFloat's integer fast path
+// to strconv's shortest 'g' form on its edges (signed zeros, the ±1e6
+// cut-over, large integers, fractions, NaN and infinities) and on
+// random integers either side of the cut-over.
+func TestAppendFloatMatchesShortestG(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, 999999, -999999, 1e6, -1e6, 1e6 + 1, -1e6 - 1,
+		1 << 53, -(1 << 53), 1e21, -1e21, 0.5, -0.5, 999999.5, -999999.5, 1e-7, 123.25,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	r := rand.New(rand.NewPCG(7, 38))
+	for i := 0; i < 100000; i++ {
+		vals = append(vals, float64(r.Int64N(4e6)-2e6))
+	}
+	for _, v := range vals {
+		want := strconv.AppendFloat(nil, v, 'g', -1, 64)
+		if got := appendFloat(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%v) = %q, want %q", v, got, want)
+		}
 	}
 }
