@@ -230,6 +230,9 @@ func (s *Store) searchIdx(id bundle.ID) int {
 //
 //dtn:hotpath
 func (s *Store) insert(i int, c *bundle.Copy) {
+	if s.order == nil {
+		s.Grow(firstSlots)
+	}
 	s.order = append(s.order, bundle.Copy{})
 	copy(s.order[i+1:], s.order[i:])
 	s.order[i] = *c
@@ -317,6 +320,18 @@ func (s *Store) Restore(c *bundle.Copy) error {
 	s.insert(i, c)
 	return nil
 }
+
+// firstSlots is how many copies a store's first allocation holds. A
+// store allocates nothing until its first copy arrives, so a node that
+// never stores costs no slice. From there, appending one copy at a time
+// grew the slice through 1, 2, 4 and 8 slots, an allocation each. Ten is
+// the paper's buffer (core.DefaultBufferCap) and fills one size class
+// (400 of 416 bytes): a relay in the loaded paper cells fills its ten
+// slots with one allocation. Measured at K = 1 against 6 and 8, it
+// allocates the fewest bytes on paper_sweep (6.39 MB/op against 6.60
+// and 6.93) for at most 3 % more on replay_seq, whose byte capacity
+// keeps six relayed copies.
+const firstSlots = 10
 
 // Grow makes room for n more copies without another allocation, for a
 // caller that rebuilds a store of known size through Restore: slots are

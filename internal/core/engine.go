@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"dtnsim/internal/bundle"
@@ -125,8 +126,11 @@ type run struct {
 	// collected counts items across epochs, pacing the Context poll.
 	collected int
 
-	remaining   int
-	deliveredAt map[bundle.ID]sim.Time
+	remaining int
+	// deliveredAt is each bundle's arrival time by its dense index (the
+	// holder tracker's creation order), notDelivered until it arrives;
+	// result turns it into Result.DeliveryTimes once.
+	deliveredAt []sim.Time
 	// delays accumulates per-bundle delivery delays, measured from each
 	// bundle's own CreatedAt (bundles from late-starting flows must not
 	// inherit another flow's start time).
@@ -134,6 +138,10 @@ type run struct {
 	firstStart  sim.Time
 	lastArrival sim.Time
 }
+
+// notDelivered marks a deliveredAt slot whose bundle has not arrived:
+// no delivery happens at -∞.
+var notDelivered = sim.Time(math.Inf(-1))
 
 type flow struct {
 	f              Flow
@@ -164,7 +172,6 @@ func Run(cfg Config) (*Result, error) {
 		cap:         cap,
 		adaptiveCap: adaptive,
 		horizon:     cap,
-		deliveredAt: make(map[bundle.ID]sim.Time),
 		firstStart:  sim.Infinity,
 	}
 	r.obs = append([]Observer{r.coll}, cfg.Observers...)
@@ -181,6 +188,11 @@ func Run(cfg Config) (*Result, error) {
 			r.firstStart = f.StartAt
 		}
 		r.remaining += f.Count
+	}
+	r.holders.Grow(r.remaining)
+	r.deliveredAt = make([]sim.Time, r.remaining)
+	for i := range r.deliveredAt {
+		r.deliveredAt[i] = notDelivered
 	}
 	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
 	if err := r.chooseExecutor(); err != nil {
@@ -304,11 +316,17 @@ func (r *run) checkStreamed(c contact.Contact) error {
 }
 
 func (r *run) result(end sim.Time) *Result {
-	generated := 0
-	for _, f := range r.cfg.Flows {
-		generated += f.Count
+	generated := len(r.deliveredAt)
+	delivered := generated - r.remaining
+	times := make(map[bundle.ID]sim.Time, delivered)
+	for _, fl := range r.flows {
+		for i := 0; i < fl.f.Count; i++ {
+			id := bundle.ID{Src: fl.f.Src, Seq: fl.base + i}
+			if x := r.holders.Index(id); x >= 0 && r.deliveredAt[x] != notDelivered {
+				times[id] = r.deliveredAt[x]
+			}
+		}
 	}
-	delivered := len(r.deliveredAt)
 	res := &Result{
 		Protocol:          r.cfg.Protocol.Name(),
 		Generated:         generated,
@@ -321,7 +339,7 @@ func (r *run) result(end sim.Time) *Result {
 		ControlRecords:    metrics.Overhead(r.nodes),
 		DataTransmissions: metrics.DataTransmissions(r.nodes),
 		FinishedAt:        end,
-		DeliveryTimes:     r.deliveredAt,
+		DeliveryTimes:     times,
 	}
 	if res.Completed {
 		res.Makespan = float64(r.lastArrival - r.firstStart)

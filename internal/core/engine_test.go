@@ -603,3 +603,34 @@ func TestDelayQuantiles(t *testing.T) {
 		t.Error("quantiles nonzero with no deliveries")
 	}
 }
+
+// TestIdleNodesAllocateNothing: per-node working memory is sized by
+// what a node holds, so nodes that never meet anyone cost a run no
+// allocation. The same four nodes meet in the same pure run over a
+// population of n and of 4n nodes; both runs allocate the same count.
+func TestIdleNodesAllocateNothing(t *testing.T) {
+	allocs := func(nodes int) float64 {
+		var cs []contact.Contact
+		for i := 0; i < 20; i++ {
+			start := sim.Time(1000 * i)
+			cs = append(cs,
+				contact.Contact{A: 0, B: 1, Start: start, End: start + 300},
+				contact.Contact{A: 1, B: 2, Start: start + 400, End: start + 700},
+				contact.Contact{A: 2, B: 3, Start: start + 800, End: start + 950})
+		}
+		cfg := Config{
+			Schedule:     sched(nodes, cs...),
+			Protocol:     protocol.NewPure(),
+			Flows:        []Flow{{Src: 0, Dst: 3, Count: 12}},
+			RunToHorizon: true,
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(50), allocs(200); small != large {
+		t.Errorf("a run allocates %v objects over 50 nodes but %v over 200", small, large)
+	}
+}

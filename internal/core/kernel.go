@@ -55,6 +55,11 @@ type Kernel struct {
 	// A store takes it by value only once it is admitted, so a copy that
 	// is refused, delivered or stored costs no heap object.
 	rcpt bundle.Copy
+	// offer is the working memory every Wants call of this kernel
+	// fills: one per executor thread rather than one per node, so a
+	// population's size costs no offer buffers, and the list Wants
+	// returns stays valid until this kernel's next Wants.
+	offer protocol.Scratch
 }
 
 // NewKernel builds one executor thread's Kernel over nodes and the
@@ -125,15 +130,19 @@ func (k *Kernel) Exec(it *EpochItem) {
 }
 
 // generate creates a flow's bundles at their source, pinned (§IV: a
-// source never drops its own bundles). Each Bundle is a heap object,
-// the identity every copy shares; the copy itself is stored by value.
+// source never drops its own bundles). The item's Count Bundles — the
+// immutable identities every copy shares — live in one slab, so a flow
+// costs one heap object however many bundles it carries; the copies
+// themselves are stored by value.
 //
 //dtn:hotpath
 func (k *Kernel) generate(it *EpochItem) {
 	src := k.Nodes[it.Flow.Src]
 	now := it.T
-	for i := 0; i < it.Flow.Count; i++ {
-		b := &bundle.Bundle{
+	slab := newBundles(it.Flow.Count)
+	for i := range slab {
+		b := &slab[i]
+		*b = bundle.Bundle{
 			ID:        bundle.ID{Src: it.Flow.Src, Seq: it.Base + i},
 			Dst:       it.Flow.Dst,
 			CreatedAt: now,
@@ -150,6 +159,11 @@ func (k *Kernel) generate(it *EpochItem) {
 		it.Fx.add(Effect{Kind: EffectGenerate, To: b.Dst, ID: b.ID, At: now})
 	}
 }
+
+// newBundles is generation's one allocation: the slab holding a flow
+// item's bundle identities, which outlive the item in the copies that
+// point into it.
+func newBundles(count int) []bundle.Bundle { return make([]bundle.Bundle, count) }
 
 // contact processes one encounter per DESIGN.md §5: purge, control
 // exchange, then budgeted half-duplex transmissions, lower ID first —
@@ -227,7 +241,7 @@ func (k *Kernel) transmitBatch(it *EpochItem, sender, receiver *node.Node, start
 	if used >= slots {
 		return used, bytesLeft
 	}
-	wants := k.Protocol.Wants(sender, receiver, start, k.RNG)
+	wants := k.Protocol.Wants(sender, receiver, start, k.RNG, &k.offer)
 	for _, id := range wants {
 		if used >= slots {
 			break

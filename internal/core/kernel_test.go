@@ -64,7 +64,8 @@ func mustPut(t *testing.T, n *node.Node, c *bundle.Copy) {
 // TestKernelExecAllocatesNothing: on warmed state a contact allocates
 // nothing whether its copy is stored, refused by Admit, or stored after
 // droprandom evicts to make byte room — the receiver's copy is the
-// kernel's scratch until a store takes it by value.
+// kernel's scratch until a store takes it by value — and a relayed
+// contact allocates nothing under any protocol kind.
 func TestKernelExecAllocatesNothing(t *testing.T) {
 	x, y := relayed(1, 60), relayed(2, 60)
 	for _, tc := range []struct {
@@ -121,6 +122,32 @@ func TestKernelExecAllocatesNothing(t *testing.T) {
 				t.Errorf("Exec allocates %v objects per contact, want 0", allocs)
 			}
 			tc.check(t, w)
+		})
+	}
+	// The steady state under every registered kind: the relay stores a
+	// copy, so control exchange, offer (Wants fills the kernel's own
+	// scratch), admission, transmission and store all run.
+	for _, kind := range protocol.Default.Names() {
+		t.Run("steady/"+kind, func(t *testing.T) {
+			f, err := protocol.Parse(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := newKernelWorld(t, Config{Protocol: f.New()}, 10)
+			mustPut(t, w.nodes[0], x)
+			run := func() {
+				w.nodes[1].Store.Remove(x.Bundle.ID)
+				w.exec()
+			}
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+				t.Errorf("Exec allocates %v objects per contact, want 0", allocs)
+			}
+			if !w.nodes[1].Store.Has(x.Bundle.ID) {
+				t.Error("relay did not store the copy")
+			}
 		})
 	}
 }

@@ -305,7 +305,7 @@ func (r *run) merge() {
 					o.OnTransmit(fx.From, fx.To, fx.ID, fx.At)
 				}
 			case EffectDeliver:
-				r.deliveredAt[fx.ID] = fx.At
+				r.deliveredAt[r.holders.Index(fx.ID)] = fx.At
 				r.delays = append(r.delays, fx.Delay)
 				for _, o := range r.obs {
 					o.OnDeliver(fx.ID, fx.To, fx.Delay, fx.At)

@@ -22,6 +22,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
@@ -99,25 +100,84 @@ func Snapshot(nodes []*node.Node, tracked []*bundle.Bundle, now sim.Time) Sample
 // purge — but not refusals, which never stored the copy). Bookkeeping
 // bugs panic immediately rather than silently skewing the paper's
 // duplication metric.
+//
+// Every tracked bundle has a dense index, its position in creation
+// order (Index). IDs are found through runs, not a hash: a flow's
+// bundles are consecutive sequence numbers of one source tracked one
+// after another, so a run of Track calls extends one idRun, and a
+// lookup binary-searches the few runs a workload has — one per flow.
 type HolderTracker struct {
-	idx map[bundle.ID]int
+	// runs partition the tracked IDs into runs of consecutive
+	// sequence numbers of one source, sorted by (src, seq).
+	runs []idRun
 	// counts[i] is the holder count of the i-th tracked bundle, in
 	// creation order — the same order Snapshot scans, which keeps the
 	// duplication sum's float accumulation bit-identical.
 	counts []int
 }
 
+// idRun is the tracked IDs (src, seq) … (src, seq+n-1), whose dense
+// indices are at … at+n-1.
+type idRun struct {
+	src    contact.NodeID
+	seq, n int
+	at     int
+}
+
 // NewHolderTracker returns an empty tracker.
-func NewHolderTracker() *HolderTracker {
-	return &HolderTracker{idx: make(map[bundle.ID]int)}
+func NewHolderTracker() *HolderTracker { return &HolderTracker{} }
+
+// Grow makes room for n more tracked bundles, for a caller that knows
+// its workload's size: counts then never grow one append at a time.
+func (t *HolderTracker) Grow(n int) { t.counts = slices.Grow(t.counts, n) }
+
+// find returns the position of the last run starting at or before id,
+// or -1 when none does.
+//
+//dtn:hotpath
+func (t *HolderTracker) find(id bundle.ID) int {
+	lo, hi := 0, len(t.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r := &t.runs[mid]; r.src < id.Src || r.src == id.Src && r.seq <= id.Seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// Index returns id's dense index — its position in creation order — or
+// -1 when id is untracked.
+//
+//dtn:hotpath
+func (t *HolderTracker) Index(id bundle.ID) int {
+	if i := t.find(id); i >= 0 {
+		if r := &t.runs[i]; r.src == id.Src && id.Seq < r.seq+r.n {
+			return r.at + id.Seq - r.seq
+		}
+	}
+	return -1
 }
 
 // Track registers a newly generated workload bundle with zero holders.
+// It takes the next dense index.
 func (t *HolderTracker) Track(id bundle.ID) {
-	if _, dup := t.idx[id]; dup {
-		panic(fmt.Sprintf("metrics: bundle %v tracked twice", id))
+	i := t.find(id)
+	if i >= 0 {
+		r := &t.runs[i]
+		if end := r.seq + r.n; r.src == id.Src && id.Seq < end {
+			panic(fmt.Sprintf("metrics: bundle %v tracked twice", id))
+		} else if r.src == id.Src && id.Seq == end && r.at+r.n == len(t.counts) {
+			// The next bundle of the run tracked last. The run after
+			// i starts past id, so the extended run overlaps nothing.
+			r.n++
+			t.counts = append(t.counts, 0)
+			return
+		}
 	}
-	t.idx[id] = len(t.counts)
+	t.runs = slices.Insert(t.runs, i+1, idRun{src: id.Src, seq: id.Seq, n: 1, at: len(t.counts)})
 	t.counts = append(t.counts, 0)
 }
 
@@ -128,8 +188,8 @@ func (t *HolderTracker) Tracked() int { return len(t.counts) }
 //
 //dtn:hotpath
 func (t *HolderTracker) Inc(id bundle.ID) {
-	i, ok := t.idx[id]
-	if !ok {
+	i := t.Index(id)
+	if i < 0 {
 		panic(fmt.Sprintf("metrics: Inc on untracked bundle %v", id))
 	}
 	t.counts[i]++
@@ -139,8 +199,8 @@ func (t *HolderTracker) Inc(id bundle.ID) {
 //
 //dtn:hotpath
 func (t *HolderTracker) Dec(id bundle.ID) {
-	i, ok := t.idx[id]
-	if !ok {
+	i := t.Index(id)
+	if i < 0 {
 		panic(fmt.Sprintf("metrics: Dec on untracked bundle %v", id))
 	}
 	if t.counts[i] == 0 {
@@ -153,7 +213,7 @@ func (t *HolderTracker) Dec(id bundle.ID) {
 //
 //dtn:hotpath
 func (t *HolderTracker) Holders(id bundle.ID) int {
-	if i, ok := t.idx[id]; ok {
+	if i := t.Index(id); i >= 0 {
 		return t.counts[i]
 	}
 	return 0

@@ -162,6 +162,35 @@ func TestHolderTrackerBasics(t *testing.T) {
 	mustPanic("Dec below zero", func() { tr.Dec(id) })
 }
 
+// TestHolderTrackerIndexIsCreationOrder: a bundle's dense index is its
+// position in Track order, whether its ID extends a run, starts one
+// between two others, or sits in a gap of a run tracked earlier; IDs
+// next to tracked ones stay untracked.
+func TestHolderTrackerIndexIsCreationOrder(t *testing.T) {
+	tr := NewHolderTracker()
+	tr.Grow(8)
+	order := []bundle.ID{
+		{Src: 1, Seq: 1}, {Src: 1, Seq: 2}, {Src: 0, Seq: 5}, {Src: 1, Seq: 4},
+		{Src: 0, Seq: 6}, {Src: 2, Seq: 1}, {Src: 1, Seq: 3}, {Src: 1, Seq: 5},
+	}
+	for _, id := range order {
+		tr.Track(id)
+	}
+	for i, id := range order {
+		if got := tr.Index(id); got != i {
+			t.Errorf("Index(%v) = %d, want %d", id, got, i)
+		}
+	}
+	for _, id := range []bundle.ID{{Src: 0, Seq: 4}, {Src: 0, Seq: 7}, {Src: 1, Seq: 0}, {Src: 1, Seq: 6}, {Src: 2, Seq: 2}, {Src: 3, Seq: 1}} {
+		if got := tr.Index(id); got != -1 {
+			t.Errorf("Index(%v) = %d for an untracked ID, want -1", id, got)
+		}
+	}
+	if tr.Tracked() != len(order) {
+		t.Errorf("Tracked() = %d, want %d", tr.Tracked(), len(order))
+	}
+}
+
 // TestHolderTrackerSampleMatchesSnapshot is the metric-level
 // equivalence proof: under random store churn mirrored into a tracker,
 // the incremental SampleFunc — reading the stores through the same

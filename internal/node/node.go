@@ -52,13 +52,6 @@ type Node struct {
 	// Ext holds protocol-specific state, attached by Protocol.Init.
 	Ext any
 
-	// Scratch is reusable working memory for the protocol hot path
-	// (the per-contact anti-entropy diff). A node belongs to exactly
-	// one engine goroutine and hooks are never re-entered while a
-	// protocol iterates, so the buffers can be reused without locking;
-	// after warm-up the diff allocates nothing.
-	Scratch Scratch
-
 	// DropHook, when non-nil, observes every buffer-policy drop this
 	// node records (refusals, evictions, TTL expiries), called with the
 	// node's own ID: one hook serves a whole population. The engine
@@ -70,18 +63,6 @@ type Node struct {
 
 // DropHook observes one drop at node at.
 type DropHook func(at contact.NodeID, id bundle.ID, reason DropReason, now sim.Time)
-
-// Scratch is per-node reusable working memory for protocol hot paths.
-// The slices keep their grown capacity across contacts; callers slice
-// them to zero length, fill them, and store them back. The contents are
-// only valid until the node's next protocol hook runs.
-type Scratch struct {
-	// Direct and Relay partition a contact's offerable bundles into
-	// receiver-destined and third-party traffic.
-	Direct, Relay []bundle.ID
-	// IDs is the assembled offer list handed back to the engine.
-	IDs []bundle.ID
-}
 
 // DropReason classifies one dropped copy for observers. The constants
 // below are the complete enum: every drop the engine reports carries

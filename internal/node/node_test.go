@@ -2,6 +2,7 @@ package node
 
 import (
 	"testing"
+	"unsafe"
 
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
@@ -80,5 +81,18 @@ func TestNewPopulation(t *testing.T) {
 	large := testing.AllocsPerRun(10, func() { NewPopulation(10000, 10) })
 	if small != large {
 		t.Errorf("NewPopulation allocates %v times for 10 nodes, %v for 10000", small, large)
+	}
+}
+
+// TestNodeSize pins a node's footprint on 64-bit platforms: every node of
+// a population pays it, active or not (the 1M-node scale cell pays it a
+// million times). Working memory a node only needs while it sends
+// belongs to the executor, not here.
+func TestNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Node{}); got != 112 {
+		t.Errorf("node.Node is %d bytes, want 112", got)
 	}
 }

@@ -86,6 +86,8 @@ func purgeAcked(n *node.Node, now sim.Time) {
 // anyway), and purges those copies even when the cumulative prefix has
 // not reached them yet. Without this, copies delivered out of order
 // would keep circulating until the prefix catches up.
+//
+//dtn:hotpath
 func (ci *CumulativeImmunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
 	ci.transferTables(a, b, recordBudget)
 	ci.transferTables(b, a, recordBudget)
@@ -125,9 +127,11 @@ func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) {
 
 // Wants implements Protocol: skip bundles covered by the receiver's
 // tables (the sender's own copies are already purged).
-func (*CumulativeImmunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
+//
+//dtn:hotpath
+func (*CumulativeImmunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG, sc *Scratch) []bundle.ID {
 	rs := cumOf(receiver)
-	candidates := missing(sender, receiver, rng)
+	candidates := missing(sender, receiver, rng, sc)
 	out := candidates[:0]
 	for _, id := range candidates {
 		cp := sender.Store.Get(id)

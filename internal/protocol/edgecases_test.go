@@ -42,7 +42,7 @@ func TestWantsNeverOffersWhatReceiverHas(t *testing.T) {
 					b.Received.Add(cp.Bundle.ID)
 				}
 			}
-			for _, id := range p.Wants(a, b, 0, sim.NewRNG(seed)) {
+			for _, id := range p.Wants(a, b, 0, sim.NewRNG(seed), new(Scratch)) {
 				if b.Store.Has(id) || b.Received.Has(id) {
 					t.Logf("%s offered %v the receiver already has", p.Name(), id)
 					return false
@@ -69,7 +69,7 @@ func TestWantsNoDuplicates(t *testing.T) {
 			give(t, a, 9, s, 5, 0)
 		}
 		seen := map[bundle.ID]bool{}
-		for _, id := range p.Wants(a, b, 0, sim.NewRNG(3)) {
+		for _, id := range p.Wants(a, b, 0, sim.NewRNG(3), new(Scratch)) {
 			if seen[id] {
 				t.Fatalf("%s offered %v twice", p.Name(), id)
 			}
@@ -138,7 +138,7 @@ func TestRegistryWantsNeverOffersHeld(t *testing.T) {
 			for _, dir := range [][2]*node.Node{{a, b}, {b, a}} {
 				sender, receiver := dir[0], dir[1]
 				seen := map[bundle.ID]bool{}
-				for _, id := range p.Wants(sender, receiver, 10, sim.NewRNG(seed)) {
+				for _, id := range p.Wants(sender, receiver, 10, sim.NewRNG(seed), new(Scratch)) {
 					if receiver.Store.Has(id) || receiver.Received.Has(id) {
 						t.Fatalf("%s seed %d: node %d offered %v that node %d already has",
 							spec, seed, sender.ID, id, receiver.ID)
@@ -335,7 +335,7 @@ func TestPQDrawsIndependentPerOffer(t *testing.T) {
 	for s := 1; s <= 100; s++ {
 		give(t, a, 0, s, 6, 0)
 	}
-	got := p.Wants(a, b, 0, sim.NewRNG(5))
+	got := p.Wants(a, b, 0, sim.NewRNG(5), new(Scratch))
 	if len(got) == 0 || len(got) == 100 {
 		t.Errorf("P=0.5 offered %d/100; draws not independent", len(got))
 	}

@@ -50,15 +50,16 @@ func NewImmunity() *Immunity { return &Immunity{RecordSlotFraction: 0.2} }
 // would find nothing (DESIGN.md §7.4). The memo is not wire state:
 // RestoreExt and Init start it unknown and the first purge scans.
 type immunityState struct {
-	ilist *bundle.SummaryVector
+	// ilist lives by value, so Init allocates one object per node.
+	ilist bundle.SummaryVector
 	// purgedLen and purgedPuts are ilist.Len() and Store.Puts() as the
 	// last purge left them; purgedLen < 0 means no purge has run.
 	purgedLen  int
 	purgedPuts uint64
 }
 
-func newImmunityState(ilist *bundle.SummaryVector) *immunityState {
-	return &immunityState{ilist: ilist, purgedLen: -1}
+func newImmunityState() *immunityState {
+	return &immunityState{purgedLen: -1}
 }
 
 // Name implements Protocol.
@@ -66,11 +67,11 @@ func (*Immunity) Name() string { return "Epidemic with immunity" }
 
 // Init implements Protocol.
 func (*Immunity) Init(n *node.Node) {
-	n.Ext = newImmunityState(bundle.NewSummaryVector())
+	n.Ext = newImmunityState()
 }
 
 func ilistOf(n *node.Node) *bundle.SummaryVector {
-	return n.Ext.(*immunityState).ilist
+	return &n.Ext.(*immunityState).ilist
 }
 
 // refreshControlLoad re-prices the node's stored records.
@@ -83,9 +84,11 @@ func (im *Immunity) refreshControlLoad(n *node.Node) {
 // this i-list"). It must not be narrowed to "the list grew": P-Q with
 // anti-packets offers without consulting the receiver's list, so a copy
 // can arrive already vaccinated and only the put counter shows it.
+//
+//dtn:hotpath
 func purgeDead(n *node.Node, now sim.Time) {
 	st := n.Ext.(*immunityState)
-	il := st.ilist
+	il := &st.ilist
 	if st.purgedLen == il.Len() && st.purgedPuts == n.Store.Puts() {
 		return
 	}
@@ -99,6 +102,8 @@ func purgeDead(n *node.Node, now sim.Time) {
 // list blind (there is no delta protocol; a node cannot know what the
 // peer lacks without sending the list), truncated at the contact's
 // record budget. Then both purge dead bundles.
+//
+//dtn:hotpath
 func (im *Immunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
 	transferRecords(a, b, recordBudget)
 	transferRecords(b, a, recordBudget)
@@ -115,15 +120,19 @@ func (im *Immunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
 // complaint that "the number of immunity tables transmitted is
 // proportional to the load" — and short contacts truncate the transfer,
 // so tables "are propagated slowly".
+//
+//dtn:hotpath
 func transferRecords(from, to *node.Node, budget int) {
 	sent, _ := ilistOf(to).Merge(ilistOf(from), budget)
 	from.ControlSent += int64(sent)
 }
 
 // Wants implements Protocol: skip bundles either side knows are dead.
-func (*Immunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
+//
+//dtn:hotpath
+func (*Immunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG, sc *Scratch) []bundle.ID {
 	rl := ilistOf(receiver)
-	candidates := missing(sender, receiver, rng)
+	candidates := missing(sender, receiver, rng, sc)
 	out := candidates[:0]
 	for _, id := range candidates {
 		if rl.Has(id) {

@@ -60,6 +60,8 @@ func (p *PQ) Init(n *node.Node) {
 
 // Exchange implements Protocol: without anti-packets the control session
 // is just the summary-vector swap.
+//
+//dtn:hotpath
 func (p *PQ) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
 	if p.AntiPackets {
 		p.imm.Exchange(a, b, now, recordBudget)
@@ -69,8 +71,10 @@ func (p *PQ) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
 // Wants implements Protocol: each missing bundle is offered with
 // probability P when this node originated it, Q otherwise, re-drawn at
 // every transmission opportunity (§II-B).
-func (p *PQ) Wants(sender, receiver *node.Node, now sim.Time, rng *sim.RNG) []bundle.ID {
-	candidates := missing(sender, receiver, rng)
+//
+//dtn:hotpath
+func (p *PQ) Wants(sender, receiver *node.Node, now sim.Time, rng *sim.RNG, sc *Scratch) []bundle.ID {
+	candidates := missing(sender, receiver, rng, sc)
 	out := candidates[:0]
 	for _, id := range candidates {
 		prob := p.Q

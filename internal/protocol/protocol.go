@@ -63,11 +63,12 @@ type Protocol interface {
 
 	// Wants returns the bundle IDs sender should offer receiver, in
 	// transmission order. The engine transmits a prefix of this list
-	// bounded by the remaining slot budget. The returned slice may be
-	// backed by the sender's reusable scratch memory: it is valid only
-	// until the sender's next Wants call, and callers must copy it to
-	// retain it.
-	Wants(sender, receiver *node.Node, now sim.Time, rng *sim.RNG) []bundle.ID
+	// bounded by the remaining slot budget. rng and sc belong to the
+	// calling executor thread (the core.Kernel), not to either node:
+	// the returned slice may be backed by sc, so it is valid only until
+	// the next Wants call given the same sc, and callers must copy it
+	// to retain it.
+	Wants(sender, receiver *node.Node, now sim.Time, rng *sim.RNG, sc *Scratch) []bundle.ID
 
 	// OnTransmit updates copy state for one transmission: sent is the
 	// sender's copy, rcpt the receiver-bound clone. Called for both
@@ -87,6 +88,21 @@ type Protocol interface {
 	OnDelivered(dst, sender *node.Node, id bundle.ID, now sim.Time)
 }
 
+// Scratch is the reusable working memory behind Wants: the anti-entropy
+// diff's partition and the assembled offer list. Its owner is an
+// executor thread, one per core.Kernel, which calls one Wants at a
+// time, so the slices are reused without locking; they keep their grown
+// capacity, and after warm-up an offer allocates nothing. A node owns
+// none: only a node that sends needs the memory, and only while it
+// sends. The zero value is ready.
+type Scratch struct {
+	// direct and relay partition a contact's offerable bundles into
+	// receiver-destined and third-party traffic.
+	direct, relay []bundle.ID
+	// ids is the assembled offer list handed back to the engine.
+	ids []bundle.ID
+}
+
 // missing returns sender's stored bundles the receiver lacks, skipping
 // bundles the receiver already consumed as destination. This is the
 // anti-entropy diff every variant starts from.
@@ -100,16 +116,14 @@ type Protocol interface {
 // — with a fixed order every relay would fill with the same
 // lowest-sequence bundles and bundles beyond the buffer size could
 // never ride relays at all.
-// The returned slice is backed by the sender's Scratch: it is valid
-// until the sender's next Wants call, and callers may filter it in
-// place. Store.Range walks the store's sorted index, so the direct
+// The returned slice is backed by sc: it is valid until sc's next
+// use, and callers may filter it in place. Store.Range walks the store's sorted index, so the direct
 // prefix is already in ascending ID order — no re-sort happens here
 // (TestMissingDirectPrefixOrder pins this).
 //
 //dtn:hotpath
-func missing(sender, receiver *node.Node, rng *sim.RNG) []bundle.ID {
-	sc := &sender.Scratch
-	direct, relay := sc.Direct[:0], sc.Relay[:0]
+func missing(sender, receiver *node.Node, rng *sim.RNG, sc *Scratch) []bundle.ID {
+	direct, relay := sc.direct[:0], sc.relay[:0]
 	sender.Store.Range(func(cp *bundle.Copy) bool {
 		id := cp.Bundle.ID
 		if receiver.Store.Has(id) || receiver.Received.Has(id) {
@@ -125,7 +139,7 @@ func missing(sender, receiver *node.Node, rng *sim.RNG) []bundle.ID {
 	if rng != nil {
 		rng.Shuffle(len(relay), func(i, j int) { relay[i], relay[j] = relay[j], relay[i] })
 	}
-	ids := append(append(sc.IDs[:0], direct...), relay...)
-	sc.Direct, sc.Relay, sc.IDs = direct, relay, ids
+	ids := append(append(sc.ids[:0], direct...), relay...)
+	sc.direct, sc.relay, sc.ids = direct, relay, ids
 	return ids
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dtnsim/internal/bundle"
@@ -92,8 +93,8 @@ func TestPureFig2(t *testing.T) {
 	for _, s := range []int{0, 2, 3, 4, 9} {
 		give(t, b, 5, s, 6, 0)
 	}
-	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1)), 1, 8)
-	wantSeqSet(t, p.Wants(b, a, 0, sim.NewRNG(1)), 0, 9)
+	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 1, 8)
+	wantSeqSet(t, p.Wants(b, a, 0, sim.NewRNG(1), new(Scratch)), 0, 9)
 }
 
 func TestPureWantsSkipsDeliveredAtDestination(t *testing.T) {
@@ -103,7 +104,7 @@ func TestPureWantsSkipsDeliveredAtDestination(t *testing.T) {
 	give(t, a, 0, 1, 1, 0)
 	give(t, a, 0, 2, 1, 0)
 	dst.Received.Add(bundle.ID{Src: 0, Seq: 1}) // already consumed
-	wantSeqs(t, p.Wants(a, dst, 0, sim.NewRNG(1)), 2)
+	wantSeqs(t, p.Wants(a, dst, 0, sim.NewRNG(1), new(Scratch)), 2)
 }
 
 func TestPureAdmitDropTail(t *testing.T) {
@@ -136,7 +137,7 @@ func TestPureWantsDestinationTrafficFirst(t *testing.T) {
 	own2.StoredAt = 50
 	own1 := give(t, a, 5, 11, 1, 0)
 	own1.StoredAt = 10
-	got := p.Wants(a, b, 600, sim.NewRNG(1))
+	got := p.Wants(a, b, 600, sim.NewRNG(1), new(Scratch))
 	if len(got) != 7 {
 		t.Fatalf("offered %v", got)
 	}
@@ -155,14 +156,14 @@ func TestPureWantsShuffleIsSeedDeterministic(t *testing.T) {
 	}
 	// Wants returns scratch-backed slices valid only until the next
 	// call on the same sender, so each offer must be snapshotted.
-	x := append([]bundle.ID(nil), p.Wants(a, b, 0, sim.NewRNG(7))...)
-	y := append([]bundle.ID(nil), p.Wants(a, b, 0, sim.NewRNG(7))...)
+	x := append([]bundle.ID(nil), p.Wants(a, b, 0, sim.NewRNG(7), new(Scratch))...)
+	y := append([]bundle.ID(nil), p.Wants(a, b, 0, sim.NewRNG(7), new(Scratch))...)
 	for i := range x {
 		if x[i] != y[i] {
 			t.Fatal("same RNG seed produced different offer orders")
 		}
 	}
-	z := append([]bundle.ID(nil), p.Wants(a, b, 0, sim.NewRNG(8))...)
+	z := append([]bundle.ID(nil), p.Wants(a, b, 0, sim.NewRNG(8), new(Scratch))...)
 	same := true
 	for i := range x {
 		if x[i] != z[i] {
@@ -184,7 +185,7 @@ func TestPQDegeneratesToPureAtOne(t *testing.T) {
 	for s := 1; s <= 5; s++ {
 		give(t, a, 0, s, 6, 0)
 	}
-	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1)), 1, 2, 3, 4, 5)
+	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 1, 2, 3, 4, 5)
 }
 
 func TestPQZeroSendsNothing(t *testing.T) {
@@ -194,7 +195,7 @@ func TestPQZeroSendsNothing(t *testing.T) {
 	for s := 1; s <= 5; s++ {
 		give(t, a, 0, s, 6, 0)
 	}
-	if got := p.Wants(a, b, 0, sim.NewRNG(1)); len(got) != 0 {
+	if got := p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)); len(got) != 0 {
 		t.Fatalf("P=Q=0 offered %v", got)
 	}
 }
@@ -206,7 +207,7 @@ func TestPQSourceUsesPRelaysUseQ(t *testing.T) {
 	b := mkNode(p, 1, 10)
 	give(t, a, 0, 1, 6, 0) // own bundle
 	give(t, a, 7, 2, 6, 0) // carried for node 7
-	got := p.Wants(a, b, 0, sim.NewRNG(1))
+	got := p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch))
 	if len(got) != 1 || got[0].Src != 0 {
 		t.Fatalf("P=1,Q=0 offered %v, want only own bundle", got)
 	}
@@ -223,7 +224,7 @@ func TestPQProbabilityRoughlyHonoured(t *testing.T) {
 	total := 0
 	const draws = 50
 	for i := 0; i < draws; i++ {
-		total += len(p.Wants(a, b, 0, rng))
+		total += len(p.Wants(a, b, 0, rng, new(Scratch)))
 	}
 	mean := float64(total) / draws
 	if mean < 40 || mean > 60 {
@@ -539,7 +540,7 @@ func TestImmunityFig3(t *testing.T) {
 			t.Errorf("delivered bundle %d not purged from A", s)
 		}
 	}
-	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1)), 0, 8, 9)
+	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 0, 8, 9)
 	if b.ControlSent != 3 {
 		t.Errorf("B sent %d records, want 3", b.ControlSent)
 	}
@@ -585,7 +586,7 @@ func TestImmunityNeverReaccepts(t *testing.T) {
 	b := mkNode(p, 1, 10)
 	give(t, a, 7, 1, 5, 0)
 	ilistOf(b).Add(bundle.ID{Src: 7, Seq: 1})
-	if got := p.Wants(a, b, 0, sim.NewRNG(1)); len(got) != 0 {
+	if got := p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)); len(got) != 0 {
 		t.Errorf("offered dead bundle: %v", got)
 	}
 }
@@ -679,7 +680,7 @@ func TestCumulativeExchangePurgesCovered(t *testing.T) {
 	if got := a.Store.Len(); got != 2 {
 		t.Fatalf("A holds %d bundles after exchange, want 2 (5 and 6)", got)
 	}
-	wantSeqs(t, p.Wants(a, b, 0, sim.NewRNG(1)), 5, 6)
+	wantSeqs(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 5, 6)
 }
 
 func TestCumulativeWantsSkipsCovered(t *testing.T) {
@@ -691,7 +692,7 @@ func TestCumulativeWantsSkipsCovered(t *testing.T) {
 	}
 	// B knows the prefix 2 but A has not exchanged yet.
 	cumOf(b).acks[Flow{Src: 7, Dst: 5}] = 2
-	wantSeqs(t, p.Wants(a, b, 0, sim.NewRNG(1)), 3)
+	wantSeqs(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 3)
 }
 
 func TestCumulativeControlLoadIsOneTable(t *testing.T) {
@@ -760,7 +761,7 @@ func TestMissingDirectPrefixOrder(t *testing.T) {
 		{Src: 2, Seq: 1}, {Src: 2, Seq: 4}, {Src: 5, Seq: 3}, {Src: 5, Seq: 9},
 	}
 	for _, rng := range []*sim.RNG{nil, sim.NewRNG(3)} {
-		got := missing(a, b, rng)
+		got := missing(a, b, rng, new(Scratch))
 		if len(got) != 6 {
 			t.Fatalf("missing returned %v, want 6 ids", got)
 		}
@@ -778,9 +779,10 @@ func TestMissingDirectPrefixOrder(t *testing.T) {
 	}
 }
 
-// TestMissingScratchReuseIsStable checks that repeated diffs on the
-// same sender reuse the scratch without corrupting results and do not
-// allocate once warm.
+// TestMissingScratchReuseIsStable checks that one Scratch, used the way
+// a kernel uses its own — by every sender in turn, in both directions
+// of a contact — reproduces each sender's diff without corrupting it
+// and allocates nothing once warm.
 func TestMissingScratchReuseIsStable(t *testing.T) {
 	p := NewPure()
 	a := mkNode(p, 0, 30)
@@ -788,19 +790,30 @@ func TestMissingScratchReuseIsStable(t *testing.T) {
 	for s := 1; s <= 12; s++ {
 		give(t, a, 0, s, 1, 0)
 	}
-	first := append([]bundle.ID(nil), missing(a, b, nil)...)
+	for s := 1; s <= 5; s++ {
+		give(t, b, 1, s, 0, 0)
+	}
+	var sc Scratch
+	wantAB := append([]bundle.ID(nil), missing(a, b, nil, &sc)...)
+	wantBA := append([]bundle.ID(nil), missing(b, a, nil, &sc)...)
+	if len(wantAB) != 12 || len(wantBA) != 5 {
+		t.Fatalf("diffs hold %d and %d ids, want 12 and 5", len(wantAB), len(wantBA))
+	}
 	for i := 0; i < 5; i++ {
-		again := missing(a, b, nil)
-		if len(again) != len(first) {
-			t.Fatalf("run %d: len %d, want %d", i, len(again), len(first))
-		}
-		for j := range first {
-			if again[j] != first[j] {
-				t.Fatalf("run %d: %v, want %v", i, again, first)
+		for _, tc := range []struct {
+			from, to *node.Node
+			want     []bundle.ID
+		}{{a, b, wantAB}, {b, a, wantBA}} {
+			if got := missing(tc.from, tc.to, nil, &sc); !slices.Equal(got, tc.want) {
+				t.Fatalf("run %d, node %d: %v, want %v", i, tc.from.ID, got, tc.want)
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { missing(a, b, nil) }); allocs != 0 {
+	allocs := testing.AllocsPerRun(100, func() {
+		missing(a, b, nil, &sc)
+		missing(b, a, nil, &sc)
+	})
+	if allocs != 0 {
 		t.Errorf("warm missing() allocates %v/op, want 0", allocs)
 	}
 }

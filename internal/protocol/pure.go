@@ -22,11 +22,15 @@ func (base) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
 }
 
 // Exchange: the summary-vector session carries no extra control records.
+//
+//dtn:hotpath
 func (base) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
 
 // Wants: everything the receiver is missing.
-func (base) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG) []bundle.ID {
-	return missing(sender, receiver, rng)
+//
+//dtn:hotpath
+func (base) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG, sc *Scratch) []bundle.ID {
+	return missing(sender, receiver, rng, sc)
 }
 
 // OnTransmit: copies carry no mutable state.

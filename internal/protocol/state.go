@@ -100,11 +100,11 @@ func RestoreExt(n *node.Node, st ExtState) error {
 		// set's lookups binary-search, so unsorted or duplicated input
 		// must be sorted on the way in, and a decoded frame's storage
 		// must not alias live state.
-		v := bundle.NewSummaryVector()
+		is := newImmunityState()
 		for _, id := range st.IDs {
-			v.Add(id)
+			is.ilist.Add(id)
 		}
-		n.Ext = newImmunityState(v)
+		n.Ext = is
 		return nil
 	case ExtCumulative:
 		cs := &cumState{

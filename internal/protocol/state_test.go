@@ -13,16 +13,16 @@ import (
 // restored state yields the identical wire form (the canonical-form
 // fixed point the frame codec's byte-identity rests on).
 func TestSnapshotExtRoundTrip(t *testing.T) {
-	il := bundle.NewSummaryVector()
-	il.Add(bundle.ID{Src: 3, Seq: 2})
-	il.Add(bundle.ID{Src: 1, Seq: 9})
+	im := newImmunityState()
+	im.ilist.Add(bundle.ID{Src: 3, Seq: 2})
+	im.ilist.Add(bundle.ID{Src: 1, Seq: 9})
 	cases := []struct {
 		name string
 		ext  any
 	}{
 		{"none", nil},
-		{"immunity", newImmunityState(il)},
-		{"immunity-empty", newImmunityState(bundle.NewSummaryVector())},
+		{"immunity", im},
+		{"immunity-empty", newImmunityState()},
 		{"cum", &cumState{
 			acks: map[Flow]int{{Src: 0, Dst: 7}: 3, {Src: 2, Dst: 1}: 5},
 			base: map[Flow]int{{Src: 0, Dst: 7}: 1},
@@ -86,7 +86,7 @@ func TestRestoreExtHostileIDs(t *testing.T) {
 		t.Error("restored list aliases the wire slice")
 	}
 
-	warm := newImmunityState(bundle.NewSummaryVector())
+	warm := newImmunityState()
 	warm.purgedLen, warm.purgedPuts = 0, 7
 	st, err := SnapshotExt(warm)
 	if err != nil {
