@@ -19,8 +19,8 @@ import (
 type NodeID int
 
 // Contact is one encounter window between two nodes. Invariants
-// (enforced by Validate): A < B, Start < End, both times non-negative,
-// Bandwidth non-negative.
+// (enforced by Validate): A < B, 0 <= Start < End < sim.Infinity,
+// Bandwidth non-negative and finite.
 type Contact struct {
 	A, B  NodeID
 	Start sim.Time
@@ -59,13 +59,15 @@ func (c Contact) Validate() error {
 	// `!(>= 0)` and `!(>)` also reject NaN, which would otherwise slip
 	// past a `<` check: a NaN time passes every sort and bound test, and
 	// a NaN bandwidth would silently run the contact unconstrained.
-	case !(c.Start >= 0) || math.IsInf(float64(c.Start), 0):
-		return fmt.Errorf("contact: start %v must be finite and non-negative", c.Start)
+	case !(c.Start >= 0) || c.Start >= sim.Infinity:
+		return fmt.Errorf("contact: start %v must be non-negative and below %g", float64(c.Start), float64(sim.Infinity))
 	case !(c.End > c.Start):
 		return fmt.Errorf("contact: empty or inverted window %v..%v", c.Start, c.End)
-	// An infinite end would make the run's horizon infinite.
-	case math.IsInf(float64(c.End), 0):
-		return fmt.Errorf("contact: end %v must be finite", c.End)
+	// sim.Infinity is the engine's "never": an end at or past it (an
+	// infinite one included) would make a run's horizon a time that
+	// never comes, and a run to it would sample forever.
+	case c.End >= sim.Infinity:
+		return fmt.Errorf("contact: end %v must be below %g", float64(c.End), float64(sim.Infinity))
 	case !(c.Bandwidth >= 0) || math.IsInf(c.Bandwidth, 0):
 		return fmt.Errorf("contact: bandwidth %v must be finite and non-negative", c.Bandwidth)
 	}
@@ -94,24 +96,43 @@ func (s *Schedule) Sort() {
 
 // Validate checks every contact, node-ID bounds, and canonical ordering.
 func (s *Schedule) Validate() error {
+	_, err := s.check()
+	return err
+}
+
+// Checked validates the schedule as Validate does and returns its
+// stream, whose horizon the same pass found: a caller that runs a
+// schedule it has not validated reads each contact once before the run.
+func (s *Schedule) Checked() (*ScheduleSource, error) {
+	h, err := s.check()
+	if err != nil {
+		return nil, err
+	}
+	return &ScheduleSource{s: s, horizon: h}, nil
+}
+
+// check is Validate, and returns the horizon as well.
+func (s *Schedule) check() (sim.Time, error) {
 	if len(s.Contacts) == 0 {
-		return ErrEmptySchedule
+		return 0, ErrEmptySchedule
 	}
 	if s.Nodes < 2 {
-		return fmt.Errorf("contact: schedule needs >=2 nodes, has %d", s.Nodes)
+		return 0, fmt.Errorf("contact: schedule needs >=2 nodes, has %d", s.Nodes)
 	}
+	var h sim.Time
 	for i, c := range s.Contacts {
 		if err := c.Validate(); err != nil {
-			return fmt.Errorf("contact %d: %w", i, err)
+			return 0, fmt.Errorf("contact %d: %w", i, err)
 		}
 		if int(c.B) >= s.Nodes {
-			return fmt.Errorf("contact %d: node %d out of range [0,%d)", i, c.B, s.Nodes)
+			return 0, fmt.Errorf("contact %d: node %d out of range [0,%d)", i, c.B, s.Nodes)
 		}
 		if i > 0 && s.Contacts[i-1].Start > c.Start {
-			return fmt.Errorf("contact %d: schedule not sorted by start time", i)
+			return 0, fmt.Errorf("contact %d: schedule not sorted by start time", i)
 		}
+		h = max(h, c.End)
 	}
-	return nil
+	return h, nil
 }
 
 // Horizon returns the latest end time across all contacts, or zero for an

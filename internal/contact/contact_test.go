@@ -30,6 +30,10 @@ func TestContactValidate(t *testing.T) {
 		{"NaN end", Contact{A: 0, B: 1, Start: 1, End: sim.Time(math.NaN())}, false},
 		{"Inf end", Contact{A: 0, B: 1, Start: 1, End: sim.Time(math.Inf(1))}, false},
 		{"Inf start", Contact{A: 0, B: 1, Start: sim.Time(math.Inf(1)), End: sim.Time(math.Inf(1))}, false},
+		{"end at sim.Infinity", Contact{A: 0, B: 1, Start: 1, End: sim.Infinity}, false},
+		{"end past sim.Infinity", Contact{A: 0, B: 1, Start: 1, End: 2 * sim.Infinity}, false},
+		{"start at sim.Infinity", Contact{A: 0, B: 1, Start: sim.Infinity, End: 2 * sim.Infinity}, false},
+		{"end just below sim.Infinity", Contact{A: 0, B: 1, Start: 1, End: sim.Infinity / 2}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,6 +92,31 @@ func TestScheduleValidateBounds(t *testing.T) {
 	empty := &Schedule{Nodes: 2}
 	if err := empty.Validate(); !errors.Is(err, ErrEmptySchedule) {
 		t.Fatalf("empty schedule: err=%v", err)
+	}
+}
+
+// TestScheduleChecked: Checked refuses what Validate refuses, and a
+// schedule it accepts streams with the horizon Horizon reports.
+func TestScheduleChecked(t *testing.T) {
+	s := &Schedule{Nodes: 3, Contacts: []Contact{
+		{A: 0, B: 1, Start: 0, End: 700},
+		{A: 1, B: 2, Start: 150, End: 400},
+	}}
+	src, err := s.Checked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Horizon() != 700 || src.Horizon() != s.Horizon() || src.Nodes() != 3 {
+		t.Errorf("checked stream: horizon %v over %d nodes, want 700 over 3", src.Horizon(), src.Nodes())
+	}
+	for _, bad := range []*Schedule{
+		{Nodes: 2},
+		{Nodes: 2, Contacts: []Contact{{A: 0, B: 1, Start: 1, End: sim.Infinity}}},
+		{Nodes: 2, Contacts: []Contact{{A: 0, B: 1, Start: 5, End: 9}, {A: 0, B: 1, Start: 1, End: 2}}},
+	} {
+		if _, err := bad.Checked(); err == nil || err.Error() != bad.Validate().Error() {
+			t.Errorf("Checked(%v) = %v, want Validate's %v", bad.Contacts, err, bad.Validate())
+		}
 	}
 }
 

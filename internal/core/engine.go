@@ -103,7 +103,10 @@ type run struct {
 	srcDone     bool
 	horizon     sim.Time
 	// Incremental stream validation: contacts must arrive in canonical
-	// start order with in-range endpoints.
+	// start order with in-range endpoints. checked marks a Config.Schedule,
+	// whose contacts validate already read, so pull does not check them
+	// again.
+	checked   bool
 	prevStart sim.Time
 	maxEnd    sim.Time
 	pulled    int
@@ -156,16 +159,14 @@ func Run(cfg Config) (*Result, error) {
 		defer closer.Close()
 	}
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	src, err := cfg.validate()
+	if err != nil {
 		return nil, err
-	}
-	src := cfg.Source
-	if cfg.Schedule != nil {
-		src = cfg.Schedule.Stream() // the run's one scan for the horizon
 	}
 	cap, adaptive := cfg.horizonCap(src)
 	r := &run{
 		cfg:         cfg,
+		checked:     cfg.Schedule != nil,
 		coll:        metrics.NewCollector(),
 		holders:     metrics.NewHolderTracker(),
 		src:         src,

@@ -170,10 +170,12 @@ func (r *run) pull() {
 		r.settle()
 		return
 	}
-	if err := r.checkStreamed(c); err != nil {
-		r.srcDone = true
-		r.err = err
-		return
+	if !r.checked {
+		if err := r.checkStreamed(c); err != nil {
+			r.srcDone = true
+			r.err = err
+			return
+		}
 	}
 	r.pulled++
 	r.prevStart = c.Start

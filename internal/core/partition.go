@@ -30,16 +30,20 @@ type Partitioner struct {
 	touched []int32
 	// comp[root] is the component number of the tree rooted at root,
 	// -1 until the numbering pass reaches one of its items.
-	comp  []int32
-	comps []component
+	comp []int32
+	// of[i] is the component number of the window's i-th item, kept
+	// from the numbering pass so dealing needs no find.
+	of []int32
+	// size[c] is how many of the window's items component c holds.
+	size []int32
+	// at[s] counts the components of size s, then becomes where the
+	// next one goes in deal, the components in dealing order.
+	at    []int32
+	deal  []int32
 	owner []int32 // owner[c] is the executor component c was dealt to
 	loads []int   // items dealt to each executor so far
 	lists [][]int
 }
-
-// component is one connected component: its number (first-item order)
-// and how many of the window's items it holds.
-type component struct{ id, size int32 }
 
 // Split partitions items [lo, hi) of ep, whose endpoints lie in
 // [0, nodes), into k lists of ascending item indexes. Two items sharing
@@ -55,24 +59,40 @@ func (p *Partitioner) Split(ep *Epoch, nodes, lo, hi, k int) [][]int {
 		ra, rb := p.find(int(items[i].A)), p.find(int(items[i].B))
 		p.parent[max(ra, rb)] = int32(min(ra, rb))
 	}
-	comps := p.comps[:0]
+	p.of = slices.Grow(p.of[:0], len(items))[:len(items)]
+	size := p.size[:0]
 	for i := range items {
 		root := p.find(int(items[i].A))
 		if p.comp[root] < 0 {
-			p.comp[root] = int32(len(comps))
-			comps = append(comps, component{id: int32(len(comps))})
+			p.comp[root] = int32(len(size))
+			size = append(size, 0)
 		}
-		comps[p.comp[root]].size++
+		p.of[i] = p.comp[root]
+		size[p.comp[root]]++
 	}
-	p.comps = comps
-	// Numbers follow first-item order, so the lower number is the
-	// earlier first item.
-	slices.SortFunc(comps, func(a, b component) int {
-		if a.size != b.size {
-			return int(b.size - a.size)
-		}
-		return int(a.id - b.id)
-	})
+	p.size = size
+	// Deal by size descending, number ascending — numbers follow
+	// first-item order, so the lower number is the earlier first item.
+	// Sizes are at most the window's item count, so a counting pass
+	// orders them: at[s] becomes the first slot of size s, and
+	// placing the components in number order keeps equal sizes
+	// ascending.
+	at := slices.Grow(p.at[:0], len(items)+1)[:len(items)+1]
+	clear(at)
+	for _, n := range size {
+		at[n]++
+	}
+	next := int32(0)
+	for n := len(items); n > 0; n-- {
+		at[n], next = next, next+at[n]
+	}
+	p.at = at
+	deal := slices.Grow(p.deal[:0], len(size))[:len(size)]
+	for c, n := range size {
+		deal[at[n]] = int32(c)
+		at[n]++
+	}
+	p.deal = deal
 	for len(p.lists) < k {
 		p.lists = append(p.lists, nil)
 		p.loads = append(p.loads, 0)
@@ -82,21 +102,21 @@ func (p *Partitioner) Split(ep *Epoch, nodes, lo, hi, k int) [][]int {
 	for w := range lists {
 		lists[w] = lists[w][:0]
 	}
-	p.owner = slices.Grow(p.owner[:0], len(comps))[:len(comps)]
-	for _, c := range comps {
+	p.owner = slices.Grow(p.owner[:0], len(size))[:len(size)]
+	for _, c := range deal {
 		best := 0
 		for w := 1; w < k; w++ {
 			if loads[w] < loads[best] {
 				best = w
 			}
 		}
-		loads[best] += int(c.size)
-		p.owner[c.id] = int32(best)
+		loads[best] += int(size[c])
+		p.owner[c] = int32(best)
 	}
 	// One ordered pass deals the items: ascending lists for free, and
 	// interleaving a list's components is harmless — they share no node.
-	for i := range items {
-		w := p.owner[p.comp[p.find(int(items[i].A))]]
+	for i, c := range p.of {
+		w := p.owner[c]
 		lists[w] = append(lists[w], lo+i)
 	}
 	return lists

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dtnsim/internal/contact"
+	"dtnsim/internal/mobility"
 	"dtnsim/internal/protocol"
 	"dtnsim/internal/sim"
 )
@@ -154,6 +155,66 @@ func TestNonFiniteContactTimesRefused(t *testing.T) {
 			t.Errorf("%s on a Source: err = %v, want a streamed-contact error", name, err)
 		}
 		cancel()
+	}
+}
+
+// TestRunRefusesEndlessHorizons: a run whose horizon never comes is
+// refused before it starts, with no context deadline to stop it. A
+// contact ending at sim.Infinity (the engine's "never") is invalid on
+// either path into the engine; a finite horizon more than maxTicks
+// sampling periods past the first flow start is a config error.
+func TestRunRefusesEndlessHorizons(t *testing.T) {
+	endless := contact.Contact{A: 0, B: 1, Start: 1, End: sim.Infinity}
+	far := contact.Contact{A: 0, B: 1, Start: 1, End: sim.Infinity / 10}
+	flows := []Flow{{Src: 0, Dst: 1, Count: 1}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"schedule to sim.Infinity", Config{Schedule: sched(2, endless)}},
+		{"schedule past the tick bound", Config{Schedule: sched(2, far)}},
+		{"horizon past the tick bound", Config{Schedule: twoNodeSchedule(t), Horizon: sim.Infinity / 10}},
+		{"sample period too short for the tick bound", Config{Schedule: sched(2, contact.Contact{A: 0, B: 1, Start: 1, End: 1e6}), SampleEvery: 1e-3}},
+		{"source past the tick bound", Config{Source: sched(2, far).Stream()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Protocol, cfg.Flows, cfg.RunToHorizon = protocol.NewPure(), flows, true
+			if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
+				t.Errorf("err = %v, want ErrConfig", err)
+			}
+		})
+	}
+	// A streamed contact to sim.Infinity fails at its pull, the run's
+	// first, whatever horizon the source reports.
+	cfg := sourceConfig(&fakeSource{nodes: 2, horizon: 1000, contacts: []contact.Contact{endless}})
+	cfg.RunToHorizon = true
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "streamed contact") {
+		t.Errorf("contact to sim.Infinity on a Source: err = %v, want a streamed-contact error", err)
+	}
+}
+
+// TestShippedScenarioWithAddedContactRuns: the tick bound sits far
+// above every shipped scenario. The default Cambridge plan with one more
+// contact a day past its end still runs, to the new horizon.
+func TestShippedScenarioWithAddedContactRuns(t *testing.T) {
+	s, err := materialize(mobility.SyntheticCambridge{Seed: 42}.Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := s.Horizon() + 86400
+	s.Contacts = append(s.Contacts, contact.Contact{A: 0, B: 1, Start: end - 600, End: end})
+	r, err := Run(Config{
+		Schedule:     s,
+		Protocol:     protocol.NewImmunity(),
+		Flows:        []Flow{{Src: 0, Dst: 7, Count: 50}},
+		RunToHorizon: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.FinishedAt != end {
+		t.Errorf("run finished at %v, want the added contact's end %v", r.FinishedAt, end)
 	}
 }
 
