@@ -192,32 +192,37 @@ func (cfg Config) horizonCap(src contact.Source) (cap sim.Time, adaptive bool) {
 	return src.Horizon(), cfg.Schedule == nil
 }
 
-// validate checks the configuration after defaulting and returns the
-// contact plan as the run streams it: Config.Source, or Config.Schedule
-// checked in the one pass that also finds its horizon, which the run
-// then trusts contact by contact.
-func (cfg Config) validate() (contact.Source, error) {
+// plan returns the contact plan as the run streams it: Config.Source,
+// or Config.Schedule checked in the one pass that also finds its
+// horizon, which the run then trusts contact by contact.
+func (cfg Config) plan() (contact.Source, error) {
 	if cfg.Schedule == nil && cfg.Source == nil {
 		return nil, fmt.Errorf("%w: no contact plan (set Schedule or Source)", ErrConfig)
 	}
 	if cfg.Schedule != nil && cfg.Source != nil {
 		return nil, fmt.Errorf("%w: both Schedule and Source set; pick one", ErrConfig)
 	}
-	src := cfg.Source
-	if cfg.Schedule != nil {
-		checked, err := cfg.Schedule.Checked()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	if cfg.Source != nil {
+		if n := cfg.Source.Nodes(); n < 2 {
+			return nil, fmt.Errorf("%w: contact source reports %d node(s); need >=2", ErrConfig, n)
 		}
-		src = checked
-	} else if n := cfg.Source.Nodes(); n < 2 {
-		return nil, fmt.Errorf("%w: contact source reports %d node(s); need >=2", ErrConfig, n)
+		return cfg.Source, nil
 	}
+	src, err := cfg.Schedule.Checked()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	return src, nil
+}
+
+// validate checks the rest of the configuration after defaulting, for
+// the contact plan src that plan returned.
+func (cfg Config) validate(src contact.Source) error {
 	// Zero means "the plan's own extent". The `!(>= 0)` form also
 	// refuses NaN, which passes `< 0` and would crash the epoch loop; an
 	// infinite horizon never ends a RunToHorizon run.
 	if !(cfg.Horizon >= 0) || math.IsInf(float64(cfg.Horizon), 0) {
-		return nil, fmt.Errorf("%w: horizon %v must be finite and non-negative", ErrConfig, cfg.Horizon)
+		return fmt.Errorf("%w: horizon %v must be finite and non-negative", ErrConfig, cfg.Horizon)
 	}
 	// A run must know when to stop. A validated schedule does: it is
 	// non-empty and every contact has End > Start >= 0, so its horizon
@@ -226,69 +231,66 @@ func (cfg Config) validate() (contact.Source, error) {
 	// silently running to t=0 on an empty horizon.
 	cap, _ := cfg.horizonCap(src)
 	if cap <= 0 {
-		return nil, fmt.Errorf("%w: no horizon: set Config.Horizon or use a source that reports one", ErrConfig)
+		return fmt.Errorf("%w: no horizon: set Config.Horizon or use a source that reports one", ErrConfig)
 	}
 	if cfg.Protocol == nil {
-		return nil, fmt.Errorf("%w: nil protocol", ErrConfig)
+		return fmt.Errorf("%w: nil protocol", ErrConfig)
 	}
 	if len(cfg.Flows) == 0 {
-		return nil, fmt.Errorf("%w: no flows", ErrConfig)
+		return fmt.Errorf("%w: no flows", ErrConfig)
 	}
 	if cfg.BufferCap < 1 {
-		return nil, fmt.Errorf("%w: buffer capacity %d", ErrConfig, cfg.BufferCap)
+		return fmt.Errorf("%w: buffer capacity %d", ErrConfig, cfg.BufferCap)
 	}
 	// The `!(x > 0)` form also rejects NaN, which passes `x <= 0`.
 	if !(cfg.TxTime > 0) || math.IsInf(cfg.TxTime, 0) {
-		return nil, fmt.Errorf("%w: tx time %v", ErrConfig, cfg.TxTime)
+		return fmt.Errorf("%w: tx time %v", ErrConfig, cfg.TxTime)
 	}
 	// withDefaults only replaces exact zeros, so negative (and
 	// non-finite) values reach this point; they would silently corrupt
 	// sampling and control budgets rather than fail.
 	if !(cfg.SampleEvery > 0) || math.IsInf(cfg.SampleEvery, 0) {
-		return nil, fmt.Errorf("%w: sample period %v", ErrConfig, cfg.SampleEvery)
+		return fmt.Errorf("%w: sample period %v", ErrConfig, cfg.SampleEvery)
 	}
 	if cfg.RecordsPerSlot < 0 {
-		return nil, fmt.Errorf("%w: records per slot %d", ErrConfig, cfg.RecordsPerSlot)
+		return fmt.Errorf("%w: records per slot %d", ErrConfig, cfg.RecordsPerSlot)
 	}
 	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("%w: shards %d", ErrConfig, cfg.Shards)
+		return fmt.Errorf("%w: shards %d", ErrConfig, cfg.Shards)
 	}
 	// Resource-model knobs: zero disables each one, so only negative and
 	// non-finite values (and unknown policy names) can be invalid.
 	if cfg.Bandwidth < 0 || math.IsNaN(cfg.Bandwidth) || math.IsInf(cfg.Bandwidth, 0) {
-		return nil, fmt.Errorf("%w: bandwidth %v", ErrConfig, cfg.Bandwidth)
+		return fmt.Errorf("%w: bandwidth %v", ErrConfig, cfg.Bandwidth)
 	}
 	if cfg.BufferBytes < 0 {
-		return nil, fmt.Errorf("%w: buffer bytes %d", ErrConfig, cfg.BufferBytes)
+		return fmt.Errorf("%w: buffer bytes %d", ErrConfig, cfg.BufferBytes)
 	}
 	if cfg.ControlBytes < 0 || math.IsNaN(cfg.ControlBytes) || math.IsInf(cfg.ControlBytes, 0) {
-		return nil, fmt.Errorf("%w: control bytes %v", ErrConfig, cfg.ControlBytes)
+		return fmt.Errorf("%w: control bytes %v", ErrConfig, cfg.ControlBytes)
 	}
 	if err := buffer.CheckDropPolicy(cfg.DropPolicy); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		return fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	for i, f := range cfg.Flows {
 		if f.Count <= 0 {
-			return nil, fmt.Errorf("%w: flow %d has count %d", ErrConfig, i, f.Count)
+			return fmt.Errorf("%w: flow %d has count %d", ErrConfig, i, f.Count)
 		}
 		if f.Size < 0 {
-			return nil, fmt.Errorf("%w: flow %d has bundle size %d", ErrConfig, i, f.Size)
+			return fmt.Errorf("%w: flow %d has bundle size %d", ErrConfig, i, f.Size)
 		}
 		if f.Src == f.Dst {
-			return nil, fmt.Errorf("%w: flow %d is a self-loop on node %d", ErrConfig, i, f.Src)
+			return fmt.Errorf("%w: flow %d is a self-loop on node %d", ErrConfig, i, f.Src)
 		}
 		if f.StartAt < 0 {
-			return nil, fmt.Errorf("%w: flow %d starts at %v", ErrConfig, i, f.StartAt)
+			return fmt.Errorf("%w: flow %d starts at %v", ErrConfig, i, f.StartAt)
 		}
 		n := contact.NodeID(cfg.nodeCount())
 		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {
-			return nil, fmt.Errorf("%w: flow %d endpoints (%d,%d) outside [0,%d)", ErrConfig, i, f.Src, f.Dst, n)
+			return fmt.Errorf("%w: flow %d endpoints (%d,%d) outside [0,%d)", ErrConfig, i, f.Src, f.Dst, n)
 		}
 	}
-	if err := cfg.checkTicks(cap); err != nil {
-		return nil, err
-	}
-	return src, nil
+	return cfg.checkTicks(cap)
 }
 
 // maxTicks bounds the sampling ticks a run may ask for, the way
@@ -297,12 +299,12 @@ func (cfg Config) validate() (contact.Source, error) {
 // them — would sample for hours while nothing happens. The largest
 // shipped scenario, the 600000 s RWP and subscriber default span at the
 // default 1000 s period, takes 600 ticks; the bound is over 1700 times
-// that and still ends a 1000-node run in seconds.
+// that.
 const maxTicks = 1 << 20
 
 // checkTicks refuses a run whose first flow start and horizon cap are
-// more than maxTicks sampling periods apart. It runs after the flows and the
-// period are validated.
+// more than maxTicks sampling periods apart. validate calls it once the
+// flows and the period are known to be valid.
 func (cfg Config) checkTicks(cap sim.Time) error {
 	first := sim.Infinity
 	for _, f := range cfg.Flows {

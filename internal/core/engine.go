@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"dtnsim/internal/bundle"
@@ -103,9 +102,9 @@ type run struct {
 	srcDone     bool
 	horizon     sim.Time
 	// Incremental stream validation: contacts must arrive in canonical
-	// start order with in-range endpoints. checked marks a Config.Schedule,
-	// whose contacts validate already read, so pull does not check them
-	// again.
+	// start order with in-range endpoints. checked marks a
+	// Config.Schedule, whose contacts plan already checked, so pull does
+	// not check them again.
 	checked   bool
 	prevStart sim.Time
 	maxEnd    sim.Time
@@ -131,8 +130,9 @@ type run struct {
 
 	remaining int
 	// deliveredAt is each bundle's arrival time by its dense index (the
-	// holder tracker's creation order), notDelivered until it arrives;
-	// result turns it into Result.DeliveryTimes once.
+	// holder tracker's creation order), zero until it arrives: an arrival
+	// completes a transmission after a contact start >= 0, so it is never
+	// at 0. result turns it into Result.DeliveryTimes once.
 	deliveredAt []sim.Time
 	// delays accumulates per-bundle delivery delays, measured from each
 	// bundle's own CreatedAt (bundles from late-starting flows must not
@@ -141,10 +141,6 @@ type run struct {
 	firstStart  sim.Time
 	lastArrival sim.Time
 }
-
-// notDelivered marks a deliveredAt slot whose bundle has not arrived:
-// no delivery happens at -∞.
-var notDelivered = sim.Time(math.Inf(-1))
 
 type flow struct {
 	f              Flow
@@ -159,8 +155,11 @@ func Run(cfg Config) (*Result, error) {
 		defer closer.Close()
 	}
 	cfg = cfg.withDefaults()
-	src, err := cfg.validate()
+	src, err := cfg.plan()
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(src); err != nil {
 		return nil, err
 	}
 	cap, adaptive := cfg.horizonCap(src)
@@ -192,9 +191,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	r.holders.Grow(r.remaining)
 	r.deliveredAt = make([]sim.Time, r.remaining)
-	for i := range r.deliveredAt {
-		r.deliveredAt[i] = notDelivered
-	}
 	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
 	if err := r.chooseExecutor(); err != nil {
 		return nil, err
@@ -323,7 +319,7 @@ func (r *run) result(end sim.Time) *Result {
 	for _, fl := range r.flows {
 		for i := 0; i < fl.f.Count; i++ {
 			id := bundle.ID{Src: fl.f.Src, Seq: fl.base + i}
-			if x := r.holders.Index(id); x >= 0 && r.deliveredAt[x] != notDelivered {
+			if x := r.holders.Index(id); x >= 0 && r.deliveredAt[x] > 0 {
 				times[id] = r.deliveredAt[x]
 			}
 		}
