@@ -97,20 +97,25 @@ type Store struct {
 
 // New returns an empty store with the given capacity in bundles.
 // Capacity must be positive.
-func New(capacity int) *Store { return &NewStores(1, capacity)[0] }
+func New(capacity int) *Store {
+	s := new(Store)
+	s.Init(capacity)
+	return s
+}
 
-// NewStores returns n empty stores of the given capacity in one
-// allocation, for a population whose stores live by value in a slab.
-// Capacity must be positive.
-func NewStores(n, capacity int) []Store {
+// Init empties s and gives it the given capacity in bundles, leaving it
+// as New builds a store but for the slab its copies lived in, which it
+// keeps: a population reused from run to run (node.NewPopulation)
+// grows no store twice. The old copies are cleared first, so the
+// bundles they point to can be collected. One assignment resets the
+// whole store, so a field added later starts every use at its zero
+// value. Capacity must be positive.
+func (s *Store) Init(capacity int) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: capacity must be positive, got %d", capacity))
 	}
-	stores := make([]Store, n)
-	for i := range stores {
-		stores[i] = Store{cap: capacity, minExpiry: sim.Infinity}
-	}
-	return stores
+	clear(s.order)
+	*s = Store{cap: capacity, minExpiry: sim.Infinity, order: s.order[:0]}
 }
 
 // Cap returns the configured capacity.

@@ -103,6 +103,10 @@ type SummaryVector struct {
 // that want a pointer in one expression.
 func NewSummaryVector() *SummaryVector { return &SummaryVector{} }
 
+// Clear empties v and keeps its storage, so a set reused from run to
+// run (node.NewPopulation) grows it once.
+func (v *SummaryVector) Clear() { *v = SummaryVector{ids: v.ids[:0]} }
+
 // searchIDs returns the position of the first element of ids that is
 // not less than id: id's index when present, its insertion point
 // otherwise.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dtnsim/internal/bundle"
@@ -72,19 +73,64 @@ var ErrCancelled = errors.New("core: run cancelled")
 // the contact hot path.
 const interruptEvery = 64
 
-// run is one run: its state and its loop (loop.go).
-type run struct {
-	cfg   Config
+// Runner executes runs one after another and keeps each run's working
+// memory for the next (DESIGN.md §12): the node slab with its stores
+// and received sets, the pool with its kernels, the window with its
+// effect buffers, the holder tracker, and the delivery, delay, flow and
+// observer slices. A sweep worker owns one (experiment's runGrid), so
+// its runs after the first build no population and grow no store,
+// offer scratch or effect buffer they have grown before. Reuse is
+// invisible: a run on a warmed Runner returns what a fresh one would,
+// bit for bit, and no Result shares memory with the Runner.
+//
+// Between runs a Runner holds those slabs and nothing else — no
+// Config, source, protocol, observer or bundle. The zero Runner is
+// ready and allocates what a one-shot run needs, so Run is
+// new(Runner).Run. A Runner belongs to one goroutine: its runs may not
+// overlap.
+type Runner struct{ r run }
+
+// slabs is the part of a run that outlives it in its Runner. Every
+// field is sized for the run in start, through the constructor that
+// built it, and emptied by release.
+type slabs struct {
 	nodes []*node.Node
-	coll  *metrics.Collector
-	// obs is every observer of this run: the built-in collector first,
-	// then Config.Observers in order.
-	obs []Observer
 	// holders maintains per-bundle holder counts incrementally from the
 	// merged store/drop effects (in creation order, replacing the old
 	// tracked-bundle scan), making each sampling tick O(nodes + tracked)
 	// instead of O(nodes × tracked).
-	holders *metrics.HolderTracker
+	holders metrics.HolderTracker
+	// pool is the in-tree executor, kept while the kernel count matches
+	// (chooseExecutor); a Config.Backend run leaves it idle.
+	pool *pool
+	// window holds the collected, not yet executed items in canonical
+	// order. Its capacity is the window size chooseExecutor derived;
+	// the slots and their effect buffers are reused for the whole run
+	// and the Runner's later ones.
+	window Epoch
+	// deliveredAt is each bundle's arrival time by its dense index (the
+	// holder tracker's creation order), zero until it arrives: an arrival
+	// completes a transmission after a contact start >= 0, so it is never
+	// at 0. result turns it into Result.DeliveryTimes once.
+	deliveredAt []sim.Time
+	// delays accumulates per-bundle delivery delays, measured from each
+	// bundle's own CreatedAt (bundles from late-starting flows must not
+	// inherit another flow's start time). It is sized from the flow plan:
+	// a run delivers each bundle at most once.
+	delays []float64
+	// flows is the workload sorted by (StartAt, declaration order): the
+	// canonical order of generation items.
+	flows []flow
+	// obs is every observer of the run: the built-in collector first,
+	// then Config.Observers in order.
+	obs []Observer
+}
+
+// run is one run: its state and its loop (loop.go).
+type run struct {
+	slabs
+	cfg  Config
+	coll metrics.Collector
 	// exec executes the items; occupancy is its NodeOccupancy, bound
 	// once (a method value built per tick would allocate per tick).
 	exec      EpochBackend
@@ -113,31 +159,15 @@ type run struct {
 	// mid-epoch) stops collection and is returned from Run.
 	err error
 
-	// flows is the workload sorted by (StartAt, declaration order): the
-	// canonical order of generation items.
-	flows    []flow
 	nextFlow int
 	// pending buffers the one contact pulled past the current epoch
 	// boundary (the stream is start-sorted, so one suffices).
 	pending    contact.Contact
 	hasPending bool
-	// window holds the collected, not yet executed items in canonical
-	// order. Its capacity is the window size chooseExecutor derived;
-	// the slots and their effect buffers are reused for the whole run.
-	window Epoch
 	// collected counts items across epochs, pacing the Context poll.
 	collected int
 
-	remaining int
-	// deliveredAt is each bundle's arrival time by its dense index (the
-	// holder tracker's creation order), zero until it arrives: an arrival
-	// completes a transmission after a contact start >= 0, so it is never
-	// at 0. result turns it into Result.DeliveryTimes once.
-	deliveredAt []sim.Time
-	// delays accumulates per-bundle delivery delays, measured from each
-	// bundle's own CreatedAt (bundles from late-starting flows must not
-	// inherit another flow's start time).
-	delays      []float64
+	remaining   int
 	firstStart  sim.Time
 	lastArrival sim.Time
 }
@@ -147,8 +177,13 @@ type flow struct {
 	base, firstSeq int
 }
 
-// Run executes one simulation and returns its result.
-func Run(cfg Config) (*Result, error) {
+// Run executes one simulation on a fresh Runner and returns its result.
+func Run(cfg Config) (*Result, error) { return new(Runner).Run(cfg) }
+
+// Run executes one simulation and returns its result: the engine's one
+// entry. The run reuses what the Runner's earlier runs left and leaves
+// the Runner holding only that memory, however it ends.
+func (w *Runner) Run(cfg Config) (*Result, error) {
 	if closer, ok := cfg.Source.(io.Closer); ok {
 		// A file-backed source must be released however the run ends:
 		// validation failure, early termination, explicit horizon.
@@ -162,36 +197,9 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(src); err != nil {
 		return nil, err
 	}
-	cap, adaptive := cfg.horizonCap(src)
-	r := &run{
-		cfg:         cfg,
-		checked:     cfg.Schedule != nil,
-		coll:        metrics.NewCollector(),
-		holders:     metrics.NewHolderTracker(),
-		src:         src,
-		cap:         cap,
-		adaptiveCap: adaptive,
-		horizon:     cap,
-		firstStart:  sim.Infinity,
-	}
-	r.obs = append([]Observer{r.coll}, cfg.Observers...)
-	r.nodes = node.NewPopulation(cfg.nodeCount(), cfg.BufferCap)
-	for _, n := range r.nodes {
-		if cfg.BufferBytes > 0 {
-			n.Store.SetByteCap(cfg.BufferBytes)
-		}
-		cfg.Protocol.Init(n)
-	}
-	r.flows = flowPlan(cfg.Flows)
-	for _, f := range cfg.Flows {
-		if f.StartAt < r.firstStart {
-			r.firstStart = f.StartAt
-		}
-		r.remaining += f.Count
-	}
-	r.holders.Grow(r.remaining)
-	r.deliveredAt = make([]sim.Time, r.remaining)
-	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
+	r := &w.r
+	defer r.release()
+	r.start(cfg, src)
 	if err := r.chooseExecutor(); err != nil {
 		return nil, err
 	}
@@ -221,6 +229,70 @@ func Run(cfg Config) (*Result, error) {
 	return r.result(end), nil
 }
 
+// start makes r the run of cfg over the contact plan src: the zero run
+// but for the slabs, each sized for this run through the constructor
+// that built it. Assigning the whole struct is the reset, so a field
+// added later cannot leak from one run into the next.
+func (r *run) start(cfg Config, src contact.Source) {
+	cap, adaptive := cfg.horizonCap(src)
+	*r = run{
+		slabs:       r.slabs,
+		cfg:         cfg,
+		checked:     cfg.Schedule != nil,
+		src:         src,
+		cap:         cap,
+		adaptiveCap: adaptive,
+		horizon:     cap,
+		firstStart:  sim.Infinity,
+	}
+	r.obs = append(append(r.obs[:0], &r.coll), cfg.Observers...)
+	r.nodes = node.NewPopulation(r.nodes, cfg.nodeCount(), cfg.BufferCap)
+	for _, n := range r.nodes {
+		if cfg.BufferBytes > 0 {
+			n.Store.SetByteCap(cfg.BufferBytes)
+		}
+		cfg.Protocol.Init(n)
+	}
+	r.flows = flowPlan(r.flows, cfg.Flows)
+	for _, f := range cfg.Flows {
+		if f.StartAt < r.firstStart {
+			r.firstStart = f.StartAt
+		}
+		r.remaining += f.Count
+	}
+	r.holders.Clear()
+	r.holders.Grow(r.remaining)
+	r.deliveredAt = zeroed(r.deliveredAt, r.remaining)
+	r.delays = slices.Grow(r.delays[:0], r.remaining)
+	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
+}
+
+// release empties r for the Runner's next run, however this one ended.
+// The population and the pool are reset through the constructors start
+// and chooseExecutor size them with, for an empty run, which drops every
+// copy, protocol state, protocol, drop policy and node reference the
+// run left in them; then the run itself is zeroed but for its slabs.
+func (r *run) release() {
+	r.nodes = node.NewPopulation(r.nodes, 0, r.cfg.BufferCap)
+	if r.pool != nil {
+		r.pool.release()
+	}
+	clear(r.obs)
+	r.obs = r.obs[:0]
+	*r = run{slabs: r.slabs}
+}
+
+// zeroed returns s resliced to n zero elements, reusing its array when
+// it has room.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // chooseExecutor is the one place the executor and its window size are
 // decided: a configured Backend wins, otherwise the in-tree pool. The
 // size is derived, never configured: WindowItems for an executor that
@@ -237,10 +309,18 @@ func (r *run) chooseExecutor() error {
 		if k == 1 {
 			size = 1
 		}
-		r.exec = newPool(k)
+		if r.pool == nil || len(r.pool.kernels) != k {
+			r.pool = newPool(k)
+		}
+		r.exec = r.pool
 	}
 	r.occupancy = r.exec.NodeOccupancy
-	r.window.items = make([]EpochItem, 0, size)
+	// The window's capacity is its size; slots past it, and their
+	// effect buffers, wait for a run that needs them.
+	if cap(r.window.items) < size {
+		r.window.items = make([]EpochItem, 0, size)
+	}
+	r.window.items = r.window.items[:0:size]
 	return r.exec.Start(RunEnv{Cfg: r.cfg, Nodes: r.nodes})
 }
 
@@ -274,12 +354,12 @@ func (r *run) cancelled(at sim.Time) error {
 // the lowest block base among the flows sharing a bundle's (Src, Dst)
 // pair: cumulative immunity keys its tables by that pair, so an
 // acknowledgement anchored any higher could falsely cover another block
-// of the same pair.
-func flowPlan(flows []Flow) []flow {
+// of the same pair. The plan fills prev's array when it has room.
+func flowPlan(prev []flow, flows []Flow) []flow {
 	type pair struct{ src, dst contact.NodeID }
 	nextSeq := make(map[contact.NodeID]int)
 	firstSeq := make(map[pair]int)
-	plan := make([]flow, len(flows))
+	plan := zeroed(prev, len(flows))
 	for i, f := range flows {
 		base := nextSeq[f.Src] + 1
 		nextSeq[f.Src] += f.Count

@@ -68,8 +68,18 @@ type Kernel struct {
 // DropPolicy): a private encounter stream and, under a byte capacity, a
 // private drop-policy instance — same name and derived seed on every
 // thread, in this process or a worker's.
-func NewKernel(cfg *Config, nodes []*node.Node, hooks []*EffectBuf) (*Kernel, error) {
-	k := &Kernel{
+//
+// prev is a kernel an earlier call returned, or nil. A non-nil prev is
+// rebuilt in place for this run and returned: it keeps its encounter
+// stream (reseeded before every draw), its drop hook and its offer
+// scratch, its only working memory, and nothing else of its last run.
+func NewKernel(prev *Kernel, cfg *Config, nodes []*node.Node, hooks []*EffectBuf) (*Kernel, error) {
+	k := prev
+	if k == nil {
+		k = &Kernel{RNG: sim.NewReseedable()}
+		k.drop = k.recordDrop
+	}
+	*k = Kernel{
 		Nodes:          nodes,
 		Hooks:          hooks,
 		Protocol:       cfg.Protocol,
@@ -78,9 +88,10 @@ func NewKernel(cfg *Config, nodes []*node.Node, hooks []*EffectBuf) (*Kernel, er
 		RecordsPerSlot: cfg.RecordsPerSlot,
 		Bandwidth:      cfg.Bandwidth,
 		ControlBytes:   cfg.ControlBytes,
-		RNG:            sim.NewReseedable(),
+		RNG:            k.RNG,
+		drop:           k.drop,
+		offer:          k.offer,
 	}
-	k.drop = k.recordDrop
 	if cfg.BufferBytes > 0 {
 		name := cfg.DropPolicy
 		if name == "" {

@@ -22,14 +22,14 @@ type kernelWorld struct {
 func newKernelWorld(t *testing.T, cfg Config, bufCap int) *kernelWorld {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	nodes := node.NewPopulation(3, bufCap)
+	nodes := node.NewPopulation(nil, 3, bufCap)
 	for _, n := range nodes {
 		if cfg.BufferBytes > 0 {
 			n.Store.SetByteCap(cfg.BufferBytes)
 		}
 		cfg.Protocol.Init(n)
 	}
-	k, err := NewKernel(&cfg, nodes, make([]*EffectBuf, len(nodes)))
+	k, err := NewKernel(nil, &cfg, nodes, make([]*EffectBuf, len(nodes)))
 	if err != nil {
 		t.Fatal(err)
 	}

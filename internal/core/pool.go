@@ -17,24 +17,29 @@ import (
 // Partitioner can hand out. A Kernel carries its own reseedable
 // encounter stream and drop-policy instance, so no random draw ever
 // crosses a goroutine boundary.
+//
+// A Runner keeps its pool from run to run while the kernel count
+// matches: Start rebuilds the kernels in place, and release empties
+// them between runs.
 type pool struct {
 	nodes   []*node.Node
 	kernels []*Kernel
-	part    Partitioner
+	// hooks[n] is the effect buffer of the item currently executing on
+	// node n. Within a window only the kernel running n's list touches
+	// entry n, and windows are separated by RunEpoch's join.
+	hooks []*EffectBuf
+	part  Partitioner
 }
 
 func newPool(k int) *pool { return &pool{kernels: make([]*Kernel, k)} }
 
-// Start builds the kernels over the run's nodes and binds every node's
-// drop hook.
+// Start builds the kernels over the run's nodes, reusing the ones an
+// earlier Start built, and binds every node's drop hook.
 func (p *pool) Start(env RunEnv) error {
 	p.nodes = env.Nodes
-	// hooks[n] is the effect buffer of the item currently executing on
-	// node n. Within a window only the kernel running n's list touches
-	// entry n, and windows are separated by RunEpoch's join.
-	hooks := make([]*EffectBuf, len(env.Nodes))
-	for i := range p.kernels {
-		kern, err := NewKernel(&env.Cfg, env.Nodes, hooks)
+	p.hooks = zeroed(p.hooks, len(env.Nodes))
+	for i, prev := range p.kernels {
+		kern, err := NewKernel(prev, &env.Cfg, env.Nodes, p.hooks)
 		if err != nil {
 			return err
 		}
@@ -45,6 +50,11 @@ func (p *pool) Start(env RunEnv) error {
 	}
 	return nil
 }
+
+// release starts the pool on the empty run: no nodes, and a zero Config,
+// which builds no drop policy and so cannot fail. The kernels keep their
+// working memory and drop the run's protocol, policy and last copy.
+func (p *pool) release() { _ = p.Start(RunEnv{}) }
 
 // RunEpoch splits the window into node-disjoint lists and runs each
 // start to finish on its own kernel — list 0 on the caller, the others

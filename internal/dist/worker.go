@@ -138,7 +138,7 @@ func (s *workerState) init(in *frame.Init) error {
 	s.ver = make([]uint64, in.Nodes)
 	s.base = make([]*[frame.Sections][]byte, in.Nodes)
 	s.ends.reset(in.Nodes)
-	s.kern, err = core.NewKernel(&core.Config{
+	s.kern, err = core.NewKernel(nil, &core.Config{
 		Protocol:       s.proto,
 		Seed:           in.Seed,
 		TxTime:         in.TxTime,

@@ -156,10 +156,10 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 	// load sweep's (load, run) — so every series compares the same
 	// mobility and pair draws at each point.
 	err := runGrid(len(res.Series), len(sw.Bandwidths), sw.Runs, sw.Workers,
-		func(si, bi, run int) runOutcome {
+		func(w *core.Runner, si, bi, run int) runOutcome {
 			nD := len(sw.DropPolicies)
 			pf, bw := sw.Protocols[si/nD], sw.Bandwidths[bi]
-			r, err := sw.Scenario.simulate(core.Config{
+			r, err := sw.Scenario.simulate(w, core.Config{
 				Protocol:    pf.New(),
 				Bandwidth:   bw,
 				BufferBytes: sw.BufferBytes,

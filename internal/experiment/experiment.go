@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
@@ -196,9 +197,9 @@ func Run(sw Sweep) (*Result, error) {
 		res.Series = append(res.Series, Series{Label: pf.Label})
 	}
 	err := runGrid(len(sw.Protocols), len(sw.Loads), sw.Runs, sw.Workers,
-		func(pi, li, run int) runOutcome {
+		func(w *core.Runner, pi, li, run int) runOutcome {
 			pf, load := sw.Protocols[pi], sw.Loads[li]
-			r, err := sw.Scenario.simulate(core.Config{
+			r, err := sw.Scenario.simulate(w, core.Config{
 				Protocol:     pf.New(),
 				Bandwidth:    sw.Scenario.Bandwidth,
 				BufferBytes:  sw.Scenario.BufferBytes,
@@ -229,10 +230,10 @@ func Run(sw Sweep) (*Result, error) {
 // per-metric Welford accumulators and builds the averaged Point. Run
 // has already rejected metrics it does not know.
 func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) Point {
-	acc := make(map[Metric]*stats.Welford, len(sw.Metrics))
-	for _, m := range sw.Metrics {
-		acc[m] = &stats.Welford{}
-	}
+	// acc[i] accumulates sw.Metrics[i]. A metric listed twice folds
+	// into its first slot, twice per run, as one accumulator per metric
+	// always did.
+	acc := make([]stats.Welford, len(sw.Metrics))
 	completed := 0
 	for _, out := range outcomes {
 		r := out.res
@@ -240,29 +241,31 @@ func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) Point {
 			completed++
 		}
 		for _, m := range sw.Metrics {
+			a := &acc[slices.Index(sw.Metrics, m)]
 			switch m {
 			case MetricDelay:
 				if r.Completed {
-					acc[m].Add(r.Makespan)
+					a.Add(r.Makespan)
 				}
 			case MetricDelivery:
-				acc[m].Add(r.DeliveryRatio)
+				a.Add(r.DeliveryRatio)
 			case MetricOccupancy:
-				acc[m].Add(r.MeanOccupancy)
+				a.Add(r.MeanOccupancy)
 			case MetricDuplication:
-				acc[m].Add(r.MeanDuplication)
+				a.Add(r.MeanDuplication)
 			case MetricOverhead:
-				acc[m].Add(float64(r.ControlRecords))
+				a.Add(float64(r.ControlRecords))
 			}
 		}
 	}
 	pt := Point{Load: load, Values: make(map[Metric]float64, len(sw.Metrics)), Completed: completed, Runs: sw.Runs}
 	for _, m := range sw.Metrics {
-		if m == MetricDelay && acc[m].N() == 0 {
+		a := &acc[slices.Index(sw.Metrics, m)]
+		if m == MetricDelay && a.N() == 0 {
 			pt.Values[m] = math.NaN()
 			continue
 		}
-		pt.Values[m] = acc[m].Mean()
+		pt.Values[m] = a.Mean()
 	}
 	return pt
 }

@@ -40,8 +40,8 @@ type gridCell struct {
 	pending sync.WaitGroup
 }
 
-// runGrid executes an nI × nJ × runs simulation grid: job(i, j, run)
-// runs one simulation, fold(i, j, outcomes) receives each point's
+// runGrid executes an nI × nJ × runs simulation grid: job(w, i, j, run)
+// runs one simulation on w, fold(i, j, outcomes) receives each point's
 // error-free outcomes, in run order, on the calling goroutine in sweep
 // order (i-major, j-minor) as soon as the point's runs have finished —
 // so progress callbacks fire live and floating-point accumulation is
@@ -54,16 +54,22 @@ type gridCell struct {
 // skip flag so the remaining (potentially thousands-of-nodes) jobs are
 // marked skipped rather than run, and the error returned is the first
 // real failure in grid order, never a skip marker.
-func runGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
+//
+// Each worker goroutine, and the inline path, owns one core.Runner and
+// hands it to every job it runs, so a run reuses the working memory of
+// the worker's previous run (core.Runner); which runs share a Runner
+// depends on scheduling, and reuse is invisible in results.
+func runGrid(nI, nJ, runs, workers int, job func(w *core.Runner, i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, nI*nJ*runs))
 	if workers == 1 {
+		var w core.Runner
 		for c := 0; c < nI*nJ; c++ {
 			outs := make([]runOutcome, runs)
 			for run := range outs {
-				if outs[run] = job(c/nJ, c%nJ, run); outs[run].err != nil {
+				if outs[run] = job(&w, c/nJ, c%nJ, run); outs[run].err != nil {
 					return outs[run].err
 				}
 			}
@@ -91,10 +97,11 @@ func runGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome, fold
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w core.Runner
 			for k := range jobs {
 				out := runOutcome{err: errSkipped}
 				if !failed.Load() {
-					if out = job(k.cell/nJ, k.cell%nJ, k.run); out.err != nil {
+					if out = job(&w, k.cell/nJ, k.cell%nJ, k.run); out.err != nil {
 						failed.Store(true)
 					}
 				}
@@ -166,9 +173,10 @@ func runGrid(nI, nJ, runs, workers int, job func(i, j, run int) runOutcome, fold
 //     per run).
 //
 // Everything mutable — the contact source and the protocol instance in
-// cfg — is per call, so concurrent runs never share state. The source
-// reaches the engine unwrapped.
-func (sc Scenario) simulate(cfg core.Config, flow core.Flow, baseSeed uint64, axis, run int) (*core.Result, error) {
+// cfg — is per call, and w is the calling worker's own Runner, so
+// concurrent runs never share state. The source reaches the engine
+// unwrapped.
+func (sc Scenario) simulate(w *core.Runner, cfg core.Config, flow core.Flow, baseSeed uint64, axis, run int) (*core.Result, error) {
 	if sc.Stream == nil {
 		return nil, fmt.Errorf("scenario %q has no mobility stream", sc.Name)
 	}
@@ -191,5 +199,5 @@ func (sc Scenario) simulate(cfg core.Config, flow core.Flow, baseSeed uint64, ax
 	// time averages as in the paper; delay and delivery ratio are
 	// unaffected (§IV end conditions).
 	cfg.RunToHorizon = true
-	return core.Run(cfg)
+	return w.Run(cfg)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dtnsim/internal/contact"
+	"dtnsim/internal/core"
 	"dtnsim/internal/mobility"
 	"dtnsim/internal/spec"
 )
@@ -128,7 +129,7 @@ func TestGridWindowBoundsInFlightCells(t *testing.T) {
 	overran := make(chan struct{})
 	var overranOnce sync.Once
 	err := runGrid(1, cells, 2, workers,
-		func(_, j, run int) runOutcome {
+		func(_ *core.Runner, _, j, run int) runOutcome {
 			mu.Lock()
 			if !started[j] {
 				started[j] = true

@@ -259,8 +259,8 @@ func TestReplayFallbacks(t *testing.T) {
 		raw := Scenario{Name: "erring", Stream: stream}
 		memo := Scenario{Name: "erring", Stream: newReplay(stream, replayBudget).Stream}
 		for run := 0; run < 4; run++ {
-			_, want := raw.simulate(core.Config{Protocol: Pure().New()}, core.Flow{Count: 5}, 9, 5, run)
-			_, got := memo.simulate(core.Config{Protocol: Pure().New()}, core.Flow{Count: 5}, 9, 5, run)
+			_, want := raw.simulate(new(core.Runner), core.Config{Protocol: Pure().New()}, core.Flow{Count: 5}, 9, 5, run)
+			_, got := memo.simulate(new(core.Runner), core.Config{Protocol: Pure().New()}, core.Flow{Count: 5}, 9, 5, run)
 			if want == nil || got == nil || got.Error() != want.Error() {
 				t.Errorf("run %d: err %v, raw stream's %v", run, got, want)
 			}

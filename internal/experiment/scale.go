@@ -142,14 +142,14 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 		res.Series = append(res.Series, ScaleSeries{Label: pf.Label})
 	}
 	err := runGrid(len(sw.Protocols), len(sw.Nodes), sw.Runs, sw.Workers,
-		func(pi, ni, run int) runOutcome {
+		func(w *core.Runner, pi, ni, run int) runOutcome {
 			pf, nodes := sw.Protocols[pi], sw.Nodes[ni]
 			// One scenario per run, so its memo never replays a plan (TestSweepSeedingRule).
 			sc, err := ScenarioFromSpec(sw.Mobility(nodes))
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}
 			}
-			res, err := sc.simulate(core.Config{Protocol: pf.New(), Shards: sw.Shards},
+			res, err := sc.simulate(w, core.Config{Protocol: pf.New(), Shards: sw.Shards},
 				core.Flow{Count: sw.Load}, sw.BaseSeed, nodes, run)
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale %s at %d nodes: %w", pf.Label, nodes, err)}

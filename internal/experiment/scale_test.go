@@ -97,7 +97,7 @@ func scaleCellCost(t *testing.T, nodes int) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := sc.simulate(core.Config{Protocol: Pure().New()}, core.Flow{Count: 30}, 2012, nodes, 0)
+	res, err := sc.simulate(new(core.Runner), core.Config{Protocol: Pure().New()}, core.Flow{Count: 30}, 2012, nodes, 0)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -127,6 +127,10 @@ type idRun struct {
 // NewHolderTracker returns an empty tracker.
 func NewHolderTracker() *HolderTracker { return &HolderTracker{} }
 
+// Clear empties t and keeps its slabs, so a tracker reused from run to
+// run grows them once. One assignment resets the whole tracker.
+func (t *HolderTracker) Clear() { *t = HolderTracker{runs: t.runs[:0], counts: t.counts[:0]} }
+
 // Grow makes room for n more tracked bundles, for a caller that knows
 // its workload's size: counts then never grow one append at a time.
 func (t *HolderTracker) Grow(n int) { t.counts = slices.Grow(t.counts, n) }
@@ -262,20 +266,21 @@ type Collector struct {
 	transmissions int64
 	delivered     int64
 	drops         int64
-	// byReason holds per-reason drop counts keyed by the node.DropReason
-	// enum; their sum plus invalidDrops is drops. Kept so tests can
-	// cross-check the observer stream against the engine's node counters
-	// (Refused/Evicted/Expired/ByteDropped) and catch bookkeeping drift.
-	byReason map[node.DropReason]int64
+	// byReason holds per-reason drop counts, indexed by the reason's
+	// position in node.DropReasons(); their sum plus invalidDrops is
+	// drops. Kept so tests can cross-check the observer stream against
+	// the engine's node counters (Refused/Evicted/Expired/ByteDropped)
+	// and catch bookkeeping drift. An array, so counting a drop hashes
+	// nothing and the zero Collector is ready.
+	byReason [5]int64
 	// invalidDrops counts drops whose reason is outside the enum — a
 	// reporting bug TestCollectorMatchesNodeCounters pins at zero.
 	invalidDrops int64
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{byReason: make(map[node.DropReason]int64, len(node.DropReasons()))}
-}
+// NewCollector returns an empty collector. The zero value is one too:
+// the engine keeps its collector by value and resets it by assignment.
+func NewCollector() *Collector { return &Collector{} }
 
 // OnGenerate implements core.Observer.
 func (c *Collector) OnGenerate(bundle.ID, contact.NodeID, sim.Time) { c.generated++ }
@@ -289,11 +294,12 @@ func (c *Collector) OnDeliver(_ bundle.ID, _ contact.NodeID, _ float64, _ sim.Ti
 // OnDrop implements core.Observer.
 func (c *Collector) OnDrop(_ contact.NodeID, _ bundle.ID, reason node.DropReason, _ sim.Time) {
 	c.drops++
-	if !reason.Valid() {
+	i := reason.Index()
+	if i < 0 {
 		c.invalidDrops++
 		return
 	}
-	c.byReason[reason]++
+	c.byReason[i]++
 }
 
 // OnSample implements core.Observer: fold one periodic observation into
@@ -322,7 +328,12 @@ func (c *Collector) Drops() int64         { return c.drops }
 
 // DropsByReason returns the number of drops observed with the given
 // reason. Unknown reasons return zero.
-func (c *Collector) DropsByReason(reason node.DropReason) int64 { return c.byReason[reason] }
+func (c *Collector) DropsByReason(reason node.DropReason) int64 {
+	if i := reason.Index(); i >= 0 {
+		return c.byReason[i]
+	}
+	return 0
+}
 
 // InvalidDrops returns the number of drops whose reason fell outside
 // the node.DropReason enum; anything above zero is a reporting bug.

@@ -96,14 +96,26 @@ func DropReasons() []DropReason {
 	return []DropReason{DropRefused, DropEvicted, DropExpired, DropPurged, DropBytePressure}
 }
 
-// Valid reports whether r is one of the declared drop reasons.
-func (r DropReason) Valid() bool {
+// Index returns r's position in DropReasons(), or -1 when r is not a
+// declared reason: a dense index for per-reason counters.
+func (r DropReason) Index() int {
 	switch r {
-	case DropRefused, DropEvicted, DropExpired, DropPurged, DropBytePressure:
-		return true
+	case DropRefused:
+		return 0
+	case DropEvicted:
+		return 1
+	case DropExpired:
+		return 2
+	case DropPurged:
+		return 3
+	case DropBytePressure:
+		return 4
 	}
-	return false
+	return -1
 }
+
+// Valid reports whether r is one of the declared drop reasons.
+func (r DropReason) Valid() bool { return r.Index() >= 0 }
 
 // New returns a node with an empty store of the given capacity.
 func New(id contact.NodeID, bufCap int) *Node {
@@ -118,21 +130,36 @@ func New(id contact.NodeID, bufCap int) *Node {
 // NewPopulation returns nodes 0..count-1 as New would build them, in a
 // fixed number of allocations whatever the count: the nodes, their
 // stores and their received sets each live by value in one slab.
-func NewPopulation(count, bufCap int) []*Node {
-	nodes := make([]Node, count)
-	stores := buffer.NewStores(count, bufCap)
-	received := make([]bundle.SummaryVector, count)
-	out := make([]*Node, count)
-	for i := range nodes {
-		nodes[i] = Node{
+//
+// prev is a population an earlier call returned, or nil. When its slab
+// holds count nodes it is reused and nothing is allocated: every node
+// of the slab, including those past count, is reset to what New builds
+// — its copies and protocol state dropped, its store's and received
+// set's slabs kept — so a sweep worker's runs grow no store twice and a
+// shrinking population pins nothing of the last run. prev must not be
+// used after the call.
+func NewPopulation(prev []*Node, count, bufCap int) []*Node {
+	if cap(prev) < count {
+		nodes := make([]Node, count)
+		stores := make([]buffer.Store, count)
+		received := make([]bundle.SummaryVector, count)
+		prev = make([]*Node, count)
+		for i := range nodes {
+			nodes[i] = Node{Store: &stores[i], Received: &received[i]}
+			prev[i] = &nodes[i]
+		}
+	}
+	for i, n := range prev[:cap(prev)] {
+		n.Store.Init(bufCap)
+		n.Received.Clear()
+		*n = Node{
 			ID:                 contact.NodeID(i),
-			Store:              &stores[i],
-			Received:           &received[i],
+			Store:              n.Store,
+			Received:           n.Received,
 			LastEncounterStart: -1,
 		}
-		out[i] = &nodes[i]
 	}
-	return out
+	return prev[:count]
 }
 
 // ObserveEncounter updates the node's encounter history at the start of a

@@ -65,22 +65,82 @@ func TestNodeString(t *testing.T) {
 // builds, with stores and received sets that share nothing, in a fixed
 // number of allocations whatever the count.
 func TestNewPopulation(t *testing.T) {
-	pop := NewPopulation(5, 10)
-	for i, n := range pop {
-		want := New(contact.NodeID(i), 10)
-		if n.ID != want.ID || n.LastEncounterStart != want.LastEncounterStart ||
-			n.Store.Cap() != want.Store.Cap() || n.Store.Len() != 0 || n.Received.Len() != 0 {
-			t.Errorf("node %d: %v, want %v", i, n, want)
-		}
-	}
+	pop := NewPopulation(nil, 5, 10)
+	checkFresh(t, pop, 10)
 	pop[1].Received.Add(bundle.ID{Src: 1, Seq: 1})
 	if pop[0].Received.Len() != 0 || pop[2].Received.Len() != 0 {
 		t.Error("received sets share state")
 	}
-	small := testing.AllocsPerRun(10, func() { NewPopulation(10, 10) })
-	large := testing.AllocsPerRun(10, func() { NewPopulation(10000, 10) })
+	small := testing.AllocsPerRun(10, func() { NewPopulation(nil, 10, 10) })
+	large := testing.AllocsPerRun(10, func() { NewPopulation(nil, 10000, 10) })
 	if small != large {
 		t.Errorf("NewPopulation allocates %v times for 10 nodes, %v for 10000", small, large)
+	}
+}
+
+// TestNewPopulationReuse: a population rebuilt from a used one, smaller
+// or of the same size, is what a fresh call builds — every copy,
+// encounter, counter and protocol state of the last use gone, the
+// capacity the new one — and allocates nothing; only a larger one
+// allocates. The nodes past a shrunk population are emptied too, so
+// they pin none of the last use's bundles.
+func TestNewPopulationReuse(t *testing.T) {
+	pop := NewPopulation(nil, 6, 10)
+	for i, n := range pop {
+		b := &bundle.Bundle{ID: bundle.ID{Src: contact.NodeID(i), Seq: 1}, Dst: 0}
+		if err := n.Store.Put(&bundle.Copy{Bundle: b, Expiry: 50}); err != nil {
+			t.Fatal(err)
+		}
+		n.Received.Add(b.ID)
+		n.ObserveEncounter(10)
+		n.ObserveEncounter(20)
+		n.NoteRefused(b.ID, 20)
+		n.Store.SetControlLoad(2)
+		n.Ext = "protocol state"
+	}
+	all := pop
+	pop = NewPopulation(pop, 4, 3)
+	checkFresh(t, pop, 3)
+	for _, n := range all[4:] {
+		if n.Store.Len() != 0 || n.Received.Len() != 0 || n.Ext != nil {
+			t.Errorf("node %d past the shrunk population kept its state: %v", n.ID, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { pop = NewPopulation(pop, 6, 10) }); allocs != 0 {
+		t.Errorf("regrowing within the slab allocates %v times", allocs)
+	}
+	checkFresh(t, pop, 10)
+	if grown := NewPopulation(pop, 7, 10); len(grown) != 7 || &grown[0] == &pop[0] {
+		t.Error("a larger population did not get a new slab")
+	} else {
+		checkFresh(t, grown, 10)
+	}
+}
+
+// checkFresh fails unless every node of pop is what New(i, bufCap)
+// builds.
+func checkFresh(t *testing.T, pop []*Node, bufCap int) {
+	t.Helper()
+	for i, n := range pop {
+		want := New(contact.NodeID(i), bufCap)
+		if n.ID != want.ID || n.LastEncounterStart != want.LastEncounterStart || n.LastInterval != 0 ||
+			n.Refused != 0 || n.Ext != nil || n.DropHook != nil || n.Store.Cap() != bufCap ||
+			n.Store.Len() != 0 || n.Store.ControlLoad() != 0 || n.Received.Len() != 0 {
+			t.Errorf("node %d: %v, want %v", i, n, want)
+		}
+	}
+}
+
+// TestDropReasonIndex: Index numbers DropReasons() in order and refuses
+// anything else.
+func TestDropReasonIndex(t *testing.T) {
+	for i, r := range DropReasons() {
+		if r.Index() != i || !r.Valid() {
+			t.Errorf("%q: Index %d, Valid %v; want %d, true", r, r.Index(), r.Valid(), i)
+		}
+	}
+	if r := DropReason("lost"); r.Index() != -1 || r.Valid() {
+		t.Errorf("undeclared reason: Index %d, Valid %v", r.Index(), r.Valid())
 	}
 }
 
