@@ -367,8 +367,10 @@ func BenchmarkContactHotPathConstrained(b *testing.B) {
 func BenchmarkImmunityExchangeSteady(b *testing.B) {
 	im := protocol.NewImmunity()
 	x, y := node.New(0, 10), node.New(1, 10)
-	im.Init(x)
-	im.Init(y)
+	var slab protocol.Slab
+	slab.Size(2)
+	im.Init(x, &slab)
+	im.Init(y, &slab)
 	for seq := 1; seq <= 200; seq++ {
 		// y consumes the bundle from x: both adopt the record.
 		im.OnDelivered(y, x, bundle.ID{Src: 2, Seq: seq}, 0)

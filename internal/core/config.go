@@ -282,7 +282,9 @@ func (cfg Config) validate(src contact.Source) error {
 		if f.Src == f.Dst {
 			return fmt.Errorf("%w: flow %d is a self-loop on node %d", ErrConfig, i, f.Src)
 		}
-		if f.StartAt < 0 {
+		// The `!(x >= 0)` form also refuses NaN, which passes `x < 0`
+		// and would never start.
+		if !(f.StartAt >= 0) || math.IsInf(float64(f.StartAt), 0) {
 			return fmt.Errorf("%w: flow %d starts at %v", ErrConfig, i, f.StartAt)
 		}
 		n := contact.NodeID(cfg.nodeCount())
@@ -310,7 +312,8 @@ func (cfg Config) checkTicks(cap sim.Time) error {
 	for _, f := range cfg.Flows {
 		first = min(first, f.StartAt)
 	}
-	if ticks := float64(cap-first) / cfg.SampleEvery; ticks > maxTicks {
+	// Written so that a NaN tick count fails it too.
+	if ticks := float64(cap-first) / cfg.SampleEvery; !(ticks <= maxTicks) {
 		return fmt.Errorf("%w: %v s from the first flow start to horizon %v at one sample every %v s is %.3g ticks, over the bound of %d",
 			ErrConfig, float64(cap-first), float64(cap), cfg.SampleEvery, ticks, maxTicks)
 	}

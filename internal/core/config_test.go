@@ -109,6 +109,35 @@ func TestObserverDoesNotPerturbResult(t *testing.T) {
 	}
 }
 
+// pullCounter counts the contacts a run pulls from its source.
+type pullCounter struct {
+	contact.Source
+	pulled int
+}
+
+func (p *pullCounter) Next() (contact.Contact, bool) {
+	p.pulled++
+	return p.Source.Next()
+}
+
+// TestValidateRejectsNonFiniteStart: a flow that starts at NaN or +Inf
+// passes `StartAt < 0` and would never start, so the run would never
+// end; validation refuses it before the first contact is pulled.
+func TestValidateRejectsNonFiniteStart(t *testing.T) {
+	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+		src := &pullCounter{Source: twoNodeSchedule(t).Stream()}
+		cfg := validConfig(t)
+		cfg.Schedule, cfg.Source = nil, src
+		cfg.Flows[0].StartAt = sim.Time(at)
+		if _, err := Run(cfg); !errors.Is(err, ErrConfig) {
+			t.Errorf("StartAt %v: err = %v, want ErrConfig", at, err)
+		}
+		if src.pulled != 0 {
+			t.Errorf("StartAt %v: %d contacts pulled before the refusal", at, src.pulled)
+		}
+	}
+}
+
 func TestValidateRejectsNonFiniteKnobs(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"dtnsim/internal/contact"
 	"dtnsim/internal/metrics"
 	"dtnsim/internal/node"
+	"dtnsim/internal/protocol"
 	"dtnsim/internal/sim"
 	"dtnsim/internal/stats"
 )
@@ -75,11 +77,12 @@ const interruptEvery = 64
 
 // Runner executes runs one after another and keeps each run's working
 // memory for the next (DESIGN.md §12): the node slab with its stores
-// and received sets, the pool with its kernels, the window with its
-// effect buffers, the holder tracker, and the delivery, delay, flow and
-// observer slices. A sweep worker owns one (experiment's runGrid), so
-// its runs after the first build no population and grow no store,
-// offer scratch or effect buffer they have grown before. Reuse is
+// and received sets, the protocol state slab, the pool with its
+// kernels, the window with its effect buffers, the holder tracker, and
+// the delivery, delay, flow and observer slices. A sweep worker owns
+// one (experiment's runGrid), so its runs after the first build no
+// population and grow no store, protocol table, offer scratch or effect
+// buffer they have grown before. Reuse is
 // invisible: a run on a warmed Runner returns what a fresh one would,
 // bit for bit, and no Result shares memory with the Runner.
 //
@@ -95,6 +98,9 @@ type Runner struct{ r run }
 // built it, and emptied by release.
 type slabs struct {
 	nodes []*node.Node
+	// ext holds every node's protocol state by value; Init points each
+	// node's Ext into it.
+	ext protocol.Slab
 	// holders maintains per-bundle holder counts incrementally from the
 	// merged store/drop effects (in creation order, replacing the old
 	// tracked-bundle scan), making each sampling tick O(nodes + tracked)
@@ -132,7 +138,8 @@ type run struct {
 	cfg  Config
 	coll metrics.Collector
 	// exec executes the items; occupancy is its NodeOccupancy, bound
-	// once (a method value built per tick would allocate per tick).
+	// once (a method value built per tick would allocate per tick): the
+	// pool's when it was built, a Config.Backend's per run.
 	exec      EpochBackend
 	occupancy func(int) float64
 	// src streams the contact plan; a materialized Config.Schedule is
@@ -247,11 +254,12 @@ func (r *run) start(cfg Config, src contact.Source) {
 	}
 	r.obs = append(append(r.obs[:0], &r.coll), cfg.Observers...)
 	r.nodes = node.NewPopulation(r.nodes, cfg.nodeCount(), cfg.BufferCap)
+	r.ext.Size(len(r.nodes))
 	for _, n := range r.nodes {
 		if cfg.BufferBytes > 0 {
 			n.Store.SetByteCap(cfg.BufferBytes)
 		}
-		cfg.Protocol.Init(n)
+		cfg.Protocol.Init(n, &r.ext)
 	}
 	r.flows = flowPlan(r.flows, cfg.Flows)
 	for _, f := range cfg.Flows {
@@ -264,14 +272,17 @@ func (r *run) start(cfg Config, src contact.Source) {
 	r.holders.Grow(r.remaining)
 	r.deliveredAt = zeroed(r.deliveredAt, r.remaining)
 	r.delays = slices.Grow(r.delays[:0], r.remaining)
-	sort.SliceStable(r.flows, func(i, j int) bool { return r.flows[i].f.StartAt < r.flows[j].f.StartAt })
+	slices.SortStableFunc(r.flows, func(a, b flow) int { return cmp.Compare(a.f.StartAt, b.f.StartAt) })
 }
 
 // release empties r for the Runner's next run, however this one ended.
 // The population and the pool are reset through the constructors start
 // and chooseExecutor size them with, for an empty run, which drops every
 // copy, protocol state, protocol, drop policy and node reference the
-// run left in them; then the run itself is zeroed but for its slabs.
+// run left in them; then the run itself is zeroed but for its slabs,
+// which drops the executor and its bound NodeOccupancy. The protocol
+// slab needs nothing: no node points into it any more, and the next
+// run's Init resets what it hands out.
 func (r *run) release() {
 	r.nodes = node.NewPopulation(r.nodes, 0, r.cfg.BufferCap)
 	if r.pool != nil {
@@ -312,9 +323,10 @@ func (r *run) chooseExecutor() error {
 		if r.pool == nil || len(r.pool.kernels) != k {
 			r.pool = newPool(k)
 		}
-		r.exec = r.pool
+		r.exec, r.occupancy = r.pool, r.pool.occupancy
+	} else {
+		r.occupancy = r.exec.NodeOccupancy
 	}
-	r.occupancy = r.exec.NodeOccupancy
 	// The window's capacity is its size; slots past it, and their
 	// effect buffers, wait for a run that needs them.
 	if cap(r.window.items) < size {

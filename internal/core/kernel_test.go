@@ -23,11 +23,13 @@ func newKernelWorld(t *testing.T, cfg Config, bufCap int) *kernelWorld {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	nodes := node.NewPopulation(nil, 3, bufCap)
+	var slab protocol.Slab
+	slab.Size(len(nodes))
 	for _, n := range nodes {
 		if cfg.BufferBytes > 0 {
 			n.Store.SetByteCap(cfg.BufferBytes)
 		}
-		cfg.Protocol.Init(n)
+		cfg.Protocol.Init(n, &slab)
 	}
 	k, err := NewKernel(nil, &cfg, nodes, make([]*EffectBuf, len(nodes)))
 	if err != nil {

@@ -29,9 +29,16 @@ type pool struct {
 	// entry n, and windows are separated by RunEpoch's join.
 	hooks []*EffectBuf
 	part  Partitioner
+	// occupancy is NodeOccupancy, bound once when the pool is built, so
+	// a run that reuses the pool binds nothing.
+	occupancy func(int) float64
 }
 
-func newPool(k int) *pool { return &pool{kernels: make([]*Kernel, k)} }
+func newPool(k int) *pool {
+	p := &pool{kernels: make([]*Kernel, k)}
+	p.occupancy = p.NodeOccupancy
+	return p
+}
 
 // Start builds the kernels over the run's nodes, reusing the ones an
 // earlier Start built, and binds every node's drop hook.

@@ -66,8 +66,8 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	for pass := range 2 {
 		for _, i := range shuffle.Perm(len(streamGoldenCells)) {
 			cell := streamGoldenCells[i]
-			series, events := runReports(t, &w, cell.proto, cell.mob, pass == 1)
-			wantSeries, wantEvents := runReports(t, new(core.Runner), cell.proto, cell.mob, pass == 1)
+			_, series, events := runReports(t, &w, cell.proto, cell.mob, pass == 1)
+			_, wantSeries, wantEvents := runReports(t, new(core.Runner), cell.proto, cell.mob, pass == 1)
 			if !bytes.Equal(series, wantSeries) {
 				t.Errorf("pass %d, %s: series CSV diverged from a fresh run at byte %d",
 					pass, cell.file, firstDiff(series, wantSeries))
@@ -81,20 +81,64 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 }
 
 // runReports runs one golden cell on w with a series and an event
-// stream attached and returns both CSVs.
-func runReports(t *testing.T, w *core.Runner, proto string, mob goldenMobility, streamed bool) (series, events []byte) {
+// stream attached and returns its Result and both CSVs.
+func runReports(t *testing.T, w *core.Runner, proto string, mob goldenMobility, streamed bool) (res goldenResult, series, events []byte) {
 	t.Helper()
 	var sb, eb bytes.Buffer
 	ss, es := report.NewStream(&sb, false), report.NewStream(&eb, true)
 	cfg := goldenConfig(t, proto, mob, streamed)
 	cfg.Observers = []core.Observer{ss, es}
-	if _, err := w.Run(cfg); err != nil {
+	r, err := w.Run(cfg)
+	if err != nil {
 		t.Fatalf("%s|%s: %v", proto, mob.name, err)
 	}
 	if err := errors.Join(ss.Err(), es.Err()); err != nil {
 		t.Fatalf("%s|%s: stream write: %v", proto, mob.name, err)
 	}
-	return sb.Bytes(), eb.Bytes()
+	return toGolden(r), sb.Bytes(), eb.Bytes()
+}
+
+// TestRunnerProtocolSlabReuse: a Runner resets its protocol state slab
+// between runs rather than rebuilding it. One Runner runs the protocols
+// that keep per-node state — immunity, P-Q with anti-packets, cumulative
+// immunity — and pure epidemic, which keeps none, on populations of 12,
+// 20 and 24 nodes in a shuffled order, twice over, so every i-list and
+// flow table is reused under another protocol and by populations that
+// grow and shrink. The trace and budgeted cells give cumulative
+// immunity two flows from one source, the second's sequence block (its
+// FirstSeq) starting above 1. Each Result and both CSVs must equal a
+// fresh run's.
+func TestRunnerProtocolSlabReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the cells twice over, fresh and reused")
+	}
+	var cells []goldenCell
+	for _, p := range []string{"pure", "immunity", "pq:p=0.7,q=0.5,anti", "cumimmunity"} {
+		for _, m := range []goldenMobility{goldenMobilities[0], goldenMobilities[2], goldenMobilities[4], goldenBudgeted} {
+			cells = append(cells, goldenCell{p, m})
+		}
+	}
+	shuffle := rand.New(rand.NewPCG(42, 12))
+	var w core.Runner
+	for pass := range 2 {
+		for _, i := range shuffle.Perm(len(cells)) {
+			c := cells[i]
+			got, series, events := runReports(t, &w, c.proto, c.mob, false)
+			want, wantSeries, wantEvents := runReports(t, new(core.Runner), c.proto, c.mob, false)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("pass %d, %s|%s: reused Runner diverged from a fresh run\n got: %+v\nwant: %+v",
+					pass, c.proto, c.mob.name, got, want)
+			}
+			if !bytes.Equal(series, wantSeries) {
+				t.Errorf("pass %d, %s|%s: series CSV diverged from a fresh run at byte %d",
+					pass, c.proto, c.mob.name, firstDiff(series, wantSeries))
+			}
+			if !bytes.Equal(events, wantEvents) {
+				t.Errorf("pass %d, %s|%s: event CSV diverged from a fresh run at byte %d",
+					pass, c.proto, c.mob.name, firstDiff(events, wantEvents))
+			}
+		}
+	}
 }
 
 // failingSource passes its first n contacts through and then fails, the
@@ -204,24 +248,25 @@ func TestRunnerResultsOutliveReuse(t *testing.T) {
 // TestWarmRunnerAllocations pins what a warmed Runner allocates for a
 // second run of a paper cell: the Cambridge trace, one flow of 30
 // bundles, the paper's defaults. None of it is the engine's working
-// memory. Pure epidemic's 11 objects are each per run by design:
+// memory. Pure epidemic's 9 objects are each per run by design:
 //   - the Result (1), its FinalOccupancy and FinalBuffered slices (2)
 //     and its DeliveryTimes map (4 for 30 entries);
 //   - the flow's bundle slab (1): the stored copies point into it;
-//   - the materialized schedule's checked stream (1), the flow sort
-//     (1) and the executor's bound NodeOccupancy method (1).
+//   - the materialized schedule's checked stream (1).
 //
-// Cumulative immunity adds the protocol's own per-node extension state,
-// built by Init for every run (two maps a node), and the ack tables its
-// contacts and deliveries grow.
+// The protocols with per-node state add nothing: their i-lists and
+// flow tables live in the Runner's protocol slab, grown by the first
+// run. P-Q formats its display name for the Result (3).
 func TestWarmRunnerAllocations(t *testing.T) {
 	trace := goldenMobilities[0]
 	for _, c := range []struct {
 		proto string
 		want  float64
 	}{
-		{"pure", 11},
-		{"cumimmunity", 94},
+		{"pure", 9},
+		{"immunity", 9},
+		{"pq:p=1,q=1,anti", 12},
+		{"cumimmunity", 9},
 	} {
 		cfg := goldenConfig(t, c.proto, trace, false)
 		cfg.Flows = []core.Flow{{Src: 0, Dst: 7, Count: 30}}

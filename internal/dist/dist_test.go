@@ -682,7 +682,9 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	}
 	proto := fac.New()
 	n := node.New(3, 10)
-	proto.Init(n)
+	var slab protocol.Slab
+	slab.Size(4)
+	proto.Init(n, &slab)
 	n.ControlSent, n.DataSent, n.Refused = 17, 4, 1
 	n.Expired, n.Evicted, n.ByteDropped = 2, 3, 9
 	n.ObserveEncounter(100)
@@ -743,6 +745,99 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	if n2.LastEncounterStart != 350 || n2.LastInterval != 250 {
 		t.Errorf("restored encounter history: start=%v interval=%v",
 			n2.LastEncounterStart, n2.LastInterval)
+	}
+}
+
+// TestSlabCumulativeStateRoundTrip: a cumulative-immunity state that
+// lives in a reused protocol.Slab holds what its deliveries taught it,
+// and snapshots, restores and snapshots again to the identical frame
+// bytes, restored into a fresh node or in place. The slab first serves
+// a larger population whose destination grows two long flow tables; the
+// population then shrinks and is initialized again, so the state under
+// test sits in storage an earlier population grew. Its node learns three
+// flows: one whose sequence block starts at 6 (FirstSeq) and arrives out
+// of order, one with a gap whose table is inserted ahead of it, and one
+// it learns only from delivery feedback as a sender.
+func TestSlabCumulativeStateRoundTrip(t *testing.T) {
+	fac, err := protocol.Parse("cumimmunity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto := fac.New()
+	deliver := func(dst, sender *node.Node, src contact.NodeID, seq int, to contact.NodeID, first int) {
+		t.Helper()
+		b := &bundle.Bundle{ID: bundle.ID{Src: src, Seq: seq}, Dst: to, FirstSeq: first}
+		if err := sender.Store.Put(&bundle.Copy{Bundle: b, Expiry: sim.Infinity}); err != nil {
+			t.Fatal(err)
+		}
+		dst.Received.Add(b.ID)
+		proto.OnDelivered(dst, sender, b.ID, 0)
+	}
+	var slab protocol.Slab
+	initAll := func(pop []*node.Node) {
+		slab.Size(len(pop))
+		for _, n := range pop {
+			proto.Init(n, &slab)
+		}
+	}
+	pop := node.NewPopulation(nil, 4, 20)
+	initAll(pop)
+	for seq := 1; seq <= 12; seq++ {
+		deliver(pop[2], pop[0], 5, seq, 2, 1)
+		deliver(pop[2], pop[0], 6, seq, 2, 1)
+	}
+	pop = node.NewPopulation(pop, 3, 20)
+	initAll(pop)
+	dst := pop[2]
+	deliver(dst, pop[1], 1, 8, 2, 6)
+	deliver(dst, pop[1], 1, 6, 2, 6)
+	deliver(dst, pop[1], 0, 1, 2, 1)
+	deliver(dst, pop[1], 0, 3, 2, 1)
+	deliver(pop[0], dst, 3, 1, 0, 1)
+
+	snap := func(n *node.Node) []byte {
+		t.Helper()
+		var st frame.NodeState
+		if err := snapshotInto(&st, n); err != nil {
+			t.Fatal(err)
+		}
+		b, err := frame.Encode(&frame.Msg{Round: &frame.Round{States: []frame.NodeState{st}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := snap(dst)
+	dec, err := frame.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &dec.Round.States[0]
+	wantExt := protocol.ExtState{
+		Kind: protocol.ExtCumulative,
+		Acks: []protocol.FlowCount{{Src: 0, Dst: 2, N: 1}, {Src: 1, Dst: 2, N: 6}, {Src: 3, Dst: 0, N: 1}},
+		Base: []protocol.FlowCount{{Src: 0, Dst: 2, N: 1}, {Src: 1, Dst: 2, N: 6}},
+		Rcvd: []protocol.FlowSeqs{{Src: 0, Dst: 2, Seqs: []int{1, 3}}, {Src: 1, Dst: 2, Seqs: []int{6, 8}}},
+	}
+	if !reflect.DeepEqual(st.Ext, wantExt) {
+		t.Fatalf("slab-backed state = %+v, want %+v", st.Ext, wantExt)
+	}
+	fresh := node.New(2, 20)
+	if err := restoreInto(fresh, st); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap(fresh); !bytes.Equal(got, want) {
+		t.Errorf("restored into a fresh node, the state snapshots differently (first diff at byte %d)", firstDiff(got, want))
+	}
+	ext := dst.Ext
+	if err := protocol.RestoreExt(dst, st.Ext); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Ext != ext {
+		t.Error("restoring over a slab-backed state moved it out of the slab")
+	}
+	if got := snap(dst); !bytes.Equal(got, want) {
+		t.Errorf("restored in place, the state snapshots differently (first diff at byte %d)", firstDiff(got, want))
 	}
 }
 
@@ -1156,7 +1251,9 @@ func TestDistUnsortedWireSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := node.New(3, 10)
-	fac.New().Init(n)
+	var slab protocol.Slab
+	slab.Size(4)
+	fac.New().Init(n, &slab)
 	for seq := 1; seq <= 5; seq++ {
 		n.Received.Add(bundle.ID{Src: 1, Seq: seq})
 		cp := &bundle.Copy{Bundle: &bundle.Bundle{ID: bundle.ID{Src: 2, Seq: seq}, Dst: 7}, Expiry: sim.Infinity}

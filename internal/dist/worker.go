@@ -89,13 +89,15 @@ func ServeWith(r io.Reader, w io.Writer, opts ServeOpts) error {
 }
 
 // workerState is one session's worker-side state: the kernel, the
-// protocol instance (for pristine-node Init), the materialized nodes,
-// and the scratch a round is decoded, executed and answered in.
+// protocol instance and its state slab (for pristine-node Init), the
+// materialized nodes, and the scratch a round is decoded, executed and
+// answered in.
 type workerState struct {
 	cfg   frame.Init
 	delta bool // the coordinator's Hello carried CapDelta: replies may be patches
 	kern  *core.Kernel
 	proto protocol.Protocol
+	ext   protocol.Slab
 	// nodes[i] is the local materialization of node i. A node the
 	// worker executed stays live between rounds (live[i], at version
 	// ver[i] — the Seq of the last round that touched it) so the
@@ -133,6 +135,7 @@ func (s *workerState) init(in *frame.Init) error {
 	}
 	s.cfg = *in
 	s.proto = fac.New()
+	s.ext.Size(in.Nodes)
 	s.nodes = make([]*node.Node, in.Nodes)
 	s.live = make([]bool, in.Nodes)
 	s.ver = make([]uint64, in.Nodes)
@@ -195,7 +198,7 @@ func (s *workerState) round(r *frame.Round) error {
 	for _, id := range s.involved {
 		if s.ends.marked(id) {
 			// Pristine node: exactly what the engine's setup produces.
-			s.proto.Init(s.materialize(id))
+			s.proto.Init(s.materialize(id), &s.ext)
 		}
 	}
 

@@ -156,7 +156,7 @@ func RunConstrained(sw ConstrainedSweep) (*ConstrainedResult, error) {
 	// load sweep's (load, run) — so every series compares the same
 	// mobility and pair draws at each point.
 	err := runGrid(len(res.Series), len(sw.Bandwidths), sw.Runs, sw.Workers,
-		func(w *core.Runner, si, bi, run int) runOutcome {
+		func(w *gridWorker, si, bi, run int) runOutcome {
 			nD := len(sw.DropPolicies)
 			pf, bw := sw.Protocols[si/nD], sw.Bandwidths[bi]
 			r, err := sw.Scenario.simulate(w, core.Config{

@@ -197,7 +197,7 @@ func Run(sw Sweep) (*Result, error) {
 		res.Series = append(res.Series, Series{Label: pf.Label})
 	}
 	err := runGrid(len(sw.Protocols), len(sw.Loads), sw.Runs, sw.Workers,
-		func(w *core.Runner, pi, li, run int) runOutcome {
+		func(w *gridWorker, pi, li, run int) runOutcome {
 			pf, load := sw.Protocols[pi], sw.Loads[li]
 			r, err := sw.Scenario.simulate(w, core.Config{
 				Protocol:     pf.New(),

@@ -34,6 +34,14 @@ type runOutcome struct {
 // runGrid reports the underlying failure in its place.
 var errSkipped = fmt.Errorf("experiment: run skipped after earlier failure")
 
+// gridWorker is what one worker goroutine, or the inline path, hands
+// every job it runs: the Runner whose working memory the runs reuse
+// (core.Runner), and the one-flow workload simulate fills for each run.
+type gridWorker struct {
+	runner core.Runner
+	flows  [1]core.Flow
+}
+
 // gridCell is one (i, j) point's runs in flight.
 type gridCell struct {
 	outs    []runOutcome
@@ -55,19 +63,22 @@ type gridCell struct {
 // marked skipped rather than run, and the error returned is the first
 // real failure in grid order, never a skip marker.
 //
-// Each worker goroutine, and the inline path, owns one core.Runner and
+// Each worker goroutine, and the inline path, owns one gridWorker and
 // hands it to every job it runs, so a run reuses the working memory of
-// the worker's previous run (core.Runner); which runs share a Runner
-// depends on scheduling, and reuse is invisible in results.
-func runGrid(nI, nJ, runs, workers int, job func(w *core.Runner, i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
+// the worker's previous run (core.Runner); which runs share a worker
+// depends on scheduling, and reuse is invisible in results. The inline
+// path also reuses one outcome slice for every point: fold must not
+// retain it.
+func runGrid(nI, nJ, runs, workers int, job func(w *gridWorker, i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, nI*nJ*runs))
 	if workers == 1 {
-		var w core.Runner
+		var w gridWorker
+		outs := make([]runOutcome, runs)
 		for c := 0; c < nI*nJ; c++ {
-			outs := make([]runOutcome, runs)
+			clear(outs)
 			for run := range outs {
 				if outs[run] = job(&w, c/nJ, c%nJ, run); outs[run].err != nil {
 					return outs[run].err
@@ -97,7 +108,7 @@ func runGrid(nI, nJ, runs, workers int, job func(w *core.Runner, i, j, run int) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var w core.Runner
+			var w gridWorker
 			for k := range jobs {
 				out := runOutcome{err: errSkipped}
 				if !failed.Load() {
@@ -173,10 +184,9 @@ func runGrid(nI, nJ, runs, workers int, job func(w *core.Runner, i, j, run int) 
 //     per run).
 //
 // Everything mutable — the contact source and the protocol instance in
-// cfg — is per call, and w is the calling worker's own Runner, so
-// concurrent runs never share state. The source reaches the engine
-// unwrapped.
-func (sc Scenario) simulate(w *core.Runner, cfg core.Config, flow core.Flow, baseSeed uint64, axis, run int) (*core.Result, error) {
+// cfg — is per call, and w is the calling worker's own, so concurrent
+// runs never share state. The source reaches the engine unwrapped.
+func (sc Scenario) simulate(w *gridWorker, cfg core.Config, flow core.Flow, baseSeed uint64, axis, run int) (*core.Result, error) {
 	if sc.Stream == nil {
 		return nil, fmt.Errorf("scenario %q has no mobility stream", sc.Name)
 	}
@@ -193,11 +203,12 @@ func (sc Scenario) simulate(w *core.Runner, cfg core.Config, flow core.Flow, bas
 		return nil, fmt.Errorf("%s mobility has %d node(s); need at least 2 for a source/destination pair", sc.Name, src.Nodes())
 	}
 	flow.Src, flow.Dst = pickPair(src.Nodes(), seedFor(baseSeed, 0, run))
-	cfg.Source, cfg.Flows = src, []core.Flow{flow}
+	w.flows[0] = flow
+	cfg.Source, cfg.Flows = src, w.flows[:]
 	cfg.TxTime, cfg.BufferCap = sc.TxTime, sc.BufferCap
 	// Run the full trace so occupancy and duplication are steady-state
 	// time averages as in the paper; delay and delivery ratio are
 	// unaffected (§IV end conditions).
 	cfg.RunToHorizon = true
-	return w.Run(cfg)
+	return w.runner.Run(cfg)
 }

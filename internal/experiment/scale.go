@@ -142,7 +142,7 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 		res.Series = append(res.Series, ScaleSeries{Label: pf.Label})
 	}
 	err := runGrid(len(sw.Protocols), len(sw.Nodes), sw.Runs, sw.Workers,
-		func(w *core.Runner, pi, ni, run int) runOutcome {
+		func(w *gridWorker, pi, ni, run int) runOutcome {
 			pf, nodes := sw.Protocols[pi], sw.Nodes[ni]
 			// One scenario per run, so its memo never replays a plan (TestSweepSeedingRule).
 			sc, err := ScenarioFromSpec(sw.Mobility(nodes))

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/node"
@@ -34,44 +36,119 @@ type Flow struct {
 
 func flowOf(b *bundle.Bundle) Flow { return Flow{Src: b.ID.Src, Dst: b.Dst} }
 
-// cumState is the per-node cumulative-immunity state.
+// cumState is the per-node cumulative-immunity state: one table per
+// flow the node knows anything about, sorted by flow (Src, then Dst).
+// That is the order transferTables sends in, so a truncated budget
+// always sends the same flows, and a lookup is a binary search.
 type cumState struct {
-	// acks[f] is the highest contiguous sequence known delivered for
-	// flow f; sequences are 1-based, so 0 means nothing acknowledged.
-	acks map[Flow]int
-	// rcvd tracks out-of-order deliveries at a destination so the
-	// contiguous prefix can advance when gaps fill. Each inner map is a
-	// set: it only ever stores true.
-	rcvd map[Flow]map[int]bool
-	// base[f] is the flow's first sequence number once learned from a
+	flows []flowTable
+}
+
+// flowTable is what a node knows about one flow. A zero ack or base, or
+// an empty seqs, means the node knows nothing of that kind: the tables
+// a node stores, sends and is charged for are those with a non-zero ack.
+type flowTable struct {
+	flow Flow
+	// ack is the highest contiguous sequence known delivered; sequences
+	// are 1-based, so 0 means nothing acknowledged.
+	ack int
+	// base is the flow's first sequence number once learned from a
 	// delivered copy (bundle.FirstSeq); 0 means still unknown. Flows
 	// sharing a source take contiguous sequence blocks, so a flow's
 	// prefix must anchor at its own base rather than at 1.
-	base map[Flow]int
-	// order is transferTables' scratch for acks' sorted keys, reused
-	// across contacts; it is not state and is never snapshotted.
-	order []Flow
+	base int
+	// seqs is, at the destination, every sequence delivered so far,
+	// ascending: out-of-order deliveries wait here until the contiguous
+	// prefix reaches them.
+	seqs []int
 }
 
 func cumOf(n *node.Node) *cumState { return n.Ext.(*cumState) }
 
+// search returns where f's table is, or would be inserted, in st.flows
+// and whether it is there.
+func (st *cumState) search(f Flow) (int, bool) {
+	return slices.BinarySearchFunc(st.flows, f, func(t flowTable, f Flow) int { return compareFlows(t.flow, f) })
+}
+
+// ackOf returns the node's acknowledged prefix of f, 0 when it has none.
+func (st *cumState) ackOf(f Flow) int {
+	if i, ok := st.search(f); ok {
+		return st.flows[i].ack
+	}
+	return 0
+}
+
+// table returns f's table, inserting an empty one in flow order when
+// the node has none. The pointer is valid until the next insertion.
+func (st *cumState) table(f Flow) *flowTable {
+	i, ok := st.search(f)
+	if ok {
+		return &st.flows[i]
+	}
+	// Lengthen by one without clearing the slot past the end: a table
+	// an earlier run left there hands its seqs storage to the new one,
+	// so each backing array keeps exactly one owner.
+	if len(st.flows) < cap(st.flows) {
+		st.flows = st.flows[:len(st.flows)+1]
+	} else {
+		st.flows = append(st.flows, flowTable{})
+	}
+	spare := st.flows[len(st.flows)-1].seqs
+	copy(st.flows[i+1:], st.flows[i:])
+	st.flows[i] = flowTable{flow: f, seqs: spare[:0]}
+	return &st.flows[i]
+}
+
+// acked counts the flows with an acknowledged prefix: the tables the
+// node stores and sends.
+func (st *cumState) acked() int {
+	n := 0
+	for i := range st.flows {
+		if st.flows[i].ack != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// receive adds seq to the flow's delivered set.
+func (t *flowTable) receive(seq int) {
+	if i, ok := slices.BinarySearch(t.seqs, seq); !ok {
+		t.seqs = slices.Insert(t.seqs, i, seq)
+	}
+}
+
+// advance moves the prefix over every delivered sequence contiguous
+// with it.
+func (t *flowTable) advance() {
+	i, _ := slices.BinarySearch(t.seqs, t.ack+1)
+	for ; i < len(t.seqs) && t.seqs[i] == t.ack+1; i++ {
+		t.ack++
+	}
+}
+
 // Name implements Protocol.
 func (*CumulativeImmunity) Name() string { return "Epidemic with cumulative immunity" }
 
-// Init implements Protocol.
-func (*CumulativeImmunity) Init(n *node.Node) {
-	n.Ext = &cumState{acks: make(map[Flow]int), rcvd: make(map[Flow]map[int]bool), base: make(map[Flow]int)}
+// Init implements Protocol: n's tables are its entry of s.
+func (*CumulativeImmunity) Init(n *node.Node, s *Slab) {
+	st := slot(&s.cum, s.nodes, n.ID)
+	*st = cumState{flows: st.flows[:0]}
+	n.Ext = st
 }
 
 func (ci *CumulativeImmunity) refreshControlLoad(n *node.Node) {
-	n.Store.SetControlLoad(float64(len(cumOf(n).acks)) * ci.RecordSlotFraction)
+	n.Store.SetControlLoad(float64(cumOf(n).acked()) * ci.RecordSlotFraction)
 }
 
 // purgeAcked drops copies covered by the node's tables.
+//
+//dtn:hotpath
 func purgeAcked(n *node.Node, now sim.Time) {
 	st := cumOf(n)
 	n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
-		return cp.Bundle.ID.Seq <= st.acks[flowOf(cp.Bundle)]
+		return cp.Bundle.ID.Seq <= st.ackOf(flowOf(cp.Bundle))
 	}, func(id bundle.ID) { n.NotePurged(id, now) })
 }
 
@@ -110,17 +187,25 @@ func purgeReceivedByPeer(n, peer *node.Node, now sim.Time) {
 	}, func(id bundle.ID) { n.NotePurged(id, now) })
 }
 
+// transferTables sends from's tables to the peer in flow order, one
+// record per acknowledged flow, up to budget records; the peer keeps
+// the dominant prefix of each.
+//
+//dtn:hotpath
 func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) {
 	fs, ts := cumOf(from), cumOf(to)
-	fs.order = appendSortedFlows(fs.order[:0], fs.acks)
-	for _, f := range fs.order {
+	for i := range fs.flows {
+		t := &fs.flows[i]
+		if t.ack == 0 {
+			continue
+		}
 		if budget <= 0 {
 			return
 		}
 		from.ControlSent++
 		budget--
-		if fs.acks[f] > ts.acks[f] {
-			ts.acks[f] = fs.acks[f]
+		if t.ack > ts.ackOf(t.flow) {
+			ts.table(t.flow).ack = t.ack
 		}
 	}
 }
@@ -135,7 +220,7 @@ func (*CumulativeImmunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *s
 	out := candidates[:0]
 	for _, id := range candidates {
 		cp := sender.Store.Get(id)
-		if cp != nil && id.Seq <= rs.acks[flowOf(cp.Bundle)] {
+		if cp != nil && id.Seq <= rs.ackOf(flowOf(cp.Bundle)) {
 			continue
 		}
 		out = append(out, id)
@@ -147,46 +232,38 @@ func (*CumulativeImmunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *s
 // advances its contiguous prefix, and the sender — having observed the
 // delivery on-link — adopts the new table, drops covered copies, and
 // drops its copy of the just-delivered bundle.
+//
+//dtn:hotpath
 func (ci *CumulativeImmunity) OnDelivered(dst, sender *node.Node, id bundle.ID, now sim.Time) {
 	cp := sender.Store.Get(id)
-	var f Flow
-	ds := cumOf(dst)
+	var t *flowTable
 	if cp != nil {
-		f = flowOf(cp.Bundle)
-		if ds.base[f] == 0 {
-			if b := cp.Bundle.FirstSeq; b > 1 {
-				ds.base[f] = b
-			} else {
-				ds.base[f] = 1
-			}
+		t = cumOf(dst).table(flowOf(cp.Bundle))
+		if t.base == 0 {
+			t.base = max(cp.Bundle.FirstSeq, 1)
 		}
 	} else {
 		// Copy already gone (e.g. purged mid-contact); the destination
 		// is the flow's endpoint, so reconstruct the key from the
 		// delivery itself. The flow base stays unknown until a delivery
 		// arrives with its copy intact.
-		f = Flow{Src: id.Src, Dst: dst.ID}
+		t = cumOf(dst).table(Flow{Src: id.Src, Dst: dst.ID})
 	}
-	if ds.rcvd[f] == nil {
-		ds.rcvd[f] = make(map[int]bool)
-	}
-	ds.rcvd[f][id.Seq] = true
+	t.receive(id.Seq)
 	// Once the flow's base is known, skip the nonexistent sequences
 	// below it; without this a flow whose block starts above 1 could
 	// never advance past its (vacuously missing) low seqs. Walking the
 	// received set itself is always sound: it only acks sequences that
 	// actually arrived.
-	if base := ds.base[f]; base != 0 && ds.acks[f] < base-1 {
-		ds.acks[f] = base - 1
+	if t.base != 0 && t.ack < t.base-1 {
+		t.ack = t.base - 1
 	}
-	for ds.rcvd[f][ds.acks[f]+1] {
-		ds.acks[f]++
-	}
+	t.advance()
 	// Link-layer feedback: the sender learns the destination's table and
 	// sheds its delivered copy even when the prefix has not reached it.
 	ss := cumOf(sender)
-	if ds.acks[f] > ss.acks[f] {
-		ss.acks[f] = ds.acks[f]
+	if t.ack > ss.ackOf(t.flow) {
+		ss.table(t.flow).ack = t.ack
 	}
 	if sender.Store.Remove(id) {
 		sender.NotePurged(id, now)

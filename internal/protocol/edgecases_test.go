@@ -270,14 +270,14 @@ func TestCumulativeMultiFlow(t *testing.T) {
 	p.OnDelivered(dst, sender, cp1.Bundle.ID, 0)
 	cp2 := give(t, sender, 8, 1, 2, 0)
 	p.OnDelivered(other, sender, cp2.Bundle.ID, 0)
-	if cumOf(dst).acks[f1] != 1 || cumOf(dst).acks[f2] != 0 {
+	if cumOf(dst).ackOf(f1) != 1 || cumOf(dst).ackOf(f2) != 0 {
 		t.Error("flow-1 ack leaked into destination 2's table space")
 	}
-	if cumOf(other).acks[f2] != 1 || cumOf(other).acks[f1] != 0 {
+	if cumOf(other).ackOf(f2) != 1 || cumOf(other).ackOf(f1) != 0 {
 		t.Error("flow-2 ack wrong")
 	}
-	if cumOf(sender).acks[f1] != 1 || cumOf(sender).acks[f2] != 1 {
-		t.Errorf("sender tables: %+v", cumOf(sender).acks)
+	if cumOf(sender).ackOf(f1) != 1 || cumOf(sender).ackOf(f2) != 1 {
+		t.Errorf("sender tables: %+v", cumOf(sender).flows)
 	}
 	// Exchange propagates both tables for 2 records.
 	third := mkNode(p, 3, 10)
@@ -286,7 +286,7 @@ func TestCumulativeMultiFlow(t *testing.T) {
 	if sender.ControlSent-sent != 2 {
 		t.Errorf("sent %d records for two flows, want 2", sender.ControlSent-sent)
 	}
-	if cumOf(third).acks[f1] != 1 || cumOf(third).acks[f2] != 1 {
+	if cumOf(third).ackOf(f1) != 1 || cumOf(third).ackOf(f2) != 1 {
 		t.Error("tables did not propagate")
 	}
 }
@@ -313,14 +313,14 @@ func TestCumulativeRecordBudgetRespected(t *testing.T) {
 	a := mkNode(p, 0, 10)
 	b := mkNode(p, 1, 10)
 	for i := 0; i < 5; i++ {
-		cumOf(a).acks[Flow{Src: contact.NodeID(10 + i), Dst: 5}] = i + 1
+		cumOf(a).table(Flow{Src: contact.NodeID(10 + i), Dst: 5}).ack = i + 1
 	}
 	p.Exchange(a, b, 0, 2)
 	if a.ControlSent != 2 {
 		t.Errorf("sent %d records with budget 2", a.ControlSent)
 	}
-	if len(cumOf(b).acks) != 2 {
-		t.Errorf("receiver learned %d tables, want 2", len(cumOf(b).acks))
+	if cumOf(b).acked() != 2 {
+		t.Errorf("receiver learned %d tables, want 2", cumOf(b).acked())
 	}
 }
 

@@ -50,7 +50,7 @@ func NewImmunity() *Immunity { return &Immunity{RecordSlotFraction: 0.2} }
 // would find nothing (DESIGN.md §7.4). The memo is not wire state:
 // RestoreExt and Init start it unknown and the first purge scans.
 type immunityState struct {
-	// ilist lives by value, so Init allocates one object per node.
+	// ilist lives by value, in the Slab with its state.
 	ilist bundle.SummaryVector
 	// purgedLen and purgedPuts are ilist.Len() and Store.Puts() as the
 	// last purge left them; purgedLen < 0 means no purge has run.
@@ -62,12 +62,20 @@ func newImmunityState() *immunityState {
 	return &immunityState{purgedLen: -1}
 }
 
+// reset empties st, keeping the i-list's storage.
+func (st *immunityState) reset() {
+	st.ilist.Clear()
+	*st = immunityState{ilist: st.ilist, purgedLen: -1}
+}
+
 // Name implements Protocol.
 func (*Immunity) Name() string { return "Epidemic with immunity" }
 
-// Init implements Protocol.
-func (*Immunity) Init(n *node.Node) {
-	n.Ext = newImmunityState()
+// Init implements Protocol: n's i-list is its entry of s.
+func (*Immunity) Init(n *node.Node, s *Slab) {
+	st := slot(&s.imm, s.nodes, n.ID)
+	st.reset()
+	n.Ext = st
 }
 
 func ilistOf(n *node.Node) *bundle.SummaryVector {
@@ -146,6 +154,8 @@ func (*Immunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG, sc
 // OnDelivered implements Protocol: the destination generates the record;
 // the sender observes the delivery on-link, adopts the record, and drops
 // its now-redundant copy.
+//
+//dtn:hotpath
 func (im *Immunity) OnDelivered(dst, sender *node.Node, id bundle.ID, now sim.Time) {
 	ilistOf(dst).Add(id)
 	if ilistOf(sender).Add(id) {

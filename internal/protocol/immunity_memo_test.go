@@ -52,9 +52,11 @@ type memoWorld struct {
 
 func newMemoWorld() *memoWorld {
 	w := &memoWorld{im: NewImmunity()}
+	var slab Slab
+	slab.Size(len(w.nodes))
 	for i := range w.nodes {
 		n := node.New(contact.NodeID(i), 6)
-		w.im.Init(n)
+		w.im.Init(n, &slab)
 		n.DropHook = func(at contact.NodeID, id bundle.ID, reason node.DropReason, now sim.Time) {
 			w.drops = append(w.drops, fmt.Sprintf("%d %v %s %v", at, id, reason, now))
 		}

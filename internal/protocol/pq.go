@@ -52,9 +52,9 @@ func (p *PQ) Name() string {
 }
 
 // Init implements Protocol: the anti-packet channel keeps an i-list.
-func (p *PQ) Init(n *node.Node) {
+func (p *PQ) Init(n *node.Node, s *Slab) {
 	if p.AntiPackets {
-		p.imm.Init(n)
+		p.imm.Init(n, s)
 	}
 }
 

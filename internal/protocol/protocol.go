@@ -24,7 +24,10 @@
 package protocol
 
 import (
+	"slices"
+
 	"dtnsim/internal/bundle"
+	"dtnsim/internal/contact"
 	"dtnsim/internal/node"
 	"dtnsim/internal/sim"
 )
@@ -33,7 +36,8 @@ import (
 //
 // Hook order within one contact between nodes a (lower ID) and b:
 //
-//  1. Init was called once per node at simulation start.
+//  1. Init was called once per node at simulation start, with the
+//     population's Slab.
 //  2. Exchange(a, b, …) — the anti-entropy control session: summary
 //     vectors are implicit (Wants may inspect the peer), immunity
 //     variants merge tables here, bounded by recordBudget per direction.
@@ -47,8 +51,10 @@ type Protocol interface {
 	// figure legends.
 	Name() string
 
-	// Init attaches per-node protocol state before the run starts.
-	Init(n *node.Node)
+	// Init attaches per-node protocol state before the run starts. A
+	// stateful protocol takes n's entry of s, resets it and points
+	// n.Ext at it; s must have been sized for a population holding n.
+	Init(n *node.Node, s *Slab)
 
 	// OnGenerate initializes protocol state (TTL, EC) on a copy newly
 	// created at its source. The copy is pinned by the engine.
@@ -101,6 +107,35 @@ type Scratch struct {
 	direct, relay []bundle.ID
 	// ids is the assembled offer list handed back to the engine.
 	ids []bundle.ID
+}
+
+// Slab is the memory behind Init: every node's protocol state lives in
+// it by value, indexed by node ID. Its owner is a population — core's
+// Runner, dist's worker — which sizes it before the first Init and
+// keeps it for its later populations, as it keeps its node slab. Init
+// resets a node's entry by assigning the zero state but keeps its
+// storage (an i-list's backing array, a flow table's), so after
+// warm-up Init allocates nothing and a later run grows no table an
+// earlier run grew. The zero value is ready for Size.
+type Slab struct {
+	nodes int
+	imm   []immunityState
+	cum   []cumState
+}
+
+// Size readies s for a population of nodes nodes, IDs 0 to nodes-1. No
+// state an earlier population's Init handed out may be in use after
+// the call.
+func (s *Slab) Size(nodes int) { s.nodes = nodes }
+
+// slot returns node id's entry of one kind of state. The first Init of
+// a kind after Size grows the kind's states to the whole population, so
+// they never move while a pointer Init handed out is in use.
+func slot[T any](states *[]T, nodes int, id contact.NodeID) *T {
+	if len(*states) < nodes {
+		*states = slices.Grow(*states, nodes-len(*states))[:nodes]
+	}
+	return &(*states)[id]
 }
 
 // missing returns sender's stored bundles the receiver lacks, skipping

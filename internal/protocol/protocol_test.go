@@ -11,11 +11,24 @@ import (
 	"dtnsim/internal/sim"
 )
 
-// mkNode returns an initialized node for protocol p.
+// mkNode returns an initialized node for protocol p, its state in a
+// slab of its own.
 func mkNode(p Protocol, id contact.NodeID, cap int) *node.Node {
 	n := node.New(id, cap)
-	p.Init(n)
+	s := new(Slab)
+	s.Size(int(id) + 1)
+	p.Init(n, s)
 	return n
+}
+
+// tableOf returns a copy of n's cumulative table for f, the zero table
+// when n has none.
+func tableOf(n *node.Node, f Flow) flowTable {
+	st := cumOf(n)
+	if i, ok := st.search(f); ok {
+		return st.flows[i]
+	}
+	return flowTable{}
 }
 
 // give stores a copy of bundle (src:seq)->dst at n with the given EC
@@ -606,16 +619,16 @@ func TestCumulativePrefixSemantics(t *testing.T) {
 		p.OnDelivered(dst, sender, cp.Bundle.ID, 0)
 	}
 	deliver(1)
-	if cumOf(dst).acks[f] != 1 {
-		t.Fatalf("ack after seq1 = %d, want 1", cumOf(dst).acks[f])
+	if cumOf(dst).ackOf(f) != 1 {
+		t.Fatalf("ack after seq1 = %d, want 1", cumOf(dst).ackOf(f))
 	}
 	deliver(3) // gap at 2: prefix must hold at 1
-	if cumOf(dst).acks[f] != 1 {
-		t.Fatalf("ack after out-of-order seq3 = %d, want 1", cumOf(dst).acks[f])
+	if cumOf(dst).ackOf(f) != 1 {
+		t.Fatalf("ack after out-of-order seq3 = %d, want 1", cumOf(dst).ackOf(f))
 	}
 	deliver(2) // fills the gap: prefix jumps to 3
-	if cumOf(dst).acks[f] != 3 {
-		t.Fatalf("ack after gap fill = %d, want 3", cumOf(dst).acks[f])
+	if cumOf(dst).ackOf(f) != 3 {
+		t.Fatalf("ack after gap fill = %d, want 3", cumOf(dst).ackOf(f))
 	}
 }
 
@@ -624,11 +637,11 @@ func TestCumulativeExchangeOneRecordPerFlow(t *testing.T) {
 	a := mkNode(p, 0, 10)
 	b := mkNode(p, 1, 10)
 	f := Flow{Src: 7, Dst: 5}
-	cumOf(a).acks[f] = 30
-	cumOf(b).acks[f] = 10
+	cumOf(a).table(f).ack = 30
+	cumOf(b).table(f).ack = 10
 	p.Exchange(a, b, 0, 100)
-	if cumOf(b).acks[f] != 30 {
-		t.Errorf("B's table = %d, want 30", cumOf(b).acks[f])
+	if cumOf(b).ackOf(f) != 30 {
+		t.Errorf("B's table = %d, want 30", cumOf(b).ackOf(f))
 	}
 	if a.ControlSent != 1 {
 		t.Errorf("overhead = %d records, want 1 (cumulative)", a.ControlSent)
@@ -638,27 +651,27 @@ func TestCumulativeExchangeOneRecordPerFlow(t *testing.T) {
 	if b.ControlSent != 1 {
 		t.Errorf("B sent %d records, want 1", b.ControlSent)
 	}
-	if cumOf(a).acks[f] != 30 {
-		t.Errorf("A's table overwritten by dominated value: %d", cumOf(a).acks[f])
+	if cumOf(a).ackOf(f) != 30 {
+		t.Errorf("A's table overwritten by dominated value: %d", cumOf(a).ackOf(f))
 	}
 	// Redundant-table rule: only the dominant table survives (map holds
 	// a single entry per flow).
-	if len(cumOf(b).acks) != 1 {
-		t.Errorf("B holds %d tables for one flow", len(cumOf(b).acks))
+	if cumOf(b).acked() != 1 {
+		t.Errorf("B holds %d tables for one flow", cumOf(b).acked())
 	}
 }
 
-// TestCumulativeExchangeAllocatesNothing: the steady-state table
-// transfer sorts into per-node scratch, so a contact between two nodes
-// that already hold the same three tables allocates nothing (a fresh
-// key slice and two reflect-swapper sorts per contact cost eight).
+// TestCumulativeExchangeAllocatesNothing: the tables are kept in flow
+// order, so the steady-state transfer walks them as they are, and a
+// contact between two nodes that already hold the same three tables
+// allocates nothing.
 func TestCumulativeExchangeAllocatesNothing(t *testing.T) {
 	p := NewCumulativeImmunity()
 	a := mkNode(p, 0, 10)
 	b := mkNode(p, 1, 10)
 	for i, f := range []Flow{{Src: 7, Dst: 5}, {Src: 2, Dst: 9}, {Src: 7, Dst: 1}} {
-		cumOf(a).acks[f] = 10 + i
-		cumOf(b).acks[f] = 20 - i
+		cumOf(a).table(f).ack = 10 + i
+		cumOf(b).table(f).ack = 20 - i
 	}
 	if n := testing.AllocsPerRun(100, func() { p.Exchange(a, b, 0, 100) }); n != 0 {
 		t.Errorf("Exchange allocated %v objects per contact, want 0", n)
@@ -675,7 +688,7 @@ func TestCumulativeExchangePurgesCovered(t *testing.T) {
 	for s := 1; s <= 6; s++ {
 		give(t, a, 7, s, 5, 0)
 	}
-	cumOf(b).acks[Flow{Src: 7, Dst: 5}] = 4
+	cumOf(b).table(Flow{Src: 7, Dst: 5}).ack = 4
 	p.Exchange(a, b, 0, 100)
 	if got := a.Store.Len(); got != 2 {
 		t.Fatalf("A holds %d bundles after exchange, want 2 (5 and 6)", got)
@@ -691,7 +704,7 @@ func TestCumulativeWantsSkipsCovered(t *testing.T) {
 		give(t, a, 7, s, 5, 0)
 	}
 	// B knows the prefix 2 but A has not exchanged yet.
-	cumOf(b).acks[Flow{Src: 7, Dst: 5}] = 2
+	cumOf(b).table(Flow{Src: 7, Dst: 5}).ack = 2
 	wantSeqs(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 3)
 }
 

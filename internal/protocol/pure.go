@@ -14,7 +14,7 @@ import (
 type base struct{}
 
 // Init: no per-node state beyond the store itself.
-func (base) Init(*node.Node) {}
+func (base) Init(*node.Node, *Slab) {}
 
 // OnGenerate: no TTL; the counter starts at the Copy's zero EC.
 func (base) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {

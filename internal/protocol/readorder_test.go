@@ -72,11 +72,11 @@ func TestCumulativeOnDeliveredReadsCopyFirst(t *testing.T) {
 	dst.Received.Add(id)
 	p.OnDelivered(dst, sender, id, 0)
 	f := Flow{Src: 7, Dst: 1}
-	if ds := cumOf(dst); ds.base[f] != 3 || ds.acks[f] != 3 {
-		t.Errorf("flow 7→1 at dst: base %d ack %d, want 3 and 3", ds.base[f], ds.acks[f])
+	if got := tableOf(dst, f); got.base != 3 || got.ack != 3 {
+		t.Errorf("flow 7→1 at dst: base %d ack %d, want 3 and 3", got.base, got.ack)
 	}
-	if other := (Flow{Src: 7, Dst: 9}); cumOf(dst).base[other] != 0 || cumOf(dst).acks[other] != 0 {
-		t.Errorf("dst learned flow 7→9 from a delivery on flow 7→1: %+v", cumOf(dst).acks)
+	if other := tableOf(dst, Flow{Src: 7, Dst: 9}); other.base != 0 || other.ack != 0 {
+		t.Errorf("dst learned flow 7→9 from a delivery on flow 7→1: %+v", cumOf(dst).flows)
 	}
 	if sender.Store.Has(id) || !sender.Store.Has(bundle.ID{Src: 7, Seq: 4}) {
 		t.Errorf("sender holds %v, want seq 3 gone and seq 4 kept", sender.Store.AppendIDs(nil))

@@ -19,11 +19,11 @@ import (
 //
 // Exactness contract: RestoreExt(SnapshotExt(x)) must reproduce state
 // observationally identical to x under every protocol hook, including
-// iteration counts (len(acks) prices the cumulative control load) and
-// map-key presence (transferTables charges one record per known flow).
-// Snapshot therefore preserves entry presence verbatim rather than
-// dropping zero values, and encodes map contents in sorted order so
-// equal states always snapshot to equal wire forms.
+// iteration counts (the number of acknowledged flows prices the
+// cumulative control load) and table presence (transferTables charges
+// one record per acknowledged flow). Snapshot therefore writes every
+// table a cumulative state holds, in flow order, and the i-list in
+// sorted order, so equal states always snapshot to equal wire forms.
 
 // Ext-state kinds. The zero value marks protocols that hang no state
 // off node.Ext (pure, ttl, ec, …).
@@ -73,15 +73,17 @@ func SnapshotExt(ext any) (ExtState, error) {
 		return ExtState{Kind: ExtImmunity, IDs: st.ilist.Items()}, nil
 	case *cumState:
 		out := ExtState{Kind: ExtCumulative}
-		out.Acks = flowCounts(st.acks)
-		out.Base = flowCounts(st.base)
-		for _, f := range appendSortedFlows(nil, st.rcvd) {
-			seqs := make([]int, 0, len(st.rcvd[f]))
-			for s := range st.rcvd[f] {
-				seqs = append(seqs, s)
+		for _, t := range st.flows {
+			src, dst := int(t.flow.Src), int(t.flow.Dst)
+			if t.ack != 0 {
+				out.Acks = append(out.Acks, FlowCount{Src: src, Dst: dst, N: t.ack})
 			}
-			slices.Sort(seqs)
-			out.Rcvd = append(out.Rcvd, FlowSeqs{Src: int(f.Src), Dst: int(f.Dst), Seqs: seqs})
+			if t.base != 0 {
+				out.Base = append(out.Base, FlowCount{Src: src, Dst: dst, N: t.base})
+			}
+			if len(t.seqs) > 0 {
+				out.Rcvd = append(out.Rcvd, FlowSeqs{Src: src, Dst: dst, Seqs: slices.Clone(t.seqs)})
+			}
 		}
 		return out, nil
 	}
@@ -89,41 +91,55 @@ func SnapshotExt(ext any) (ExtState, error) {
 }
 
 // RestoreExt reattaches a snapshotted Ext state to n, replacing
-// whatever the protocol's Init installed.
+// whatever the protocol's Init installed. A state of the same kind is
+// overwritten in place, so a node Init pointed into a Slab stays there.
 func RestoreExt(n *node.Node, st ExtState) error {
 	switch st.Kind {
 	case ExtNone:
 		n.Ext = nil
 		return nil
 	case ExtImmunity:
+		is, ok := n.Ext.(*immunityState)
+		if !ok {
+			is = newImmunityState()
+		}
+		is.reset()
 		// One Add per wire ID, never adopting st.IDs as the list: the
 		// set's lookups binary-search, so unsorted or duplicated input
 		// must be sorted on the way in, and a decoded frame's storage
 		// must not alias live state.
-		is := newImmunityState()
 		for _, id := range st.IDs {
 			is.ilist.Add(id)
 		}
 		n.Ext = is
 		return nil
 	case ExtCumulative:
-		cs := &cumState{
-			acks: make(map[Flow]int, len(st.Acks)),
-			rcvd: make(map[Flow]map[int]bool, len(st.Rcvd)),
-			base: make(map[Flow]int, len(st.Base)),
+		cs, ok := n.Ext.(*cumState)
+		if !ok {
+			cs = new(cumState)
 		}
+		*cs = cumState{flows: cs.flows[:0]}
+		// A zero count or an empty set is no entry, as Snapshot writes
+		// none; the tables insert in flow order whatever the wire order.
 		for _, fc := range st.Acks {
-			cs.acks[Flow{Src: contact.NodeID(fc.Src), Dst: contact.NodeID(fc.Dst)}] = fc.N
+			if fc.N != 0 {
+				cs.table(wireFlow(fc.Src, fc.Dst)).ack = fc.N
+			}
 		}
 		for _, fc := range st.Base {
-			cs.base[Flow{Src: contact.NodeID(fc.Src), Dst: contact.NodeID(fc.Dst)}] = fc.N
+			if fc.N != 0 {
+				cs.table(wireFlow(fc.Src, fc.Dst)).base = fc.N
+			}
 		}
 		for _, fs := range st.Rcvd {
-			m := make(map[int]bool, len(fs.Seqs))
-			for _, s := range fs.Seqs {
-				m[s] = true
+			if len(fs.Seqs) == 0 {
+				continue
 			}
-			cs.rcvd[Flow{Src: contact.NodeID(fs.Src), Dst: contact.NodeID(fs.Dst)}] = m
+			t := cs.table(wireFlow(fs.Src, fs.Dst))
+			t.seqs = t.seqs[:0]
+			for _, s := range fs.Seqs {
+				t.receive(s)
+			}
 		}
 		n.Ext = cs
 		return nil
@@ -131,30 +147,8 @@ func RestoreExt(n *node.Node, st ExtState) error {
 	return fmt.Errorf("protocol: unknown Ext state kind %q", st.Kind)
 }
 
-// flowCounts converts one cumulative table to its sorted wire form,
-// preserving every entry — presence is behavior-bearing.
-func flowCounts(m map[Flow]int) []FlowCount {
-	if len(m) == 0 {
-		return nil
-	}
-	flows := appendSortedFlows(nil, m)
-	out := make([]FlowCount, len(flows))
-	for i, f := range flows {
-		out[i] = FlowCount{Src: int(f.Src), Dst: int(f.Dst), N: m[f]}
-	}
-	return out
-}
-
-// appendSortedFlows appends a flow-keyed table's keys to dst, which
-// must be empty, and sorts them by (Src, Dst) — the order
-// transferTables sends in, so a truncated budget always sends the same
-// flows.
-func appendSortedFlows[V any](dst []Flow, m map[Flow]V) []Flow {
-	for f := range m {
-		dst = append(dst, f)
-	}
-	slices.SortFunc(dst, compareFlows)
-	return dst
+func wireFlow(src, dst int) Flow {
+	return Flow{Src: contact.NodeID(src), Dst: contact.NodeID(dst)}
 }
 
 func compareFlows(a, b Flow) int {

@@ -23,14 +23,11 @@ func TestSnapshotExtRoundTrip(t *testing.T) {
 		{"none", nil},
 		{"immunity", im},
 		{"immunity-empty", newImmunityState()},
-		{"cum", &cumState{
-			acks: map[Flow]int{{Src: 0, Dst: 7}: 3, {Src: 2, Dst: 1}: 5},
-			base: map[Flow]int{{Src: 0, Dst: 7}: 1},
-			rcvd: map[Flow]map[int]bool{{Src: 0, Dst: 7}: {4: true, 6: true}},
-		}},
-		{"cum-empty", &cumState{
-			acks: map[Flow]int{}, base: map[Flow]int{}, rcvd: map[Flow]map[int]bool{},
-		}},
+		{"cum", &cumState{flows: []flowTable{
+			{flow: Flow{Src: 0, Dst: 7}, ack: 3, base: 1, seqs: []int{4, 6}},
+			{flow: Flow{Src: 2, Dst: 1}, ack: 5},
+		}}},
+		{"cum-empty", &cumState{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
