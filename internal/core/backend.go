@@ -21,7 +21,7 @@ import (
 // NodeOccupancy reads them and Finish is a no-op; or owns the state
 // elsewhere (dist): Nodes stay pristine for the whole run, NodeOccupancy
 // answers from the backend's own view, and Finish writes the final
-// states back into Nodes, where Result reads per-node counters and
+// states back into Nodes, where Result reads control overhead and
 // stores. The loop cannot tell which.
 type RunEnv struct {
 	Cfg   Config

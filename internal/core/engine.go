@@ -229,7 +229,7 @@ func (w *Runner) Run(cfg Config) (*Result, error) {
 	}
 	// A backend that executed elsewhere writes the final node states
 	// back: Result's per-node columns (occupancy, buffered copies,
-	// overhead counters) read r.nodes.
+	// control overhead) read r.nodes.
 	if err := r.exec.Finish(); err != nil {
 		return nil, err
 	}
@@ -426,7 +426,11 @@ func (r *run) result(end sim.Time) *Result {
 		MeanOccupancy:     r.coll.MeanOccupancy(),
 		MeanDuplication:   r.coll.MeanDuplication(),
 		ControlRecords:    metrics.Overhead(r.nodes),
-		DataTransmissions: metrics.DataTransmissions(r.nodes),
+		DataTransmissions: r.coll.Transmissions(),
+		Refused:           r.coll.DropsByReason(node.DropRefused),
+		Evicted:           r.coll.DropsByReason(node.DropEvicted),
+		Expired:           r.coll.DropsByReason(node.DropExpired),
+		ByteDropped:       r.coll.DropsByReason(node.DropBytePressure),
 		FinishedAt:        end,
 		DeliveryTimes:     times,
 	}
@@ -442,10 +446,6 @@ func (r *run) result(end sim.Time) *Result {
 	res.FinalOccupancy = make([]float64, len(r.nodes))
 	res.FinalBuffered = make([]int, len(r.nodes))
 	for i, n := range r.nodes {
-		res.Refused += n.Refused
-		res.Evicted += n.Evicted
-		res.Expired += n.Expired
-		res.ByteDropped += n.ByteDropped
 		res.FinalOccupancy[i] = n.Store.Occupancy()
 		res.FinalBuffered[i] = n.Store.Len()
 	}

@@ -1,12 +1,11 @@
 package core_test
 
-// Cross-check invariants between the two independent sets of books the
-// engine keeps: the per-node counters aggregated into Result
-// (DataSent → DataTransmissions, Refused/Evicted/Expired) and the
-// observer event stream folded by metrics.Collector. The satellite fix
-// this pins: the counts were double-booked with no consistency check,
-// so a drift introduced by the incremental holder-count bookkeeping
-// would previously have gone unnoticed.
+// Cross-check every event count a Result reports against a tally of the
+// observer stream kept on the test's side. The run's collector is the
+// one writer of DataTransmissions and the drop counts, and the holder
+// bookkeeping of Generated and Delivered; the tally counts the same
+// stream independently, so a count that drifts from the events the
+// observers saw cannot go unnoticed.
 
 import (
 	"fmt"
@@ -51,58 +50,67 @@ func TestCollectorMatchesNodeCounters(t *testing.T) {
 	}
 }
 
-// reconcileCollector runs cfg with a fresh collector and a
-// reason-validity observer attached and cross-checks the observer
-// stream against the node-counter aggregates in the Result.
+// eventTally counts an observer stream by event kind and drop reason.
+type eventTally struct {
+	generated, delivered, sent, dropped int64
+	byReason                            map[node.DropReason]int64
+}
+
+// reconcileCollector runs cfg with a tally observer and a second
+// collector attached and cross-checks the Result's counts against the
+// tally.
 func reconcileCollector(t *testing.T, cfg core.Config) {
 	t.Helper()
-	coll := metrics.NewCollector()
-	// Every drop on the observer stream must carry a reason from the
-	// node.DropReason enum — the unified taxonomy this test pins.
-	valid := &core.FuncObserver{
+	tally := eventTally{byReason: map[node.DropReason]int64{}}
+	obs := &core.FuncObserver{
+		Generate: func(bundle.ID, contact.NodeID, sim.Time) { tally.generated++ },
+		Transmit: func(_, _ contact.NodeID, _ bundle.ID, _ sim.Time) { tally.sent++ },
+		Deliver:  func(bundle.ID, contact.NodeID, float64, sim.Time) { tally.delivered++ },
 		Drop: func(at contact.NodeID, id bundle.ID, reason node.DropReason, now sim.Time) {
+			// Every drop on the observer stream must carry a reason from
+			// the node.DropReason enum — the unified taxonomy this test
+			// pins.
 			if !reason.Valid() {
 				t.Errorf("drop of %v at node %d carries invalid reason %q", id, at, reason)
 			}
+			tally.dropped++
+			tally.byReason[reason]++
 		},
 	}
-	cfg.Observers = []core.Observer{coll, valid}
+	coll := metrics.NewCollector()
+	cfg.Observers = []core.Observer{obs, coll}
 	res, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := coll.Transmissions(), res.DataTransmissions; got != want {
-		t.Errorf("observer transmissions %d != node DataSent aggregate %d", got, want)
-	}
-	if got, want := int(coll.Generated()), res.Generated; got != want {
-		t.Errorf("observer generated %d != result %d", got, want)
-	}
-	if got, want := int(coll.Delivered()), res.Delivered; got != want {
-		t.Errorf("observer delivered %d != result %d", got, want)
-	}
-	if got, want := coll.DropsByReason(node.DropRefused), res.Refused; got != want {
-		t.Errorf("observer refused %d != node aggregate %d", got, want)
-	}
-	if got, want := coll.DropsByReason(node.DropEvicted), res.Evicted; got != want {
-		t.Errorf("observer evicted %d != node aggregate %d", got, want)
-	}
-	if got, want := coll.DropsByReason(node.DropExpired), res.Expired; got != want {
-		t.Errorf("observer expired %d != node aggregate %d", got, want)
-	}
-	if got, want := coll.DropsByReason(node.DropBytePressure), res.ByteDropped; got != want {
-		t.Errorf("observer bytepressure %d != node aggregate %d", got, want)
-	}
-	if got := coll.InvalidDrops(); got != 0 {
-		t.Errorf("collector saw %d drops with reasons outside the enum", got)
+	for _, c := range []struct {
+		name     string
+		got, res int64
+	}{
+		{"generated", tally.generated, int64(res.Generated)},
+		{"delivered", tally.delivered, int64(res.Delivered)},
+		{"transmissions", tally.sent, res.DataTransmissions},
+		{"refused", tally.byReason[node.DropRefused], res.Refused},
+		{"evicted", tally.byReason[node.DropEvicted], res.Evicted},
+		{"expired", tally.byReason[node.DropExpired], res.Expired},
+		{"bytepressure", tally.byReason[node.DropBytePressure], res.ByteDropped},
+	} {
+		if c.got != c.res {
+			t.Errorf("observed %s %d != result %d", c.name, c.got, c.res)
+		}
 	}
 	// Summing the complete reason enum must reproduce the total drop
 	// count exactly — a drop with a missing or double-counted reason
 	// cannot hide.
 	var sum int64
 	for _, reason := range node.DropReasons() {
-		sum += coll.DropsByReason(reason)
+		sum += tally.byReason[reason]
 	}
-	if sum != coll.Drops() {
-		t.Errorf("drop reasons do not sum: total %d, by-reason sum %d", coll.Drops(), sum)
+	if sum != tally.dropped || coll.Drops() != tally.dropped {
+		t.Errorf("drop reasons do not sum: observed %d, by-reason sum %d, collector total %d",
+			tally.dropped, sum, coll.Drops())
+	}
+	if got := coll.InvalidDrops(); got != 0 {
+		t.Errorf("collector saw %d drops with reasons outside the enum", got)
 	}
 }

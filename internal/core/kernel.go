@@ -292,7 +292,6 @@ func (k *Kernel) transmitBatch(it *EpochItem, sender, receiver *node.Node, start
 //
 //dtn:hotpath
 func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle.Copy, at sim.Time) {
-	sender.DataSent++
 	it.Fx.add(Effect{Kind: EffectTransmit, From: sender.ID, To: receiver.ID, ID: cp.Bundle.ID, At: at})
 	k.rcpt = bundle.Copy{Bundle: cp.Bundle, EC: cp.EC, Expiry: cp.Expiry, StoredAt: at}
 	rcpt := &k.rcpt
@@ -333,10 +332,10 @@ func (k *Kernel) transmit(it *EpochItem, sender, receiver *node.Node, cp *bundle
 //dtn:hotpath
 func (k *Kernel) admitBytes(receiver *node.Node, rcpt *bundle.Copy, at sim.Time) bool {
 	ok := receiver.Store.MakeByteRoom(rcpt.Bundle.Meta.Size, k.Policy, func(id bundle.ID) {
-		receiver.NoteByteDropped(id, at)
+		receiver.NoteDrop(id, node.DropBytePressure, at)
 	})
 	if !ok {
-		receiver.NoteRefused(rcpt.Bundle.ID, at)
+		receiver.NoteDrop(rcpt.Bundle.ID, node.DropRefused, at)
 		return false
 	}
 	return true

@@ -17,6 +17,14 @@ type kernelWorld struct {
 	k     *Kernel
 	nodes []*node.Node
 	it    EpochItem
+	// drops tallies each node's drops by reason index, counted on the
+	// way through its drop hook.
+	drops [3][5]int64
+}
+
+// dropped returns how many copies node i dropped for reason.
+func (w *kernelWorld) dropped(i int, reason node.DropReason) int64 {
+	return w.drops[i][reason.Index()]
 }
 
 func newKernelWorld(t *testing.T, cfg Config, bufCap int) *kernelWorld {
@@ -35,11 +43,17 @@ func newKernelWorld(t *testing.T, cfg Config, bufCap int) *kernelWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := contact.Contact{A: 0, B: 1, Start: 1000, End: 1000 + sim.Time(cfg.TxTime)}
+	w := &kernelWorld{k: k, nodes: nodes, it: EpochItem{T: c.Start, A: 0, B: 1, C: c}}
 	for _, n := range nodes {
 		k.BindHook(n)
+		bound := n.DropHook
+		n.DropHook = func(at contact.NodeID, id bundle.ID, reason node.DropReason, now sim.Time) {
+			w.drops[at][reason.Index()]++
+			bound(at, id, reason, now)
+		}
 	}
-	c := contact.Contact{A: 0, B: 1, Start: 1000, End: 1000 + sim.Time(cfg.TxTime)}
-	return &kernelWorld{k: k, nodes: nodes, it: EpochItem{T: c.Start, A: 0, B: 1, C: c}}
+	return w
 }
 
 // exec runs the contact again over the item's reused effect buffer.
@@ -93,8 +107,8 @@ func TestKernelExecAllocatesNothing(t *testing.T) {
 			setup: func(t *testing.T, w *kernelWorld) { mustPut(t, w.nodes[1], y) },
 			reset: func(*testing.T, *kernelWorld) {},
 			check: func(t *testing.T, w *kernelWorld) {
-				if w.nodes[1].Store.Has(x.Bundle.ID) || w.nodes[1].Refused == 0 {
-					t.Errorf("full relay did not refuse: holds %v, refused %d", w.nodes[1].Store.AppendIDs(nil), w.nodes[1].Refused)
+				if w.nodes[1].Store.Has(x.Bundle.ID) || w.dropped(1, node.DropRefused) == 0 {
+					t.Errorf("full relay did not refuse: holds %v, refused %d", w.nodes[1].Store.AppendIDs(nil), w.dropped(1, node.DropRefused))
 				}
 			},
 		},
@@ -106,8 +120,8 @@ func TestKernelExecAllocatesNothing(t *testing.T) {
 				mustPut(t, w.nodes[1], y)
 			},
 			check: func(t *testing.T, w *kernelWorld) {
-				if !w.nodes[1].Store.Has(x.Bundle.ID) || w.nodes[1].Store.Has(y.Bundle.ID) || w.nodes[1].ByteDropped == 0 {
-					t.Errorf("byte pressure did not evict: holds %v, byte-dropped %d", w.nodes[1].Store.AppendIDs(nil), w.nodes[1].ByteDropped)
+				if !w.nodes[1].Store.Has(x.Bundle.ID) || w.nodes[1].Store.Has(y.Bundle.ID) || w.dropped(1, node.DropBytePressure) == 0 {
+					t.Errorf("byte pressure did not evict: holds %v, byte-dropped %d", w.nodes[1].Store.AppendIDs(nil), w.dropped(1, node.DropBytePressure))
 				}
 			},
 		},

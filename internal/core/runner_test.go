@@ -256,7 +256,7 @@ func TestRunnerResultsOutliveReuse(t *testing.T) {
 //
 // The protocols with per-node state add nothing: their i-lists and
 // flow tables live in the Runner's protocol slab, grown by the first
-// run. P-Q formats its display name for the Result (3).
+// run, and P-Q's display name is formatted when it is constructed.
 func TestWarmRunnerAllocations(t *testing.T) {
 	trace := goldenMobilities[0]
 	for _, c := range []struct {
@@ -265,7 +265,7 @@ func TestWarmRunnerAllocations(t *testing.T) {
 	}{
 		{"pure", 9},
 		{"immunity", 9},
-		{"pq:p=1,q=1,anti", 12},
+		{"pq:p=1,q=1,anti", 9},
 		{"cumimmunity", 9},
 	} {
 		cfg := goldenConfig(t, c.proto, trace, false)

@@ -582,7 +582,7 @@ func (b *Backend) NodeOccupancy(i int) float64 {
 
 // Finish implements core.EpochBackend: decode every non-pristine
 // authoritative state into the coordinator's (still pristine) nodes so
-// Result assembly reads final stores and counters locally.
+// Result assembly reads final stores and control overhead locally.
 func (b *Backend) Finish() error {
 	for _, st := range b.states {
 		if st == nil {

@@ -673,8 +673,8 @@ func TestDistUnknownProtocolSpec(t *testing.T) {
 }
 
 // TestSnapshotNodeRoundTrip pins the node codec on a node with every
-// state dimension populated: counters, encounter history, control
-// load, pinned and relay copies, Received set, Ext state.
+// state dimension populated: control records sent, encounter history,
+// control load, pinned and relay copies, Received set, Ext state.
 func TestSnapshotNodeRoundTrip(t *testing.T) {
 	fac, err := protocol.Parse("immunity")
 	if err != nil {
@@ -685,8 +685,7 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	var slab protocol.Slab
 	slab.Size(4)
 	proto.Init(n, &slab)
-	n.ControlSent, n.DataSent, n.Refused = 17, 4, 1
-	n.Expired, n.Evicted, n.ByteDropped = 2, 3, 9
+	n.ControlSent = 17
 	n.ObserveEncounter(100)
 	n.ObserveEncounter(350)
 	n.Store.SetControlLoad(0.25)

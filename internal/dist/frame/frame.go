@@ -48,10 +48,12 @@ import (
 
 // Version is the only frame version this codec speaks. Version 2
 // added the Hello handshake frame and the Round.Cached delta records,
-// version 3 the NodeState section mask (Omit); the version byte rides
-// every frame, so a coordinator and worker from different versions fail
-// loudly on the first frame either way.
-const Version = 3
+// version 3 the NodeState section mask (Omit), and version 4 took the
+// five event counters out of NodeState (the coordinator's collector
+// counts every event); the version byte rides every frame, so a
+// coordinator and worker from different versions fail loudly on the
+// first frame either way.
+const Version = 4
 
 // encBinary is the header's payload-encoding byte.
 const encBinary = 0
@@ -154,7 +156,7 @@ const (
 	omitAll  = 1<<Sections - 1
 )
 
-// NodeState is one node's serialized state: ten scalars and three
+// NodeState is one node's serialized state: five scalars and three
 // sections (Copies, Received, Ext). Omit == 0 is a complete state, the
 // only form a Round may carry. A worker's reply may be a patch: a
 // section whose Omit bit is set is absent from the wire and stands for
@@ -165,11 +167,6 @@ const (
 type NodeState struct {
 	ID                 int
 	ControlSent        int64
-	DataSent           int64
-	Refused            int64
-	Expired            int64
-	Evicted            int64
-	ByteDropped        int64
 	ControlLoad        float64
 	LastEncounterStart float64
 	LastInterval       float64
@@ -543,11 +540,6 @@ func appendFlowCount(b []byte, fc protocol.FlowCount) []byte {
 func appendNodeState(b []byte, st *NodeState) []byte {
 	b = appendInt(b, int64(st.ID))
 	b = appendInt(b, st.ControlSent)
-	b = appendInt(b, st.DataSent)
-	b = appendInt(b, st.Refused)
-	b = appendInt(b, st.Expired)
-	b = appendInt(b, st.Evicted)
-	b = appendInt(b, st.ByteDropped)
 	b = appendFloat(b, st.ControlLoad)
 	b = appendFloat(b, st.LastEncounterStart)
 	b = appendFloat(b, st.LastInterval)
@@ -820,11 +812,6 @@ func readFlowCount(d *dec) protocol.FlowCount {
 func readNodeState(d *dec, st *NodeState) {
 	st.ID = int(d.int())
 	st.ControlSent = d.int()
-	st.DataSent = d.int()
-	st.Refused = d.int()
-	st.Expired = d.int()
-	st.Evicted = d.int()
-	st.ByteDropped = d.int()
 	st.ControlLoad = d.float()
 	st.LastEncounterStart = d.float()
 	st.LastInterval = d.float()

@@ -32,8 +32,7 @@ func sampleMsgs() []*Msg {
 			Seq: 7,
 			States: []NodeState{
 				{
-					ID: 3, ControlSent: 17, DataSent: 4, Refused: 1,
-					Expired: 2, Evicted: 3, ByteDropped: 9,
+					ID: 3, ControlSent: 17,
 					ControlLoad: 0.25, LastEncounterStart: -1, LastInterval: 312.5,
 					Copies: []Copy{
 						{Src: 0, Seq: 5, Dst: 7, CreatedAt: 42.5, Size: 1024,
@@ -68,7 +67,7 @@ func sampleMsgs() []*Msg {
 		{Effects: &Effects{
 			Seq: 7,
 			States: []NodeState{
-				{ID: 5, DataSent: 2, LastEncounterStart: 250.5, LastInterval: 50},
+				{ID: 5, LastEncounterStart: 250.5, LastInterval: 50},
 			},
 			Items: []ItemEffects{
 				{Idx: 0, Fx: []core.Effect{
@@ -95,13 +94,13 @@ func sampleMsgs() []*Msg {
 			States: []NodeState{
 				{ID: 1, ControlSent: 40, ControlLoad: 0.5, LastEncounterStart: 300, LastInterval: 49.5,
 					Omit: OmitCopies | OmitReceived | OmitExt},
-				{ID: 2, DataSent: 3, Omit: OmitReceived | OmitExt,
+				{ID: 2, Omit: OmitReceived | OmitExt,
 					Copies: []Copy{{Src: 2, Seq: 1, Dst: 9, CreatedAt: 10, Size: 1000, FirstSeq: 1,
 						Expiry: 1e18, StoredAt: 10, Pinned: true}}},
 				{ID: 3, Omit: OmitCopies | OmitExt, Received: []IDPair{{Src: 2, Seq: 1}}},
 				{ID: 4, Omit: OmitCopies | OmitReceived,
 					Ext: protocol.ExtState{Kind: protocol.ExtImmunity, IDs: []bundle.ID{{Src: 2, Seq: 1}}}},
-				{ID: 5, Evicted: 1, Omit: OmitExt},
+				{ID: 5, Omit: OmitExt},
 				{ID: 6, Omit: OmitCopies, Ext: protocol.ExtState{Kind: protocol.ExtCumulative,
 					Rcvd: []protocol.FlowSeqs{{Src: 2, Dst: 6, Seqs: []int{1}}}}},
 				{ID: 7, Omit: OmitReceived},
@@ -211,15 +210,15 @@ func TestStreamReadWrite(t *testing.T) {
 // and scalars replace, omitted sections stay, the result is complete.
 func TestPatch(t *testing.T) {
 	full := func() NodeState {
-		return NodeState{ID: 2, DataSent: 1,
+		return NodeState{ID: 2, ControlSent: 1,
 			Copies:   []Copy{{Src: 2, Seq: 1}},
 			Received: []IDPair{{Src: 0, Seq: 4}},
 			Ext:      protocol.ExtState{Kind: protocol.ExtImmunity, IDs: []bundle.ID{{Src: 0, Seq: 4}}}}
 	}
 	for omit := byte(0); omit <= omitAll; omit++ {
 		st, want := full(), full()
-		p := NodeState{ID: 2, DataSent: 9, Omit: omit}
-		want.DataSent = 9
+		p := NodeState{ID: 2, ControlSent: 9, Omit: omit}
+		want.ControlSent = 9
 		if omit&OmitCopies == 0 {
 			p.Copies = []Copy{{Src: 5, Seq: 5}, {Src: 6, Seq: 6}}
 			want.Copies = p.Copies

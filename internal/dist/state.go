@@ -16,10 +16,10 @@ import (
 // engine's own types; the codec reads and writes those directly). The
 // conversion is exact: restore(snapshot(n)) reproduces a node
 // observationally identical to n under every engine and protocol code
-// path (store contents and incremental indexes, counters, encounter
-// history, control load, Received set, Ext state), which is what lets a
-// worker process execute items over restored nodes and produce
-// bit-identical effects.
+// path (store contents and incremental indexes, control records sent,
+// encounter history, control load, Received set, Ext state), which is
+// what lets a worker process execute items over restored nodes and
+// produce bit-identical effects.
 
 // snapshotInto captures n's complete state in wire form, over whatever
 // st held, reusing its storage. Copies come out in the store's
@@ -34,11 +34,6 @@ func snapshotInto(st *frame.NodeState, n *node.Node) error {
 	*st = frame.NodeState{
 		ID:                 int(n.ID),
 		ControlSent:        n.ControlSent,
-		DataSent:           n.DataSent,
-		Refused:            n.Refused,
-		Expired:            n.Expired,
-		Evicted:            n.Evicted,
-		ByteDropped:        n.ByteDropped,
 		ControlLoad:        n.Store.ControlLoad(),
 		LastEncounterStart: float64(n.LastEncounterStart),
 		LastInterval:       n.LastInterval,
@@ -76,11 +71,6 @@ func restoreInto(n *node.Node, st *frame.NodeState) error {
 		return fmt.Errorf("dist: node %d: state omits sections %03b, nothing to restore them from", st.ID, st.Omit)
 	}
 	n.ControlSent = st.ControlSent
-	n.DataSent = st.DataSent
-	n.Refused = st.Refused
-	n.Expired = st.Expired
-	n.Evicted = st.Evicted
-	n.ByteDropped = st.ByteDropped
 	n.LastEncounterStart = sim.Time(st.LastEncounterStart)
 	n.LastInterval = st.LastInterval
 	n.Store.Grow(len(st.Copies))

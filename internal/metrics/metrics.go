@@ -16,8 +16,8 @@
 // streams it — together with generate/transmit/deliver/drop events — to
 // every core.Observer. Collector is the engine's built-in observer: it
 // folds samples into the time-averaged occupancy and duplication the
-// Result reports. It satisfies core.Observer structurally, without
-// importing core.
+// Result reports, and counts its transmissions and drops. It satisfies
+// core.Observer structurally, without importing core.
 package metrics
 
 import (
@@ -255,27 +255,25 @@ func (t *HolderTracker) SampleFunc(n int, occ func(int) float64, now sim.Time) S
 	return s
 }
 
-// Collector aggregates streamed samples into the run's time-averaged
-// metrics. It is the engine's built-in core.Observer.
+// Collector aggregates the run's observer stream: it folds samples into
+// the time-averaged metrics and counts the transmissions and drops the
+// Result reports. It is the engine's built-in core.Observer and the
+// only writer of those counts; generation and delivery counts come from
+// the engine's holder bookkeeping, not from here.
 type Collector struct {
 	occ stats.Welford
 	dup stats.Welford
 
-	samples       int64
-	generated     int64
-	transmissions int64
-	delivered     int64
-	drops         int64
-	// byReason holds per-reason drop counts, indexed by the reason's
-	// position in node.DropReasons(); their sum plus invalidDrops is
-	// drops. Kept so tests can cross-check the observer stream against
-	// the engine's node counters (Refused/Evicted/Expired/ByteDropped)
-	// and catch bookkeeping drift. An array, so counting a drop hashes
-	// nothing and the zero Collector is ready.
-	byReason [5]int64
-	// invalidDrops counts drops whose reason is outside the enum — a
-	// reporting bug TestCollectorMatchesNodeCounters pins at zero.
-	invalidDrops int64
+	samples int64
+	// sent counts bundle transmissions.
+	sent int64
+	// dropped holds drop counts by cause, indexed by the reason's
+	// position in node.DropReasons(). An array, so counting a drop
+	// hashes nothing and the zero Collector is ready.
+	dropped [5]int64
+	// droppedInvalid counts drops whose reason is outside the enum: a
+	// reporting bug.
+	droppedInvalid int64
 }
 
 // NewCollector returns an empty collector. The zero value is one too:
@@ -283,23 +281,21 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // OnGenerate implements core.Observer.
-func (c *Collector) OnGenerate(bundle.ID, contact.NodeID, sim.Time) { c.generated++ }
+func (c *Collector) OnGenerate(bundle.ID, contact.NodeID, sim.Time) {}
 
 // OnTransmit implements core.Observer.
-func (c *Collector) OnTransmit(_, _ contact.NodeID, _ bundle.ID, _ sim.Time) { c.transmissions++ }
+func (c *Collector) OnTransmit(_, _ contact.NodeID, _ bundle.ID, _ sim.Time) { c.sent++ }
 
 // OnDeliver implements core.Observer.
-func (c *Collector) OnDeliver(_ bundle.ID, _ contact.NodeID, _ float64, _ sim.Time) { c.delivered++ }
+func (c *Collector) OnDeliver(bundle.ID, contact.NodeID, float64, sim.Time) {}
 
 // OnDrop implements core.Observer.
 func (c *Collector) OnDrop(_ contact.NodeID, _ bundle.ID, reason node.DropReason, _ sim.Time) {
-	c.drops++
-	i := reason.Index()
-	if i < 0 {
-		c.invalidDrops++
-		return
+	if i := reason.Index(); i >= 0 {
+		c.dropped[i]++
+	} else {
+		c.droppedInvalid++
 	}
-	c.byReason[i]++
 }
 
 // OnSample implements core.Observer: fold one periodic observation into
@@ -319,25 +315,30 @@ func (c *Collector) OnSample(s Sample) {
 // Samples returns the number of observations folded in.
 func (c *Collector) Samples() int64 { return c.samples }
 
-// Generated, Delivered, Transmissions and Drops report the event counts
-// the collector has seen, for cross-checking engine bookkeeping.
-func (c *Collector) Generated() int64     { return c.generated }
-func (c *Collector) Delivered() int64     { return c.delivered }
-func (c *Collector) Transmissions() int64 { return c.transmissions }
-func (c *Collector) Drops() int64         { return c.drops }
+// Transmissions returns the number of bundle transmissions seen.
+func (c *Collector) Transmissions() int64 { return c.sent }
+
+// Drops returns the number of drops seen, whatever their reason.
+func (c *Collector) Drops() int64 {
+	total := c.droppedInvalid
+	for _, n := range c.dropped {
+		total += n
+	}
+	return total
+}
 
 // DropsByReason returns the number of drops observed with the given
 // reason. Unknown reasons return zero.
 func (c *Collector) DropsByReason(reason node.DropReason) int64 {
 	if i := reason.Index(); i >= 0 {
-		return c.byReason[i]
+		return c.dropped[i]
 	}
 	return 0
 }
 
 // InvalidDrops returns the number of drops whose reason fell outside
 // the node.DropReason enum; anything above zero is a reporting bug.
-func (c *Collector) InvalidDrops() int64 { return c.invalidDrops }
+func (c *Collector) InvalidDrops() int64 { return c.droppedInvalid }
 
 // MeanOccupancy returns the time-averaged buffer occupancy level.
 func (c *Collector) MeanOccupancy() float64 { return c.occ.Mean() }
@@ -351,15 +352,6 @@ func Overhead(nodes []*node.Node) int64 {
 	var total int64
 	for _, n := range nodes {
 		total += n.ControlSent
-	}
-	return total
-}
-
-// DataTransmissions sums bundle transmissions across the population.
-func DataTransmissions(nodes []*node.Node) int64 {
-	var total int64
-	for _, n := range nodes {
-		total += n.DataSent
 	}
 	return total
 }

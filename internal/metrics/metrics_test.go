@@ -79,12 +79,8 @@ func TestOverheadAndDataTotals(t *testing.T) {
 	a, b := node.New(0, 10), node.New(1, 10)
 	a.ControlSent = 7
 	b.ControlSent = 5
-	a.DataSent = 3
 	if Overhead([]*node.Node{a, b}) != 12 {
 		t.Error("Overhead sum wrong")
-	}
-	if DataTransmissions([]*node.Node{a, b}) != 3 {
-		t.Error("DataTransmissions sum wrong")
 	}
 }
 
@@ -122,9 +118,8 @@ func TestCollectorEventCounts(t *testing.T) {
 	c.OnTransmit(1, 2, id, 200)
 	c.OnDeliver(id, 1, 300, 300)
 	c.OnDrop(2, id, node.DropEvicted, 400)
-	if c.Generated() != 1 || c.Transmissions() != 2 || c.Delivered() != 1 || c.Drops() != 1 {
-		t.Errorf("counts = %d/%d/%d/%d, want 1/2/1/1",
-			c.Generated(), c.Transmissions(), c.Delivered(), c.Drops())
+	if c.Transmissions() != 2 || c.Drops() != 1 {
+		t.Errorf("counts = %d/%d, want 2/1", c.Transmissions(), c.Drops())
 	}
 }
 

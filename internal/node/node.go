@@ -1,8 +1,12 @@
 // Package node defines the per-node state a DTN participant carries:
 // its bundle store, the encounter history that drives dynamic TTL
-// (Algorithm 1 in the paper), delivery bookkeeping, and overhead
-// counters. Protocol-specific state (immunity lists, cumulative ack
-// tables) hangs off the Ext field, attached by the protocol's Init.
+// (Algorithm 1 in the paper), delivery bookkeeping, and the control
+// records it has sent (ControlSent, which the kernel charges a
+// contact's control bytes from). It counts no other event: every
+// transmission and drop reaches the run's observers through the
+// engine's effects and DropHook, and the run's metrics.Collector counts
+// them. Protocol-specific state (immunity lists, cumulative ack tables)
+// hangs off the Ext field, attached by the protocol's Init.
 package node
 
 import (
@@ -35,29 +39,15 @@ type Node struct {
 	// cumulative acks) this node has transmitted: the paper's signaling
 	// overhead metric.
 	ControlSent int64
-	// DataSent counts bundle transmissions originated by this node.
-	DataSent int64
-	// Refused counts incoming bundles this node declined (buffer full
-	// and no evictable victim).
-	Refused int64
-	// Expired counts copies this node dropped to TTL expiry.
-	Expired int64
-	// Evicted counts copies this node dropped to make room (the
-	// protocols' slot-count policies).
-	Evicted int64
-	// ByteDropped counts copies this node shed to relieve byte pressure
-	// (the buffer's DropPolicy making room under a byte capacity).
-	ByteDropped int64
 
 	// Ext holds protocol-specific state, attached by Protocol.Init.
 	Ext any
 
-	// DropHook, when non-nil, observes every buffer-policy drop this
-	// node records (refusals, evictions, TTL expiries), called with the
-	// node's own ID: one hook serves a whole population. The engine
-	// sets it to fan events out to core.Observer implementations;
-	// protocols report drops through NoteRefused/NoteEvicted/PurgeExpired
-	// and never call it directly.
+	// DropHook, when non-nil, observes every copy this node sheds or
+	// refuses, called with the node's own ID: one hook serves a whole
+	// population. The engine sets it to fan events out to core.Observer
+	// implementations; protocols report drops through NoteDrop and
+	// PurgeExpired and never call it directly.
 	DropHook DropHook
 }
 
@@ -83,7 +73,7 @@ const (
 	DropExpired DropReason = "expired"
 	// DropPurged: a stored copy was shed because an immunity table or
 	// anti-packet marked it delivered — protocol bookkeeping, not a
-	// buffer-policy failure, so it increments no failure counter.
+	// buffer-policy failure, so no Result count reports it.
 	DropPurged DropReason = "purged"
 	// DropBytePressure: a stored copy was shed by the buffer's
 	// DropPolicy to fit an incoming sized bundle under a byte capacity
@@ -172,54 +162,21 @@ func (n *Node) ObserveEncounter(start sim.Time) {
 	n.LastEncounterStart = start
 }
 
-// PurgeExpired removes lapsed copies and accounts for them.
+// PurgeExpired removes lapsed copies and reports each as a
+// DropExpired drop.
 //
 //dtn:hotpath
 func (n *Node) PurgeExpired(now sim.Time) {
-	n.Store.PurgeExpired(now, func(id bundle.ID) {
-		n.Expired++
-		if n.DropHook != nil {
-			n.DropHook(n.ID, id, DropExpired, now)
-		}
-	})
+	n.Store.PurgeExpired(now, func(id bundle.ID) { n.NoteDrop(id, DropExpired, now) })
 }
 
-// NoteRefused accounts one refused incoming copy. Protocols call it
-// from Admit instead of incrementing Refused directly so observers see
-// the drop.
-func (n *Node) NoteRefused(id bundle.ID, now sim.Time) {
-	n.Refused++
+// NoteDrop reports one copy this node shed (already removed from its
+// store) or refused to its drop hook, if it has one.
+//
+//dtn:hotpath
+func (n *Node) NoteDrop(id bundle.ID, reason DropReason, now sim.Time) {
 	if n.DropHook != nil {
-		n.DropHook(n.ID, id, DropRefused, now)
-	}
-}
-
-// NoteEvicted accounts one evicted copy (already removed from the
-// store); the buffer-policy counterpart of NoteRefused.
-func (n *Node) NoteEvicted(id bundle.ID, now sim.Time) {
-	n.Evicted++
-	if n.DropHook != nil {
-		n.DropHook(n.ID, id, DropEvicted, now)
-	}
-}
-
-// NoteByteDropped accounts one copy the buffer's DropPolicy shed
-// (already removed from the store) to fit an incoming sized bundle
-// under the byte capacity.
-func (n *Node) NoteByteDropped(id bundle.ID, now sim.Time) {
-	n.ByteDropped++
-	if n.DropHook != nil {
-		n.DropHook(n.ID, id, DropBytePressure, now)
-	}
-}
-
-// NotePurged reports one protocol-purged copy (already removed from
-// the store) to observers. Purging delivered copies is the immunity
-// mechanism working as designed, so unlike the other drops it
-// increments no counter.
-func (n *Node) NotePurged(id bundle.ID, now sim.Time) {
-	if n.DropHook != nil {
-		n.DropHook(n.ID, id, DropPurged, now)
+		n.DropHook(n.ID, id, reason, now)
 	}
 }
 

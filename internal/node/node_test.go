@@ -94,7 +94,7 @@ func TestNewPopulationReuse(t *testing.T) {
 		n.Received.Add(b.ID)
 		n.ObserveEncounter(10)
 		n.ObserveEncounter(20)
-		n.NoteRefused(b.ID, 20)
+		n.ControlSent++
 		n.Store.SetControlLoad(2)
 		n.Ext = "protocol state"
 	}
@@ -124,7 +124,7 @@ func checkFresh(t *testing.T, pop []*Node, bufCap int) {
 	for i, n := range pop {
 		want := New(contact.NodeID(i), bufCap)
 		if n.ID != want.ID || n.LastEncounterStart != want.LastEncounterStart || n.LastInterval != 0 ||
-			n.Refused != 0 || n.Ext != nil || n.DropHook != nil || n.Store.Cap() != bufCap ||
+			n.ControlSent != 0 || n.Ext != nil || n.DropHook != nil || n.Store.Cap() != bufCap ||
 			n.Store.Len() != 0 || n.Store.ControlLoad() != 0 || n.Received.Len() != 0 {
 			t.Errorf("node %d: %v, want %v", i, n, want)
 		}
@@ -152,7 +152,7 @@ func TestNodeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got != 112 {
-		t.Errorf("node.Node is %d bytes, want 112", got)
+	if got := unsafe.Sizeof(Node{}); got != 72 {
+		t.Errorf("node.Node is %d bytes, want 72", got)
 	}
 }

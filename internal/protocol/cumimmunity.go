@@ -149,7 +149,7 @@ func purgeAcked(n *node.Node, now sim.Time) {
 	st := cumOf(n)
 	n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
 		return cp.Bundle.ID.Seq <= st.ackOf(flowOf(cp.Bundle))
-	}, func(id bundle.ID) { n.NotePurged(id, now) })
+	}, func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
 }
 
 // Exchange implements Protocol: each side transmits its table(s) blind —
@@ -184,7 +184,7 @@ func purgeReceivedByPeer(n, peer *node.Node, now sim.Time) {
 	}
 	n.Store.PurgeMatching(func(cp *bundle.Copy) bool {
 		return cp.Bundle.Dst == peer.ID && peer.Received.Has(cp.Bundle.ID)
-	}, func(id bundle.ID) { n.NotePurged(id, now) })
+	}, func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
 }
 
 // transferTables sends from's tables to the peer in flow order, one
@@ -266,7 +266,7 @@ func (ci *CumulativeImmunity) OnDelivered(dst, sender *node.Node, id bundle.ID, 
 		ss.table(t.flow).ack = t.ack
 	}
 	if sender.Store.Remove(id) {
-		sender.NotePurged(id, now)
+		sender.NoteDrop(id, node.DropPurged, now)
 	}
 	purgeAcked(sender, now)
 	ci.refreshControlLoad(dst)

@@ -55,7 +55,7 @@ func evictHighestEC(n *node.Node, minEC int, now sim.Time) bool {
 	// names the victim's successor.
 	id := victim.Bundle.ID
 	n.Store.Remove(id)
-	n.NoteEvicted(id, now)
+	n.NoteDrop(id, node.DropEvicted, now)
 	return true
 }
 
@@ -83,6 +83,6 @@ func admitByEC(receiver *node.Node, incoming *bundle.Copy, minEC int, now sim.Ti
 	if receiver.Store.Free() > 0 || evictHighestEC(receiver, minEC, now) {
 		return true
 	}
-	receiver.NoteRefused(incoming.Bundle.ID, now)
+	receiver.NoteDrop(incoming.Bundle.ID, node.DropRefused, now)
 	return false
 }

@@ -101,7 +101,7 @@ func purgeDead(n *node.Node, now sim.Time) {
 		return
 	}
 	n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) },
-		func(id bundle.ID) { n.NotePurged(id, now) })
+		func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
 	st.purgedLen, st.purgedPuts = il.Len(), n.Store.Puts()
 }
 
@@ -160,7 +160,7 @@ func (im *Immunity) OnDelivered(dst, sender *node.Node, id bundle.ID, now sim.Ti
 	ilistOf(dst).Add(id)
 	if ilistOf(sender).Add(id) {
 		if sender.Store.Remove(id) {
-			sender.NotePurged(id, now)
+			sender.NoteDrop(id, node.DropPurged, now)
 		}
 	}
 	im.refreshControlLoad(dst)

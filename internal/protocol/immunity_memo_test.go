@@ -32,7 +32,7 @@ func referenceExchange(im *Immunity, a, b *node.Node, now sim.Time, budget int) 
 	purge := func(n *node.Node) {
 		il := ilistOf(n)
 		n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) },
-			func(id bundle.ID) { n.NotePurged(id, now) })
+			func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
 	}
 	transfer(a, b)
 	transfer(b, a)

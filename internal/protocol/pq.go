@@ -25,6 +25,9 @@ type PQ struct {
 	AntiPackets bool
 
 	imm *Immunity // backing implementation when AntiPackets is set
+	// name is the display name, formatted by the constructors: a run
+	// asks for it once, and formatting allocates.
+	name string
 }
 
 // NewPQ returns a P-Q epidemic instance. P and Q must lie in [0,1].
@@ -32,7 +35,7 @@ func NewPQ(p, q float64) *PQ {
 	if p < 0 || p > 1 || q < 0 || q > 1 {
 		panic(fmt.Sprintf("protocol: P-Q probabilities out of range: P=%v Q=%v", p, q))
 	}
-	return &PQ{P: p, Q: q}
+	return &PQ{P: p, Q: q, name: fmt.Sprintf("P-Q epidemic (P=%g,Q=%g)", p, q)}
 }
 
 // WithAntiPackets enables the §II anti-packet channel and returns the
@@ -40,16 +43,12 @@ func NewPQ(p, q float64) *PQ {
 func (p *PQ) WithAntiPackets() *PQ {
 	p.AntiPackets = true
 	p.imm = NewImmunity()
+	p.name = fmt.Sprintf("P-Q epidemic (P=%g,Q=%g,anti-packets)", p.P, p.Q)
 	return p
 }
 
 // Name implements Protocol.
-func (p *PQ) Name() string {
-	if p.AntiPackets {
-		return fmt.Sprintf("P-Q epidemic (P=%g,Q=%g,anti-packets)", p.P, p.Q)
-	}
-	return fmt.Sprintf("P-Q epidemic (P=%g,Q=%g)", p.P, p.Q)
-}
+func (p *PQ) Name() string { return p.name }
 
 // Init implements Protocol: the anti-packet channel keeps an i-list.
 func (p *PQ) Init(n *node.Node, s *Slab) {

@@ -21,6 +21,13 @@ func mkNode(p Protocol, id contact.NodeID, cap int) *node.Node {
 	return n
 }
 
+// countDrops points n's drop hook at a tally of its drops by reason.
+func countDrops(n *node.Node) map[node.DropReason]int64 {
+	drops := map[node.DropReason]int64{}
+	n.DropHook = func(_ contact.NodeID, _ bundle.ID, reason node.DropReason, _ sim.Time) { drops[reason]++ }
+	return drops
+}
+
 // tableOf returns a copy of n's cumulative table for f, the zero table
 // when n has none.
 func tableOf(n *node.Node, f Flow) flowTable {
@@ -123,14 +130,15 @@ func TestPureWantsSkipsDeliveredAtDestination(t *testing.T) {
 func TestPureAdmitDropTail(t *testing.T) {
 	p := NewPure()
 	n := mkNode(p, 0, 2)
+	drops := countDrops(n)
 	give(t, n, 9, 1, 1, 0)
 	give(t, n, 9, 2, 1, 0)
 	in := &bundle.Copy{Bundle: &bundle.Bundle{ID: bundle.ID{Src: 9, Seq: 3}, Dst: 1}}
 	if p.Admit(n, in, 0) {
 		t.Fatal("full pure-epidemic buffer admitted a bundle")
 	}
-	if n.Refused != 1 {
-		t.Errorf("Refused = %d, want 1", n.Refused)
+	if drops[node.DropRefused] != 1 {
+		t.Errorf("Refused = %d, want 1", drops[node.DropRefused])
 	}
 	if n.Store.Len() != 2 {
 		t.Error("admit mutated the store")
@@ -284,6 +292,7 @@ func TestTTLFig6ExpiryAtRelay(t *testing.T) {
 	p := NewTTL(50)
 	relayA := mkNode(p, 0, 10)
 	relayB := mkNode(p, 1, 10)
+	dropsA, dropsB := countDrops(relayA), countDrops(relayB)
 	sent := give(t, relayA, 9, 1, 5, 0)
 	rcpt := relayCopy(sent, 0)
 	p.OnTransmit(relayA, relayB, sent, rcpt, 0)
@@ -299,7 +308,7 @@ func TestTTLFig6ExpiryAtRelay(t *testing.T) {
 	if relayA.Store.Len() != 0 || relayB.Store.Len() != 0 {
 		t.Error("copies survived past their TTL")
 	}
-	if relayA.Expired != 1 || relayB.Expired != 1 {
+	if dropsA[node.DropExpired] != 1 || dropsB[node.DropExpired] != 1 {
 		t.Error("expiry not accounted")
 	}
 }
@@ -406,6 +415,7 @@ func TestECFig5Increment(t *testing.T) {
 func TestECFig5Eviction(t *testing.T) {
 	p := NewEC()
 	b := mkNode(p, 1, 5)
+	drops := countDrops(b)
 	// Node B's buffer: bundles with EC values; 3 and 6 carry the highest.
 	ecs := map[int]int{1: 1, 2: 2, 3: 9, 5: 3, 6: 8}
 	for seq, ec := range ecs {
@@ -428,8 +438,8 @@ func TestECFig5Eviction(t *testing.T) {
 	if b.Store.Has(bundle.ID{Src: 9, Seq: 6}) {
 		t.Error("second-highest EC bundle (seq 6, EC 8) not evicted next")
 	}
-	if b.Evicted != 2 {
-		t.Errorf("Evicted = %d, want 2", b.Evicted)
+	if drops[node.DropEvicted] != 2 {
+		t.Errorf("Evicted = %d, want 2", drops[node.DropEvicted])
 	}
 }
 
@@ -512,14 +522,15 @@ func TestECTTLAlgorithm2Deadline(t *testing.T) {
 func TestECTTLMinECGuardsEviction(t *testing.T) {
 	p := NewECTTL() // MinEC = 2
 	n := mkNode(p, 1, 2)
+	drops := countDrops(n)
 	give(t, n, 9, 1, 5, 0) // never transmitted: protected
 	give(t, n, 9, 2, 5, 1) // below MinEC: protected
 	in := &bundle.Copy{Bundle: &bundle.Bundle{ID: bundle.ID{Src: 9, Seq: 3}, Dst: 5}}
 	if p.Admit(n, in, 0) {
 		t.Fatal("evicted a copy below the MinEC threshold")
 	}
-	if n.Refused != 1 {
-		t.Errorf("Refused = %d", n.Refused)
+	if drops[node.DropRefused] != 1 {
+		t.Errorf("Refused = %d", drops[node.DropRefused])
 	}
 	// Raise one copy to MinEC: now evictable.
 	n.Store.Get(bundle.ID{Src: 9, Seq: 2}).EC = 2

@@ -39,7 +39,7 @@ func (base) OnTransmit(_, _ *node.Node, _, _ *bundle.Copy, _ sim.Time) {}
 // Admit: drop-tail — refuse when full.
 func (base) Admit(receiver *node.Node, incoming *bundle.Copy, now sim.Time) bool {
 	if receiver.Store.Free() <= 0 {
-		receiver.NoteRefused(incoming.Bundle.ID, now)
+		receiver.NoteDrop(incoming.Bundle.ID, node.DropRefused, now)
 		return false
 	}
 	return true
