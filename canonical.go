@@ -65,8 +65,8 @@ func (s SweepSpec) Normalize() (SweepSpec, error) {
 	if len(norm.Metrics) == 0 {
 		norm.Metrics = AllMetrics()
 	}
-	// Execution-only knobs: Workers schedules the grid, Shards selects
-	// the per-run executor; neither changes a byte of output.
+	// Workers only schedules the grid, and the template's "shards" key
+	// is inert; neither changes a byte of output.
 	norm.Workers = 0
 	norm.Scenario.Shards = 0
 	return norm, nil

@@ -9,6 +9,8 @@ package dtnsim_test
 // serving one run's results for another.
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,48 +109,76 @@ func TestScenarioKeyDistinctUnderSemanticChange(t *testing.T) {
 	}
 }
 
-// TestShardsNeverEnterKey pins Shards as a pure execution knob: like
-// Workers, every shard count computes bit-identical results (the
-// DESIGN.md §12 contract), so shards=1 and shards=8 must collapse to
-// the same cache address — a sharded re-submission of a cached run is
-// answered without re-simulating.
+// TestShardsNeverEnterKey pins "shards" as an inert key: files written
+// when it selected a multi-kernel executor must keep parsing, and no
+// value of it — negative, small or absurd — may reach the engine, move
+// a result, enter a cache address or survive into a canonical form.
 func TestShardsNeverEnterKey(t *testing.T) {
-	ref := mustKey(t, keyScenario())
-	for _, k := range []int{1, 8} {
-		s := keyScenario()
-		s.Shards = k
-		if got := mustKey(t, s); got != ref {
-			t.Errorf("Shards=%d changed the scenario key: %s vs %s", k, got, ref)
-		}
-	}
-	sweepRef := mustSweepKey(t, keySweep())
-	for _, k := range []int{1, 8} {
-		s := keySweep()
-		s.Scenario.Shards = k
-		if got := mustSweepKey(t, s); got != sweepRef {
-			t.Errorf("Scenario.Shards=%d changed the sweep key: %s vs %s", k, got, sweepRef)
-		}
-	}
-	// And the JSON spelling round-trips: a submitted scenario that asks
-	// for 8 shards parses, keys identically, and its normalized form
-	// drops the knob.
-	raw := `{"mobility":"cambridge:seed=7","protocol":"pq:p=0.8,q=0.5",
+	const base = `{"mobility":"cambridge:seed=7","protocol":"pq:p=0.8,q=0.5",
 	  "flows":[{"src":0,"dst":7,"count":25}],"buffer_cap":20,"tx_time":50,
 	  "seed":42,"bw":50000,"size":1048576,"bufbytes":5242880,
-	  "drop":"dropfront","ctlbytes":16,"name":"ref","shards":8}`
-	sc, err := dtnsim.ParseScenario([]byte(raw))
-	if err != nil {
-		t.Fatalf("sharded scenario does not parse: %v", err)
+	  "drop":"dropfront","ctlbytes":16,"name":"ref"`
+	run := func(sc dtnsim.Scenario) *dtnsim.Result {
+		t.Helper()
+		cfg, err := sc.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Shards != 0 {
+			t.Errorf("Compile passed Shards=%d to the engine, want 0", cfg.Shards)
+		}
+		res, err := dtnsim.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if got := mustKey(t, sc); got != ref {
-		t.Errorf("JSON shards spelling changed the key: %s vs %s", got, ref)
-	}
-	norm, err := sc.Normalize()
+	plain, err := dtnsim.ParseScenario([]byte(base + "}"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm.Shards != 0 {
-		t.Errorf("Normalize kept Shards=%d, want 0", norm.Shards)
+	ref := mustKey(t, plain)
+	want := run(plain)
+	sweepRef := mustSweepKey(t, keySweep())
+	for _, k := range []int{-1, 2, 3000000} {
+		sc, err := dtnsim.ParseScenario([]byte(fmt.Sprintf(`%s,"shards":%d}`, base, k)))
+		if err != nil {
+			t.Fatalf("shards=%d: scenario does not parse: %v", k, err)
+		}
+		if got := mustKey(t, sc); got != ref {
+			t.Errorf("shards=%d changed the scenario key: %s vs %s", k, got, ref)
+		}
+		norm, err := sc.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if norm.Shards != 0 {
+			t.Errorf("shards=%d: Normalize kept Shards=%d, want 0", k, norm.Shards)
+		}
+		if got := run(sc); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d changed the result:\n got: %+v\nwant: %+v", k, got, want)
+		}
+
+		spec := keySweep()
+		spec.Scenario.Shards = k
+		if got := mustSweepKey(t, spec); got != sweepRef {
+			t.Errorf("shards=%d changed the sweep key: %s vs %s", k, got, sweepRef)
+		}
+		sw, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := dtnsim.SweepSpecOf(spec.Name, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := back.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Scenario.Shards != 0 || strings.Contains(string(data), "shards") {
+			t.Errorf("shards=%d: SweepSpecOf of the compiled sweep carries it:\n%s", k, data)
+		}
 	}
 }
 

@@ -24,8 +24,8 @@
 // polled until done, and the cached result is printed in the local
 // format. Repeat invocations of the same spec and seed are answered
 // from the daemon's result cache without re-simulating. The daemon
-// runs the normalized spec, so -shards and -workers do not reach it:
-// it executes every job on its own defaults.
+// runs the normalized spec, so -workers does not reach it: it executes
+// every job on its own defaults.
 //
 // In sweep mode the (load, run) grid executes on a worker pool of
 // -workers goroutines (0, the default, uses all CPUs; 1 forces the
@@ -43,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"dtnsim"
@@ -75,7 +74,6 @@ func main() {
 		sweepFlag    = flag.Bool("sweep", false, "run the paper's §IV load sweep (5..50) instead of a single simulation")
 		runsFlag     = flag.Int("runs", 10, "sweep mode: seeded runs per load point")
 		workersFlag  = flag.Int("workers", 0, "sweep mode: concurrent runs (0 = all CPUs, 1 = sequential; results are identical)")
-		shardsFlag   = flag.Int("shards", 1, "per-run executor kernels (1 = sequential, on the calling goroutine; 0 = one per CPU; K>=2 = each window of items split across K goroutines; results are bit-identical)")
 	)
 	flag.Parse()
 	if err := noOperands(flag.Args()); err != nil {
@@ -121,7 +119,6 @@ func main() {
 			bandwidth: *bwFlag, bundleSize: *sizeFlag, bufferBytes: *bufBytesFlag,
 			dropPolicy: *dropFlag, controlBytes: *ctlBytesFlag,
 			seed: *seedFlag, runs: *runsFlag, workers: *workersFlag,
-			shards:  shardCount(*shardsFlag),
 			timeout: *timeoutFlag, remote: *remoteFlag, dump: *dumpFlag,
 		})
 		return
@@ -146,12 +143,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Shards is an execution-only knob (never part of what the file
-		// describes), so unlike the simulation flags above an explicit
-		// -shards overrides the file's setting.
-		if set["shards"] {
-			sc.Shards = shardCount(*shardsFlag)
-		}
 	} else {
 		sc = dtnsim.Scenario{
 			Mobility:     dtnsim.MobilitySpec(*mobFlag),
@@ -166,7 +157,6 @@ func main() {
 			BufferBytes:  *bufBytesFlag,
 			DropPolicy:   *dropFlag,
 			ControlBytes: *ctlBytesFlag,
-			Shards:       shardCount(*shardsFlag),
 		}
 	}
 
@@ -315,19 +305,19 @@ func printSpecLists() {
 
 // sweepParams carries the sweep-mode flag values.
 type sweepParams struct {
-	mobSpec, protoSpec    string
-	bufferCap             int
-	txTime                float64
-	bandwidth             float64
-	bundleSize            int64
-	bufferBytes           int64
-	dropPolicy            string
-	controlBytes          float64
-	seed                  uint64
-	runs, workers, shards int
-	timeout               time.Duration
-	remote                string
-	dump                  bool
+	mobSpec, protoSpec string
+	bufferCap          int
+	txTime             float64
+	bandwidth          float64
+	bundleSize         int64
+	bufferBytes        int64
+	dropPolicy         string
+	controlBytes       float64
+	seed               uint64
+	runs, workers      int
+	timeout            time.Duration
+	remote             string
+	dump               bool
 }
 
 // noOperands refuses the arguments left after the flags. dtnsim takes
@@ -339,18 +329,6 @@ func noOperands(args []string) error {
 		return fmt.Errorf("unexpected argument %q: dtnsim takes flags only, and no flag after it was read", args[0])
 	}
 	return nil
-}
-
-// shardCount maps the -shards flag onto Scenario.Shards: both count
-// kernels (1 = the sequential engine, which is also what the field's
-// zero value means), except that the flag's 0 asks for one per CPU.
-// Either way the results are bit-identical — the knob only chooses how
-// they are computed.
-func shardCount(flagVal int) int {
-	if flagVal == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return flagVal
 }
 
 // runSweep executes the paper's load sweep for one protocol on the
@@ -373,7 +351,6 @@ func runSweep(p sweepParams) {
 		Runs:      p.runs,
 		Workers:   p.workers,
 	}
-	spec.Scenario.Shards = p.shards
 	sweep, err := spec.Compile()
 	if err != nil {
 		fatal(err)

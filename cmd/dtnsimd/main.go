@@ -7,10 +7,10 @@
 // byte-identical bodies and runs no simulation.
 //
 // Every job runs in this process, on the normalized spec its key and
-// cache manifest come from. Normalizing drops the execution knobs a
-// client may send (a scenario's "shards", a sweep's "workers"): they
-// never change a result byte, so the daemon, not the client, decides
-// how much of the machine a job takes. A scenario runs on the
+// cache manifest come from. Normalizing drops the keys a client may
+// send that never change a result byte (a scenario's inert "shards",
+// a sweep's "workers"), so the daemon, not the client, decides how
+// much of the machine a job takes. A scenario runs on the
 // sequential engine, a sweep's grid on one goroutine per CPU (at most
 // one per run), and -workers bounds how many jobs run at once.
 //

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -53,12 +52,16 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		workers    = flag.Int("workers", 0, "concurrent simulation runs per sweep (0 = all CPUs, 1 = sequential; results are identical)")
 		specs      = flag.Bool("specs", false, "also write each experiment's serializable SweepSpec as <id>.sweep.json")
-		shards     = flag.Int("shards", 1, "per-run executor kernels (1 = sequential, on the calling goroutine; 0 = one per CPU; K>=2 = each window of items split across K goroutines; results are bit-identical)")
 		scaleNodes = flag.String("scale-nodes", "1000,5000,10000", "node counts for -only scale")
 		scaleRuns  = flag.Int("scale-runs", 3, "runs per (protocol, nodes) scale point")
 		scaleSpan  = flag.Float64("scale-span", 50000, "simulated seconds per scale run (shorter spans keep 100k-node cells inside a time budget)")
 	)
 	flag.Parse()
+	if err := checkFlags(*runs, *scaleRuns, *scaleSpan); err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
@@ -81,7 +84,6 @@ func main() {
 		f.Sweep.Runs = *runs
 		f.Sweep.BaseSeed = *seed
 		f.Sweep.Workers = *workers
-		f.Sweep.Shards = shardCount(*shards)
 		if *specs {
 			emitSpec(*outDir, f.ID, f.Sweep)
 		}
@@ -103,15 +105,14 @@ func main() {
 	}
 
 	if want("fig14") {
-		runFig14(*outDir, *runs, *seed, *workers, shardCount(*shards), *plots, *specs)
+		runFig14(*outDir, *runs, *seed, *workers, *plots, *specs)
 	}
 	if want("table2") {
 		runTableII(*outDir, *runs, *seed, *workers)
 	}
 	// The scale and constrained sweeps run only when explicitly selected.
 	if selected["scale"] {
-		runScale(*outDir, *scaleNodes, *scaleRuns, *seed, *workers,
-			shardCount(*shards), *scaleSpan, *quiet)
+		runScale(*outDir, *scaleNodes, *scaleRuns, *seed, *workers, *scaleSpan, *quiet)
 	}
 	if selected["constrained"] {
 		runConstrained(*outDir, *runs, *seed, *workers, *quiet)
@@ -156,25 +157,31 @@ func runConstrained(outDir string, runs int, seed uint64, workers int, quiet boo
 	fmt.Println("expected shape: delivery rises with bandwidth; once byte pressure binds, dropfront/droprandom out-deliver droptail for TTL-less flooding (fresh copies displace stale ones)")
 }
 
-// shardCount maps the -shards flag onto core.Config.Shards: both count
-// kernels (1 = the sequential engine, which is also what the field's
-// zero value means), except that the flag's 0 asks for one per CPU.
-func shardCount(flagVal int) int {
-	if flagVal == 0 {
-		return runtime.GOMAXPROCS(0)
+// checkFlags refuses run counts and a scale span the sweeps cannot
+// honour: they read a non-positive value as "use the default", so
+// -runs -2 would otherwise write 3 or 10 runs per point and exit 0.
+// (A non-finite span is the mobility registry's to refuse.)
+func checkFlags(runs, scaleRuns int, scaleSpan float64) error {
+	if runs <= 0 {
+		return fmt.Errorf("-runs %d is not a positive run count", runs)
 	}
-	return flagVal
+	if scaleRuns <= 0 {
+		return fmt.Errorf("-scale-runs %d is not a positive run count", scaleRuns)
+	}
+	if !(scaleSpan > 0) {
+		return fmt.Errorf("-scale-span %g is not a positive number of seconds", scaleSpan)
+	}
+	return nil
 }
 
 // runScale executes the population sweep and writes scale.csv: delivery
 // ratio, per-bundle delay and buffer occupancy versus node count for
 // each protocol, each run streaming its mobility source.
-func runScale(outDir, nodesCSV string, runs int, seed uint64, workers, shards int, span float64, quiet bool) {
+func runScale(outDir, nodesCSV string, runs int, seed uint64, workers int, span float64, quiet bool) {
 	sw := dtnsim.DefaultScaleSweep()
 	sw.Runs = runs
 	sw.BaseSeed = seed
 	sw.Workers = workers
-	sw.Shards = shards
 	sw.Span = span
 	sw.Nodes = sw.Nodes[:0]
 	for _, f := range strings.Split(nodesCSV, ",") {
@@ -197,16 +204,12 @@ func runScale(outDir, nodesCSV string, runs int, seed uint64, workers, shards in
 		fmt.Fprintln(os.Stderr)
 	}
 	var csv strings.Builder
-	csv.WriteString("nodes,protocol,shards,delivery_ratio,mean_delay_s,occupancy,completed,runs\n")
+	csv.WriteString("nodes,protocol,delivery_ratio,mean_delay_s,occupancy,completed,runs\n")
 	fmt.Println("scale: delivery / delay / occupancy vs population (streaming mobility)")
-	cores := shards
-	if cores == 0 {
-		cores = 1
-	}
 	for _, s := range res.Series {
 		for _, p := range s.Points {
-			fmt.Fprintf(&csv, "%d,%q,%d,%.4f,%.1f,%.4f,%d,%d\n",
-				p.Nodes, s.Label, cores, p.Delivery, p.Delay, p.Occupancy, p.Completed, p.Runs)
+			fmt.Fprintf(&csv, "%d,%q,%.4f,%.1f,%.4f,%d,%d\n",
+				p.Nodes, s.Label, p.Delivery, p.Delay, p.Occupancy, p.Completed, p.Runs)
 			fmt.Printf("  %-24s %6d nodes: delivery %.3f, delay %8.0f s, occupancy %.3f\n",
 				s.Label, p.Nodes, p.Delivery, p.Delay, p.Occupancy)
 		}
@@ -216,12 +219,11 @@ func runScale(outDir, nodesCSV string, runs int, seed uint64, workers, shards in
 	}
 }
 
-func runFig14(outDir string, runs int, seed uint64, workers, shards int, plots, specs bool) {
+func runFig14(outDir string, runs int, seed uint64, workers int, plots, specs bool) {
 	short, long := dtnsim.Fig14Pair()
 	short.Runs, long.Runs = runs, runs
 	short.BaseSeed, long.BaseSeed = seed, seed
 	short.Workers, long.Workers = workers, workers
-	short.Shards, long.Shards = shards, shards
 	if specs {
 		emitSpec(outDir, "fig14_400", short)
 		emitSpec(outDir, "fig14_2000", long)

@@ -114,8 +114,11 @@ type Config struct {
 	// WindowItems items into node-disjoint lists run on K goroutines.
 	// More kernels than a window has components could never all have
 	// work, so the run builds min(Shards, nodes, WindowItems). Purely
-	// an execution knob — results are bit-identical for every value,
-	// which is why it never enters a scenario's canonical key.
+	// an execution knob — results are bit-identical for every value.
+	// No command, sweep or scenario file sets it: a file's "shards" key
+	// is inert, so only Go callers reach K >= 2: the benchmark's
+	// replay_shard workload, the sharded root benchmarks and this
+	// package's shard tests.
 	Shards int
 	// Backend, when non-nil, delegates epoch execution to an external
 	// executor (worker processes — internal/dist) through the seam in

@@ -341,8 +341,9 @@ func (r *run) chooseExecutor() error {
 // A window's lists are node-disjoint and it holds at most WindowItems
 // items, so it has at most min(nodes, WindowItems) components; a kernel
 // past that could never get work, yet Split would deal across it for
-// every component. Shards arrives from scenario files, so an absurd
-// value must not size an allocation either.
+// every component. Only Go callers set Shards (no scenario file or
+// command reaches it), but an absurd value must still not size an
+// allocation.
 func poolKernels(shards, nodes int) int { return max(1, min(shards, nodes, WindowItems)) }
 
 // cancelled reports a cancelled or expired Config.Context as the run's

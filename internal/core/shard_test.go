@@ -177,9 +177,9 @@ func TestShardedDeterminismRace(t *testing.T) {
 
 // TestShardsValidation pins the config boundary: negative shard counts
 // are rejected; everything else runs, and a count beyond the node
-// population — Shards arrives from scenario files and job submissions —
-// is the run with one kernel per node, not an allocation sized by the
-// caller (3,000,000 used to get the process OOM-killed).
+// population — any caller's int — is the run with one kernel per node,
+// not an allocation sized by the caller (3,000,000 from a scenario file
+// used to get the process OOM-killed).
 func TestShardsValidation(t *testing.T) {
 	cfg := goldenConfig(t, "pure", goldenMobilities[2], false)
 	cfg.Shards = -1

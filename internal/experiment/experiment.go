@@ -110,12 +110,6 @@ type Sweep struct {
 	// run's seed depends only on (BaseSeed, load, run), and per-point
 	// averages are folded in run order after collection.
 	Workers int
-	// Shards selects each run's engine executor (core.Config.Shards):
-	// 0 or 1 sequentially on the calling goroutine, K >= 2 each window
-	// of items split across K goroutines. Orthogonal to Workers —
-	// Workers parallelizes across the grid, Shards inside each run —
-	// and, like it, bit-identical for every value.
-	Shards int
 	// Context, when non-nil, cancels the sweep: it is threaded into
 	// every run's engine loop (core.Config.Context), so a cancel or
 	// deadline aborts in-flight simulations mid-event-stream and Run
@@ -206,7 +200,6 @@ func Run(sw Sweep) (*Result, error) {
 				DropPolicy:   sw.Scenario.DropPolicy,
 				ControlBytes: sw.Scenario.ControlBytes,
 				Context:      sw.Context,
-				Shards:       sw.Shards,
 			}, core.Flow{Count: load, Size: sw.Scenario.BundleSize}, sw.BaseSeed, load, run)
 			if err != nil {
 				err = fmt.Errorf("experiment: %s/%s load %d: %w", sw.Scenario.Name, pf.Label, load, err)

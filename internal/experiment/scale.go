@@ -12,6 +12,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"dtnsim/internal/core"
 	"dtnsim/internal/stats"
@@ -45,12 +46,6 @@ type ScaleSweep struct {
 	// bit-identical for every value: seeds derive from (BaseSeed,
 	// nodes, run) and points fold in run order.
 	Workers int
-	// Shards selects the per-run executor, mapped straight onto
-	// core.Config.Shards: 0 or 1 runs the sequential engine, K >= 2
-	// splits each window of items across K goroutines. Orthogonal to
-	// Workers (grid concurrency) and erased from results: every value
-	// produces bit-identical simulations.
-	Shards int
 	// OnPoint, if set, reports progress after each (protocol, nodes)
 	// point, from the calling goroutine in sweep order.
 	OnPoint func(label string, nodes int)
@@ -94,10 +89,12 @@ func ScaleMobility(nodes int) string {
 // ScaleMobilitySpan is ScaleMobility with an explicit simulated window:
 // the same constant-density geometry over span seconds. Shorter spans
 // keep huge populations (the 100k-node cell) and CI smoke runs inside a
-// wall-clock budget.
+// wall-clock budget. The span is spelled exactly, so a fractional one
+// never rounds to 0, which the rwp model reads as its default window.
 func ScaleMobilitySpan(nodes int, span float64) string {
 	side := 1000 * math.Sqrt(float64(nodes)/25)
-	return fmt.Sprintf("rwp:nodes=%d,area=%.0f,span=%.0f,range=100,dt=25", nodes, side, span)
+	return fmt.Sprintf("rwp:nodes=%d,area=%.0f,span=%s,range=100,dt=25",
+		nodes, side, strconv.FormatFloat(span, 'f', -1, 64))
 }
 
 // DefaultScaleSweep is the scale experiment the figures CLI runs: pure
@@ -149,7 +146,7 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}
 			}
-			res, err := sc.simulate(w, core.Config{Protocol: pf.New(), Shards: sw.Shards},
+			res, err := sc.simulate(w, core.Config{Protocol: pf.New()},
 				core.Flow{Count: sw.Load}, sw.BaseSeed, nodes, run)
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale %s at %d nodes: %w", pf.Label, nodes, err)}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dtnsim/internal/core"
@@ -126,5 +127,35 @@ func TestScaleCellAllocationBudget(t *testing.T) {
 	t.Logf("10k cell: %d objects; %.3f more per added node", objects10k, perNode)
 	if perNode > 0.5 {
 		t.Errorf("doubling the population added %.2f objects per node (10k: %d, 20k: %d)", perNode, objects10k, objects20k)
+	}
+}
+
+// TestScaleMobilitySpanSpelling: the span reaches the rwp spec exactly.
+// Integer spans keep the spelling committed scale.csv runs used, and a
+// fractional one is not rounded to 0, which the model would read as its
+// default 50,000 s window.
+func TestScaleMobilitySpanSpelling(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		span  float64
+		want  string
+	}{
+		{300, 5000, "rwp:nodes=300,area=3464,span=5000,range=100,dt=25"},
+		{5000, 2000, "rwp:nodes=5000,area=14142,span=2000,range=100,dt=25"},
+		{1000, 50000, "rwp:nodes=1000,area=6325,span=50000,range=100,dt=25"},
+		{100, 0.4, "rwp:nodes=100,area=2000,span=0.4,range=100,dt=25"},
+		{100, 1e21, "rwp:nodes=100,area=2000,span=1000000000000000000000,range=100,dt=25"},
+	} {
+		got := ScaleMobilitySpan(tc.nodes, tc.span)
+		if got != tc.want {
+			t.Errorf("ScaleMobilitySpan(%d, %g) = %q, want %q", tc.nodes, tc.span, got, tc.want)
+		}
+	}
+	sc, err := ScenarioFromSpec(ScaleMobilitySpan(100, 0.4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sc.Spec, ",span=0.4,") {
+		t.Errorf("a 0.4 s span compiled to %q", sc.Spec)
 	}
 }

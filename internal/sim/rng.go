@@ -106,11 +106,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r().Float64()
 }
 
-// Exp returns an exponential draw with the given mean.
-func (g *RNG) Exp(mean float64) float64 {
-	return g.r().ExpFloat64() * mean
-}
-
 // Pareto returns a bounded Pareto draw with shape alpha on [lo, hi].
 // Heavy-tailed inter-contact times in human-mobility traces are well
 // modelled by truncated power laws (Chaintreau et al.), which is why the

@@ -151,19 +151,6 @@ func TestIntNRange(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	g := NewRNG(21)
-	n := 50000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += g.Exp(500)
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-500) > 25 {
-		t.Errorf("Exp(500) sample mean = %.1f", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		m := int(n%64) + 1

@@ -1,14 +1,10 @@
 // Package stats provides the small statistical toolkit the simulator and
-// experiment harness need: streaming accumulators, summary statistics
-// and series averaging across runs. Everything is deterministic and
-// allocation-light.
+// experiment harness need: a streaming mean/variance accumulator, and
+// the mean and interpolated quantiles of a sample. Everything is
+// deterministic and allocation-free.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford is a streaming mean/variance accumulator (Welford's online
 // algorithm), numerically stable for long sample streams.
@@ -44,39 +40,6 @@ func (w *Welford) Var() float64 {
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N                int
-	Min, Max         float64
-	Mean, Std        float64
-	P25, Median, P75 float64
-}
-
-// Summarize computes a Summary of xs. It returns a zero Summary for an
-// empty sample.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	var w Welford
-	for _, x := range sorted {
-		w.Add(x)
-	}
-	return Summary{
-		N:      len(sorted),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Mean:   w.Mean(),
-		Std:    w.Std(),
-		P25:    Quantile(sorted, 0.25),
-		Median: Quantile(sorted, 0.5),
-		P75:    Quantile(sorted, 0.75),
-	}
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted
 // sample using linear interpolation. It panics on unsorted input being
 // undetected; callers must sort first.
@@ -110,29 +73,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// MeanSeries averages several equal-length series point-wise: the
-// cross-run averaging step of the experiment harness. It returns an
-// error if the series lengths differ.
-func MeanSeries(series [][]float64) ([]float64, error) {
-	if len(series) == 0 {
-		return nil, fmt.Errorf("stats: no series to average")
-	}
-	n := len(series[0])
-	for i, s := range series {
-		if len(s) != n {
-			return nil, fmt.Errorf("stats: series %d has length %d, want %d", i, len(s), n)
-		}
-	}
-	out := make([]float64, n)
-	for _, s := range series {
-		for i, v := range s {
-			out[i] += v
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(series))
-	}
-	return out, nil
 }

@@ -77,35 +77,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{5, 1, 3})
-	if s.N != 3 || s.Min != 1 || s.Max != 5 || !almost(s.Mean, 3) || s.Median != 3 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if (Summarize(nil) != Summary{}) {
-		t.Error("empty summary not zero")
-	}
-}
-
-func TestMeanSeries(t *testing.T) {
-	out, err := MeanSeries([][]float64{{1, 2, 3}, {3, 4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if !almost(out[i], want[i]) {
-			t.Fatalf("MeanSeries = %v", out)
-		}
-	}
-	if _, err := MeanSeries([][]float64{{1}, {1, 2}}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := MeanSeries(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")

@@ -77,14 +77,9 @@ type Scenario struct {
 	BufferBytes  int64   `json:"bufbytes,omitempty"`
 	DropPolicy   string  `json:"drop,omitempty"`
 	ControlBytes float64 `json:"ctlbytes,omitempty"`
-	// Shards is how many kernels execute the run's items (DESIGN.md
-	// §12): 0 or 1 sequentially on the calling goroutine, K >= 2 each
-	// window of items split across K goroutines; a K above the node
-	// count or above 512 (the most items a window holds) behaves as the
-	// smaller of those two. Purely an execution knob — results are
-	// bit-identical for every value — so, like SweepSpec.Workers, it
-	// never enters the canonical key, and dtnsimd, which runs the
-	// normalized spec, ignores it.
+	// Shards is accepted from older files and ignored: every run
+	// executes on the one sequential kernel. It never enters the
+	// canonical key, and Normalize clears it.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -165,9 +160,8 @@ func (s Scenario) Check() error {
 
 // Normalize returns the scenario with both specs replaced by their
 // canonical forms, so two scenarios meaning the same run compare equal
-// as data. Shards is cleared: it selects an executor, never a result
-// (every shard count is bit-identical), so two scenarios differing only
-// in Shards are the same run.
+// as data. The inert "shards" key is cleared, so two scenarios
+// differing only in it are the same run.
 func (s Scenario) Normalize() (Scenario, error) {
 	src, fac, err := s.resolve()
 	if err != nil {
@@ -224,7 +218,6 @@ func (s Scenario) Compile() (Config, error) {
 		BufferBytes:    s.BufferBytes,
 		DropPolicy:     s.DropPolicy,
 		ControlBytes:   s.ControlBytes,
-		Shards:         s.Shards,
 	}, nil
 }
 
@@ -294,9 +287,7 @@ type SweepSpec struct {
 	// Workers bounds concurrent runs (0 = all CPUs, 1 = sequential;
 	// never more goroutines than runs); results are bit-identical for
 	// every value, so dtnsimd, which runs the normalized spec, ignores
-	// it. The template scenario's Shards knob composes with it: Workers
-	// parallelizes across the sweep grid, Shards parallelizes inside
-	// each run.
+	// it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -383,7 +374,6 @@ func (s SweepSpec) Compile() (Sweep, error) {
 		BaseSeed:  s.Scenario.Seed,
 		Metrics:   append([]Metric(nil), s.Metrics...),
 		Workers:   s.Workers,
-		Shards:    s.Scenario.Shards,
 	}, nil
 }
 
@@ -420,7 +410,6 @@ func SweepSpecOf(name string, sw Sweep) (SweepSpec, error) {
 			BufferBytes:  sw.Scenario.BufferBytes,
 			DropPolicy:   sw.Scenario.DropPolicy,
 			ControlBytes: sw.Scenario.ControlBytes,
-			Shards:       sw.Shards,
 		},
 		Loads:   append([]int(nil), sw.Loads...),
 		Runs:    sw.Runs,
