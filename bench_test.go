@@ -431,7 +431,9 @@ func BenchmarkSubscriberRWPGeneration(b *testing.B) {
 // runShardedBench times one 5k-node run per iteration through the
 // executor selected by shards (core.Config semantics: 0 or 1 = one
 // kernel on the calling goroutine, K >= 2 = every window split across K
-// goroutines). Scenario compilation — cheap next to the run, but
+// goroutines). A scenario's shards key is inert, so the executor is set
+// on the compiled Config, the one place a Go caller can still reach
+// K >= 2. Scenario compilation — cheap next to the run, but
 // allocating — happens off the clock so the measured op is the executor
 // alone.
 func runShardedBench(b *testing.B, shards int) {
@@ -444,11 +446,11 @@ func runShardedBench(b *testing.B, shards int) {
 			Flows:        []dtnsim.Flow{{Src: 0, Dst: 4999, Count: 30}},
 			Seed:         benchSeed,
 			RunToHorizon: true,
-			Shards:       shards,
 		}.Compile()
 		if err != nil {
 			b.Fatal(err)
 		}
+		cfg.Shards = shards
 		b.StartTimer()
 		if _, err := dtnsim.Run(cfg); err != nil {
 			b.Fatal(err)

@@ -57,7 +57,13 @@ func main() {
 		scaleSpan  = flag.Float64("scale-span", 50000, "simulated seconds per scale run (shorter spans keep 100k-node cells inside a time budget)")
 	)
 	flag.Parse()
-	if err := checkFlags(*runs, *scaleRuns, *scaleSpan); err != nil {
+	selected := map[string]bool{}
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			selected[id] = true
+		}
+	}
+	if err := checkFlags(selected, *runs, *scaleRuns, *scaleSpan); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -65,12 +71,6 @@ func main() {
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
-	}
-	selected := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			selected[id] = true
-		}
 	}
 	want := func(id string) bool { return len(selected) == 0 || selected[id] }
 
@@ -160,10 +160,17 @@ func runConstrained(outDir string, runs int, seed uint64, workers int, quiet boo
 // checkFlags refuses run counts and a scale span the sweeps cannot
 // honour: they read a non-positive value as "use the default", so
 // -runs -2 would otherwise write 3 or 10 runs per point and exit 0.
-// (A non-finite span is the mobility registry's to refuse.)
-func checkFlags(runs, scaleRuns int, scaleSpan float64) error {
-	if runs <= 0 {
+// A flag is checked only when a selected experiment reads it: -runs
+// unless scale is the only one asked for, -scale-runs and -scale-span
+// only when it is. (A non-finite span is the mobility registry's to
+// refuse.)
+func checkFlags(selected map[string]bool, runs, scaleRuns int, scaleSpan float64) error {
+	scaleOnly := len(selected) == 1 && selected["scale"]
+	if !scaleOnly && runs <= 0 {
 		return fmt.Errorf("-runs %d is not a positive run count", runs)
+	}
+	if !selected["scale"] {
+		return nil
 	}
 	if scaleRuns <= 0 {
 		return fmt.Errorf("-scale-runs %d is not a positive run count", scaleRuns)

@@ -7,28 +7,42 @@ import (
 )
 
 // TestCheckFlags: a run count or scale span the sweeps would silently
-// replace with their default is refused, naming the flag; every
-// positive value, fractional spans included, passes.
+// replace with their default is refused, naming the flag, when a
+// selected experiment reads it; every positive value, fractional spans
+// included, passes, and a flag no selected experiment reads is not
+// checked.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
+		only      string
 		runs      int
 		scaleRuns int
 		scaleSpan float64
 		flag      string // "" = accepted; else the flag the error names
 	}{
-		{"defaults", 10, 3, 50000, ""},
-		{"one run each", 1, 1, 1, ""},
-		{"fractional span", 2, 2, 0.4, ""},
-		{"zero runs", 0, 3, 50000, "-runs"},
-		{"negative runs", -2, 3, 50000, "-runs"},
-		{"zero scale runs", 10, 0, 50000, "-scale-runs"},
-		{"negative scale runs", 10, -1, 50000, "-scale-runs"},
-		{"zero span", 10, 3, 0, "-scale-span"},
-		{"negative span", 10, 3, -5, "-scale-span"},
-		{"NaN span", 10, 3, math.NaN(), "-scale-span"},
+		{"defaults", "", 10, 3, 50000, ""},
+		{"defaults with scale", "fig07,scale", 10, 3, 50000, ""},
+		{"one run each", "fig07,scale", 1, 1, 1, ""},
+		{"fractional span", "scale", 2, 2, 0.4, ""},
+		{"zero runs", "", 0, 3, 50000, "-runs"},
+		{"negative runs", "constrained", -2, 3, 50000, "-runs"},
+		{"negative runs beside scale", "fig07,scale", -2, 3, 50000, "-runs"},
+		{"zero scale runs", "scale", 10, 0, 50000, "-scale-runs"},
+		{"negative scale runs", "scale", 10, -1, 50000, "-scale-runs"},
+		{"zero span", "scale", 10, 3, 0, "-scale-span"},
+		{"negative span", "scale", 10, 3, -5, "-scale-span"},
+		{"NaN span", "scale", 10, 3, math.NaN(), "-scale-span"},
+		{"scale runs unread", "fig07", 10, 0, 50000, ""},
+		{"span unread", "", 10, 3, -5, ""},
+		{"runs unread", "scale", -2, 3, 50000, ""},
 	} {
-		err := checkFlags(tc.runs, tc.scaleRuns, tc.scaleSpan)
+		selected := map[string]bool{}
+		for _, id := range strings.Split(tc.only, ",") {
+			if id != "" {
+				selected[id] = true
+			}
+		}
+		err := checkFlags(selected, tc.runs, tc.scaleRuns, tc.scaleSpan)
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)

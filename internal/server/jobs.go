@@ -234,8 +234,8 @@ type execFunc func(context.Context) (map[string][]byte, error)
 // jobs, probe the cache, or start a worker. prepare returns the
 // normalized spec's JSON, for the entry's manifest, and the job that
 // runs that same normalized spec in this process. Normalize clears the
-// execution knobs (a scenario's shards, a sweep's workers), which never
-// enter the key, so a client cannot size the daemon's work with them.
+// keys that never change a result byte (a scenario's inert shards, a
+// sweep's workers), so they never enter the key.
 // Only a queued job calls prepare, so a hit pays for no normalization
 // it would throw away.
 func (m *Manager) enqueue(kind, key string, prepare func() ([]byte, execFunc, error)) (*Job, error) {
