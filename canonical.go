@@ -1,10 +1,14 @@
 package dtnsim
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+
+	"dtnsim/internal/buffer"
+	"dtnsim/internal/core"
 )
 
 // Canonical content keys for scenarios and sweeps.
@@ -42,7 +46,8 @@ func (s Scenario) CanonicalKey() (string, error) {
 // reconstructs from the compiled sweep — canonical registry specs, the
 // effective engine knobs after scenario presets, label lists elided
 // when they match the registry defaults — with the harness defaults
-// (loads 5..50, 10 runs, all five metrics) made explicit and the
+// (loads 5..50, 10 runs, all five metrics) and the engine defaults a
+// template may set (buffer_cap, tx_time, drop) made explicit and the
 // Workers execution knob cleared. Template fields the sweep harness
 // ignores (Protocol, Flows, RunToHorizon) are dropped, so every
 // spelling of the same experiment normalizes to one value. Normalize is
@@ -65,6 +70,12 @@ func (s SweepSpec) Normalize() (SweepSpec, error) {
 	if len(norm.Metrics) == 0 {
 		norm.Metrics = AllMetrics()
 	}
+	// A zero knob and the engine's default run identically. (Templates
+	// refuse the other two engine knobs, so they are never spelled.)
+	tmpl := &norm.Scenario
+	tmpl.BufferCap = cmp.Or(tmpl.BufferCap, core.DefaultBufferCap)
+	tmpl.TxTime = cmp.Or(tmpl.TxTime, core.DefaultTxTime)
+	tmpl.DropPolicy = cmp.Or(tmpl.DropPolicy, buffer.DefaultDropPolicy)
 	// Workers only schedules the grid, and the template's "shards" key
 	// is inert; neither changes a byte of output.
 	norm.Workers = 0

@@ -45,21 +45,31 @@ func mustKey(t *testing.T, s dtnsim.Scenario) string {
 }
 
 func TestScenarioKeyInvariantUnderJSONPermutation(t *testing.T) {
-	ref := mustKey(t, keyScenario())
 	// The same run spelled with permuted JSON key order, permuted
 	// whitespace, and permuted spec parameters (q before p; explicit
-	// default anti omitted) must map to the same key.
-	respellings := []string{
-		`{
+	// default anti omitted) must map to the same key; so must a run
+	// that spells out the engine defaults another omits.
+	defaults := keyScenario()
+	defaults.BufferCap, defaults.TxTime, defaults.DropPolicy = 0, 0, ""
+	respellings := []struct {
+		want dtnsim.Scenario
+		raw  string
+	}{
+		{keyScenario(), `{
 		  "seed": 42, "protocol": "pq:q=0.5,p=0.8",
 		  "flows": [ {"count":25, "dst":7, "src":0} ],
 		  "mobility":"cambridge:seed=7",
 		  "drop":"dropfront","bufbytes":5242880,"size":1048576,"bw":50000,
-		  "ctlbytes":16,"tx_time":50,"buffer_cap":20,"name":"ref"}`,
-		"{\"name\":\"ref\",\"tx_time\":50,\"buffer_cap\":20,\"ctlbytes\":16,\n\t\"bw\":5e4,\"size\":1048576,\"bufbytes\":5242880,\"drop\":\"dropfront\",\n\t\"protocol\":\"pq:p=0.8,q=0.5\",\"mobility\":\"cambridge:seed=7\",\n\t\"flows\":[{\"src\":0,\"dst\":7,\"count\":25}],\"seed\":42}",
+		  "ctlbytes":16,"tx_time":50,"buffer_cap":20,"name":"ref"}`},
+		{keyScenario(), "{\"name\":\"ref\",\"tx_time\":50,\"buffer_cap\":20,\"ctlbytes\":16,\n\t\"bw\":5e4,\"size\":1048576,\"bufbytes\":5242880,\"drop\":\"dropfront\",\n\t\"protocol\":\"pq:p=0.8,q=0.5\",\"mobility\":\"cambridge:seed=7\",\n\t\"flows\":[{\"src\":0,\"dst\":7,\"count\":25}],\"seed\":42}"},
+		{defaults, `{"name":"ref","mobility":"cambridge:seed=7","protocol":"pq:p=0.8,q=0.5",
+		  "flows":[{"src":0,"dst":7,"count":25}],"seed":42,"bw":50000,"size":1048576,
+		  "bufbytes":5242880,"ctlbytes":16,"buffer_cap":10,"tx_time":100,
+		  "records_per_slot":10,"sample_every":1000,"drop":"droptail"}`},
 	}
-	for i, raw := range respellings {
-		sc, err := dtnsim.ParseScenario([]byte(raw))
+	for i, tc := range respellings {
+		ref := mustKey(t, tc.want)
+		sc, err := dtnsim.ParseScenario([]byte(tc.raw))
 		if err != nil {
 			t.Fatalf("respelling %d does not parse: %v", i, err)
 		}
@@ -249,6 +259,21 @@ func TestSweepKeyInvariants(t *testing.T) {
 	explicit.Loads, explicit.Runs, explicit.Metrics = dtnsim.DefaultLoads(), 10, dtnsim.AllMetrics()
 	if k1, k2 := mustSweepKey(t, elided), mustSweepKey(t, explicit); k1 != k2 {
 		t.Errorf("explicit defaults changed the key: %s vs %s", k1, k2)
+	}
+
+	// So must the engine defaults a template may spell, interval's
+	// preset link included.
+	for _, tc := range []struct {
+		mobility dtnsim.MobilitySpec
+		txTime   float64
+	}{{"cambridge", 100}, {"interval", 25}} {
+		elided, explicit := keySweep(), keySweep()
+		elided.Scenario.Mobility, explicit.Scenario.Mobility = tc.mobility, tc.mobility
+		elided.Scenario.BufferCap, elided.Scenario.TxTime = 0, 0
+		explicit.Scenario.BufferCap, explicit.Scenario.TxTime, explicit.Scenario.DropPolicy = 10, tc.txTime, "droptail"
+		if k1, k2 := mustSweepKey(t, elided), mustSweepKey(t, explicit); k1 != k2 {
+			t.Errorf("%s: explicit engine defaults changed the key: %s vs %s", tc.mobility, k1, k2)
+		}
 	}
 
 	// Default labels spelled explicitly must equal the elided form, and

@@ -63,7 +63,7 @@ func main() {
 			selected[id] = true
 		}
 	}
-	if err := checkFlags(selected, *runs, *scaleRuns, *scaleSpan); err != nil {
+	if err := checkFlags(selected, *runs, *scaleRuns, *workers, *scaleSpan); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -163,8 +163,12 @@ func runConstrained(outDir string, runs int, seed uint64, workers int, quiet boo
 // A flag is checked only when a selected experiment reads it: -runs
 // unless scale is the only one asked for, -scale-runs and -scale-span
 // only when it is. (A non-finite span is the mobility registry's to
-// refuse.)
-func checkFlags(selected map[string]bool, runs, scaleRuns int, scaleSpan float64) error {
+// refuse.) Every experiment reads -workers, and a negative count is
+// refused before anything is written.
+func checkFlags(selected map[string]bool, runs, scaleRuns, workers int, scaleSpan float64) error {
+	if workers < 0 {
+		return fmt.Errorf("-workers %d is not a worker count (0 = all CPUs)", workers)
+	}
 	scaleOnly := len(selected) == 1 && selected["scale"]
 	if !scaleOnly && runs <= 0 {
 		return fmt.Errorf("-runs %d is not a positive run count", runs)

@@ -10,31 +10,35 @@ import (
 // replace with their default is refused, naming the flag, when a
 // selected experiment reads it; every positive value, fractional spans
 // included, passes, and a flag no selected experiment reads is not
-// checked.
+// checked. A negative worker count, which every experiment reads, is
+// always refused; 0 (all CPUs) and 1 (sequential) pass.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		only      string
 		runs      int
 		scaleRuns int
+		workers   int
 		scaleSpan float64
 		flag      string // "" = accepted; else the flag the error names
 	}{
-		{"defaults", "", 10, 3, 50000, ""},
-		{"defaults with scale", "fig07,scale", 10, 3, 50000, ""},
-		{"one run each", "fig07,scale", 1, 1, 1, ""},
-		{"fractional span", "scale", 2, 2, 0.4, ""},
-		{"zero runs", "", 0, 3, 50000, "-runs"},
-		{"negative runs", "constrained", -2, 3, 50000, "-runs"},
-		{"negative runs beside scale", "fig07,scale", -2, 3, 50000, "-runs"},
-		{"zero scale runs", "scale", 10, 0, 50000, "-scale-runs"},
-		{"negative scale runs", "scale", 10, -1, 50000, "-scale-runs"},
-		{"zero span", "scale", 10, 3, 0, "-scale-span"},
-		{"negative span", "scale", 10, 3, -5, "-scale-span"},
-		{"NaN span", "scale", 10, 3, math.NaN(), "-scale-span"},
-		{"scale runs unread", "fig07", 10, 0, 50000, ""},
-		{"span unread", "", 10, 3, -5, ""},
-		{"runs unread", "scale", -2, 3, 50000, ""},
+		{"defaults", "", 10, 3, 0, 50000, ""},
+		{"defaults with scale", "fig07,scale", 10, 3, 0, 50000, ""},
+		{"one run each", "fig07,scale", 1, 1, 1, 1, ""},
+		{"fractional span", "scale", 2, 2, 4, 0.4, ""},
+		{"zero runs", "", 0, 3, 0, 50000, "-runs"},
+		{"negative runs", "constrained", -2, 3, 0, 50000, "-runs"},
+		{"negative runs beside scale", "fig07,scale", -2, 3, 0, 50000, "-runs"},
+		{"zero scale runs", "scale", 10, 0, 0, 50000, "-scale-runs"},
+		{"negative scale runs", "scale", 10, -1, 0, 50000, "-scale-runs"},
+		{"zero span", "scale", 10, 3, 0, 0, "-scale-span"},
+		{"negative span", "scale", 10, 3, 0, -5, "-scale-span"},
+		{"NaN span", "scale", 10, 3, 0, math.NaN(), "-scale-span"},
+		{"scale runs unread", "fig07", 10, 0, 0, 50000, ""},
+		{"span unread", "", 10, 3, 0, -5, ""},
+		{"runs unread", "scale", -2, 3, 0, 50000, ""},
+		{"negative workers", "", 10, 3, -3, 50000, "-workers"},
+		{"negative workers for scale", "scale", 10, 3, -1, 50000, "-workers"},
 	} {
 		selected := map[string]bool{}
 		for _, id := range strings.Split(tc.only, ",") {
@@ -42,7 +46,7 @@ func TestCheckFlags(t *testing.T) {
 				selected[id] = true
 			}
 		}
-		err := checkFlags(selected, tc.runs, tc.scaleRuns, tc.scaleSpan)
+		err := checkFlags(selected, tc.runs, tc.scaleRuns, tc.workers, tc.scaleSpan)
 		switch {
 		case tc.flag == "" && err != nil:
 			t.Errorf("%s: refused: %v", tc.name, err)

@@ -426,7 +426,7 @@ func (r *run) result(end sim.Time) *Result {
 		Makespan:          -1,
 		MeanOccupancy:     r.coll.MeanOccupancy(),
 		MeanDuplication:   r.coll.MeanDuplication(),
-		ControlRecords:    metrics.Overhead(r.nodes),
+		ControlRecords:    r.coll.Records(),
 		DataTransmissions: r.coll.Transmissions(),
 		Refused:           r.coll.DropsByReason(node.DropRefused),
 		Evicted:           r.coll.DropsByReason(node.DropEvicted),

@@ -2,10 +2,12 @@ package core_test
 
 // Cross-check every event count a Result reports against a tally of the
 // observer stream kept on the test's side. The run's collector is the
-// one writer of DataTransmissions and the drop counts, and the holder
-// bookkeeping of Generated and Delivered; the tally counts the same
-// stream independently, so a count that drifts from the events the
-// observers saw cannot go unnoticed.
+// one writer of DataTransmissions, the drop counts and ControlRecords,
+// and the holder bookkeeping of Generated and Delivered; the tally
+// counts the same stream independently, and a wrapper around the
+// protocol sums what its exchanges returned, so a count that drifts
+// from the events the observers saw, or from the records the sessions
+// carried, cannot go unnoticed.
 
 import (
 	"fmt"
@@ -56,11 +58,26 @@ type eventTally struct {
 	byReason                            map[node.DropReason]int64
 }
 
+// recordTally wraps a protocol and sums the control records its
+// exchanges return.
+type recordTally struct {
+	protocol.Protocol
+	records int64
+}
+
+func (p *recordTally) Exchange(a, b *node.Node, now sim.Time, recordBudget int) int {
+	sent := p.Protocol.Exchange(a, b, now, recordBudget)
+	p.records += int64(sent)
+	return sent
+}
+
 // reconcileCollector runs cfg with a tally observer and a second
-// collector attached and cross-checks the Result's counts against the
-// tally.
+// collector attached, and its protocol wrapped in a recordTally, and
+// cross-checks the Result's counts against the tallies.
 func reconcileCollector(t *testing.T, cfg core.Config) {
 	t.Helper()
+	proto := &recordTally{Protocol: cfg.Protocol}
+	cfg.Protocol = proto
 	tally := eventTally{byReason: map[node.DropReason]int64{}}
 	obs := &core.FuncObserver{
 		Generate: func(bundle.ID, contact.NodeID, sim.Time) { tally.generated++ },
@@ -94,6 +111,7 @@ func reconcileCollector(t *testing.T, cfg core.Config) {
 		{"evicted", tally.byReason[node.DropEvicted], res.Evicted},
 		{"expired", tally.byReason[node.DropExpired], res.Expired},
 		{"bytepressure", tally.byReason[node.DropBytePressure], res.ByteDropped},
+		{"control records", proto.records, res.ControlRecords},
 	} {
 		if c.got != c.res {
 			t.Errorf("observed %s %d != result %d", c.name, c.got, c.res)

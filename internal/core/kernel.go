@@ -203,7 +203,6 @@ func (k *Kernel) contact(it *EpochItem) {
 	}
 	limited := bw > 0
 	var bytesLeft int64
-	var ctlBefore int64
 	if limited {
 		// ⌊D·B⌋, clamped: an out-of-range float→int64 conversion is
 		// implementation-defined (a huge bandwidth must mean "effectively
@@ -213,13 +212,12 @@ func (k *Kernel) contact(it *EpochItem) {
 		} else {
 			bytesLeft = int64(budget)
 		}
-		ctlBefore = a.ControlSent + b.ControlSent
 	}
-	k.Protocol.Exchange(a, b, now, recordBudget)
+	it.Records = k.Protocol.Exchange(a, b, now, recordBudget)
 	if limited && k.ControlBytes > 0 {
 		// Signaling shares the link: the records the exchange carried
 		// are charged against the contact's byte budget before data.
-		bytesLeft -= int64(float64(a.ControlSent+b.ControlSent-ctlBefore) * k.ControlBytes)
+		bytesLeft -= int64(float64(it.Records) * k.ControlBytes)
 		if bytesLeft < 0 {
 			bytesLeft = 0
 		}

@@ -77,7 +77,9 @@ func (b *EffectBuf) Effects() []Effect { return b.fx }
 func (b *EffectBuf) Set(fx []Effect) { b.fx = append(b.fx[:0], fx...) }
 
 // EpochItem is one unit of epoch work: a flow generation (Gen=true,
-// endpoint A only, B == A) or a contact (endpoints A < B).
+// endpoint A only, B == A) or a contact (endpoints A < B). Executing
+// it fills Fx and, for a contact, Records: the control records its
+// Exchange carried, which the merge counts (a generation carries 0).
 type EpochItem struct {
 	T   sim.Time
 	Gen bool
@@ -86,6 +88,7 @@ type EpochItem struct {
 	C              contact.Contact
 	Flow           Flow
 	Base, FirstSeq int
+	Records        int
 	Fx             EffectBuf
 }
 
@@ -247,7 +250,7 @@ func (r *run) collect(boundary sim.Time) {
 		w := &r.window
 		w.items = w.items[:len(w.items)+1]
 		it := &w.items[len(w.items)-1]
-		it.Fx.fx = it.Fx.fx[:0]
+		it.Fx.fx, it.Records = it.Fx.fx[:0], 0
 		if ft <= ct {
 			fl := r.flows[r.nextFlow]
 			r.nextFlow++
@@ -293,6 +296,7 @@ func (r *run) flush() {
 func (r *run) merge() {
 	for i := range r.window.items {
 		it := &r.window.items[i]
+		r.coll.AddRecords(it.Records)
 		for j := range it.Fx.fx {
 			fx := &it.Fx.fx[j]
 			switch fx.Kind {

@@ -490,7 +490,9 @@ func (b *Backend) collect(ep *core.Epoch, w int, idxs []int) error {
 		if ie.Idx != idxs[j] {
 			return fmt.Errorf("dist: worker %d: reply item %d, sent %d", w, ie.Idx, idxs[j])
 		}
-		ep.Item(ie.Idx).Fx.Set(ie.Fx)
+		it := ep.Item(ie.Idx)
+		it.Fx.Set(ie.Fx)
+		it.Records = ie.Records
 	}
 	// The worker returns the updated state of exactly the nodes its
 	// items involve; anything else means the two sides disagree about

@@ -673,8 +673,7 @@ func TestDistUnknownProtocolSpec(t *testing.T) {
 }
 
 // TestSnapshotNodeRoundTrip pins the node codec on a node with every
-// state dimension populated: control records sent, encounter history,
-// control load, pinned and relay copies, Received set, Ext state.
+// state dimension populated: encounter history, control load, pinned and relay copies, Received set, Ext state.
 func TestSnapshotNodeRoundTrip(t *testing.T) {
 	fac, err := protocol.Parse("immunity")
 	if err != nil {
@@ -685,7 +684,6 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 	var slab protocol.Slab
 	slab.Size(4)
 	proto.Init(n, &slab)
-	n.ControlSent = 17
 	n.ObserveEncounter(100)
 	n.ObserveEncounter(350)
 	n.Store.SetControlLoad(0.25)
@@ -730,7 +728,7 @@ func TestSnapshotNodeRoundTrip(t *testing.T) {
 		t.Fatalf("restore: %v", err)
 	}
 	// Into storage that held another node's state: none of it may show.
-	again := frame.NodeState{ControlSent: 99, Omit: frame.OmitExt,
+	again := frame.NodeState{LastInterval: 99, Omit: frame.OmitExt,
 		Copies: make([]frame.Copy, 5), Received: make([]frame.IDPair, 5)}
 	if err := snapshotInto(&again, n2); err != nil {
 		t.Fatalf("re-snapshot: %v", err)

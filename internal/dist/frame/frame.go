@@ -50,10 +50,11 @@ import (
 // added the Hello handshake frame and the Round.Cached delta records,
 // version 3 the NodeState section mask (Omit), and version 4 took the
 // five event counters out of NodeState (the coordinator's collector
-// counts every event); the version byte rides every frame, so a
-// coordinator and worker from different versions fail loudly on the
+// counts every event), and version 5 moved the control-record count
+// from NodeState to ItemEffects; the version byte rides every frame, so
+// a coordinator and worker from different versions fail loudly on the
 // first frame either way.
-const Version = 4
+const Version = 5
 
 // encBinary is the header's payload-encoding byte.
 const encBinary = 0
@@ -166,7 +167,6 @@ const (
 // restoring.
 type NodeState struct {
 	ID                 int
-	ControlSent        int64
 	ControlLoad        float64
 	LastEncounterStart float64
 	LastInterval       float64
@@ -214,11 +214,13 @@ type Round struct {
 	Items  []*core.EpochItem
 }
 
-// ItemEffects is one item's replayed effect buffer, keyed by the
+// ItemEffects is one item's replayed effect buffer and the control
+// records its exchange carried (core.EpochItem.Records), keyed by the
 // item's coordinator-side index.
 type ItemEffects struct {
-	Idx int
-	Fx  []core.Effect
+	Idx     int
+	Records int
+	Fx      []core.Effect
 }
 
 // Effects is one worker→coordinator round reply: the updated states of
@@ -539,7 +541,6 @@ func appendFlowCount(b []byte, fc protocol.FlowCount) []byte {
 
 func appendNodeState(b []byte, st *NodeState) []byte {
 	b = appendInt(b, int64(st.ID))
-	b = appendInt(b, st.ControlSent)
 	b = appendFloat(b, st.ControlLoad)
 	b = appendFloat(b, st.LastEncounterStart)
 	b = appendFloat(b, st.LastInterval)
@@ -607,6 +608,7 @@ func appendEffects(b []byte, e *Effects) []byte {
 	for i := range e.Items {
 		ie := &e.Items[i]
 		b = appendInt(b, int64(ie.Idx))
+		b = appendInt(b, int64(ie.Records))
 		b = appendUint(b, uint64(len(ie.Fx)))
 		for j := range ie.Fx {
 			b = appendEffect(b, &ie.Fx[j])
@@ -811,7 +813,6 @@ func readFlowCount(d *dec) protocol.FlowCount {
 
 func readNodeState(d *dec, st *NodeState) {
 	st.ID = int(d.int())
-	st.ControlSent = d.int()
 	st.ControlLoad = d.float()
 	st.LastEncounterStart = d.float()
 	st.LastInterval = d.float()
@@ -874,6 +875,9 @@ func readEffects(d *dec, e *Effects) {
 	for i := range e.Items {
 		ie := &e.Items[i]
 		ie.Idx = int(d.int())
+		if ie.Records = int(d.int()); ie.Records < 0 {
+			d.fail = true
+		}
 		ie.Fx = Resize(ie.Fx, d.count())
 		for j := range ie.Fx {
 			readEffect(d, &ie.Fx[j])

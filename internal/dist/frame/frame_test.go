@@ -32,7 +32,7 @@ func sampleMsgs() []*Msg {
 			Seq: 7,
 			States: []NodeState{
 				{
-					ID: 3, ControlSent: 17,
+					ID:          3,
 					ControlLoad: 0.25, LastEncounterStart: -1, LastInterval: 312.5,
 					Copies: []Copy{
 						{Src: 0, Seq: 5, Dst: 7, CreatedAt: 42.5, Size: 1024,
@@ -92,7 +92,7 @@ func sampleMsgs() []*Msg {
 		{Effects: &Effects{
 			Seq: 8,
 			States: []NodeState{
-				{ID: 1, ControlSent: 40, ControlLoad: 0.5, LastEncounterStart: 300, LastInterval: 49.5,
+				{ID: 1, ControlLoad: 0.5, LastEncounterStart: 300, LastInterval: 49.5,
 					Omit: OmitCopies | OmitReceived | OmitExt},
 				{ID: 2, Omit: OmitReceived | OmitExt,
 					Copies: []Copy{{Src: 2, Seq: 1, Dst: 9, CreatedAt: 10, Size: 1000, FirstSeq: 1,
@@ -105,7 +105,7 @@ func sampleMsgs() []*Msg {
 					Rcvd: []protocol.FlowSeqs{{Src: 2, Dst: 6, Seqs: []int{1}}}}},
 				{ID: 7, Omit: OmitReceived},
 			},
-			Items: []ItemEffects{{Idx: 4, Fx: []core.Effect{
+			Items: []ItemEffects{{Idx: 4, Records: 40, Fx: []core.Effect{
 				{Kind: core.EffectTransmit, From: 2, To: 3, ID: bundle.ID{Src: 2, Seq: 1}, At: 301}}}},
 		}},
 	}
@@ -210,15 +210,15 @@ func TestStreamReadWrite(t *testing.T) {
 // and scalars replace, omitted sections stay, the result is complete.
 func TestPatch(t *testing.T) {
 	full := func() NodeState {
-		return NodeState{ID: 2, ControlSent: 1,
+		return NodeState{ID: 2, LastInterval: 1,
 			Copies:   []Copy{{Src: 2, Seq: 1}},
 			Received: []IDPair{{Src: 0, Seq: 4}},
 			Ext:      protocol.ExtState{Kind: protocol.ExtImmunity, IDs: []bundle.ID{{Src: 0, Seq: 4}}}}
 	}
 	for omit := byte(0); omit <= omitAll; omit++ {
 		st, want := full(), full()
-		p := NodeState{ID: 2, ControlSent: 9, Omit: omit}
-		want.ControlSent = 9
+		p := NodeState{ID: 2, LastInterval: 9, Omit: omit}
+		want.LastInterval = 9
 		if omit&OmitCopies == 0 {
 			p.Copies = []Copy{{Src: 5, Seq: 5}, {Src: 6, Seq: 6}}
 			want.Copies = p.Copies
@@ -277,6 +277,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown-section-bits", nil},
 		{"effect-kind-past-enum", nil},
 		{"drop-reason-past-enum", nil},
+		{"negative-records", nil},
 	}
 	cases[12].b, cases[13].b = hostileEffects(t)
 	unknown, err := Encode(&Msg{Effects: &Effects{States: []NodeState{{ID: 1, Omit: omitAll + 1}}}})
@@ -284,6 +285,10 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases[11].b = unknown
+	// A count the merge would subtract from the run's overhead.
+	if cases[14].b, err = Encode(&Msg{Effects: &Effects{Items: []ItemEffects{{Idx: 0, Records: -1}}}}); err != nil {
+		t.Fatal(err)
+	}
 	// trailing-bytes case needs a corrected length prefix.
 	trailing := append(append([]byte{}, good...), 0)
 	trailing[0]++

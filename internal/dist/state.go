@@ -33,7 +33,6 @@ func snapshotInto(st *frame.NodeState, n *node.Node) error {
 	}
 	*st = frame.NodeState{
 		ID:                 int(n.ID),
-		ControlSent:        n.ControlSent,
 		ControlLoad:        n.Store.ControlLoad(),
 		LastEncounterStart: float64(n.LastEncounterStart),
 		LastInterval:       n.LastInterval,
@@ -70,7 +69,6 @@ func restoreInto(n *node.Node, st *frame.NodeState) error {
 	if st.Omit != 0 {
 		return fmt.Errorf("dist: node %d: state omits sections %03b, nothing to restore them from", st.ID, st.Omit)
 	}
-	n.ControlSent = st.ControlSent
 	n.LastEncounterStart = sim.Time(st.LastEncounterStart)
 	n.LastInterval = st.LastInterval
 	n.Store.Grow(len(st.Copies))

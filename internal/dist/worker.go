@@ -210,7 +210,7 @@ func (s *workerState) round(r *frame.Round) error {
 	s.eff.Items = frame.Resize(s.eff.Items, len(r.Items))
 	for i, it := range r.Items {
 		s.kern.Exec(it)
-		s.eff.Items[i] = frame.ItemEffects{Idx: r.Idx[i], Fx: it.Fx.Effects()}
+		s.eff.Items[i] = frame.ItemEffects{Idx: r.Idx[i], Records: it.Records, Fx: it.Fx.Effects()}
 	}
 
 	// Ship back the involved nodes' updated states, sorted by ID — the

@@ -106,7 +106,7 @@ type Sweep struct {
 	OnPoint func(label string, load int)
 	// Workers bounds the number of runs simulated concurrently. Zero
 	// means runtime.GOMAXPROCS(0); 1 runs the grid strictly
-	// sequentially. Results are bit-identical for every value: each
+	// sequentially; a negative count fails the sweep. Results are bit-identical for every value: each
 	// run's seed depends only on (BaseSeed, load, run), and per-point
 	// averages are folded in run order after collection.
 	Workers int

@@ -55,8 +55,9 @@ type gridCell struct {
 // so progress callbacks fire live and floating-point accumulation is
 // the same for every worker count. fold must not retain outcomes.
 //
-// workers <= 0 means runtime.GOMAXPROCS(0), and more workers than jobs
-// means one per job: a goroutine past that could never get a run.
+// workers == 0 means runtime.GOMAXPROCS(0), a negative count is
+// refused, and more workers than jobs means one per job: a goroutine
+// past that could never get a run.
 // workers == 1 executes inline, in index order. Otherwise the grid is
 // fanned out over workers goroutines; the first failing run flips a
 // skip flag so the remaining (potentially thousands-of-nodes) jobs are
@@ -70,7 +71,10 @@ type gridCell struct {
 // path also reuses one outcome slice for every point: fold must not
 // retain it.
 func runGrid(nI, nJ, runs, workers int, job func(w *gridWorker, i, j, run int) runOutcome, fold func(i, j int, outs []runOutcome)) error {
-	if workers <= 0 {
+	if workers < 0 {
+		return fmt.Errorf("experiment: negative workers %d (0 means every CPU)", workers)
+	}
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, nI*nJ*runs))

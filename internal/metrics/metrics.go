@@ -16,8 +16,9 @@
 // streams it — together with generate/transmit/deliver/drop events — to
 // every core.Observer. Collector is the engine's built-in observer: it
 // folds samples into the time-averaged occupancy and duplication the
-// Result reports, and counts its transmissions and drops. It satisfies
-// core.Observer structurally, without importing core.
+// Result reports, and counts its transmissions, drops and control
+// records. It satisfies core.Observer structurally, without importing
+// core.
 package metrics
 
 import (
@@ -257,9 +258,11 @@ func (t *HolderTracker) SampleFunc(n int, occ func(int) float64, now sim.Time) S
 
 // Collector aggregates the run's observer stream: it folds samples into
 // the time-averaged metrics and counts the transmissions and drops the
-// Result reports. It is the engine's built-in core.Observer and the
-// only writer of those counts; generation and delivery counts come from
-// the engine's holder bookkeeping, not from here.
+// Result reports. It is the engine's built-in core.Observer. Control
+// records are no observer event: the engine adds each contact's, as
+// its Exchange returned them, through AddRecords. The collector is the
+// only writer of all these counts; generation and delivery counts come
+// from the engine's holder bookkeeping, not from here.
 type Collector struct {
 	occ stats.Welford
 	dup stats.Welford
@@ -267,6 +270,8 @@ type Collector struct {
 	samples int64
 	// sent counts bundle transmissions.
 	sent int64
+	// records counts control records: the signaling overhead.
+	records int64
 	// dropped holds drop counts by cause, indexed by the reason's
 	// position in node.DropReasons(). An array, so counting a drop
 	// hashes nothing and the zero Collector is ready.
@@ -312,6 +317,15 @@ func (c *Collector) OnSample(s Sample) {
 	}
 }
 
+// AddRecords counts n control records one contact's exchange carried.
+//
+//dtn:hotpath
+func (c *Collector) AddRecords(n int) { c.records += int64(n) }
+
+// Records returns the control records counted: the paper's signaling
+// overhead.
+func (c *Collector) Records() int64 { return c.records }
+
 // Samples returns the number of observations folded in.
 func (c *Collector) Samples() int64 { return c.samples }
 
@@ -345,13 +359,3 @@ func (c *Collector) MeanOccupancy() float64 { return c.occ.Mean() }
 
 // MeanDuplication returns the time-averaged bundle duplication rate.
 func (c *Collector) MeanDuplication() float64 { return c.dup.Mean() }
-
-// Overhead sums control records transmitted across the population: the
-// paper's signaling overhead.
-func Overhead(nodes []*node.Node) int64 {
-	var total int64
-	for _, n := range nodes {
-		total += n.ControlSent
-	}
-	return total
-}

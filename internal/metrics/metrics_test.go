@@ -75,12 +75,17 @@ func TestCollectorNoBundlesNoDuplicationSamples(t *testing.T) {
 	}
 }
 
+// TestOverheadAndDataTotals: the collector sums the control records the
+// engine adds per contact beside the transmissions its observer stream
+// reports, and neither count leaks into the other.
 func TestOverheadAndDataTotals(t *testing.T) {
-	a, b := node.New(0, 10), node.New(1, 10)
-	a.ControlSent = 7
-	b.ControlSent = 5
-	if Overhead([]*node.Node{a, b}) != 12 {
-		t.Error("Overhead sum wrong")
+	var c Collector
+	c.AddRecords(7)
+	c.AddRecords(0)
+	c.AddRecords(5)
+	c.OnTransmit(0, 1, bundle.ID{Src: 0, Seq: 1}, 10)
+	if c.Records() != 12 || c.Transmissions() != 1 {
+		t.Errorf("records %d, transmissions %d; want 12, 1", c.Records(), c.Transmissions())
 	}
 }
 

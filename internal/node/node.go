@@ -1,12 +1,11 @@
 // Package node defines the per-node state a DTN participant carries:
 // its bundle store, the encounter history that drives dynamic TTL
-// (Algorithm 1 in the paper), delivery bookkeeping, and the control
-// records it has sent (ControlSent, which the kernel charges a
-// contact's control bytes from). It counts no other event: every
-// transmission and drop reaches the run's observers through the
-// engine's effects and DropHook, and the run's metrics.Collector counts
-// them. Protocol-specific state (immunity lists, cumulative ack tables)
-// hangs off the Ext field, attached by the protocol's Init.
+// (Algorithm 1 in the paper) and delivery bookkeeping. It counts no
+// event: every transmission and drop reaches the run's observers
+// through the engine's effects and DropHook, and the run's
+// metrics.Collector counts them, along with the control records each
+// exchange reports. Protocol-specific state (immunity lists, cumulative
+// ack tables) hangs off the Ext field, attached by the protocol's Init.
 package node
 
 import (
@@ -34,11 +33,6 @@ type Node struct {
 	// two encounters; 0 until the node has seen two encounters. This is
 	// GetLastInterval from the paper's Algorithm 1.
 	LastInterval float64
-
-	// ControlSent counts control records (immunity tables, anti-packets,
-	// cumulative acks) this node has transmitted: the paper's signaling
-	// overhead metric.
-	ControlSent int64
 
 	// Ext holds protocol-specific state, attached by Protocol.Init.
 	Ext any

@@ -80,7 +80,7 @@ func TestNewPopulation(t *testing.T) {
 
 // TestNewPopulationReuse: a population rebuilt from a used one, smaller
 // or of the same size, is what a fresh call builds — every copy,
-// encounter, counter and protocol state of the last use gone, the
+// encounter and protocol state of the last use gone, the
 // capacity the new one — and allocates nothing; only a larger one
 // allocates. The nodes past a shrunk population are emptied too, so
 // they pin none of the last use's bundles.
@@ -94,7 +94,6 @@ func TestNewPopulationReuse(t *testing.T) {
 		n.Received.Add(b.ID)
 		n.ObserveEncounter(10)
 		n.ObserveEncounter(20)
-		n.ControlSent++
 		n.Store.SetControlLoad(2)
 		n.Ext = "protocol state"
 	}
@@ -124,7 +123,7 @@ func checkFresh(t *testing.T, pop []*Node, bufCap int) {
 	for i, n := range pop {
 		want := New(contact.NodeID(i), bufCap)
 		if n.ID != want.ID || n.LastEncounterStart != want.LastEncounterStart || n.LastInterval != 0 ||
-			n.ControlSent != 0 || n.Ext != nil || n.DropHook != nil || n.Store.Cap() != bufCap ||
+			n.Ext != nil || n.DropHook != nil || n.Store.Cap() != bufCap ||
 			n.Store.Len() != 0 || n.Store.ControlLoad() != 0 || n.Received.Len() != 0 {
 			t.Errorf("node %d: %v, want %v", i, n, want)
 		}
@@ -152,7 +151,7 @@ func TestNodeSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got != 72 {
-		t.Errorf("node.Node is %d bytes, want 72", got)
+	if got := unsafe.Sizeof(Node{}); got != 64 {
+		t.Errorf("node.Node is %d bytes, want 64", got)
 	}
 }

@@ -165,15 +165,15 @@ func purgeAcked(n *node.Node, now sim.Time) {
 // would keep circulating until the prefix catches up.
 //
 //dtn:hotpath
-func (ci *CumulativeImmunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
-	ci.transferTables(a, b, recordBudget)
-	ci.transferTables(b, a, recordBudget)
+func (ci *CumulativeImmunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) int {
+	sent := ci.transferTables(a, b, recordBudget) + ci.transferTables(b, a, recordBudget)
 	purgeReceivedByPeer(a, b, now)
 	purgeReceivedByPeer(b, a, now)
 	purgeAcked(a, now)
 	purgeAcked(b, now)
 	ci.refreshControlLoad(a)
 	ci.refreshControlLoad(b)
+	return sent
 }
 
 // purgeReceivedByPeer drops n's copies of bundles the peer has already
@@ -188,26 +188,27 @@ func purgeReceivedByPeer(n, peer *node.Node, now sim.Time) {
 }
 
 // transferTables sends from's tables to the peer in flow order, one
-// record per acknowledged flow, up to budget records; the peer keeps
-// the dominant prefix of each.
+// record per acknowledged flow, up to budget records, and returns how
+// many it sent; the peer keeps the dominant prefix of each.
 //
 //dtn:hotpath
-func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) {
+func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) int {
 	fs, ts := cumOf(from), cumOf(to)
+	sent := 0
 	for i := range fs.flows {
 		t := &fs.flows[i]
 		if t.ack == 0 {
 			continue
 		}
-		if budget <= 0 {
-			return
+		if sent >= budget {
+			break
 		}
-		from.ControlSent++
-		budget--
+		sent++
 		if t.ack > ts.ackOf(t.flow) {
 			ts.table(t.flow).ack = t.ack
 		}
 	}
+	return sent
 }
 
 // Wants implements Protocol: skip bundles covered by the receiver's

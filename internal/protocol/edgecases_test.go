@@ -250,11 +250,8 @@ func TestImmunityExchangeSymmetric(t *testing.T) {
 		t.Error("i-lists not merged both ways")
 	}
 	// Blind retransmission: a second exchange costs overhead again.
-	before := a.ControlSent + b.ControlSent
-	p.Exchange(a, b, 10, 100)
-	after := a.ControlSent + b.ControlSent
-	if after != before+4 {
-		t.Errorf("second exchange sent %d records, want 4 (2 each way)", after-before)
+	if sent := p.Exchange(a, b, 10, 100); sent != 4 {
+		t.Errorf("second exchange sent %d records, want 4 (2 each way)", sent)
 	}
 }
 
@@ -279,12 +276,11 @@ func TestCumulativeMultiFlow(t *testing.T) {
 	if cumOf(sender).ackOf(f1) != 1 || cumOf(sender).ackOf(f2) != 1 {
 		t.Errorf("sender tables: %+v", cumOf(sender).flows)
 	}
-	// Exchange propagates both tables for 2 records.
+	// Exchange propagates both tables for 2 records, and the third node
+	// resends the two it learned blind.
 	third := mkNode(p, 3, 10)
-	sent := sender.ControlSent
-	p.Exchange(sender, third, 5, 100)
-	if sender.ControlSent-sent != 2 {
-		t.Errorf("sent %d records for two flows, want 2", sender.ControlSent-sent)
+	if sent := p.Exchange(sender, third, 5, 100); sent != 4 {
+		t.Errorf("sent %d records for two flows, want 4 (2 each way)", sent)
 	}
 	if cumOf(third).ackOf(f1) != 1 || cumOf(third).ackOf(f2) != 1 {
 		t.Error("tables did not propagate")
@@ -315,9 +311,9 @@ func TestCumulativeRecordBudgetRespected(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cumOf(a).table(Flow{Src: contact.NodeID(10 + i), Dst: 5}).ack = i + 1
 	}
-	p.Exchange(a, b, 0, 2)
-	if a.ControlSent != 2 {
-		t.Errorf("sent %d records with budget 2", a.ControlSent)
+	// A's five tables are cut to 2; B resends the 2 it learned.
+	if sent := p.Exchange(a, b, 0, 2); sent != 4 {
+		t.Errorf("sent %d records with budget 2 each way, want 4", sent)
 	}
 	if cumOf(b).acked() != 2 {
 		t.Errorf("receiver learned %d tables, want 2", cumOf(b).acked())

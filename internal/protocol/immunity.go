@@ -112,27 +112,27 @@ func purgeDead(n *node.Node, now sim.Time) {
 // record budget. Then both purge dead bundles.
 //
 //dtn:hotpath
-func (im *Immunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
-	transferRecords(a, b, recordBudget)
-	transferRecords(b, a, recordBudget)
+func (im *Immunity) Exchange(a, b *node.Node, now sim.Time, recordBudget int) int {
+	sent := transferRecords(a, b, recordBudget) + transferRecords(b, a, recordBudget)
 	purgeDead(a, now)
 	purgeDead(b, now)
 	im.refreshControlLoad(a)
 	im.refreshControlLoad(b)
+	return sent
 }
 
 // transferRecords transmits from's i-list to the peer in deterministic
-// ID order, up to budget records, counting every transmitted record as
-// signaling overhead. Because the list is resent on every encounter,
-// overhead grows with the number of delivered bundles — the §II-C
-// complaint that "the number of immunity tables transmitted is
-// proportional to the load" — and short contacts truncate the transfer,
-// so tables "are propagated slowly".
+// ID order, up to budget records, and returns how many it transmitted:
+// every one is signaling overhead. Because the list is resent on every
+// encounter, overhead grows with the number of delivered bundles — the
+// §II-C complaint that "the number of immunity tables transmitted is
+// proportional to the load" — and short contacts truncate the
+// transfer, so tables "are propagated slowly".
 //
 //dtn:hotpath
-func transferRecords(from, to *node.Node, budget int) {
+func transferRecords(from, to *node.Node, budget int) int {
 	sent, _ := ilistOf(to).Merge(ilistOf(from), budget)
-	from.ControlSent += int64(sent)
+	return sent
 }
 
 // Wants implements Protocol: skip bundles either side knows are dead.

@@ -14,10 +14,11 @@ import (
 
 // referenceExchange is Immunity.Exchange as it was before the transfer
 // became a merge and the purge grew a memo: one Add per transmitted
-// record, and a full store scan on every session. The property test
-// below holds the shipped Exchange to it.
-func referenceExchange(im *Immunity, a, b *node.Node, now sim.Time, budget int) {
-	transfer := func(from, to *node.Node) {
+// record, and a full store scan on every session. It returns the
+// records both directions carried. The property test below holds the
+// shipped Exchange to it.
+func referenceExchange(im *Immunity, a, b *node.Node, now sim.Time, budget int) int {
+	transfer := func(from, to *node.Node) int {
 		sent := 0
 		ilistOf(from).Range(func(id bundle.ID) bool {
 			if sent >= budget {
@@ -27,27 +28,29 @@ func referenceExchange(im *Immunity, a, b *node.Node, now sim.Time, budget int) 
 			ilistOf(to).Add(id)
 			return true
 		})
-		from.ControlSent += int64(sent)
+		return sent
 	}
 	purge := func(n *node.Node) {
 		il := ilistOf(n)
 		n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) },
 			func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
 	}
-	transfer(a, b)
-	transfer(b, a)
+	sent := transfer(a, b) + transfer(b, a)
 	purge(a)
 	purge(b)
 	im.refreshControlLoad(a)
 	im.refreshControlLoad(b)
+	return sent
 }
 
 // memoWorld is two nodes under one Immunity instance plus the drop
-// events their hooks saw.
+// events their hooks saw and the control records their exchanges
+// returned.
 type memoWorld struct {
-	im    *Immunity
-	nodes [2]*node.Node
-	drops []string
+	im      *Immunity
+	nodes   [2]*node.Node
+	drops   []string
+	records int
 }
 
 func newMemoWorld() *memoWorld {
@@ -68,7 +71,6 @@ func newMemoWorld() *memoWorld {
 // observable is everything a run can see of one node's immunity state.
 type observable struct {
 	Stored, IList []bundle.ID
-	ControlSent   int64
 	ControlLoad   float64
 }
 
@@ -77,7 +79,6 @@ func (w *memoWorld) observe() (out [2]observable) {
 		out[i] = observable{
 			Stored:      n.Store.AppendIDs(nil),
 			IList:       ilistOf(n).Items(),
-			ControlSent: n.ControlSent,
 			ControlLoad: n.Store.ControlLoad(),
 		}
 	}
@@ -91,8 +92,8 @@ func (w *memoWorld) observe() (out [2]observable) {
 // One world runs the shipped Exchange (merge + memoized purge, with
 // its Ext state round-tripped through the wire codec now and then so
 // the memo restarts unknown); the other runs referenceExchange. Stores,
-// i-lists, control counters and the drop-hook sequence must agree
-// after every step.
+// i-lists, control loads, the records the exchanges returned and the
+// drop-hook sequence must agree after every step.
 func TestPurgeMemoMatchesAlwaysScan(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
 		r := rand.New(rand.NewPCG(seed, 2012))
@@ -126,14 +127,14 @@ func TestPurgeMemoMatchesAlwaysScan(t *testing.T) {
 					}
 				default:
 					if w == ref {
-						referenceExchange(w.im, n, peer, now, budget)
+						w.records += referenceExchange(w.im, n, peer, now, budget)
 						continue
 					}
 					// The scan is skipped exactly when the memo stood
 					// before the session and the session taught n nothing.
 					st := n.Ext.(*immunityState)
 					stood := st.purgedLen == st.ilist.Len() && st.purgedPuts == n.Store.Puts()
-					w.im.Exchange(n, peer, now, budget)
+					w.records += w.im.Exchange(n, peer, now, budget)
 					if stood && st.purgedLen == st.ilist.Len() {
 						skipped++
 					}
@@ -141,6 +142,10 @@ func TestPurgeMemoMatchesAlwaysScan(t *testing.T) {
 			}
 			if got, want := memo.observe(), ref.observe(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d (op %d): memoized\n%+v\nalways-scan\n%+v", seed, step, op, got, want)
+			}
+			if memo.records != ref.records {
+				t.Fatalf("seed %d step %d (op %d): memoized exchanges carried %d records, always-scan %d",
+					seed, step, op, memo.records, ref.records)
 			}
 			if !reflect.DeepEqual(memo.drops, ref.drops) {
 				t.Fatalf("seed %d step %d (op %d): drop hooks diverged\nmemoized    %v\nalways-scan %v",

@@ -61,10 +61,11 @@ func (p *PQ) Init(n *node.Node, s *Slab) {
 // is just the summary-vector swap.
 //
 //dtn:hotpath
-func (p *PQ) Exchange(a, b *node.Node, now sim.Time, recordBudget int) {
+func (p *PQ) Exchange(a, b *node.Node, now sim.Time, recordBudget int) int {
 	if p.AntiPackets {
-		p.imm.Exchange(a, b, now, recordBudget)
+		return p.imm.Exchange(a, b, now, recordBudget)
 	}
+	return 0
 }
 
 // Wants implements Protocol: each missing bundle is offered with

@@ -61,11 +61,14 @@ type Protocol interface {
 	OnGenerate(src *node.Node, cp *bundle.Copy, now sim.Time)
 
 	// Exchange runs the control plane of an encounter in both
-	// directions. recordBudget bounds how many control records each
-	// direction may carry (the engine derives it from the contact
-	// duration). Implementations update node.ControlSent and may purge
-	// buffers.
-	Exchange(a, b *node.Node, now sim.Time, recordBudget int)
+	// directions and returns the control records (immunity tables,
+	// anti-packets, cumulative acks) the session carried, both
+	// directions summed: the paper's signaling overhead, which the run
+	// counts and a bandwidth-limited contact is charged for.
+	// recordBudget bounds how many records each direction may carry
+	// (the engine derives it from the contact duration).
+	// Implementations may purge buffers.
+	Exchange(a, b *node.Node, now sim.Time, recordBudget int) int
 
 	// Wants returns the bundle IDs sender should offer receiver, in
 	// transmission order. The engine transmits a prefix of this list

@@ -558,16 +558,17 @@ func TestImmunityFig3(t *testing.T) {
 	for _, s := range []int{2, 3, 4} {
 		ilistOf(b).Add(bundle.ID{Src: 7, Seq: s})
 	}
-	p.Exchange(a, b, 0, 100)
+	// A's i-list is empty, so B's three records are all the session
+	// carries.
+	if sent := p.Exchange(a, b, 0, 100); sent != 3 {
+		t.Errorf("exchange carried %d records, want B's 3", sent)
+	}
 	for _, s := range []int{2, 3, 4} {
 		if a.Store.Has(bundle.ID{Src: 7, Seq: s}) {
 			t.Errorf("delivered bundle %d not purged from A", s)
 		}
 	}
 	wantSeqSet(t, p.Wants(a, b, 0, sim.NewRNG(1), new(Scratch)), 0, 8, 9)
-	if b.ControlSent != 3 {
-		t.Errorf("B sent %d records, want 3", b.ControlSent)
-	}
 	// A's i-list now prices 3 records of control load.
 	if got := a.Store.ControlLoad(); math.Abs(got-0.6) > 1e-12 {
 		t.Errorf("A control load = %v, want 0.6", got)
@@ -581,12 +582,13 @@ func TestImmunityRecordBudgetMetersDissemination(t *testing.T) {
 	for s := 1; s <= 50; s++ {
 		ilistOf(a).Add(bundle.ID{Src: 7, Seq: s})
 	}
-	p.Exchange(a, b, 0, 10) // short contact: only 10 records fit
+	sent := p.Exchange(a, b, 0, 10) // short contact: only 10 records fit
 	if got := ilistOf(b).Len(); got != 10 {
 		t.Errorf("B learned %d records, want 10 (budget)", got)
 	}
-	if a.ControlSent != 10 {
-		t.Errorf("A overhead = %d, want 10", a.ControlSent)
+	// A sends 10 of its 50, and B resends blind the 10 it just learned.
+	if sent != 20 {
+		t.Errorf("overhead = %d, want 20 (10 each way)", sent)
 	}
 }
 
@@ -650,17 +652,15 @@ func TestCumulativeExchangeOneRecordPerFlow(t *testing.T) {
 	f := Flow{Src: 7, Dst: 5}
 	cumOf(a).table(f).ack = 30
 	cumOf(b).table(f).ack = 10
-	p.Exchange(a, b, 0, 100)
+	sent := p.Exchange(a, b, 0, 100)
 	if cumOf(b).ackOf(f) != 30 {
 		t.Errorf("B's table = %d, want 30", cumOf(b).ackOf(f))
 	}
-	if a.ControlSent != 1 {
-		t.Errorf("overhead = %d records, want 1 (cumulative)", a.ControlSent)
-	}
-	// B transmits its (dominated) table blind too — a node cannot know
-	// the peer's table without sending its own.
-	if b.ControlSent != 1 {
-		t.Errorf("B sent %d records, want 1", b.ControlSent)
+	// One record per side (cumulative): B transmits its (dominated)
+	// table blind too — a node cannot know the peer's table without
+	// sending its own.
+	if sent != 2 {
+		t.Errorf("overhead = %d records, want 2 (one each way)", sent)
 	}
 	if cumOf(a).ackOf(f) != 30 {
 		t.Errorf("A's table overwritten by dominated value: %d", cumOf(a).ackOf(f))
@@ -687,8 +687,8 @@ func TestCumulativeExchangeAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { p.Exchange(a, b, 0, 100) }); n != 0 {
 		t.Errorf("Exchange allocated %v objects per contact, want 0", n)
 	}
-	if a.ControlSent == 0 || b.ControlSent == 0 {
-		t.Fatalf("no records sent: %d, %d", a.ControlSent, b.ControlSent)
+	if sent := p.Exchange(a, b, 0, 100); sent != 6 {
+		t.Fatalf("exchange carried %d records, want 6 (three tables each way)", sent)
 	}
 }
 

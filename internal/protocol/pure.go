@@ -24,7 +24,7 @@ func (base) OnGenerate(_ *node.Node, cp *bundle.Copy, _ sim.Time) {
 // Exchange: the summary-vector session carries no extra control records.
 //
 //dtn:hotpath
-func (base) Exchange(_, _ *node.Node, _ sim.Time, _ int) {}
+func (base) Exchange(_, _ *node.Node, _ sim.Time, _ int) int { return 0 }
 
 // Wants: everything the receiver is missing.
 //

@@ -234,6 +234,7 @@ func TestSubmitRejections(t *testing.T) {
 		{"sweep with horizon", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge","horizon":10},"protocols":["pure"]}`)}, http.StatusBadRequest},
 		{"sweep with load 0", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"loads":[0]}`)}, http.StatusBadRequest},
 		{"sweep with negative runs", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"runs":-3}`)}, http.StatusBadRequest},
+		{"sweep with negative workers", client.SubmitRequest{Sweep: []byte(`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"workers":-3}`)}, http.StatusBadRequest},
 		{"spec past the size cap", client.SubmitRequest{Scenario: []byte(oversized)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {

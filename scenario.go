@@ -1,6 +1,7 @@
 package dtnsim
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,9 +160,10 @@ func (s Scenario) Check() error {
 }
 
 // Normalize returns the scenario with both specs replaced by their
-// canonical forms, so two scenarios meaning the same run compare equal
-// as data. The inert "shards" key is cleared, so two scenarios
-// differing only in it are the same run.
+// canonical forms and every engine default the scenario omits spelled
+// out, so two scenarios meaning the same run compare equal as data. The
+// inert "shards" key is cleared, so two scenarios differing only in it
+// are the same run.
 func (s Scenario) Normalize() (Scenario, error) {
 	src, fac, err := s.resolve()
 	if err != nil {
@@ -170,10 +172,17 @@ func (s Scenario) Normalize() (Scenario, error) {
 	return s.respelled(src, fac), nil
 }
 
-// respelled is Normalize given the already-parsed specs.
+// respelled is Normalize given the already-parsed specs. The defaults
+// it spells are the engine's own: a zero knob and its default run
+// identically, so they must share a key.
 func (s Scenario) respelled(src mobility.Source, fac protocol.Factory) Scenario {
 	s.Mobility, s.Protocol = MobilitySpec(src.Spec), ProtocolSpec(fac.Spec)
 	s.Shards = 0
+	s.BufferCap = cmp.Or(s.BufferCap, core.DefaultBufferCap)
+	s.TxTime = cmp.Or(s.TxTime, core.DefaultTxTime)
+	s.RecordsPerSlot = cmp.Or(s.RecordsPerSlot, core.DefaultRecordsPerSlot)
+	s.SampleEvery = cmp.Or(s.SampleEvery, core.DefaultSampleEvery)
+	s.DropPolicy = cmp.Or(s.DropPolicy, buffer.DefaultDropPolicy)
 	return s
 }
 
@@ -284,10 +293,10 @@ type SweepSpec struct {
 	Runs int `json:"runs,omitempty"`
 	// Metrics to collect; empty means all five.
 	Metrics []Metric `json:"metrics,omitempty"`
-	// Workers bounds concurrent runs (0 = all CPUs, 1 = sequential;
-	// never more goroutines than runs); results are bit-identical for
-	// every value, so dtnsimd, which runs the normalized spec, ignores
-	// it.
+	// Workers bounds concurrent runs (0 = all CPUs, 1 = sequential,
+	// negative refused; never more goroutines than runs); results are
+	// bit-identical for every value, so dtnsimd, which runs the
+	// normalized spec, ignores it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -354,6 +363,9 @@ func (s SweepSpec) Compile() (Sweep, error) {
 	}
 	if s.Runs < 0 {
 		return Sweep{}, fmt.Errorf("%w: negative runs %d (0 means the paper's 10)", ErrScenario, s.Runs)
+	}
+	if s.Workers < 0 {
+		return Sweep{}, fmt.Errorf("%w: negative workers %d (0 means every CPU)", ErrScenario, s.Workers)
 	}
 	factories := make([]ProtocolFactory, 0, len(s.Protocols))
 	for i, ps := range s.Protocols {

@@ -343,6 +343,8 @@ func TestSweepSpecRejectsUnsupportedTemplateKnobs(t *testing.T) {
 		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"loads":[0]}`,
 		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"loads":[5,-5]}`,
 		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"runs":-3}`,
+		// Nor may workers be negative: it used to run on every CPU.
+		`{"scenario":{"mobility":"cambridge"},"protocols":["pure"],"workers":-3}`,
 	} {
 		if _, err := dtnsim.ParseSweepSpec([]byte(raw)); !errors.Is(err, dtnsim.ErrScenario) {
 			t.Errorf("%s: err = %v, want ErrScenario", raw, err)
