@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dtnsim"
@@ -331,11 +332,9 @@ func noOperands(args []string) error {
 	return nil
 }
 
-// runSweep executes the paper's load sweep for one protocol on the
-// selected mobility source and prints the per-metric tables; with dump
-// set it prints the sweep's SweepSpec JSON instead of running.
-func runSweep(p sweepParams) {
-	spec := dtnsim.SweepSpec{
+// spec is the sweep the flags describe.
+func (p sweepParams) spec() dtnsim.SweepSpec {
+	return dtnsim.SweepSpec{
 		Scenario: dtnsim.Scenario{
 			Mobility:     dtnsim.MobilitySpec(p.mobSpec),
 			TxTime:       p.txTime,
@@ -351,18 +350,32 @@ func runSweep(p sweepParams) {
 		Runs:      p.runs,
 		Workers:   p.workers,
 	}
+}
+
+// sweepDump is what -sweep -dump prints: the sweep's normalized form,
+// as single-run -dump prints the scenario's — canonical specs, engine
+// and harness defaults spelled out, no worker count — which is the
+// spec the daemon keys and caches for the same sweep.
+func sweepDump(spec dtnsim.SweepSpec) ([]byte, error) {
+	norm, err := spec.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	return norm.JSON()
+}
+
+// runSweep executes the paper's load sweep for one protocol on the
+// selected mobility source and prints the per-metric tables; with dump
+// set it prints the sweep's normalized SweepSpec JSON instead of
+// running.
+func runSweep(p sweepParams) {
+	spec := p.spec()
 	sweep, err := spec.Compile()
 	if err != nil {
 		fatal(err)
 	}
 	if p.dump {
-		// Round-trip through the compiled sweep so the dump carries
-		// canonical specs, matching single-run -dump's Normalize.
-		canon, err := dtnsim.SweepSpecOf(spec.Name, sweep)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := canon.JSON()
+		data, err := sweepDump(spec)
 		if err != nil {
 			fatal(err)
 		}
@@ -370,7 +383,8 @@ func runSweep(p sweepParams) {
 		return
 	}
 	if p.remote != "" {
-		// Ship the canonical serializable form, as -dump prints it.
+		// Ship the canonical serializable form; the daemon normalizes
+		// it to what -dump prints.
 		canon, err := dtnsim.SweepSpecOf(spec.Name, sweep)
 		if err != nil {
 			fatal(err)
@@ -398,6 +412,15 @@ func runSweep(p sweepParams) {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dtnsim:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is err as dtnsim reports it: prefixed "dtnsim: " once,
+// also when the error's own text already starts so.
+func errorLine(err error) string {
+	if msg := err.Error(); strings.HasPrefix(msg, "dtnsim: ") {
+		return msg
+	}
+	return "dtnsim: " + err.Error()
 }

@@ -144,3 +144,67 @@ func materialize(sc dtnsim.ExperimentScenario, seed uint64) (*dtnsim.Schedule, e
 	}
 	return dtnsim.MaterializeSource(src)
 }
+
+// TestErrorLinePrefixOnce: an error is reported with one "dtnsim: "
+// prefix, also when its own text starts with one, as the sweep
+// validation errors of -runs -3 and -workers -3 do.
+func TestErrorLinePrefixOnce(t *testing.T) {
+	for _, p := range []sweepParams{
+		{mobSpec: "cambridge", protoSpec: "pure", runs: -3},
+		{mobSpec: "cambridge", protoSpec: "pure", workers: -3},
+	} {
+		_, err := p.spec().Compile()
+		if err == nil {
+			t.Fatalf("runs %d, workers %d accepted", p.runs, p.workers)
+		}
+		line := errorLine(err)
+		if !strings.HasPrefix(line, "dtnsim: ") || strings.Count(line, "dtnsim:") != 1 || !strings.Contains(line, "-3") {
+			t.Errorf("runs %d, workers %d: reported %q; want one prefix and the value", p.runs, p.workers, line)
+		}
+	}
+	if line := errorLine(os.ErrNotExist); line != "dtnsim: "+os.ErrNotExist.Error() {
+		t.Errorf("plain error reported as %q", line)
+	}
+}
+
+// TestSweepDumpIsNormalized: -sweep -dump prints the normalized spec —
+// engine and harness defaults spelled out, no worker count — which is
+// what the daemon caches when that dump is submitted, under the key of
+// the flags' own sweep.
+func TestSweepDumpIsNormalized(t *testing.T) {
+	p := sweepParams{mobSpec: "cambridge", protoSpec: "ttl:300", runs: 1, seed: 42, workers: 3}
+	dump, err := sweepDump(p.spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted, err := dtnsim.ParseSweepSpec(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := submitted.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := norm.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(cached) != string(dump) {
+		t.Errorf("dump:\n%s\nthe daemon caches:\n%s", dump, cached)
+	}
+	want, err := p.spec().CanonicalKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := submitted.CanonicalKey(); err != nil || got != want {
+		t.Errorf("the dump keys as %s (%v), the flags' sweep as %s", got, err, want)
+	}
+	for _, field := range []string{`"buffer_cap"`, `"tx_time"`, `"drop"`, `"loads"`, `"metrics"`} {
+		if !strings.Contains(string(dump), field) {
+			t.Errorf("dump lacks %s:\n%s", field, dump)
+		}
+	}
+	if strings.Contains(string(dump), `"workers"`) {
+		t.Errorf("dump carries the worker count:\n%s", dump)
+	}
+}

@@ -62,8 +62,9 @@ type EpochBackend interface {
 	RunEpoch(ep *Epoch) error
 	// NodeOccupancy returns node i's current buffer occupancy — the
 	// value nodes[i].Store.Occupancy() would return on the
-	// authoritative state — read at sampling ticks, between RunEpoch
-	// calls.
+	// authoritative state — read for every node in turn at the first
+	// sampling tick and at each tick that follows a RunEpoch call:
+	// between RunEpoch calls, and never twice for the same state.
 	NodeOccupancy(i int) float64
 	// Finish ends the run, leaving the authoritative final node states
 	// in the Start environment's Nodes so Result assembly reads them

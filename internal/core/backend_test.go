@@ -12,10 +12,13 @@ import (
 	"slices"
 	"testing"
 
+	"dtnsim/internal/bundle"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
 	"dtnsim/internal/metrics"
+	"dtnsim/internal/node"
 	"dtnsim/internal/report"
+	"dtnsim/internal/sim"
 )
 
 // recordingBackend forwards to inner and fails the test on any call the
@@ -27,6 +30,11 @@ type recordingBackend struct {
 
 	starts, epochs, finishes, occupancies int
 	inEpoch, failed                       bool
+	// pass counts the NodeOccupancy calls since the last sampling tick,
+	// ticks and quiet count the ticks and those that read none, and
+	// ranSinceTick marks a RunEpoch since the last tick.
+	pass, ticks, quiet int
+	ranSinceTick       bool
 	// items is every item of every RunEpoch call, in call order;
 	// sinceTick counts those since the last sampling tick and maxEpoch
 	// keeps its peak — the largest epoch the run collected.
@@ -71,6 +79,7 @@ func (b *recordingBackend) RunEpoch(ep *core.Epoch) error {
 	}
 	b.sinceTick += ep.Len()
 	b.maxEpoch = max(b.maxEpoch, b.sinceTick)
+	b.ranSinceTick = true
 	if b.onEpoch != nil {
 		if err := b.onEpoch(b.epochs); err != nil {
 			b.failed = true
@@ -84,14 +93,36 @@ func (b *recordingBackend) RunEpoch(ep *core.Epoch) error {
 
 func (b *recordingBackend) NodeOccupancy(i int) float64 {
 	b.occupancies++
-	b.sinceTick = 0
 	switch {
 	case b.inEpoch || b.starts != 1 || b.finishes > 0 || b.failed:
 		b.t.Errorf("NodeOccupancy(%d) outside the run's between-epoch windows", i)
 	case i < 0 || i >= b.nodes:
 		b.t.Fatalf("NodeOccupancy(%d) with %d nodes", i, b.nodes)
+	case i != b.pass%b.nodes:
+		b.t.Errorf("NodeOccupancy(%d) as call %d since the last tick; a pass reads the nodes in order", i, b.pass)
 	}
+	b.pass++
 	return b.inner.NodeOccupancy(i)
+}
+
+// tick checks, as the run's sampling tick reaches the observers, that
+// the tick read every node once through the interface if it is the
+// first tick or follows a RunEpoch, and read none otherwise: only items
+// change what a sample observes.
+func (b *recordingBackend) tick() {
+	want := 0
+	if b.ticks == 0 || b.ranSinceTick {
+		want = b.nodes
+	}
+	if b.pass != want {
+		b.t.Errorf("tick %d (RunEpoch since the last: %v) made %d NodeOccupancy calls; want %d",
+			b.ticks, b.ranSinceTick, b.pass, want)
+	}
+	if b.pass == 0 {
+		b.quiet++
+	}
+	b.ticks++
+	b.pass, b.sinceTick, b.ranSinceTick = 0, 0, false
 }
 
 func (b *recordingBackend) Finish() error {
@@ -166,12 +197,18 @@ func TestEpochBackendContract(t *testing.T) {
 		{"loaded", func(s bool) core.Config { return loadedGolden(t, s) }},
 		{"wide", func(s bool) core.Config { return goldenConfig(t, "immunity", wideGolden, s) }},
 	}
-	// observed runs cfg with an event-CSV stream and a sample counter.
-	observed := func(t *testing.T, cfg core.Config) (*core.Result, []byte, int, error) {
+	// observed runs cfg with an event-CSV stream and a sample counter
+	// that calls onSample, when set, at every tick.
+	observed := func(t *testing.T, cfg core.Config, onSample func()) (*core.Result, []byte, int, error) {
 		var buf bytes.Buffer
 		st := report.NewStream(&buf, true)
 		samples := 0
-		cfg.Observers = []core.Observer{st, &core.FuncObserver{Sample: func(metrics.Sample) { samples++ }}}
+		cfg.Observers = []core.Observer{st, &core.FuncObserver{Sample: func(metrics.Sample) {
+			samples++
+			if onSample != nil {
+				onSample()
+			}
+		}}}
 		res, err := core.Run(cfg)
 		if serr := st.Err(); serr != nil {
 			t.Fatal(serr)
@@ -180,7 +217,7 @@ func TestEpochBackendContract(t *testing.T) {
 	}
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
-			want, wantCSV, _, err := observed(t, cell.cfg(false))
+			want, wantCSV, _, err := observed(t, cell.cfg(false), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +228,7 @@ func TestEpochBackendContract(t *testing.T) {
 			b := &recordingBackend{t: t, inner: core.NewPool(2)}
 			cfg := cell.cfg(true)
 			cfg.Backend = b
-			got, gotCSV, samples, err := observed(t, cfg)
+			got, gotCSV, samples, err := observed(t, cfg, b.tick)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,10 +241,15 @@ func TestEpochBackendContract(t *testing.T) {
 			if b.starts != 1 || b.finishes != 1 || b.epochs == 0 {
 				t.Errorf("%d Start, %d RunEpoch, %d Finish calls; want 1, some, 1", b.starts, b.epochs, b.finishes)
 			}
-			// Every tick samples every node through the interface: a loop
-			// reading the pool's nodes directly would come up short.
-			if b.occupancies != samples*b.nodes || samples == 0 {
-				t.Errorf("%d NodeOccupancy calls for %d samples of %d nodes", b.occupancies, samples, b.nodes)
+			// Every NodeOccupancy call is part of one full pass at a tick
+			// (tick checks which ticks take one): a loop reading the
+			// pool's nodes directly would come up short.
+			if b.ticks != samples || samples == 0 || b.pass != 0 ||
+				b.occupancies != (samples-b.quiet)*b.nodes {
+				t.Errorf("%d NodeOccupancy calls for %d samples (%d quiet) of %d nodes", b.occupancies, samples, b.quiet, b.nodes)
+			}
+			if cell.name == "loaded" && b.quiet == 0 {
+				t.Error("the loaded cell has no quiet tick, so skipping its sample is untested")
 			}
 			// The windows, end to end, are the canonical item order:
 			// nothing skipped, repeated or reordered at a window edge.
@@ -252,4 +294,61 @@ func TestEpochBackendContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nodesBackend forwards to a pool and keeps what a sample's reference
+// needs: the population it executes on, and whether an item ran since
+// the last tick.
+type nodesBackend struct {
+	core.EpochBackend
+	nodes []*node.Node
+	ran   bool
+}
+
+func (b *nodesBackend) Start(env core.RunEnv) error {
+	b.nodes = env.Nodes
+	return b.EpochBackend.Start(env)
+}
+
+func (b *nodesBackend) RunEpoch(ep *core.Epoch) error {
+	b.ran = true
+	return b.EpochBackend.RunEpoch(ep)
+}
+
+// TestQuietTickSampleIsSnapshot: over the golden cells, every tick's
+// Sample — those the loop reuses after an epoch that executed no item
+// included — equals metrics.Snapshot, the full-scan reference, over the
+// population at that tick.
+func TestQuietTickSampleIsSnapshot(t *testing.T) {
+	quiet := 0
+	for _, cell := range goldenCells() {
+		b := &nodesBackend{EpochBackend: core.NewPool(1)}
+		var tracked []*bundle.Bundle
+		ticks := 0
+		cfg := goldenConfig(t, cell.proto, cell.mob, true)
+		cfg.Backend = b
+		cfg.Observers = []core.Observer{&core.FuncObserver{
+			Generate: func(id bundle.ID, _ contact.NodeID, _ sim.Time) {
+				tracked = append(tracked, &bundle.Bundle{ID: id})
+			},
+			Sample: func(s metrics.Sample) {
+				if ticks > 0 && !b.ran {
+					quiet++
+				}
+				if want := metrics.Snapshot(b.nodes, tracked, s.Now); s != want {
+					t.Fatalf("%s on %s, tick %d at %v (quiet %v): sample %+v, snapshot %+v",
+						cell.proto, cell.mob.name, ticks, s.Now, !b.ran, s, want)
+				}
+				ticks++
+				b.ran = false
+			},
+		}}
+		if _, err := core.Run(cfg); err != nil {
+			t.Fatalf("%s on %s: %v", cell.proto, cell.mob.name, err)
+		}
+	}
+	if quiet == 0 {
+		t.Error("no golden cell has a quiet tick")
+	}
+	t.Logf("%d quiet ticks", quiet)
 }

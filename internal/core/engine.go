@@ -177,6 +177,10 @@ type run struct {
 	remaining   int
 	firstStart  sim.Time
 	lastArrival sim.Time
+	// sample is the last tick's observation; quiet marks that no item
+	// has executed since it was taken.
+	sample metrics.Sample
+	quiet  bool
 }
 
 type flow struct {

@@ -135,9 +135,15 @@ func (r *run) loop() (sim.Time, error) {
 		// The executor's occupancy view, not r.nodes: a backend that
 		// executes elsewhere leaves this process's nodes stale until
 		// Finish. Duplication comes from the merge-maintained counts.
-		s := r.holders.SampleFunc(len(r.nodes), r.occupancy, tickAt)
+		// Only items change node state and holder counts, so a tick
+		// after an epoch that executed none observes the last sample
+		// at its own time.
+		if !r.quiet {
+			r.sample, r.quiet = r.holders.SampleFunc(len(r.nodes), r.occupancy, tickAt), true
+		}
+		r.sample.Now = tickAt
 		for _, o := range r.obs {
-			o.OnSample(s)
+			o.OnSample(r.sample)
 		}
 		// Completion is detected here, not mid-contact: quantizing the
 		// early stop to sampling ticks makes the set of processed items
@@ -281,6 +287,7 @@ func (r *run) flush() {
 	if len(r.window.items) == 0 {
 		return
 	}
+	r.quiet = false
 	if r.err = r.exec.RunEpoch(&r.window); r.err != nil {
 		return
 	}

@@ -50,11 +50,13 @@ type Scenario struct {
 	// only way mobility reaches a sweep, called once per run. A
 	// hand-built scenario's Stream is whatever it sets, e.g.
 	// func(uint64) (contact.Source, error) { return sched.Stream(), nil }
-	// over a fixed plan. ScenarioFromSpec's Stream replays a seed it has
-	// seen twice from a retained plan (replay.go), since a sweep's
-	// protocol series share their seeds; it retains at most 1<<18
-	// contacts (~10 MiB) per scenario and streams the rest per use, so
-	// runs otherwise hold O(nodes) of mobility state. Must be safe for
+	// over a fixed plan. ScenarioFromSpec's Stream records each seed's
+	// plan while its first run streams it and replays it to every later
+	// request (replay.go), since a sweep's protocol series share their
+	// seeds; its plans allocate at most 1<<18 contact slots (~10 MiB)
+	// per scenario, at most half of them one plan, and a plan's contacts
+	// fill between half and all of its slots; the rest streams per use,
+	// so runs otherwise hold O(nodes) of mobility state. Must be safe for
 	// concurrent calls — sweeps with Workers > 1 invoke it from several
 	// goroutines; the sources it returns are per-run and single-use.
 	Stream func(seed uint64) (contact.Source, error)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -92,7 +93,7 @@ func bits(v any) string {
 // TestSpecScenarioReplayIsInvisible: a spec-built scenario's sweeps,
 // load and constrained, at one and four workers, are bit-identical to
 // the same sweeps over the registry's raw stream, and the replay
-// generates each distinct plan at most twice.
+// generates each distinct plan exactly once.
 func TestSpecScenarioReplayIsInvisible(t *testing.T) {
 	protos := []ProtocolFactory{Pure(), TTL300(), CumImmunity()}
 	sweeps := []struct {
@@ -169,9 +170,12 @@ func TestSpecScenarioReplayIsInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			replayCount.Lock()
+			if len(replayCount.calls) == 0 {
+				t.Errorf("%s at %d workers: no seed streamed", mob, workers)
+			}
 			for seed, n := range replayCount.calls {
-				if n > 2 {
-					t.Errorf("%s at %d workers: seed %d streamed %d times, want at most 2", mob, workers, seed, n)
+				if n != 1 {
+					t.Errorf("%s at %d workers: seed %d streamed %d times, want once", mob, workers, seed, n)
 				}
 			}
 			replayCount.Unlock()
@@ -208,6 +212,18 @@ type erringSource struct {
 
 func (s erringSource) Err() error { return s.err }
 
+// fileSource stands in for a trace file's source: it holds a resource
+// until Close.
+type fileSource struct {
+	*contact.ScheduleSource
+	closed bool
+}
+
+func (s *fileSource) Close() error {
+	s.closed = true
+	return nil
+}
+
 func drain(src contact.Source) int {
 	n := 0
 	for _, ok := src.Next(); ok; _, ok = src.Next() {
@@ -216,29 +232,122 @@ func drain(src contact.Source) int {
 	return n
 }
 
-// TestReplayFallbacks: a seed's first request is the inner source
-// itself; a source that erred, or a plan over the budget, is never
-// kept, and that seed streams per use.
+// take reads up to n contacts of src and returns them.
+func take(src contact.Source, n int) []contact.Contact {
+	var got []contact.Contact
+	for ; n > 0; n-- {
+		c, ok := src.Next()
+		if !ok {
+			break
+		}
+		got = append(got, c)
+	}
+	return got
+}
+
+// TestReplayFallbacks: every request for a seed is a cursor over one
+// plan that one inner source fills, however the cursors interleave or
+// stop; a source that erred is replayed with its error; a plan over
+// the budget is dropped and streams the rest raw; a file-backed
+// inner source is closed once no cursor is open over its plan.
 func TestReplayFallbacks(t *testing.T) {
-	t.Run("first request is the inner source", func(t *testing.T) {
+	t.Run("requests share one inner source", func(t *testing.T) {
 		stream, handed := plannedStream(3, nil)
 		r := newReplay(stream, replayBudget)
 		first, _ := r.Stream(7)
-		if len(*handed) != 1 || first != (*handed)[0] {
-			t.Fatalf("first request got %T, want the inner source", first)
-		}
 		second, _ := r.Stream(7)
 		third, _ := r.Stream(7)
-		if len(*handed) != 2 || !isReplay(second) || !isReplay(third) {
-			t.Errorf("inner streamed %d times for three requests, want 2 and two replays", len(*handed))
+		if len(*handed) != 1 || !isReplay(first) || !isReplay(second) || !isReplay(third) {
+			t.Fatalf("inner streamed %d times for three requests, want once and three cursors", len(*handed))
 		}
-		// Replays are independent: draining one leaves the other whole.
-		if n, m := drain(second), drain(third); n != 3 || m != 3 {
-			t.Errorf("replays yielded %d and %d contacts, want 3 each", n, m)
+		// Cursors are independent: draining one leaves the others whole,
+		// whichever of them pulled the contacts from the inner source.
+		if n, m, k := drain(second), drain(first), drain(third); n != 3 || m != 3 || k != 3 {
+			t.Errorf("cursors yielded %d, %d and %d contacts, want 3 each", n, m, k)
 		}
-		if second.Horizon() != first.Horizon() || second.Nodes() != first.Nodes() {
-			t.Errorf("replay reports horizon %v over %d nodes, inner %v over %d",
-				second.Horizon(), second.Nodes(), first.Horizon(), first.Nodes())
+		inner := (*handed)[0]
+		if second.Horizon() != inner.Horizon() || second.Nodes() != inner.Nodes() {
+			t.Errorf("cursor reports horizon %v over %d nodes, inner %v over %d",
+				second.Horizon(), second.Nodes(), inner.Horizon(), inner.Nodes())
+		}
+	})
+
+	t.Run("concurrent cursors", func(t *testing.T) {
+		const n, readers = 5*pullBatch + 3, 8
+		stream, handed := plannedStream(n, nil)
+		want := planOf(stream, n)
+		*handed = (*handed)[:0]
+		r := newReplay(stream, replayBudget)
+		got := make([][]contact.Contact, readers)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				src, _ := r.Stream(7)
+				got[g] = take(src, n+1)
+				src.(io.Closer).Close()
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			if !reflect.DeepEqual(got[g], want) {
+				t.Errorf("reader %d read %d contacts, not the plan's %d", g, len(got[g]), n)
+			}
+		}
+		if len(*handed) != 1 {
+			t.Errorf("%d readers at once streamed the inner source %d times, want once", readers, len(*handed))
+		}
+	})
+
+	t.Run("a run that stops early", func(t *testing.T) {
+		const n = 3*pullBatch + 5
+		stream, handed := plannedStream(n, nil)
+		want := planOf(stream, n)
+		*handed = (*handed)[:0]
+		r := newReplay(stream, replayBudget)
+		early, _ := r.Stream(7)
+		head := take(early, 10)
+		early.(io.Closer).Close()
+		next, _ := r.Stream(7)
+		got := take(next, n+1)
+		if len(*handed) != 1 {
+			t.Errorf("inner streamed %d times; the next cursor should continue the first one's source", len(*handed))
+		}
+		if !reflect.DeepEqual(head, want[:10]) || !reflect.DeepEqual(got, want) {
+			t.Errorf("the early run read %d contacts and the next %d; want the plan's first 10 and all %d", len(head), len(got), n)
+		}
+	})
+
+	t.Run("file source closes with its last cursor", func(t *testing.T) {
+		const n = 3*pullBatch + 5
+		inner, _ := plannedStream(n, nil)
+		var files []*fileSource
+		stream := func(seed uint64) (contact.Source, error) {
+			src, _ := inner(seed)
+			f := &fileSource{ScheduleSource: src.(*contact.ScheduleSource)}
+			files = append(files, f)
+			return f, nil
+		}
+		r := newReplay(stream, replayBudget)
+		a, _ := r.Stream(7)
+		b, _ := r.Stream(7)
+		take(a, 10)
+		a.(io.Closer).Close()
+		if files[0].closed {
+			t.Fatal("the inner source closed while a cursor was still open")
+		}
+		take(b, 20)
+		b.(io.Closer).Close()
+		if !files[0].closed {
+			t.Fatal("the inner source outlived the last cursor over its plan")
+		}
+		c, _ := r.Stream(7)
+		if got := drain(c); got != n || len(files) != 2 {
+			t.Errorf("the next cursor yielded %d of %d contacts over %d sources; want all over one reopened", got, n, len(files))
+		}
+		if !files[1].closed {
+			t.Error("the reopened source stayed open after the plan ended")
 		}
 	})
 
@@ -248,12 +357,12 @@ func TestReplayFallbacks(t *testing.T) {
 		r := newReplay(stream, replayBudget)
 		for i := 0; i < 4; i++ {
 			src, _ := r.Stream(7)
-			if drain(src); !errors.Is(src.Err(), boom) {
-				t.Fatalf("request %d: err %v, want %v", i, src.Err(), boom)
+			if n := drain(src); n != 3 || !errors.Is(src.Err(), boom) {
+				t.Fatalf("request %d: %d contacts, err %v; want 3 and %v", i, n, src.Err(), boom)
 			}
 		}
-		if r.kept != 0 || len(*handed) != 5 {
-			t.Errorf("kept %d contacts after %d inner streams; want 0 kept and 4 requests + 1 recording", r.kept, len(*handed))
+		if len(*handed) != 1 {
+			t.Errorf("%d inner streams for four requests; want 1", len(*handed))
 		}
 		// Through the run builder, every run fails as the raw stream does.
 		raw := Scenario{Name: "erring", Stream: stream}
@@ -268,36 +377,71 @@ func TestReplayFallbacks(t *testing.T) {
 	})
 
 	t.Run("over budget", func(t *testing.T) {
+		// Budget 4: a plan may take 2 slots, so a 5-contact plan is
+		// dropped at its third contact and gives its slots back.
 		stream, handed := plannedStream(5, nil)
 		r := newReplay(stream, 4)
 		for i := 0; i < 4; i++ {
 			src, _ := r.Stream(7)
-			if _, replayed := src.(*replaySource); replayed {
-				t.Fatalf("request %d replayed a plan over the budget", i)
+			if isReplay(src) != (i == 0) {
+				t.Fatalf("request %d: cursor %v; only the first, which dropped the plan, is one", i, isReplay(src))
 			}
 			if n := drain(src); n != 5 {
 				t.Fatalf("request %d yielded %d contacts, want 5", i, n)
 			}
 		}
-		if r.kept != 0 || len(*handed) != 5 {
-			t.Errorf("kept %d contacts after %d inner streams; want 0 kept and 4 requests + 1 recording", r.kept, len(*handed))
+		if r.kept != 0 || len(*handed) != 4 {
+			t.Errorf("kept %d slots after %d inner streams; want the dropped plan's returned and 4 streams", r.kept, len(*handed))
 		}
-		// The budget spans seeds: a plan that fits is kept, the next
-		// seed's plan that would overrun it is not.
-		r = newReplay(stream, 8)
-		for _, seed := range []uint64{1, 1, 2, 2} {
-			r.Stream(seed)
+		// A cursor that runs off what the dropped plan held while the
+		// frontier kept the inner source reopens one and skips ahead.
+		stream, handed = plannedStream(5, nil)
+		want := planOf(stream, 5)
+		*handed = (*handed)[:0]
+		r = newReplay(stream, 4)
+		front, _ := r.Stream(7)
+		behind, _ := r.Stream(7)
+		if got := take(front, 6); !reflect.DeepEqual(got, want) {
+			t.Errorf("frontier cursor read %v, want %v", got, want)
 		}
-		if src, _ := r.Stream(1); !isReplay(src) {
-			t.Error("seed 1's plan, within budget, is not replayed")
+		if got := take(behind, 6); !reflect.DeepEqual(got, want) || len(*handed) != 2 {
+			t.Errorf("the cursor behind read %v over %d inner streams; want %v over 2", got, len(*handed), want)
 		}
-		if src, _ := r.Stream(2); isReplay(src) {
-			t.Error("seed 2's plan, past the shared budget, is replayed")
+		// Budget 9: plans take 4-slot chunks and at most 4 slots. Seed 9's
+		// 5-contact plan outgrows that and is dropped without stopping
+		// the others; seeds 1 and 2 fit, and seed 3's plan would pass
+		// the budget, after which no unseen seed records.
+		small, _ := plannedStream(3, nil)
+		large, _ := plannedStream(5, nil)
+		r = newReplay(func(seed uint64) (contact.Source, error) {
+			if seed == 9 {
+				return large(seed)
+			}
+			return small(seed)
+		}, 9)
+		for _, seed := range []uint64{9, 9, 1, 1, 2, 2, 3, 3} {
+			src, _ := r.Stream(seed)
+			drain(src)
+		}
+		for seed, kept := range map[uint64]bool{9: false, 1: true, 2: true, 3: false, 4: false} {
+			if src, _ := r.Stream(seed); isReplay(src) != kept {
+				t.Errorf("seed %d: replayed %v, want %v", seed, isReplay(src), kept)
+			}
+		}
+		if r.kept != 8 {
+			t.Errorf("kept %d slots; want seeds 1 and 2's 4 each", r.kept)
 		}
 	})
 }
 
+// planOf reads the first n contacts of a fresh source of stream: what
+// every cursor over its plan must yield.
+func planOf(stream func(uint64) (contact.Source, error), n int) []contact.Contact {
+	src, _ := stream(7)
+	return take(src, n)
+}
+
 func isReplay(src contact.Source) bool {
-	_, ok := src.(*replaySource)
+	_, ok := src.(*cursor)
 	return ok
 }

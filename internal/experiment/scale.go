@@ -141,8 +141,9 @@ func RunScale(sw ScaleSweep) (*ScaleResult, error) {
 	err := runGrid(len(sw.Protocols), len(sw.Nodes), sw.Runs, sw.Workers,
 		func(w *gridWorker, pi, ni, run int) runOutcome {
 			pf, nodes := sw.Protocols[pi], sw.Nodes[ni]
-			// One scenario per run, so its memo never replays a plan (TestSweepSeedingRule).
-			sc, err := ScenarioFromSpec(sw.Mobility(nodes))
+			// One scenario per run requests its plan once (TestSweepSeedingRule),
+			// so it streams the registry source and retains nothing.
+			sc, err := streamedScenario(sw.Mobility(nodes))
 			if err != nil {
 				return runOutcome{err: fmt.Errorf("experiment: scale mobility for %d nodes: %w", nodes, err)}
 			}

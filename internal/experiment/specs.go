@@ -12,11 +12,23 @@ import (
 // IntervalScenario); that preset is applied here so a spec-built sweep
 // reproduces the figure-built one exactly.
 //
-// The scenario's Stream replays repeated seeds from memory (replay.go):
+// The scenario's Stream shares one recorded plan per seed (replay.go):
 // the protocol series of a sweep share their seeds, so each distinct
-// plan is generated at most twice per scenario, not once per run, and
-// results are unchanged bit for bit.
+// plan is generated once per scenario while it fits the budget, not
+// once per run, and results are unchanged bit for bit.
 func ScenarioFromSpec(specStr string) (Scenario, error) {
+	sc, err := streamedScenario(specStr)
+	if err != nil {
+		return Scenario{}, err
+	}
+	sc.Stream = newReplay(sc.Stream, replayBudget).Stream
+	return sc, nil
+}
+
+// streamedScenario is ScenarioFromSpec over the registry's own stream,
+// which generates a plan per request and retains nothing: for a caller
+// that requests each plan once.
+func streamedScenario(specStr string) (Scenario, error) {
 	src, err := mobility.Parse(specStr)
 	if err != nil {
 		return Scenario{}, err
@@ -24,7 +36,7 @@ func ScenarioFromSpec(specStr string) (Scenario, error) {
 	sc := Scenario{
 		Name:           src.Kind,
 		Spec:           src.Spec,
-		Stream:         newReplay(src.Stream, replayBudget).Stream,
+		Stream:         src.Stream,
 		PerRunSchedule: src.PerRun,
 	}
 	if src.Kind == "interval" {

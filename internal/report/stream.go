@@ -34,6 +34,11 @@ type Stream struct {
 	// is appended with strconv and leaves in one Write, so a row costs
 	// no allocation once buf has grown to the longest row.
 	buf []byte
+	// tail is the last sample row's ",sample,,,,,occ,dup\n", formatted
+	// from the occupancy and duplication bits occ and dup: consecutive
+	// samples mostly repeat both, and then reuse it.
+	tail     []byte
+	occ, dup uint64
 }
 
 // header is the fixed column layout.
@@ -166,9 +171,12 @@ func (s *Stream) OnSample(sm metrics.Sample) {
 	if s.err != nil {
 		return
 	}
-	b := appendFloat(s.buf, float64(sm.Now))
-	b = append(b, ",sample,,,,,"...)
-	b = appendFloat(b, sm.Occupancy)
-	b = append(b, ',')
-	s.flush(appendFloat(b, sm.Duplication), "\n")
+	occ, dup := math.Float64bits(sm.Occupancy), math.Float64bits(sm.Duplication)
+	if len(s.tail) == 0 || occ != s.occ || dup != s.dup {
+		t := append(s.tail[:0], ",sample,,,,,"...)
+		t = appendFloat(t, sm.Occupancy)
+		t = append(t, ',')
+		s.tail, s.occ, s.dup = append(appendFloat(t, sm.Duplication), '\n'), occ, dup
+	}
+	s.flush(append(appendFloat(s.buf, float64(sm.Now)), s.tail...), "")
 }

@@ -73,6 +73,28 @@ func TestStreamRowsMatchFmt(t *testing.T) {
 	}
 }
 
+// TestStreamSampleTailReuse: a sample row whose occupancy and
+// duplication repeat the previous row's bits reuses its formatted tail,
+// and the rows stay byte-equal to the fmt oracle through repeats,
+// changes and values equal as floats but not as bits (0 and -0).
+func TestStreamSampleTailReuse(t *testing.T) {
+	values := [][2]float64{
+		{0, 0}, {0, 0}, {0.25, 0}, {0.25, 0}, {0.25, 1.0 / 3}, {0.25, 1.0 / 3},
+		{math.Copysign(0, -1), 0}, {0, 0}, {0, math.Copysign(0, -1)}, {math.NaN(), 0.5}, {math.NaN(), 0.5}, {0.25, 0.5},
+	}
+	var got, want bytes.Buffer
+	s := NewStream(&got, false)
+	want.WriteString("time,event,node,peer,bundle,detail,occupancy,duplication\n")
+	for i, v := range values {
+		sm := metrics.Sample{Now: sim.Time(100 * i), Occupancy: v[0], Duplication: v[1]}
+		s.OnSample(sm)
+		fmt.Fprintf(&want, "%g,sample,,,,,%g,%g\n", float64(sm.Now), sm.Occupancy, sm.Duplication)
+	}
+	if got.String() != want.String() {
+		t.Errorf("sample rows:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+}
+
 // TestStreamSamplesOnly: with events off only the header and sample
 // rows appear.
 func TestStreamSamplesOnly(t *testing.T) {

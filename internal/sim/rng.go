@@ -13,7 +13,8 @@ import (
 // The generator state is held by value, so an RNG is one plain value:
 // a slice of them (one per node or pair) is one allocation, and
 // DeriveInto initialises an element in place. Copying an RNG forks its
-// state; keep one copy in use.
+// state; keep one copy in use. An RNG is 24 bytes: walk and itinerary
+// streams live by value per node, so a wider one costs every node.
 type RNG struct {
 	pcg rand.PCG
 	// reseedable marks streams built with NewReseedable, the only ones

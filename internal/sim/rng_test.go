@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -201,6 +202,14 @@ func TestReseedPanicsOnPlainRNG(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Reseed(1, 2)
+}
+
+// TestRNGSize pins an RNG at 24 bytes: walk and itinerary streams live
+// by value per node, so every byte more is a byte per node.
+func TestRNGSize(t *testing.T) {
+	if n := unsafe.Sizeof(RNG{}); n != 24 {
+		t.Errorf("sim.RNG is %d bytes, want 24", n)
+	}
 }
 
 // TestEncounterSeedIsPure pins the property the sharded engine rests
