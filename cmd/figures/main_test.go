@@ -1,10 +1,39 @@
 package main
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestSweepCSVGoldens pins the bytes of constrained.csv and scale.csv
+// for the cells CI runs (`-only constrained -runs 2` and `-only scale
+// -scale-nodes 300,100,600 -scale-span 5000 -scale-runs 2`, seed 2012)
+// against testdata, at one worker and at every CPU. A change to the
+// sweep harness that moves a seed, a fold or a column shows here.
+func TestSweepCSVGoldens(t *testing.T) {
+	for _, workers := range []int{1, 0} {
+		dir := t.TempDir()
+		runConstrained(dir, 2, 2012, workers, true)
+		runScale(dir, "300,100,600", 2, 2012, workers, 5000, true)
+		for _, name := range []string{"constrained.csv", "scale.csv"} {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("workers=%d: %s differs from testdata:\n got:\n%s\nwant:\n%s", workers, name, got, want)
+			}
+		}
+	}
+}
 
 // TestCheckFlags: a run count or scale span the sweeps would silently
 // replace with their default is refused, naming the flag, when a
