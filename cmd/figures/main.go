@@ -14,18 +14,21 @@
 //	figures -only scale -scale-nodes 1000,5000 -scale-runs 1
 //	figures -only constrained   # the finite-bandwidth resource sweep
 //
-// The scale sweep is the node-count axis the streaming contact sources
+// The scale sweep is the population axis the streaming contact sources
 // open (DESIGN.md §8): delivery ratio, per-bundle delay and buffer
 // occupancy versus population under constant-density classic RWP. It
 // is not part of the default set — populations in the thousands take
-// minutes, so ask for it with -only scale.
+// minutes, so ask for it with -only scale. The constrained sweep is the
+// contact-bandwidth axis (DESIGN.md §9), also run only when asked.
+// Every experiment, whatever its axis, is one dtnsim.Sweep run by
+// dtnsim.RunSweep.
 //
 // Every figure's sweep is built from registry specs, so -specs can
 // serialize it: the written <id>.sweep.json files re-run through
 // `dtnsim.ParseSweepSpec` (or any future runner) with bit-identical
 // results.
 //
-// Each experiment's (protocol, load, run) grid executes on a worker
+// Each experiment's (series, axis value, run) grid executes on a worker
 // pool of -workers goroutines (default: all CPUs). Results are
 // bit-identical for every worker count; -workers 1 forces the
 // sequential path.
@@ -124,16 +127,17 @@ func main() {
 // versus contact bandwidth for each (protocol, drop policy) series at a
 // fixed load of sized bundles.
 func runConstrained(outDir string, runs int, seed uint64, workers int, quiet bool) {
-	sw := dtnsim.DefaultConstrainedSweep()
+	sw := dtnsim.BandwidthSweep()
 	sw.Runs = runs
 	sw.BaseSeed = seed
 	sw.Workers = workers
+	bws := sw.Axis.Bandwidths
 	if !quiet {
-		sw.OnPoint = func(label string, bw float64) {
-			fmt.Fprintf(os.Stderr, "\rconstrained: %-36s bw %8.0f B/s   ", label, bw)
+		sw.OnPoint = func(label string, i int) {
+			fmt.Fprintf(os.Stderr, "\rconstrained: %-36s bw %8.0f B/s   ", label, bws[i-1])
 		}
 	}
-	res, err := dtnsim.RunConstrained(sw)
+	res, err := dtnsim.RunSweep(sw)
 	if err != nil {
 		fatal(err)
 	}
@@ -144,11 +148,14 @@ func runConstrained(outDir string, runs int, seed uint64, workers int, quiet boo
 	csv.WriteString("bandwidth_Bps,protocol,drop_policy,delivery_ratio,mean_delay_s,drops,byte_dropped,refused,completed,runs\n")
 	fmt.Println("constrained: delivery / delay / drops vs contact bandwidth (1 MB bundles, byte-bounded buffers)")
 	for _, s := range res.Series {
-		for _, p := range s.Points {
+		for i, p := range s.Points {
+			bw, v := res.Axis.Bandwidths[i], p.Values
 			fmt.Fprintf(&csv, "%g,%q,%q,%.4f,%.1f,%.1f,%.1f,%.1f,%d,%d\n",
-				p.Bandwidth, s.Protocol, s.Policy, p.Delivery, p.Delay, p.Drops, p.ByteDropped, p.Refused, p.Completed, p.Runs)
+				bw, s.Protocol, s.Policy, v[dtnsim.MetricDelivery], v[dtnsim.MetricMeanDelay],
+				v[dtnsim.MetricDrops], v[dtnsim.MetricByteDropped], v[dtnsim.MetricRefused], p.Completed, p.Runs)
 			fmt.Printf("  %-36s %8.0f B/s: delivery %.3f, delay %8.0f s, drops %6.1f (bytepressure %.1f, refused %.1f)\n",
-				s.Label, p.Bandwidth, p.Delivery, p.Delay, p.Drops, p.ByteDropped, p.Refused)
+				s.Label, bw, v[dtnsim.MetricDelivery], v[dtnsim.MetricMeanDelay],
+				v[dtnsim.MetricDrops], v[dtnsim.MetricByteDropped], v[dtnsim.MetricRefused])
 		}
 	}
 	if err := os.WriteFile(filepath.Join(outDir, "constrained.csv"), []byte(csv.String()), 0o644); err != nil {
@@ -189,25 +196,24 @@ func checkFlags(selected map[string]bool, runs, scaleRuns, workers int, scaleSpa
 // ratio, per-bundle delay and buffer occupancy versus node count for
 // each protocol, each run streaming its mobility source.
 func runScale(outDir, nodesCSV string, runs int, seed uint64, workers int, span float64, quiet bool) {
-	sw := dtnsim.DefaultScaleSweep()
+	sw := dtnsim.PopulationSweep(span)
 	sw.Runs = runs
 	sw.BaseSeed = seed
 	sw.Workers = workers
-	sw.Span = span
-	sw.Nodes = sw.Nodes[:0]
+	sw.Axis.Nodes = nil
 	for _, f := range strings.Split(nodesCSV, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n < 2 {
 			fatal(fmt.Errorf("bad -scale-nodes entry %q", f))
 		}
-		sw.Nodes = append(sw.Nodes, n)
+		sw.Axis.Nodes = append(sw.Axis.Nodes, n)
 	}
 	if !quiet {
 		sw.OnPoint = func(label string, nodes int) {
 			fmt.Fprintf(os.Stderr, "\rscale: %-24s %6d nodes   ", label, nodes)
 		}
 	}
-	res, err := dtnsim.RunScale(sw)
+	res, err := dtnsim.RunSweep(sw)
 	if err != nil {
 		fatal(err)
 	}
@@ -218,11 +224,12 @@ func runScale(outDir, nodesCSV string, runs int, seed uint64, workers int, span 
 	csv.WriteString("nodes,protocol,delivery_ratio,mean_delay_s,occupancy,completed,runs\n")
 	fmt.Println("scale: delivery / delay / occupancy vs population (streaming mobility)")
 	for _, s := range res.Series {
-		for _, p := range s.Points {
+		for i, p := range s.Points {
+			nodes, v := res.Axis.Nodes[i], p.Values
 			fmt.Fprintf(&csv, "%d,%q,%.4f,%.1f,%.4f,%d,%d\n",
-				p.Nodes, s.Label, p.Delivery, p.Delay, p.Occupancy, p.Completed, p.Runs)
+				nodes, s.Label, v[dtnsim.MetricDelivery], v[dtnsim.MetricMeanDelay], v[dtnsim.MetricOccupancy], p.Completed, p.Runs)
 			fmt.Printf("  %-24s %6d nodes: delivery %.3f, delay %8.0f s, occupancy %.3f\n",
-				s.Label, p.Nodes, p.Delivery, p.Delay, p.Occupancy)
+				s.Label, nodes, v[dtnsim.MetricDelivery], v[dtnsim.MetricMeanDelay], v[dtnsim.MetricOccupancy])
 		}
 	}
 	if err := os.WriteFile(filepath.Join(outDir, "scale.csv"), []byte(csv.String()), 0o644); err != nil {

@@ -9,17 +9,22 @@ import (
 // Experiment-harness types, re-exported so downstream users can define
 // their own sweeps and render them like the paper's figures.
 type (
-	// Sweep is a load-sweep experiment specification (§IV: loads
-	// 5..50 step 5, ten seeded runs per point). Its (protocol, load,
-	// run) grid executes on a worker pool bounded by Sweep.Workers
-	// (0 = all CPUs, 1 = sequential) with bit-identical results for
-	// every worker count.
+	// Sweep is an experiment specification: by default a load sweep
+	// (§IV: loads 5..50 step 5, ten seeded runs per point), or a
+	// bandwidth or population sweep (SweepAxis). Its (series, axis
+	// value, run) grid executes on a worker pool bounded by
+	// Sweep.Workers (0 = all CPUs, 1 = sequential) with bit-identical
+	// results for every worker count.
 	Sweep = experiment.Sweep
-	// SweepResult is a finished sweep: one Series per protocol.
+	// SweepAxis is what a sweep varies: load (its zero value), contact
+	// bandwidth or population.
+	SweepAxis = experiment.Axis
+	// SweepResult is a finished sweep: one Series per protocol (times
+	// drop policy).
 	SweepResult = experiment.Result
-	// Series is one protocol's curve across loads.
+	// Series is one (protocol, drop policy) curve along the axis.
 	Series = experiment.Series
-	// Point is one averaged (load, protocol) measurement.
+	// Point is one averaged (series, axis value) measurement.
 	Point = experiment.Point
 	// Metric selects a measurement: delay, delivery, occupancy,
 	// duplication or overhead.
@@ -45,6 +50,23 @@ const (
 	MetricOverhead    = experiment.MetricOverhead
 )
 
+// Measures outside AllMetrics that the bandwidth and population sweeps
+// fold when a sweep lists them.
+const (
+	MetricMeanDelay   = experiment.MetricMeanDelay
+	MetricDrops       = experiment.MetricDrops
+	MetricByteDropped = experiment.MetricByteDropped
+	MetricRefused     = experiment.MetricRefused
+)
+
+// The sweep axes: Sweep.Loads (the zero value), SweepAxis.Bandwidths
+// and SweepAxis.Nodes.
+const (
+	AxisLoad       = experiment.AxisLoad
+	AxisBandwidth  = experiment.AxisBandwidth
+	AxisPopulation = experiment.AxisPopulation
+)
+
 // Figures returns every reproducible experiment (Fig. 7–20 plus the
 // §V-C overhead comparison) in paper order.
 func Figures() []Figure { return experiment.Figures() }
@@ -60,7 +82,7 @@ func AllExperiments() []Figure { return experiment.AllExperiments() }
 // "ttlsweep", "pqsweep", "dynmult", "ecthresh").
 func FigureByID(id string) (Figure, error) { return experiment.FigureByID(id) }
 
-// RunSweep executes a load-sweep experiment.
+// RunSweep executes a sweep along any axis.
 func RunSweep(s Sweep) (*SweepResult, error) { return experiment.Run(s) }
 
 // Fig14Pair returns the two controlled-interval sweeps behind Fig. 14
@@ -87,59 +109,25 @@ func TableOf(r *SweepResult, m Metric, title string) *ResultTable {
 // DefaultLoads is the paper's load axis: 5, 10, …, 50.
 func DefaultLoads() []int { return experiment.DefaultLoads() }
 
-// AllMetrics lists every metric in the harness's canonical order.
+// AllMetrics lists the five default metrics in the harness's canonical order.
 func AllMetrics() []Metric { return experiment.AllMetrics() }
 
-// Scale sweeps: the population axis opened by streaming contact
-// sources (see DESIGN.md §8).
-type (
-	// ScaleSweep sweeps node count instead of load.
-	ScaleSweep = experiment.ScaleSweep
-	// ScaleResult is a finished scale sweep.
-	ScaleResult = experiment.ScaleResult
-	// ScaleSeries is one protocol's curve across populations.
-	ScaleSeries = experiment.ScaleSeries
-	// ScalePoint is one averaged (protocol, nodes) measurement.
-	ScalePoint = experiment.ScalePoint
-)
-
-// Constrained sweeps: the resource axis opened by finite-bandwidth
-// contacts, sized bundles and byte-bounded buffers (DESIGN.md §9).
-type (
-	// ConstrainedSweep sweeps contact bandwidth at a fixed load.
-	ConstrainedSweep = experiment.ConstrainedSweep
-	// ConstrainedResult is a finished constrained sweep.
-	ConstrainedResult = experiment.ConstrainedResult
-	// ConstrainedSeries is one (protocol, drop policy) curve across
-	// bandwidths.
-	ConstrainedSeries = experiment.ConstrainedSeries
-	// ConstrainedPoint is one averaged (series, bandwidth) measurement.
-	ConstrainedPoint = experiment.ConstrainedPoint
-)
-
-// DefaultConstrainedSweep is the trace-based bandwidth sweep the
-// figures CLI runs with -only constrained: delivery/delay/drops versus
-// bandwidth for pure epidemic and TTL under all three drop policies.
-func DefaultConstrainedSweep() ConstrainedSweep { return experiment.DefaultConstrainedSweep() }
-
-// RunConstrained executes a constrained sweep.
-func RunConstrained(s ConstrainedSweep) (*ConstrainedResult, error) {
-	return experiment.RunConstrained(s)
-}
-
 // DropPolicies lists the registered buffer drop-policy names usable in
-// Config.DropPolicy, Scenario "drop" keys and ConstrainedSweep.
+// Config.DropPolicy, Scenario "drop" keys and Sweep.DropPolicies.
 func DropPolicies() []string { return buffer.DropPolicyNames() }
 
-// DefaultScaleSweep is the 1k/5k/10k-node classic-RWP scale experiment.
-func DefaultScaleSweep() ScaleSweep { return experiment.DefaultScaleSweep() }
+// BandwidthSweep is the trace-based bandwidth sweep the figures CLI runs
+// with -only constrained: delivery/delay/drops versus contact bandwidth
+// for pure epidemic and TTL under all three drop policies.
+func BandwidthSweep() Sweep { return experiment.BandwidthSweep() }
 
-// RunScale executes a scale sweep; every run streams its mobility, so
-// contact-plan memory stays O(nodes) at any population.
-func RunScale(s ScaleSweep) (*ScaleResult, error) { return experiment.RunScale(s) }
+// PopulationSweep is the 1k/5k/10k-node classic-RWP scale experiment
+// over span simulated seconds per run; every run streams its mobility,
+// so contact-plan memory stays O(nodes) at any population.
+func PopulationSweep(span float64) Sweep { return experiment.PopulationSweep(span) }
 
-// ScaleMobility is the default population→mobility-spec mapping of the
-// scale sweep (constant-density classic RWP).
+// ScaleMobility is the population axis's default nodes→mobility-spec
+// mapping (constant-density classic RWP).
 func ScaleMobility(nodes int) string { return experiment.ScaleMobility(nodes) }
 
 // Standard scenarios and protocol factories for sweeps.

@@ -4,20 +4,22 @@
 // averages the four metrics, and exposes each of the paper's figures and
 // tables as a ready-to-run specification.
 //
-// Every sweep — load (Run), bandwidth (RunConstrained) and population
-// (RunScale) — executes its (series, axis value, run) grid on the one
-// bounded worker pool in grid.go, sized by its Workers field (default
-// runtime.GOMAXPROCS(0)); every run's seed derives only from
-// (BaseSeed, axis value, run), so parallel and sequential execution
-// produce bit-identical results.
+// One Sweep type and one Run serve every axis — load (the zero Axis),
+// contact bandwidth and population. Run executes the (series, axis
+// value, run) grid on the one bounded worker pool in grid.go, sized by
+// Sweep.Workers (default runtime.GOMAXPROCS(0)); every run's seed
+// derives only from (BaseSeed, axis key, run), so parallel and
+// sequential execution produce bit-identical results.
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"slices"
 
+	"dtnsim/internal/buffer"
 	"dtnsim/internal/contact"
 	"dtnsim/internal/core"
 	"dtnsim/internal/protocol"
@@ -35,6 +37,16 @@ const (
 	MetricOccupancy   Metric = "occupancy"   // buffer occupancy level
 	MetricDuplication Metric = "duplication" // bundle duplication rate
 	MetricOverhead    Metric = "overhead"    // control records transmitted
+)
+
+// Measures outside AllMetrics that the bandwidth and population
+// experiments fold. MetricMeanDelay, like MetricDelay, is NaN when no
+// run contributes.
+const (
+	MetricMeanDelay   Metric = "mean_delay"   // mean per-bundle delay over runs that delivered anything
+	MetricDrops       Metric = "drops"        // refusals, evictions, expiries and byte-pressure drops
+	MetricByteDropped Metric = "byte_dropped" // copies shed under byte pressure
+	MetricRefused     Metric = "refused"      // copies refused on arrival
 )
 
 // Scenario produces the mobility input for each run (see simulate in
@@ -90,27 +102,70 @@ type ProtocolFactory struct {
 	New func() protocol.Protocol
 }
 
-// Sweep is one load-sweep experiment specification.
+// AxisKind names what a sweep varies from point to point.
+type AxisKind uint8
+
+// The sweep axes. Each keys its runs' seeds by its own value: the
+// load, the 1-based bandwidth index, the node count.
+const (
+	AxisLoad       AxisKind = iota // Sweep.Loads
+	AxisBandwidth                  // Axis.Bandwidths at the sweep's one load
+	AxisPopulation                 // Axis.Nodes at the sweep's one load
+)
+
+// Axis is a sweep's x axis. The zero value is the load axis.
+type Axis struct {
+	Kind AxisKind
+	// Bandwidths are the bandwidth axis's contact bandwidths in
+	// bytes/s, each positive and finite; every point replaces
+	// Scenario.Bandwidth with its own. Bandwidth binds only sized
+	// bundles (Scenario.BundleSize).
+	Bandwidths []float64
+	// Nodes are the population axis's node counts, each at least 2.
+	// Every run resolves Mobility(nodes) to a fresh scenario that
+	// streams the registry's source and retains nothing, so a run holds
+	// O(nodes) of mobility state at any population; that scenario
+	// replaces Sweep.Scenario's mobility, TxTime and BufferCap, and the
+	// resource knobs still apply. Mobility defaults to ScaleMobility.
+	Nodes    []int
+	Mobility func(nodes int) string
+}
+
+// Sweep is one experiment specification: every protocol (times every
+// drop policy) is a series, every axis value a point.
 type Sweep struct {
 	Scenario  Scenario
 	Protocols []ProtocolFactory
-	// Loads defaults to 5,10,…,50 (§IV).
+	// Loads is the load axis, defaulting to 5,10,…,50 (§IV). The
+	// bandwidth and population axes run every point at one load, which
+	// Loads holds; it defaults to 30. A load below 1 is refused.
 	Loads []int
-	// Runs per point; the paper uses 10.
+	// Axis is what varies from point to point; its zero value is Loads.
+	Axis Axis
+	// DropPolicies, when set, are compared as separate series per
+	// protocol, each replacing Scenario.DropPolicy; with more than one,
+	// a series is labelled "<protocol> / <policy>".
+	DropPolicies []string
+	// Runs per point; 0 means the paper's 10, a negative count is
+	// refused.
 	Runs int
 	// BaseSeed anchors all derived randomness.
 	BaseSeed uint64
-	// Metrics to collect; defaults to all five.
+	// Metrics to collect; defaults to AllMetrics. The other measures
+	// (MetricMeanDelay, MetricDrops, …) are folded only when listed.
 	Metrics []Metric
-	// OnPoint, if set, is called after each (protocol, load) point for
-	// progress reporting. Regardless of Workers it is invoked from the
-	// goroutine that called Run, in the sequential sweep order.
-	OnPoint func(label string, load int)
+	// OnPoint, if set, is called after each (series, axis value) point
+	// for progress reporting with the point's axis key: the load, the
+	// 1-based bandwidth index or the node count. Regardless of Workers
+	// it is invoked from the goroutine that called Run, in the
+	// sequential sweep order.
+	OnPoint func(label string, key int)
 	// Workers bounds the number of runs simulated concurrently. Zero
 	// means runtime.GOMAXPROCS(0); 1 runs the grid strictly
-	// sequentially; a negative count fails the sweep. Results are bit-identical for every value: each
-	// run's seed depends only on (BaseSeed, load, run), and per-point
-	// averages are folded in run order after collection.
+	// sequentially; a negative count fails the sweep. Results are
+	// bit-identical for every value: each run's seed depends only on
+	// (BaseSeed, axis key, run), and per-point averages are folded in
+	// run order after collection.
 	Workers int
 	// Context, when non-nil, cancels the sweep: it is threaded into
 	// every run's engine loop (core.Config.Context), so a cancel or
@@ -120,8 +175,10 @@ type Sweep struct {
 	Context context.Context
 }
 
-// Point is one averaged (load, protocol) measurement.
+// Point is one averaged (series, axis value) measurement.
 type Point struct {
+	// Load is the point's bundle count: its axis value on the load
+	// axis, the sweep's one load on the others.
 	Load int
 	// Values holds the run-averaged value per metric. Delay averages
 	// only completed runs and is NaN when no run completed (§IV: failed
@@ -133,23 +190,29 @@ type Point struct {
 	Runs int
 }
 
-// Series is one protocol's curve across loads.
+// Series is one (protocol, drop policy) curve along the axis.
 type Series struct {
-	Label  string
-	Points []Point
+	Label string
+	// Protocol is the protocol's label and Policy the series' drop
+	// policy (Scenario.DropPolicy when the sweep lists none).
+	Protocol, Policy string
+	Points           []Point
 }
 
-// Result is a finished sweep.
+// Result is a finished sweep. Every series' i-th point is at the
+// axis's i-th value: Loads[i], Axis.Bandwidths[i] or Axis.Nodes[i].
 type Result struct {
 	Scenario string
 	Loads    []int
+	Axis     Axis
 	Series   []Series
 }
 
 // DefaultLoads is the paper's load axis.
 func DefaultLoads() []int { return []int{5, 10, 15, 20, 25, 30, 35, 40, 45, 50} }
 
-// AllMetrics lists every metric.
+// AllMetrics lists the five metrics a sweep collects by default: the
+// paper's four and the §V-C overhead count.
 func AllMetrics() []Metric {
 	return []Metric{MetricDelay, MetricDelivery, MetricOccupancy, MetricDuplication, MetricOverhead}
 }
@@ -165,54 +228,35 @@ func seedFor(base uint64, load, run int) uint64 {
 }
 
 // Run executes the sweep on the shared grid runner (grid.go), one
-// series per protocol and one point per load; see Sweep.Workers for the
-// determinism contract.
+// series per (protocol, drop policy) and one point per axis value; see
+// Sweep.Workers for the determinism contract.
 func Run(sw Sweep) (*Result, error) {
-	if len(sw.Protocols) == 0 {
-		return nil, fmt.Errorf("experiment: no protocols in sweep")
+	points, err := sw.check()
+	if err != nil {
+		return nil, err
 	}
-	if len(sw.Loads) == 0 {
-		sw.Loads = DefaultLoads()
-	}
-	if sw.Runs <= 0 {
-		sw.Runs = 10
-	}
-	if len(sw.Metrics) == 0 {
-		sw.Metrics = AllMetrics()
-	}
-	for _, m := range sw.Metrics {
-		switch m {
-		case MetricDelay, MetricDelivery, MetricOccupancy, MetricDuplication, MetricOverhead:
-		default:
-			return nil, fmt.Errorf("experiment: unknown metric %q", m)
+	nD := len(sw.DropPolicies)
+	res := &Result{Scenario: sw.Scenario.Name, Loads: sw.Loads, Axis: sw.Axis}
+	for _, pf := range sw.Protocols {
+		for _, policy := range sw.DropPolicies {
+			label := pf.Label
+			if nD > 1 {
+				label += " / " + policy
+			}
+			res.Series = append(res.Series, Series{Label: label, Protocol: pf.Label, Policy: policy})
 		}
 	}
-
-	res := &Result{Scenario: sw.Scenario.Name, Loads: sw.Loads}
-	for _, pf := range sw.Protocols {
-		res.Series = append(res.Series, Series{Label: pf.Label})
-	}
-	err := runGrid(len(sw.Protocols), len(sw.Loads), sw.Runs, sw.Workers,
-		func(w *gridWorker, pi, li, run int) runOutcome {
-			pf, load := sw.Protocols[pi], sw.Loads[li]
-			r, err := sw.Scenario.simulate(w, core.Config{
-				Protocol:     pf.New(),
-				Bandwidth:    sw.Scenario.Bandwidth,
-				BufferBytes:  sw.Scenario.BufferBytes,
-				DropPolicy:   sw.Scenario.DropPolicy,
-				ControlBytes: sw.Scenario.ControlBytes,
-				Context:      sw.Context,
-			}, core.Flow{Count: load, Size: sw.Scenario.BundleSize}, sw.BaseSeed, load, run)
-			if err != nil {
-				err = fmt.Errorf("experiment: %s/%s load %d: %w", sw.Scenario.Name, pf.Label, load, err)
-			}
+	err = runGrid(len(res.Series), points, sw.Runs, sw.Workers,
+		func(w *gridWorker, si, j, run int) runOutcome {
+			r, err := sw.run(w, sw.Protocols[si/nD], sw.DropPolicies[si%nD], j, run)
 			return runOutcome{res: r, err: err}
 		},
-		func(pi, li int, outs []runOutcome) {
-			s := &res.Series[pi]
-			s.Points = append(s.Points, aggregatePoint(sw, sw.Loads[li], outs))
+		func(si, j int, outs []runOutcome) {
+			s := &res.Series[si]
+			load, key := sw.point(j)
+			s.Points = append(s.Points, aggregatePoint(&sw, load, outs))
 			if sw.OnPoint != nil {
-				sw.OnPoint(s.Label, sw.Loads[li])
+				sw.OnPoint(s.Label, key)
 			}
 		})
 	if err != nil {
@@ -221,46 +265,137 @@ func Run(sw Sweep) (*Result, error) {
 	return res, nil
 }
 
+// check refuses what Run cannot honour and fills in the defaults; it
+// returns the number of points along the axis.
+func (sw *Sweep) check() (int, error) {
+	if len(sw.Protocols) == 0 {
+		return 0, fmt.Errorf("experiment: no protocols in sweep")
+	}
+	if sw.Runs < 0 {
+		return 0, fmt.Errorf("experiment: negative runs %d (0 means the paper's 10)", sw.Runs)
+	}
+	sw.Runs = cmp.Or(sw.Runs, 10)
+	if slices.ContainsFunc(sw.DropPolicies, func(p string) bool { return !buffer.ValidDropPolicy(p) }) {
+		return 0, fmt.Errorf("experiment: unknown drop policy in %q", sw.DropPolicies)
+	}
+	if len(sw.DropPolicies) == 0 {
+		sw.DropPolicies = []string{sw.Scenario.DropPolicy}
+	}
+	if len(sw.Metrics) == 0 {
+		sw.Metrics = AllMetrics()
+	}
+	if i := slices.IndexFunc(sw.Metrics, func(m Metric) bool { return measures[m] == nil }); i >= 0 {
+		return 0, fmt.Errorf("experiment: unknown metric %q", sw.Metrics[i])
+	}
+	if len(sw.Loads) == 0 && sw.Axis.Kind == AxisLoad {
+		sw.Loads = DefaultLoads()
+	} else if len(sw.Loads) == 0 {
+		sw.Loads = []int{30}
+	}
+	if slices.Min(sw.Loads) < 1 {
+		return 0, fmt.Errorf("experiment: loads %v are not all positive bundle counts", sw.Loads)
+	}
+	if sw.Axis.Kind != AxisLoad && len(sw.Loads) != 1 {
+		return 0, fmt.Errorf("experiment: a bandwidth or population sweep runs one load, not %v", sw.Loads)
+	}
+	if slices.ContainsFunc(sw.Axis.Bandwidths, func(bw float64) bool { return !(bw > 0) || math.IsInf(bw, 0) }) {
+		return 0, fmt.Errorf("experiment: bandwidths %v are not all positive and finite", sw.Axis.Bandwidths)
+	}
+	if slices.ContainsFunc(sw.Axis.Nodes, func(n int) bool { return n < 2 }) {
+		return 0, fmt.Errorf("experiment: populations %v need at least 2 nodes each for a source/destination pair", sw.Axis.Nodes)
+	}
+	if sw.Axis.Kind == AxisPopulation && sw.Axis.Mobility == nil {
+		sw.Axis.Mobility = ScaleMobility
+	}
+	// An unknown axis kind has no values either.
+	points := [...]int{len(sw.Loads), len(sw.Axis.Bandwidths), len(sw.Axis.Nodes), 0}[min(sw.Axis.Kind, 3)]
+	if points == 0 {
+		return 0, fmt.Errorf("experiment: sweep axis %d is unknown or has no values", sw.Axis.Kind)
+	}
+	return points, nil
+}
+
+// point returns point j's load and the axis key its runs' seeds derive
+// from: the load, the 1-based bandwidth index or the node count.
+func (sw *Sweep) point(j int) (load, key int) {
+	switch sw.Axis.Kind {
+	case AxisBandwidth:
+		return sw.Loads[0], j + 1
+	case AxisPopulation:
+		return sw.Loads[0], sw.Axis.Nodes[j]
+	}
+	return sw.Loads[j], sw.Loads[j]
+}
+
+// run builds and executes one run of point j of the (pf, policy)
+// series: the scenario's resource knobs with the point's bandwidth, and
+// on the population axis a scenario of its own (see Axis.Nodes).
+func (sw *Sweep) run(w *gridWorker, pf ProtocolFactory, policy string, j, run int) (*core.Result, error) {
+	sc := sw.Scenario
+	load, key := sw.point(j)
+	cfg := core.Config{Protocol: pf.New(), Bandwidth: sc.Bandwidth, BufferBytes: sc.BufferBytes,
+		DropPolicy: policy, ControlBytes: sc.ControlBytes, Context: sw.Context}
+	switch sw.Axis.Kind {
+	case AxisBandwidth:
+		cfg.Bandwidth = sw.Axis.Bandwidths[j]
+	case AxisPopulation:
+		// One scenario per run requests its plan once (TestSweepSeedingRule),
+		// so it streams the registry source and retains nothing.
+		var err error
+		if sc, err = streamedScenario(sw.Axis.Mobility(key)); err != nil {
+			return nil, fmt.Errorf("experiment: mobility for %d nodes: %w", key, err)
+		}
+	}
+	r, err := sc.simulate(w, cfg, core.Flow{Count: load, Size: sw.Scenario.BundleSize}, sw.BaseSeed, key, run)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: %s/%s at load %d, bandwidth %g, axis key %d: %w",
+			sc.Name, pf.Label, load, cfg.Bandwidth, key, err)
+	}
+	return r, nil
+}
+
+// measures maps each metric to its value in one run, and whether the
+// run counts toward it: the delays skip runs that delivered too little.
+var measures = map[Metric]func(r *core.Result) (float64, bool){
+	MetricDelay:       func(r *core.Result) (float64, bool) { return r.Makespan, r.Completed },
+	MetricDelivery:    func(r *core.Result) (float64, bool) { return r.DeliveryRatio, true },
+	MetricOccupancy:   func(r *core.Result) (float64, bool) { return r.MeanOccupancy, true },
+	MetricDuplication: func(r *core.Result) (float64, bool) { return r.MeanDuplication, true },
+	MetricOverhead:    func(r *core.Result) (float64, bool) { return float64(r.ControlRecords), true },
+	MetricMeanDelay:   func(r *core.Result) (float64, bool) { return r.MeanDelay, r.Delivered > 0 },
+	MetricDrops: func(r *core.Result) (float64, bool) {
+		return float64(r.Refused + r.Evicted + r.Expired + r.ByteDropped), true
+	},
+	MetricByteDropped: func(r *core.Result) (float64, bool) { return float64(r.ByteDropped), true },
+	MetricRefused:     func(r *core.Result) (float64, bool) { return float64(r.Refused), true },
+}
+
 // aggregatePoint folds one point's run results, in run order, into the
 // per-metric Welford accumulators and builds the averaged Point. Run
 // has already rejected metrics it does not know.
-func aggregatePoint(sw Sweep, load int, outcomes []runOutcome) Point {
+func aggregatePoint(sw *Sweep, load int, outcomes []runOutcome) Point {
 	// acc[i] accumulates sw.Metrics[i]. A metric listed twice folds
 	// into its first slot, twice per run, as one accumulator per metric
 	// always did.
 	acc := make([]stats.Welford, len(sw.Metrics))
 	completed := 0
 	for _, out := range outcomes {
-		r := out.res
-		if r.Completed {
+		if out.res.Completed {
 			completed++
 		}
 		for _, m := range sw.Metrics {
-			a := &acc[slices.Index(sw.Metrics, m)]
-			switch m {
-			case MetricDelay:
-				if r.Completed {
-					a.Add(r.Makespan)
-				}
-			case MetricDelivery:
-				a.Add(r.DeliveryRatio)
-			case MetricOccupancy:
-				a.Add(r.MeanOccupancy)
-			case MetricDuplication:
-				a.Add(r.MeanDuplication)
-			case MetricOverhead:
-				a.Add(float64(r.ControlRecords))
+			if v, ok := measures[m](out.res); ok {
+				acc[slices.Index(sw.Metrics, m)].Add(v)
 			}
 		}
 	}
 	pt := Point{Load: load, Values: make(map[Metric]float64, len(sw.Metrics)), Completed: completed, Runs: sw.Runs}
 	for _, m := range sw.Metrics {
-		a := &acc[slices.Index(sw.Metrics, m)]
-		if m == MetricDelay && a.N() == 0 {
-			pt.Values[m] = math.NaN()
-			continue
+		// Only a delay skips runs, and it is NaN when every run did.
+		pt.Values[m] = math.NaN()
+		if a := &acc[slices.Index(sw.Metrics, m)]; a.N() > 0 {
+			pt.Values[m] = a.Mean()
 		}
-		pt.Values[m] = a.Mean()
 	}
 	return pt
 }

@@ -112,6 +112,50 @@ func TestRunSweepErrors(t *testing.T) {
 	}
 }
 
+// TestRunRefusesWhatItCannotHonour: a population below 2, a load below
+// 1 or a negative run count on any axis is an error before any run
+// starts, not a silent default. A population of 0 used to run the
+// mobility model's default 12-node cell and report it at 0 nodes.
+func TestRunRefusesWhatItCannotHonour(t *testing.T) {
+	bandwidth := Axis{Kind: AxisBandwidth, Bandwidths: []float64{1e3}}
+	population := func(nodes ...int) Axis {
+		return Axis{Kind: AxisPopulation, Nodes: nodes, Mobility: func(n int) string {
+			t.Errorf("population axis resolved mobility for %d nodes", n)
+			return ScaleMobility(n)
+		}}
+	}
+	for _, tc := range []struct {
+		name  string
+		axis  Axis
+		loads []int
+		runs  int
+	}{
+		{"population 0", population(0), nil, 1},
+		{"population 1", population(100, 1), nil, 1},
+		{"empty population axis", population(), nil, 1},
+		{"negative load", Axis{}, []int{5, -1}, 1},
+		{"zero load", Axis{}, []int{0}, 1},
+		{"negative load on the bandwidth axis", bandwidth, []int{-30}, 1},
+		{"negative load on the population axis", population(100), []int{-30}, 1},
+		{"two loads on the bandwidth axis", bandwidth, []int{5, 10}, 1},
+		{"NaN bandwidth", Axis{Kind: AxisBandwidth, Bandwidths: []float64{math.NaN()}}, nil, 1},
+		{"infinite bandwidth", Axis{Kind: AxisBandwidth, Bandwidths: []float64{math.Inf(1)}}, nil, 1},
+		{"negative runs", Axis{}, nil, -1},
+		{"negative runs on the population axis", population(100), nil, -3},
+		{"unknown axis", Axis{Kind: 7, Bandwidths: []float64{1e3}}, nil, 1},
+	} {
+		sw := tinySweep()
+		sw.Scenario.Stream = func(uint64) (contact.Source, error) {
+			t.Errorf("%s: a run started", tc.name)
+			return nil, fmt.Errorf("unreachable")
+		}
+		sw.Axis, sw.Loads, sw.Runs = tc.axis, tc.loads, tc.runs
+		if res, err := Run(sw); err == nil {
+			t.Errorf("%s: accepted, result %+v", tc.name, res)
+		}
+	}
+}
+
 func TestSeedForIndependence(t *testing.T) {
 	seen := map[uint64]bool{}
 	for load := 5; load <= 50; load += 5 {

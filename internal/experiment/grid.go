@@ -1,12 +1,11 @@
 // The sweep harness: the paper's §IV method — for each (series, axis
 // value, run): draw mobility, pick a pair, simulate, average — spelled
-// once. Run, RunConstrained and RunScale differ only in their axes,
-// defaults and what they fold out of a core.Result; the pool that
-// executes their grids (runGrid) and the builder of each run
+// once. Run drives it for every axis (load, bandwidth, population); the
+// pool that executes the grid (runGrid) and the builder of each run
 // (Scenario.simulate) live here.
 //
-// Determinism contract, for all three sweeps: every random draw of a
-// run derives from (BaseSeed, axis value, run) through seedFor, a
+// Determinism contract, for all three axes: every random draw of a
+// run derives from (BaseSeed, axis key, run) through seedFor, a
 // point's runs fold in run order on the calling goroutine, and points
 // fold in sweep order. The worker count therefore never reaches a
 // result; the inline workers == 1 path is the reference the

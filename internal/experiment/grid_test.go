@@ -16,8 +16,8 @@ import (
 
 // seedProbe is a mobility stream that records the seed of every call.
 // It is also registered as the "seedprobe" mobility kind (flag
-// "perrun") so RunScale, which resolves mobility from a spec per run,
-// can be driven through it.
+// "perrun") so the population axis, which resolves mobility from a spec
+// per run, can be driven through it.
 var seedProbe struct {
 	sync.Mutex
 	seeds []uint64
@@ -43,9 +43,9 @@ func init() {
 }
 
 // TestSweepSeedingRule pins the one mobility-seeding rule for all three
-// sweeps: mobility fixed across runs streams from BaseSeed on every
-// run; per-run mobility streams from seedFor(BaseSeed, axis value, run)
-// — the load, the 1-based bandwidth index, the node count.
+// axes: mobility fixed across runs streams from BaseSeed on every run;
+// per-run mobility streams from seedFor(BaseSeed, axis key, run) — the
+// load, the 1-based bandwidth index, the node count.
 func TestSweepSeedingRule(t *testing.T) {
 	const base, runs = 99, 3
 	protos := []ProtocolFactory{Pure(), TTL300()}
@@ -62,9 +62,10 @@ func TestSweepSeedingRule(t *testing.T) {
 			return err
 		}},
 		{"constrained", []int{1, 2}, func(perRun bool, workers int) error {
-			_, err := RunConstrained(ConstrainedSweep{
+			_, err := Run(Sweep{
 				Scenario:  Scenario{Name: "probe", Stream: seedProbeStream, PerRunSchedule: perRun},
-				Protocols: protos, Bandwidths: []float64{1e3, 1e6}, Runs: runs, BaseSeed: base, Workers: workers,
+				Protocols: protos, Axis: Axis{Kind: AxisBandwidth, Bandwidths: []float64{1e3, 1e6}},
+				Runs: runs, BaseSeed: base, Workers: workers,
 			})
 			return err
 		}},
@@ -73,9 +74,9 @@ func TestSweepSeedingRule(t *testing.T) {
 			if perRun {
 				mob = "seedprobe:perrun"
 			}
-			_, err := RunScale(ScaleSweep{
-				Mobility:  func(int) string { return mob },
-				Protocols: protos, Nodes: []int{4, 8}, Runs: runs, BaseSeed: base, Workers: workers,
+			_, err := Run(Sweep{
+				Protocols: protos, Axis: Axis{Kind: AxisPopulation, Nodes: []int{4, 8}, Mobility: func(int) string { return mob }},
+				Runs: runs, BaseSeed: base, Workers: workers,
 			})
 			return err
 		}},

@@ -104,8 +104,10 @@ func TestSpecScenarioReplayIsInvisible(t *testing.T) {
 			return Run(Sweep{Scenario: sc, Protocols: protos, Loads: []int{5, 20}, Runs: 2, BaseSeed: 2012, Workers: workers})
 		}},
 		{"constrained", func(sc Scenario, workers int) (any, error) {
-			return RunConstrained(ConstrainedSweep{Scenario: sc, Protocols: protos, Bandwidths: []float64{5e3, 1e6},
-				Load: 10, Runs: 2, BaseSeed: 2012, Workers: workers})
+			sc.BundleSize, sc.BufferBytes = 1<<20, 5<<20
+			return Run(Sweep{Scenario: sc, Protocols: protos, Axis: Axis{Kind: AxisBandwidth, Bandwidths: []float64{5e3, 1e6}},
+				Loads: []int{10}, Runs: 2, BaseSeed: 2012, Workers: workers,
+				Metrics: []Metric{MetricDelivery, MetricMeanDelay, MetricDrops, MetricByteDropped, MetricRefused}})
 		}},
 	}
 	// A trace file too: its file-backed source is closed after recording.

@@ -13,37 +13,43 @@ import (
 // tinyScale is a fast scale sweep over small populations (the axis
 // mechanics are identical at any N; the big populations are exercised
 // by the benchmarks and the CI smoke run).
-func tinyScale() ScaleSweep {
-	return ScaleSweep{
-		Name:  "tiny-scale",
-		Nodes: []int{12, 24},
-		Mobility: func(nodes int) string {
-			return fmt.Sprintf("rwp:nodes=%d,area=1500,span=40000,range=150,dt=25", nodes)
-		},
+func tinyScale() Sweep {
+	return Sweep{
+		Scenario: Scenario{Name: "tiny-scale"},
+		Axis: Axis{Kind: AxisPopulation, Nodes: []int{12, 24},
+			Mobility: func(nodes int) string {
+				return fmt.Sprintf("rwp:nodes=%d,area=1500,span=40000,range=150,dt=25", nodes)
+			}},
 		Protocols: []ProtocolFactory{Pure()},
-		Load:      10,
+		Loads:     []int{10},
 		Runs:      2,
 		BaseSeed:  7,
+		Metrics:   []Metric{MetricDelivery, MetricMeanDelay, MetricOccupancy},
 	}
 }
 
+// TestRunScaleShape: a population sweep has one point per node count,
+// in axis order, each reporting its node count to OnPoint.
 func TestRunScaleShape(t *testing.T) {
-	res, err := RunScale(tinyScale())
+	sw := tinyScale()
+	var keys []int
+	sw.OnPoint = func(_ string, key int) { keys = append(keys, key) }
+	res, err := Run(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Series) != 1 || len(res.Series[0].Points) != 2 {
 		t.Fatalf("unexpected result shape: %+v", res)
 	}
+	if !reflect.DeepEqual(keys, res.Axis.Nodes) || !reflect.DeepEqual(res.Axis.Nodes, sw.Axis.Nodes) {
+		t.Errorf("points reported at %v nodes, result axis %v, want %v", keys, res.Axis.Nodes, sw.Axis.Nodes)
+	}
 	for i, p := range res.Series[0].Points {
-		if p.Nodes != res.Nodes[i] {
-			t.Errorf("point %d nodes = %d, want %d", i, p.Nodes, res.Nodes[i])
+		if d := p.Values[MetricDelivery]; d < 0 || d > 1 {
+			t.Errorf("point %d delivery %v out of [0,1]", i, d)
 		}
-		if p.Delivery < 0 || p.Delivery > 1 {
-			t.Errorf("point %d delivery %v out of [0,1]", i, p.Delivery)
-		}
-		if p.Runs != 2 {
-			t.Errorf("point %d runs = %d", i, p.Runs)
+		if p.Runs != 2 || p.Load != 10 {
+			t.Errorf("point %d: %d runs at load %d", i, p.Runs, p.Load)
 		}
 	}
 }
@@ -53,42 +59,42 @@ func TestRunScaleShape(t *testing.T) {
 func TestRunScaleDeterministicAcrossWorkers(t *testing.T) {
 	seq := tinyScale()
 	seq.Workers = 1
-	a, err := RunScale(seq)
+	a, err := Run(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := tinyScale()
 	par.Workers = 4
-	b, err := RunScale(par)
+	b, err := Run(par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
+	if !resultsEqual(a, b) {
 		t.Errorf("worker counts diverge:\n1: %+v\n4: %+v", a, b)
 	}
 }
 
 func TestRunScaleErrors(t *testing.T) {
 	sw := tinyScale()
-	sw.Nodes = nil
-	if _, err := RunScale(sw); err == nil {
+	sw.Axis.Nodes = nil
+	if _, err := Run(sw); err == nil {
 		t.Error("empty node axis accepted")
 	}
 	sw = tinyScale()
 	sw.Protocols = nil
-	if _, err := RunScale(sw); err == nil {
+	if _, err := Run(sw); err == nil {
 		t.Error("no protocols accepted")
 	}
 	sw = tinyScale()
-	sw.Mobility = func(int) string { return "bogus:spec" }
-	if _, err := RunScale(sw); err == nil {
+	sw.Axis.Mobility = func(int) string { return "bogus:spec" }
+	if _, err := Run(sw); err == nil {
 		t.Error("bad mobility spec accepted")
 	}
 }
 
 // scaleCellCost runs one constant-density scale cell (pure epidemic,
-// one 30-bundle flow, the scale sweep's per-run builder) and reports
-// the bytes and heap objects it allocated.
+// one 30-bundle flow, Scenario.simulate over a ScenarioFromSpec
+// scenario) and reports the bytes and heap objects it allocated.
 func scaleCellCost(t *testing.T, nodes int) (bytes, objects uint64) {
 	t.Helper()
 	sc, err := ScenarioFromSpec(ScaleMobilitySpan(nodes, 2000))

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -38,6 +39,27 @@ func IntervalScenario(maxInterval float64) Scenario {
 	sc := mustScenario("interval:max=" + strconv.FormatFloat(maxInterval, 'g', -1, 64))
 	sc.Name = "interval"
 	return sc
+}
+
+// ScaleMobility is the population axis's default nodes→spec mapping:
+// classic RWP at constant density (25 nodes/km², 100 m radio range),
+// area side scaled with √nodes, a 50,000 s window sampled every 25 s.
+// Density constant means per-node contact opportunity is roughly
+// constant while the source→destination distance grows with the area —
+// the regime where delivery ratio and delay degrade with N.
+func ScaleMobility(nodes int) string {
+	return ScaleMobilitySpan(nodes, 50000)
+}
+
+// ScaleMobilitySpan is ScaleMobility with an explicit simulated window:
+// the same constant-density geometry over span seconds. Shorter spans
+// keep huge populations (the 100k-node cell) and CI smoke runs inside a
+// wall-clock budget. The span is spelled exactly, so a fractional one
+// never rounds to 0, which the rwp model reads as its default window.
+func ScaleMobilitySpan(nodes int, span float64) string {
+	side := 1000 * math.Sqrt(float64(nodes)/25)
+	return fmt.Sprintf("rwp:nodes=%d,area=%.0f,span=%s,range=100,dt=25",
+		nodes, side, strconv.FormatFloat(span, 'f', -1, 64))
 }
 
 // Protocol factories matching the paper's configurations.

@@ -401,11 +401,16 @@ func RunSweepSpec(s SweepSpec) (*SweepResult, error) {
 // SweepSpecOf reconstructs the serializable form of a sweep whose
 // scenario and factories were built from registry specs (everything
 // Figures and Ablations return). Hand-built sweeps without spec strings
-// are not serializable and return an error.
+// are not serializable and return an error, and so are bandwidth and
+// population sweeps and drop-policy series, which SweepSpec cannot
+// spell yet.
 func SweepSpecOf(name string, sw Sweep) (SweepSpec, error) {
 	if sw.Scenario.Spec == "" {
 		return SweepSpec{}, fmt.Errorf("%w: scenario %q was not built from a mobility spec",
 			ErrScenario, sw.Scenario.Name)
+	}
+	if sw.Axis.Kind != AxisLoad || len(sw.DropPolicies) != 0 {
+		return SweepSpec{}, fmt.Errorf("%w: a SweepSpec spells only load sweeps without drop-policy series", ErrScenario)
 	}
 	spec := SweepSpec{
 		Name: name,

@@ -388,6 +388,25 @@ func TestScenarioResourceKeysBind(t *testing.T) {
 	}
 }
 
+// TestSweepSpecOfRefusesWhatItCannotSpell: SweepSpec has no key for a
+// sweep's axis or its drop-policy series, so SweepSpecOf refuses a
+// bandwidth sweep and a load sweep with policy series instead of
+// writing a spec that would run a different experiment.
+func TestSweepSpecOfRefusesWhatItCannotSpell(t *testing.T) {
+	withPolicies := dtnsim.BandwidthSweep()
+	withPolicies.Axis = dtnsim.SweepAxis{}
+	plain := withPolicies
+	plain.DropPolicies = nil
+	if _, err := dtnsim.SweepSpecOf("load", plain); err != nil {
+		t.Fatalf("plain load sweep refused: %v", err)
+	}
+	for name, sw := range map[string]dtnsim.Sweep{"bandwidth": dtnsim.BandwidthSweep(), "policies": withPolicies} {
+		if _, err := dtnsim.SweepSpecOf(name, sw); !errors.Is(err, dtnsim.ErrScenario) {
+			t.Errorf("%s sweep: SweepSpecOf error %v, want ErrScenario", name, err)
+		}
+	}
+}
+
 // TestConstrainedSweepSpecRoundTrip: a sweep template carrying the
 // resource keys serializes and compiles back to the same runnable
 // sweep, results included.
