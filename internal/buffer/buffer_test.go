@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"errors"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -362,11 +363,27 @@ func TestMinExpiryTracking(t *testing.T) {
 	}
 }
 
+// propertyIDs are the bundle IDs TestIndexConsistencyProperty draws
+// from, the first 30 of them stored: three sources, sequence numbers
+// on both sides of page edges, negative and at math.MaxInt, so the
+// index spans several pages per source.
+func propertyIDs() []bundle.ID {
+	var ids []bundle.ID
+	for _, seq := range []int{-1, 0, 62, 63, 64, 65, 127, 128, 1000, math.MaxInt, 1, -64} {
+		for src := range 3 {
+			ids = append(ids, bundle.ID{Src: contact.NodeID(src), Seq: seq})
+		}
+	}
+	return ids
+}
+
 // TestIndexConsistencyProperty hammers Put/Remove/PurgeExpired/
-// PurgeMatching with random churn and cross-checks the sorted index
-// (lookups, order, pinned count, put counter, min-expiry fast path)
-// against a map model and scratch recomputation.
+// PurgeMatching with random churn and cross-checks the index (Get, Has
+// and the ID set's Rank, which is a copy's slot; order, pinned count,
+// put counter, min-expiry fast path) against a map model and scratch
+// recomputation.
 func TestIndexConsistencyProperty(t *testing.T) {
+	all := propertyIDs()
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 99))
 		s := New(6)
@@ -388,7 +405,8 @@ func TestIndexConsistencyProperty(t *testing.T) {
 			now += sim.Time(r.IntN(50))
 			switch r.IntN(10) {
 			case 0, 1, 2, 3, 4:
-				c := mk(r.IntN(30))
+				c := mk(0)
+				c.Bundle.ID = all[r.IntN(30)]
 				c.Pinned = r.IntN(5) == 0
 				c.Expiry = now + sim.Time(r.IntN(200))
 				if r.IntN(4) == 0 {
@@ -404,7 +422,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					puts++
 				}
 			case 5, 6:
-				id := bundle.ID{Src: 0, Seq: r.IntN(30)}
+				id := all[r.IntN(30)]
 				_, had := model[id]
 				if s.Remove(id) != had {
 					return false
@@ -419,7 +437,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 					delete(model, id)
 				}
 			case 9:
-				if c := s.Get(bundle.ID{Src: 0, Seq: r.IntN(30)}); c != nil && !c.Pinned {
+				if c := s.Get(all[r.IntN(30)]); c != nil && !c.Pinned {
 					if e := now + sim.Time(r.IntN(100)); e < c.Expiry {
 						c.Expiry = e
 						s.NoteExpiry(c)
@@ -428,11 +446,22 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				}
 			}
 			// Lookups must agree with the model, present and absent
-			// IDs alike, and only successful Puts move the counter.
-			for seq := -1; seq <= 30; seq++ {
-				id := bundle.ID{Src: 0, Seq: seq}
+			// IDs alike — a rank is the number of stored IDs below, and
+			// a stored copy's rank its slot — and only successful Puts
+			// move the counter.
+			for _, id := range all {
 				m, ok := model[id]
-				if c := s.Get(id); (c != nil) != ok || (ok && *c != m) || s.Has(id) != ok {
+				below := 0
+				for other := range model {
+					if other.Less(id) {
+						below++
+					}
+				}
+				rank, in := s.index.Rank(id)
+				if rank != below || in != ok || s.Has(id) != ok {
+					return false
+				}
+				if c := s.Get(id); (c != nil) != ok || (ok && (*c != m || c != &s.order[rank])) {
 					return false
 				}
 			}

@@ -1,8 +1,12 @@
 package bundle
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
+
+	"dtnsim/internal/contact"
 )
 
 // modelSet is the reference FuzzSummaryVector checks against: a map
@@ -53,22 +57,38 @@ func checkAgainst(t *testing.T, v *SummaryVector, m modelSet) {
 	}
 }
 
+// fuzzSeqs are the sequence numbers FuzzSummaryVector draws from:
+// both sides of three page edges, negatives down to math.MinInt, and
+// the top of the int range, where a page's block and bit must still
+// rebuild the exact Seq.
+var fuzzSeqs = [...]int{
+	-130, -65, -64, -63, -1, 0, 1, 2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 200,
+	math.MaxInt - 64, math.MaxInt - 63, math.MaxInt - 1, math.MaxInt,
+	math.MinInt, math.MinInt + 63, math.MinInt + 64,
+}
+
+// fuzzID decodes one byte into an ID over three sources.
+func fuzzID(y int) ID {
+	return ID{Src: contact.NodeID(y % 3), Seq: fuzzSeqs[(y/3)%len(fuzzSeqs)]}
+}
+
 // FuzzSummaryVector drives three vectors through a byte-coded op
-// stream — Add, Has, and bounded Merge at budgets 0, 1, below, at and
-// above the source's length and negative, self-merge included — and
-// checks each against a map + sort model after every op: members,
-// strictly ascending order, and Merge's sent/added counts. At the end
-// every pair is merged to a fixed point, which must then allocate
-// nothing.
+// stream — Add, Has, Remove, Rank, the masked walk RangeAbsent, and
+// bounded Merge at budgets 0, 1, below, at and above the source's
+// length and negative, self-merge included — over IDs at page edges,
+// negative and near math.MaxInt, and checks each against a map + sort
+// model after every op: members, strictly ascending order, ranks, and
+// Merge's sent/added counts. At the end every pair is merged to a
+// fixed point, which must then allocate nothing.
 func FuzzSummaryVector(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 1, 2, 0, 7, 3, 1, 1, 9, 2, 0, 1, 3})
+	f.Add([]byte{0, 1, 2, 0, 7, 3, 1, 1, 9, 2, 0, 1, 3, 4, 1, 200, 5, 2, 9})
 	// A short prefix into a long list, then the list back.
-	long := make([]byte, 0, 200)
-	for i := byte(0); i < 48; i++ {
+	long := make([]byte, 0, 240)
+	for i := byte(0); i < 60; i++ {
 		long = append(long, 0, 1, i)
 	}
-	long = append(long, 0, 0, 50, 2, 1, 5, 2, 4, 3, 2, 1, 2, 2, 9, 0)
+	long = append(long, 0, 0, 50, 2, 1, 5, 2, 4, 3, 2, 1, 2, 2, 9, 0, 3, 1, 7, 5, 0, 0, 5, 1, 1)
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var vecs [3]*SummaryVector
@@ -81,11 +101,8 @@ func FuzzSummaryVector(f *testing.F) {
 			op, x, y := ops[0], int(ops[1]), int(ops[2])
 			ops = ops[3:]
 			dst := x % 3
-			id := ID{Src: 0, Seq: y % 64}
-			if y >= 128 {
-				id.Src = 1
-			}
-			switch op % 3 {
+			id := fuzzID(y)
+			switch op % 6 {
 			case 0:
 				_, had := models[dst][id]
 				models[dst][id] = struct{}{}
@@ -108,6 +125,49 @@ func FuzzSummaryVector(f *testing.F) {
 						budget, n, sent, added, wantSent, wantAdded)
 				}
 				checkAgainst(t, vecs[src], models[src])
+			case 3:
+				_, had := models[dst][id]
+				delete(models[dst], id)
+				if vecs[dst].Remove(id) != had {
+					t.Fatalf("Remove(%v) = %v, want %v", id, !had, had)
+				}
+			case 4:
+				_, want := models[dst][id]
+				wantRank := 0
+				for m := range models[dst] {
+					if m.Less(id) {
+						wantRank++
+					}
+				}
+				if rank, ok := vecs[dst].Rank(id); rank != wantRank || ok != want {
+					t.Fatalf("Rank(%v) = (%d, %v), want (%d, %v)", id, rank, ok, wantRank, want)
+				}
+			case 5:
+				a, b := (x/3)%3, (x/9)%3 // may repeat dst or each other
+				stop := y % 8            // stop after this many, 0 = never
+				var want []int
+				for rank, m := range models[dst].sorted() {
+					_, inA := models[a][m]
+					_, inB := models[b][m]
+					if !inA && !inB {
+						want = append(want, rank)
+					}
+				}
+				if stop > 0 && len(want) > stop {
+					want = want[:stop]
+				}
+				items := vecs[dst].Items()
+				var got []int
+				vecs[dst].RangeAbsent(vecs[a], vecs[b], func(rank int, m ID) bool {
+					if rank >= len(items) || items[rank] != m {
+						t.Fatalf("RangeAbsent yielded %v at rank %d of %v", m, rank, items)
+					}
+					got = append(got, rank)
+					return len(got) != stop
+				})
+				if !slices.Equal(got, want) {
+					t.Fatalf("RangeAbsent(%d minus %d, %d) ranks %v, want %v", dst, a, b, got, want)
+				}
 			}
 			checkAgainst(t, vecs[dst], models[dst])
 		}

@@ -93,11 +93,13 @@ func TestRunScaleErrors(t *testing.T) {
 }
 
 // scaleCellCost runs one constant-density scale cell (pure epidemic,
-// one 30-bundle flow, Scenario.simulate over a ScenarioFromSpec
-// scenario) and reports the bytes and heap objects it allocated.
+// one 30-bundle flow, Scenario.simulate) and reports the bytes and heap
+// objects it allocated. It builds the cell as the population axis of
+// figures -only scale does, through streamedScenario: raw-streamed, no
+// plan recorded for a replay nothing makes.
 func scaleCellCost(t *testing.T, nodes int) (bytes, objects uint64) {
 	t.Helper()
-	sc, err := ScenarioFromSpec(ScaleMobilitySpan(nodes, 2000))
+	sc, err := streamedScenario(ScaleMobilitySpan(nodes, 2000))
 	if err != nil {
 		t.Fatal(err)
 	}

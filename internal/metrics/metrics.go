@@ -115,6 +115,15 @@ type HolderTracker struct {
 	// creation order — the same order Snapshot scans, which keeps the
 	// duplication sum's float accumulation bit-identical.
 	counts []int
+	// dirty marks counts changed since SampleFunc last summed them.
+	// While it is clear, alive and dup are that sum's Alive and
+	// Duplication over dupNodes nodes, and a sample over as many nodes
+	// reuses them: the result is a function of counts and the node
+	// count alone, so the reuse is exact.
+	dirty    bool
+	dupNodes int
+	alive    int
+	dup      float64
 }
 
 // idRun is the tracked IDs (src, seq) … (src, seq+n-1), whose dense
@@ -130,7 +139,9 @@ func NewHolderTracker() *HolderTracker { return &HolderTracker{} }
 
 // Clear empties t and keeps its slabs, so a tracker reused from run to
 // run grows them once. One assignment resets the whole tracker.
-func (t *HolderTracker) Clear() { *t = HolderTracker{runs: t.runs[:0], counts: t.counts[:0]} }
+func (t *HolderTracker) Clear() {
+	*t = HolderTracker{runs: t.runs[:0], counts: t.counts[:0], dirty: true}
+}
 
 // Grow makes room for n more tracked bundles, for a caller that knows
 // its workload's size: counts then never grow one append at a time.
@@ -179,11 +190,13 @@ func (t *HolderTracker) Track(id bundle.ID) {
 			// i starts past id, so the extended run overlaps nothing.
 			r.n++
 			t.counts = append(t.counts, 0)
+			t.dirty = true
 			return
 		}
 	}
 	t.runs = slices.Insert(t.runs, i+1, idRun{src: id.Src, seq: id.Seq, n: 1, at: len(t.counts)})
 	t.counts = append(t.counts, 0)
+	t.dirty = true
 }
 
 // Tracked returns the number of registered bundles.
@@ -198,6 +211,7 @@ func (t *HolderTracker) Inc(id bundle.ID) {
 		panic(fmt.Sprintf("metrics: Inc on untracked bundle %v", id))
 	}
 	t.counts[i]++
+	t.dirty = true
 }
 
 // Dec records one store shedding its copy of id.
@@ -212,6 +226,7 @@ func (t *HolderTracker) Dec(id bundle.ID) {
 		panic(fmt.Sprintf("metrics: holder count of %v went negative", id))
 	}
 	t.counts[i]--
+	t.dirty = true
 }
 
 // Holders returns the current holder count of id (zero if untracked).
@@ -231,7 +246,9 @@ func (t *HolderTracker) Holders(id bundle.ID) int {
 // states — without knowing which. Bit-identical to Snapshot over the
 // same population when occ(i) returns what nodes[i].Store.Occupancy()
 // would (the float accumulation order is the same), without the
-// per-bundle store scans.
+// per-bundle store scans. The duplication half is summed again only
+// after Track, Inc, Dec or Clear changed the counts, or for another
+// node count; otherwise the last sum is reused as it was.
 //
 //dtn:hotpath
 func (t *HolderTracker) SampleFunc(n int, occ func(int) float64, now sim.Time) Sample {
@@ -242,18 +259,31 @@ func (t *HolderTracker) SampleFunc(n int, occ func(int) float64, now sim.Time) S
 	}
 	s.Occupancy = occSum / float64(n)
 
+	if t.dirty || t.dupNodes != n {
+		t.alive, t.dup = duplication(t.counts, n)
+		t.dirty, t.dupNodes = false, n
+	}
+	s.Alive, s.Duplication = t.alive, t.dup
+	return s
+}
+
+// duplication returns how many of counts are non-zero and the mean of
+// those holder counts as shares of n nodes, summed in counts' order.
+//
+//dtn:hotpath
+func duplication(counts []int, n int) (alive int, dup float64) {
 	var dupSum float64
-	for _, holders := range t.counts {
+	for _, holders := range counts {
 		if holders == 0 {
 			continue
 		}
-		s.Alive++
+		alive++
 		dupSum += float64(holders) / float64(n)
 	}
-	if s.Alive > 0 {
-		s.Duplication = dupSum / float64(s.Alive)
+	if alive > 0 {
+		dup = dupSum / float64(alive)
 	}
-	return s
+	return alive, dup
 }
 
 // Collector aggregates the run's observer stream: it folds samples into

@@ -249,6 +249,69 @@ func TestHolderTrackerSampleMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// TestHolderTrackerSampleMemoIsExact: SampleFunc reuses its last
+// duplication sum until Track, Inc, Dec or Clear changes the counts or
+// the node count changes, and the reuse must be invisible. Random op
+// sequences, with repeated samples between them, give samples whose
+// every field is bitwise equal to a fresh recompute over the test's
+// own copy of the counts.
+func TestHolderTrackerSampleMemoIsExact(t *testing.T) {
+	fresh := func(counts []int, n int) (alive int, dup float64) {
+		var sum float64
+		for _, c := range counts {
+			if c > 0 {
+				alive++
+				sum += float64(c) / float64(n)
+			}
+		}
+		if alive > 0 {
+			dup = sum / float64(alive)
+		}
+		return alive, dup
+	}
+	f := func(seed uint64) bool {
+		r := rand.New(rand.NewPCG(seed, 11))
+		tr := NewHolderTracker()
+		var ids []bundle.ID
+		var counts []int
+		occ := func(i int) float64 { return float64(i) / 7 }
+		for step := 0; step < 400; step++ {
+			switch op := r.IntN(10); {
+			case op == 0:
+				id := bundle.ID{Src: contact.NodeID(r.IntN(3)), Seq: len(ids) + 1}
+				tr.Track(id)
+				ids, counts = append(ids, id), append(counts, 0)
+			case op <= 2 && len(ids) > 0:
+				i := r.IntN(len(ids))
+				tr.Inc(ids[i])
+				counts[i]++
+			case op <= 4 && len(ids) > 0:
+				if i := r.IntN(len(ids)); counts[i] > 0 {
+					tr.Dec(ids[i])
+					counts[i]--
+				}
+			case op == 5 && r.IntN(8) == 0:
+				tr.Clear()
+				ids, counts = ids[:0], counts[:0]
+			default:
+				n := 3 + r.IntN(2) // the node count moves now and then
+				for range 1 + r.IntN(3) {
+					got := tr.SampleFunc(n, occ, sim.Time(step))
+					alive, dup := fresh(counts, n)
+					if got.Alive != alive || math.Float64bits(got.Duplication) != math.Float64bits(dup) ||
+						got.Tracked != len(counts) || got.Now != sim.Time(step) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHolderTrackerSampleZeroAlloc: the per-tick sampling path must not
 // allocate.
 func TestHolderTrackerSampleZeroAlloc(t *testing.T) {

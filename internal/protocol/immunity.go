@@ -51,7 +51,7 @@ func NewImmunity() *Immunity { return &Immunity{RecordSlotFraction: 0.2} }
 // RestoreExt and Init start it unknown and the first purge scans.
 type immunityState struct {
 	// ilist lives by value, in the Slab with its state.
-	ilist bundle.SummaryVector
+	ilist iList
 	// purgedLen and purgedPuts are ilist.Len() and Store.Puts() as the
 	// last purge left them; purgedLen < 0 means no purge has run.
 	purgedLen  int
@@ -78,7 +78,54 @@ func (*Immunity) Init(n *node.Node, s *Slab) {
 	n.Ext = st
 }
 
-func ilistOf(n *node.Node) *bundle.SummaryVector {
+// iList is an immunity table: the set of bundle IDs known delivered,
+// and its size. Every Exchange reads the size several times (the purge
+// memo, the control load), and a bundle.SummaryVector counts its
+// members page by page, so the list keeps the count beside the set and
+// moves it in the two ways a list grows, Add and Merge. It never
+// shrinks. The zero value is an empty list.
+type iList struct {
+	ids bundle.SummaryVector
+	n   int
+}
+
+// Add inserts id, reporting whether it was newly added.
+func (l *iList) Add(id bundle.ID) bool {
+	if !l.ids.Add(id) {
+		return false
+	}
+	l.n++
+	return true
+}
+
+// Merge adds src's first budget records, as bundle.SummaryVector.Merge.
+//
+//dtn:hotpath
+func (l *iList) Merge(src *iList, budget int) (sent, added int) {
+	sent, added = l.ids.Merge(&src.ids, budget)
+	l.n += added
+	return sent, added
+}
+
+// Clear empties l and keeps its storage.
+func (l *iList) Clear() { l.ids.Clear(); l.n = 0 }
+
+// Has reports membership.
+//
+//dtn:hotpath
+func (l *iList) Has(id bundle.ID) bool { return l.ids.Has(id) }
+
+// Len returns the number of records in l.
+func (l *iList) Len() int { return l.n }
+
+// Range calls fn for every record in ascending ID order, stopping early
+// if fn returns false.
+func (l *iList) Range(fn func(bundle.ID) bool) { l.ids.Range(fn) }
+
+// Items returns a fresh slice of the records in ascending ID order.
+func (l *iList) Items() []bundle.ID { return l.ids.Items() }
+
+func ilistOf(n *node.Node) *iList {
 	return &n.Ext.(*immunityState).ilist
 }
 

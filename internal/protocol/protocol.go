@@ -155,22 +155,20 @@ func slot[T any](states *[]T, nodes int, id contact.NodeID) *T {
 // lowest-sequence bundles and bundles beyond the buffer size could
 // never ride relays at all.
 // The returned slice is backed by sc: it is valid until sc's next
-// use, and callers may filter it in place. Store.Range walks the store's sorted index, so the direct
-// prefix is already in ascending ID order — no re-sort happens here
+// use, and callers may filter it in place. Store.RangeMissing walks the
+// sender's index in ascending ID order, masking off a page at a time
+// what the receiver stores or received, so the direct prefix is
+// already in ascending ID order — no re-sort happens here
 // (TestMissingDirectPrefixOrder pins this).
 //
 //dtn:hotpath
 func missing(sender, receiver *node.Node, rng *sim.RNG, sc *Scratch) []bundle.ID {
 	direct, relay := sc.direct[:0], sc.relay[:0]
-	sender.Store.Range(func(cp *bundle.Copy) bool {
-		id := cp.Bundle.ID
-		if receiver.Store.Has(id) || receiver.Received.Has(id) {
-			return true
-		}
+	sender.Store.RangeMissing(receiver.Store, receiver.Received, func(cp *bundle.Copy) bool {
 		if cp.Bundle.Dst == receiver.ID {
-			direct = append(direct, id)
+			direct = append(direct, cp.Bundle.ID)
 		} else {
-			relay = append(relay, id)
+			relay = append(relay, cp.Bundle.ID)
 		}
 		return true
 	})
