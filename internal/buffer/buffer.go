@@ -273,11 +273,10 @@ func (s *Store) Put(c *bundle.Copy) error {
 //
 //dtn:hotpath
 func (s *Store) Remove(id bundle.ID) bool {
-	i, ok := s.index.Rank(id)
+	i, ok := s.index.Remove(id)
 	if !ok {
 		return false
 	}
-	s.index.Remove(id)
 	// Read the copy before the memmove overwrites its slot.
 	size, pinned := s.order[i].Bundle.Meta.Size, s.order[i].Pinned
 	copy(s.order[i:], s.order[i+1:])
@@ -438,6 +437,43 @@ func (s *Store) PurgeExpired(now sim.Time, expired func(bundle.ID)) {
 //dtn:hotpath
 func (s *Store) PurgeMatching(match func(*bundle.Copy) bool, removed func(bundle.ID)) {
 	s.purge(match, removed)
+}
+
+// PurgeIn removes every copy (pinned included) whose ID set holds,
+// calling removed with each removed copy's ID in ascending order: an
+// immunity i-list's purge. It ANDs the index's pages with set's
+// (SummaryVector.RemoveIn), so it searches nothing per copy, and moves
+// each kept copy at most once. The min-expiry bound is left as it was
+// unless no unpinned copy is left (a stale-low bound costs PurgeExpired
+// one scan, which makes it exact again). removed runs mid-pass, so it
+// may not touch the store. It allocates nothing.
+//
+//dtn:hotpath
+func (s *Store) PurgeIn(set *bundle.SummaryVector, removed func(bundle.ID)) {
+	// order[:w] holds the copies kept so far, order[r:] the ones not
+	// yet passed; a removed copy's rank is its slot before the purge.
+	w, r := 0, 0
+	s.index.RemoveIn(set, func(i int, id bundle.ID) {
+		w += copy(s.order[w:], s.order[r:i])
+		r = i + 1
+		c := &s.order[i]
+		s.totalBytes -= c.Bundle.Meta.Size
+		if c.Pinned {
+			s.pinned--
+		} else {
+			s.unpinnedBytes -= c.Bundle.Meta.Size
+		}
+		removed(id)
+	})
+	if r == 0 {
+		return // nothing matched
+	}
+	w += copy(s.order[w:], s.order[r:])
+	clear(s.order[w:])
+	s.order = s.order[:w]
+	if s.Unpinned() == 0 {
+		s.minExpiry = sim.Infinity
+	}
 }
 
 // purge removes matching copies in one in-order pass that compacts the

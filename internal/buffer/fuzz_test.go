@@ -48,11 +48,12 @@ func (m storeModel) unpinned() int {
 
 // FuzzStoreIndex drives two stores and a received set through a
 // byte-coded op stream — Put (pinned or not, refused when full or a
-// duplicate), Remove, PurgeMatching, a received-set Add, and the
-// masked anti-entropy diff RangeMissing with early stops — over IDs of
-// three sources at page edges, and checks both stores against a map +
-// sort model after every op: Get and Has for every ID, Range order and
-// contents, Len and Unpinned.
+// duplicate), Remove, PurgeMatching, PurgeIn of the received set, a
+// received-set Add, and the masked anti-entropy diff RangeMissing with
+// early stops — over IDs of three sources at page edges, and checks
+// both stores against a map + sort model after every op: Get and Has
+// for every ID, Range order and contents, Len, Unpinned and the byte
+// counts.
 func FuzzStoreIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 0, 1, 4, 0, 0, 7, 4, 1, 2, 5, 0, 0, 1, 0, 1, 2, 1, 4, 3, 0, 9, 5, 1, 3})
@@ -82,7 +83,7 @@ func FuzzStoreIndex(f *testing.F) {
 			switch op % 6 {
 			case 0, 1:
 				c := &bundle.Copy{
-					Bundle:   &bundle.Bundle{ID: id, Dst: 9},
+					Bundle:   &bundle.Bundle{ID: id, Dst: 9, Meta: bundle.Meta{Size: int64(1 + y%7)}},
 					Expiry:   sim.Infinity,
 					StoredAt: sim.Time(step),
 					Pinned:   op%2 == 1,
@@ -105,10 +106,15 @@ func FuzzStoreIndex(f *testing.F) {
 					t.Fatalf("Remove(%v) = %v, want %v", id, !had, had)
 				}
 			case 3:
-				// Remove every copy of one source, or every pinned copy.
+				// Remove every copy of one source, every pinned copy, or
+				// (PurgeIn against the per-copy test it replaces) every
+				// copy the received set holds.
 				match := func(c *bundle.Copy) bool { return c.Bundle.ID.Src == id.Src }
-				if y%2 == 1 {
+				switch y % 3 {
+				case 1:
 					match = func(c *bundle.Copy) bool { return c.Pinned }
+				case 2:
+					match = func(c *bundle.Copy) bool { return received.Has(c.Bundle.ID) }
 				}
 				var want []bundle.ID
 				for _, mid := range m.sorted() {
@@ -118,9 +124,13 @@ func FuzzStoreIndex(f *testing.F) {
 					}
 				}
 				var got []bundle.ID
-				s.PurgeMatching(match, collect(&got))
+				if y%3 == 2 {
+					s.PurgeIn(&received, collect(&got))
+				} else {
+					s.PurgeMatching(match, collect(&got))
+				}
 				if !slices.Equal(got, want) {
-					t.Fatalf("PurgeMatching removed %v, want %v", got, want)
+					t.Fatalf("purge %d removed %v, want %v", y%3, got, want)
 				}
 			case 4:
 				recvModel[id] = true
@@ -173,5 +183,15 @@ func checkStore(t *testing.T, s *Store, m storeModel, all []bundle.ID) {
 	}
 	if s.Len() != len(m) || s.Unpinned() != m.unpinned() {
 		t.Fatalf("Len %d Unpinned %d, model %d and %d", s.Len(), s.Unpinned(), len(m), m.unpinned())
+	}
+	var used, unpinned int64
+	for _, c := range m {
+		used += c.Bundle.Meta.Size
+		if !c.Pinned {
+			unpinned += c.Bundle.Meta.Size
+		}
+	}
+	if s.UsedBytes() != used || s.UnpinnedBytes() != unpinned {
+		t.Fatalf("UsedBytes %d UnpinnedBytes %d, model %d and %d", s.UsedBytes(), s.UnpinnedBytes(), used, unpinned)
 	}
 }

@@ -185,18 +185,61 @@ func (v *SummaryVector) Add(id ID) bool {
 	return true
 }
 
-// Remove deletes id, reporting whether it was a member. A page left
-// empty goes, so no page is ever empty.
-func (v *SummaryVector) Remove(id ID) bool {
+// Remove deletes id, reporting whether it was a member and its Rank
+// before the removal: one search serves both, so a store that keeps its
+// copies in ID order learns the removed copy's slot. A page left empty
+// goes, so no page is ever empty.
+//
+//dtn:hotpath
+func (v *SummaryVector) Remove(id ID) (rank int, ok bool) {
 	src, block, bit := split(id)
 	i := v.search(src, block)
-	if i == len(v.pages) || !v.pages[i].is(src, block) || v.pages[i].bits&bit == 0 {
-		return false
+	for k := range v.pages[:i] {
+		rank += bits.OnesCount64(v.pages[k].bits)
 	}
-	if v.pages[i].bits &^= bit; v.pages[i].bits == 0 {
+	if i == len(v.pages) || !v.pages[i].is(src, block) {
+		return rank, false
+	}
+	p := &v.pages[i]
+	rank += bits.OnesCount64(p.bits & (bit - 1))
+	if p.bits&bit == 0 {
+		return rank, false
+	}
+	if p.bits &^= bit; p.bits == 0 {
 		v.pages = append(v.pages[:i], v.pages[i+1:]...)
 	}
-	return true
+	return rank, true
+}
+
+// RemoveIn deletes every member of v that x holds, calling fn for each
+// in ascending (Src, Seq) order with its rank in v before the call and
+// its ID: one AND per page of v against x's page of the same key, no
+// per-member search, and v's pages moved at most once to drop the ones
+// left empty. fn runs mid-pass, so it may touch neither vector. It
+// allocates nothing.
+//
+//dtn:hotpath
+func (v *SummaryVector) RemoveIn(x *SummaryVector, fn func(rank int, id ID)) {
+	j, rank, kept := 0, 0, 0
+	for i := range v.pages {
+		if j == len(x.pages) && kept == i {
+			return // x has no page left: the rest of v stays where it is
+		}
+		p := v.pages[i]
+		w := p.bits & wordAt(x.pages, &j, p.src, p.block)
+		for m := w; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			fn(rank+bits.OnesCount64(p.bits&(1<<b-1)), p.id(b))
+		}
+		rank += bits.OnesCount64(p.bits)
+		if p.bits &^= w; p.bits != 0 {
+			if w != 0 || kept < i {
+				v.pages[kept] = p
+			}
+			kept++
+		}
+	}
+	v.pages = v.pages[:kept]
 }
 
 // firstPages is how many pages a vector's first allocation holds. An

@@ -22,6 +22,17 @@ func (m modelSet) sorted() []ID {
 	return ids
 }
 
+// rank is how many members order before id.
+func (m modelSet) rank(id ID) int {
+	n := 0
+	for x := range m {
+		if x.Less(id) {
+			n++
+		}
+	}
+	return n
+}
+
 // merge is Merge's specification: the first budget members in
 // ascending order cross; the ones the target lacked are added.
 func (m modelSet) merge(src modelSet, budget int) (sent, added int) {
@@ -73,7 +84,8 @@ func fuzzID(y int) ID {
 }
 
 // FuzzSummaryVector drives three vectors through a byte-coded op
-// stream — Add, Has, Remove, Rank, the masked walk RangeAbsent, and
+// stream — Add, Has, Remove and its rank, the masked removal RemoveIn
+// (self included), Rank, the masked walk RangeAbsent, and
 // bounded Merge at budgets 0, 1, below, at and above the source's
 // length and negative, self-merge included — over IDs at page edges,
 // negative and near math.MaxInt, and checks each against a map + sort
@@ -126,19 +138,35 @@ func FuzzSummaryVector(f *testing.F) {
 				}
 				checkAgainst(t, vecs[src], models[src])
 			case 3:
+				if (x/3)%2 == 1 {
+					src := (x / 6) % 3 // may equal dst: removes everything
+					var want, got []int
+					var wantIDs, gotIDs []ID
+					for rank, m := range models[dst].sorted() {
+						if _, in := models[src][m]; in {
+							want, wantIDs = append(want, rank), append(wantIDs, m)
+						}
+					}
+					vecs[dst].RemoveIn(vecs[src], func(rank int, m ID) {
+						got, gotIDs = append(got, rank), append(gotIDs, m)
+					})
+					if !slices.Equal(got, want) || !slices.Equal(gotIDs, wantIDs) {
+						t.Fatalf("RemoveIn(%d of %d) = %v at ranks %v, want %v at %v", src, dst, gotIDs, got, wantIDs, want)
+					}
+					for _, m := range wantIDs {
+						delete(models[dst], m)
+					}
+					break
+				}
 				_, had := models[dst][id]
+				wantRank := models[dst].rank(id)
 				delete(models[dst], id)
-				if vecs[dst].Remove(id) != had {
-					t.Fatalf("Remove(%v) = %v, want %v", id, !had, had)
+				if rank, ok := vecs[dst].Remove(id); rank != wantRank || ok != had {
+					t.Fatalf("Remove(%v) = (%d, %v), want (%d, %v)", id, rank, ok, wantRank, had)
 				}
 			case 4:
 				_, want := models[dst][id]
-				wantRank := 0
-				for m := range models[dst] {
-					if m.Less(id) {
-						wantRank++
-					}
-				}
+				wantRank := models[dst].rank(id)
 				if rank, ok := vecs[dst].Rank(id); rank != wantRank || ok != want {
 					t.Fatalf("Rank(%v) = (%d, %v), want (%d, %v)", id, rank, ok, wantRank, want)
 				}

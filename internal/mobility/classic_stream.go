@@ -3,6 +3,7 @@ package mobility
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -20,14 +21,14 @@ import (
 //     materializing the whole itinerary;
 //   - range detection uses a grid rebuilt every step by a counting sort
 //     (node → cell, one prefix-sum array, nodes ascending inside each
-//     cell, positions copied alongside in grid order): any pair within
-//     Range shares a 3×3 cell neighbourhood, so a step costs
-//     O(nodes + nearby pairs) instead of the test-side reference's
-//     O(nodes²) pairwise scan;
-//   - the scan walks the grid order front to back and tests each node
-//     against two contiguous runs of it — the rest of its own cell plus
-//     the cell to its right, and the three cells of the next row — so
-//     every neighbouring pair is tested once, from one end;
+//     cell; positions stay by node id): any pair within Range shares a
+//     3×3 cell neighbourhood, so a step costs O(nodes + nearby pairs)
+//     instead of the test-side reference's O(nodes²) pairwise scan;
+//   - the scan walks the grid order front to back, one occupied cell at
+//     a time, and tests each node against two contiguous runs of it —
+//     the rest of its own cell plus the cell to its right, and the three
+//     cells of the next row — so every neighbouring pair is tested once,
+//     from one end;
 //   - the step's in-range pairs come out in grid order and are put in
 //     PairKey order by two stable counting passes over node ids (by the
 //     higher node, then the lower), skipped when they already are in
@@ -40,18 +41,25 @@ import (
 //     run to a bucket, and a bucket is handed out, merged from its runs
 //     into pair order, once no pair that opened at or before its step
 //     is still open;
-//   - a step runs in two stages on two goroutines. The sample stage —
-//     walks, grid, scan and pair sort — runs on a helper goroutine up
-//     to lookahead steps ahead, writing each step's key-ordered pairs
-//     into a buffer of a fixed ring; the merge stage — the merge walk,
-//     the close buckets and their release — runs in Next, on the
-//     caller's goroutine, taking the buffers in step order. The helper
-//     owns the walks and the grid while it runs, never blocks, and
-//     exits when no buffer is idle or no step is left; Next relaunches
-//     it when it gives a buffer back, so a source abandoned mid-stream
-//     leaves no goroutine behind once the ring is full. Each stage does
-//     the work it did on one goroutine, in the same order, so the
-//     stream is the same contact for contact.
+//   - a step runs in three stages. The position stage advances every
+//     walk to the step's time and writes each node's position into a
+//     scratch set; it is sequential, and the only code that touches
+//     the walks. The pair stage — grid, scan and pair sort — is a pure
+//     function of those positions and writes the step's key-ordered
+//     pairs into a buffer of a fixed ring. Both run on up to
+//     min(GOMAXPROCS, 2) helper goroutines, up to lookahead steps
+//     ahead, each helper with its own scratch set: a helper claims the
+//     next step, holds the walks while it positions it, then releases
+//     them and searches that step's pairs while another positions the
+//     next. The merge stage — the merge walk, the close buckets and
+//     their release — runs in Next, on the caller's goroutine, taking
+//     each step's buffer once its slot is marked with that step. A
+//     helper never blocks: it exits when no step can be claimed, and
+//     Next relaunches one when it gives a buffer back (as a helper
+//     does when it releases the walks), so a source abandoned
+//     mid-stream leaves no goroutine behind once the ring is full. A
+//     step's pairs depend on its positions alone, so the stream is the
+//     same contact for contact at any helper count.
 func (g ClassicRWP) Stream() (contact.Source, error) {
 	g = g.Defaults()
 	if err := g.validate(); err != nil {
@@ -68,20 +76,15 @@ func (g ClassicRWP) Stream() (contact.Source, error) {
 	cols := int(g.AreaSide/side) + 1
 	root := sim.NewRNG(g.Seed)
 	s := &classicSource{
-		g:     g,
-		walks: make([]classicWalk, g.Nodes),
-		side:  side,
-		cols:  cols,
-		cell:  make([]int32, g.Nodes),
-		off:   make([]int32, cols*cols+2),
-		order: make([]int32, g.Nodes),
-		spos:  make([]point, g.Nodes),
-		steps: steps,
-		// About one pair per node at the scale cells' density.
-		lastPairs: g.Nodes,
+		g:              g,
+		walks:          make([]classicWalk, g.Nodes),
+		classicScratch: makeClassicScratch(g.Nodes, cols, side, g.Range),
+		steps:          steps,
+		helpers:        min(runtime.GOMAXPROCS(0), 2),
 	}
 	s.ready.L = &s.mu
 	s.spawn = s.helper
+	s.sets[0], s.nsets = &s.classicScratch, 1
 	// The last step sampled is the one before the first whose time
 	// reaches the span (step times never decrease, so that one is found
 	// by bisection), or steps if rounding keeps every step short of it.
@@ -125,13 +128,48 @@ func (g ClassicRWP) sampleSteps() int {
 // classicWalk is one node's lazy waypoint path: the current leg plus
 // the generation clock for drawing the next one.
 type classicWalk struct {
-	rng     sim.RNG
-	cur     leg
-	pending leg // the pause leg paired with a freshly drawn travel leg
+	rng    sim.RNG
+	cur    leg
+	genT   float64 // time at which the next leg pair starts
+	genPos point
+	// hasPend: cur is a freshly drawn travel leg, and the pause leg
+	// paired with it, from cur.t1 to genT at genPos, comes next.
 	hasPend bool
-	genT    float64 // time at which the next leg pair starts
-	genPos  point
 	done    bool // generation loop ended (genT reached the span)
+}
+
+// classicScratch is one helper's scratch set: a step's positions and
+// the grid the pair stage builds from them. The pair stage reads
+// nothing else, so two sets search two steps at once.
+type classicScratch struct {
+	side float64 // the grid's cell side, at least Range
+	cols int     // cells per row and per column
+	r2   float64 // Range²
+	pos  []point // node → position at the step's time
+	// The occupancy grid, rebuilt every step: cols×cols row-major cells
+	// of the given side; cell c holds nodes order[off[c]:off[c+1]],
+	// ascending.
+	cell      []int32 // node → cell; once the grid is placed, the pair sort's per-node counters
+	off       []int32
+	order     []int32
+	spare     []uint64 // the pair sort's intermediate pass
+	lastPairs int      // the last step this set searched: its pair count
+}
+
+// makeClassicScratch returns a scratch set for nodes nodes on a
+// cols×cols grid of the given side.
+func makeClassicScratch(nodes, cols int, side, radio float64) classicScratch {
+	return classicScratch{
+		side:  side,
+		cols:  cols,
+		r2:    radio * radio,
+		pos:   make([]point, nodes),
+		cell:  make([]int32, nodes),
+		off:   make([]int32, cols*cols+2),
+		order: make([]int32, nodes),
+		// About one pair per node at the scale cells' density.
+		lastPairs: nodes,
+	}
 }
 
 // classicOpen is an in-range pair's open contact window. key packs the
@@ -178,39 +216,37 @@ const lookahead = 8
 // classicSource runs the sampled-position simulation step by step,
 // emitting closed contacts in canonical order.
 type classicSource struct {
-	g     ClassicRWP
-	side  float64
-	cols  int
-	steps int    // sample steps the span allows
-	last  int    // the last step sampled and merged, the last before the span
-	spawn func() // helper, bound once so a relaunch allocates nothing
+	g       ClassicRWP
+	steps   int    // sample steps the span allows
+	last    int    // the last step sampled and merged, the last before the span
+	helpers int    // helpers that may run at once: min(GOMAXPROCS, 2) at Stream
+	spawn   func() // helper, bound once so a relaunch allocates nothing
 
-	// The sample stage's state, owned by the helper goroutine while one
-	// runs (and by nobody while none does).
+	// The position stage's state, owned by the helper that is
+	// positioning a step (and by nobody while none is).
 	walks []classicWalk
-	// The occupancy grid, rebuilt every step: cols×cols row-major cells
-	// of the given side; cell c holds nodes order[off[c]:off[c+1]],
-	// ascending, at positions spos[off[c]:off[c+1]].
-	cell      []int32 // node → cell; once the grid is placed, the pair sort's per-node counters
-	off       []int32
-	order     []int32
-	spos      []point
-	spare     []uint64 // scratch: the pair sort's intermediate pass
-	lastPairs int      // the last sampled step's pair count
+	// The first helper's scratch set (its grid shape is the source's);
+	// a second is made when a second helper first runs.
+	classicScratch
 
 	// The hand-off, under mu. ring[k%lookahead] holds step k's pairs
-	// for freed <= k < sampled; the merge stage holds step freed's
-	// until it takes the next one. Buffers given back wait in idle, and
-	// the helper reuses the last one given back first, so a ring that
-	// seldom fills allocates few buffers.
+	// once mark[k%lookahead] is k+1, for freed <= k < claimed; the
+	// merge stage holds step freed's until it takes the next one.
+	// Buffers given back wait in idle, and a helper reuses the last one
+	// given back first, so a ring that seldom fills allocates few
+	// buffers.
 	mu      sync.Mutex
-	ready   sync.Cond // signalled when a step is sampled
+	ready   sync.Cond // signalled when a step's pairs are in the ring
 	ring    [lookahead][]uint64
+	mark    [lookahead]int
 	idle    [lookahead][]uint64
 	nidle   int
-	sampled int  // steps sampled: the helper's next step
-	freed   int  // steps whose buffer the merge stage gave back
-	running bool // a helper goroutine is live
+	claimed int                // steps claimed by a helper: the next one to position
+	freed   int                // steps whose buffer the merge stage gave back
+	walking bool               // a helper is positioning a step
+	running int                // helper goroutines live
+	sets    [2]*classicScratch // the scratch sets no helper holds
+	nsets   int
 
 	// The merge stage's state, owned by the caller of Next.
 	pairs []uint64 // the held ring buffer: this step's in-range pairs, in key order
@@ -244,7 +280,8 @@ type classicSource struct {
 func (s *classicSource) advanceWalk(w *classicWalk, t float64) {
 	for w.cur.t1 < t {
 		if w.hasPend {
-			w.cur, w.hasPend = w.pending, false
+			w.cur = leg{t0: w.cur.t1, t1: w.genT, a: w.genPos, b: w.genPos}
+			w.hasPend = false
 			continue
 		}
 		if w.done || sim.Time(w.genT) >= s.g.Span {
@@ -256,7 +293,6 @@ func (s *classicSource) advanceWalk(w *classicWalk, t float64) {
 		arrive := w.genT + dist(w.genPos, dst)/speed
 		pause := w.rng.Uniform(0, s.g.MaxPause)
 		w.cur = leg{t0: w.genT, t1: arrive, a: w.genPos, b: dst}
-		w.pending = leg{t0: arrive, t1: arrive + pause, a: dst, b: dst}
 		w.hasPend = true
 		w.genPos = dst
 		w.genT = arrive + pause
@@ -270,8 +306,8 @@ func (s *classicSource) timeOf(k int) float64 {
 
 // axisCell is the grid row or column of a coordinate, clamped at the
 // border (a monotone clamp keeps neighbours neighbours).
-func (s *classicSource) axisCell(x float64) int {
-	return max(0, min(int(x/s.side), s.cols-1))
+func (sc *classicScratch) axisCell(x float64) int {
+	return max(0, min(int(x/sc.side), sc.cols-1))
 }
 
 // runStep takes the step's pairs from the sample stage, merges them
@@ -321,20 +357,18 @@ func (s *classicSource) runStep() {
 	s.bound = sim.Time(bound)
 }
 
-// take gives the buffer of the step before k back to the ring, makes
-// sure a helper is sampling while a slot is idle and a step is left,
-// and returns step k's pairs once they are sampled. k is at most last.
+// take gives the buffers of the steps before k back to the ring, makes
+// sure a helper is sampling while a step can be claimed, and returns
+// step k's pairs once its slot is marked with them. k is at most last.
 func (s *classicSource) take(k int) []uint64 {
 	s.mu.Lock()
 	for ; s.freed < k; s.freed++ {
-		s.idle[s.nidle], s.ring[s.freed%lookahead] = s.ring[s.freed%lookahead], nil
+		i := s.freed % lookahead
+		s.idle[s.nidle], s.ring[i] = s.ring[i], nil
 		s.nidle++
 	}
-	if !s.running && s.sampled <= s.last && s.sampled-s.freed < lookahead {
-		s.running = true
-		go s.spawn()
-	}
-	for s.sampled <= k {
+	s.launch()
+	for s.mark[k%lookahead] != k+1 {
 		s.ready.Wait()
 	}
 	pairs := s.ring[k%lookahead]
@@ -342,124 +376,164 @@ func (s *classicSource) take(k int) []uint64 {
 	return pairs
 }
 
-// helper is the sample stage: it samples steps in order, each into an
-// idle buffer (a new one while fewer than lookahead exist), and
-// returns, never waiting, when none is idle or no step is left.
+// launch starts a helper, with s.mu held, when one more may run and a
+// step can be claimed.
+func (s *classicSource) launch() {
+	if s.running < s.helpers && s.claimable() {
+		s.running++
+		go s.spawn()
+	}
+}
+
+// claimable reports, with s.mu held, whether a helper may claim the
+// next step: the walks are free, a step is left and its slot is idle.
+func (s *classicSource) claimable() bool {
+	return !s.walking && s.claimed <= s.last && s.claimed-s.freed < lookahead
+}
+
+// helper samples steps in claim order: for each it takes an idle buffer
+// (a new one while fewer than lookahead exist), positions the step with
+// the walks held, then releases them — starting another helper for the
+// next step when one may run — and searches the step's pairs into the
+// buffer. It returns, never waiting, when no step can be claimed.
 func (s *classicSource) helper() {
 	s.mu.Lock()
-	for s.sampled <= s.last && s.sampled-s.freed < lookahead {
-		k := s.sampled
+	if s.nsets == 0 {
+		sc := makeClassicScratch(s.g.Nodes, s.cols, s.side, s.g.Range)
+		s.sets[0], s.nsets = &sc, 1
+	}
+	s.nsets--
+	sc := s.sets[s.nsets]
+	for s.claimable() {
+		k := s.claimed
+		s.claimed++
+		s.walking = true
 		var pairs []uint64
 		if s.nidle > 0 {
 			s.nidle--
 			pairs, s.idle[s.nidle] = s.idle[s.nidle], nil
 		}
 		s.mu.Unlock()
-		pairs = s.sample(k, pairs)
+		s.position(k, sc.pos)
 		s.mu.Lock()
-		s.ring[k%lookahead] = pairs
-		s.sampled++
+		s.walking = false
+		s.launch()
+		s.mu.Unlock()
+		pairs = sc.search(pairs)
+		s.mu.Lock()
+		s.ring[k%lookahead], s.mark[k%lookahead] = pairs, k+1
 		s.ready.Signal()
 	}
-	s.running = false
+	s.sets[s.nsets] = sc
+	s.nsets++
+	s.running--
 	s.mu.Unlock()
 }
 
-// sample samples every node's position at the given step's time,
-// re-sorts the grid and writes the step's in-range pairs, in key order,
-// over pairs.
+// position is the position stage: it advances every walk to the given
+// step's time and writes each node's position to pos, in node order.
 //
 //dtn:hotpath
-func (s *classicSource) sample(step int, pairs []uint64) []uint64 {
+func (s *classicSource) position(step int, pos []point) {
 	t := s.timeOf(step)
-	// Counting sort by cell. Counts go in two slots up, so the prefix
-	// sum leaves cell c's first slot in off[c+1]; placing nodes in
-	// ascending order advances it to the cell's end, which is where
-	// cell c+1 starts. A node's position is recomputed as it is placed,
-	// so the scan reads positions in grid order.
-	clear(s.off)
+	pos = pos[:len(s.walks)]
 	for n := range s.walks {
 		w := &s.walks[n]
 		s.advanceWalk(w, t)
-		p := w.cur.at(t)
-		c := int32(s.axisCell(p.y)*s.cols + s.axisCell(p.x))
-		s.cell[n] = c
-		s.off[c+2]++
+		pos[n] = w.cur.at(t)
 	}
-	for c := 1; c < len(s.off); c++ {
-		s.off[c] += s.off[c-1]
+}
+
+// search is the pair stage: it places the set's positions in the grid
+// and writes their in-range pairs, in key order, over pairs.
+//
+//dtn:hotpath
+func (sc *classicScratch) search(pairs []uint64) []uint64 {
+	// Counting sort by cell. Counts go in two slots up, so the prefix
+	// sum leaves cell c's first slot in off[c+1]; placing nodes in
+	// ascending order advances it to the cell's end, which is where
+	// cell c+1 starts.
+	clear(sc.off)
+	cell := sc.cell[:len(sc.pos)]
+	for n, p := range sc.pos {
+		c := int32(sc.axisCell(p.y)*sc.cols + sc.axisCell(p.x))
+		cell[n] = c
+		sc.off[c+2]++
 	}
-	for n, c := range s.cell {
-		k := s.off[c+1]
-		s.order[k] = int32(n)
-		s.spos[k] = s.walks[n].cur.at(t)
-		s.off[c+1]++
+	for c := 1; c < len(sc.off); c++ {
+		sc.off[c] += sc.off[c-1]
+	}
+	for n, c := range cell {
+		k := sc.off[c+1]
+		sc.order[k] = int32(n)
+		sc.off[c+1]++
 	}
 
 	// Room for about the last step's pairs, so a fresh buffer grows once.
-	pairs = s.scan(slices.Grow(pairs[:0], s.lastPairs+s.lastPairs/8))
-	s.lastPairs = len(pairs)
+	pairs = sc.scan(slices.Grow(pairs[:0], sc.lastPairs+sc.lastPairs/8))
+	sc.lastPairs = len(pairs)
 	return pairs
 }
 
 // scan writes the step's in-range pairs over pairs, in key order. It
-// walks the grid order front to back and tests each node against two
-// contiguous runs of it: the rest of its own cell plus the cell to its
-// right (a row's cells are adjacent in order), and the three cells of
-// the next row. Every pair of neighbouring cells is visited once, from
-// its earlier cell; a candidate farther than Range (cells may be wider
-// than it) is turned away by the distance test.
+// walks the grid order front to back, one occupied cell at a time, and
+// tests each node against two contiguous runs of it: the rest of its
+// own cell plus the cell to its right (a row's cells are adjacent in
+// order), and the three cells of the next row. Every pair of
+// neighbouring cells is visited once, from its earlier cell; a
+// candidate farther than Range (cells may be wider than it) is turned
+// away by the distance test.
 //
 //dtn:hotpath
-func (s *classicSource) scan(pairs []uint64) []uint64 {
-	cols := s.cols
+func (sc *classicScratch) scan(pairs []uint64) []uint64 {
+	cols := sc.cols
 	pairs = pairs[:0]
-	for cy := range cols {
-		row := s.off[cy*cols : (cy+1)*cols+1]
-		for cx := range cols {
-			lo, hi := row[cx], row[cx+1]
-			if lo == hi {
-				continue
-			}
-			x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
-			right := row[x1+1]
-			below, belowEnd := right, right // no next row
-			if cy+1 < cols {
-				below, belowEnd = s.off[(cy+1)*cols+x0], s.off[(cy+1)*cols+x1+1]
-			}
-			for a := lo; a < hi; a++ {
-				pairs = s.appendNear(pairs, a, a+1, right)
-				pairs = s.appendNear(pairs, a, below, belowEnd)
-			}
+	for lo, end := int32(0), int32(len(sc.order)); lo < end; {
+		c := int(sc.cell[sc.order[lo]])
+		hi := sc.off[c+1]
+		cy, cx := c/cols, c%cols
+		x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
+		right := sc.off[cy*cols+x1+1]
+		below, belowEnd := right, right // no next row
+		if cy+1 < cols {
+			below, belowEnd = sc.off[(cy+1)*cols+x0], sc.off[(cy+1)*cols+x1+1]
 		}
+		for a := lo; a < hi; a++ {
+			pairs = sc.appendNear(pairs, a, right, below, belowEnd)
+		}
+		lo = hi
 	}
 	if slices.IsSorted(pairs) {
 		return pairs // one cell, or a grid whose order happened to be key order
 	}
-	s.spare = slices.Grow(s.spare[:0], len(pairs))[:len(pairs)]
-	s.countPass(s.spare, pairs, 0)  // by the higher node
-	s.countPass(pairs, s.spare, 32) // then, stably, by the lower
+	sc.spare = slices.Grow(sc.spare[:0], len(pairs))[:len(pairs)]
+	sc.countPass(sc.spare, pairs, 0)  // by the higher node
+	sc.countPass(pairs, sc.spare, 32) // then, stably, by the lower
 	return pairs
 }
 
-// appendNear appends to pairs the key of every pair between the node at
-// grid slot a and the nodes at slots b0..b1-1 that lies within Range.
-// Each candidate's key is written and kept only if the pair is in
-// range, so the distance test is not a branch to mispredict.
+// appendNear appends to pairs the key of every pair within Range
+// between the node at grid slot a and the nodes at slots a+1..right-1
+// and below..belowEnd-1, growing pairs once for both runs. Each
+// candidate's key is written and kept only if the pair is in range, so
+// the distance test is not a branch to mispredict.
 //
 //dtn:hotpath
-func (s *classicSource) appendNear(pairs []uint64, a, b0, b1 int32) []uint64 {
-	p, i, r2 := s.spos[a], uint64(s.order[a]), s.g.Range*s.g.Range
-	ids, pos := s.order[b0:b1], s.spos[b0:b1]
+func (sc *classicScratch) appendNear(pairs []uint64, a, right, below, belowEnd int32) []uint64 {
+	own, next := sc.order[a+1:right], sc.order[below:belowEnd]
+	i := sc.order[a]
+	p, ii := sc.pos[i], uint64(i)
 	n := len(pairs)
-	pairs = slices.Grow(pairs, len(pos))
-	out := pairs[n : n+len(pos)]
+	pairs = slices.Grow(pairs, len(own)+len(next))
+	out := pairs[n : n+len(own)+len(next)]
 	m := 0
-	for k, q := range pos {
-		j := uint64(ids[k])
-		out[m] = min(i, j)<<32 | max(i, j)
-		if dx, dy := p.x-q.x, p.y-q.y; dx*dx+dy*dy <= r2 {
-			m++
+	for _, ids := range [2][]int32{own, next} {
+		for _, j := range ids {
+			q, jj := sc.pos[j], uint64(j)
+			out[m] = min(ii, jj)<<32 | max(ii, jj)
+			if dx, dy := p.x-q.x, p.y-q.y; dx*dx+dy*dy <= sc.r2 {
+				m++
+			}
 		}
 	}
 	return pairs[:n+m]
@@ -467,11 +541,11 @@ func (s *classicSource) appendNear(pairs []uint64, a, b0, b1 int32) []uint64 {
 
 // countPass scatters src into dst ordered by the node id in bits
 // shift..shift+31 of each key, keeping src's order among equal ids. Its
-// per-node counters are s.cell, spent once the grid is placed.
+// per-node counters are sc.cell, spent once the grid is placed.
 //
 //dtn:hotpath
-func (s *classicSource) countPass(dst, src []uint64, shift uint) {
-	count := s.cell
+func (sc *classicScratch) countPass(dst, src []uint64, shift uint) {
+	count := sc.cell
 	clear(count)
 	for _, key := range src {
 		count[uint32(key>>shift)]++

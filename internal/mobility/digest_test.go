@@ -74,13 +74,14 @@ func streamDigest(t *testing.T, spec string, seed uint64) (int, uint64) {
 	return n, h.Sum64()
 }
 
-// TestClassicStreamDigests drains every pinned stream twice: with the
-// process's processors, where the sample stage runs beside the merge
-// stage, and under GOMAXPROCS(1), where the two stages take turns on
-// one. The lookahead must not be visible in either.
+// TestClassicStreamDigests drains every pinned stream at GOMAXPROCS 1,
+// where one helper and the merge stage take turns on one processor, and
+// at 2 and 4, where two helpers position and search steps beside the
+// merge stage, whatever the machine's core count. Neither the lookahead
+// nor the helper count may be visible.
 func TestClassicStreamDigests(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range classicDigests {
 			if n, digest := streamDigest(t, tc.spec, tc.seed); n != tc.contacts || digest != tc.digest {
@@ -111,12 +112,15 @@ func TestClassicStreamConcurrentDrains(t *testing.T) {
 }
 
 // TestClassicStreamAbandonedLeavesNoGoroutine: a source dropped after
-// one contact has a helper at most lookahead steps from exiting, and
+// one contact has its helpers at most lookahead steps from exiting, and
 // nothing to wait on, so twenty abandoned 5k-node sources leave no
-// goroutine behind.
+// goroutine behind — with one helper, and with two in flight under
+// GOMAXPROCS(2).
 func TestClassicStreamAbandonedLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	before := runtime.NumGoroutine()
 	for seed := range uint64(20) {
+		runtime.GOMAXPROCS(1 + int(seed%2))
 		src, err := ClassicRWP{Nodes: 5000, AreaSide: 14142, Span: 2500, Range: 100, SampleDT: 25, Seed: seed}.Stream()
 		if err != nil {
 			t.Fatal(err)

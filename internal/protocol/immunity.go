@@ -147,8 +147,7 @@ func purgeDead(n *node.Node, now sim.Time) {
 	if st.purgedLen == il.Len() && st.purgedPuts == n.Store.Puts() {
 		return
 	}
-	n.Store.PurgeMatching(func(cp *bundle.Copy) bool { return il.Has(cp.Bundle.ID) },
-		func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
+	n.Store.PurgeIn(&il.ids, func(id bundle.ID) { n.NoteDrop(id, node.DropPurged, now) })
 	st.purgedLen, st.purgedPuts = il.Len(), n.Store.Puts()
 }
 
