@@ -38,7 +38,7 @@ func TestRunConstrainedStructure(t *testing.T) {
 	if !reflect.DeepEqual(res.Axis.Bandwidths, sw.Axis.Bandwidths) {
 		t.Errorf("result axis %v, want %v", res.Axis.Bandwidths, sw.Axis.Bandwidths)
 	}
-	if want := []int{1, 2, 1, 2}; !reflect.DeepEqual(keys, want) {
+	if want := []int{1, 1, 2, 2}; !reflect.DeepEqual(keys, want) {
 		t.Errorf("OnPoint keys %v, want the 1-based bandwidth indices %v", keys, want)
 	}
 	for si, s := range res.Series {

@@ -62,16 +62,24 @@ type Scenario struct {
 	// only way mobility reaches a sweep, called once per run. A
 	// hand-built scenario's Stream is whatever it sets, e.g.
 	// func(uint64) (contact.Source, error) { return sched.Stream(), nil }
-	// over a fixed plan. ScenarioFromSpec's Stream records each seed's
-	// plan while its first run streams it and replays it to every later
-	// request (replay.go), since a sweep's protocol series share their
-	// seeds; its plans allocate at most 1<<18 contact slots (~10 MiB)
-	// per scenario, at most half of them one plan, and a plan's contacts
-	// fill between half and all of its slots; the rest streams per use,
-	// so runs otherwise hold O(nodes) of mobility state. Must be safe for
-	// concurrent calls — sweeps with Workers > 1 invoke it from several
-	// goroutines; the sources it returns are per-run and single-use.
+	// over a fixed plan. ScenarioFromSpec's Stream replays (replay.go):
+	// a sweep's protocol series share their seeds, so Run tells the
+	// scenario which seeds its runs read more than once, and each such
+	// plan is recorded while its first run streams it and replayed to
+	// every later request. One helper goroutine beside the runs
+	// generates the next such plan while the current point's runs read
+	// the one before, as classic RWP's helpers generate its steps. A plan
+	// is freed once its last reader has it, so live plans are bounded by
+	// the grid's in-flight points; one plan allocates at most 1<<17
+	// contact slots (~5 MiB), and its contacts fill between half and all
+	// of its slots. Everything else streams per use, so runs otherwise
+	// hold O(nodes) of mobility state. Must be safe for concurrent calls —
+	// sweeps with Workers > 1 invoke it from several goroutines; the
+	// sources it returns are per-run and single-use.
 	Stream func(seed uint64) (contact.Source, error)
+	// memo is the replay behind a spec-built Stream, kept apart so that
+	// Run can hand it its schedule even when a caller wraps Stream.
+	memo *replay
 	// PerRunSchedule regenerates mobility for every run (RWP): Stream
 	// receives the run's own seed. When false every run streams from
 	// the sweep's base seed — the same contacts each time, as with a
@@ -157,15 +165,18 @@ type Sweep struct {
 	// OnPoint, if set, is called after each (series, axis value) point
 	// for progress reporting with the point's axis key: the load, the
 	// 1-based bandwidth index or the node count. Regardless of Workers
-	// it is invoked from the goroutine that called Run, in the
-	// sequential sweep order.
+	// it is invoked from the goroutine that called Run, point-major:
+	// every series at the first axis value, then every series at the
+	// next.
 	OnPoint func(label string, key int)
 	// Workers bounds the number of runs simulated concurrently. Zero
-	// means runtime.GOMAXPROCS(0); 1 runs the grid strictly
-	// sequentially; a negative count fails the sweep. Results are
-	// bit-identical for every value: each run's seed depends only on
-	// (BaseSeed, axis key, run), and per-point averages are folded in
-	// run order after collection.
+	// means runtime.GOMAXPROCS(0); 1 runs the grid's runs one at a time,
+	// in order, though a spec-built scenario may generate its next
+	// shared plan on one helper goroutine beside them (Scenario.Stream);
+	// a negative count fails the sweep. Results are bit-identical for
+	// every value: each run's seed depends only on (BaseSeed, axis key,
+	// run), and per-point averages are folded in run order after
+	// collection.
 	Workers int
 	// Context, when non-nil, cancels the sweep: it is threaded into
 	// every run's engine loop (core.Config.Context), so a cancel or
@@ -246,6 +257,10 @@ func Run(sw Sweep) (*Result, error) {
 			res.Series = append(res.Series, Series{Label: label, Protocol: pf.Label, Policy: policy})
 		}
 	}
+	if memo := sw.Scenario.memo; memo != nil && sw.Axis.Kind != AxisPopulation {
+		// The population axis streams a scenario of its own per run.
+		defer memo.schedule(sw.streamSeeds(points, len(res.Series)))()
+	}
 	err = runGrid(len(res.Series), points, sw.Runs, sw.Workers,
 		func(w *gridWorker, si, j, run int) runOutcome {
 			r, err := sw.run(w, sw.Protocols[si/nD], sw.DropPolicies[si%nD], j, run)
@@ -325,6 +340,25 @@ func (sw *Sweep) point(j int) (load, key int) {
 		return sw.Loads[0], sw.Axis.Nodes[j]
 	}
 	return sw.Loads[j], sw.Loads[j]
+}
+
+// streamSeeds lists the stream seed of every run in runGrid's job order
+// (point, run, series), by simulate's rule.
+func (sw *Sweep) streamSeeds(points, series int) []uint64 {
+	seeds := make([]uint64, 0, points*sw.Runs*series)
+	for j := 0; j < points; j++ {
+		_, key := sw.point(j)
+		for run := 0; run < sw.Runs; run++ {
+			seed := sw.BaseSeed
+			if sw.Scenario.PerRunSchedule {
+				seed = seedFor(sw.BaseSeed, key, run)
+			}
+			for range series {
+				seeds = append(seeds, seed)
+			}
+		}
+	}
+	return seeds
 }
 
 // run builds and executes one run of point j of the (pf, policy)

@@ -7,7 +7,7 @@
 // Determinism contract, for all three axes: every random draw of a
 // run derives from (BaseSeed, axis key, run) through seedFor, a
 // point's runs fold in run order on the calling goroutine, and points
-// fold in sweep order. The worker count therefore never reaches a
+// fold in point-major order. The worker count therefore never reaches a
 // result; the inline workers == 1 path is the reference the
 // *MatchesSequential / *DeterministicAcrossWorkers suites compare the
 // pool against.
@@ -41,27 +41,34 @@ type gridWorker struct {
 	flows  [1]core.Flow
 }
 
-// gridCell is one (i, j) point's runs in flight.
-type gridCell struct {
+// gridPoint is one point's runs in flight: series i's outcome of run
+// run is outs[i*runs+run], so each series' runs lie together in run
+// order.
+type gridPoint struct {
 	outs    []runOutcome
 	pending sync.WaitGroup
 }
 
-// runGrid executes an nI × nJ × runs simulation grid: job(w, i, j, run)
-// runs one simulation on w, fold(i, j, outcomes) receives each point's
-// error-free outcomes, in run order, on the calling goroutine in sweep
-// order (i-major, j-minor) as soon as the point's runs have finished —
-// so progress callbacks fire live and floating-point accumulation is
-// the same for every worker count. fold must not retain outcomes.
+// runGrid executes an nI × nJ × runs simulation grid, nI series over nJ
+// points: job(w, i, j, run) runs one simulation on w. Jobs start point
+// by point, and within a point run by run, every series of a run
+// together (j, run, i order): the series of one (point, run) read the
+// same mobility, so a shared plan is read by runs that start together
+// (replay.go). fold(i, j, outcomes) receives each (series, point)'s
+// error-free outcomes, in run order, on the calling goroutine in
+// point-major order (j-major, i-minor) as soon as the point's runs have
+// finished — so progress callbacks fire live and floating-point
+// accumulation is the same for every worker count. fold must not
+// retain outcomes.
 //
 // workers == 0 means runtime.GOMAXPROCS(0), a negative count is
 // refused, and more workers than jobs means one per job: a goroutine
 // past that could never get a run.
-// workers == 1 executes inline, in index order. Otherwise the grid is
+// workers == 1 executes inline, in job order. Otherwise the grid is
 // fanned out over workers goroutines; the first failing run flips a
 // skip flag so the remaining (potentially thousands-of-nodes) jobs are
 // marked skipped rather than run, and the error returned is the first
-// real failure in grid order, never a skip marker.
+// real failure in job order, never a skip marker.
 //
 // Each worker goroutine, and the inline path, owns one gridWorker and
 // hands it to every job it runs, so a run reuses the working memory of
@@ -76,28 +83,36 @@ func runGrid(nI, nJ, runs, workers int, job func(w *gridWorker, i, j, run int) r
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(1, min(workers, nI*nJ*runs))
+	per := nI * runs // jobs per point
+	workers = max(1, min(workers, nJ*per))
+	foldPoint := func(j int, outs []runOutcome) {
+		for i := 0; i < nI; i++ {
+			fold(i, j, outs[i*runs:(i+1)*runs])
+		}
+	}
 	if workers == 1 {
 		var w gridWorker
-		outs := make([]runOutcome, runs)
-		for c := 0; c < nI*nJ; c++ {
+		outs := make([]runOutcome, per)
+		for j := 0; j < nJ; j++ {
 			clear(outs)
-			for run := range outs {
-				if outs[run] = job(&w, c/nJ, c%nJ, run); outs[run].err != nil {
-					return outs[run].err
+			for k := 0; k < per; k++ {
+				i, run := k%nI, k/nI
+				out := &outs[i*runs+run]
+				if *out = job(&w, i, j, run); out.err != nil {
+					return out.err
 				}
 			}
-			fold(c/nJ, c%nJ, outs)
+			foldPoint(j, outs)
 		}
 		return nil
 	}
 
-	cells := make([]gridCell, nI*nJ)
-	for c := range cells {
-		cells[c].outs = make([]runOutcome, runs)
-		cells[c].pending.Add(runs)
+	points := make([]gridPoint, nJ)
+	for j := range points {
+		points[j].outs = make([]runOutcome, per)
+		points[j].pending.Add(per)
 	}
-	type jobKey struct{ cell, run int }
+	type jobKey struct{ j, i, run int }
 	jobs := make(chan jobKey)
 	abort := make(chan struct{})
 	// window bounds how many points may be in flight (dispatched but not
@@ -115,35 +130,32 @@ func runGrid(nI, nJ, runs, workers int, job func(w *gridWorker, i, j, run int) r
 			for k := range jobs {
 				out := runOutcome{err: errSkipped}
 				if !failed.Load() {
-					if out = job(&w, k.cell/nJ, k.cell%nJ, k.run); out.err != nil {
+					if out = job(&w, k.i, k.j, k.run); out.err != nil {
 						failed.Store(true)
 					}
 				}
-				cells[k.cell].outs[k.run] = out
-				cells[k.cell].pending.Done()
+				points[k.j].outs[k.i*runs+k.run] = out
+				points[k.j].pending.Done()
 			}
 		}()
 	}
 	go func() {
 		defer close(jobs) // lets the workers, and so wg.Wait, finish
-		for c := range cells {
+		for j := range points {
 			select {
 			case window <- struct{}{}:
 			case <-abort:
 				return
 			}
-			for run := 0; run < runs; run++ {
-				jobs <- jobKey{c, run}
+			for k := 0; k < per; k++ {
+				jobs <- jobKey{j, k % nI, k / nI}
 			}
 		}
 	}()
 
-	for c := range cells {
-		cells[c].pending.Wait()
-		for _, out := range cells[c].outs {
-			if out.err == nil {
-				continue
-			}
+	for j := range points {
+		points[j].pending.Wait()
+		if points[j].firstErr(nI, runs, true) != nil {
 			// Short-circuit the rest of the grid and wait it out: the
 			// drain is what makes the scan below safe — workers would
 			// still be writing outcomes, and the causal error might not
@@ -152,20 +164,29 @@ func runGrid(nI, nJ, runs, workers int, job func(w *gridWorker, i, j, run int) r
 			failed.Store(true)
 			close(abort)
 			wg.Wait()
-			for rest := c; rest < len(cells); rest++ {
-				for _, out := range cells[rest].outs {
-					if out.err != nil && out.err != errSkipped {
-						return out.err
-					}
+			for rest := j; rest < len(points); rest++ {
+				if err := points[rest].firstErr(nI, runs, false); err != nil {
+					return err
 				}
 			}
-			return out.err
+			return points[j].firstErr(nI, runs, true)
 		}
-		fold(c/nJ, c%nJ, cells[c].outs)
-		cells[c].outs = nil // release the point's run results once folded
+		foldPoint(j, points[j].outs)
+		points[j].outs = nil // release the point's run results once folded
 		<-window
 	}
 	wg.Wait()
+	return nil
+}
+
+// firstErr returns the point's first failure in job order, counting
+// skip markers only when skips is set.
+func (p *gridPoint) firstErr(nI, runs int, skips bool) error {
+	for k := 0; k < nI*runs; k++ {
+		if err := p.outs[k%nI*runs+k/nI].err; err != nil && (skips || err != errSkipped) {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -179,8 +200,8 @@ func runGrid(nI, nJ, runs, workers int, job func(w *gridWorker, i, j, run int) r
 //     run, and from baseSeed when it is fixed across runs — same
 //     contacts every run. The scenario's Stream decides whether a
 //     repeated seed is regenerated or replayed (a spec-built scenario
-//     replays it within a contact budget, see replay.go); either way
-//     the run sees the same contacts;
+//     replays each seed its sweep reads more than once, see replay.go);
+//     either way the run sees the same contacts;
 //   - the source/destination pair depends only on the run index, so
 //     every point of every series compares the same set of pairs and
 //     curves stay comparable along the axis (§IV re-randomizes the pair

@@ -111,8 +111,9 @@ func TestSweepDefaultWorkersMatchesSequential(t *testing.T) {
 }
 
 // TestOnPointOrderParallel: OnPoint must arrive from the calling
-// goroutine in the exact sequential sweep order even when runs execute
-// out of order across 8 workers.
+// goroutine in the exact point-major order — every series at one load,
+// then the next load — even when runs execute out of order across 8
+// workers, and at 1 and 2.
 func TestOnPointOrderParallel(t *testing.T) {
 	sw := Sweep{
 		Scenario:  TraceScenario(),
@@ -122,20 +123,24 @@ func TestOnPointOrderParallel(t *testing.T) {
 		BaseSeed:  3,
 		Workers:   8,
 	}
-	var want, got []string
-	for _, pf := range sw.Protocols {
-		for _, load := range sw.Loads {
+	var want []string
+	for _, load := range sw.Loads {
+		for _, pf := range sw.Protocols {
 			want = append(want, fmt.Sprintf("%s/%d", pf.Label, load))
 		}
 	}
-	sw.OnPoint = func(label string, load int) {
-		got = append(got, fmt.Sprintf("%s/%d", label, load))
-	}
-	if _, err := Run(sw); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("OnPoint order:\n got %v\nwant %v", got, want)
+	for _, workers := range []int{8, 1, 2} {
+		var got []string
+		sw.Workers = workers
+		sw.OnPoint = func(label string, load int) {
+			got = append(got, fmt.Sprintf("%s/%d", label, load))
+		}
+		if _, err := Run(sw); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("OnPoint order at %d workers:\n got %v\nwant %v", workers, got, want)
+		}
 	}
 }
 

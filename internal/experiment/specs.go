@@ -13,15 +13,17 @@ import (
 // reproduces the figure-built one exactly.
 //
 // The scenario's Stream shares one recorded plan per seed (replay.go):
-// the protocol series of a sweep share their seeds, so each distinct
-// plan is generated once per scenario while it fits the budget, not
-// once per run, and results are unchanged bit for bit.
+// the protocol series of a sweep share their seeds, so each plan a
+// sweep reads more than once is generated once while it fits the
+// per-plan cap, not once per run, and results are unchanged bit for
+// bit.
 func ScenarioFromSpec(specStr string) (Scenario, error) {
 	sc, err := streamedScenario(specStr)
 	if err != nil {
 		return Scenario{}, err
 	}
-	sc.Stream = newReplay(sc.Stream, replayBudget).Stream
+	sc.memo = newReplay(sc.Stream, planCap)
+	sc.Stream = sc.memo.Stream
 	return sc, nil
 }
 

@@ -217,14 +217,20 @@ func (ci *CumulativeImmunity) transferTables(from, to *node.Node, budget int) in
 //dtn:hotpath
 func (*CumulativeImmunity) Wants(sender, receiver *node.Node, _ sim.Time, rng *sim.RNG, sc *Scratch) []bundle.ID {
 	rs := cumOf(receiver)
-	candidates := missing(sender, receiver, rng, sc)
-	out := candidates[:0]
-	for _, id := range candidates {
-		cp := sender.Store.Get(id)
-		if cp != nil && id.Seq <= rs.ackOf(flowOf(cp.Bundle)) {
-			continue
+	direct, relay := missingBundles(sender, receiver, rng, sc)
+	sc.ids = rs.appendUncovered(rs.appendUncovered(sc.ids[:0], direct), relay)
+	return sc.ids
+}
+
+// appendUncovered appends the IDs of the bundles st's tables do not
+// cover.
+//
+//dtn:hotpath
+func (st *cumState) appendUncovered(out []bundle.ID, bundles []*bundle.Bundle) []bundle.ID {
+	for _, b := range bundles {
+		if b.ID.Seq > st.ackOf(flowOf(b)) {
+			out = append(out, b.ID)
 		}
-		out = append(out, id)
 	}
 	return out
 }

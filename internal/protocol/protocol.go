@@ -106,8 +106,10 @@ type Protocol interface {
 // sends. The zero value is ready.
 type Scratch struct {
 	// direct and relay partition a contact's offerable bundles into
-	// receiver-destined and third-party traffic.
-	direct, relay []bundle.ID
+	// receiver-destined and third-party traffic. They hold the bundles,
+	// which never change, rather than the copies, whose pointers the
+	// next store mutation invalidates.
+	direct, relay []*bundle.Bundle
 	// ids is the assembled offer list handed back to the engine.
 	ids []bundle.ID
 }
@@ -163,19 +165,37 @@ func slot[T any](states *[]T, nodes int, id contact.NodeID) *T {
 //
 //dtn:hotpath
 func missing(sender, receiver *node.Node, rng *sim.RNG, sc *Scratch) []bundle.ID {
-	direct, relay := sc.direct[:0], sc.relay[:0]
+	direct, relay := missingBundles(sender, receiver, rng, sc)
+	ids := sc.ids[:0]
+	for _, b := range direct {
+		ids = append(ids, b.ID)
+	}
+	for _, b := range relay {
+		ids = append(ids, b.ID)
+	}
+	sc.ids = ids
+	return ids
+}
+
+// missingBundles is missing's diff before it becomes IDs: the
+// receiver-destined bundles in ascending ID order, then the others
+// shuffled. Both slices are backed by sc, for a Wants that reads the
+// candidates' bundles without looking their copies up again.
+//
+//dtn:hotpath
+func missingBundles(sender, receiver *node.Node, rng *sim.RNG, sc *Scratch) (direct, relay []*bundle.Bundle) {
+	direct, relay = sc.direct[:0], sc.relay[:0]
 	sender.Store.RangeMissing(receiver.Store, receiver.Received, func(cp *bundle.Copy) bool {
 		if cp.Bundle.Dst == receiver.ID {
-			direct = append(direct, cp.Bundle.ID)
+			direct = append(direct, cp.Bundle)
 		} else {
-			relay = append(relay, cp.Bundle.ID)
+			relay = append(relay, cp.Bundle)
 		}
 		return true
 	})
 	if rng != nil {
 		rng.Shuffle(len(relay), func(i, j int) { relay[i], relay[j] = relay[j], relay[i] })
 	}
-	ids := append(append(sc.ids[:0], direct...), relay...)
-	sc.direct, sc.relay, sc.ids = direct, relay, ids
-	return ids
+	sc.direct, sc.relay = direct, relay
+	return direct, relay
 }
